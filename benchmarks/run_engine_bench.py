@@ -28,13 +28,11 @@ workload — both configs of every kernel in both suites, cold — through the
 serial, thread and process batch executors, recording the thread-vs-process
 scaling the session architecture delivers on a whole sweep.
 
-The ``matching`` section (PR 7) times the two e-matching engines head to
-head: every join-capable rule of the default ruleset is searched over the
-saturated micro e-graph with the relational (hash-join) backend and with
-the compiled scan matcher, recording per-rule and per-atom-count medians.
-Both engines return identical rows by construction, so the section is
-pure wall-clock — it exists to keep the join planner honest about where
-it actually wins.
+The ``matching`` section times the relational (hash-join) e-matcher:
+every rule of the default ruleset plus a few deeper synthetic patterns is
+searched over the saturated micro e-graph, full and incremental
+(``since`` quantiles), recording per-pattern and per-atom-count medians
+next to the deterministic match-row counts.
 
 Two scheduling rows (PR 4) exercise the adaptive saturation loop:
 ``saturation_backoff`` re-runs the saturation micro-workload under the
@@ -75,7 +73,6 @@ from repro.egraph import (
     RunnerLimits,
     extract_best,
 )
-from repro.egraph import columns
 from repro.egraph.language import op, sym
 from repro.experiments.common import EvaluationSettings, pipeline_workload
 from repro.frontend import parse_statement
@@ -297,133 +294,75 @@ def main(argv=None) -> int:
         _executor_sweep(spec)
         executor_seconds[spec.split(":")[0]] = time.perf_counter() - t0
 
-    # -- relational e-matching micro-benchmark (PR 7) ----------------------
-    # join vs scan, per join-capable rule, on the saturated micro e-graph.
-    # Both engines return the identical row list; the numbers are pure
-    # wall-clock, grouped by atom count so the join's fixed costs (relation
-    # slicing, key encoding) are visible separately from its wins on
-    # high-selectivity multi-atom patterns.
-    matching_rules = []
-    if columns.HAVE_NUMPY:
-        for rule in rules:
-            cp = rule._compiled
-            if cp._atoms is None:
-                continue  # trivial pattern: scan engine only
-            scan_s = _median_time(
-                lambda: cp.search_rows(eg, backend="scan"), args.repeats
-            )
-            try:
-                join_s = _median_time(
-                    lambda: cp.search_rows(eg, backend="join"), args.repeats
-                )
-            except RuntimeError:
-                continue  # join-key overflow guard: engine unavailable here
-            matching_rules.append({
-                "rule": rule.name,
-                "atoms": len(cp._atoms),
-                "vars": len(cp.vars),
-                "hetero": cp._hetero,
-                "rows": len(cp.search_rows(eg, backend="scan")),
-                "scan_seconds": scan_s,
-                "join_seconds": join_s,
-                "speedup_join": scan_s / join_s if join_s > 0 else float("inf"),
-            })
+    # -- relational e-matching micro-benchmark ------------------------------
+    # per rule, on the saturated micro e-graph, grouped by atom count so
+    # the join's fixed costs (relation slicing, key encoding) are visible
+    # separately from its multi-atom work
+    from repro.egraph.pattern import compile_pattern, parse_pattern
+
+    def _matching_row(cp, since=None):
+        return {
+            "atoms": len(cp._atoms),
+            "rows": len(cp.search_rows(eg, since=since)),
+            "join_seconds": _median_time(
+                lambda: cp.search_rows(eg, since=since), args.repeats
+            ),
+        }
+
+    matching_rules = [
+        {"rule": rule.name, "vars": len(rule._compiled.vars),
+         **_matching_row(rule._compiled)}
+        for rule in rules
+    ]
     # the default ruleset tops out at two atoms per pattern, so a few
     # synthetic deeper patterns fill in the higher-arity rows (join plans
     # with 3-4 relations, where inter-relation selectivity compounds)
-    synthetic_patterns = [
-        "(+ ?a (* ?b ?c))",
-        "(+ (* ?a ?b) (* ?b ?c))",
-        "(* (+ ?a (* ?b ?c)) ?d)",
-        "(+ (* ?a (+ ?b ?c)) (* ?d ?e))",
+    synthetic = [
+        (text, compile_pattern(parse_pattern(text)))
+        for text in (
+            "(+ ?a (* ?b ?c))",
+            "(+ (* ?a ?b) (* ?b ?c))",
+            "(* (+ ?a (* ?b ?c)) ?d)",
+            "(+ (* ?a (+ ?b ?c)) (* ?d ?e))",
+        )
     ]
-    matching_synthetic = []
-    if columns.HAVE_NUMPY:
-        from repro.egraph.pattern import compile_pattern, parse_pattern
-
-        for text in synthetic_patterns:
-            cp = compile_pattern(parse_pattern(text))
-            scan_s = _median_time(
-                lambda: cp.search_rows(eg, backend="scan"), args.repeats
-            )
-            try:
-                join_s = _median_time(
-                    lambda: cp.search_rows(eg, backend="join"), args.repeats
-                )
-            except RuntimeError:
-                continue
-            matching_synthetic.append({
-                "pattern": text,
-                "atoms": len(cp._atoms),
-                "vars": len(cp.vars),
-                "hetero": cp._hetero,
-                "rows": len(cp.search_rows(eg, backend="scan")),
-                "scan_seconds": scan_s,
-                "join_seconds": join_s,
-                "speedup_join": scan_s / join_s if join_s > 0 else float("inf"),
-            })
-    # -- semi-naive delta joins vs incremental scans (PR 9) ----------------
-    # the same engines on *incremental* searches: `since` quantiles of the
+    matching_synthetic = [
+        {"pattern": text, "vars": len(cp.vars), **_matching_row(cp)}
+        for text, cp in synthetic
+    ]
+    # -- semi-naive delta joins (PR 9) --------------------------------------
+    # the same engine on *incremental* searches: `since` quantiles of the
     # class-touched distribution sweep the delta fraction from "everything
     # changed" down to "a thin recent slice", which is where the delta
-    # join's root-relation restriction pays.  Engine choice still never
-    # changes results (the equivalence tests pin multiset AND order).
+    # join's root-relation restriction pays
     matching_delta = []
-    if columns.HAVE_NUMPY:
-        from repro.egraph.pattern import compile_pattern, parse_pattern
-
-        touched_live = sorted(cls.touched for cls in eg.eclasses())
-        delta_cases = [
-            ("rule:" + rule.name, rule._compiled)
-            for rule in rules
-            if rule._compiled._atoms is not None
-        ][:4] + [
-            (text, compile_pattern(parse_pattern(text)))
-            for text in synthetic_patterns
-        ]
-        n_live = len(touched_live)
-        for quantile in (0.0, 0.5, 0.9):
-            idx = min(n_live - 1, int(quantile * n_live))
-            since = -1 if quantile == 0.0 else touched_live[idx]
-            stale = sum(1 for t in touched_live if t > since)
-            for label, cp in delta_cases:
-                scan_s = _median_time(
-                    lambda: cp.search_rows(eg, since=since, backend="scan"),
-                    args.repeats,
-                )
-                try:
-                    join_s = _median_time(
-                        lambda: cp.search_rows(eg, since=since, backend="join"),
-                        args.repeats,
-                    )
-                except RuntimeError:
-                    continue
-                matching_delta.append({
-                    "pattern": label,
-                    "atoms": len(cp._atoms),
-                    "since_quantile": quantile,
-                    "delta_fraction_classes": stale / n_live if n_live else 0.0,
-                    "rows": len(cp.search_rows(eg, since=since, backend="scan")),
-                    "scan_seconds": scan_s,
-                    "join_seconds": join_s,
-                    "speedup_join": scan_s / join_s if join_s > 0 else float("inf"),
-                })
+    touched_live = sorted(cls.touched for cls in eg.eclasses())
+    delta_cases = [
+        ("rule:" + rule.name, rule._compiled) for rule in rules[:4]
+    ] + synthetic
+    n_live = len(touched_live)
+    for quantile in (0.0, 0.5, 0.9):
+        idx = min(n_live - 1, int(quantile * n_live))
+        since = -1 if quantile == 0.0 else touched_live[idx]
+        stale = sum(1 for t in touched_live if t > since)
+        for label, cp in delta_cases:
+            matching_delta.append({
+                "pattern": label,
+                "since_quantile": quantile,
+                "delta_fraction_classes": stale / n_live if n_live else 0.0,
+                **_matching_row(cp, since),
+            })
     matching_by_atoms = {}
     for row in matching_rules + matching_synthetic:
         matching_by_atoms.setdefault(row["atoms"], []).append(row)
     matching = {
-        "backend": "numpy" if columns.HAVE_NUMPY else "fallback",
         "rules": matching_rules,
         "synthetic": matching_synthetic,
         "delta": matching_delta,
         "by_atom_count": {
             str(atoms): {
                 "rules": len(rows),
-                "scan_seconds": statistics.median(r["scan_seconds"] for r in rows),
                 "join_seconds": statistics.median(r["join_seconds"] for r in rows),
-                "speedup_join": statistics.median(
-                    r["speedup_join"] for r in rows
-                ),
             }
             for atoms, rows in sorted(matching_by_atoms.items())
         },
@@ -566,8 +505,7 @@ def main(argv=None) -> int:
         # where the benchmark kernel's saturation wall-clock goes —
         # search / apply / rebuild / extract — so future perf PRs can see
         # the phase split without re-profiling
-        # join vs scan e-matching engine timings (backend choice never
-        # changes results, so nothing here feeds the outcome guard)
+        # relational e-matcher timings (nothing here feeds the outcome guard)
         "matching": matching,
         # the observational contract, measured: interleaved traced vs
         # untraced medians of the saturation and pipeline workloads, and

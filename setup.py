@@ -1,16 +1,17 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Package metadata for the ACC Saturator reproduction.
 
-The project metadata lives in ``pyproject.toml``; this file only enables
-legacy editable installs (``pip install -e .``) on offline machines where
-PEP 660 editable builds are unavailable.
+This file is the project's only packaging metadata (there is no
+``pyproject.toml``); ``pip install -e .`` works through it on offline
+machines where PEP 660 editable builds are unavailable.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
 setup(
-    # numpy is a soft dependency: the e-graph's columnar core vectorises
-    # its batched passes when numpy is importable and falls back to pure
-    # ``array``-module loops otherwise (REPRO_NO_NUMPY=1 forces the
-    # fallback).  ``pip install .[fast]`` opts into the fast path.
-    extras_require={"fast": ["numpy"]},
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    # numpy backs the e-graph's columnar core, the interpreter and the GPU
+    # model.  scipy stays optional: only the ILP extractor imports it.
+    install_requires=["numpy"],
 )

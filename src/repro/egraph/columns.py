@@ -24,46 +24,28 @@ e-matcher run as batched column passes without perturbing any of the
 deterministic orders the engine's committed outcomes depend on
 (``EGraph.check_invariants`` asserts it).
 
-numpy is a *soft* dependency: when importable (and not disabled via the
-``REPRO_NO_NUMPY=1`` escape hatch) the ``array`` buffers are viewed
-zero-copy through :func:`as_int64` / :func:`as_uint8` and the hot passes
-vectorise; otherwise the same columns serve the pure-Python fallback
-loops.  Callers select per call site — the stored data is identical under
-both backends, so outcomes cannot depend on which one is active.
+numpy is a required dependency.  The ``array`` buffers are the storage
+(cheap scalar appends and in-place writes from the dict core); every
+batched pass reads them zero-copy through :func:`as_int64` /
+:func:`as_uint8` and runs as a numpy column kernel.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 __all__ = [
     "ColumnStore",
-    "HAVE_NUMPY",
-    "REPRO_NO_NUMPY",
     "RowBatch",
     "as_int64",
     "as_uint8",
-    "np",
     "vec_find",
 ]
 
 NodeKey = Tuple[int, ...]
-
-#: ``REPRO_NO_NUMPY=1`` forces the ``array``-module fallback even when
-#: numpy is importable (debugging escape hatch; also exercised in CI).
-REPRO_NO_NUMPY = os.environ.get("REPRO_NO_NUMPY", "").strip() not in ("", "0")
-
-if REPRO_NO_NUMPY:
-    np = None
-else:
-    try:
-        import numpy as np  # type: ignore[no-redef]
-    except Exception:  # pragma: no cover - exercised via REPRO_NO_NUMPY CI runs
-        np = None
-
-HAVE_NUMPY = np is not None
 
 #: Eight ``0xff`` bytes — the two's-complement encoding of a -1 padding
 #: cell in an ``array('q')`` column (used to backfill new child columns).
@@ -97,8 +79,8 @@ class RowBatch:
     The relational matcher produces its result as one ``(n, width)``
     ndarray; materialising ``n`` Python tuples out of it costs more than
     the join itself, and the batched applier consumes the matrix
-    directly.  A RowBatch defers the tuples: it quacks like the list the
-    scan matcher returns (length, indexing, slicing, iteration,
+    directly.  A RowBatch defers the tuples: it quacks like a list of
+    match rows (length, indexing, slicing, iteration,
     equality — all yielding plain int tuples) but only builds them on
     first such access, and slices pull just their window from the
     matrix.  ``mat`` is the backing matrix; consumers that can work
@@ -336,7 +318,7 @@ class ColumnStore:
         return row
 
     # ------------------------------------------------------------------
-    # Batched passes (numpy backend only; callers gate on HAVE_NUMPY)
+    # Batched passes (numpy column kernels)
     # ------------------------------------------------------------------
 
     def stale_alive_rows(self, parent):

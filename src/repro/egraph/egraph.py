@@ -32,8 +32,8 @@ Alongside the dicts, the graph maintains a **columnar mirror**
 int columns ``(op_id, payload_id, child0.., class_id, alive)`` per
 spelling ever interned, in hashcons insertion order.  The stale-key sweep
 and the relational e-matcher (:mod:`repro.egraph.pattern`) run as batched
-passes over these columns — vectorised under numpy, plain loops under the
-``array`` fallback — without touching any order the dict core defines.
+numpy passes over these columns, without touching any order the dict core
+defines.
 Per-class ``touched``/liveness stamps are mirrored into flat arrays the
 same way (``_class_touched`` / ``_class_alive``) so the incremental
 searcher and the extraction refresh can filter classes in one pass.
@@ -41,21 +41,21 @@ searcher and the extraction refresh can filter classes in one pass.
 :class:`ENode` survives as a thin **boundary view**: user code, the rule
 DSL, cost models, code generation, tests, and cache serialisation keep
 their ENode-based API, and the graph materialises views lazily (memoized
-per key) only when asked.  The compiled e-matcher and the extraction DP
-never construct views on their hot paths — they index the key tuples
-directly.
+per key) only when asked.  The relational e-matcher and the extraction DP
+never construct views on their hot paths — they read the columns and key
+tuples directly.
 
 On top of the classic structure the e-graph maintains the bookkeeping that
-the op-indexed, incremental e-matcher (:mod:`repro.egraph.pattern`) relies
-on:
+incremental e-matching (:mod:`repro.egraph.pattern`) relies on:
 
 * an **op-index** — for every operator id, the set of e-class ids whose
   class contains an e-node with that operator.  Entries are canonicalised
   lazily (a stale id simply ``find``s to the surviving root), so ``merge``
   never has to rewrite the index; :meth:`classes_with_op` compacts on read.
 * a per-class **by-op grouping** of the key set (cached, invalidated by a
-  per-class ``version`` stamp) so a sub-pattern with operator ``*`` only
-  looks at the ``*`` keys of a candidate class,
+  per-class ``version`` stamp) whose sorted bucket order *defines* match
+  order: the reference matcher iterates it and the relational matcher's
+  rank sort reproduces it,
 * a per-class **touched** stamp — the :attr:`version` at which the class
   (or anything match-relevant below it) last changed.  :meth:`rebuild`
   propagates touches upward through the parent lists, which is what makes
@@ -76,6 +76,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.egraph import columns
 from repro.egraph.columns import ColumnStore
@@ -253,7 +255,7 @@ class EGraph:
         #: bucket-sort component (same total order the object core used).
         self._payload_sort: List[Tuple[str, str]] = [("None", "NoneType")]
         #: raw payload value -> ids of every ``==``-equal interned payload
-        #: (1 and 1.0 share a slot).  The compiled matcher resolves pattern
+        #: (1 and 1.0 share a slot).  The e-matcher resolves pattern
         #: payload constants through this, preserving the object engine's
         #: type-insensitive ``!=`` guard.
         self._payload_eq: Dict[Payload, Tuple[int, ...]] = {None: (0,)}
@@ -377,7 +379,7 @@ class EGraph:
         return (key[2:], self._payload_sort[key[1]])
 
     def _np_parent(self):
-        """int64 snapshot of the union-find parent array (numpy backend).
+        """int64 snapshot of the union-find parent array.
 
         Cached per :attr:`version`: path compression may rewrite entries
         without a version bump, but it only moves pointers *up* the same
@@ -388,7 +390,7 @@ class EGraph:
         snap = self._parent_snapshot
         if snap is not None and snap[0] == self.version:
             return snap[1]
-        arr = columns.np.array(self.uf._parent, dtype=columns.np.int64)
+        arr = np.array(self.uf._parent, dtype=np.int64)
         self._parent_snapshot = (self.version, arr)
         return arr
 
@@ -404,7 +406,6 @@ class EGraph:
         snap = self._roots_snapshot
         if snap is not None and snap[0] == self.version:
             return snap[1]
-        np = columns.np
         arr = self._np_parent()
         out = arr[arr]
         while not np.array_equal(out, arr):
@@ -453,11 +454,9 @@ class EGraph:
         """Refresh the store's per-row touch-stamp column.
 
         ``touch[row] = _class_touched[find(cls[row])]`` for every row, as
-        one gather under numpy (a Python loop otherwise — only invariant
-        checks take that path; the delta readers are numpy-gated).  Synced
-        eagerly at the end of :meth:`rebuild` and lazily (stamp-checked)
-        by the delta readers, so a search issued without an intervening
-        rebuild still sees current stamps.
+        one gather.  Synced eagerly at the end of :meth:`rebuild` and
+        lazily (stamp-checked) by the delta readers, so a search issued
+        without an intervening rebuild still sees current stamps.
         """
 
         store = self.store
@@ -466,19 +465,11 @@ class EGraph:
         stamp = (self.version, len(store.keys), store.epoch)
         if store.touch_stamp == stamp:
             return
-        if columns.HAVE_NUMPY:
+        cls = columns.as_int64(store.cls)
+        if len(cls):
             touched = columns.as_int64(self._class_touched)
-            cls = columns.as_int64(store.cls)
-            if len(cls):
-                canon = columns.vec_find(self._np_parent(), cls)
-                columns.as_int64(store.touch)[:] = touched[canon]
-        else:
-            find = self.uf.find
-            touched = self._class_touched
-            cls = store.cls
-            touch = store.touch
-            for row in range(len(touch)):
-                touch[row] = touched[find(cls[row])]
+            canon = columns.vec_find(self._np_parent(), cls)
+            columns.as_int64(store.touch)[:] = touched[canon]
         store.touch_stamp = stamp
 
     def rows_touched_since(self, op_id: int, stamp: int):
@@ -524,7 +515,6 @@ class EGraph:
         entry = cache.get(key, _NO_ENTRY)
         if entry is not _NO_ENTRY:
             return entry
-        np = columns.np
         store = self.store
         base = len(self.uf._parent) + 1
         entry = None
@@ -565,12 +555,11 @@ class EGraph:
         probe snapshot monotonically, so hit flags stay valid across
         them; a union (an analysis ``modify`` firing during an add) drops
         the snapshot and re-probes the remaining suffix.  Falls back to
-        the scalar loop for small or mixed-shape batches and under the
-        array fallback.
+        the scalar loop for small or mixed-shape batches.
         """
 
         n = len(keys)
-        if n < 16 or not columns.HAVE_NUMPY:
+        if n < 16:
             add_key = self.add_key
             return [add_key(k) for k in keys]
         first = keys[0]
@@ -580,7 +569,6 @@ class EGraph:
             if k[0] != op_id or k[1] != pid or len(k) != width:
                 add_key = self.add_key
                 return [add_key(k) for k in keys]
-        np = columns.np
         mat = np.array(keys, dtype=np.int64)
         out: List[int] = [0] * n
         add_key = self.add_key
@@ -720,46 +708,29 @@ class EGraph:
     def buckets_by_op_id(self, eclass_id: int, op_id: int) -> Sequence[NodeKey]:
         """The node keys with operator *op_id* in the class of *eclass_id*.
 
-        This is the compiled matcher's inner-loop accessor: it hands back
-        raw key tuples (``key[2:]`` are the child class ids) so the match
-        path runs entirely over interned ints.  Backed by a per-class
-        grouping cache invalidated whenever the class's key set changes.
-        Bucket order is the deterministic :meth:`_key_sort_key` order —
+        Hands back raw key tuples (``key[2:]`` are the child class ids).
+        Backed by a per-class grouping cache invalidated whenever the
+        class's key set changes.  Bucket order is the deterministic
+        :meth:`_key_sort_key` order —
         identical to the object core's, which keeps node-limit-truncated
         saturations reproducible across processes (the content-addressed
         artifact cache relies on same source+config => same artifact).
         """
 
-        # callers overwhelmingly pass canonical ids (the matcher always
-        # does); the classes dict only holds canonical roots, so a hit
-        # skips the union-find walk entirely
+        # callers overwhelmingly pass canonical ids; the classes dict only
+        # holds canonical roots, so a hit skips the union-find walk
         cls = self.classes.get(eclass_id)
         if cls is None:
             cls = self.classes[self.uf.find(eclass_id)]
         if cls._by_op_version != cls.version:
-            self._rebuild_by_op(cls)
+            group: Dict[int, List[NodeKey]] = {}
+            for key in cls.keys:
+                group.setdefault(key[0], []).append(key)
+            for bucket in group.values():
+                bucket.sort(key=self._key_sort_key)
+            cls._by_op = group
+            cls._by_op_version = cls.version
         return cls._by_op.get(op_id, _EMPTY)
-
-    def _rebuild_by_op(self, cls: "EClass") -> None:
-        """Rebuild *cls*'s per-op bucket grouping (deterministic order).
-
-        Split out of :meth:`buckets_by_op_id` so the compiled matchers can
-        inline the cache-hit path and only pay a call on a version miss.
-        """
-
-        group: Dict[int, List[NodeKey]] = {}
-        for key in cls.keys:
-            bucket = group.get(key[0])
-            if bucket is None:
-                group[key[0]] = [key]
-            else:
-                bucket.append(key)
-        sort_key = self._key_sort_key
-        for bucket in group.values():
-            if len(bucket) > 1:
-                bucket.sort(key=sort_key)
-        cls._by_op = group
-        cls._by_op_version = cls.version
 
     def nodes_by_op(self, eclass_id: int, op: str) -> Sequence[ENode]:
         """The e-nodes with operator *op* in the class of *eclass_id*.
@@ -1021,23 +992,25 @@ class EGraph:
         # (>50% dead) past a floor that keeps small graphs loop-free.
         # Invisible to outcomes — live-row relative order is preserved and
         # every row-index cache is epoch-keyed — so the policy only moves
-        # wall-clock, and it depends only on counts (backend-independent).
+        # wall-clock.
         if n_rows >= 512 and 2 * (n_rows - sum(store.alive)) > n_rows:
             store.compact()
         self._probe_gen += 1
-        if columns.HAVE_NUMPY:
-            # keep the per-row touch-stamp column current for the delta
-            # readers: one gather per rebuild, amortised across every
-            # incremental search issued before the next mutation
-            self._sync_row_touch()
+        # keep the per-row touch-stamp column current for the delta
+        # readers: one gather per rebuild, amortised across every
+        # incremental search issued before the next mutation
+        self._sync_row_touch()
         return n_repairs
 
     def _sweep_stale_keys(self) -> int:
         """Drop non-canonical hashcons keys; merge any congruence they hid.
 
-        Runs at each :meth:`rebuild` convergence.  The scan is a flat
-        integer loop: a key is stale iff one of its child ids is not a
-        union-find root, which is two array reads per child.
+        Runs at each :meth:`rebuild` convergence.  A key is stale iff one
+        of its child ids is not a union-find root; the predicate is
+        evaluated over the whole child columns at once.  Ascending
+        alive-row order is hashcons dict order (the store's core
+        invariant), so the collected keys — and therefore the
+        merge-discovery order below — are the dict scan's.
         """
 
         if not self._merged_since_sweep:
@@ -1045,33 +1018,11 @@ class EGraph:
         self._merged_since_sweep = False
         uf = self.uf
         store = self.store
-        if columns.HAVE_NUMPY and len(store) > 64:
-            # batched column pass: the staleness predicate per row is the
-            # same two-array-reads-per-child check, evaluated over the
-            # whole child columns at once.  Ascending alive-row order is
-            # hashcons dict order (the store's core invariant), so the
-            # collected keys — and therefore the merge-discovery order
-            # below — are identical to the scalar scan's.
-            parent_np = columns.np.array(uf._parent, dtype=columns.np.int64)
-            rows = store.stale_alive_rows(parent_np)
-            if not rows.size:
-                return 0
-            keys_list = store.keys
-            stale = [keys_list[r] for r in rows.tolist()]
-        else:
-            parent = uf._parent
-            stale = []
-            for key in self.hashcons:
-                n = len(key)
-                i = 2
-                while i < n:
-                    c = key[i]
-                    if parent[c] != c:
-                        stale.append(key)
-                        break
-                    i += 1
-            if not stale:
-                return 0
+        rows = store.stale_alive_rows(np.array(uf._parent, dtype=np.int64))
+        if not rows.size:
+            return 0
+        keys_list = store.keys
+        stale = [keys_list[r] for r in rows.tolist()]
         find = uf.find
         merges = 0
         views_pop = self._views.pop
@@ -1097,8 +1048,9 @@ class EGraph:
             # finds in parent lists, and a spelling minted *by* a repair is
             # recorded in just one child's list — swap it for the canonical
             # one here too, or the class double-counts the node (and the
-            # scan matcher emits duplicate matches the join engine,
-            # reading the deduplicated hashcons rows, can never produce)
+            # reference matcher, walking class key sets, emits duplicate
+            # matches the join engine, reading the deduplicated hashcons
+            # rows, can never produce)
             owner = classes.get(find(value))
             if owner is not None and key in owner.keys:
                 n0 = len(owner.keys)

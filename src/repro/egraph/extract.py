@@ -44,10 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
-try:  # soft dependency: only the ILP extractor needs numpy (via scipy)
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.egraph import columns
 from repro.egraph.egraph import EGraph, ENode, NodeKey
@@ -184,45 +181,30 @@ class _DPState:
         identical).
         """
 
-        find = egraph.uf.find
-        if columns.HAVE_NUMPY:
-            # batched over the flat touched/alive mirrors; ascending class
-            # id order equals the classes-dict iteration order (classes are
-            # created with ascending ids and deletions never reorder)
-            cnp = columns.np
-            touched = columns.as_int64(egraph._class_touched)
-            alive = columns.as_uint8(egraph._class_alive)
-            stale_mask = (touched > since) & (alive != 0)
-            invalid = cnp.flatnonzero(stale_mask).tolist()
-            invalid_set = set(invalid)
-            # evict memo entries over touched-row slices: gather the drop
-            # set in two vector ops (touched-or-dead via the mask, merged
-            # away via the compressed roots) instead of a scalar find per
-            # retained entry.  The drop *set* — and therefore the surviving
-            # dict state — is exactly the scalar loop's.
-            roots = egraph._np_roots()
-            for table in (self.best, self.class_nodes):
-                if not table:
-                    continue
-                cids = cnp.fromiter(table.keys(), dtype=cnp.int64, count=len(table))
-                drop = stale_mask[cids] | (roots[cids] != cids)
-                if table is self.best:
-                    for cid in cids[drop].tolist():
-                        del self.best[cid]
-                        del self.tie[cid]
-                else:
-                    for cid in cids[drop].tolist():
-                        del table[cid]
-        else:
-            invalid = [cls.id for cls in egraph.eclasses() if cls.touched > since]
-            invalid_set = set(invalid)
-            for cid in list(self.best):
-                if cid in invalid_set or find(cid) != cid:
+        # batched over the flat touched/alive mirrors; ascending class id
+        # order equals the classes-dict iteration order (classes are
+        # created with ascending ids and deletions never reorder)
+        touched = columns.as_int64(egraph._class_touched)
+        alive = columns.as_uint8(egraph._class_alive)
+        stale_mask = (touched > since) & (alive != 0)
+        invalid = np.flatnonzero(stale_mask).tolist()
+        invalid_set = set(invalid)
+        # evict memo entries in two vector ops (touched via the mask,
+        # merged away via the compressed roots) instead of a scalar find
+        # per retained entry
+        roots = egraph._np_roots()
+        for table in (self.best, self.class_nodes):
+            if not table:
+                continue
+            cids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+            drop = stale_mask[cids] | (roots[cids] != cids)
+            if table is self.best:
+                for cid in cids[drop].tolist():
                     del self.best[cid]
                     del self.tie[cid]
-            for cid in list(self.class_nodes):
-                if cid in invalid_set or find(cid) != cid:
-                    del self.class_nodes[cid]
+            else:
+                for cid in cids[drop].tolist():
+                    del table[cid]
         self._index(egraph, cost_function, invalid)
         self._relax(invalid_set)
         return len(invalid)

@@ -10,58 +10,44 @@ language, e.g. the FMA1 rule of the paper (Table I) is written::
 
     (+ ?a (* ?b ?c))   ->   (fma ?a ?b ?c)
 
-Three matching engines coexist:
+One production engine, one reference:
 
-* the **naive reference matcher** (:meth:`Pattern.search_naive`,
+* the **relational matcher** (:func:`_relational_search`, behind
+  :meth:`CompiledPattern.search_rows`) executes every operator pattern as
+  a *join* over the e-graph's columnar store (:mod:`repro.egraph.columns`):
+  each operator node becomes an *atom* whose relation is the per-op column
+  slice filtered by arity/payload, and shared variables (plus the
+  parent-child links of the pattern tree) become hash-join keys (encoded
+  into int64 and resolved by sort + ``searchsorted``).  The join plan is
+  deterministic (:func:`_plan_order`): the root atom leads (on an
+  incremental ``since`` search it is the *delta* relation — only rows of
+  classes touched after the stamp, see :meth:`EGraph.rebuild` for how
+  touched stamps propagate upward), then greedily the smallest remaining
+  connected relation, ties broken by op id then pre-order atom index.
+  Join results are ordered by lexsorting ``(root class id, rank_0, ..,
+  rank_k)`` where ``rank_i`` is atom *i*'s position inside its class's
+  deterministic :meth:`~repro.egraph.egraph.EGraph.buckets_by_op_id`
+  bucket order — which is the reference matcher's nested-loop emission
+  order (two results agreeing on all earlier ranks chose identical rows,
+  hence atom *i* draws from the same bucket, where rank order *is*
+  iteration order).  A single-atom "join" is the relation slice itself.
+* the **reference matcher** (:meth:`Pattern.search_naive`,
   :func:`_match_pattern`) — a backtracking generator that re-walks the
-  pattern dataclass tree against every e-class, through the ENode boundary
-  views.  It is kept as the executable specification the fast engine is
-  tested against.
-* the **compiled matcher** (:class:`CompiledPattern`) — each pattern is
-  lowered once into a specialised Python function that indexes the
-  e-graph's interned arena directly.  A call-time prologue resolves the
-  pattern's operator names and payload constants to the graph's interned
-  ids (a pattern op the graph never interned cannot match anywhere, so the
-  function returns immediately); the inner loops then walk per-class
-  ``buckets_by_op_id`` buckets of raw key tuples — child ids are
-  ``key[i]`` index reads, arity is ``len(key)``, payload guards are
-  integer membership tests.  No attribute lookups or node objects survive
-  into the match path.  ``CompiledPattern.search`` optionally takes a
-  ``since`` version stamp and then skips classes untouched since that
-  stamp — the incremental half of the engine (see
-  :meth:`repro.egraph.egraph.EGraph.rebuild` for how *touched* stamps are
-  propagated).
-
-* the **relational matcher** (PR 7) — when numpy is available (see
-  :mod:`repro.egraph.columns`), a pattern with two or more operator nodes
-  is executed as a *join* over the e-graph's columnar store instead of a
-  nested scan: each operator node becomes an *atom* whose relation is the
-  per-op column slice filtered by arity/payload, and shared variables
-  (plus the parent-child links of the pattern tree) become hash-join keys
-  (encoded into int64 and resolved by sort + ``searchsorted``).  The join
-  plan is deterministic: the root atom leads (it carries the ``since``
-  touched-filter), then greedily the smallest remaining connected
-  relation, ties broken by op id then pre-order atom index.  Join results
-  are ordered by lexsorting ``(root class id, rank_0, .., rank_k)`` where
-  ``rank_i`` is atom *i*'s position inside its class's deterministic
-  :meth:`~repro.egraph.egraph.EGraph.buckets_by_op_id` bucket order —
-  which reproduces the compiled matcher's nested-loop emission order
-  exactly (two results agreeing on all earlier ranks chose identical
-  rows, hence atom *i* draws from the same bucket, where rank order *is*
-  iteration order).  Trivial (single-atom) patterns, graphs without
-  numpy, and ``REPRO_NO_NUMPY=1`` runs fall back to the compiled
-  matchers; both backends produce identical match lists.
+  pattern dataclass tree through the ENode boundary views: root classes
+  in ascending id, each class's nodes in bucket order.  It is the
+  executable specification of *which* rows match and in *what order*;
+  the relational matcher is tested against it with exact list equality.
 
 Internally matches flow as flat **rows** ``(root_class_id, v0, v1, ..)``
 with variable values in :meth:`Pattern.variables` order (what
 ``search_rows`` returns and the runner's apply loop consumes); the public
-``search``/``match_class`` APIs wrap them into the historical
-``(class id, substitution dict)`` form in the same order.
+``search`` API wraps them into the historical ``(class id, substitution
+dict)`` form in the same order.
 
 :func:`compile_pattern` memoises the lowering, and :func:`parse_pattern`
 memoises parsing, so building a ruleset repeatedly (as benchmark loops do)
-costs one compilation total per distinct pattern.  The compiled functions
-are graph-agnostic: interned ids are resolved per call, so one compiled
+costs one compilation total per distinct pattern.  Compiled patterns are
+graph-agnostic: interned ids are resolved per call, so one compiled
 pattern serves every e-graph in the process.
 """
 
@@ -71,6 +57,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.egraph import columns
 from repro.egraph.egraph import EGraph, ENode
@@ -161,19 +149,24 @@ class Pattern:
     def search(self, egraph: EGraph) -> List[Tuple[int, Substitution]]:
         """Search the whole e-graph; returns ``(eclass_id, substitution)`` pairs.
 
-        Uses the compiled, op-indexed engine; :meth:`search_naive` is the
-        slow reference implementation.
+        Runs the relational engine; :meth:`search_naive` is the slow
+        reference implementation (same pairs, same order).
         """
 
         return compile_pattern(self).search(egraph)
 
     def search_naive(self, egraph: EGraph) -> List[Tuple[int, Substitution]]:
-        """Reference search: backtracking generator over every e-class."""
+        """Reference search: backtracking generator over every e-class.
+
+        Root classes are visited in ascending id — with the per-class
+        bucket order of :func:`_match_pattern` this fixes the match
+        *order*, not just the match set.
+        """
 
         matches: List[Tuple[int, Substitution]] = []
-        for eclass in list(egraph.eclasses()):
-            for subst in self.match_class(egraph, eclass.id):
-                matches.append((eclass.id, subst))
+        for eclass_id in sorted(egraph.classes):
+            for subst in self.match_class(egraph, eclass_id):
+                matches.append((eclass_id, subst))
         return matches
 
     # ------------------------------------------------------------------
@@ -220,174 +213,6 @@ class Pattern:
 # ---------------------------------------------------------------------------
 # Compiled patterns
 # ---------------------------------------------------------------------------
-
-
-class _MatcherCodegen:
-    """Lower one pattern into a specialised Python search function.
-
-    The generated function resolves every operator / payload constant of
-    the pattern to the target graph's interned ids in a short prologue
-    (returning immediately when the graph has never interned one of them),
-    then runs one ``for`` loop per operator node of the pattern over the
-    candidate class's ``buckets_by_op_id`` bucket of raw key tuples.
-    Arity and payload pre-filters are inline integer guards, child class
-    ids are direct ``key[i]`` reads, and pattern variables bind to plain
-    locals (a repeated variable becomes an ``!=`` guard).  No interpreter
-    dispatch, node objects, or per-binding dict copies survive into the
-    hot loop; a complete match is emitted as a flat ``(cid, v0, v1, ..)``
-    row tuple (variable values in :meth:`Pattern.variables` order) — no
-    dict is built at all on the match path.
-    """
-
-    def __init__(self, pattern: Pattern) -> None:
-        self.lines: List[str] = []
-        self.consts: Dict[str, object] = {}
-        self.slots: Dict[str, str] = {}
-        self.counter = 0
-        self.order: List[str] = pattern.variables()
-        self.pattern = pattern
-        #: op name -> prologue local holding its interned id.
-        self.op_locals: Dict[str, str] = {}
-        #: (payload type name, payload) -> prologue local holding its
-        #: matching-id tuple.
-        self.payload_locals: Dict[tuple, str] = {}
-        self.prologue: List[str] = []
-
-    def _name(self, prefix: str) -> str:
-        self.counter += 1
-        return f"{prefix}{self.counter}"
-
-    def _const(self, value: object) -> str:
-        name = f"_k{len(self.consts)}"
-        self.consts[name] = value
-        return name
-
-    def _op_local(self, op: str) -> str:
-        """Prologue local for the interned id of *op* (early-out if absent)."""
-
-        local = self.op_locals.get(op)
-        if local is None:
-            local = f"_o{len(self.op_locals)}"
-            self.op_locals[op] = local
-            self.prologue.append(f"{local} = _opid({self._const(op)})")
-            self.prologue.append(f"if {local} is None: return")
-        return local
-
-    def _payload_local(self, payload: object) -> str:
-        """Prologue local for the ids matching *payload* (early-out if none).
-
-        Payload guards mirror the object engine's plain ``!=`` check —
-        type-insensitive — so the ids of every ``==``-equal interned
-        payload are accepted (``EGraph.payload_ids_matching``).
-        """
-
-        memo_key = (type(payload).__name__, payload)
-        local = self.payload_locals.get(memo_key)
-        if local is None:
-            local = f"_p{len(self.payload_locals)}"
-            self.payload_locals[memo_key] = local
-            self.prologue.append(f"{local} = _pids({self._const(payload)})")
-            self.prologue.append(f"if not {local}: return")
-        return local
-
-    def _emit(self, depth: int, text: str) -> None:
-        self.lines.append("    " * depth + text)
-
-    def _emit_canon(self, depth: int, target: str, expr: str) -> None:
-        """Assign the canonical id of *expr* to *target*.
-
-        Child ids in arena keys are canonical whenever search runs on a
-        rebuilt graph (the runner always does), so the emitted code checks
-        the union-find parent array inline and only pays the ``find`` call
-        on a stale id.
-        """
-
-        self._emit(depth, f"{target} = {expr}")
-        self._emit(depth, f"if parent[{target}] != {target}: {target} = find({target})")
-
-    def _emit_seq(self, items: List[Tuple[PatternNode, str, bool]], depth: int) -> None:
-        """Emit matching code for *items* (node, class-id expression, canonical)."""
-
-        if not items:
-            # emit a flat row tuple (cid, v0, v1, ..) in variables() order;
-            # the public search()/match_class() wrappers rebuild dicts
-            row = ", ".join(["cid"] + [self.slots[name] for name in self.order])
-            self._emit(depth, f"append(({row},))")
-            return
-        (node, expr, is_canonical), rest = items[0], items[1:]
-        if isinstance(node, PatternVar):
-            bound = self.slots.get(node.name)
-            if bound is None:
-                var = self._name("v")
-                self.slots[node.name] = var
-                if is_canonical:
-                    self._emit(depth, f"{var} = {expr}")
-                else:
-                    self._emit_canon(depth, var, expr)
-            else:
-                if is_canonical:
-                    self._emit(depth, f"if {bound} != {expr}: continue")
-                else:
-                    tmp = self._name("t")
-                    self._emit_canon(depth, tmp, expr)
-                    self._emit(depth, f"if {bound} != {tmp}: continue")
-            self._emit_seq(rest, depth)
-            return
-
-        if is_canonical:
-            cls_expr = expr
-        else:
-            cls_expr = self._name("c")
-            self._emit_canon(depth, cls_expr, expr)
-        key = self._name("n")
-        # inline buckets_by_op_id's cache-hit path: candidate/child class
-        # ids are canonical on a rebuilt graph, so the classes dict hits
-        # directly, and the per-op grouping is version-fresh after the
-        # first probe of the phase — only the miss pays a method call
-        cls_obj = self._name("g")
-        self._emit(depth, f"{cls_obj} = classes_get({cls_expr})")
-        self._emit(depth, f"if {cls_obj} is None: {cls_obj} = classes[find({cls_expr})]")
-        self._emit(
-            depth,
-            f"if {cls_obj}._by_op_version != {cls_obj}.version: _regroup({cls_obj})",
-        )
-        self._emit(
-            depth,
-            f"for {key} in {cls_obj}._by_op.get({self._op_local(node.op)}, _ET):",
-        )
-        depth += 1
-        self._emit(depth, f"if len({key}) != {2 + len(node.children)}: continue")
-        if node.payload is not None:
-            self._emit(
-                depth,
-                f"if {key}[1] not in {self._payload_local(node.payload)}: continue",
-            )
-        child_items = [
-            (child, f"{key}[{i + 2}]", False) for i, child in enumerate(node.children)
-        ]
-        self._emit_seq(child_items + rest, depth)
-
-    def build(self):
-        self._emit_seq([(self.pattern, "cid", True)], 2)
-        body = self.lines
-        self.lines = []
-        self._emit(0, "def _search(eg, candidates, out):")
-        self._emit(1, "_opid = eg._op_ids.get")
-        self._emit(1, "_pids = eg.payload_ids_matching")
-        for line in self.prologue:
-            self._emit(1, line)
-        self._emit(1, "find = eg.uf.find")
-        self._emit(1, "parent = eg.uf._parent")
-        self._emit(1, "classes = eg.classes")
-        self._emit(1, "classes_get = classes.get")
-        self._emit(1, "_regroup = eg._rebuild_by_op")
-        self._emit(1, "append = out.append")
-        self._emit(1, "for cid in candidates:")
-        self.lines.extend(body)
-        namespace: Dict[str, object] = {"len": len, "_ET": ()}
-        namespace.update(self.consts)
-        exec("\n".join(self.lines), namespace)  # noqa: S102 - trusted codegen
-        return namespace["_search"]
 
 
 #: Process-wide sequence for instantiator identity (indexes the per-graph
@@ -582,9 +407,9 @@ class _Atom:
 
 
 def _flatten_pattern(pattern: Pattern) -> List[_Atom]:
-    """Flatten *pattern* into atoms in the compiled matcher's loop order.
+    """Flatten *pattern* into atoms in the reference matcher's loop order.
 
-    The compiled codegen opens one bucket loop per operator node in
+    The reference matcher opens one bucket loop per operator node in
     depth-first pre-order (a nested operator child's loop opens inside its
     parent's, before any later sibling's); atom indices reproduce exactly
     that nesting order, which is what makes the rank-vector sort of
@@ -612,22 +437,6 @@ def _flatten_pattern(pattern: Pattern) -> List[_Atom]:
     return atoms
 
 
-def _vec_find(parent, ids):
-    """Canonical ids of *ids* under the *parent* array (gather to fixpoint).
-
-    Equivalent to mapping ``uf.find`` but vectorised; terminates because
-    every gather moves ids strictly up the union-find forest.
-    """
-
-    np = columns.np
-    out = parent[ids]
-    while True:
-        nxt = parent[out]
-        if np.array_equal(nxt, out):
-            return out
-        out = nxt
-
-
 #: Cache-miss sentinel (None is a meaningful cached value: empty relation).
 _NO_REL = object()
 
@@ -637,7 +446,7 @@ def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
 
     Rows are the *live* hashcons entries with operator *op_id*, exactly
     *nchildren* children, and (when *pids* is given) payload id in *pids*
-    — the compiled matcher's arity/payload guards as column masks.  When
+    — the reference matcher's arity/payload guards as column masks.  When
     *rows* is given it replaces the op-index scan: the relation is built
     over exactly that (already alive-filtered) row slice — the delta-join
     entry point, where *rows* comes from ``rows_touched_since``.  Because
@@ -660,7 +469,6 @@ def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
     over the stored key tuples.
     """
 
-    np = columns.np
     store = eg.store
     if rows is None:
         rows = store.op_rows(op_id)
@@ -687,9 +495,9 @@ def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
     rows = rows[keep]
     pid_col = pid_col[keep]
     parent = eg._np_parent()
-    cls = _vec_find(parent, columns.as_int64(store.cls)[rows])
+    cls = columns.vec_find(parent, columns.as_int64(store.cls)[rows])
     raw = tuple(columns.as_int64(store.child[i])[rows] for i in range(nchildren))
-    canon = tuple(_vec_find(parent, col) for col in raw)
+    canon = tuple(columns.vec_find(parent, col) for col in raw)
     prank = columns.as_int64(eg._payload_ranks())[pid_col]
     # np.lexsort: last key is primary -> (cls, child0.., prank) priority
     order = np.lexsort((prank,) + raw[::-1] + (cls,))
@@ -766,29 +574,105 @@ def _atom_columns(atom: _Atom, rel):
     return cols, mask
 
 
-def _relational_search(
-    cp: "CompiledPattern", eg: EGraph, since: Optional[int]
-) -> Optional[List[tuple]]:
+def _atom_relations(atoms: List[_Atom], eg: EGraph, since: Optional[int]):
+    """Yield ``(op id, relation)`` per atom, in atom order.
+
+    The relation is None when empty (op id ``-1`` when the graph never
+    interned the operator).  With *since*, the root atom's relation is its
+    semi-naive *delta* relation; every other atom gets its full relation.
+    """
+
+    for atom in atoms:
+        op_id = eg._op_ids.get(atom.op)
+        pids = (
+            None if atom.payload is None
+            else eg.payload_ids_matching(atom.payload)
+        )
+        if op_id is None or pids == ():
+            yield (-1 if op_id is None else op_id), None
+        elif atom.index == 0 and since is not None:
+            yield op_id, _pattern_delta_relation(eg, atom, op_id, pids, since)
+        else:
+            yield op_id, _pattern_relation(eg, atom, op_id, pids)
+
+
+def _plan_order(atoms: List[_Atom], sizes: List[int], op_ids: List[int]) -> List[int]:
+    """Join order over *atoms*, as atom indices.
+
+    The root atom leads (it carries the ``since`` restriction); then
+    greedily the smallest remaining relation among atoms connected to the
+    bound variables, ties broken by ``(size, op id, pre-order atom index)``
+    — all integers, never hash order.  The atom graph is a tree linked by
+    synthetic variables, so some remaining atom is always connected once
+    the root is bound.
+    """
+
+    order = [0]
+    bound = {atoms[0].class_var, *atoms[0].child_vars}
+    remaining = list(range(1, len(atoms)))
+    while remaining:
+        ai = min(
+            (sizes[i], op_ids[i], i)
+            for i in remaining
+            if atoms[i].class_var in bound
+            or any(v in bound for v in atoms[i].child_vars)
+        )[2]
+        remaining.remove(ai)
+        order.append(ai)
+        bound.add(atoms[ai].class_var)
+        bound.update(atoms[ai].child_vars)
+    return order
+
+
+#: Exclusive bound on composite join-key codes (int64 with headroom for
+#: one more Horner multiply-add).
+_JOIN_KEY_LIMIT = 2 ** 62
+
+
+def _join_codes(shared: List[str], cols, state, base: int):
+    """One int64 join key per row of each side over the *shared* variables.
+
+    Horner evaluation in base *base* (class ids are < the base, so the
+    encoding is injective).  Before a step that could pass
+    :data:`_JOIN_KEY_LIMIT`, the partial codes of both sides are
+    re-densified together — ``np.unique`` inverse indices over their
+    concatenation: equal codes stay equal, distinct ones stay distinct,
+    and every value drops below the combined row count — so arbitrarily
+    many shared variables encode without overflow.
+    """
+
+    rcode = cols[shared[0]]
+    scode = state[shared[0]]
+    bound = base
+    for var in shared[1:]:
+        if bound * base >= _JOIN_KEY_LIMIT:
+            dense = np.unique(
+                np.concatenate((rcode, scode)), return_inverse=True
+            )[1]
+            rcode, scode = dense[: len(rcode)], dense[len(rcode):]
+            bound = len(dense)
+        rcode = rcode * base + cols[var]
+        scode = scode * base + state[var]
+        bound *= base
+    return rcode, scode
+
+
+def _relational_search(cp: "CompiledPattern", eg: EGraph, since: Optional[int]):
     """Execute *cp* as a join over the columnar store.
 
-    Returns flat ``(cid, v0, v1, ..)`` rows in exactly the compiled
-    matcher's order, or None when the int64 join-key encoding could
-    overflow (caller falls back to the scan engine).
+    Returns flat ``(cid, v0, v1, ..)`` rows (a :class:`columns.RowBatch`,
+    or ``[]`` when nothing matches) in exactly the reference matcher's
+    order.
 
-    Plan: the root atom leads; on an incremental (``since``) search it is
-    the semi-naive *delta* relation — only rows of classes touched after
-    the stamp, sliced straight off the store's touch column — while every
-    other atom joins against its full relation.  (Upward touch
-    propagation makes the root-delta join alone exactly the incremental
-    result: any match with an untouched root has all-untouched atoms and
-    was emitted by the previous search.)  Then greedily the smallest
-    remaining relation among atoms connected to the bound variables, ties
-    broken by ``(size, op id, pre-order atom index)`` — never by hash
-    order.  Each step is a sort-based hash join
-    on the shared variables, encoded into a single int64 per row by Horner
-    evaluation in base ``len(parent) + 1`` (class ids are < the base, so
-    the encoding is injective; the caller is told to fall back when
-    ``base ** nkeys`` approaches 2**62).
+    Plan (:func:`_plan_order`): the root atom leads; on an incremental
+    (``since``) search it is the semi-naive *delta* relation — only rows
+    of classes touched after the stamp, sliced straight off the store's
+    touch column — while every other atom joins against its full
+    relation.  (Upward touch propagation makes the root-delta join alone
+    exactly the incremental result: any match with an untouched root has
+    all-untouched atoms and was emitted by the previous search.)  Each
+    step is a sort-based hash join on the variables the atom shares with
+    the bound state (:func:`_join_codes`).
 
     Result order: joins track, per atom, the matched row's bucket rank;
     the final lexsort by ``(root cid, rank_0, .., rank_{m-1})`` (atoms in
@@ -797,81 +681,42 @@ def _relational_search(
     from the same bucket, where rank order is iteration order.
     """
 
-    np = columns.np
     atoms = cp._atoms
+    op_ids = []
     rels = []
-    for ai, atom in enumerate(atoms):
-        op_id = eg._op_ids.get(atom.op)
-        if op_id is None:
-            return []
-        if atom.payload is not None:
-            pids = eg.payload_ids_matching(atom.payload)
-            if not pids:
-                return []
-        else:
-            pids = None
-        if ai == 0 and since is not None:
-            rel = _pattern_delta_relation(eg, atom, op_id, pids, since)
-        else:
-            rel = _pattern_relation(eg, atom, op_id, pids)
+    for op_id, rel in _atom_relations(atoms, eg, since):
         if rel is None:
             return []
-        rels.append((atom, op_id, rel))
+        op_ids.append(op_id)
+        rels.append(rel)
 
     base = len(eg.uf._parent) + 1
-
-    # seed the state from the root atom's relation (the delta relation on
-    # incremental searches — its ranks equal the full relation's, see
-    # _build_relation, so the final rank lexsort is unaffected)
-    atom, _, rel = rels[0]
-    cols, mask = _atom_columns(atom, rel)
-    if mask is not None:
-        keep = np.flatnonzero(mask)
-        state = {var: col[keep] for var, col in cols.items()}
-        ranks = {0: rel["rank"][keep]}
-    else:
-        state = dict(cols)
-        ranks = {0: rel["rank"]}
-    if not len(state[atom.class_var]):
-        return []
-
-    remaining = list(range(1, len(atoms)))
-    while remaining:
-        best = None
-        for ai in remaining:
-            cand_atom, cand_op, cand_rel = rels[ai]
-            if cand_atom.class_var not in state and not any(
-                v in state for v in cand_atom.child_vars
-            ):
-                continue
-            cand = (cand_rel["n"], cand_op, ai)
-            if best is None or cand < best:
-                best = cand
-        # the atom graph is a tree linked by synthetic variables, so some
-        # remaining atom is always connected once the root is bound
-        ai = best[2]
-        remaining.remove(ai)
-        atom, _, rel = rels[ai]
+    state: Dict[str, object] = {}
+    ranks: Dict[int, object] = {}
+    for ai in _plan_order(atoms, [rel["n"] for rel in rels], op_ids):
+        atom, rel = atoms[ai], rels[ai]
         cols, mask = _atom_columns(atom, rel)
+        arank = rel["rank"]
         if mask is not None:
             keep = np.flatnonzero(mask)
             cols = {var: col[keep] for var, col in cols.items()}
-            arank = rel["rank"][keep]
-        else:
-            arank = rel["rank"]
+            arank = arank[keep]
+        if not state:
+            # seed from the root atom's relation (the delta relation on
+            # incremental searches — its ranks equal the full relation's,
+            # see _build_relation, so the final rank lexsort is unaffected)
+            if not len(arank):
+                return []
+            state = cols
+            ranks[ai] = arank
+            continue
 
         # shared variables in deterministic (class var, child slots) order
         shared = []
         for var in (atom.class_var, *atom.child_vars):
             if var in state and var not in shared:
                 shared.append(var)
-        if base ** len(shared) >= 2 ** 62:
-            return None
-        rcode = cols[shared[0]]
-        scode = state[shared[0]]
-        for var in shared[1:]:
-            rcode = rcode * base + cols[var]
-            scode = scode * base + state[var]
+        rcode, scode = _join_codes(shared, cols, state, base)
         order = np.argsort(rcode, kind="stable")
         rsorted = rcode[order]
         left = np.searchsorted(rsorted, scode, side="left")
@@ -894,12 +739,8 @@ def _relational_search(
         ranks[ai] = arank[out_r]
 
     cid = state[atoms[0].class_var]
-    n = len(cid)
-    if not n:
-        return []
-    m = len(atoms)
-    order = np.lexsort(tuple(ranks[i] for i in range(m - 1, -1, -1)) + (cid,))
-    mat = np.empty((n, 1 + len(cp.vars)), dtype=np.int64)
+    order = np.lexsort(tuple(ranks[i] for i in range(len(atoms) - 1, -1, -1)) + (cid,))
+    mat = np.empty((len(cid), 1 + len(cp.vars)), dtype=np.int64)
     mat[:, 0] = cid[order]
     for j, name in enumerate(cp.vars):
         mat[:, j + 1] = state[name][order]
@@ -909,30 +750,25 @@ def _relational_search(
 
 
 class CompiledPattern:
-    """A pattern lowered into specialised match/instantiate functions."""
+    """A pattern lowered into its join atoms and an instantiate function."""
 
-    __slots__ = (
-        "pattern", "vars", "root_op", "_fn", "_inst", "_bare_var", "_atoms",
-        "_hetero", "_to_subst",
-    )
+    __slots__ = ("pattern", "vars", "_inst", "_bare_var", "_atoms", "_to_subst")
 
     def __init__(self, pattern: Pattern) -> None:
         self.pattern = pattern
         self.vars: Tuple[str, ...] = tuple(pattern.variables())
-        self.root_op = pattern.op
-        self._fn = _MatcherCodegen(pattern).build()
         # row -> substitution dict as a generated dict literal: an order of
         # magnitude cheaper per match than dict(zip(names, row[1:])), and
-        # the dict-returning search()/match_class() APIs are themselves
-        # benchmark rows (rule_search) and the guarded-rule path
+        # the dict-returning search() API is itself a benchmark row
+        # (rule_search) and the guarded-rule path
         body = ", ".join(
             f"{name!r}: row[{i + 1}]" for i, name in enumerate(self.vars)
         )
         self._to_subst = eval(f"lambda row: {{{body}}}")
         # a bare-variable pattern `?x` parses as ("?" ?x); its instantiation
-        # is just the bound class
+        # is just the bound class, and as a searcher it has no operator
+        # atom to look up, so it matches nothing
         self._bare_var: Optional[str] = None
-        self._hetero = False
         if (
             pattern.op == "?"
             and len(pattern.children) == 1
@@ -943,19 +779,7 @@ class CompiledPattern:
             self._atoms = None
         else:
             self._inst = _InstantiatorCodegen().build(pattern)
-            atoms = _flatten_pattern(pattern)
-            # every operator pattern runs on the relational engine — a
-            # single-atom "join" is just the (delta) relation slice itself,
-            # already in emission order, with no scan-side per-class loop
-            self._atoms = atoms if atoms else None
-            if self._atoms is not None:
-                # heterogeneous = atoms draw from >= 2 distinct relations
-                # (inter-relation selectivity prunes work the scan must do)
-                shapes = {
-                    (a.op, a.nchildren, str(a.payload), type(a.payload).__name__)
-                    for a in self._atoms
-                }
-                self._hetero = len(shapes) >= 2
+            self._atoms = _flatten_pattern(pattern)
 
     def instantiate(self, egraph: EGraph, subst: Substitution) -> int:
         """Add the pattern under *subst*; returns the e-class id."""
@@ -964,86 +788,33 @@ class CompiledPattern:
             return egraph.find(subst[self._bare_var])
         return self._inst(egraph, subst)
 
-    def match_class(self, egraph: EGraph, eclass_id: int) -> List[Substitution]:
-        """All substitutions under which the pattern is in the class."""
-
-        out: List[tuple] = []
-        self._fn(egraph, (egraph.find(eclass_id),), out)
-        return [self._to_subst(row) for row in out]
-
-    def search_rows(
-        self,
-        egraph: EGraph,
-        since: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> List[tuple]:
+    def search_rows(self, egraph: EGraph, since: Optional[int] = None) -> List[tuple]:
         """Search the e-graph; returns flat ``(eclass_id, v0, v1, ..)`` rows.
 
         Variable values follow :attr:`vars` order.  Rows are what the
         runner's apply loop consumes (together with the positional
         instantiators) — no per-match dict is built.
 
-        *backend* selects the engine: ``None`` auto-selects — the
-        relational join for heterogeneous multi-atom patterns under
-        numpy (where inter-relation selectivity prunes work the scan
-        must do), full and incremental alike (the semi-naive delta join
-        restricts the root relation to recently-touched rows, so the
-        incremental join stays delta-bound); the compiled scan otherwise
-        (trivial patterns, self-join-only patterns — whose incremental
-        scans are already delta-bound via the touched filter and carry
-        none of the join's per-call relation overhead — and fallback
-        builds); ``"join"`` forces the relational engine (raises when
-        unavailable — bench/test hook); ``"scan"`` forces the compiled
-        matcher.  Both engines return the identical row list, so backend
-        choice can never alter outcomes — only wall-clock.
-
-        When *since* is given, classes whose ``touched`` stamp is
-        ``<= since`` are skipped — sound because :meth:`EGraph.rebuild`
-        propagates touches upward from every mutated class (matches rooted
-        at a skipped class are exactly the matches found by the previous
-        scan).  The relational engine serves the same contract with a
-        delta join: its leading (root) relation is built over the store's
-        touch-stamp column (:func:`_pattern_delta_relation`).
+        When *since* is given, matches rooted at classes whose ``touched``
+        stamp is ``<= since`` are skipped — sound because
+        :meth:`EGraph.rebuild` propagates touches upward from every
+        mutated class (matches rooted at a skipped class are exactly the
+        matches found by the previous search).  The engine serves this
+        with a delta join: its leading (root) relation is built over the
+        store's touch-stamp column (:func:`_pattern_delta_relation`).
         """
 
-        if self._atoms is not None and columns.HAVE_NUMPY:
-            if backend != "scan":
-                rows = _relational_search(self, egraph, since)
-                if rows is not None:
-                    return rows
-                # join-key overflow guard tripped: int64 encoding would not
-                # be injective on this graph, use the scan engine instead
-                if backend == "join":
-                    raise RuntimeError(
-                        "join backend unavailable: join-key encoding overflow"
-                    )
-        elif backend == "join":
-            raise RuntimeError(
-                "join backend unavailable: trivial pattern or numpy inactive"
-            )
-
-        matches: List[tuple] = []
-        candidates = egraph.classes_with_op(self.root_op)
-        if not candidates:
-            return matches
-        if since is not None:
-            # the flat touched mirror makes this a single array read per
-            # candidate (vs. a dict lookup plus attribute load)
-            touched = egraph._class_touched
-            candidates = [c for c in candidates if touched[c] > since]
-        # class-id order == creation order, matching the naive matcher's
-        # iteration over the classes dict (keeps runs deterministic)
-        self._fn(egraph, sorted(candidates), matches)
-        return matches
+        if self._atoms is None:
+            return []
+        return _relational_search(self, egraph, since)
 
     def search(
         self, egraph: EGraph, since: Optional[int] = None
     ) -> List[Tuple[int, Substitution]]:
         """Search the e-graph; returns ``(eclass_id, substitution)`` pairs.
 
-        Root candidates come from the e-graph's op-index, so only classes
-        containing the root operator are visited.  This is the historical
-        dict-based API — a thin wrapper over :meth:`search_rows`.
+        The historical dict-based API — a thin wrapper over
+        :meth:`search_rows`.
         """
 
         to_subst = self._to_subst
@@ -1054,58 +825,29 @@ class CompiledPattern:
     def join_plan(
         self, egraph: EGraph, since: Optional[int] = None
     ) -> Optional[List[Tuple[int, str, int]]]:
-        """The relational engine's join order on *egraph*, for introspection.
+        """The join order :meth:`search_rows` runs on *egraph*, for introspection.
 
-        Returns ``(atom index, op name, relation size)`` triples in the
-        order the join would execute them, or None when the pattern would
-        run on the scan engine.  With *since*, the root atom's size is its
-        *delta* relation's (the plan the incremental search runs).  The
-        plan depends only on deterministic inputs (relation sizes,
-        interned op ids, pre-order atom indices), never on hash iteration
-        order — the determinism test asserts this across
-        ``PYTHONHASHSEED`` values.
+        Returns ``(atom index, op name, relation size)`` triples in
+        execution order (None for a bare-variable pattern, which has no
+        atoms).  With *since*, the root atom's size is its *delta*
+        relation's.  The plan depends only on deterministic inputs
+        (relation sizes, interned op ids, pre-order atom indices), never
+        on hash iteration order — the determinism tests assert this
+        across ``PYTHONHASHSEED`` values.
         """
 
-        if self._atoms is None or not columns.HAVE_NUMPY:
-            return None
-        sizes: List[int] = []
-        op_ids: List[int] = []
-        for ai, atom in enumerate(self._atoms):
-            op_id = egraph._op_ids.get(atom.op)
-            if atom.payload is not None:
-                pids = egraph.payload_ids_matching(atom.payload)
-            else:
-                pids = None
-            if op_id is None or (atom.payload is not None and not pids):
-                rel = None
-            elif ai == 0 and since is not None:
-                rel = _pattern_delta_relation(egraph, atom, op_id, pids, since)
-            else:
-                rel = _pattern_relation(egraph, atom, op_id, pids)
-            sizes.append(0 if rel is None else rel["n"])
-            op_ids.append(-1 if op_id is None else op_id)
         atoms = self._atoms
-        plan = [(0, atoms[0].op, sizes[0])]
-        bound = {atoms[0].class_var}
-        bound.update(atoms[0].child_vars)
-        remaining = list(range(1, len(atoms)))
-        while remaining:
-            best = None
-            for ai in remaining:
-                atom = atoms[ai]
-                if atom.class_var not in bound and not any(
-                    v in bound for v in atom.child_vars
-                ):
-                    continue
-                cand = (sizes[ai], op_ids[ai], ai)
-                if best is None or cand < best:
-                    best = cand
-            ai = best[2]
-            remaining.remove(ai)
-            plan.append((ai, atoms[ai].op, sizes[ai]))
-            bound.add(atoms[ai].class_var)
-            bound.update(atoms[ai].child_vars)
-        return plan
+        if atoms is None:
+            return None
+        op_ids = []
+        sizes = []
+        for op_id, rel in _atom_relations(atoms, egraph, since):
+            op_ids.append(op_id)
+            sizes.append(0 if rel is None else rel["n"])
+        return [
+            (ai, atoms[ai].op, sizes[ai])
+            for ai in _plan_order(atoms, sizes, op_ids)
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -1210,7 +952,6 @@ def rhs_pure_partition(eg: EGraph, plan, mat):
     the caller falls back to the scalar loop.
     """
 
-    np = columns.np
     nodes, root = plan
     # fully-compressed roots: every canonicalisation is one gather
     roots = eg._np_roots()
@@ -1276,7 +1017,7 @@ def rhs_pure_partition(eg: EGraph, plan, mat):
 
 
 # ---------------------------------------------------------------------------
-# Naive reference matcher
+# Reference matcher
 # ---------------------------------------------------------------------------
 
 
@@ -1288,9 +1029,12 @@ def _match_pattern(
 ) -> Iterator[Substitution]:
     """Backtracking e-matcher (reference implementation).
 
-    The substitution dict is copied only when a *new* variable is bound;
-    an already-bound variable is checked against the canonical class id
-    and the incoming dict is yielded as-is.
+    Candidate nodes come from :meth:`EGraph.nodes_by_op` — the class's
+    deterministic bucket order, never ``Set[ENode]`` hash order — so the
+    emission order is a pure function of the e-graph.  The substitution
+    dict is copied only when a *new* variable is bound; an already-bound
+    variable is checked against the canonical class id and the incoming
+    dict is yielded as-is.
     """
 
     eclass_id = egraph.find(eclass_id)
@@ -1305,9 +1049,7 @@ def _match_pattern(
             yield subst
         return
 
-    for enode in egraph.nodes_of(eclass_id):
-        if enode.op != pattern.op:
-            continue
+    for enode in egraph.nodes_by_op(eclass_id, pattern.op):
         if pattern.payload is not None and enode.payload != pattern.payload:
             continue
         if len(enode.children) != len(pattern.children):

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.egraph import columns
 from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import (
@@ -152,10 +154,8 @@ class Rewrite:
 
         rows = self._compiled.search_rows(egraph, since)
         if limit is not None and len(rows) > limit:
-            if type(rows) is columns.RowBatch:
-                rows = columns.RowBatch(rows.mat[:limit])
-            else:
-                del rows[limit:]
+            # a non-empty search result is always a RowBatch
+            rows = columns.RowBatch(rows.mat[:limit])
         return rows
 
     def apply(
@@ -243,7 +243,6 @@ class Rewrite:
             self._rhs_plan is not None
             and self._rhs_plan[0]
             and len(rows) >= 32
-            and columns.HAVE_NUMPY
         ):
             # adaptive gate: a batch that bailed (merge/miss-heavy — the
             # e-graph is still growing under this rule) predicts the next
@@ -300,7 +299,6 @@ class Rewrite:
         scalar loop would have taken in its place.
         """
 
-        np = columns.np
         n = len(rows)
         if mat is None:
             # flat fromiter is ~2x np.array(list-of-tuples): one C loop

@@ -146,8 +146,8 @@ class Job:
     #: service at submit when tracing is on; ``None`` otherwise.  The
     #: service ends it exactly once with the job's terminal state.
     span: Optional[object] = None
-    #: The span of the attempt currently running this job (set by the
-    #: worker loop per attempt); ended before the job span so the span
+    #: The span of the job's latest attempt (set by the worker loop per
+    #: attempt, never cleared); ended before the job span so the span
     #: tree nests attempt ⊆ job even on terminal transitions that happen
     #: mid-attempt.
     attempt_span: Optional[object] = None

@@ -624,8 +624,10 @@ class OptimizationService:
             with tracer.bind(attempt_span):
                 return self._run_attempt(job)
         finally:
+            # job.attempt_span is left pointing here (ended spans end as a
+            # no-op): clearing it would race a retry's next attempt, which
+            # another worker may already have installed
             attempt_span.end()
-            job.attempt_span = None
 
     def _run_attempt(self, job: Job) -> None:
         plan = self.faults

@@ -2,11 +2,12 @@
 
 Four contracts pinned here:
 
-* **Engine equivalence** (hypothesis): on randomized e-graphs, the
-  relational (join-based) backend returns the *exact list* — multiset and
-  order — of match rows the compiled scan matcher produces, for patterns
-  spanning the planner's shapes (heterogeneous ops, shared variables,
-  self-joins).  Backend choice must never be observable in results.
+* **Engine == reference** (hypothesis): on randomized e-graphs, the
+  relational (join-based) engine returns the *exact list* — multiset and
+  order — of matches the reference nested-loop scan
+  (``Pattern.search_naive``) produces, for patterns spanning the
+  planner's shapes (heterogeneous ops, shared variables, self-joins),
+  including when the join-key encoding has to re-densify.
 * **Join-plan determinism**: the greedy join order depends only on
   relation sizes, interned op ids and pre-order atom indices — asserted
   by comparing plans across ``PYTHONHASHSEED`` values in subprocesses.
@@ -28,10 +29,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.egraph import columns
+from repro.egraph import pattern as pattern_mod
 from repro.egraph.columns import ColumnStore
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import num, op, sym
@@ -95,20 +95,17 @@ def _build(script):
     return eg
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="join backend needs numpy")
 @settings(max_examples=60, deadline=None)
 @given(script=_graph_script(), pattern_text=st.sampled_from(_PATTERNS))
 def test_join_backend_matches_scan_exactly(script, pattern_text):
     eg = _build(script)
-    cp = compile_pattern(parse_pattern(pattern_text))
-    scan = cp.search_rows(eg, backend="scan")
-    join = cp.search_rows(eg, backend="join")
-    assert join == scan  # same rows, same order
+    pattern = parse_pattern(pattern_text)
+    # same (class, substitution) matches, same order
+    assert compile_pattern(pattern).search(eg) == pattern.search_naive(eg)
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="join backend needs numpy")
 def test_join_backend_matches_scan_on_default_ruleset():
-    """Every multi-atom rule of the paper ruleset, on a saturated graph."""
+    """Every rule of the paper ruleset, on a saturated graph."""
 
     from repro.egraph.runner import Runner, RunnerLimits
     from repro.rules import default_ruleset
@@ -123,30 +120,52 @@ def test_join_backend_matches_scan_on_default_ruleset():
     rules = default_ruleset()
     Runner(eg, rules, RunnerLimits(node_limit=400, iter_limit=4)).run()
     for rule in rules:
-        cp = rule._compiled
-        if cp._atoms is None:
-            continue
-        assert cp.search_rows(eg, backend="join") == cp.search_rows(
-            eg, backend="scan"
-        ), rule.name
+        assert rule._compiled.search(eg) == rule.searcher.search_naive(eg), rule.name
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="join backend needs numpy")
 def test_single_atom_join_matches_scan():
-    # a single-atom "join" is the relation slice itself — same rows,
-    # same order as the compiled scan
-    eg = _build(([op("+", sym("x"), sym("y"))], []))
-    cp = compile_pattern(parse_pattern("(+ ?a ?b)"))
-    assert cp.search_rows(eg, backend="join") == cp.search_rows(
-        eg, backend="scan"
-    )
+    # a single-atom "join" is the relation slice itself — same matches,
+    # same order as the reference scan
+    eg = _build(([op("+", sym("x"), sym("y")), op("+", sym("y"), sym("x"))], [(0, 1)]))
+    pattern = parse_pattern("(+ ?a ?b)")
+    matches = compile_pattern(pattern).search(eg)
+    assert len(matches) == 2
+    assert matches == pattern.search_naive(eg)
 
 
-def test_forced_join_unavailable_on_bare_var_pattern():
+def test_join_key_overflow_redensifies_exactly(monkeypatch):
+    """Force the int64 join-key budget to trip on every multi-variable
+    join step: the re-densified composite keys must select exactly the
+    rows the plain Horner keys (and the reference matcher) select."""
+
+    leaves = [sym("x"), sym("y"), sym("z")]
+    prods = [op("*", a, b) for a in leaves for b in leaves]
+    terms = [op("+", p, q) for p in prods for q in prods]
+    terms += [op("*", op("+", a, b), c) for a in leaves for b in leaves for c in leaves]
+    eg = _build((terms, [(0, 4), (10, 50)]))  # merges: bucket ranks > 0 matter
+    for text in (
+        "(+ (* ?a ?b) (* ?a ?b))",  # joins the second * on three variables
+        "(+ (* ?a ?b) (* ?b ?c))",
+        "(* (+ ?a ?b) ?a)",
+    ):
+        pattern = parse_pattern(text)
+        cp = compile_pattern(pattern)
+        plain = cp.search(eg)
+        assert plain, text
+        with monkeypatch.context() as patch:
+            # any second shared variable now overflows the budget
+            patch.setattr(pattern_mod, "_JOIN_KEY_LIMIT", 1)
+            dense = cp.search(eg)
+        assert dense == plain == pattern.search_naive(eg), text
+
+
+def test_bare_variable_searcher_matches_nothing():
     eg = _build(([op("+", sym("x"), sym("y"))], []))
-    cp = compile_pattern(parse_pattern("?x"))  # no operator atom at all
-    with pytest.raises(RuntimeError):
-        cp.search_rows(eg, backend="join")
+    pattern = parse_pattern("?x")  # no operator atom at all
+    cp = compile_pattern(pattern)
+    assert cp.search_rows(eg) == []
+    assert cp.join_plan(eg) is None
+    assert pattern.search_naive(eg) == []
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +202,6 @@ def _run_with_hash_seed(seed: str) -> str:
     return proc.stdout.strip()
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="join plans need numpy")
 def test_join_plans_are_hash_seed_independent():
     outputs = {_run_with_hash_seed(seed) for seed in ("0", "1", "12345")}
     assert len(outputs) == 1, f"join plans diverged across hash seeds: {outputs}"
@@ -259,38 +277,3 @@ def test_len_counts_pending_rows():
     assert len(store) == 1  # visible before materialisation
     store.flush()
     assert len(store) == 1
-
-
-# ---------------------------------------------------------------------------
-# Backend-equality of saturation outcomes (REPRO_NO_NUMPY escape hatch)
-# ---------------------------------------------------------------------------
-
-_OUTCOME_SCRIPT = """
-from repro.egraph.egraph import EGraph
-from repro.egraph.language import num, op, sym
-from repro.egraph.runner import Runner, RunnerLimits
-from repro.rules import default_ruleset
-
-eg = EGraph()
-expr = op("+", op("*", sym("a"), op("+", sym("b"), num(0))),
-        op("*", op("+", sym("a"), num(0)), sym("c")))
-eg.add_term(expr)
-report = Runner(eg, default_ruleset(), RunnerLimits(node_limit=500, iter_limit=5)).run()
-print(report.stop_reason.value, len(eg), eg.num_classes)
-"""
-
-
-def test_numpy_and_fallback_backends_agree_on_outcomes():
-    src = Path(__file__).resolve().parents[2] / "src"
-    outputs = set()
-    for no_numpy in ("0", "1"):
-        env = dict(os.environ)
-        env["REPRO_NO_NUMPY"] = no_numpy
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", _OUTCOME_SCRIPT],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.add(proc.stdout.strip())
-    assert len(outputs) == 1, f"backends diverged: {outputs}"

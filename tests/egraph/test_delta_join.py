@@ -3,10 +3,11 @@
 Contracts pinned here:
 
 * **Delta equivalence** (hypothesis): on randomized e-graphs mutated in
-  two stages, the semi-naive delta join (``search_rows(since=...)`` on
-  the relational backend) returns the *exact list* — multiset and order —
-  of match rows the compiled incremental scan produces, for every pattern
-  shape the planner handles.  ``since`` must never leak into results.
+  two stages, the semi-naive delta join (``search(since=...)``) returns
+  the *exact list* — multiset and order — of matches the incremental
+  reference scan produces (``Pattern.search_naive`` restricted to root
+  classes touched after the stamp), for every pattern shape the planner
+  handles.
 * **Delta-plan determinism**: incremental join plans and their result
   rows depend only on relation sizes, interned op ids and pre-order atom
   indices — asserted across ``PYTHONHASHSEED`` values in subprocesses.
@@ -29,10 +30,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.egraph import columns
 from repro.egraph.columns import ColumnStore
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import num, op, sym
@@ -94,12 +93,21 @@ def _apply_stage(eg, roots, stage):
     eg.rebuild()
 
 
+def _incremental_scan(pattern, eg, since):
+    """The reference matcher's matches rooted at classes touched > *since*."""
+
+    return [
+        (cid, subst)
+        for cid, subst in pattern.search_naive(eg)
+        if eg.classes[cid].touched > since
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Delta equivalence (hypothesis)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="join backend needs numpy")
 @settings(max_examples=60, deadline=None)
 @given(
     script=_two_stage_script(),
@@ -113,13 +121,12 @@ def test_delta_join_matches_incremental_scan_exactly(script, pattern_text, full)
     stamp = eg.version
     _apply_stage(eg, roots, script[1])
     since = -1 if full else stamp
-    cp = compile_pattern(parse_pattern(pattern_text))
-    scan = cp.search_rows(eg, since=since, backend="scan")
-    join = cp.search_rows(eg, since=since, backend="join")
-    assert join == scan  # same rows, same order
+    pattern = parse_pattern(pattern_text)
+    join = compile_pattern(pattern).search(eg, since=since)
+    # same matches, same order
+    assert join == _incremental_scan(pattern, eg, since)
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="join backend needs numpy")
 def test_delta_join_is_empty_after_quiescent_rebuild():
     """No class touched after the stamp => the delta slice is empty."""
 
@@ -129,7 +136,7 @@ def test_delta_join_is_empty_after_quiescent_rebuild():
     stamp = eg.version
     for text in _PATTERNS:
         cp = compile_pattern(parse_pattern(text))
-        assert cp.search_rows(eg, since=stamp, backend="join") == []
+        assert cp.search_rows(eg, since=stamp) == []
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +179,6 @@ def _run_with_hash_seed(seed: str) -> str:
     return proc.stdout.strip()
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="join plans need numpy")
 def test_delta_join_plans_are_hash_seed_independent():
     outputs = {_run_with_hash_seed(seed) for seed in ("0", "1", "12345")}
     assert len(outputs) == 1, f"delta plans diverged across hash seeds: {outputs}"
@@ -207,7 +213,6 @@ def test_compact_interleaved_with_pending_appends_and_kills():
     assert store.touch_stamp == -1
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="delta reads need numpy")
 def test_delta_reads_stay_exact_across_compaction():
     """Force the rebuild-time compaction and re-check join == scan."""
 
@@ -225,9 +230,9 @@ def test_delta_reads_stay_exact_across_compaction():
     eg.add_term(op("+", sym("new"), op("*", sym("y0"), sym("z"))))
     eg.rebuild()
     for text in _PATTERNS:
-        cp = compile_pattern(parse_pattern(text))
-        assert cp.search_rows(eg, since=stamp, backend="join") == cp.search_rows(
-            eg, since=stamp, backend="scan"
+        pattern = parse_pattern(text)
+        assert compile_pattern(pattern).search(eg, since=stamp) == (
+            _incremental_scan(pattern, eg, stamp)
         ), text
 
 
@@ -256,7 +261,6 @@ def _graph_signature(eg):
     )
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="batched applier needs numpy")
 def test_batched_apply_matches_scalar_apply_bitwise():
     rules = default_ruleset()
     limits = RunnerLimits(node_limit=1500, iter_limit=3)
@@ -273,7 +277,6 @@ def test_batched_apply_matches_scalar_apply_bitwise():
     assert _graph_signature(eg_batched) == _graph_signature(eg_scalar)
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="batched applier needs numpy")
 def test_batched_apply_revalidates_after_midbatch_unions():
     """Merge-heavy batches exercise the proof-revalidation fallback.
 
@@ -331,7 +334,6 @@ class _DropOnce(SimpleScheduler):
         return matches, True
 
 
-@pytest.mark.skipif(not columns.HAVE_NUMPY, reason="join engine needs numpy")
 def test_dropped_batch_is_refound_by_delta_join():
     eg = EGraph()
     eg.add_term(op("+", sym("p"), op("*", sym("q"), sym("r"))))
@@ -349,4 +351,4 @@ def test_dropped_batch_is_refound_by_delta_join():
     # and the matches were actually applied on the retry: the commuted
     # spelling is interned
     commuted = compile_pattern(parse_pattern("(+ (* ?a ?b) ?c)"))
-    assert commuted.search_rows(eg, backend="join")
+    assert commuted.search_rows(eg)

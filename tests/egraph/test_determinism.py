@@ -76,6 +76,26 @@ _BACKOFF_SCRIPT = textwrap.dedent(
     """
 )
 
+#: The reference matcher's match lists for every default rule over a small
+#: saturated graph: classes holding several same-op nodes (commuted sums)
+#: are where a hash-ordered node walk would reorder the matches.
+_REFERENCE_SCRIPT = textwrap.dedent(
+    """
+    from repro.egraph.egraph import EGraph
+    from repro.egraph.language import op, sym
+    from repro.egraph.runner import Runner, RunnerLimits
+    from repro.rules import default_ruleset
+
+    eg = EGraph()
+    eg.add_term(op("+", op("*", sym("a"), sym("b")),
+                   op("*", sym("c"), op("+", sym("a"), sym("d")))))
+    rules = default_ruleset()
+    Runner(eg, rules, RunnerLimits(300, 3, 5.0)).run()
+    for rule in rules:
+        print(rule.name, rule.searcher.search_naive(eg))
+    """
+)
+
 
 def _run_with_hash_seed(seed: str, script: str = _SCRIPT) -> str:
     src = Path(__file__).resolve().parents[2] / "src"
@@ -105,3 +125,13 @@ def test_backoff_scheduled_saturation_is_hash_seed_independent():
         _run_with_hash_seed(seed, _BACKOFF_SCRIPT) for seed in ("0", "1", "12345")
     }
     assert len(outputs) == 1, f"backoff outcomes diverged across hash seeds: {outputs}"
+
+
+def test_reference_matcher_order_is_hash_seed_independent():
+    """``search_naive`` is the executable spec of match *order*, so its
+    match list (not just the match set) must reproduce across processes."""
+
+    outputs = {
+        _run_with_hash_seed(seed, _REFERENCE_SCRIPT) for seed in ("0", "1", "12345")
+    }
+    assert len(outputs) == 1, "reference match order diverged across hash seeds"

@@ -4,17 +4,9 @@ A traced run and an untraced run of the identical workload must produce
 byte-identical artifacts — the same generated code and the same
 deterministic report fields (wall-clock fields excluded, exactly as the
 cache-equivalence suite excludes them) — through the bare pipeline, the
-thread-executor service, the process-executor service (where spans cross
-the process boundary), and the pure array-module fallback
-(``REPRO_NO_NUMPY=1``, exercised in a subprocess like the columnar
-backend-equality tests).
+thread-executor service, and the process-executor service (where spans
+cross the process boundary).
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 from repro.egraph.runner import RunnerLimits
 from repro.obs import Tracer
@@ -96,52 +88,3 @@ class TestServiceIdentity:
 
     def test_process_executor(self):
         assert self._wave("process", traced=True) == self._wave("process", traced=False)
-
-
-_NO_NUMPY_SCRIPT = """
-import json
-from repro.egraph.runner import RunnerLimits
-from repro.obs import Tracer
-from repro.saturator import SaturatorConfig, Variant, optimize_source
-
-config = SaturatorConfig(variant=Variant.ACCSAT, limits=RunnerLimits(800, 4, 60.0))
-source = (
-    "#pragma acc parallel loop\\n"
-    "for (i = 0; i < n; i++) { a[i] = b[i] * c[i] + b[i] * c[i]; }"
-)
-untraced = optimize_source(source, config)
-tracer = Tracer()
-root = tracer.span("run")
-traced = optimize_source(source, config, tracer=tracer, trace_parent=root.span_id)
-root.end()
-assert traced.code == untraced.code, "traced code diverged"
-print(json.dumps({
-    "code": traced.code,
-    "costs": [k.extracted_cost for k in traced.kernels],
-    "nodes": [k.egraph_nodes for k in traced.kernels],
-    "spans": tracer.counts()["spans_started"],
-}))
-"""
-
-
-def test_identity_holds_without_numpy():
-    """The array-module fallback honours the same contract (subprocess
-    lane, mirroring tests/egraph/test_columnar.py)."""
-
-    src = Path(__file__).resolve().parents[2] / "src"
-    outputs = {}
-    for no_numpy in ("0", "1"):
-        env = dict(os.environ)
-        env["REPRO_NO_NUMPY"] = no_numpy
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", _NO_NUMPY_SCRIPT],
-            capture_output=True, text=True, env=env, timeout=180,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs[no_numpy] = json.loads(proc.stdout)
-        assert outputs[no_numpy]["spans"] > 5
-    # both backends: traced == untraced (asserted in-script), and the
-    # backends agree with each other on the artifact
-    assert outputs["0"]["code"] == outputs["1"]["code"]
-    assert outputs["0"]["costs"] == outputs["1"]["costs"]
