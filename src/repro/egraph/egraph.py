@@ -868,12 +868,39 @@ class EGraph:
 
         return self.add_key(self._intern_node(enode))
 
-    def add_term(self, term: Term) -> int:
-        """Recursively add a whole term; returns the e-class of its root."""
+    def add_term(
+        self, term: Term, memo: Optional[Dict[int, Tuple[Term, int]]] = None
+    ) -> int:
+        """Add a whole term; returns the e-class of its root.
 
+        Terms are DAGs: the SSA builder shares sub-terms by object
+        identity (a scalar's value term is the same object at every later
+        read), so a term with a few dozen distinct nodes can spell a tree
+        of millions.  Each distinct :class:`Term` *object* is therefore
+        interned once — post-order, children left to right, exactly the
+        order the first tree walk would reach it — and every later
+        occurrence resolves to ``find`` of that class.
+
+        *memo* is the identity table, ``id(term) -> (term, class id)``;
+        the entry holds the term so its ``id`` cannot be reused while the
+        table lives.  Pass one table to a series of calls whose terms
+        share sub-terms *across* calls (an SSA kernel's assignments do);
+        without it the sharing is honoured within this call only.  The
+        table belongs to the caller and is only valid for this e-graph.
+        It is keyed by identity, never by value: ``Term.__hash__`` and
+        ``__eq__`` recurse over the whole tree.
+        """
+
+        if memo is None:
+            memo = {}
+        hit = memo.get(id(term))
+        if hit is not None:
+            return self.uf.find(hit[1])
         prefix = (self._intern_op(term.op), self._intern_payload(term.payload))
-        child_ids = tuple(self.add_term(child) for child in term.children)
-        return self.add_key(prefix + child_ids)
+        child_ids = tuple([self.add_term(child, memo) for child in term.children])
+        eclass_id = self.add_key(prefix + child_ids)
+        memo[id(term)] = (term, eclass_id)
+        return eclass_id
 
     def add_leaf(self, op: str, payload: Payload = None) -> int:
         """Add a leaf e-node (``num``/``sym``-style)."""

@@ -9,6 +9,11 @@ backslash, which is how OpenACC kernels commonly spell long directives::
 
 Comments (``//`` and ``/* */``) are skipped.  Numeric literals keep their
 original spelling so the printer can round-trip suffixes such as ``0.f``.
+
+Scanning is one compiled alternation applied at successive offsets — one
+regex match per token, blanks and comments included — and line/column are
+computed from offsets, so the cost is linear in the source with no
+per-character Python work.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 __all__ = ["TokenKind", "Token", "Lexer", "LexerError", "tokenize"]
 
@@ -55,7 +60,7 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.column})"
 
 
-#: Multi-character punctuators, longest first so maximal munch works.
+#: Punctuators, longest first so the alternation below is maximal munch.
 _PUNCTUATORS = [
     "<<=", ">>=", "...",
     "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
@@ -64,157 +69,123 @@ _PUNCTUATORS = [
     "(", ")", "[", "]", "{", "}", ",", ";", ":", "?", ".",
 ]
 
-_NUMBER_RE = re.compile(
+#: One ``match`` per token: the skipped text (blanks and complete
+#: comments), then exactly one alternative.  Every position matches one
+#: (``stray`` takes any character, ``\Z`` the end), so the engine never
+#: backtracks into the skipped span.  ``open`` is what needs more than a
+#: pattern: a directive line, or a literal / block comment left unclosed.
+_TOKEN_RE = re.compile(
     r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
     (?:
-        0[xX][0-9a-fA-F]+[uUlL]*            # hexadecimal
-      | (?:\d+\.\d*|\.\d+|\d+)              # decimal / float mantissa
-        (?:[eE][+-]?\d+)?                   # optional exponent
-        [fFlLuU]*                           # optional suffixes
+        (?P<number>
+            0[xX][0-9a-fA-F]+[uUlL]*            # hexadecimal
+          | (?:\d+\.\d*|\.\d+|\d+)              # decimal / float mantissa
+            (?:[eE][+-]?\d+)?                   # optional exponent
+            [fFlLuU]*                           # optional suffixes
+        )
+      | (?P<ident>  [A-Za-z_][A-Za-z0-9_]* )
+      | (?P<string> "(?:\\.|[^"\\\n])*" )
+      | (?P<char>   '(?:\\.|[^'\\\n])*' )
+      | (?P<open>   [\#"'] | /\* )
+      | (?P<punct>  """ + "|".join(re.escape(p) for p in _PUNCTUATORS) + r""" )
+      | (?P<stray>  . )
+      | \Z
     )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: Groups of :data:`_TOKEN_RE` whose match is the whole token.
+_KIND_OF_GROUP = {
+    "number": TokenKind.NUMBER,
+    "ident": TokenKind.IDENT,
+    "punct": TokenKind.PUNCT,
+    "string": TokenKind.STRING,
+    "char": TokenKind.CHAR,
+}
+
+#: How far an unclosed literal reaches: up to a newline, the end of the
+#: source, or a final backslash with nothing left to escape.
+_UNCLOSED_LITERAL_RE = re.compile(r"""(["'])(?:\\.|(?!\1)[^\\\n])*""", re.DOTALL)
+
+
+def _error_at(source: str, offset: int, message: str) -> LexerError:
+    """A :class:`LexerError` positioned at *offset* of *source*."""
+
+    line_start = source.rfind("\n", 0, offset) + 1
+    return LexerError(message, source.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def _scan_pragma(source: str, start: int) -> Tuple[str, int]:
+    """The directive starting at *start*: (text, offset after its last line).
+
+    Lines ending in a backslash continue the directive; the pieces are
+    joined with single spaces, backslashes and surrounding blanks dropped.
+    """
+
+    pieces: List[str] = []
+    pos = start
+    while True:
+        newline = source.find("\n", pos)
+        stop = len(source) if newline < 0 else newline
+        segment = source[pos:stop].rstrip()
+        pos = stop if newline < 0 else stop + 1
+        if not segment.endswith("\\"):
+            pieces.append(segment)
+            return " ".join(piece.strip() for piece in pieces), pos
+        pieces.append(segment[:-1])
 
 
 class Lexer:
-    """Convert C source text into a list of :class:`Token`."""
+    """Convert C source text into a stream of :class:`Token`."""
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- low-level helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self.line, self.column)
-
-    # -- skipping ----------------------------------------------------------
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    # -- token producers ---------------------------------------------------
-
-    def _lex_pragma(self) -> Token:
-        line, column = self.line, self.column
-        pieces: List[str] = []
-        while True:
-            start = self.pos
-            while self.pos < len(self.source) and self._peek() != "\n":
-                self._advance()
-            segment = self.source[start : self.pos]
-            if self.pos < len(self.source):
-                self._advance()  # consume newline
-            stripped = segment.rstrip()
-            if stripped.endswith("\\"):
-                pieces.append(stripped[:-1])
-                continue
-            pieces.append(stripped)
-            break
-        text = " ".join(piece.strip() for piece in pieces)
-        return Token(TokenKind.PRAGMA, text, line, column)
-
-    def _lex_string(self, quote: str) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch == "\\":
-                self._advance(2)
-                continue
-            if ch == quote:
-                self._advance()
-                text = self.source[start : self.pos]
-                kind = TokenKind.STRING if quote == '"' else TokenKind.CHAR
-                return Token(kind, text, line, column)
-            if ch == "\n":
-                break
-            self._advance()
-        raise self._error("unterminated string literal")
-
-    # -- main loop ----------------------------------------------------------
 
     def tokens(self) -> Iterator[Token]:
         """Yield every token in the source, terminated by an EOF token."""
 
+        source = self.source
+        match = _TOKEN_RE.match
+        kind_of = _KIND_OF_GROUP
+        pos = 0  # where the next match starts
+        counted = 0  # newlines before this offset are in line / line_start
+        line = 1
+        line_start = 0
+
         while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                yield Token(TokenKind.EOF, "", self.line, self.column)
-                return
+            m = match(source, pos)
+            group = m.lastgroup
+            pos = m.end()
+            text = m.group(group) if group is not None else ""
+            start = pos - len(text)
+            # the span since the previous token's start: that token itself
+            # (a continued directive spans lines) and the skipped text
+            newlines = source.count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", counted, start) + 1
+            counted = start
+            column = start - line_start + 1
 
-            ch = self._peek()
-            line, column = self.line, self.column
-
-            if ch == "#":
-                yield self._lex_pragma()
-                continue
-
-            if ch == '"' or ch == "'":
-                yield self._lex_string(ch)
-                continue
-
-            match = _NUMBER_RE.match(self.source, self.pos)
-            if match and (ch.isdigit() or (ch == "." and self._peek(1).isdigit())):
-                text = match.group(0)
-                self._advance(len(text))
-                yield Token(TokenKind.NUMBER, text, line, column)
-                continue
-
-            match = _IDENT_RE.match(self.source, self.pos)
-            if match:
-                text = match.group(0)
-                self._advance(len(text))
-                yield Token(TokenKind.IDENT, text, line, column)
-                continue
-
-            for punct in _PUNCTUATORS:
-                if self.source.startswith(punct, self.pos):
-                    self._advance(len(punct))
-                    yield Token(TokenKind.PUNCT, punct, line, column)
-                    break
-            else:
-                raise self._error(f"unexpected character {ch!r}")
+            kind = kind_of.get(group)
+            if kind is None:
+                if group is None:
+                    yield Token(TokenKind.EOF, "", line, column)
+                    return
+                if group == "stray":
+                    raise LexerError(f"unexpected character {text!r}", line, column)
+                if text == "/*":
+                    raise _error_at(source, len(source), "unterminated block comment")
+                if text != "#":
+                    stop = _UNCLOSED_LITERAL_RE.match(source, start).end()
+                    if not source.startswith("\n", stop):
+                        stop = len(source)
+                    raise _error_at(source, stop, "unterminated string literal")
+                kind = TokenKind.PRAGMA
+                text, pos = _scan_pragma(source, start)
+            yield Token(kind, text, line, column)
 
 
 def tokenize(source: str) -> List[Token]:

@@ -16,7 +16,7 @@ The parser produces the AST defined in :mod:`repro.frontend.cast`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.frontend import cast as C
 from repro.frontend.lexer import Token, TokenKind, tokenize
@@ -63,11 +63,15 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``_advance`` never steps past EOF, so only a look-ahead can
+        # overshoot; it then sees the EOF token
+        try:
+            return self.tokens[self.index + offset]
+        except IndexError:
+            return self.tokens[-1]
 
     def _at_end(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
+        return self.tokens[self.index].kind is TokenKind.EOF
 
     def _advance(self) -> Token:
         token = self.tokens[self.index]
@@ -76,8 +80,10 @@ class Parser:
         return token
 
     def _check(self, text: str) -> bool:
-        token = self._peek()
-        return token.kind in (TokenKind.PUNCT, TokenKind.IDENT) and token.text == text
+        token = self.tokens[self.index]
+        return token.text == text and (
+            token.kind is TokenKind.PUNCT or token.kind is TokenKind.IDENT
+        )
 
     def _match(self, text: str) -> bool:
         if self._check(text):
@@ -389,7 +395,7 @@ class Parser:
         return decls
 
     # ------------------------------------------------------------------
-    # Expressions (precedence climbing via layered recursive descent)
+    # Expressions (recursive descent; precedence climbing for binary operators)
     # ------------------------------------------------------------------
 
     def parse_expression(self) -> C.Expr:
@@ -436,20 +442,29 @@ class Parser:
         ["+", "-"],
         ["*", "/", "%"],
     ]
+    #: Operator spelling -> its level in :attr:`_PRECEDENCE`.
+    _LEVEL_OF: Dict[str, int] = {
+        op: level for level, ops in enumerate(_PRECEDENCE) for op in ops
+    }
 
-    def _parse_binary(self, level: int) -> C.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_cast()
-        expr = self._parse_binary(level + 1)
-        ops = self._PRECEDENCE[level]
+    def _parse_binary(self, min_level: int) -> C.Expr:
+        """Precedence climbing: one operand, then every operator at
+        *min_level* or tighter.  The right operand of an operator takes
+        only strictly tighter ones, which makes every level
+        left-associative."""
+
+        expr = self._parse_cast()
+        level_of = self._LEVEL_OF
         while True:
-            token = self._peek()
-            if token.kind is TokenKind.PUNCT and token.text in ops:
-                self._advance()
-                rhs = self._parse_binary(level + 1)
-                expr = C.BinOp(token.text, expr, rhs, token.line)
-            else:
+            token = self.tokens[self.index]
+            if token.kind is not TokenKind.PUNCT:
                 return expr
+            level = level_of.get(token.text)
+            if level is None or level < min_level:
+                return expr
+            self.index += 1
+            rhs = self._parse_binary(level + 1)
+            expr = C.BinOp(token.text, expr, rhs, token.line)
 
     def _parse_cast(self) -> C.Expr:
         if self._check("(") and self._is_type_start(1):
@@ -480,14 +495,17 @@ class Parser:
     def _parse_postfix(self) -> C.Expr:
         expr = self._parse_primary()
         while True:
-            token = self._peek()
-            if self._check("["):
-                line = self._advance().line
+            token = self.tokens[self.index]
+            if token.kind is not TokenKind.PUNCT:
+                return expr
+            text = token.text
+            if text == "[":
+                self.index += 1
                 index = self.parse_expression()
                 self._expect("]")
-                expr = C.ArraySub(expr, index, line)
-            elif self._check("("):
-                line = self._advance().line
+                expr = C.ArraySub(expr, index, token.line)
+            elif text == "(":
+                self.index += 1
                 args: List[C.Expr] = []
                 if not self._check(")"):
                     while True:
@@ -495,18 +513,14 @@ class Parser:
                         if not self._match(","):
                             break
                 self._expect(")")
-                expr = C.Call(expr, args, line)
-            elif self._check("."):
-                line = self._advance().line
+                expr = C.Call(expr, args, token.line)
+            elif text == "." or text == "->":
+                self.index += 1
                 name = self._expect_ident()
-                expr = C.Member(expr, name, False, line)
-            elif self._check("->"):
-                line = self._advance().line
-                name = self._expect_ident()
-                expr = C.Member(expr, name, True, line)
-            elif token.kind is TokenKind.PUNCT and token.text in ("++", "--"):
-                self._advance()
-                expr = C.UnaryOp(token.text, expr, True, token.line)
+                expr = C.Member(expr, name, text == "->", token.line)
+            elif text == "++" or text == "--":
+                self.index += 1
+                expr = C.UnaryOp(text, expr, True, token.line)
             else:
                 return expr
 

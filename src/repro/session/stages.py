@@ -188,7 +188,17 @@ class FrontendStage(Stage):
 
 
 class EGraphBuildStage(Stage):
-    """Pack every SSA assignment into a fresh e-graph (this alone is CSE)."""
+    """Pack every SSA assignment into a fresh e-graph (this alone is CSE).
+
+    The SSA builder shares sub-terms by object identity, mostly *across*
+    assignments (a later statement's term contains the earlier statement's
+    value term itself, not a copy), so one identity memo serves every
+    :meth:`~repro.egraph.egraph.EGraph.add_term` call of the kernel: the
+    build interns each distinct term object once and is linear in the SSA
+    DAG, not in the trees it spells.  The memo is a local of this method —
+    it is never stored on the e-graph or the context, so it is neither
+    pickled nor cached.
+    """
 
     name = "egraph"
     requires = ("ssa",)
@@ -198,12 +208,15 @@ class EGraphBuildStage(Stage):
             constant_folding_analysis() if ctx.config.constant_folding else None
         )
         egraph = EGraph(analysis)
+        interned: Dict[int, Tuple[object, int]] = {}
         for info in ctx.ssa.all_assignments():
             if info.term is None:
                 continue
-            ctx.root_of[info.ssa_id] = egraph.add_term(info.term)
+            ctx.root_of[info.ssa_id] = egraph.add_term(info.term, interned)
             if info.store_term is not None:
-                ctx.store_class_of[info.ssa_id] = egraph.add_term(info.store_term)
+                ctx.store_class_of[info.ssa_id] = egraph.add_term(
+                    info.store_term, interned
+                )
         egraph.rebuild()
         ctx.egraph = egraph
 

@@ -137,12 +137,15 @@ class SSABuilder:
                 self._process_control(stmt.stmt, depth)
             return
         if isinstance(stmt, C.Decl):
-            # declaration without (pure) initializer: fresh unknown value
+            # declaration without a modelled initializer: fresh unknown
+            # value; an initializer with side effects is a barrier too
+            if stmt.init is not None and not _is_pure(stmt.init):
+                self._barrier(stmt)
             self.env.scalars[stmt.name] = Term.sym(stmt.name)
             return
         if isinstance(stmt, C.ExprStmt):
-            # a call or other side-effecting expression: conservative barrier
-            self._invalidate_arrays()
+            # a call or other expression the builder does not model
+            self._barrier(stmt)
             return
         # return / break / continue / anything else: nothing to track
         return
@@ -246,13 +249,22 @@ class SSABuilder:
         self.phis[payload] = term
         return term
 
-    def _invalidate_arrays(self) -> None:
-        """Forget every array version (conservative barrier for calls)."""
+    def _barrier(self, stmt: C.Stmt) -> None:
+        """Conservative barrier for a statement left as written.
+
+        Forget every array version (a call may write anywhere) and rebind
+        every scalar *stmt* assigns to a fresh opaque symbol, which renders
+        as the runtime variable: ``x = y = a[i];`` is not modelled, so
+        afterwards ``x`` and ``y`` hold whatever the statement left there,
+        not their previous terms.
+        """
 
         self._loop_counter += 1
         serial = self._loop_counter
         for name in list(self.env.arrays):
             self.env.arrays[name] = Term.sym(f"{name}@barrier{serial}")
+        for name in _assigned_names(stmt)[0]:
+            self.env.scalars[name] = Term.sym(f"{name}@barrier{serial}")
 
     # ------------------------------------------------------------------
     # Assignments
@@ -403,8 +415,12 @@ class SSABuilder:
                 (self.expr_term(expr.cond), self.expr_term(expr.then), self.expr_term(expr.otherwise)),
             )
         if isinstance(expr, C.Call):
-            name = expr.func.name if isinstance(expr.func, C.Ident) else "<indirect>"
-            return Term("call", tuple(self.expr_term(a) for a in expr.args), name)
+            if not isinstance(expr.func, C.Ident):
+                # ``ops.f(x)`` / ``(*fp)(x)``: no name to render the call by
+                raise _UnsupportedExpression("indirect call")
+            return Term(
+                "call", tuple(self.expr_term(a) for a in expr.args), expr.func.name
+            )
         if isinstance(expr, C.Cast):
             return Term("cast", (self.expr_term(expr.operand),), expr.type_name)
         raise _UnsupportedExpression(type(expr).__name__)

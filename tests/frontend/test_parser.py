@@ -77,6 +77,97 @@ class TestExpressions:
             parse_expression("a + b extra")
 
 
+#: C's binary operators, loosest level first (written out here, not read
+#: from the parser, so the table under test cannot vouch for itself).
+LEVELS = [
+    ["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="],
+    ["<", ">", "<=", ">="], ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
+]
+
+
+def ident(name, line=1):
+    return C.Ident(name, line)
+
+
+def binop(op, lhs, rhs, line=1):
+    return C.BinOp(op, lhs, rhs, line)
+
+
+A, B, D, E = ident("a"), ident("b"), ident("c"), ident("d")
+
+
+class TestBinaryPrecedenceTable:
+    """Exact ASTs (dataclass equality, ``line`` fields included)."""
+
+    @pytest.mark.parametrize("loose_level", range(len(LEVELS) - 1))
+    def test_adjacent_levels_nest_the_tighter_operator(self, loose_level):
+        for loose in LEVELS[loose_level]:
+            for tight in LEVELS[loose_level + 1]:
+                assert parse_expression(f"a {loose} b {tight} c") == binop(
+                    loose, A, binop(tight, B, D)
+                )
+                assert parse_expression(f"a {tight} b {loose} c") == binop(
+                    loose, binop(tight, A, B), D
+                )
+
+    @pytest.mark.parametrize("level", range(len(LEVELS)))
+    def test_every_level_is_left_associative(self, level):
+        for first in LEVELS[level]:
+            for second in LEVELS[level]:
+                assert parse_expression(f"a {first} b {second} c") == binop(
+                    second, binop(first, A, B), D
+                )
+
+    @pytest.mark.parametrize("source, expected", [
+        ("a - b - c", binop("-", binop("-", A, B), D)),
+        ("a / b * c", binop("*", binop("/", A, B), D)),
+        ("a < b == c", binop("==", binop("<", A, B), D)),
+        ("a | b ^ c & d", binop("|", A, binop("^", B, binop("&", D, E)))),
+        ("a * b + c * d", binop("+", binop("*", A, B), binop("*", D, E))),
+        ("a || b && c | d", binop("||", A, binop("&&", B, binop("|", D, E)))),
+        ("a << b + c < d", binop("<", binop("<<", A, binop("+", B, D)), E)),
+        # the loosest operator still binds tighter than ``?:``
+        ("a || b ? c : d", C.Ternary(binop("||", A, B), D, E, 1)),
+        ("a + (b ? c : d) * a", binop(
+            "+", A, binop("*", C.Ternary(B, D, E, 1), A))),
+        ("a ? b : c ? d : a", C.Ternary(A, B, C.Ternary(D, E, A, 1), 1)),
+        ("a = b + c", C.Assign("=", A, binop("+", B, D), 1)),
+        ("a + b, c", binop(",", binop("+", A, B), D)),
+        # cast vs parenthesised expression
+        ("(double)a * b", binop("*", C.Cast("double", A, 1), B)),
+        ("(a) * b", binop("*", A, B)),
+        ("(a) - b", binop("-", A, B)),
+        ("(double)(a + b)", C.Cast("double", binop("+", A, B), 1)),
+        ("-(unsigned int)a % b", binop(
+            "%", C.UnaryOp("-", C.Cast("unsigned int", A, 1), False, 1), B)),
+        # unary and postfix bind tighter than every binary operator
+        ("-a * !b", binop(
+            "*", C.UnaryOp("-", A, False, 1), C.UnaryOp("!", B, False, 1))),
+        ("a++ + ++b", binop(
+            "+", C.UnaryOp("++", A, True, 1), C.UnaryOp("++", B, False, 1))),
+        ("a[b] * c.d", binop(
+            "*", C.ArraySub(A, B, 1), C.Member(D, "d", False, 1))),
+        ("a->b(c, d) / a", binop(
+            "/", C.Call(C.Member(A, "b", True, 1), [D, E], 1), A)),
+    ])
+    def test_hand_cases(self, source, expected):
+        assert parse_expression(source) == expected
+
+    def test_operator_nodes_carry_the_line_of_their_operator(self):
+        expr = parse_expression("a\n  + b\n  * c\n  - d")
+        assert expr == binop(
+            "-",
+            binop("+", ident("a", 1), binop("*", ident("b", 2), ident("c", 3), 3), 2),
+            ident("d", 4),
+            4,
+        )
+
+    def test_look_ahead_past_the_last_token_sees_eof(self):
+        # ``(`` is the last token: the cast check peeks one past the end
+        with pytest.raises(ParseError, match="expected expression"):
+            parse_expression("a + (")
+
+
 class TestStatements:
     def test_for_loop_with_declaration_init(self):
         stmt = parse_statement("for (int i = 0; i < n; i++) x = i;")

@@ -1,0 +1,122 @@
+"""Byte-identity gates over the 34-kernel corpus (paper Table II/III sources).
+
+Two committed goldens pin what the compile path produces:
+
+* ``golden_code_sha256.json`` — SHA-256 of ``optimize_source(src, cfg,
+  name).code`` for every corpus source under all four variants at the
+  paper's §VII limits (10 000 e-nodes, 10 iterations): 136 hashes.  The
+  end-to-end benchmark checks two variants and only sums; this compares
+  every artifact.
+* ``golden_frontend_sha256.json`` — per source, the token count and the
+  SHA-256 of the exact ``(kind, text, line, column)`` stream, and the
+  SHA-256 of the parsed-and-reprinted source.
+
+A hash that moves means the change altered generated code (or the token
+stream / AST): either the change is wrong, or the new output is intended —
+then bump ``ENGINE_SCHEMA`` if cached artifacts are affected, record the
+reason in CHANGES.md and regenerate with::
+
+    PYTHONPATH=src python tests/integration/test_golden_corpus.py --write
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from repro.benchsuite.registry import NPB_BENCHMARKS, SPEC_ACC_BENCHMARKS
+from repro.egraph.runner import RunnerLimits
+from repro.frontend.lexer import tokenize
+from repro.frontend.parser import parse
+from repro.frontend.printer import print_c
+from repro.saturator import SaturatorConfig, Variant, optimize_source
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CODE_GOLDEN = os.path.join(HERE, "golden_code_sha256.json")
+FRONTEND_GOLDEN = os.path.join(HERE, "golden_frontend_sha256.json")
+
+#: The paper's node and iteration limits; the wall limit never binds, so
+#: every artifact is a pure function of (source, config).
+LIMITS = RunnerLimits(10_000, 10, 300.0)
+
+
+def corpus():
+    """``(request name, source)`` of the distinct kernel sources, suite order."""
+
+    seen = {}
+    for bench in NPB_BENCHMARKS + SPEC_ACC_BENCHMARKS:
+        for spec in bench.kernels:
+            seen.setdefault(spec.source, f"{bench.name}_{spec.name}")
+    return [(name, source) for source, name in seen.items()]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def code_hashes(variant: Variant):
+    config = SaturatorConfig(variant=variant, limits=LIMITS)
+    return {
+        name: _sha(optimize_source(source, config, name).code)
+        for name, source in corpus()
+    }
+
+
+def frontend_hashes():
+    out = {}
+    for name, source in corpus():
+        tokens = tokenize(source)
+        stream = "\n".join(
+            f"{t.kind.value}\t{t.text}\t{t.line}\t{t.column}" for t in tokens
+        )
+        out[name] = {
+            "tokens": len(tokens),
+            "token_stream": _sha(stream),
+            "printed": _sha(print_c(parse(source))),
+        }
+    return out
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_corpus_is_the_34_benchmark_sources():
+    assert len(corpus()) == 34
+    assert len(_load(FRONTEND_GOLDEN)) == 34
+    assert {len(v) for v in _load(CODE_GOLDEN).values()} == {34}
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.name)
+def test_generated_code_is_byte_identical_to_golden(variant):
+    golden = _load(CODE_GOLDEN)[variant.value]
+    actual = code_hashes(variant)
+    moved = sorted(name for name in golden if actual.get(name) != golden[name])
+    assert not moved and set(actual) == set(golden), (
+        f"{variant.name}: generated code changed for {moved}"
+    )
+
+
+def test_token_streams_and_reprinted_sources_match_golden():
+    golden = _load(FRONTEND_GOLDEN)
+    actual = frontend_hashes()
+    moved = sorted(name for name in golden if actual.get(name) != golden[name])
+    assert not moved and set(actual) == set(golden), (
+        f"lexer/parser output changed for {moved}"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    for path, payload in (
+        (CODE_GOLDEN, {v.value: code_hashes(v) for v in Variant}),
+        (FRONTEND_GOLDEN, frontend_hashes()),
+    ):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {path}")

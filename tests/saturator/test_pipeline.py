@@ -149,3 +149,56 @@ class TestOptimizeSource:
         assert result.kernel("stencil_0").name == "stencil_0"
         with pytest.raises(KeyError):
             result.kernel("nope")
+
+
+def _kernel(body):
+    return f"#pragma acc parallel loop\nfor (int i = 0; i < n; i++) {{\n{body}\n}}\n"
+
+
+def _equivalent(original_source, generated_source):
+    original = parse_statement(original_source)
+    generated = parse_statement(generated_source)
+    return verify_equivalence(original, generated, trials=2)
+
+
+class TestStatementsLeftAsWritten:
+    """Statements the SSA builder cannot model stay verbatim and act as a
+    barrier: whatever they assign is unknown afterwards."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("body", [
+        "double x = 1.0; double y = 2.0; x = y = a[i]; out[i] = x + y;",
+        "double y = 2.0; double x = y = a[i]; out[i] = x + y;",
+        "s.n = 1; s.n++; out[i] = s.n;",
+    ], ids=["chained-assign", "chained-assign-in-decl", "member-increment"])
+    def test_impure_statement_rebinds_the_scalars_it_assigns(self, body, variant):
+        source = _kernel(body)
+        result = optimize_source(source, SaturatorConfig(variant=variant))
+        verdict = _equivalent(source, result.code)
+        assert verdict.passed, f"{verdict.message}\n{result.code}"
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_unsupported_rhs_rebinds_its_target(self, variant):
+        source = _kernel("double x = 1.0; x = (p + 1)[i]; out[k] = x + 1.0;")
+        result = optimize_source(source, SaturatorConfig(variant=variant))
+        assert "x = (p + 1)[i];" in result.code
+        # the interpreter has no pointer arithmetic: stand an executable
+        # load in for the opaque one on both sides
+        stand_in = lambda code: code.replace("(p + 1)[i]", "q[i]")
+        verdict = _equivalent(stand_in(source), stand_in(result.code))
+        assert verdict.passed, f"{verdict.message}\n{result.code}"
+
+    def test_indirect_call_is_kept_verbatim_and_neighbours_still_optimise(self):
+        source = _kernel(
+            "double t = a[i] * b[i] + a[i] * b[i];\n"
+            "x = ops.f(a[i]) + t;\n"
+            "out[i] = x + c[i] * 2.0 + c[i] * 2.0;"
+        )
+        result = optimize_source(source, SaturatorConfig(variant=Variant.ACCSAT))
+        assert "x = ops.f(a[i]) + t;" in result.code
+        assert "<indirect>" not in result.code
+        report = result.kernels[0]
+        # both neighbours lost their repeated loads
+        assert report.original.loads == 7
+        assert report.optimized.loads == 3
+        assert result.code.count("c[i]") == 1

@@ -119,3 +119,17 @@ class TestBarriers:
     def test_nested_block_assignments_are_collected(self):
         ssa = ssa_for("{ { x = a; } { y = b; } }")
         assert len(ssa.all_assignments()) == 2
+
+    def test_unmodelled_statement_rebinds_assigned_scalars(self):
+        ssa = ssa_for("{ x = 1.0; y = 2.0; x = y = a[i]; z = x + y; }")
+        # not the stale (+ 1.0 2.0): both names are opaque after the barrier
+        assert str(ssa.all_assignments()[-1].term) == "(+ x@barrier1 y@barrier1)"
+
+    def test_unmodelled_statement_keeps_other_scalars(self):
+        ssa = ssa_for("{ x = 1.0; w = b; y = (p + 1)[i]; z = x + w; }")
+        assert str(ssa.all_assignments()[-1].term) == "(+ 1.0 b)"
+
+    def test_indirect_call_is_not_modelled(self):
+        ssa = ssa_for("{ x = 1.0; x = ops.f(a[i]); z = x; }")
+        terms = [str(info.term) for info in ssa.all_assignments()]
+        assert terms == ["1.0", "x@barrier1"]
