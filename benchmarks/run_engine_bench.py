@@ -62,6 +62,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from hostinfo import machine_record
 from repro.benchsuite.npb.bt import BT_JACOBIAN_SOURCE
 from repro.benchsuite.npb.lu import LU_JACLD_SOURCE
 from repro.cost import DEFAULT_COST_MODEL
@@ -446,7 +447,7 @@ def main(argv=None) -> int:
         "schema": "repro-engine-bench/1",
         "repeats": args.repeats,
         "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_record(),
         "median_seconds": results,
         "saturation_outcome": {
             "stop_reason": sat_report.stop_reason.value,

@@ -69,6 +69,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from hostinfo import machine_record
 from repro.egraph.runner import RunnerLimits
 from repro.experiments.common import pipeline_workload
 from repro.saturator import SaturatorConfig, Variant, optimize_source
@@ -476,7 +477,7 @@ def main(argv=None) -> int:
     payload = {
         "schema": "repro-service-bench/1",
         "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_record(),
         "params": {
             "requests": args.requests,
             "kernels": len(kernels),

@@ -27,8 +27,8 @@ in the cache, where it benefits every later submission).
 
 from __future__ import annotations
 
-import copy
 import enum
+import pickle
 import threading
 import time
 from concurrent.futures import CancelledError, TimeoutError
@@ -122,6 +122,10 @@ class Job:
     seq: int = 0
     state: JobState = JobState.QUEUED
     result: Optional["OptimizationResult"] = None
+    #: Pickle bytes of ``result``, taken once in :meth:`resolve` when the
+    #: job has coalesced followers (``None`` for a solo job): the immutable
+    #: form every follower unpickles its own result from.
+    snapshot: Optional[bytes] = None
     error: Optional[BaseException] = None
     from_cache: bool = False
     events: List[ProgressEvent] = field(default_factory=list)
@@ -189,20 +193,46 @@ class Job:
             self.events.append(event)
             self.cond.notify_all()
 
+    def _settle(self, state: JobState) -> None:
+        """Terminal transition; the caller holds ``cond`` and has taken
+        its outcome count.
+
+        Drops the handle list: ``handles`` and ``JobHandle._job`` form a
+        reference cycle that would otherwise pin the job, its artifact
+        and every follower's materialized result until a collector pass —
+        a terminal job never reads it again.
+        """
+
+        self.state = state
+        self.handles = []
+        self.cond.notify_all()
+
     def resolve(self, result: "OptimizationResult", from_cache: bool) -> None:
+        """RUNNING → DONE with *result*, which the first handle owns.
+
+        A job with coalesced followers is serialised here, once, before
+        any handle can observe the result: followers unpickle from these
+        bytes, so nothing the primary does to its object afterwards can
+        reach them.  The service drops the job from the in-flight registry
+        before resolving and no handle can attach after that, so the
+        follower count is final here and a solo job pays no ``dumps``.
+        """
+
         with self.cond:
+            if any(handle.coalesced for handle in self.handles):
+                self.snapshot = pickle.dumps(
+                    result, protocol=pickle.HIGHEST_PROTOCOL
+                )
             self.result = result
             self.from_cache = from_cache
-            self.state = JobState.DONE
             self.finished_at = time.monotonic()
-            self.cond.notify_all()
+            self._settle(JobState.DONE)
 
     def fail(self, error: BaseException) -> None:
         with self.cond:
             self.error = error
-            self.state = JobState.FAILED
             self.finished_at = time.monotonic()
-            self.cond.notify_all()
+            self._settle(JobState.FAILED)
 
     def requeue(self) -> bool:
         """RUNNING → QUEUED for a transient-failure retry; False when the
@@ -227,9 +257,8 @@ class Job:
             if self.state is not JobState.RUNNING:
                 return 0
             live = sum(1 for h in self.handles if not h._cancelled)
-            self.state = JobState.CANCELLED
             self.finished_at = time.monotonic()
-            self.cond.notify_all()
+            self._settle(JobState.CANCELLED)
             return live
 
     # -- handle bookkeeping --------------------------------------------------
@@ -242,8 +271,7 @@ class Job:
             return False
         if any(not h._cancelled for h in self.handles):
             return False
-        self.state = JobState.CANCELLED
-        self.cond.notify_all()
+        self._settle(JobState.CANCELLED)
         return True
 
     @property
@@ -257,7 +285,11 @@ class JobHandle:
 
     Handles on a coalesced job are independent: each can be polled,
     waited, or cancelled on its own, and each materializes its own result
-    copy (mutating one caller's reports never leaks into another's).
+    object.  The first handle owns the job's artifact; every coalesced
+    follower unpickles its own from the byte snapshot :meth:`Job.resolve`
+    took before any handle could see the result — so whatever one caller
+    does to its result, whenever, no other handle, later cache hit or
+    later submission can observe it.
     """
 
     def __init__(self, job: Job, coalesced: bool = False) -> None:
@@ -333,14 +365,17 @@ class JobHandle:
             assert self._job.error is not None
             raise self._job.error
         if self._materialized is None:
-            with self._job.cond:
-                result = self._job.result
-                # the first handle owns the job's result object; coalesced
-                # followers get their own deep copy, mirroring the artifact
-                # cache's isolation guarantee
-                self._materialized = (
-                    result if not self.coalesced else copy.deepcopy(result)
-                )
+            job = self._job
+            # materialize outside ``cond`` — result and snapshot were final
+            # before the state turned DONE — so followers unpickle in
+            # parallel; only publishing takes the lock (two threads racing
+            # on one handle must end up with one object)
+            result = (
+                pickle.loads(job.snapshot) if self.coalesced else job.result
+            )
+            with job.cond:
+                if self._materialized is None:
+                    self._materialized = result
         return self._materialized
 
     # -- cancellation --------------------------------------------------------

@@ -60,6 +60,7 @@ import shutil
 import tempfile
 import threading
 import time
+import weakref
 from itertools import count
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -213,7 +214,14 @@ class OptimizationService:
         #: the latter.
         self._inflight_lock = threading.Lock()
         self._inflight: Dict[CacheKey, Job] = {}
-        self._jobs: List[Job] = []
+        #: Every job somebody can still observe, by ``seq`` (= submission
+        #: order).  Held weakly: the queue, the in-flight registry and the
+        #: worker running it keep a job alive until it is terminal, its
+        #: handles for as long as a caller holds one — a long-lived
+        #: service retains nothing for work nobody can ask about.
+        self._jobs: "weakref.WeakValueDictionary[int, Job]" = (
+            weakref.WeakValueDictionary()
+        )
         self._seq = count()
         self._threads: List[threading.Thread] = []
         self._started = False
@@ -406,7 +414,7 @@ class OptimizationService:
             job.on_cancelled = self._job_cancelled
             with self._inflight_lock:
                 self._inflight[key] = job
-            self._jobs.append(job)
+            self._jobs[seq] = job
             handle = job.attach()
             assert handle is not None  # fresh job, cannot be cancelled yet
             timeout = self.submit_timeout if self.overload_policy == "block" else None
@@ -416,7 +424,7 @@ class OptimizationService:
                 with self._inflight_lock:
                     if self._inflight.get(key) is job:
                         del self._inflight[key]
-                self._jobs.remove(job)
+                del self._jobs[seq]
                 self.stats.count("rejected")
                 if job.span is not None:
                     job.span.end(terminal="cancelled", reason="submit-timeout")
@@ -484,10 +492,19 @@ class OptimizationService:
     # ------------------------------------------------------------------
 
     def jobs(self) -> List[Job]:
-        """Snapshot of every job ever enqueued (coalesced ones excluded)."""
+        """The jobs that are queued, running or still referenced by a
+        handle, in submission order (coalesced submissions share their
+        primary's job).
 
+        Jobs are held weakly: a terminal job disappears from this list
+        once the last of its handles is dropped.
+        """
+
+        # ``valuerefs()`` copies the table in one step; iterating the live
+        # mapping could meet a removal by a job dying on another thread
         with self._lock:
-            return list(self._jobs)
+            refs = self._jobs.valuerefs()
+        return [job for job in (ref() for ref in refs) if job is not None]
 
     @property
     def queue_depth(self) -> int:

