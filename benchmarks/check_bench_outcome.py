@@ -9,7 +9,9 @@ and the per-iteration trajectories) are pure functions of (source,
 config) — the determinism contract of ``tests/egraph/test_determinism.py``
 — so any deviation means a change to the engine altered saturation
 results, which must be an explicit, committed decision rather than a
-side effect.
+side effect.  The two files must also carry the same set of top-level
+keys, so a section ``run_engine_bench.py`` stopped (or started) emitting
+cannot sit in the committed file unnoticed.
 
 ``pipeline_outcome`` and ``saturation_large_outcome`` are produced under
 the **default** configuration (``SimpleScheduler``, anytime extraction
@@ -50,9 +52,9 @@ _OUTCOME_KEYS = (
     # adaptive scheduling (PR 4)
     "saturation_backoff_outcome",
     "pipeline_anytime_outcome",
-    # steady-state confirmation sweep (PR 9) — the batched-apply /
-    # delta-join workload; its outcome is a pure function of (source,
-    # config) like every record above, whichever engine serves it
+    # steady-state confirmation sweep (PR 9): a re-sweep of the saturated
+    # micro e-graph (2 713 e-nodes / 139 classes); its outcome is a pure
+    # function of (source, config) like every record above
     "saturation_steady_outcome",
 )
 
@@ -207,6 +209,15 @@ def main(argv=None) -> int:
             failures.append(f"{key}: missing from committed {committed_path}")
         elif actual != expected:
             failures.append(f"{key}: fresh={actual!r} != committed={expected!r}")
+
+    # a static section must not outlive its generator, nor a new one go
+    # uncommitted: both files carry the same top-level keys
+    for key in sorted(set(committed) ^ set(fresh)):
+        failures.append(
+            f"{key}: top-level key only in the "
+            + (f"committed {committed_path}" if key in committed
+               else f"fresh {fresh_path}")
+        )
 
     # the observational-telemetry contract (PR 10): the *traced* runs'
     # outcome records must equal the committed *untraced* ones — a tracer

@@ -78,13 +78,14 @@ class RowBatch:
 
     The relational matcher produces its result as one ``(n, width)``
     ndarray; materialising ``n`` Python tuples out of it costs more than
-    the join itself, and the batched applier consumes the matrix
-    directly.  A RowBatch defers the tuples: it quacks like a list of
-    match rows (length, indexing, slicing, iteration,
-    equality — all yielding plain int tuples) but only builds them on
-    first such access, and slices pull just their window from the
-    matrix.  ``mat`` is the backing matrix; consumers that can work
-    columnar read it and never pay for tuples at all.
+    the join itself, and the apply loop only indexes its rows.  A
+    RowBatch defers the tuples: it quacks like a list of match rows
+    (length, indexing, slicing, iteration, equality — all yielding plain
+    int tuples) but only builds them on first such access, and slices
+    pull just their window from the matrix.  ``mat`` is the backing
+    matrix: ``Rewrite.apply_rows`` takes its bulk ``.tolist()`` (lists
+    of Python ints, no per-row ``tuple()``) and ``search_rows(limit=)``
+    truncates it without materialising anything.
     """
 
     __slots__ = ("mat", "_rows")

@@ -91,10 +91,6 @@ NodeKey = Tuple[int, ...]
 
 _EMPTY: Tuple = ()
 
-#: Cache-miss sentinel for the relation/probe cache (None is a meaningful
-#: cached value: an empty relation or probe index).
-_NO_ENTRY = object()
-
 
 @dataclass(frozen=True, eq=False)
 class ENode:
@@ -293,21 +289,10 @@ class EGraph:
         #: relational matcher, cleared when the stamp moves (pattern.py).
         self._relation_cache: Dict[tuple, tuple] = {}
         self._relation_stamp: tuple = (-1, -1)
-        #: Probe-index snapshots (:meth:`_probe_index`), keyed by the
-        #: sweep generation instead of :attr:`version`: the apply phase
-        #: only ever *appends* hashcons entries, so a snapshot stays a
-        #: valid sub-index across adds and unions — consumers treat its
-        #: misses as conservative.  Bumped by :meth:`rebuild` (the only
-        #: place rows die or keys are re-spelled).
-        self._probe_gen = 0
-        self._probe_cache: Dict[tuple, object] = {}
-        self._probe_stamp: tuple = (-1, -1)
         #: (table size, payload-id -> deterministic sort rank) cache.
         self._payload_rank: Optional[Tuple[int, array]] = None
-        #: Running union count.  Adds only ever *extend* the hashcons and
-        #: the union-find, so a batched pass that verified a row against a
-        #: snapshot stays valid until this moves — the cheap invalidation
-        #: check of the batched appliers and :meth:`add_keys_batch`.
+        #: Running union count: an unchanged value proves no union ran in
+        #: between (the duplicate-run skip of :meth:`_repair`).
         self._n_unions = 0
 
     # ------------------------------------------------------------------
@@ -436,12 +421,11 @@ class EGraph:
         return cache[1]
 
     def _live_relation_cache(self) -> Dict[tuple, tuple]:
-        """The relation/probe-index cache, cleared if the graph moved.
+        """The relation cache, cleared if the graph moved.
 
         Keyed by ``(version, interned-key count, store epoch)``: any add,
         merge, re-keying or compaction moves at least one component, so a
-        cached relation (or sorted probe index) is always a faithful view
-        of the current store.
+        cached relation is always a faithful view of the current store.
         """
 
         stamp = (self.version, len(self.store), self.store.epoch)
@@ -481,146 +465,6 @@ class EGraph:
 
         self._sync_row_touch()
         return self.store.rows_touched_since(op_id, stamp)
-
-    def _probe_index(self, op_id: int, pid: int, nchildren: int):
-        """Sorted int64 probe index over the live rows of one node shape.
-
-        Maps the hashcons probe ``key in hashcons`` for keys of shape
-        ``(op_id, pid, c0..ck)`` onto a binary search: live rows with
-        exactly that op/payload/arity are encoded by Horner evaluation of
-        their *raw* child ids in base ``len(parent) + 1`` (ids are < the
-        base, so the encoding is injective — exactly tuple equality).
-        Returns ``(sorted codes, aligned raw cls values, base)`` (owned
-        copies, never zero-copy views) or None when no live row has that
-        shape.  ``False`` signals an encoding overflow (caller must fall
-        back to scalar probes).
-
-        Cached per *sweep generation* (:attr:`_probe_gen`), not per
-        :attr:`version`: between rebuilds the hashcons only gains keys —
-        no row dies, no entry's value changes — so a snapshot remains a
-        correct **sub-index**.  A hit is a genuine current entry; a miss
-        is only "not in the snapshot" and the caller must treat it
-        conservatively (scalar dict probe / opaque row).  Rows interned
-        after the snapshot are invisible, and a probe child id ``>=
-        base`` (a class allocated after the snapshot) breaks the Horner
-        injectivity, so callers must force such rows to miss.
-        """
-
-        stamp = (self._probe_gen, self.store.epoch)
-        if self._probe_stamp != stamp:
-            self._probe_cache.clear()
-            self._probe_stamp = stamp
-        cache = self._probe_cache
-        key = (op_id, pid, nchildren)
-        entry = cache.get(key, _NO_ENTRY)
-        if entry is not _NO_ENTRY:
-            return entry
-        store = self.store
-        base = len(self.uf._parent) + 1
-        entry = None
-        if nchildren and base ** nchildren >= 2 ** 62:
-            entry = False
-        else:
-            rows = store.op_rows(op_id)
-            if rows is not None and len(rows):
-                alive = columns.as_uint8(store.alive)[rows]
-                nc = columns.as_int64(store.nchild)[rows]
-                pids = columns.as_int64(store.payload)[rows]
-                keep = np.flatnonzero(
-                    (alive != 0) & (nc == nchildren) & (pids == pid)
-                )
-                if len(keep):
-                    rows = rows[keep]
-                    code = np.zeros(len(rows), dtype=np.int64)
-                    for i in range(nchildren):
-                        code = code * base + columns.as_int64(store.child[i])[rows]
-                    order = np.argsort(code, kind="stable")
-                    vals = columns.as_int64(store.cls)[rows][order]
-                    entry = (code[order], vals, base)
-        cache[key] = entry
-        return entry
-
-    def add_keys_batch(self, keys: List[NodeKey]) -> List[int]:
-        """Intern a batch of e-node keys: ``[self.add_key(k) for k in keys]``.
-
-        Exactly that loop, observable-state-wise — same hashcons content,
-        same class-id allocation order, same analysis activity, same
-        returned ids — but hits resolve through one vectorised probe pass
-        per *miss-free run* instead of a dict probe per key.  The batch is
-        probed against a sorted columnar index of the hashcons
-        (:meth:`_probe_index`); runs of hits are answered in bulk, each
-        miss is interned scalar in batch order (the hashcons itself
-        deduplicates repeated spellings within the batch: the first
-        occurrence adds, later ones re-probe as hits).  Adds extend the
-        probe snapshot monotonically, so hit flags stay valid across
-        them; a union (an analysis ``modify`` firing during an add) drops
-        the snapshot and re-probes the remaining suffix.  Falls back to
-        the scalar loop for small or mixed-shape batches.
-        """
-
-        n = len(keys)
-        if n < 16:
-            add_key = self.add_key
-            return [add_key(k) for k in keys]
-        first = keys[0]
-        op_id, pid = first[0], first[1]
-        width = len(first)
-        for k in keys:
-            if k[0] != op_id or k[1] != pid or len(k) != width:
-                add_key = self.add_key
-                return [add_key(k) for k in keys]
-        mat = np.array(keys, dtype=np.int64)
-        out: List[int] = [0] * n
-        add_key = self.add_key
-        i = 0
-        rounds = 0
-        while i < n:
-            rounds += 1
-            index = self._probe_index(op_id, pid, width - 2)
-            if index is False or rounds > 8:
-                for j in range(i, n):
-                    out[j] = add_key(keys[j])
-                return out
-            parent = self._np_parent()
-            if index is None:
-                hit = np.zeros(n - i, dtype=bool)
-                values = None
-            else:
-                codes, vals, base = index
-                cand = np.zeros(n - i, dtype=np.int64)
-                inbase = None
-                for c in range(2, width):
-                    col = mat[i:, c]
-                    child = columns.vec_find(parent, col)
-                    # snapshot sub-index: ids allocated after it was
-                    # built must miss (see :meth:`_probe_index`)
-                    ok = child < base
-                    inbase = ok if inbase is None else (inbase & ok)
-                    cand = cand * base + child
-                pos = np.searchsorted(codes, cand)
-                pos_safe = np.minimum(pos, len(codes) - 1)
-                hit = codes[pos_safe] == cand
-                if inbase is not None:
-                    hit &= inbase
-                values = columns.vec_find(parent, np.where(hit, vals[pos_safe], 0))
-            unions0 = self._n_unions
-            j = i
-            while j < n and hit[j - i]:
-                j += 1
-            if j > i:
-                out[i:j] = values[: j - i].tolist()
-            while j < n:
-                if hit[j - i]:
-                    # still valid: only adds happened since the probe
-                    out[j] = int(values[j - i])
-                    j += 1
-                    continue
-                out[j] = add_key(keys[j])
-                j += 1
-                if self._n_unions != unions0:
-                    break  # a union moved the parent array: re-probe
-            i = j
-        return out
 
     # ------------------------------------------------------------------
     # Introspection
@@ -984,10 +828,6 @@ class EGraph:
         """
 
         n_repairs = 0
-        # rebuild is the only phase that kills rows, re-spells keys or
-        # rewrites entry values: retire the probe-index snapshots on both
-        # sides of it (repairs below consult the hashcons themselves)
-        self._probe_gen += 1
         while True:
             while self._dirty or self._analysis_dirty:
                 todo = {self.uf.find(i) for i in self._dirty}
@@ -1022,7 +862,6 @@ class EGraph:
         # wall-clock.
         if n_rows >= 512 and 2 * (n_rows - sum(store.alive)) > n_rows:
             store.compact()
-        self._probe_gen += 1
         # keep the per-row touch-stamp column current for the delta
         # readers: one gather per rebuild, amortised across every
         # incremental search issued before the next mutation

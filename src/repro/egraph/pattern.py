@@ -40,9 +40,13 @@ One production engine, one reference:
 
 Internally matches flow as flat **rows** ``(root_class_id, v0, v1, ..)``
 with variable values in :meth:`Pattern.variables` order (what
-``search_rows`` returns and the runner's apply loop consumes); the public
-``search`` API wraps them into the historical ``(class id, substitution
-dict)`` form in the same order.
+``search_rows`` returns); the public ``search`` API wraps them into the
+historical ``(class id, substitution dict)`` form in the same order.  The
+apply half is one generated loop per pattern applier
+(:func:`compile_row_applier`, built by :class:`_InstantiatorCodegen`) that
+consumes those rows; the same codegen builds the per-substitution
+instantiator behind :meth:`CompiledPattern.instantiate`
+(:meth:`Pattern.instantiate` is the plain recursive reference).
 
 :func:`compile_pattern` memoises the lowering, and :func:`parse_pattern`
 memoises parsing, so building a ruleset repeatedly (as benchmark loops do)
@@ -70,9 +74,6 @@ __all__ = [
     "CompiledPattern",
     "compile_pattern",
     "compile_row_applier",
-    "compile_row_instantiator",
-    "compile_rhs_plan",
-    "rhs_pure_partition",
     "parse_pattern",
     "Substitution",
 ]
@@ -176,10 +177,11 @@ class Pattern:
     def instantiate(self, egraph: EGraph, subst: Substitution) -> int:
         """Add this pattern to the e-graph under *subst*; return the class id."""
 
-        if self.op == "?" and len(self.children) == 1 and isinstance(self.children[0], PatternVar):
+        bare = _bare_variable(self)
+        if bare is not None:
             # a bare-variable right-hand side (e.g. the `(+ ?a 0) => ?a`
             # identity): the result is simply the bound class
-            return egraph.find(subst[self.children[0].name])
+            return egraph.find(subst[bare])
         child_ids: List[int] = []
         for child in self.children:
             if isinstance(child, PatternVar):
@@ -208,6 +210,21 @@ class Pattern:
                 return str(self.payload)
             return f"({label})"
         return f"({label} {' '.join(str(c) for c in self.children)})"
+
+
+def _bare_variable(pattern: Pattern) -> Optional[str]:
+    """The variable name if *pattern* is a bare ``?x``, else None.
+
+    :func:`parse_pattern` spells a bare variable ``Pattern("?", (?x,))``.
+    """
+
+    if (
+        pattern.op == "?"
+        and len(pattern.children) == 1
+        and isinstance(pattern.children[0], PatternVar)
+    ):
+        return pattern.children[0].name
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +258,7 @@ class _InstantiatorCodegen:
     row), the generated builder reads its bindings positionally —
     ``subst[3]`` instead of ``subst['a']`` — so the runner's row pipeline
     never materialises substitution dicts (see
-    :func:`compile_row_instantiator`).
+    :func:`compile_row_applier`).
     """
 
     def __init__(self, positions: Optional[Dict[str, int]] = None) -> None:
@@ -341,18 +358,21 @@ class _InstantiatorCodegen:
         lines.append(f"    return {result}")
         return self._compile(lines, "_instantiate")
 
-    def build_batch(self, pattern: Pattern):
-        """Batched applier: instantiate + merge over a whole row list.
+    def build_batch(self, pattern: PatternNode):
+        """The apply loop: instantiate + merge over a whole row list.
 
         Generates the :meth:`build` body inside a ``for`` loop over match
         rows, with the per-call prologue (hashcons/parent binds, interned
         id resolution) hoisted out — one function call per *batch* instead
-        of one per match.  The loop epilogue is exactly
-        ``Rewrite.apply``'s hit path: canonicalise both sides with the
-        inline parent-array check and count the merges performed.  All
-        bound locals (the parent list, the hashcons dict) are mutated in
-        place by adds/merges, so hoisting the binds cannot change what the
-        loop observes.
+        of one per match.  The loop epilogue canonicalises both sides with
+        the inline parent-array check (the builder's class can be merged
+        away before it returns — constant folding's ``modify`` unions the
+        folded literal in — and a matched class id goes stale when an
+        earlier row of the batch merged it) and counts the merges
+        performed.  All bound locals (the parent list, the hashcons dict)
+        are mutated in place by adds/merges, so hoisting the binds cannot
+        change what the loop observes.  A :class:`PatternVar` *pattern*
+        (a bare-variable right-hand side) generates the epilogue alone.
         """
 
         result = self._node(pattern)
@@ -745,7 +765,7 @@ def _relational_search(cp: "CompiledPattern", eg: EGraph, since: Optional[int]):
     for j, name in enumerate(cp.vars):
         mat[:, j + 1] = state[name][order]
     # a lazy facade: tuples materialise only if a consumer asks for them —
-    # the batched applier reads the matrix directly (columns.RowBatch)
+    # the apply loop takes the matrix's bulk .tolist() (columns.RowBatch)
     return columns.RowBatch(mat)
 
 
@@ -768,13 +788,8 @@ class CompiledPattern:
         # a bare-variable pattern `?x` parses as ("?" ?x); its instantiation
         # is just the bound class, and as a searcher it has no operator
         # atom to look up, so it matches nothing
-        self._bare_var: Optional[str] = None
-        if (
-            pattern.op == "?"
-            and len(pattern.children) == 1
-            and isinstance(pattern.children[0], PatternVar)
-        ):
-            self._bare_var = pattern.children[0].name
+        self._bare_var: Optional[str] = _bare_variable(pattern)
+        if self._bare_var is not None:
             self._inst = None
             self._atoms = None
         else:
@@ -858,162 +873,27 @@ def compile_pattern(pattern: Pattern) -> CompiledPattern:
 
 
 @lru_cache(maxsize=None)
-def compile_row_instantiator(pattern: Pattern, lhs_vars: Tuple[str, ...]):
-    """Instantiator for *pattern* reading bindings from a flat match row.
-
-    *lhs_vars* is the searcher's :attr:`CompiledPattern.vars` tuple; the
-    returned builder takes ``(egraph, row)`` where ``row`` is a
-    ``(cid, v0, v1, ..)`` tuple from ``search_rows`` and reads each
-    variable at its row position — the rows pipeline's replacement for
-    dict-based :meth:`CompiledPattern.instantiate`.  Requires every
-    variable of *pattern* to occur in *lhs_vars* (callers check; a KeyError
-    here would otherwise surface at compile time, not apply time).
-    """
-
-    positions = {name: i + 1 for i, name in enumerate(lhs_vars)}
-    return _InstantiatorCodegen(positions).build(pattern)
-
-
-@lru_cache(maxsize=None)
 def compile_row_applier(pattern: Pattern, lhs_vars: Tuple[str, ...]):
-    """Batched applier for *pattern* over a whole list of match rows.
+    """The apply loop of pattern applier *pattern* over a list of match rows.
 
-    Same contract as :func:`compile_row_instantiator`, but the returned
-    function takes ``(egraph, rows)`` and performs the full instantiate +
-    canonicalise + merge loop of :meth:`Rewrite.apply_rows` in one call,
-    returning the number of unions made.  Hoisting the per-match prologue
-    out of the loop is worth a few hundred nanoseconds per match — the
-    apply phase processes tens of thousands of (mostly redundant) matches
-    per saturation run.
+    *lhs_vars* is the searcher's :attr:`CompiledPattern.vars` tuple.  The
+    returned function takes ``(egraph, rows)``, where each row is a
+    ``(cid, v0, v1, ..)`` sequence as ``search_rows`` emits them, reads
+    each variable at its row position, and performs the instantiate +
+    canonicalise + merge loop in one call, returning the number of unions
+    made — the only code that applies a pattern right-hand side
+    (:meth:`Rewrite.apply_rows`).  A bare-variable pattern has nothing to
+    instantiate: its loop merges the bound class with the matched one.
+    Requires every variable of *pattern* to occur in *lhs_vars*
+    (:class:`~repro.egraph.rewrite.Rewrite` rejects such rules at
+    construction).
     """
 
     positions = {name: i + 1 for i, name in enumerate(lhs_vars)}
-    return _InstantiatorCodegen(positions).build_batch(pattern)
-
-
-@lru_cache(maxsize=None)
-def compile_rhs_plan(pattern: Pattern, lhs_vars: Tuple[str, ...]):
-    """Probe plan of a pattern applier for the vectorised purity prepass.
-
-    Flattens *pattern* into a postorder node list; each node is
-    ``(op name, payload, child refs)`` where a ref is ``(0, row column)``
-    for a searcher variable (1-based — row column 0 is the matched class)
-    or ``(1, node index)`` for an inner node's result.  Returns
-    ``(nodes, root ref)``.  The plan drives :func:`rhs_pure_partition`:
-    probing every node of every match row against the columnar hashcons
-    index in one vector pass per node.
-    """
-
-    positions = {name: i + 1 for i, name in enumerate(lhs_vars)}
-    nodes: List[tuple] = []
-
-    def walk(node: PatternNode):
-        if isinstance(node, PatternVar):
-            return (0, positions[node.name])
-        refs = tuple(walk(child) for child in node.children)
-        nodes.append((node.op, node.payload, refs))
-        return (1, len(nodes) - 1)
-
-    root = walk(pattern)
-    return tuple(nodes), root
-
-
-def rhs_pure_partition(eg: EGraph, plan, mat):
-    """Partition the match rows of *mat* by what applying each would do.
-
-    *mat* is the whole batch as an int64 matrix (handed over by the join
-    engine or converted once per apply call).  Evaluates *plan* bottom-up
-    over the rows with vectorised hashcons probes
-    (:meth:`EGraph._probe_index`) — no graph mutation.  Returns
-    ``(status, ra, rb, proof)`` aligned with *mat*:
-
-    * status 0 — **pure**: every RHS node already interned and the final
-      merge would be a no-op (``ra == rb``).  Applying such a row touches
-      nothing — not the hashcons, not the union-find, not the node count —
-      so the batched applier skips it outright.
-    * status 1 — **merge**: every node interned but ``ra != rb``; ``ra``
-      holds the canonical instantiation root to merge with the row's
-      canonicalised matched class ``rb``.
-    * status 2 — **opaque**: some probe missed; the row must run the
-      scalar applier (its adds and analysis hooks must fire in row order).
-
-    ``proof`` is an ``n x k`` int64 matrix holding, per row, every
-    canonical class id the verdict depended on: the canonicalised probe
-    children, each node's hashcons hit, and the two roots.  A verdict
-    stays exact across later *adds* (the hashcons only gains keys —
-    existing entries and the union-find are untouched) and across later
-    *unions that don't move any of the row's proof ids*: a union can only
-    change the row's reference behaviour by re-rooting one of the ids its
-    probes or final merge read, and a re-rooted id is exactly one whose
-    entry stops being a union-find root.  The batched applier exploits
-    this to revalidate verdicts with one gather instead of re-probing.
-
-    Returns None when a probe index would overflow its int64 encoding —
-    the caller falls back to the scalar loop.
-    """
-
-    nodes, root = plan
-    # fully-compressed roots: every canonicalisation is one gather
-    roots = eg._np_roots()
-    n = len(mat)
-    alive = np.ones(n, dtype=bool)
-    vals: List[object] = []
-    proof_cols: List[object] = []
-    payload_ids = eg._payload_ids
-    zeros = None
-    for op_name, payload, refs in nodes:
-        op_id = eg._op_ids.get(op_name)
-        pid = (
-            0
-            if payload is None
-            else payload_ids.get((type(payload).__name__, payload))
-        )
-        index = (
-            None
-            if op_id is None or pid is None
-            else eg._probe_index(op_id, pid, len(refs))
-        )
-        if index is False:
-            return None
-        if index is None:
-            # shape absent from the graph: every (still-alive) row misses
-            alive[:] = False
-            if zeros is None:
-                zeros = np.zeros(n, dtype=np.int64)
-            vals.append(zeros)
-            continue
-        codes, pvals, base = index
-        cand = np.zeros(n, dtype=np.int64)
-        inbase = None
-        for kind, r in refs:
-            col = mat[:, r] if kind == 0 else vals[r]
-            child = roots[col] if kind == 0 else col
-            if kind == 0:
-                proof_cols.append(child)
-            # the index is a sub-snapshot: a child class allocated after
-            # it was built breaks the Horner injectivity, so such rows
-            # must read as misses (conservatively opaque), never as
-            # accidental code collisions
-            ok = child < base
-            inbase = ok if inbase is None else (inbase & ok)
-            cand = cand * base + child
-        pos = np.searchsorted(codes, cand)
-        pos_safe = np.minimum(pos, len(codes) - 1)
-        hit = codes[pos_safe] == cand
-        if inbase is not None:
-            hit &= inbase
-        alive &= hit
-        found = roots[np.where(hit, pvals[pos_safe], 0)]
-        proof_cols.append(found)
-        vals.append(found)
-    kind, r = root
-    ra = roots[mat[:, r]] if kind == 0 else vals[r]
-    rb = roots[mat[:, 0]]
-    proof_cols.append(ra)
-    proof_cols.append(rb)
-    status = np.where(alive, np.where(ra == rb, 0, 1), 2).astype(np.int8)
-    proof = np.column_stack(proof_cols)
-    return status, ra, rb, proof
+    bare = _bare_variable(pattern)
+    return _InstantiatorCodegen(positions).build_batch(
+        pattern if bare is None else PatternVar(bare)
+    )
 
 
 # ---------------------------------------------------------------------------

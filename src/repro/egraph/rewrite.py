@@ -17,15 +17,22 @@ touch stamps only track the *match cone* — a guard reading state outside
 it may change its verdict without the class being touched, so the
 :class:`~repro.egraph.runner.Runner` only passes ``since`` for guard-free
 pattern-applier rules.
+
+There is one apply loop per kind of applier.  A pattern applier is
+lowered at construction into a generated row loop
+(:func:`~repro.egraph.pattern.compile_row_applier`) that instantiates the
+right-hand side and merges, match by match, over flat ``(class id, v0,
+v1, ..)`` rows; :meth:`Rewrite.apply_rows` feeds it the matcher's rows and
+:meth:`Rewrite.apply` converts substitution dicts to rows first.  A
+callable applier has its own loop in :meth:`Rewrite.apply`.  A rule is
+immutable after construction: no per-run state lives on it, so one
+ruleset may serve any number of runners.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
-
-import numpy as np
 
 from repro.egraph import columns
 from repro.egraph.egraph import EGraph
@@ -34,11 +41,8 @@ from repro.egraph.pattern import (
     Pattern,
     Substitution,
     compile_pattern,
-    compile_rhs_plan,
     compile_row_applier,
-    compile_row_instantiator,
     parse_pattern,
-    rhs_pure_partition,
 )
 
 __all__ = ["Rewrite", "rewrite"]
@@ -64,47 +68,32 @@ class Rewrite:
 
     def __post_init__(self) -> None:
         self._compiled: CompiledPattern = compile_pattern(self.searcher)
-        self._compiled_rhs: Optional[CompiledPattern] = (
-            compile_pattern(self.applier)
-            if isinstance(self.applier, Pattern)
-            else None
-        )
-        # rows pipeline (guard-free pattern->pattern rules only): either a
-        # positional RHS builder or, for a bare-variable RHS, the row index
-        # of the bound variable.  A RHS variable absent from the LHS keeps
-        # the rule on the dict path, preserving its KeyError-at-apply
-        # behaviour (such a rule is malformed, but the failure mode is
-        # part of the observable API).
-        self._inst_rows = None
+        #: The generated row loop of a pattern applier (None for a
+        #: callable applier).
         self._apply_rows_fn = None
-        self._bare_idx: Optional[int] = None
-        self._rhs_plan = None
-        self._batch_cooldown = 0
-        self._batch_bails = 0
-        compiled_rhs = self._compiled_rhs
-        if compiled_rhs is not None and self.guard is None:
+        if isinstance(self.applier, Pattern):
             lhs_vars = self._compiled.vars
-            if compiled_rhs._bare_var is not None:
-                if compiled_rhs._bare_var in lhs_vars:
-                    self._bare_idx = 1 + lhs_vars.index(compiled_rhs._bare_var)
-                    # degenerate probe plan: no nodes, root reads the row
-                    self._rhs_plan = ((), (0, self._bare_idx))
-            elif all(name in lhs_vars for name in compiled_rhs.vars):
-                self._inst_rows = compile_row_instantiator(self.applier, lhs_vars)
-                self._apply_rows_fn = compile_row_applier(self.applier, lhs_vars)
-                self._rhs_plan = compile_rhs_plan(self.applier, lhs_vars)
+            unbound = [
+                name for name in self.applier.variables() if name not in lhs_vars
+            ]
+            if unbound:
+                raise ValueError(
+                    f"rewrite {self.name!r}: applier {self.applier} uses "
+                    + ", ".join(f"?{name}" for name in unbound)
+                    + f", which the searcher {self.searcher} does not bind"
+                )
+            self._apply_rows_fn = compile_row_applier(self.applier, lhs_vars)
 
     @property
     def rows_capable(self) -> bool:
         """True when this rule can run the flat-row search/apply pipeline.
 
-        Requires a guard-free pattern applier whose variables all occur in
-        the searcher — exactly the rules the runner may also search
-        incrementally.  Guarded or dynamic rules need substitution dicts
-        (their callables receive one by contract).
+        Requires a guard-free pattern applier — exactly the rules the
+        runner may also search incrementally.  Guarded or dynamic rules
+        need substitution dicts (their callables receive one by contract).
         """
 
-        return self._bare_idx is not None or self._inst_rows is not None
+        return self.guard is None and self._apply_rows_fn is not None
 
     # ------------------------------------------------------------------
 
@@ -171,45 +160,18 @@ class Rewrite:
         Skipping them would change where limit-bounded runs stop.
         """
 
-        applied = 0
-        compiled_rhs = self._compiled_rhs
-        if compiled_rhs is not None:
-            find = egraph.uf.find
-            parent = egraph.uf._parent
-            merge_roots = egraph.merge_roots
-            # bind the generated arena builder directly (skips a method
-            # dispatch per match); a bare-variable RHS has no builder and
-            # resolves to the bound class.  The builder returns a canonical
-            # root, and a matched class id is only stale if an earlier
-            # match of this batch merged it — the inline parent-array check
-            # skips the find call in the common still-canonical case.
-            inst = compiled_rhs._inst
-            if inst is None:
-                bare = compiled_rhs._bare_var
-                for eclass_id, subst in matches:
-                    ra = find(subst[bare])
-                    rb = eclass_id
-                    if parent[rb] != rb:
-                        rb = find(rb)
-                    if ra != rb:
-                        merge_roots(ra, rb)
-                        applied += 1
-                return applied
-            for eclass_id, subst in matches:
-                # the builder's class can be merged away before it returns
-                # (constant folding's `modify` unions the folded literal
-                # in), so its id needs the same staleness check
-                ra = inst(egraph, subst)
-                if parent[ra] != ra:
-                    ra = find(ra)
-                rb = eclass_id
-                if parent[rb] != rb:
-                    rb = find(rb)
-                if ra != rb:
-                    merge_roots(ra, rb)
-                    applied += 1
-            return applied
+        if self._apply_rows_fn is not None:
+            # rows in searcher-variable order, as search_rows emits them
+            names = self._compiled.vars
+            return self.apply_rows(
+                egraph,
+                [
+                    (eclass_id, *[subst[name] for name in names])
+                    for eclass_id, subst in matches
+                ],
+            )
 
+        applied = 0
         applier = self.applier
         for eclass_id, subst in matches:
             new_id = applier(egraph, eclass_id, subst)
@@ -223,179 +185,17 @@ class Rewrite:
     def apply_rows(self, egraph: EGraph, rows: List[tuple]) -> int:
         """:meth:`apply` for flat match rows from :meth:`search_rows`.
 
-        Identical union sequence to :meth:`apply` on the equivalent dict
-        matches (same builders, same staleness checks, same merge order) —
-        minus the per-match substitution dict.  Large batches first run a
-        vectorised purity prepass (:func:`rhs_pure_partition`): rows whose
-        application would be an invisible no-op — every RHS node already
-        interned, final merge a no-op — are skipped in bulk, rows needing
-        only a merge get it directly from the precomputed roots, and only
-        genuinely opaque rows (a probe missed: adds must fire) run the
-        scalar applier, in original row order.  A union after the prepass
-        doesn't force a re-probe: each verdict carries a proof-id row, and
-        a one-gather root check revalidates it (see
-        :func:`rhs_pure_partition`); rows whose proof moved fall back to
-        the scalar loop — which keeps the mutation sequence exactly the
-        scalar loop's.
+        Hands the rows to the rule's generated row loop
+        (:func:`~repro.egraph.pattern.compile_row_applier`) — the one
+        place a pattern right-hand side is instantiated and merged.
         """
 
-        if (
-            self._rhs_plan is not None
-            and self._rhs_plan[0]
-            and len(rows) >= 32
-        ):
-            # adaptive gate: a batch that bailed (merge/miss-heavy — the
-            # e-graph is still growing under this rule) predicts the next
-            # few will too, so skip the prepass for a while.  Pure routing
-            # heuristic: both paths produce identical mutations.
-            if self._batch_cooldown > 0:
-                self._batch_cooldown -= 1
-            else:
-                mat = (
-                    rows.mat if type(rows) is columns.RowBatch else None
-                )
-                return self._apply_rows_batched(egraph, rows, mat)
-        return self._apply_rows_scalar(egraph, rows)
-
-    def _apply_rows_scalar(self, egraph: EGraph, rows) -> int:
         if type(rows) is columns.RowBatch:
             # bulk .tolist() rows (lists of Python ints) — the generated
             # loop only indexes them, and skipping the per-row tuple()
             # halves the materialisation cost
             rows = rows.mat.tolist()
-        bare_idx = self._bare_idx
-        if bare_idx is not None:
-            applied = 0
-            find = egraph.uf.find
-            parent = egraph.uf._parent
-            merge_roots = egraph.merge_roots
-            for row in rows:
-                ra = row[bare_idx]
-                if parent[ra] != ra:
-                    ra = find(ra)
-                rb = row[0]
-                if parent[rb] != rb:
-                    rb = find(rb)
-                if ra != rb:
-                    merge_roots(ra, rb)
-                    applied += 1
-            return applied
-        # generated batch loop: instantiate + staleness checks + merge,
-        # with the prologue hoisted out of the per-match path
         return self._apply_rows_fn(egraph, rows)
-
-    def _apply_rows_batched(self, egraph, rows, mat=None) -> int:
-        """Prepass-driven :meth:`apply_rows` (see there for the contract).
-
-        The batch is partitioned lazily, one chunk at a time (verdicts are
-        row-independent, so a chunk's prepass is exact regardless of what
-        the sweep did before it) — a growth-heavy batch bails after paying
-        for a single chunk, not the whole batch.  Within a chunk, windows
-        are scanned for non-pure or proof-invalidated rows with one
-        vectorised root check, and only those rows run Python code (a
-        direct merge when the proof held, the scalar applier otherwise).
-        Every union re-checks the remaining window against a fresh
-        union-find snapshot, so each row's action is provably the one the
-        scalar loop would have taken in its place.
-        """
-
-        n = len(rows)
-        if mat is None:
-            # flat fromiter is ~2x np.array(list-of-tuples): one C loop
-            # over a chained iterator instead of per-row sequence probing
-            width = len(rows[0])
-            mat = np.fromiter(
-                chain.from_iterable(rows), np.int64, count=n * width
-            ).reshape(n, width)
-        is_batch = type(rows) is columns.RowBatch
-        scalar_rest = self._apply_rows_scalar
-        merge_roots = egraph.merge_roots
-        flat = np.flatnonzero
-        applied = 0
-        PCHUNK = 4096
-        RCHUNK = 512
-        p = 0
-        while p < n:
-            pend = min(p + PCHUNK, n)
-            part = rhs_pure_partition(egraph, self._rhs_plan, mat[p:pend])
-            if part is None:
-                # probe-index encoding overflow: scalar remainder
-                self._batch_cooldown = 16
-                rest = (
-                    columns.RowBatch(mat[p:]) if is_batch else rows[p:]
-                )
-                return applied + scalar_rest(egraph, rest)
-            status, ra_arr, rb_arr, proof = part
-            m = pend - p
-            nonpure = m - int((status == 0).sum())
-            if nonpure > max(32, m >> 6):
-                # growth-heavy chunk: per-row work dominates anyway, and a
-                # union storm would thrash the revalidation — the scalar
-                # loop is strictly better here.  Bails escalate the
-                # cooldown exponentially (growth phases produce long runs
-                # of them, each costing a wasted chunk prepass); the first
-                # pure-dominated batch resets it, so steady-state
-                # saturation pays nothing.
-                self._batch_bails += 1
-                self._batch_cooldown = min(64, 2 << self._batch_bails)
-                rest = (
-                    columns.RowBatch(mat[p:]) if is_batch else rows[p:]
-                )
-                return applied + scalar_rest(egraph, rest)
-            self._batch_bails = 0
-            unions0 = egraph._n_unions
-            j = 0
-            while j < m:
-                end = min(j + RCHUNK, m)
-                okw = None
-                if egraph._n_unions != unions0:
-                    # unions moved some roots: one gather per window
-                    # proves which verdicts still hold (all proof ids
-                    # still union-find roots)
-                    pa = egraph._np_parent()
-                    pr = proof[j:end]
-                    okw = (pa[pr] == pr).all(axis=1)
-                    bad = flat((status[j:end] != 0) | ~okw)
-                else:
-                    bad = flat(status[j:end] != 0)
-                nb = len(bad)
-                bi = 0
-                dirty = False
-                while bi < nb:
-                    w = int(bad[bi])
-                    idx = j + w
-                    if status[idx] == 1 and (okw is None or okw[w]):
-                        # proof held: ra/rb are exactly the canonical
-                        # roots the scalar epilogue would compute here
-                        merge_roots(int(ra_arr[idx]), int(rb_arr[idx]))
-                        applied += 1
-                        j = idx + 1
-                        dirty = True
-                        break
-                    # scalar-bound run (opaque, or verdict invalidated):
-                    # extend over adjacent bad rows of the same kind — the
-                    # scalar loop is the reference semantics, so a
-                    # contiguous slice of it is exact no matter what
-                    # unions fire inside
-                    k = bi
-                    while k + 1 < nb and int(bad[k + 1]) == int(bad[k]) + 1:
-                        w2 = int(bad[k + 1])
-                        if status[j + w2] == 1 and (okw is None or okw[w2]):
-                            break
-                        k += 1
-                    hi = j + int(bad[k]) + 1
-                    applied += scalar_rest(egraph, rows[p + idx : p + hi])
-                    if egraph._n_unions != unions0:
-                        # a union voids the rest of this window's scan —
-                        # resume from the next row with a fresh root check
-                        j = hi
-                        dirty = True
-                        break
-                    bi = k + 1
-                if not dirty:
-                    j = end
-            p = pend
-        return applied
 
     def run(self, egraph: EGraph) -> int:
         """Search and apply in one step (rebuild is the caller's job)."""

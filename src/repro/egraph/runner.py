@@ -642,11 +642,7 @@ class Runner:
             # stamps only track the cone), and dynamic appliers may
             # compute different results as the graph evolves — both
             # need full rescans to stay sound.
-            incremental = (
-                self.incremental
-                and rule.guard is None
-                and rule._compiled_rhs is not None
-            )
+            incremental = self.incremental and rule.rows_capable
             since = self._last_scan[index] if incremental else None
             limit = scheduler.search_limit(iteration, index, rule)
             rt0 = time.perf_counter()
@@ -772,11 +768,6 @@ class Runner:
         stats = report.rule_stats
         for rule in self.rewrites:
             stats[rule.name] = RuleStats(rule.name)
-            # adaptive apply-batching is a per-run signal: a cooldown left
-            # over from an earlier (e.g. warm-up) run on a different graph
-            # shape would suppress the batched path exactly where it wins
-            rule._batch_cooldown = 0
-            rule._batch_bails = 0
         scheduler.reset(self.rewrites)
         self._best_cost = None
         self._stale_evals = 0

@@ -1,4 +1,4 @@
-"""PR-9 semi-naive delta joins + batched columnar apply guarantees.
+"""PR-9 semi-naive delta joins + apply-loop guarantees.
 
 Contracts pinned here:
 
@@ -15,10 +15,13 @@ Contracts pinned here:
   pending appends and kills keeps row order, the op buckets and the
   touch-stamp column coherent — delta reads after a compaction see
   exactly the live rows.
-* **Batched apply equivalence**: the vectorised purity-prepass applier
-  and the scalar row loop produce bit-identical e-graphs (hashcons,
-  union-find, class structure), including under mid-batch unions that
-  force proof-revalidation fallbacks.
+* **Apply-loop equivalence**: the generated row loop every pattern rule
+  runs and a reference loop written here from the public API
+  (``Pattern.instantiate`` + ``EGraph.merge`` per match) produce
+  bit-identical e-graphs (hashcons, union-find, class structure) —
+  under mid-batch unions, for bare-variable right-hand sides, for
+  guarded rules (dict ``Rewrite.apply``) and for ``limit=``-truncated
+  batches.
 * **Stamp pinning under the join engine**: a scheduler-dropped batch
   keeps the rule's incremental stamp pinned, and the delta join re-finds
   every dropped match on the next iteration (the PR-4 invariant, now
@@ -30,15 +33,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.egraph.columns import ColumnStore
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import num, op, sym
 from repro.egraph.pattern import compile_pattern, parse_pattern
+from repro.egraph.rewrite import Rewrite, rewrite
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.egraph.schedule import SimpleScheduler
-from repro.rules import default_ruleset
+from repro.rules import default_ruleset, extended_ruleset
 
 _PATTERNS = [
     "(+ ?a (* ?b ?c))",
@@ -237,8 +242,32 @@ def test_delta_reads_stay_exact_across_compaction():
 
 
 # ---------------------------------------------------------------------------
-# Batched apply == scalar apply (bit-identical e-graphs)
+# Generated apply loop == reference apply loop (bit-identical e-graphs)
 # ---------------------------------------------------------------------------
+
+
+class _ReferenceRewrite(Rewrite):
+    """A pattern rule applied the slow way, from the public API only.
+
+    Per match, in match order: ``Pattern.instantiate`` (the recursive
+    ENode-level builder) then ``EGraph.merge``.  The executable
+    specification of what the generated row loop must do to the e-graph.
+    """
+
+    def apply(self, egraph, matches):
+        applied = 0
+        for eclass_id, subst in matches:
+            new_id = self.applier.instantiate(egraph, subst)
+            if not egraph.is_equal(new_id, eclass_id):
+                egraph.merge(new_id, eclass_id)
+                applied += 1
+        return applied
+
+    def apply_rows(self, egraph, rows):
+        names = self.searcher.variables()
+        return self.apply(
+            egraph, [(row[0], dict(zip(names, row[1:]))) for row in rows]
+        )
 
 
 def _wide_graph():
@@ -251,6 +280,61 @@ def _wide_graph():
     return eg
 
 
+def _chain_graph():
+    """Chains of commutable/associable sums: merge-heavy batches where an
+    early row's union re-roots class ids that later rows of the same
+    batch carry (the loop's staleness checks must catch them)."""
+
+    eg = EGraph()
+    term = sym("c0")
+    for i in range(1, 36):
+        term = op("+", term, sym(f"c{i % 5}"))
+    eg.add_term(term)
+    eg.rebuild()
+    return eg
+
+
+def _identity_graph():
+    """The wide graph plus redexes of the bare-variable identity rules."""
+
+    eg = _wide_graph()
+    for i in range(8):
+        a = sym(f"a{i}")
+        eg.add_term(op("+", op("*", a, num(1)), num(0)))
+        eg.add_term(op("neg", op("neg", op("*", a, sym("b0")))))
+    eg.rebuild()
+    return eg
+
+
+def _comm_assoc_rules():
+    return [r for r in default_ruleset() if r.name.startswith(("comm", "assoc"))]
+
+
+def _guarded_rules():
+    """The default rules with ``comm-add`` behind a guard: a guarded rule
+    is not rows-capable, so the runner drives it through dict
+    ``Rewrite.search`` / ``Rewrite.apply``."""
+
+    def ordered(egraph, eclass_id, subst):
+        return subst["a"] < subst["b"]
+
+    return [
+        rewrite(r.name, r.searcher, r.applier, guard=ordered)
+        if r.name == "comm-add"
+        else r
+        for r in default_ruleset()
+    ]
+
+
+class _CapSearch(SimpleScheduler):
+    """Caps every search at 20 matches (``search_rows(limit=)``)."""
+
+    name = "cap-search"
+
+    def search_limit(self, iteration, index, rule):
+        return 20
+
+
 def _graph_signature(eg):
     return (
         list(eg.hashcons.items()),  # content *and* interning order
@@ -261,52 +345,43 @@ def _graph_signature(eg):
     )
 
 
-def test_batched_apply_matches_scalar_apply_bitwise():
-    rules = default_ruleset()
-    limits = RunnerLimits(node_limit=1500, iter_limit=3)
-    eg_batched = _wide_graph()
-    Runner(eg_batched, rules, limits).run()
+@pytest.mark.parametrize(
+    "make_graph, make_rules, node_limit, scheduler",
+    [
+        pytest.param(_wide_graph, default_ruleset, 1500, None, id="wide-default"),
+        pytest.param(
+            _chain_graph, _comm_assoc_rules, 900, None, id="chain-midbatch-unions"
+        ),
+        pytest.param(
+            _identity_graph, extended_ruleset, 1500, None, id="bare-variable-rhs"
+        ),
+        pytest.param(_wide_graph, _guarded_rules, 1500, None, id="guarded-dict-apply"),
+        pytest.param(
+            _wide_graph, default_ruleset, 1500, _CapSearch, id="limit-truncated"
+        ),
+    ],
+)
+def test_generated_apply_loop_matches_reference_loop(
+    make_graph, make_rules, node_limit, scheduler
+):
+    """Same runner, same searches; only the apply loop differs."""
 
-    eg_scalar = _wide_graph()
-    scalar_rules = default_ruleset()
-    for rule in scalar_rules:
-        # bypass the batched gate entirely: every batch runs the scalar
-        # row loop (the reference mutation sequence)
-        rule.apply_rows = rule._apply_rows_scalar
-    Runner(eg_scalar, scalar_rules, limits).run()
-    assert _graph_signature(eg_batched) == _graph_signature(eg_scalar)
+    limits = RunnerLimits(node_limit=node_limit, iter_limit=3)
 
+    def run(rules):
+        eg = make_graph()
+        report = Runner(
+            eg, rules, limits, scheduler=scheduler() if scheduler else None
+        ).run()
+        applied = {name: rs.applied for name, rs in report.rule_stats.items()}
+        assert sum(applied.values()) > 0
+        return _graph_signature(eg), applied
 
-def test_batched_apply_revalidates_after_midbatch_unions():
-    """Merge-heavy batches exercise the proof-revalidation fallback.
-
-    Chains of commutable/associable sums produce batches where an early
-    row's union re-roots ids later verdicts depended on; the batched
-    applier must then reproduce the scalar mutation sequence exactly.
-    """
-
-    def chain_graph():
-        eg = EGraph()
-        term = sym("c0")
-        for i in range(1, 36):
-            term = op("+", term, sym(f"c{i % 5}"))
-        eg.add_term(term)
-        eg.rebuild()
-        return eg
-
-    rules = [r for r in default_ruleset() if r.name.startswith(("comm", "assoc"))]
-    limits = RunnerLimits(node_limit=900, iter_limit=3)
-    eg_batched = chain_graph()
-    Runner(eg_batched, [r for r in rules], limits).run()
-
-    eg_scalar = chain_graph()
-    scalar_rules = [
-        r for r in default_ruleset() if r.name.startswith(("comm", "assoc"))
+    rules = make_rules()
+    reference = [
+        _ReferenceRewrite(r.name, r.searcher, r.applier, r.guard) for r in rules
     ]
-    for rule in scalar_rules:
-        rule.apply_rows = rule._apply_rows_scalar  # bypass the batched gate
-    Runner(eg_scalar, scalar_rules, limits).run()
-    assert _graph_signature(eg_batched) == _graph_signature(eg_scalar)
+    assert run(rules) == run(reference)
 
 
 # ---------------------------------------------------------------------------

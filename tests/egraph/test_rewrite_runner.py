@@ -70,6 +70,14 @@ class TestRewrite:
         # the cap counts post-guard survivors, not raw matches
         assert len(seen) == 4
 
+    def test_applier_variable_unbound_by_searcher_is_rejected(self):
+        # at construction, naming rule and variable — not a KeyError on
+        # the first match inside a run
+        with pytest.raises(ValueError, match=r"'grow'.*\?c"):
+            rewrite("grow", "(+ ?a ?b)", "(+ ?a (* ?b ?c))")
+        with pytest.raises(ValueError, match=r"'pick'.*\?c"):
+            rewrite("pick", "(+ ?a ?b)", "?c")
+
     def test_rule_application_is_idempotent_once_present(self):
         eg = EGraph()
         eg.add_term(op("+", sym("a"), op("*", sym("b"), sym("c"))))
@@ -107,6 +115,31 @@ class TestRunner:
         eg.add_term(term)
         report = Runner(eg, default_ruleset(), RunnerLimits(10_000_000, 2, 30.0)).run()
         assert report.num_iterations <= 2
+
+    def test_rules_carry_no_per_run_state(self):
+        """One ruleset list serves any number of runs, unchanged."""
+
+        def micro_egraph():  # the engine benchmark's micro workload
+            term = sym("x0")
+            for i in range(1, 7):
+                term = op("+", term, op("*", sym(f"a{i}"), sym(f"b{i}")))
+            eg = EGraph(constant_folding_analysis())
+            eg.add_term(term)
+            return eg
+
+        def counters(report):
+            return {
+                name: (rs.matches, rs.applied, rs.searches)
+                for name, rs in report.rule_stats.items()
+            }
+
+        rules = default_ruleset()
+        limits = RunnerLimits(2000, 5, 300.0)
+        before = [dict(vars(rule)) for rule in rules]
+        first = Runner(micro_egraph(), rules, limits).run()
+        assert [dict(vars(rule)) for rule in rules] == before
+        second = Runner(micro_egraph(), rules, limits).run()
+        assert counters(first) == counters(second)
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
