@@ -94,7 +94,13 @@ class CostWeights:
 
 
 class CostModel:
-    """Base cost model: price one e-node (children are priced separately)."""
+    """Base cost model: price one e-node (children are priced separately).
+
+    A node's price is a function of its ``(op, payload)`` only — never of
+    its children.  Extraction depends on that contract: it prices each
+    distinct ``(op, payload)`` pair once, on a childless probe node, just
+    as :meth:`term_cost` does.
+    """
 
     def __init__(self, weights: CostWeights | None = None) -> None:
         self._weights = weights or CostWeights()
@@ -114,7 +120,7 @@ class CostModel:
         self._op_cost.clear()
 
     def enode_cost(self, enode: ENode) -> float:
-        """Cost contribution of *enode* itself."""
+        """Cost contribution of *enode* itself (from ``op``/``payload`` only)."""
 
         cost = self._op_cost.get(enode.op)
         if cost is None:

@@ -17,25 +17,30 @@ using linear programming (CBC).  This module provides three extractors:
 All three return an :class:`ExtractionResult`, which carries the selected
 e-node per e-class, per-root terms, and the DAG cost of the selection.
 
-The tree DP and the DAG local search run over the e-graph's **interned
-node keys** (``(op_id, payload_id, *child_ids)`` int tuples) rather than
-:class:`ENode` objects: tables key on dense class ids, per-key costs and
-deterministic tie-break orders are memoized per state, and ENode views are
-only materialised at the boundary — once per *selected* node when the
-:class:`ExtractionResult` is assembled (its public ``choices`` stay
-ENode-valued for code generation and serialisation).
+The tree DP runs as numpy column kernels over the e-graph's
+:class:`~repro.egraph.columns.ColumnStore` rows (see :class:`_DPState`):
+class and child columns are canonicalised with one gather each, rows are
+priced from a per-``(op_id, payload_id)`` table, ``best[class] = min over
+its rows of price + sum of best[child]`` is iterated for all classes at once
+(``np.minimum.reduceat`` over class segments) until no class improves, and
+equal-cost rows are ordered by one ``np.lexsort``.  The DAG local search
+runs over the **interned node keys** (``(op_id, payload_id, *child_ids)``
+int tuples) the table hands it.  ENode views are only materialised at the
+boundary — once per *selected* node when the :class:`ExtractionResult` is
+assembled (its public ``choices`` stay ENode-valued for code generation and
+serialisation) — and ``enode_cost`` is called once per distinct
+``(op, payload)`` pair, never per e-node.
 
 Repeated extraction from the *same* e-graph — re-extracting between runner
 iterations, comparing extractors, or the repeated-variant workloads of the
 experiment harness — can share an :class:`ExtractionMemo`.  The memo keeps
-the tree extractor's DP table alive between calls and refreshes it
-*incrementally*: only classes whose ``touched`` stamp advanced since the
-table was computed (plus their transitive dependents, via the worklist)
-are recomputed, which the e-graph's upward touch propagation makes sound.
-It also caches whole :class:`ExtractionResult` objects per (method, roots)
+the DP table while the e-graph's version stands still and recomputes it
+with the same kernel once the version moved (a whole-graph recompute costs
+tens of milliseconds on the largest corpus kernel, and upward touch
+propagation invalidates almost every class of a grown e-graph anyway).  It
+also caches whole :class:`ExtractionResult` objects per (method, roots)
 while the e-graph version is unchanged.  Memoized extraction is exact: it
-returns byte-identical selections to a cold run (the DP fixpoint and its
-deterministic tie-breaks do not depend on what was reused).
+returns byte-identical selections to a cold run.
 """
 
 from __future__ import annotations
@@ -68,7 +73,14 @@ class ExtractionError(RuntimeError):
 
 
 class CostFunction(Protocol):
-    """Anything that can price a single e-node (children not included)."""
+    """Anything that can price a single e-node (children not included).
+
+    The price must be a function of the node's ``(op, payload)`` only —
+    children are priced separately, as their own classes.  The tree DP
+    relies on it: it prices each distinct ``(op, payload)`` pair once, on a
+    childless ``ENode(op, (), payload)`` probe (the same probe
+    :meth:`repro.cost.CostModel.term_cost` uses).
+    """
 
     def enode_cost(self, enode: ENode) -> float:  # pragma: no cover - protocol
         ...
@@ -97,251 +109,147 @@ class ExtractionResult:
 
 
 # ---------------------------------------------------------------------------
-# Tree extraction (bottom-up fixpoint over interned keys)
+# Tree extraction (bottom-up fixpoint, as column kernels)
 # ---------------------------------------------------------------------------
 
 
 class _DPState:
-    """The tree extractor's dynamic-programming state, reusable across runs.
+    """The tree extractor's dynamic-programming table for one e-graph version.
 
     ``best`` maps every finite-cost (canonical) e-class id to its
-    ``(tree cost, chosen key)`` entry; ``class_nodes`` and ``dependents``
-    are the indexed view of the e-graph the worklist relaxation runs over —
-    all keyed on dense class ids and flat key tuples, with per-key costs
-    and tie-break orders memoized in the state.  :meth:`build` computes the
-    state from scratch; :meth:`refresh` updates it after the e-graph
-    changed, re-indexing and re-relaxing only classes touched since the
-    given version stamp.
+    ``(tree cost, chosen key)`` entry.  :meth:`build` computes it as column
+    kernels over the alive :class:`~repro.egraph.columns.ColumnStore` rows —
+    egg's bottom-up fixpoint, iterated for all classes at once — and
+    :meth:`key_cost` prices a key from the same per-``(op_id, payload_id)``
+    table the kernel priced its rows from, so the DP's costs and a
+    selection's reported DAG cost cannot disagree.
     """
 
-    __slots__ = (
-        "best",
-        "tie",
-        "class_nodes",
-        "dependents",
-        "_cost_cache",
-        "_order_cache",
-        "_egraph",
-    )
+    __slots__ = ("best", "_prices", "_egraph", "_cost_function")
 
-    def __init__(self, egraph: EGraph) -> None:
+    def __init__(self, egraph: EGraph, cost_function: CostFunction) -> None:
         self._egraph = egraph
+        self._cost_function = cost_function
+        #: (op_id, payload_id) -> enode_cost of a childless probe node.
+        self._prices: Dict[Tuple[int, int], float] = {}
         self.best: Dict[int, Tuple[float, NodeKey]] = {}
-        self.tie: Dict[int, Tuple[int, int, tuple]] = {}
-        self.class_nodes: Dict[
-            int, List[Tuple[NodeKey, float, Tuple[int, ...], int, int]]
-        ] = {}
-        self.dependents: Dict[int, Set[int]] = {}
-        #: key -> enode_cost(view(key)); valid while the cost key is fixed
-        #: (the memo rebinds the whole state when it changes).
-        self._cost_cache: Dict[NodeKey, float] = {}
-        #: key -> deterministic tie-break order (see :func:`_key_order_of`).
-        self._order_cache: Dict[NodeKey, tuple] = {}
+
+    def key_cost(self, key: NodeKey) -> float:
+        """Price of *key*'s ``(op_id, payload_id)`` head (a bare pair works)."""
+
+        pair = key[:2]
+        cost = self._prices.get(pair)
+        if cost is None:
+            eg = self._egraph
+            probe = ENode(eg.op_names[pair[0]], (), eg.payloads[pair[1]])
+            cost = self._prices[pair] = self._cost_function.enode_cost(probe)
+        return cost
 
     @staticmethod
     def build(egraph: EGraph, cost_function: CostFunction) -> "_DPState":
-        state = _DPState(egraph)
-        state._index(egraph, cost_function, (cls.id for cls in egraph.eclasses()))
-        state._relax(set(state.class_nodes))
+        state = _DPState(egraph, cost_function)
+        store = egraph.store
+        if store.pending:
+            store.flush()
+        rows = np.flatnonzero(columns.as_uint8(store.alive))
+        if not rows.size:
+            return state
+
+        # canonical class per row, rows grouped by class (stable: ascending
+        # row order — hashcons dict order — within a class)
+        roots = egraph._np_roots()
+        cls = roots[columns.as_int64(store.cls)[rows]]
+        order = np.argsort(cls, kind="stable")
+        rows = rows[order]
+        cls = cls[order]
+        starts = np.flatnonzero(_run_heads(cls))
+        class_ids = cls[starts]
+
+        # canonical child slots; a -1 pad indexes the appended last entry,
+        # the sentinel slot whose best cost is pinned to zero
+        sentinel = len(roots)
+        slot_of = np.append(roots, sentinel)
+        raw = [columns.as_int64(col)[rows] for col in store.child]
+        kids = slot_of[np.array(raw, dtype=np.int64).reshape(len(raw), len(rows))]
+
+        op = columns.as_int64(store.op)[rows]
+        pid = columns.as_int64(store.payload)[rows]
+        n_payloads = len(egraph.payloads)
+        code = op * n_payloads + pid
+        used = np.flatnonzero(np.bincount(code))
+        key_cost = state.key_cost
+        price = np.zeros(int(used[-1]) + 1)
+        price[used] = [key_cost(divmod(c, n_payloads)) for c in used.tolist()]
+        base = price[code]
+
+        # Jacobi iteration of ``best[c] = min over c's rows of base + sum of
+        # best[child]`` from +inf: float addition is monotone, so it reaches
+        # the same (greatest) fixpoint as any worklist order, and children
+        # are added in slot order so the sums are the worklist's bit for bit
+        best = np.full(sentinel + 1, np.inf)
+        best[sentinel] = 0.0
+        lowest = best[class_ids]
+        while True:
+            total = base.copy()
+            for col in best[kids]:
+                total += col
+            previous, lowest = lowest, np.minimum.reduceat(total, starts)
+            if not np.count_nonzero(lowest < previous):
+                break
+            best[class_ids] = lowest
+
+        # Per class, the minimum-cost row; equal-cost ties are broken by, in
+        # order: not referencing the node's own class (a self-referential
+        # choice cannot be reconstructed as a term), fewer *distinct* child
+        # classes (more sharing, which the DAG objective rewards — e.g.
+        # prefer ``(+ x x)`` over an equal-tree-cost chain), then the
+        # deterministic key order ``(op name, str(payload), raw children)``
+        # — a -1 pad sorts a prefix first, as tuple comparison does.
+        cand = np.flatnonzero((total == best[cls]) & (total < np.inf))
+        own = cls[cand]
+        head = _run_heads(own)
+        if not head.all():
+            slots = kids[:, cand].T
+            self_ref = (slots == own[:, None]).any(axis=1)
+            slots.sort(axis=1)  # pads (the sentinel) sort last
+            fresh = slots < sentinel
+            fresh[:, 1:] &= slots[:, 1:] != slots[:, :-1]
+            n_distinct = fresh.sum(axis=1)
+            op_rank = _dense_ranks(egraph.op_names)
+            payload_rank = _dense_ranks([text for text, _ in egraph._payload_sort])
+            # last key is primary; the class column stays as it was (already
+            # ascending), so ``own`` and ``head`` still describe ``cand``
+            cand = cand[
+                np.lexsort(
+                    [col[cand] for col in reversed(raw)]
+                    + [payload_rank[pid[cand]], op_rank[op[cand]]]
+                    + [n_distinct, self_ref, own]
+                )
+            ]
+        chosen = cand[head]
+        keys = store.keys
+        state.best = {
+            cid: (cost, keys[row])
+            for cid, cost, row in zip(
+                own[head].tolist(), total[chosen].tolist(), rows[chosen].tolist()
+            )
+        }
         return state
 
-    def key_cost(self, key: NodeKey, cost_function: CostFunction) -> float:
-        cost = self._cost_cache.get(key)
-        if cost is None:
-            cost = cost_function.enode_cost(self._egraph._view(key))
-            self._cost_cache[key] = cost
-        return cost
 
-    def key_order(self, key: NodeKey) -> tuple:
-        """Deterministic tie-break order of *key* (memoized).
+def _run_heads(ids):
+    """Mask of the first entry of every run of equal values in *ids*."""
 
-        Identical ordering to the historical ENode-based key
-        ``(op, str(payload), children)``, so arena extraction reproduces
-        the object core's selections bit for bit.
-        """
+    head = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=head[1:])
+    return head
 
-        order = self._order_cache.get(key)
-        if order is None:
-            eg = self._egraph
-            order = (eg.op_names[key[0]], eg._payload_sort[key[1]][0], key[2:])
-            self._order_cache[key] = order
-        return order
 
-    def refresh(self, egraph: EGraph, cost_function: CostFunction, since: int) -> int:
-        """Incorporate every e-graph change after version *since*.
+def _dense_ranks(texts: Sequence[str]):
+    """int64 array: position of each text among the sorted distinct texts."""
 
-        Returns the number of classes that had to be re-indexed.  Sound
-        because :meth:`EGraph.rebuild` propagates ``touched`` stamps from
-        every mutated class up through the parent lists: any class whose
-        best entry could have changed — its node set grew, it absorbed a
-        merge, or a descendant did — carries ``touched > since``.  Entries
-        of untouched classes are reused as-is, and the worklist re-relaxes
-        the invalidated region to the same fixpoint a cold build reaches
-        (costs and tie-breaks are intrinsic to the class, so the result is
-        identical).
-        """
-
-        # batched over the flat touched/alive mirrors; ascending class id
-        # order equals the classes-dict iteration order (classes are
-        # created with ascending ids and deletions never reorder)
-        touched = columns.as_int64(egraph._class_touched)
-        alive = columns.as_uint8(egraph._class_alive)
-        stale_mask = (touched > since) & (alive != 0)
-        invalid = np.flatnonzero(stale_mask).tolist()
-        invalid_set = set(invalid)
-        # evict memo entries in two vector ops (touched via the mask,
-        # merged away via the compressed roots) instead of a scalar find
-        # per retained entry
-        roots = egraph._np_roots()
-        for table in (self.best, self.class_nodes):
-            if not table:
-                continue
-            cids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-            drop = stale_mask[cids] | (roots[cids] != cids)
-            if table is self.best:
-                for cid in cids[drop].tolist():
-                    del self.best[cid]
-                    del self.tie[cid]
-            else:
-                for cid in cids[drop].tolist():
-                    del table[cid]
-        self._index(egraph, cost_function, invalid)
-        self._relax(invalid_set)
-        return len(invalid)
-
-    # -- internals -----------------------------------------------------------
-
-    def _index(self, egraph: EGraph, cost_function: CostFunction, cids) -> None:
-        """(Re)build ``class_nodes`` entries and dependent edges for *cids*."""
-
-        find = egraph.uf.find
-        parent = egraph.uf._parent
-        dependents = self.dependents
-        classes = egraph.classes
-        cost_cache = self._cost_cache
-        enode_cost = cost_function.enode_cost
-        view = egraph._view
-        for cid in cids:
-            cls = classes.get(cid)
-            if cls is None:
-                cls = classes[find(cid)]
-            entries = []
-            for key in cls.keys:
-                children: Tuple[int, ...] = key[2:]
-                # post-rebuild keys are canonical; only re-find on the
-                # (rare) stale spelling (inlined UnionFind.is_root)
-                for c in children:
-                    if parent[c] != c:
-                        children = tuple([find(x) for x in children])
-                        break
-                cost = cost_cache.get(key)
-                if cost is None:
-                    cost = enode_cost(view(key))
-                    cost_cache[key] = cost
-                # arity 0/1/2 dominate the operator vocabulary: handle them
-                # without allocating a set per key
-                n = len(children)
-                if n == 0:
-                    entries.append((key, cost, children, 0, 0))
-                    continue
-                if n == 1:
-                    a = children[0]
-                    entries.append((key, cost, children, 1 if a == cid else 0, 1))
-                    deps = dependents.get(a)
-                    if deps is None:
-                        dependents[a] = {cid}
-                    else:
-                        deps.add(cid)
-                    continue
-                if n == 2:
-                    a, b = children
-                    self_ref = 1 if (a == cid or b == cid) else 0
-                    entries.append(
-                        (key, cost, children, self_ref, 1 if a == b else 2)
-                    )
-                    deps = dependents.get(a)
-                    if deps is None:
-                        dependents[a] = {cid}
-                    else:
-                        deps.add(cid)
-                    if b != a:
-                        deps = dependents.get(b)
-                        if deps is None:
-                            dependents[b] = {cid}
-                        else:
-                            deps.add(cid)
-                    continue
-                child_set = set(children)
-                entries.append(
-                    (
-                        key,
-                        cost,
-                        children,
-                        1 if cid in child_set else 0,
-                        len(child_set),
-                    )
-                )
-                for child in child_set:
-                    dependents.setdefault(child, set()).add(cid)
-            self.class_nodes[cid] = entries
-
-    def _relax(self, pending: Set[int]) -> None:
-        # Worklist relaxation instead of repeated whole-graph passes: when a
-        # class's best cost improves, only the classes whose e-nodes point at
-        # it are re-evaluated — O(edges) re-evaluations instead of
-        # O(passes * nodes).
-        #
-        # Equal-cost ties are broken by, in order: not referencing the
-        # node's own class (a self-referential choice cannot be
-        # reconstructed as a term), fewer *distinct* child classes (more
-        # sharing, which the DAG objective rewards — e.g. prefer
-        # ``(+ x x)`` over an equal-tree-cost chain), then the
-        # deterministic key order.
-        best = self.best
-        tie = self.tie
-        class_nodes = self.class_nodes
-        dependents = self.dependents
-        key_order = self.key_order
-        while pending:
-            cid = pending.pop()
-            nodes = class_nodes.get(cid)
-            if nodes is None:
-                # a stale dependent edge to a class merged away
-                continue
-            entry: Optional[Tuple[float, NodeKey]] = None
-            entry_tie: Optional[Tuple[int, int, tuple]] = None
-            for key, base_cost, children, self_ref, n_distinct in nodes:
-                total = base_cost
-                feasible = True
-                for child in children:
-                    child_best = best.get(child)
-                    if child_best is None:
-                        feasible = False
-                        break
-                    total += child_best[0]
-                if not feasible:
-                    continue
-                if entry is None or total < entry[0]:
-                    entry = (total, key)
-                    entry_tie = (self_ref, n_distinct, key_order(key))
-                elif total == entry[0]:
-                    cand_tie = (self_ref, n_distinct, key_order(key))
-                    if cand_tie < entry_tie:
-                        entry = (total, key)
-                        entry_tie = cand_tie
-            if entry is None:
-                continue
-            current = best.get(cid)
-            if current is None or entry[0] < current[0] or (
-                entry[0] == current[0] and entry_tie < tie[cid]
-            ):
-                improved_cost = current is None or entry[0] < current[0]
-                best[cid] = entry
-                tie[cid] = entry_tie
-                if improved_cost:
-                    # tie-break-only changes don't alter this class's cost,
-                    # so parents need no re-evaluation
-                    pending.update(dependents.get(cid, ()))
+    rank_of = {text: rank for rank, text in enumerate(sorted(set(texts)))}
+    return np.array([rank_of[text] for text in texts], dtype=np.int64)
 
 
 class _SameObject:
@@ -384,18 +292,18 @@ class ExtractionMemo:
     Pass the same memo to successive :class:`TreeExtractor` /
     :class:`DagExtractor` constructions (or :func:`extract_best` calls) to
     reuse the DP table across them.  The memo re-binds automatically when
-    it sees a different e-graph or cost assignment, refreshes the table
-    incrementally when the bound e-graph changed (see
-    :meth:`_DPState.refresh`), and additionally caches whole
-    :class:`ExtractionResult` objects per (method, roots) at a fixed
-    e-graph version.  Not safe for concurrent use from multiple threads.
+    it sees a different e-graph or cost assignment, recomputes the table
+    (one :meth:`_DPState.build`) when the bound e-graph's version moved,
+    and additionally caches whole :class:`ExtractionResult` objects per
+    (method, roots) at a fixed e-graph version.  Not safe for concurrent
+    use from multiple threads.
     """
 
     def __init__(self) -> None:
         self._egraph: Optional[EGraph] = None
         self._cost_key: Optional[tuple] = None
         self._state: Optional[_DPState] = None
-        #: e-graph version at which ``_state`` was last brought up to date.
+        #: e-graph version ``_state`` was computed at.
         self._state_version: int = -1
         #: (method, roots) -> (e-graph version, result)
         self._results: Dict[tuple, Tuple[int, ExtractionResult]] = {}
@@ -413,9 +321,8 @@ class ExtractionMemo:
         """Bring the DP table up to date with *egraph*; returns #recomputed.
 
         The in-loop entry point for anytime extraction: call it at an
-        iteration boundary (after ``rebuild``, never mid-phase — the
-        incremental refresh reads canonical class ids and touched stamps)
-        and the table is ready for O(changed-region) extractions.  A plain
+        iteration boundary (after ``rebuild``, never mid-phase — a rebuild
+        re-keys nodes without moving ``egraph.version``).  A plain
         :func:`extract_best` with this memo performs the same refresh
         implicitly; this method exists for callers that want the refresh
         cost surfaced separately from the extraction proper.
@@ -431,20 +338,14 @@ class ExtractionMemo:
         key = _cost_key(cost_function)
         if self._egraph is not egraph or self._cost_key != key:
             self._bind(egraph, key)
-        if self._state is None:
+        if self._state is None or self._state_version != egraph.version:
+            if self._state is None:
+                self.full_builds += 1
+            else:
+                self.refreshes += 1
             self._state = _DPState.build(egraph, cost_function)
             self._state_version = egraph.version
-            self.full_builds += 1
-            self.recomputed_classes += len(self._state.class_nodes)
-        elif self._state_version != egraph.version:
-            before = len(self._state.best)
-            recomputed = self._state.refresh(
-                egraph, cost_function, self._state_version
-            )
-            self._state_version = egraph.version
-            self.refreshes += 1
-            self.recomputed_classes += recomputed
-            self.reused_classes += max(0, before - recomputed)
+            self.recomputed_classes += egraph.num_classes
         else:
             self.reused_classes += len(self._state.best)
         return self._state
@@ -517,15 +418,10 @@ class TreeExtractor:
     """Minimise tree cost per e-class by fixpoint dynamic programming.
 
     With a *memo*, the DP table is borrowed from (and kept inside) the
-    memo so repeated extractions of the same e-graph skip straight to the
-    incremental refresh; without one, the table is computed from scratch
-    and discarded with the extractor.
-
-    A memo-backed extractor *aliases* the memo's live table: after the
-    e-graph changes and a newer memoized extraction refreshes the memo,
-    queries on the older extractor reflect the refreshed state.  Extract
-    (or read ``best_cost``/``best_node``) before triggering the next
-    refresh — or use a memo-less extractor for a stable snapshot.
+    memo so repeated extractions of the same e-graph version share it;
+    without one, the table is computed from scratch and discarded with
+    the extractor.  Either way an extractor keeps the table of the e-graph
+    version it first computed at.
     """
 
     def __init__(
@@ -587,6 +483,21 @@ class TreeExtractor:
         egraph = self.egraph
         return Term(egraph.op_names[key[0]], children, egraph.payloads[key[1]])
 
+    def _selection(self, roots: Sequence[int]) -> Dict[int, NodeKey]:
+        """The chosen key of every class reachable from *roots* through them."""
+
+        self._compute()
+        table = self._best
+
+        def chosen(cid: int) -> NodeKey:  # canonical ids only
+            entry = table.get(cid)
+            if entry is None:
+                raise ExtractionError(f"no finite-cost term for e-class {cid}")
+            return entry[1]
+
+        reachable = _reachable_from_keys(self.egraph, roots, chosen)
+        return {cid: table[cid][1] for cid in reachable}
+
     def extract(self, roots: Sequence[int]) -> ExtractionResult:
         """Extract all roots using per-class tree-optimal choices."""
 
@@ -596,9 +507,8 @@ class TreeExtractor:
         for root in roots:
             terms[root] = self.extract_term(root)
             terms[self.egraph.find(root)] = terms[root]
-        reachable = _reachable_from_keys(self.egraph, roots, self.best_key)
-        choices = {cid: self.best_key(cid) for cid in reachable}
-        cost = _dag_cost_keys(self._state, choices, self.cost_function)
+        choices = self._selection(roots)
+        cost = _dag_cost_keys(self._state, choices)
         view = self.egraph._view
         return ExtractionResult(
             {cid: view(key) for cid, key in choices.items()},
@@ -607,26 +517,6 @@ class TreeExtractor:
             time.perf_counter() - start,
             "tree",
         )
-
-
-#: e-node -> tie-break key for the ENode-based (boundary) extractors.  The
-#: key involves str(payload); e-nodes are value-hashed, so one cache serves
-#: every extractor and e-graph in the process.  Cleared wholesale when it
-#: grows past the (generous) bound rather than tracking LRU order.
-_NODE_ORDER_KEYS: Dict[ENode, tuple] = {}
-_NODE_ORDER_KEYS_LIMIT = 1 << 20
-
-
-def _node_order_key(enode: ENode) -> tuple:
-    """Deterministic tie-break so extraction is reproducible."""
-
-    key = _NODE_ORDER_KEYS.get(enode)
-    if key is None:
-        if len(_NODE_ORDER_KEYS) >= _NODE_ORDER_KEYS_LIMIT:
-            _NODE_ORDER_KEYS.clear()
-        key = (enode.op, str(enode.payload), enode.children)
-        _NODE_ORDER_KEYS[enode] = key
-    return key
 
 
 def _reachable_from_keys(
@@ -672,13 +562,10 @@ def _dag_cost(choices: Dict[int, ENode], cost_function: CostFunction) -> float:
     return float(sum(cost_function.enode_cost(n) for n in choices.values()))
 
 
-def _dag_cost_keys(
-    state: _DPState, choices: Dict[int, NodeKey], cost_function: CostFunction
-) -> float:
-    """DAG cost of a key-level selection (per-key costs from the state)."""
+def _dag_cost_keys(state: _DPState, choices: Dict[int, NodeKey]) -> float:
+    """DAG cost of a key-level selection (the DP's own price table)."""
 
-    key_cost = state.key_cost
-    return float(sum(key_cost(key, cost_function) for key in choices.values()))
+    return float(sum(map(state.key_cost, choices.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -711,16 +598,13 @@ class DagExtractor:
         roots = [self.egraph.find(r) for r in roots]
 
         tree = self._tree
-        reachable = _reachable_from_keys(self.egraph, roots, tree.best_key)
-        choices: Dict[int, NodeKey] = {
-            cid: tree.best_key(cid) for cid in reachable
-        }
-
-        self._improve_dag(roots, choices)
-
-        # Re-derive reachability after improvement and drop unused classes.
-        reachable = _reachable_from_keys(self.egraph, roots, lambda c: choices[c])
-        choices = {cid: choices[cid] for cid in reachable}
+        choices = tree._selection(roots)
+        if self._improve_dag(roots, choices):
+            # re-derive reachability and drop the classes no longer used
+            reachable = _reachable_from_keys(
+                self.egraph, roots, choices.__getitem__
+            )
+            choices = {cid: choices[cid] for cid in reachable}
 
         view = self.egraph._view
         node_choices = {cid: view(key) for cid, key in choices.items()}
@@ -730,7 +614,7 @@ class DagExtractor:
             term = _term_from_choices(self.egraph, node_choices, root, memo)
             terms[root] = term
             terms[original] = term
-        cost = _dag_cost_keys(tree._state, choices, self.cost_function)
+        cost = _dag_cost_keys(tree._state, choices)
         return ExtractionResult(
             node_choices, terms, cost, time.perf_counter() - start, "dag-greedy"
         )
@@ -782,8 +666,10 @@ class DagExtractor:
 
     def _improve_dag(
         self, roots: Sequence[int], choices: Dict[int, NodeKey], max_passes: int = 8
-    ) -> None:
+    ) -> bool:
         """Savings-aware local search over the selected DAG (in place).
+
+        Returns whether any choice was switched.
 
         The per-class tree-optimal selection is blind to sharing: an
         equal-tree-cost node can pull in a chain of classes used nowhere
@@ -799,13 +685,18 @@ class DagExtractor:
         """
 
         egraph = self.egraph
+        if len(egraph) == egraph.num_classes:
+            return False  # every class holds one node: nothing to switch to
         find = egraph.uf.find
         parent = egraph.uf._parent
-        state = self._tree._state
-        key_order = state.key_order
-        # every key this search touches (class members, tree-best choices)
-        # was priced by the DP build, so cost lookups are direct indexing
-        cost_of = state._cost_cache.__getitem__
+        cost_of = self._tree._state.key_cost
+        op_names = egraph.op_names
+        payload_sort = egraph._payload_sort
+
+        def key_order(key: NodeKey) -> tuple:
+            # the DP's deterministic tie-break order
+            return (op_names[key[0]], payload_sort[key[1]][0], key[2:])
+
         # the graph does not mutate during the local search, so canonical
         # child sets can be memoized per key for the whole call
         ch_memo: Dict[NodeKey, frozenset] = {}
@@ -837,6 +728,7 @@ class DagExtractor:
         #: None = full sweep; afterwards only classes whose selection
         #: neighbourhood changed in the previous pass are revisited.
         dirty: Optional[Set[int]] = None
+        switched = False
         for _ in range(max_passes):
             changed_classes: Set[int] = set()
             if dirty is None:
@@ -1039,6 +931,7 @@ class DagExtractor:
                 changed_classes.update(removed)
             if not changed_classes:
                 break
+            switched = True
             # revisit the changed classes and every selected class whose
             # choice references one (their freed_ub / sharing opportunities
             # may have shifted)
@@ -1048,6 +941,7 @@ class DagExtractor:
                     if find(key[i]) in changed_classes:
                         dirty.add(c)
                         break
+        return switched
 
 
 def _term_from_choices(
@@ -1110,7 +1004,9 @@ def resolve_result(
         # (the selection pays each class once), tie-broken deterministically
         cost_node = cost_function.enode_cost(node)
         cost_other = cost_function.enode_cost(other)
-        if (cost_node, _node_order_key(node)) < (cost_other, _node_order_key(other)):
+        if (cost_node, node.op, str(node.payload), node.children) < (
+            cost_other, other.op, str(other.payload), other.children
+        ):
             merged[canon] = node
 
     terms: Dict[int, Term] = {}
@@ -1181,7 +1077,10 @@ class ILPExtractor:
 
         node_entries: List[Tuple[int, ENode]] = []
         for cid in class_list:
-            for node in sorted(egraph.nodes_of(cid), key=_node_order_key):
+            for node in sorted(
+                egraph.nodes_of(cid),
+                key=lambda n: (n.op, str(n.payload), n.children),
+            ):
                 if all(egraph.find(c) in classes for c in node.children):
                     node_entries.append((cid, node))
         if not node_entries:

@@ -1,4 +1,4 @@
-"""Memoized extraction: DP-table reuse and incremental refresh soundness.
+"""Memoized extraction: DP-table reuse and recompute-on-change soundness.
 
 The contract under test: extraction through a shared
 :class:`ExtractionMemo` is *exact* — after any sequence of e-graph growth
@@ -120,23 +120,30 @@ class TestIncrementalRefresh:
         assert memo.refreshes == 1
         _assert_same_extraction(memoized, fresh)
 
-    def test_untouched_classes_are_reused_not_recomputed(self):
+    def test_changed_egraph_recomputes_the_table_exactly(self):
         eg = EGraph()
         root = eg.add_term(_fma_chain(6))
         eg.rebuild()
         memo = ExtractionMemo()
         model = _model()
         extract_best(eg, [root], model, "tree", memo=memo)
-        recomputed_after_build = memo.recomputed_classes
+        assert (memo.full_builds, memo.recomputed_classes) == (1, eg.num_classes)
 
-        # adding one disjoint term touches only the new classes
-        eg.add_term(op("*", sym("fresh_a"), sym("fresh_b")))
+        # same version, different roots: a result miss served by the table
+        TreeExtractor(eg, model, memo).best_cost(root)
+        assert memo.reused_classes == eg.num_classes
+        assert (memo.full_builds, memo.refreshes) == (1, 0)
+
+        # any growth moves the version: one whole-graph recompute, exact
+        before = memo.recomputed_classes
+        grown = eg.add_term(op("*", sym("fresh_a"), sym("fresh_b")))
         eg.rebuild()
-        extract_best(eg, [root], model, "tree", memo=memo)
-        assert memo.refreshes == 1
-        assert memo.reused_classes > 0
-        newly = memo.recomputed_classes - recomputed_after_build
-        assert 0 < newly <= 3  # the *, and its two leaves at most
+        memoized = extract_best(eg, [root, grown], model, "tree", memo=memo)
+        assert (memo.full_builds, memo.refreshes) == (1, 1)
+        assert memo.recomputed_classes - before == eg.num_classes
+        _assert_same_extraction(
+            memoized, extract_best(eg, [root, grown], _model(), "tree")
+        )
 
     @pytest.mark.parametrize("method", ["tree", "dag-greedy"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
