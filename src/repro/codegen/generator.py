@@ -26,12 +26,13 @@ from repro.egraph.extract import ExtractionResult
 from repro.egraph.language import Term
 from repro.frontend import cast as C
 from repro.frontend.parser import parse_expression
+from repro.records import record
 from repro.ssa.form import AssignmentInfo, KernelSSA, StraightLineGroup
 
 __all__ = ["KernelCodeStats", "GeneratedKernel", "CodeGenerator"]
 
 
-@dataclass
+@record
 class KernelCodeStats:
     """Operation counts of a kernel body (per loop-body execution)."""
 

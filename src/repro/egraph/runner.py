@@ -67,6 +67,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Unio
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import Rewrite
+from repro.records import record
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.egraph.extract import CostFunction, ExtractionMemo, ExtractionResult
@@ -354,7 +355,7 @@ class AnytimeExtraction:
             raise ValueError("plateau patience must be at least 1")
 
 
-@dataclass
+@record
 class IterationReport:
     """Statistics for a single saturation iteration."""
 
@@ -392,7 +393,7 @@ class IterationReport:
         )
 
 
-@dataclass
+@record
 class RuleStats:
     """Accumulated per-rule profiling statistics for one saturation run."""
 
@@ -426,9 +427,15 @@ class RuleStats:
         return RuleStats(**data)  # type: ignore[arg-type]
 
 
-@dataclass
+@record
 class RunnerReport:
-    """Aggregate statistics for a whole saturation run."""
+    """Aggregate statistics for a whole saturation run.
+
+    Like its :class:`IterationReport` and :class:`RuleStats` rows, a
+    :func:`~repro.records.record`: it pickles as its field values in
+    declaration order, so the field order is the cached-artifact format —
+    changing it bumps :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
+    """
 
     stop_reason: StopReason
     iterations: List[IterationReport] = field(default_factory=list)

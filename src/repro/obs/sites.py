@@ -94,3 +94,9 @@ SITE_WORKER_CRASH = register_site("worker:crash", "worker process hard-kill")
 SITE_PROGRESS_PUBLISH = register_site("progress:publish", "job progress publication")
 #: Finished result dropped on the IPC channel (process executor).
 SITE_IPC_RESULT_DROP = register_site("ipc:result-drop", "IPC result drop")
+#: A traced process-executor attempt ended without its worker's span
+#: buffer (the worker died first): emitted on the attempt span, counted
+#: in the tracer's ``buffers_lost``.
+SITE_WORKER_SPANS_LOST = register_site(
+    "worker:spans-lost", "worker span buffer lost with its process"
+)

@@ -34,7 +34,9 @@ the worker's first record) over the procpool pipe.  The parent calls
 parent's namespace, fresh ``seq`` values are assigned, root spans are
 re-parented under the attempt span, and timestamps are offset to the
 attempt span's start, so a process-executor trace reads identically to
-a thread-executor one.
+a thread-executor one.  A worker that dies before shipping leaves
+:meth:`buffer_lost` in its place: a ``worker:spans-lost`` event on the
+attempt span, counted in :meth:`counts`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Union
+
+from repro.obs.sites import SITE_WORKER_SPANS_LOST
 
 #: Timestamp-carrying fields, per record type, for rebasing/offsetting.
 _TS_FIELDS = ("ts",)
@@ -102,6 +106,7 @@ class Tracer:
         self.spans_started = 0
         self.spans_ended = 0
         self.events_recorded = 0
+        self.buffers_lost = 0
 
     # -- recording ---------------------------------------------------------
 
@@ -249,6 +254,7 @@ class Tracer:
 
         with self._lock:
             return {
+                "buffers_lost": self.buffers_lost,
                 "events": self.events_recorded,
                 "open_spans": len(self._open),
                 "spans_ended": self.spans_ended,
@@ -306,3 +312,17 @@ class Tracer:
                 self._next_seq += 1
                 self._records.append(merged)
         return len(records)
+
+    def buffer_lost(self, parent: Union[Span, str], /, **attrs: Any) -> None:
+        """Record a worker record buffer that will never be ingested.
+
+        The counterpart of :meth:`ingest` for a worker that died before
+        shipping its records: one ``worker:spans-lost`` event on *parent*
+        (the span the buffer would have landed under), counted in
+        ``buffers_lost``, so lost data reads differently from time no
+        span covers.
+        """
+
+        self.event(SITE_WORKER_SPANS_LOST, span=parent, **attrs)
+        with self._lock:
+            self.buffers_lost += 1

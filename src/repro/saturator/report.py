@@ -7,18 +7,25 @@ deltas), so the experiment harness can regenerate the evaluation tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional
 
 from repro.codegen.generator import KernelCodeStats
 from repro.egraph.runner import RunnerReport
+from repro.records import record
 
 __all__ = ["KernelReport", "OptimizationResult"]
 
 
-@dataclass
+@record
 class KernelReport:
-    """Per-kernel statistics gathered along the pipeline."""
+    """Per-kernel statistics gathered along the pipeline.
+
+    A :func:`~repro.records.record`, like every report class of an
+    artifact: it pickles as its field values in declaration order, so the
+    field order is the cached-artifact format — changing it bumps
+    :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
+    """
 
     name: str = ""
     #: SSA construction + code generation time (seconds) — the paper's
@@ -92,7 +99,7 @@ class KernelReport:
         }
 
 
-@dataclass
+@record
 class OptimizationResult:
     """Result of optimizing a source file (or a single kernel)."""
 

@@ -363,7 +363,13 @@ class JobHandle:
             raise CancelledError("job was cancelled")
         if state is JobState.FAILED:
             assert self._job.error is not None
-            raise self._job.error
+            try:
+                raise self._job.error
+            finally:
+                # the raise adds this frame to the error's traceback, which
+                # the job holds: drop the frame's handle (and through it
+                # the job) so the two do not form a cycle
+                self = None
         if self._materialized is None:
             job = self._job
             # materialize outside ``cond`` — result and snapshot were final

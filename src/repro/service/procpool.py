@@ -126,8 +126,8 @@ def _child_main(
     * ``("spans", task_id, records)`` — when ``task.trace``: the child
       tracer's rebased record buffer, sent immediately *before* the
       terminal message so an attempt's spans always precede its outcome
-      (a crashed child simply loses its buffer — the parent records the
-      death on the attempt span instead).
+      (a crashed child loses its buffer — the parent records the death
+      and a ``worker:spans-lost`` event on the attempt span instead).
 
     A ``None`` task is the shutdown sentinel.
     """

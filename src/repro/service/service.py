@@ -60,6 +60,7 @@ import shutil
 import tempfile
 import threading
 import time
+import traceback
 import weakref
 from itertools import count
 from typing import Dict, List, Optional, Tuple, Union
@@ -101,6 +102,37 @@ _EXECUTORS = ("thread", "process")
 
 def _default_workers() -> int:
     return max(2, min(8, os.cpu_count() or 2))
+
+
+def _release_frames(error: BaseException) -> None:
+    """Drop the locals of the finished frames *error*'s tracebacks hold.
+
+    A failed job keeps its error, whose traceback keeps the attempt's
+    frames — and, through ``f_back``, their callers' frames — whose
+    locals keep the job: a cycle that frees the job only at a collector
+    pass.  Once the attempt has returned, those frames are done; clearing
+    them keeps each traceback printable (code objects and line numbers
+    stay) and lets the job go with its last handle.  Clearing stops at
+    the first frame still executing: its callers are executing too.
+    """
+
+    seen = set()
+    pending = [error]
+    while pending:
+        exc = pending.pop()
+        if exc is None or id(exc) in seen:
+            continue
+        seen.add(id(exc))
+        tb = exc.__traceback__
+        traceback.clear_frames(tb)
+        frame = None if tb is None else tb.tb_frame.f_back
+        while frame is not None:
+            try:
+                frame.clear()
+            except RuntimeError:
+                break
+            frame = frame.f_back
+        pending += (exc.__cause__, exc.__context__)
 
 
 class OptimizationService:
@@ -617,6 +649,8 @@ class OptimizationService:
                     self.stats.count("failed", outcomes)
             finally:
                 self.stats.job_finished()
+            if job.error is not None:
+                _release_frames(job.error)
 
     def _run_job(self, job: Job) -> None:
         """Run one attempt of *job*, under an ``attempt`` span when traced.
@@ -880,11 +914,21 @@ class OptimizationService:
             attempt = tracer.current()
             attempt_id = getattr(attempt, "span_id", attempt)
             attempt_start = getattr(attempt, "start", 0.0)
+            shipped = False
 
             def on_spans(records):
+                nonlocal shipped
+                shipped = True
                 tracer.ingest(records, parent=attempt_id, offset=attempt_start)
 
-        result, from_cache = self._pool.run_job(task, publish, on_spans)
+        try:
+            result, from_cache = self._pool.run_job(task, publish, on_spans)
+        except Exception:
+            # every worker-side outcome ships its spans before its terminal
+            # message, so an attempt failing without them lost its worker
+            if tracer is not None and not shipped:
+                tracer.buffer_lost(attempt_id, task=task.task_id)
+            raise
         if plan is not None and plan.check("ipc:result-drop"):
             raise TransientError(
                 f"result of task {task.task_id} dropped in IPC (injected)"

@@ -5,7 +5,11 @@ Three backends share one tiny interface (:class:`ArtifactCache`):
 * :class:`MemoryCache` — an in-process LRU keyed by :class:`CacheKey`.
   An artifact is stored as its pickle bytes: one ``dumps`` per ``put``,
   one ``loads`` per ``get``, so a caller can never mutate a cached entry
-  (reports are mutable dataclasses).  Values must be picklable.
+  (reports are mutable).  Values must be picklable.  The report classes
+  are slotted positional records (:mod:`repro.records`): each unpickles
+  as one REDUCE of its field values in declaration order, with no state
+  dict, so that order is part of the stored format and changing it bumps
+  :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
 * :class:`DiskCache` — artifacts pickled under ``root/<aa>/<digest>.pkl``
   where ``digest`` is the key's SHA-256 content address; survives the
   process and is shared between processes.  Writes are atomic

@@ -46,7 +46,13 @@ __all__ = [
 #: saturation outcomes are bit-identical by construction, but pickled
 #: e-graph-adjacent state (column mirrors, pending buffers) changed shape,
 #: so older artifacts must re-miss rather than unpickle into the new core.
-ENGINE_SCHEMA = "columnar-v4"
+#: records-v5: the report classes became slotted positional records
+#: (:mod:`repro.records`) — a pickle now carries each record's field values
+#: as a tuple in declaration order, so that order is the on-disk format,
+#: and an older dict-state pickle cannot load into a slotted class at all;
+#: re-keying makes every older disk entry a clean miss instead of a
+#: quarantined "corrupt" hit.
+ENGINE_SCHEMA = "records-v5"
 
 
 def fingerprint_text(text: str) -> str:

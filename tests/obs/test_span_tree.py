@@ -7,20 +7,35 @@ state.  Here it is driven two ways: a Hypothesis property over randomly
 generated span-tree programs (the checker and the tracer agree on any
 schedule), and end-to-end service waves under crash/retry/deadline fault
 plans — including real worker deaths on the process executor, where a
-crashed attempt's worker spans are lost by design but the *retry*
+crashed attempt's worker spans are lost by design (and recorded as lost,
+one ``worker:spans-lost`` event per dead attempt) but the *retry*
 attempt's worker spans must re-parent under the same job span.
 """
+
+import os
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.egraph.runner import RunnerLimits
-from repro.obs import Tracer, validate_trace_records
+from repro.obs import (
+    Tracer,
+    is_known_site,
+    validate_trace_records,
+    write_trace_files,
+)
 from repro.saturator import SaturatorConfig, Variant
 from repro.service import FaultPlan, FaultRule, OptimizationService
 
 CONFIG = SaturatorConfig(
     variant=Variant.CSE_SAT, limits=RunnerLimits(500, 3, 60.0)
+)
+
+CHECK_TRACE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    os.pardir, os.pardir, "benchmarks", "check_trace.py",
 )
 
 KERNELS = [
@@ -164,7 +179,7 @@ class TestThreadChaosWave:
 
 
 class TestProcessCrashWave:
-    def test_worker_spans_reparent_after_crash_and_retry(self):
+    def test_worker_spans_reparent_after_crash_and_retry(self, tmp_path):
         # every job's first attempt dies mid-run (real SIGKILL-style
         # os._exit in the worker); the retry must complete and its worker
         # spans must land under the *same* job span
@@ -182,6 +197,7 @@ class TestProcessCrashWave:
             ]
             results = [handle.result(timeout=180) for handle in handles]
             snap = service.stats.snapshot()
+            metrics = service.metrics.snapshot()
 
         assert snap["worker_deaths"] == 3 and snap["recovered"] == 3
         assert all(result.kernels for result in results)
@@ -215,3 +231,25 @@ class TestProcessCrashWave:
             ]
             assert len(retry_events) == end["attrs"]["retries"]
             assert retry_events[0]["attrs"]["worker_death"] is True
+            # the lost buffers are recorded, not silent: one spans-lost
+            # event on each attempt that shipped nothing, none on the
+            # clean retry
+            lost = [
+                sum(1 for r in records if r["type"] == "event"
+                    and r["name"] == "worker:spans-lost"
+                    and r["span"] == attempt["id"])
+                for attempt in attempts
+            ]
+            assert lost == [1 - n for n in shipped]
+        dead_attempts = snap["worker_deaths"]
+        assert tracer.counts()["buffers_lost"] == dead_attempts
+        assert metrics["telemetry"]["buffers_lost"] == dead_attempts
+        assert is_known_site("worker:spans-lost")
+        # the exported files pass the standalone trace checker
+        trace_path = str(tmp_path / "crash_trace.json")
+        write_trace_files(records, trace_path)
+        checked = subprocess.run(
+            [sys.executable, CHECK_TRACE, trace_path, "--min-spans", "10"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert checked.returncode == 0, checked.stdout + checked.stderr

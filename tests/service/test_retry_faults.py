@@ -7,7 +7,10 @@ fail fast, fail *every* coalesced handle, and never poison a later
 identical submission.
 """
 
+import gc
 import pickle
+import traceback
+import weakref
 
 import pytest
 
@@ -127,3 +130,35 @@ class TestPermanentFaults:
         assert stats["failed"] == 2 and stats["completed"] == 1
         assert plan.injected() == {"permanent": 1}
         assert service.session.cache.stats.stores == 1
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_failed_job_dies_with_its_last_handle(self, executor):
+        """Regression: the error's traceback kept the failed attempt's
+        frames, whose locals kept the job — a failed job (and everything
+        it pinned) lived until a collector pass.  The error itself stays
+        whole: same exception, and a traceback that names the raising
+        line."""
+
+        plan = FaultPlan([FaultRule("worker:pickup", "permanent", nth=1)])
+        service = OptimizationService(
+            config=CONFIG, workers=1, faults=plan, executor=executor,
+            **FAST_BACKOFF,
+        )
+        handles = [service.submit(SOURCE) for _ in range(2)]
+        job = weakref.ref(handles[0]._job)
+        gc.disable()
+        try:
+            with service:
+                assert service.join(60)
+            errors = []
+            for handle in handles:
+                with pytest.raises(InjectedFault) as caught:
+                    handle.result(timeout=1)
+                errors.append(caught.value)
+            assert errors[0] is errors[1]
+            printed = "".join(traceback.format_exception(errors[0]))
+            assert "raise InjectedFault(detail)" in printed
+            del handles, handle, caught, errors
+            assert job() is None
+        finally:
+            gc.enable()

