@@ -190,7 +190,7 @@ def main(argv=None) -> int:
     rules = default_ruleset()
 
     def rule_search():
-        return sum(len(rule.search(eg)) for rule in rules)
+        return sum(len(rule.search_rows(eg)) for rule in rules)
 
     def full_pipeline():
         return optimize_source(LU_JACLD_SOURCE, config)

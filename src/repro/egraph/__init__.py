@@ -14,8 +14,8 @@ lazily materialised boundary view for user code:
 * :class:`~repro.egraph.pattern.Pattern` — e-matching of pattern terms,
   with an op-indexed compiled engine
   (:class:`~repro.egraph.pattern.CompiledPattern`) behind it,
-* :class:`~repro.egraph.rewrite.Rewrite` — rewrite rules (with optional
-  dynamic right-hand sides and guards), searched incrementally,
+* :class:`~repro.egraph.rewrite.Rewrite` — rewrite rules, each a
+  pattern ``=>`` pattern pair, searched incrementally,
 * :class:`~repro.egraph.runner.Runner` — the saturation loop with e-node,
   iteration and wall-clock limits (paper §VII: 10,000 e-nodes, 10 rewriting
   iterations, 10 s saturation, 30 s extraction) and per-rule profiling

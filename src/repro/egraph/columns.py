@@ -84,8 +84,7 @@ class RowBatch:
     int tuples) but only builds them on first such access, and slices
     pull just their window from the matrix.  ``mat`` is the backing
     matrix: ``Rewrite.apply_rows`` takes its bulk ``.tolist()`` (lists
-    of Python ints, no per-row ``tuple()``) and ``search_rows(limit=)``
-    truncates it without materialising anything.
+    of Python ints, no per-row ``tuple()``).
     """
 
     __slots__ = ("mat", "_rows")

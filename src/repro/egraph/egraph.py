@@ -1196,8 +1196,9 @@ class EGraph:
                 parent.data = joined
                 data_flag[parent_class] = 1 if joined is not None else 0
                 self._analysis_dirty.append(parent_class)
-                # a data change can flip rewrite guards — make sure the
-                # incremental searcher revisits this class
+                # a data change counts as a touch: the incremental
+                # searcher rescans this class, and those re-applied
+                # matches are part of where limit-bounded runs stop
                 parent.touched = self.version
                 self._class_touched[parent_class] = self.version
                 self._touched.append(parent_class)

@@ -38,15 +38,13 @@ One production engine, one reference:
   executable specification of *which* rows match and in *what order*;
   the relational matcher is tested against it with exact list equality.
 
-Internally matches flow as flat **rows** ``(root_class_id, v0, v1, ..)``
-with variable values in :meth:`Pattern.variables` order (what
-``search_rows`` returns); the public ``search`` API wraps them into the
-historical ``(class id, substitution dict)`` form in the same order.  The
-apply half is one generated loop per pattern applier
-(:func:`compile_row_applier`, built by :class:`_InstantiatorCodegen`) that
-consumes those rows; the same codegen builds the per-substitution
-instantiator behind :meth:`CompiledPattern.instantiate`
-(:meth:`Pattern.instantiate` is the plain recursive reference).
+Matches flow as flat **rows** ``(root_class_id, v0, v1, ..)`` with
+variable values in :meth:`Pattern.variables` order — what
+:meth:`CompiledPattern.search_rows` returns; the reference matcher yields
+``(class id, substitution dict)`` pairs in the same order.  The apply half
+is one generated loop per right-hand side (:func:`compile_row_applier`,
+built by :class:`_InstantiatorCodegen`) that consumes those rows;
+:meth:`Pattern.instantiate` is its plain recursive reference.
 
 :func:`compile_pattern` memoises the lowering, and :func:`parse_pattern`
 memoises parsing, so building a ruleset repeatedly (as benchmark loops do)
@@ -147,21 +145,15 @@ class Pattern:
 
         yield from _match_pattern(egraph, self, egraph.find(eclass_id), {})
 
-    def search(self, egraph: EGraph) -> List[Tuple[int, Substitution]]:
-        """Search the whole e-graph; returns ``(eclass_id, substitution)`` pairs.
-
-        Runs the relational engine; :meth:`search_naive` is the slow
-        reference implementation (same pairs, same order).
-        """
-
-        return compile_pattern(self).search(egraph)
-
     def search_naive(self, egraph: EGraph) -> List[Tuple[int, Substitution]]:
-        """Reference search: backtracking generator over every e-class.
+        """Reference search: ``(eclass_id, substitution)`` pairs.
 
-        Root classes are visited in ascending id — with the per-class
-        bucket order of :func:`_match_pattern` this fixes the match
-        *order*, not just the match set.
+        A backtracking generator over every e-class — the executable
+        specification :meth:`CompiledPattern.search_rows` is tested
+        against (same matches, same order).  Root classes are visited in
+        ascending id — with the per-class bucket order of
+        :func:`_match_pattern` this fixes the match *order*, not just the
+        match set.
         """
 
         matches: List[Tuple[int, Substitution]] = []
@@ -238,7 +230,7 @@ _INST_SEQ = iter(range(1 << 62)).__next__
 
 
 class _InstantiatorCodegen:
-    """Lower a right-hand-side pattern into a specialised builder function.
+    """Lower a right-hand-side pattern into its generated apply loop.
 
     Emits a statement sequence mirroring the recursive instantiation order
     (children left-to-right, bottom-up) with the arena's hashcons **hit
@@ -254,14 +246,13 @@ class _InstantiatorCodegen:
     never goes stale), making the per-call prologue two attribute binds
     and one dict probe.
 
-    With *positions* given (variable name -> index into a flat match
-    row), the generated builder reads its bindings positionally —
-    ``subst[3]`` instead of ``subst['a']`` — so the runner's row pipeline
-    never materialises substitution dicts (see
+    *positions* maps each variable name to its index in a flat match row:
+    the generated code reads its bindings positionally (``row[3]``), so
+    the runner never materialises substitution dicts (see
     :func:`compile_row_applier`).
     """
 
-    def __init__(self, positions: Optional[Dict[str, int]] = None) -> None:
+    def __init__(self, positions: Dict[str, int]) -> None:
         self.const_values: List[object] = []   # op names / payloads, in order
         self.const_kinds: List[str] = []       # "op" | "payload"
         self.id_locals: Dict[tuple, str] = {}
@@ -292,10 +283,7 @@ class _InstantiatorCodegen:
             if local is None:
                 local = self._name("_s")
                 self.var_locals[node.name] = local
-                if self.positions is None:
-                    self.body.append(f"{local} = subst[{node.name!r}]")
-                else:
-                    self.body.append(f"{local} = subst[{self.positions[node.name]}]")
+                self.body.append(f"{local} = subst[{self.positions[node.name]}]")
             return local
         child_vars = [self._node(child) for child in node.children]
         key = self._name("_t")
@@ -351,20 +339,13 @@ class _InstantiatorCodegen:
         exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
         return namespace[name]
 
-    def build(self, pattern: Pattern):
-        result = self._node(pattern)
-        lines = self._prologue("_instantiate", "subst")
-        lines.extend(f"    {line}" for line in self.body)
-        lines.append(f"    return {result}")
-        return self._compile(lines, "_instantiate")
-
     def build_batch(self, pattern: PatternNode):
         """The apply loop: instantiate + merge over a whole row list.
 
-        Generates the :meth:`build` body inside a ``for`` loop over match
-        rows, with the per-call prologue (hashcons/parent binds, interned
-        id resolution) hoisted out — one function call per *batch* instead
-        of one per match.  The loop epilogue canonicalises both sides with
+        Generates the instantiation statements inside a ``for`` loop over
+        match rows, with the prologue (hashcons/parent binds, interned id
+        resolution) hoisted out — one function call per *batch*, not one
+        per match.  The loop epilogue canonicalises both sides with
         the inline parent-array check (the builder's class can be merged
         away before it returns — constant folding's ``modify`` unions the
         folded literal in — and a matched class id goes stale when an
@@ -770,45 +751,25 @@ def _relational_search(cp: "CompiledPattern", eg: EGraph, since: Optional[int]):
 
 
 class CompiledPattern:
-    """A pattern lowered into its join atoms and an instantiate function."""
+    """A searcher pattern lowered into its join atoms."""
 
-    __slots__ = ("pattern", "vars", "_inst", "_bare_var", "_atoms", "_to_subst")
+    __slots__ = ("pattern", "vars", "_atoms")
 
     def __init__(self, pattern: Pattern) -> None:
         self.pattern = pattern
         self.vars: Tuple[str, ...] = tuple(pattern.variables())
-        # row -> substitution dict as a generated dict literal: an order of
-        # magnitude cheaper per match than dict(zip(names, row[1:])), and
-        # the dict-returning search() API is itself a benchmark row
-        # (rule_search) and the guarded-rule path
-        body = ", ".join(
-            f"{name!r}: row[{i + 1}]" for i, name in enumerate(self.vars)
+        # a bare-variable pattern `?x` parses as ("?" ?x): it has no
+        # operator atom to look up, so as a searcher it matches nothing
+        self._atoms: Optional[List[_Atom]] = (
+            None if _bare_variable(pattern) is not None else _flatten_pattern(pattern)
         )
-        self._to_subst = eval(f"lambda row: {{{body}}}")
-        # a bare-variable pattern `?x` parses as ("?" ?x); its instantiation
-        # is just the bound class, and as a searcher it has no operator
-        # atom to look up, so it matches nothing
-        self._bare_var: Optional[str] = _bare_variable(pattern)
-        if self._bare_var is not None:
-            self._inst = None
-            self._atoms = None
-        else:
-            self._inst = _InstantiatorCodegen().build(pattern)
-            self._atoms = _flatten_pattern(pattern)
-
-    def instantiate(self, egraph: EGraph, subst: Substitution) -> int:
-        """Add the pattern under *subst*; returns the e-class id."""
-
-        if self._bare_var is not None:
-            return egraph.find(subst[self._bare_var])
-        return self._inst(egraph, subst)
 
     def search_rows(self, egraph: EGraph, since: Optional[int] = None) -> List[tuple]:
         """Search the e-graph; returns flat ``(eclass_id, v0, v1, ..)`` rows.
 
         Variable values follow :attr:`vars` order.  Rows are what the
-        runner's apply loop consumes (together with the positional
-        instantiators) — no per-match dict is built.
+        generated apply loop (:func:`compile_row_applier`) consumes — no
+        per-match dict is built.
 
         When *since* is given, matches rooted at classes whose ``touched``
         stamp is ``<= since`` are skipped — sound because
@@ -822,20 +783,6 @@ class CompiledPattern:
         if self._atoms is None:
             return []
         return _relational_search(self, egraph, since)
-
-    def search(
-        self, egraph: EGraph, since: Optional[int] = None
-    ) -> List[Tuple[int, Substitution]]:
-        """Search the e-graph; returns ``(eclass_id, substitution)`` pairs.
-
-        The historical dict-based API — a thin wrapper over
-        :meth:`search_rows`.
-        """
-
-        to_subst = self._to_subst
-        return [
-            (row[0], to_subst(row)) for row in self.search_rows(egraph, since)
-        ]
 
     def join_plan(
         self, egraph: EGraph, since: Optional[int] = None

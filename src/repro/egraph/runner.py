@@ -27,9 +27,9 @@ scheduler admitted the *complete* match batch, so curtailed matches are
 re-found by a later scan instead of being lost.
 
 **Anytime extraction.**  With an :class:`AnytimeExtraction` hook, the
-runner refreshes a shared :class:`~repro.egraph.extract.ExtractionMemo`
+runner extracts through a shared :class:`~repro.egraph.extract.ExtractionMemo`
 every ``interval`` iterations — always at an iteration boundary, after
-``rebuild``, so the DP refresh sees a canonical e-graph — and records the
+``rebuild``, so the extraction sees a canonical e-graph — and records the
 current best extracted DAG cost in
 :attr:`IterationReport.extracted_cost`.  When the cost has not improved
 for ``patience`` consecutive evaluations the run stops with
@@ -41,28 +41,22 @@ version at which the rule last scanned.  The next scan only visits
 classes *touched* after that stamp (:meth:`EGraph.rebuild` propagates
 touches upward from every mutated class), because matches rooted in
 untouched classes are exactly the matches the previous scan found — and
-re-applying an applied match is a no-op union.  Rules with a guard or a
-dynamic applier always get full rescans: a guard may read state outside
-the match cone, and a dynamic applier may compute a different result as
-the graph evolves, so their old matches are not reproducible from the
-touch stamps.  ``incremental=False`` restores full rescans for every
-rule.
+re-applying an applied match is a no-op union.  Every rule is a pattern
+pair, so its matches live entirely in the cone the touch stamps track.
 
 **Profiling.** Per-rule search/apply time, match and union counts are
 accumulated into :class:`RuleStats` and exposed on
-:attr:`RunnerReport.rule_stats`; :meth:`RunnerReport.as_dict` /
-:meth:`RunnerReport.to_json` round-trip the whole report (including
-per-iteration rows) so BENCH trajectories can attribute a regression to a
-specific rule.
+:attr:`RunnerReport.rule_stats`; :meth:`RunnerReport.as_dict` renders the
+whole report (including per-iteration rows) as plain JSON data so BENCH
+trajectories can attribute a regression to a specific rule.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.egraph.egraph import EGraph
@@ -309,9 +303,9 @@ class AnytimeExtraction:
     Attached to a :class:`Runner`, this hook extracts from the live
     e-graph every ``interval`` iterations — after ``rebuild``, never
     mid-phase — through :func:`~repro.egraph.extract.extract_best` with a
-    shared :class:`~repro.egraph.extract.ExtractionMemo`, so each
-    evaluation is an incremental DP refresh from the touched stamps
-    rather than a cold extraction.  The cost trajectory lands in
+    shared :class:`~repro.egraph.extract.ExtractionMemo`, which recomputes
+    its DP table only when the e-graph's version moved and caches whole
+    results per version.  The cost trajectory lands in
     :attr:`IterationReport.extracted_cost`; once the best cost has not
     improved for ``patience`` consecutive evaluations, the run stops with
     :attr:`StopReason.COST_PLATEAU`.
@@ -367,8 +361,7 @@ class IterationReport:
     apply_time: float
     rebuild_time: float
     #: Best extracted DAG cost observed at this iteration's boundary, when
-    #: anytime extraction evaluated here; None otherwise (including every
-    #: pre-PR-4 report).
+    #: anytime extraction evaluated here; None otherwise.
     extracted_cost: Optional[float] = None
 
     def as_dict(self) -> Dict[str, object]:
@@ -382,15 +375,6 @@ class IterationReport:
             "rebuild_time": self.rebuild_time,
             "extracted_cost": self.extracted_cost,
         }
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "IterationReport":
-        # tolerate both pre-PR-4 rows (no extracted_cost — defaults) and
-        # rows written by a newer schema (unknown keys are dropped)
-        known = {f.name for f in fields(IterationReport)}
-        return IterationReport(
-            **{k: v for k, v in data.items() if k in known}  # type: ignore[arg-type]
-        )
 
 
 @record
@@ -407,7 +391,7 @@ class RuleStats:
     #: Total wall-clock seconds spent searching / applying this rule.
     search_time: float = 0.0
     apply_time: float = 0.0
-    #: Total matches found (post-guard) and unions actually made.
+    #: Total matches found and unions actually made.
     matches: int = 0
     applied: int = 0
 
@@ -421,10 +405,6 @@ class RuleStats:
             "matches": self.matches,
             "applied": self.applied,
         }
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "RuleStats":
-        return RuleStats(**data)  # type: ignore[arg-type]
 
 
 @record
@@ -451,7 +431,7 @@ class RunnerReport:
     #: of a kernel.  0.0 when no extraction ran.
     extract_time: float = 0.0
     #: Spelling of the rule scheduler that drove the run ("simple",
-    #: "backoff", "match-budget"); pre-PR-4 reports load as "simple".
+    #: "backoff", "match-budget").
     scheduler: str = "simple"
 
     @property
@@ -499,10 +479,6 @@ class RunnerReport:
             f"classes={self.egraph_classes} time={self.total_time:.3f}s"
         )
 
-    # ------------------------------------------------------------------
-    # JSON round-trip
-    # ------------------------------------------------------------------
-
     @property
     def extracted_cost(self) -> Optional[float]:
         """Last in-loop extracted cost (None when anytime never ran)."""
@@ -523,34 +499,6 @@ class RunnerReport:
             "rule_stats": {name: rs.as_dict() for name, rs in self.rule_stats.items()},
             "phase_times": self.phase_times,
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "RunnerReport":
-        # search/apply/rebuild are derived from the iteration rows; only
-        # the pipeline-attached extract time needs restoring explicitly.
-        # PR-4 fields (scheduler, cost_plateau stop reason, per-iteration
-        # extracted_cost) are optional so pre-PR-4 reports still load.
-        phases = data.get("phase_times", {})
-        return RunnerReport(
-            stop_reason=StopReason(data["stop_reason"]),
-            iterations=[IterationReport.from_dict(d) for d in data["iterations"]],
-            total_time=data["total_time"],
-            egraph_nodes=data["egraph_nodes"],
-            egraph_classes=data["egraph_classes"],
-            rule_stats={
-                name: RuleStats.from_dict(d)
-                for name, d in data.get("rule_stats", {}).items()
-            },
-            extract_time=phases.get("extract", 0.0),
-            scheduler=data.get("scheduler", "simple"),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "RunnerReport":
-        return RunnerReport.from_dict(json.loads(text))
 
 
 class Runner:
@@ -575,7 +523,6 @@ class Runner:
         egraph: EGraph,
         rewrites: Sequence[Rewrite],
         limits: Optional[RunnerLimits] = None,
-        incremental: bool = True,
         scheduler: Union[None, str, "RuleScheduler"] = None,
         anytime: Optional[AnytimeExtraction] = None,
         on_iteration: Optional[IterationCallback] = None,
@@ -598,8 +545,6 @@ class Runner:
             )
         self.limits = limits or RunnerLimits()
         self.limits.validate()
-        #: Skip classes untouched since each rule's previous scan.
-        self.incremental = incremental
         self.scheduler = make_scheduler(scheduler)
         self.anytime = anytime
         self.on_iteration = on_iteration
@@ -634,7 +579,7 @@ class Runner:
 
         Every rule sees the same e-graph snapshot, so the result does not
         depend on rule order within an iteration.  Returns
-        ``(index, rule, matches, complete)`` tuples — ``complete`` False
+        ``(index, rule, rows, complete)`` tuples — ``complete`` False
         when the scheduler dropped or truncated the batch, which pins the
         rule's incremental-scan stamp (see :meth:`_apply_phase`).
         """
@@ -645,37 +590,17 @@ class Runner:
         for index, rule in enumerate(self.rewrites):
             if not scheduler.should_search(iteration, index, rule):
                 continue
-            # Guards may read state outside the match cone (touch
-            # stamps only track the cone), and dynamic appliers may
-            # compute different results as the graph evolves — both
-            # need full rescans to stay sound.
-            incremental = self.incremental and rule.rows_capable
-            since = self._last_scan[index] if incremental else None
-            limit = scheduler.search_limit(iteration, index, rule)
+            since = self._last_scan[index]
             rt0 = time.perf_counter()
-            # rows-capable rules (guard-free pattern rules) run the flat-row
-            # pipeline: search_rows + apply_rows skip every per-match
-            # substitution dict; both pipelines yield the same match
-            # sequence, and schedulers only count/slice batches, so the
-            # representation never leaks into scheduling decisions
-            if rule.rows_capable:
-                matches = rule.search_rows(egraph, since=since, limit=limit)
-            else:
-                matches = rule.search(egraph, since=since, limit=limit)
+            matches = rule.search_rows(egraph, since=since)
             rt1 = time.perf_counter()
             rs = stats[rule.name]
             rs.searches += 1
-            if since is not None and since >= 0:
+            if since >= 0:
                 rs.incremental_searches += 1
             rs.search_time += rt1 - rt0
             rs.matches += len(matches)
-            found = len(matches)
             matches, complete = scheduler.admit(iteration, index, rule, matches)
-            if limit is not None and found >= limit:
-                # a capped search may have stopped short of the full match
-                # set — never commit the scan stamp on its say-so, whatever
-                # the scheduler's admit() decided
-                complete = False
             all_matches.append((index, rule, matches, complete))
         return all_matches
 
@@ -698,10 +623,7 @@ class Runner:
         applied = 0
         for index, rule, matches, complete in all_matches:
             at0 = time.perf_counter()
-            if rule.rows_capable:
-                n_applied = rule.apply_rows(egraph, matches)
-            else:
-                n_applied = rule.apply(egraph, matches)
+            n_applied = rule.apply_rows(egraph, matches)
             at1 = time.perf_counter()
             if complete:
                 # matches up to scan_version are now committed; the next
@@ -720,9 +642,8 @@ class Runner:
     ) -> tuple:
         """Run one in-loop extraction at an iteration boundary.
 
-        Called after ``rebuild`` only — the memo's incremental DP refresh
-        reads the e-graph's canonical state and touched stamps, both of
-        which are only coherent between iterations.  Returns
+        Called after ``rebuild`` only — extraction reads canonical class
+        ids, which are only coherent between iterations.  Returns
         ``(extracted_cost, plateaued)``.
         """
 

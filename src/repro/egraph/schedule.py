@@ -35,7 +35,7 @@ runner keeps iterating (within its limits) instead of mis-reporting
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.egraph.rewrite import Rewrite
 
@@ -47,8 +47,9 @@ __all__ = [
     "make_scheduler",
 ]
 
-#: A match batch as produced by :meth:`Rewrite.search`.
-MatchList = List[Tuple[int, dict]]
+#: A match batch as produced by :meth:`Rewrite.search_rows`: flat
+#: ``(class id, v0, v1, ..)`` rows.
+MatchList = List[tuple]
 
 
 class RuleScheduler:
@@ -72,21 +73,6 @@ class RuleScheduler:
         """Whether *rule* participates in this iteration's search phase."""
 
         return True
-
-    def search_limit(
-        self, iteration: int, index: int, rule: Rewrite
-    ) -> Optional[int]:
-        """Match-count cap passed to :meth:`Rewrite.search` (None = all).
-
-        A scheduler that will discard matches past a budget anyway can
-        bound the search itself.  Soundness is enforced by the runner, not
-        by convention: whenever a capped search returns ``limit`` matches
-        (so the cap may have cut the batch short), the rule's
-        incremental-scan stamp stays pinned regardless of what
-        :meth:`admit` reports, and the next scan re-finds the tail.
-        """
-
-        return None
 
     def admit(
         self, iteration: int, index: int, rule: Rewrite, matches: MatchList

@@ -70,10 +70,6 @@ class SaturatorConfig:
     constant_folding: bool = True
     #: Prefix of generated temporaries.
     temp_prefix: str = "_v"
-    #: Incremental e-matching: let each rule skip e-classes untouched since
-    #: its previous scan (sound — see :mod:`repro.egraph.runner`; set False
-    #: to force full rescans every iteration).
-    incremental_search: bool = True
     #: Rule-scheduler spelling (see :func:`repro.egraph.schedule.make_scheduler`):
     #: ``"simple"`` (default — the paper's every-rule-every-iteration loop),
     #: ``"backoff[:MATCH_LIMIT[:BAN_LENGTH]]"`` or ``"match-budget[:BUDGET]"``.
@@ -82,8 +78,8 @@ class SaturatorConfig:
     scheduler: str = "simple"
     #: Anytime extraction: extract from the live e-graph every
     #: ``anytime_interval`` iterations (through the shared
-    #: :class:`~repro.egraph.extract.ExtractionMemo`, so each evaluation is
-    #: an incremental refresh) and stop saturating once the extracted cost
+    #: :class:`~repro.egraph.extract.ExtractionMemo`, which the final
+    #: extraction reuses) and stop saturating once the extracted cost
     #: has not improved for ``plateau_patience`` consecutive evaluations.
     #: Fingerprint-relevant: early stopping changes the saturated e-graph.
     anytime_extraction: bool = False

@@ -258,7 +258,6 @@ class SaturationStage(Stage):
                     )
             runner = Runner(
                 ctx.egraph, rules, config.limits,
-                incremental=config.incremental_search,
                 scheduler=config.scheduler,
                 anytime=anytime,
                 on_iteration=ctx.on_iteration,

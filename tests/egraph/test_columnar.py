@@ -4,7 +4,7 @@ Four contracts pinned here:
 
 * **Engine == reference** (hypothesis): on randomized e-graphs, the
   relational (join-based) engine returns the *exact list* — multiset and
-  order — of matches the reference nested-loop scan
+  order — of match rows the reference nested-loop scan
   (``Pattern.search_naive``) produces, for patterns spanning the
   planner's shapes (heterogeneous ops, shared variables, self-joins),
   including when the join-key encoding has to re-densify.
@@ -36,6 +36,16 @@ from repro.egraph.columns import ColumnStore
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import num, op, sym
 from repro.egraph.pattern import compile_pattern, parse_pattern
+
+
+def naive_rows(pattern, eg):
+    """The reference matcher's matches as flat ``(class, v0, ..)`` rows."""
+
+    names = pattern.variables()
+    return [
+        (cid, *[subst[name] for name in names])
+        for cid, subst in pattern.search_naive(eg)
+    ]
 
 # ---------------------------------------------------------------------------
 # Engine equivalence (hypothesis)
@@ -100,8 +110,8 @@ def _build(script):
 def test_join_backend_matches_scan_exactly(script, pattern_text):
     eg = _build(script)
     pattern = parse_pattern(pattern_text)
-    # same (class, substitution) matches, same order
-    assert compile_pattern(pattern).search(eg) == pattern.search_naive(eg)
+    # same match rows, same order
+    assert compile_pattern(pattern).search_rows(eg) == naive_rows(pattern, eg)
 
 
 def test_join_backend_matches_scan_on_default_ruleset():
@@ -120,7 +130,7 @@ def test_join_backend_matches_scan_on_default_ruleset():
     rules = default_ruleset()
     Runner(eg, rules, RunnerLimits(node_limit=400, iter_limit=4)).run()
     for rule in rules:
-        assert rule._compiled.search(eg) == rule.searcher.search_naive(eg), rule.name
+        assert rule.search_rows(eg) == naive_rows(rule.searcher, eg), rule.name
 
 
 def test_single_atom_join_matches_scan():
@@ -128,9 +138,9 @@ def test_single_atom_join_matches_scan():
     # same order as the reference scan
     eg = _build(([op("+", sym("x"), sym("y")), op("+", sym("y"), sym("x"))], [(0, 1)]))
     pattern = parse_pattern("(+ ?a ?b)")
-    matches = compile_pattern(pattern).search(eg)
-    assert len(matches) == 2
-    assert matches == pattern.search_naive(eg)
+    rows = compile_pattern(pattern).search_rows(eg)
+    assert len(rows) == 2
+    assert rows == naive_rows(pattern, eg)
 
 
 def test_join_key_overflow_redensifies_exactly(monkeypatch):
@@ -150,13 +160,13 @@ def test_join_key_overflow_redensifies_exactly(monkeypatch):
     ):
         pattern = parse_pattern(text)
         cp = compile_pattern(pattern)
-        plain = cp.search(eg)
+        plain = cp.search_rows(eg)
         assert plain, text
         with monkeypatch.context() as patch:
             # any second shared variable now overflows the budget
             patch.setattr(pattern_mod, "_JOIN_KEY_LIMIT", 1)
-            dense = cp.search(eg)
-        assert dense == plain == pattern.search_naive(eg), text
+            dense = cp.search_rows(eg)
+        assert dense == plain == naive_rows(pattern, eg), text
 
 
 def test_bare_variable_searcher_matches_nothing():

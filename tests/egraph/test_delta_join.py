@@ -3,9 +3,9 @@
 Contracts pinned here:
 
 * **Delta equivalence** (hypothesis): on randomized e-graphs mutated in
-  two stages, the semi-naive delta join (``search(since=...)``) returns
-  the *exact list* — multiset and order — of matches the incremental
-  reference scan produces (``Pattern.search_naive`` restricted to root
+  two stages, the semi-naive delta join (``search_rows(since=...)``)
+  returns the *exact list* — multiset and order — of match rows the
+  incremental reference scan produces (``Pattern.search_naive`` restricted to root
   classes touched after the stamp), for every pattern shape the planner
   handles.
 * **Delta-plan determinism**: incremental join plans and their result
@@ -19,9 +19,7 @@ Contracts pinned here:
   runs and a reference loop written here from the public API
   (``Pattern.instantiate`` + ``EGraph.merge`` per match) produce
   bit-identical e-graphs (hashcons, union-find, class structure) —
-  under mid-batch unions, for bare-variable right-hand sides, for
-  guarded rules (dict ``Rewrite.apply``) and for ``limit=``-truncated
-  batches.
+  under mid-batch unions and for bare-variable right-hand sides.
 * **Stamp pinning under the join engine**: a scheduler-dropped batch
   keeps the rule's incremental stamp pinned, and the delta join re-finds
   every dropped match on the next iteration (the PR-4 invariant, now
@@ -40,7 +38,7 @@ from repro.egraph.columns import ColumnStore
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import num, op, sym
 from repro.egraph.pattern import compile_pattern, parse_pattern
-from repro.egraph.rewrite import Rewrite, rewrite
+from repro.egraph.rewrite import Rewrite
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.egraph.schedule import SimpleScheduler
 from repro.rules import default_ruleset, extended_ruleset
@@ -98,14 +96,20 @@ def _apply_stage(eg, roots, stage):
     eg.rebuild()
 
 
-def _incremental_scan(pattern, eg, since):
-    """The reference matcher's matches rooted at classes touched > *since*."""
+def naive_rows(pattern, eg):
+    """The reference matcher's matches as flat ``(class, v0, ..)`` rows."""
 
+    names = pattern.variables()
     return [
-        (cid, subst)
+        (cid, *[subst[name] for name in names])
         for cid, subst in pattern.search_naive(eg)
-        if eg.classes[cid].touched > since
     ]
+
+
+def _incremental_scan(pattern, eg, since):
+    """The reference matcher's rows rooted at classes touched > *since*."""
+
+    return [row for row in naive_rows(pattern, eg) if eg.classes[row[0]].touched > since]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +131,7 @@ def test_delta_join_matches_incremental_scan_exactly(script, pattern_text, full)
     _apply_stage(eg, roots, script[1])
     since = -1 if full else stamp
     pattern = parse_pattern(pattern_text)
-    join = compile_pattern(pattern).search(eg, since=since)
+    join = compile_pattern(pattern).search_rows(eg, since=since)
     # same matches, same order
     assert join == _incremental_scan(pattern, eg, since)
 
@@ -236,7 +240,7 @@ def test_delta_reads_stay_exact_across_compaction():
     eg.rebuild()
     for text in _PATTERNS:
         pattern = parse_pattern(text)
-        assert compile_pattern(pattern).search(eg, since=stamp) == (
+        assert compile_pattern(pattern).search_rows(eg, since=stamp) == (
             _incremental_scan(pattern, eg, stamp)
         ), text
 
@@ -249,25 +253,21 @@ def test_delta_reads_stay_exact_across_compaction():
 class _ReferenceRewrite(Rewrite):
     """A pattern rule applied the slow way, from the public API only.
 
-    Per match, in match order: ``Pattern.instantiate`` (the recursive
-    ENode-level builder) then ``EGraph.merge``.  The executable
+    Per match row, in match order: ``Pattern.instantiate`` (the
+    recursive ENode-level builder) then ``EGraph.merge``.  The executable
     specification of what the generated row loop must do to the e-graph.
     """
 
-    def apply(self, egraph, matches):
+    def apply_rows(self, egraph, rows):
+        names = self.searcher.variables()
         applied = 0
-        for eclass_id, subst in matches:
-            new_id = self.applier.instantiate(egraph, subst)
+        for row in rows:
+            eclass_id = row[0]
+            new_id = self.applier.instantiate(egraph, dict(zip(names, row[1:])))
             if not egraph.is_equal(new_id, eclass_id):
                 egraph.merge(new_id, eclass_id)
                 applied += 1
         return applied
-
-    def apply_rows(self, egraph, rows):
-        names = self.searcher.variables()
-        return self.apply(
-            egraph, [(row[0], dict(zip(names, row[1:]))) for row in rows]
-        )
 
 
 def _wide_graph():
@@ -310,31 +310,6 @@ def _comm_assoc_rules():
     return [r for r in default_ruleset() if r.name.startswith(("comm", "assoc"))]
 
 
-def _guarded_rules():
-    """The default rules with ``comm-add`` behind a guard: a guarded rule
-    is not rows-capable, so the runner drives it through dict
-    ``Rewrite.search`` / ``Rewrite.apply``."""
-
-    def ordered(egraph, eclass_id, subst):
-        return subst["a"] < subst["b"]
-
-    return [
-        rewrite(r.name, r.searcher, r.applier, guard=ordered)
-        if r.name == "comm-add"
-        else r
-        for r in default_ruleset()
-    ]
-
-
-class _CapSearch(SimpleScheduler):
-    """Caps every search at 20 matches (``search_rows(limit=)``)."""
-
-    name = "cap-search"
-
-    def search_limit(self, iteration, index, rule):
-        return 20
-
-
 def _graph_signature(eg):
     return (
         list(eg.hashcons.items()),  # content *and* interning order
@@ -346,41 +321,31 @@ def _graph_signature(eg):
 
 
 @pytest.mark.parametrize(
-    "make_graph, make_rules, node_limit, scheduler",
+    "make_graph, make_rules, node_limit",
     [
-        pytest.param(_wide_graph, default_ruleset, 1500, None, id="wide-default"),
+        pytest.param(_wide_graph, default_ruleset, 1500, id="wide-default"),
         pytest.param(
-            _chain_graph, _comm_assoc_rules, 900, None, id="chain-midbatch-unions"
+            _chain_graph, _comm_assoc_rules, 900, id="chain-midbatch-unions"
         ),
         pytest.param(
-            _identity_graph, extended_ruleset, 1500, None, id="bare-variable-rhs"
-        ),
-        pytest.param(_wide_graph, _guarded_rules, 1500, None, id="guarded-dict-apply"),
-        pytest.param(
-            _wide_graph, default_ruleset, 1500, _CapSearch, id="limit-truncated"
+            _identity_graph, extended_ruleset, 1500, id="bare-variable-rhs"
         ),
     ],
 )
-def test_generated_apply_loop_matches_reference_loop(
-    make_graph, make_rules, node_limit, scheduler
-):
+def test_generated_apply_loop_matches_reference_loop(make_graph, make_rules, node_limit):
     """Same runner, same searches; only the apply loop differs."""
 
     limits = RunnerLimits(node_limit=node_limit, iter_limit=3)
 
     def run(rules):
         eg = make_graph()
-        report = Runner(
-            eg, rules, limits, scheduler=scheduler() if scheduler else None
-        ).run()
+        report = Runner(eg, rules, limits).run()
         applied = {name: rs.applied for name, rs in report.rule_stats.items()}
         assert sum(applied.values()) > 0
         return _graph_signature(eg), applied
 
     rules = make_rules()
-    reference = [
-        _ReferenceRewrite(r.name, r.searcher, r.applier, r.guard) for r in rules
-    ]
+    reference = [_ReferenceRewrite(r.name, r.searcher, r.applier) for r in rules]
     assert run(rules) == run(reference)
 
 

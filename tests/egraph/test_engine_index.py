@@ -13,8 +13,8 @@ import time
 from repro.egraph import EGraph, Runner, RunnerLimits, RunnerReport, StopReason
 from repro.egraph.egraph import ENode
 from repro.egraph.language import num, op, sym
-from repro.egraph.pattern import parse_pattern
-from repro.egraph.rewrite import rewrite
+from repro.egraph.pattern import compile_pattern, parse_pattern
+from repro.egraph.rewrite import Rewrite, rewrite
 from repro.rules import constant_folding_analysis, default_ruleset
 
 PATTERNS = [
@@ -29,8 +29,31 @@ PATTERNS = [
 ]
 
 
-def _match_set(matches):
-    return {(cid, frozenset(subst.items())) for cid, subst in matches}
+def naive_rows(pattern, eg):
+    """The reference matcher's matches as flat ``(class, v0, ..)`` rows."""
+
+    names = pattern.variables()
+    return [
+        (cid, *[subst[name] for name in names])
+        for cid, subst in pattern.search_naive(eg)
+    ]
+
+
+class _FullScan(Rewrite):
+    """A rule that ignores its incremental stamp: every scan is full."""
+
+    def search_rows(self, egraph, since=None):
+        return super().search_rows(egraph)
+
+
+class _SlowSearch(Rewrite):
+    """A rule whose every search sleeps first (a slow search phase)."""
+
+    delay = 0.06
+
+    def search_rows(self, egraph, since=None):
+        time.sleep(self.delay)
+        return super().search_rows(egraph, since)
 
 
 def _representative_egraph():
@@ -97,16 +120,14 @@ class TestSearchEquivalence:
 
         eg = _representative_egraph()
         for rule in default_ruleset():
-            naive = _match_set(rule.searcher.search_naive(eg))
-            fast = _match_set(rule.search(eg))
-            assert fast == naive, rule.name
+            assert rule.search_rows(eg) == naive_rows(rule.searcher, eg), rule.name
 
     def test_extra_pattern_shapes(self):
         eg = _representative_egraph()
         for text in PATTERNS:
             pattern = parse_pattern(text)
-            assert _match_set(pattern.search(eg)) == _match_set(
-                pattern.search_naive(eg)
+            assert compile_pattern(pattern).search_rows(eg) == naive_rows(
+                pattern, eg
             ), text
 
     def test_incremental_search_finds_exactly_the_new_matches(self):
@@ -114,19 +135,17 @@ class TestSearchEquivalence:
         eg.add_term(op("+", sym("a"), sym("b")))
         eg.rebuild()
         rule = rewrite("comm", "(+ ?a ?b)", "(+ ?b ?a)")
-        first = rule.search(eg, since=-1)
+        first = rule.search_rows(eg, since=-1)
         assert len(first) == 1
         stamp = eg.version
         # nothing touched since -> nothing to report
-        assert rule.search(eg, since=stamp) == []
+        assert rule.search_rows(eg, since=stamp) == []
         # grow the graph; only the new class is scanned, and found
         eg.add_term(op("+", sym("c"), sym("d")))
         eg.rebuild()
-        fresh = rule.search(eg, since=stamp)
+        fresh = rule.search_rows(eg, since=stamp)
         assert len(fresh) == 1
-        assert _match_set(rule.search(eg, since=None)) == _match_set(
-            first + fresh
-        )
+        assert set(rule.search_rows(eg, since=None)) == set(first) | set(fresh)
 
     def test_touch_propagates_to_ancestors(self):
         """A merge deep in the graph must re-expose enclosing classes to
@@ -136,14 +155,14 @@ class TestSearchEquivalence:
         root = eg.add_term(op("*", op("+", sym("a"), sym("b")), sym("c")))
         eg.rebuild()
         rule = rewrite("mul-of-sum", "(* (+ ?x ?y) ?z)", "(* ?z (+ ?x ?y))")
-        assert len(rule.search(eg, since=-1)) == 1
+        assert len(rule.search_rows(eg, since=-1)) == 1
         stamp = eg.version
         # merging b with a new symbol touches a descendant of the root;
         # the root's class must be rescanned afterwards
         eg.merge(eg.add_term(sym("b")), eg.add_term(sym("e")))
         eg.rebuild()
-        rescans = rule.search(eg, since=stamp)
-        assert any(eg.find(cid) == eg.find(root) for cid, _ in rescans)
+        rescans = rule.search_rows(eg, since=stamp)
+        assert any(eg.find(row[0]) == eg.find(root) for row in rescans)
 
 
 class TestRunnerEquivalence:
@@ -157,10 +176,10 @@ class TestRunnerEquivalence:
             for i in range(1, 5):
                 term = op("+", term, op("*", sym(f"a{i}"), sym(f"b{i}")))
             eg.add_term(term)
-            report = Runner(
-                eg, default_ruleset(), RunnerLimits(600, 4, 10.0),
-                incremental=incremental,
-            ).run()
+            rules = default_ruleset()
+            if not incremental:
+                rules = [_FullScan(r.name, r.searcher, r.applier) for r in rules]
+            report = Runner(eg, rules, RunnerLimits(600, 4, 10.0)).run()
             return eg, report
 
         eg_inc, rep_inc = run(True)
@@ -192,13 +211,14 @@ class TestProfiler:
         assert total_applied == report.total_applied
 
     def test_report_round_trips_to_json(self):
+        """``as_dict`` is plain JSON data: it survives a dump/load unchanged."""
+
         report = self._report()
-        text = report.to_json(indent=2)
-        restored = RunnerReport.from_json(text)
-        assert restored.stop_reason == report.stop_reason
-        assert restored.as_dict() == report.as_dict()
-        # and the dict is plain-JSON serialisable
-        assert json.loads(text) == report.as_dict()
+        data = report.as_dict()
+        assert data["stop_reason"] == report.stop_reason.value
+        restored = json.loads(json.dumps(data, indent=2))
+        assert restored == data
+        assert StopReason(restored["stop_reason"]) is report.stop_reason
 
     def test_kernel_report_includes_runner_profile(self):
         from repro.benchsuite.npb.cg import CG
@@ -214,9 +234,9 @@ class TestProfiler:
         json.dumps(data)  # fully serialisable
 
     def test_phase_breakdown_round_trips(self):
-        """search/apply/rebuild phases aggregate the iteration rows, the
-        pipeline-attached extract time survives the JSON round trip, and
-        the phase split appears in ``as_dict``."""
+        """search/apply/rebuild phases aggregate the iteration rows, and
+        the phase split — including the pipeline-attached extract time —
+        appears in ``as_dict`` and survives a JSON round trip."""
 
         report = self._report()
         phases = report.phase_times
@@ -227,9 +247,9 @@ class TestProfiler:
         assert phases["extract"] == 0.0  # bare Runner: no extraction attached
 
         report.extract_time = 0.125
-        restored = RunnerReport.from_json(report.to_json())
-        assert restored.extract_time == 0.125
-        assert restored.as_dict()["phase_times"] == report.phase_times
+        assert report.as_dict()["phase_times"] == dict(phases, extract=0.125)
+        restored = json.loads(json.dumps(report.as_dict()))
+        assert restored["phase_times"]["extract"] == 0.125
 
     def test_pipeline_attaches_extract_time_to_runner(self):
         from repro.benchsuite.npb.cg import CG
@@ -251,14 +271,10 @@ class TestTimeLimits:
         """A slow search phase stops the runner with TIME_LIMIT instead of
         running a full extra apply/rebuild round."""
 
-        def slow_guard(egraph, eclass_id, subst):
-            time.sleep(0.02)
-            return True
-
         eg = EGraph()
         for i in range(4):
             eg.add_term(op("+", sym(f"a{i}"), sym(f"b{i}")))
-        rule = rewrite("slow-comm", "(+ ?a ?b)", "(+ ?b ?a)", guard=slow_guard)
+        rule = _SlowSearch("slow-comm", parse_pattern("(+ ?a ?b)"), parse_pattern("(+ ?b ?a)"))
         report = Runner(eg, [rule], RunnerLimits(10_000, 50, 0.05)).run()
         assert report.stop_reason is StopReason.TIME_LIMIT
         assert report.total_time < 1.0

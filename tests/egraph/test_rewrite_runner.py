@@ -2,11 +2,25 @@
 
 import pytest
 
+from repro.egraph import pattern as pattern_mod
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import num, op, sym
-from repro.egraph.rewrite import rewrite
+from repro.egraph.pattern import (
+    CompiledPattern,
+    Pattern,
+    compile_pattern,
+    compile_row_applier,
+    parse_pattern,
+)
+from repro.egraph.rewrite import Rewrite, rewrite
 from repro.egraph.runner import Runner, RunnerLimits, StopReason
-from repro.rules import constant_folding_analysis, default_ruleset
+from repro.rules import constant_folding_analysis, default_ruleset, ruleset_by_name
+
+
+def _search_and_apply(rule, eg):
+    """One full search + apply of *rule* (rebuild is the caller's job)."""
+
+    return rule.apply_rows(eg, rule.search_rows(eg))
 
 
 class TestRewrite:
@@ -14,61 +28,58 @@ class TestRewrite:
         eg = EGraph()
         root = eg.add_term(op("+", sym("a"), op("*", sym("b"), sym("c"))))
         rule = rewrite("fma1", "(+ ?a (* ?b ?c))", "(fma ?a ?b ?c)")
-        applied = rule.run(eg)
+        applied = _search_and_apply(rule, eg)
         eg.rebuild()
         assert applied == 1
         assert eg.lookup_term(op("fma", sym("a"), sym("b"), sym("c"))) == eg.find(root)
 
-    def test_rule_with_guard_filters_matches(self):
-        eg = EGraph()
-        eg.add_term(op("+", sym("a"), sym("b")))
-        rule = rewrite(
-            "comm-guarded", "(+ ?a ?b)", "(+ ?b ?a)",
-            guard=lambda egraph, eclass, subst: False,
-        )
-        assert rule.run(eg) == 0
+    def test_callable_applier_is_rejected(self):
+        # a rule is pattern => pattern; anything else fails at construction
+        with pytest.raises(TypeError, match=r"'r'.*Pattern"):
+            rewrite("r", "(+ ?a ?b)", lambda eg, c, s: c)
 
-    def test_dynamic_applier(self):
-        eg = EGraph()
-        root = eg.add_term(op("*", sym("x"), num(2)))
+    def test_guard_keyword_is_rejected(self):
+        with pytest.raises(TypeError):
+            rewrite("r", "(+ ?a ?b)", "(+ ?b ?a)", guard=lambda eg, c, s: True)
 
-        def double_to_add(egraph, eclass, subst):
-            return egraph.add_term(op("+", sym("x"), sym("x")))
+    def test_unparsed_applier_is_rejected(self):
+        # the constructor takes patterns; only rewrite() parses text
+        with pytest.raises(TypeError, match=r"'r'.*Pattern.*str"):
+            Rewrite("r", parse_pattern("(+ ?a ?b)"), "(+ ?b ?a)")
 
-        rule = rewrite("double-to-add", "(* x 2)", double_to_add)
-        assert rule.run(eg) == 1
-        eg.rebuild()
-        assert eg.lookup_term(op("+", sym("x"), sym("x"))) == eg.find(root)
+    def test_one_search_call_and_one_apply_call(self):
+        """A rule searches with search_rows and applies with apply_rows;
+        the dict-substitution pipeline beside them is gone."""
 
-    def test_search_limit_truncates_deterministically(self):
-        eg = EGraph()
-        for i in range(4):
-            eg.add_term(op("+", sym(f"a{i}"), sym(f"b{i}")))
-        eg.rebuild()
         rule = rewrite("comm", "(+ ?a ?b)", "(+ ?b ?a)")
-        full = rule.search(eg)
-        assert len(full) == 4
-        # the capped search returns the first `limit` of the same order
-        assert rule.search(eg, limit=2) == full[:2]
-        assert rule.search(eg, limit=10) == full
-        assert rule.search(eg, limit=0) == []
+        for name in ("search", "apply", "run", "guard", "bidirectional"):
+            assert not hasattr(rule, name), name
+        assert not hasattr(Pattern, "search")
+        assert not hasattr(CompiledPattern, "search")
+        assert not hasattr(CompiledPattern, "instantiate")
+        assert not hasattr(pattern_mod._InstantiatorCodegen, "build")
+        assert hasattr(pattern_mod._InstantiatorCodegen, "build_batch")
 
-    def test_search_limit_applies_after_guard(self):
-        eg = EGraph()
-        for i in range(4):
-            eg.add_term(op("+", sym(f"a{i}"), sym(f"b{i}")))
-        eg.rebuild()
-        seen = []
+    def test_ruleset_compiles_one_instantiator_per_applier(self):
+        """Searchers are join atoms only: building a ruleset generates
+        exactly one apply loop per distinct right-hand side."""
 
-        def guard(egraph, eclass, subst):
-            seen.append(eclass)
-            return len(seen) % 2 == 0  # veto every other match
+        compiled = []
+        original = pattern_mod._InstantiatorCodegen._compile
 
-        rule = rewrite("comm-guarded", "(+ ?a ?b)", "(+ ?b ?a)", guard=guard)
-        capped = rule.search(eg, limit=1)
-        assert len(capped) == 1
-        # the cap counts post-guard survivors, not raw matches
-        assert len(seen) == 4
+        def counting(self, lines, name):
+            compiled.append(name)
+            return original(self, lines, name)
+
+        compile_pattern.cache_clear()
+        compile_row_applier.cache_clear()
+        pattern_mod._InstantiatorCodegen._compile = counting
+        try:
+            rules = ruleset_by_name("default")
+        finally:
+            pattern_mod._InstantiatorCodegen._compile = original
+        appliers = {(rule.applier, rule._compiled.vars) for rule in rules}
+        assert len(compiled) == len(appliers)
 
     def test_applier_variable_unbound_by_searcher_is_rejected(self):
         # at construction, naming rule and variable — not a KeyError on
@@ -82,9 +93,9 @@ class TestRewrite:
         eg = EGraph()
         eg.add_term(op("+", sym("a"), op("*", sym("b"), sym("c"))))
         rule = rewrite("fma1", "(+ ?a (* ?b ?c))", "(fma ?a ?b ?c)")
-        rule.run(eg)
+        _search_and_apply(rule, eg)
         eg.rebuild()
-        assert rule.run(eg) == 0  # already equal, nothing new to merge
+        assert _search_and_apply(rule, eg) == 0  # already equal, nothing new to merge
 
 
 class TestRunner:
@@ -140,6 +151,37 @@ class TestRunner:
         assert [dict(vars(rule)) for rule in rules] == before
         second = Runner(micro_egraph(), rules, limits).run()
         assert counters(first) == counters(second)
+
+    def test_runner_takes_no_incremental_flag(self):
+        with pytest.raises(TypeError):
+            Runner(EGraph(), default_ruleset(), RunnerLimits(), incremental=False)
+
+    def test_every_rule_searches_from_its_last_scan(self):
+        """Each scan after a rule's first passes the version stamp of its
+        previous complete scan: search is always incremental."""
+
+        calls = []
+
+        class Recording(Rewrite):
+            def search_rows(self, egraph, since=None):
+                calls.append((self.name, since, egraph.version))
+                return super().search_rows(egraph, since)
+
+        eg = EGraph()
+        eg.add_term(op("+", sym("a"), op("*", sym("b"), sym("c"))))
+        rules = [
+            Recording(r.name, r.searcher, r.applier) for r in default_ruleset()
+        ]
+        report = Runner(eg, rules, RunnerLimits(5000, 10, 30.0)).run()
+        assert report.num_iterations >= 2
+        last = {}
+        for name, since, version in calls:
+            assert since == last.get(name, -1), name
+            last[name] = version
+        assert all(
+            rs.incremental_searches == rs.searches - 1
+            for rs in report.rule_stats.values()
+        )
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):

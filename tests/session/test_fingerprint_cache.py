@@ -38,8 +38,12 @@ class TestFingerprints:
             SaturatorConfig(limits=RunnerLimits(123, 4, 5.0))
         )
         assert fingerprint_config(base) != fingerprint_config(
-            SaturatorConfig(incremental_search=False)
+            SaturatorConfig(temp_prefix="_t")
         )
+
+    def test_config_has_no_incremental_search_knob(self):
+        # every rule is a pattern pair, so every search is incremental
+        assert "incremental_search" not in vars(SaturatorConfig())
 
     def test_stage_key_digest_is_stable(self):
         key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
@@ -62,7 +66,7 @@ _configs = st.builds(
     ),
     extraction_time_limit=_numbers,
     constant_folding=_numbers,
-    incremental_search=st.booleans(),
+    temp_prefix=st.sampled_from(["_v", "_t"]),
     scheduler=st.sampled_from(["simple", "backoff", "backoff:8:2"]),
     anytime_extraction=st.booleans(),
     anytime_interval=_numbers,
@@ -184,11 +188,11 @@ class TestFingerprintMemo:
 
         assert fingerprint_module.ENGINE_SCHEMA == "records-v5"
         assert fingerprint_config(SaturatorConfig()) == (
-            "df3b8f990afbc17e9fdf9b78e65c0f13a546f9dbb10d357a4a8cf719f7e2560c"
+            "a6e3f7ffbb5156d09149af0b562614d7fa3ad07f9ffe203bc9740800eb3a16dc"
         )
         key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
         assert key.digest == (
-            "2e9834e250a27f36e7861597927e2352e32fc44c5206b89c2cf158c6f5f78a07"
+            "2871881dc54ec983ec9a43ae0493343f266723f515a47c141178e2ab42a0749e"
         )
 
 
