@@ -2,8 +2,10 @@
 
 For every straight-line group of the kernel's SSA form the generator
 
-1. renders the selected e-classes of the group's assignments,
-2. schedules temporaries (lazy or bulk-load policy, §VI),
+1. schedules temporaries for the selected e-classes of the group's
+   assignments (lazy or bulk-load policy, §VI),
+2. builds the AST of each temporary's defining expression straight from
+   the selected e-nodes (:class:`~repro.codegen.tempvars.ClassRenderer`),
 3. splices ``double _vN = ...;`` declarations into the group's block, and
 4. replaces each original assignment's right-hand side with a reference to
    its root temporary (or an inline expression for trivial right-hand
@@ -20,12 +22,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.bulkload import ScheduleItem, schedule_group
-from repro.codegen.tempvars import ClassRenderer, TempAllocator
+from repro.codegen.tempvars import ClassRenderer, TempAllocator, Template
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import ExtractionResult
 from repro.egraph.language import Term
 from repro.frontend import cast as C
-from repro.frontend.parser import parse_expression
 from repro.records import record
 from repro.ssa.form import AssignmentInfo, KernelSSA, StraightLineGroup
 
@@ -117,6 +118,7 @@ class CodeGenerator:
         self.bulk_load = bulk_load
         self.temp_prefix = temp_prefix
         self._next_temp_index = 0
+        self._templates: Dict[str, Template] = {}
         self.stats = KernelCodeStats()
 
     # ------------------------------------------------------------------
@@ -155,7 +157,9 @@ class CodeGenerator:
             return 0
 
         allocator = TempAllocator(self.temp_prefix, self._next_temp_index)
-        renderer = ClassRenderer(self.egraph, self.extraction.choices, allocator)
+        renderer = ClassRenderer(
+            self.egraph, self.extraction.choices, allocator, templates=self._templates
+        )
 
         root_classes: List[int] = []
         for info in group.assignments:
@@ -171,16 +175,15 @@ class CodeGenerator:
 
         schedule = schedule_group(renderer, root_classes, store_stmt_of, self.bulk_load)
 
-        # Re-render in schedule order, building the new statement list.
+        # Build in schedule order, producing the new statement list.
         renderer.available_temps = set()
         new_stmts: List[C.Stmt] = []
         n_temps = 0
         for item in schedule:
             if item.kind == "temp":
                 cid = self.egraph.find(item.eclass)
-                text = renderer.render_definition(cid)
-                name = allocator.name_for(cid)
-                decl = C.Decl("double", name, parse_expression(text))
+                value = renderer.build_definition(cid)
+                decl = C.Decl("double", allocator.name_for(cid), value)
                 new_stmts.append(decl)
                 renderer.available_temps.add(cid)
                 self._count_node(renderer.node_of(cid))
@@ -188,7 +191,7 @@ class CodeGenerator:
             else:
                 info = group.assignments[item.position]
                 root = root_classes[item.position]
-                self._rewrite_statement(info, renderer.render(root))
+                self._rewrite_statement(info, renderer.build(root))
                 new_stmts.append(info.stmt)
                 self._count_statement(info)
 
@@ -198,8 +201,7 @@ class CodeGenerator:
 
     # ------------------------------------------------------------------
 
-    def _rewrite_statement(self, info: AssignmentInfo, rhs_text: str) -> None:
-        rhs = parse_expression(rhs_text)
+    def _rewrite_statement(self, info: AssignmentInfo, rhs: C.Expr) -> None:
         stmt = info.stmt
         if isinstance(stmt, C.Decl):
             stmt.init = rhs

@@ -1,21 +1,29 @@
-"""Rendering of selected e-classes into C expressions and temp variables.
+"""Selected e-classes as C expression ASTs and temp variables.
 
 Every selected e-node that performs real work (a load, an arithmetic
 operation, a call ...) is assigned a temporary variable ``_vN`` holding its
 value (paper §VI-A, cf. Listing 3 of the paper).  Leaves (constants,
 symbols), φ nodes (whose value is simply the variable they merge), stores
 (performed by the original statements) and e-classes only used as array
-indices are rendered inline instead.
+indices are built inline instead.
+
+:class:`ClassRenderer` builds :mod:`repro.frontend.cast` nodes directly —
+exactly the tree the parser would return for the class's C text.  The
+text form (:meth:`ClassRenderer.render_definition`) survives only as the
+bulk-load tie-break key, the paper's "sorted by static index".
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
+from repro.frontend import cast as C
+from repro.frontend.parser import make_number, parse_expression
 
-__all__ = ["TempAllocator", "ClassRenderer", "TEMP_OPS"]
+__all__ = ["TempAllocator", "ClassRenderer", "RenderError", "TEMP_OPS"]
 
 
 #: Operators whose e-classes are materialised into temporaries.
@@ -81,18 +89,81 @@ def _format_number(value) -> str:
     return text
 
 
+class RenderError(ValueError):
+    """A selected e-node has no C spelling (e.g. an opaque ``@opaqueN`` leaf)."""
+
+
+#: A runtime variable: an identifier, or a ``.`` / ``->`` member path of them.
+_NAME_PATH_RE = re.compile(r"[A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*", re.ASCII)
+_MEMBER_SEP_RE = re.compile(r"(\.|->)")
+#: A string or character literal, as the lexer spells one.
+_LITERAL_RE = re.compile(r""""(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'""")
+
+
+def _name_node(name: str) -> C.Expr:
+    """The expression parsing the runtime name of leaf *name* yields."""
+
+    text = _strip_ssa_suffix(name)
+    if _NAME_PATH_RE.fullmatch(text):
+        head, *path = _MEMBER_SEP_RE.split(text)
+        node: C.Expr = C.Ident(head)
+        for sep, field_name in zip(path[::2], path[1::2]):
+            node = C.Member(node, field_name, sep == "->")
+        return node
+    if _LITERAL_RE.fullmatch(text):
+        return C.StringLit(text)
+    raise RenderError(f"leaf {name!r} is neither a C name nor a literal")
+
+
+def _number_node(value) -> C.Expr:
+    """The expression parsing :func:`_format_number` of *value* yields."""
+
+    text = _format_number(value)
+    negative = text.startswith("-")
+    if negative:
+        text = text[1:]
+    # ``repr`` spells the non-finite floats ``inf`` / ``nan``: identifiers
+    node = C.Ident(text) if text.isalpha() else make_number(text)
+    return C.UnaryOp("-", node) if negative else node
+
+
+#: A parsed load template and its slot identifier -> index-operand position.
+Template = Tuple[C.Expr, Dict[str, int]]
+
+
+def _parse_template(template: str) -> Template:
+    """Parse a load payload such as ``lhsZ[{0}][{1}]`` once.
+
+    Each ``{k}`` becomes an identifier the template itself cannot contain
+    (its prefix is not a substring of the template), so the tree is the
+    access path with every index slot marked for substitution.
+    """
+
+    prefix = "_slot"
+    while prefix in template:
+        prefix += "_"
+    names = [f"{prefix}{k}" for k in range(template.count("{"))]
+    tree = parse_expression(template.format(*names))
+    for node in C.walk(tree):
+        node.line = 0
+    return tree, {name: k for k, name in enumerate(names)}
+
+
 @dataclass
 class ClassRenderer:
-    """Render e-classes of an extraction result into C expression text."""
+    """Build the C expressions of e-classes of an extraction result."""
 
     egraph: EGraph
     choices: Dict[int, ENode]
     temps: TempAllocator
     #: E-classes that currently have a live temporary (already emitted in the
-    #: group being generated); rendered as their temp name.
+    #: group being generated); built as their temp name.
     available_temps: Set[int] = field(default_factory=set)
     #: E-classes that must never be rendered through a temp (index contexts).
     inline_only: Set[int] = field(default_factory=set)
+    #: Parsed load templates by payload text; a code generator shares one
+    #: dict across its groups, so each template is parsed once per kernel.
+    templates: Dict[str, Template] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
 
@@ -177,7 +248,90 @@ class ClassRenderer:
         if len(node.children) == 2:
             lhs, rhs = (self.render(c) for c in node.children)
             return f"({lhs} {op} {rhs})"
-        raise ValueError(f"cannot render e-node {node}")
+        raise RenderError(f"cannot render e-node {node}")
+
+    # ------------------------------------------------------------------
+
+    def build(self, eclass_id: int) -> C.Expr:
+        """The AST of :meth:`render`: a fresh tree on every call, so no node
+        object is ever spliced into the kernel twice."""
+
+        eclass_id = self.egraph.find(eclass_id)
+        if eclass_id in self.available_temps:
+            return C.Ident(self.temps.name_for(eclass_id))
+        return self.build_definition(eclass_id)
+
+    def build_definition(self, eclass_id: int) -> C.Expr:
+        """The AST of :meth:`render_definition` (equal to parsing it)."""
+
+        eclass_id = self.egraph.find(eclass_id)
+        node = self.choices.get(eclass_id)
+        if node is None:
+            raise KeyError(f"e-class {eclass_id} has no selected node")
+        return self._build_node(node)
+
+    def _build_node(self, node: ENode) -> C.Expr:
+        op = node.op
+        build = self.build
+        children = node.children
+        if op == "num":
+            return _number_node(node.payload)
+        if op in ("sym", "phi", "phi-loop"):
+            return _name_node(str(node.payload))
+        if op == "load":
+            template = str(node.payload)
+            parsed = self.templates.get(template)
+            if parsed is None:
+                parsed = self.templates[template] = _parse_template(template)
+            tree, slots = parsed
+            return self._instantiate(tree, slots, children[1:])
+        if op == "store":
+            return build(children[-1])
+        if op == "neg":
+            return C.UnaryOp("-", build(children[0]))
+        if op == "fma":
+            a, b, c = children
+            return C.BinOp("+", build(a), C.BinOp("*", build(b), build(c)))
+        if op == "call":
+            return C.Call(_name_node(str(node.payload)), [build(c) for c in children])
+        if op == "cast":
+            return C.Cast(str(node.payload), build(children[0]))
+        if op == "ternary":
+            cond, then, other = children
+            return C.Ternary(build(cond), build(then), build(other))
+        if op == "member":
+            return C.Member(build(children[0]), str(node.payload))
+        if op == "addr":
+            return C.UnaryOp("&", build(children[0]))
+        if op in ("min", "max"):
+            a, b = children
+            test = C.BinOp("<" if op == "min" else ">", build(a), build(b))
+            return C.Ternary(test, build(a), build(b))
+        if op in ("!", "~"):
+            return C.UnaryOp(op, build(children[0]))
+        if len(children) == 2 and op in C.BINARY_OPS:
+            lhs, rhs = children
+            return C.BinOp(op, build(lhs), build(rhs))
+        raise RenderError(f"cannot render e-node {node}")
+
+    def _instantiate(
+        self, node: C.Expr, slots: Dict[str, int], index: Sequence[int]
+    ) -> C.Expr:
+        """A fresh copy of template *node* with its slots built from *index*."""
+
+        if type(node) is C.Ident and node.name in slots:
+            return self.build(index[slots[node.name]])
+        fields = {}
+        for name, value in vars(node).items():
+            if isinstance(value, C.Node):
+                value = self._instantiate(value, slots, index)
+            elif isinstance(value, list):
+                value = [
+                    self._instantiate(v, slots, index) if isinstance(v, C.Node) else v
+                    for v in value
+                ]
+            fields[name] = value
+        return type(node)(**fields)
 
     # ------------------------------------------------------------------
 

@@ -4,7 +4,8 @@ The only transformation is structural: every loop body and branch of an
 ``if`` becomes a :class:`~repro.frontend.cast.Block`, so that later passes
 (SSA construction and temporary-variable insertion) always have a real
 statement list to splice generated declarations into.  The printed code is
-semantically identical; only braces are added.
+semantically identical; only braces are added.  The walk visits statements
+only: an expression can never contain a statement, so it is never entered.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ def normalize_blocks(node: C.Node) -> C.Node:
     """
 
     for child in list(node.children()):
-        normalize_blocks(child)
+        if not isinstance(child, C.Expr):
+            normalize_blocks(child)
 
     if isinstance(node, C.If):
         node.then = _as_block(node.then)

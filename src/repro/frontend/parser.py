@@ -22,7 +22,9 @@ from repro.frontend import cast as C
 from repro.frontend.lexer import Token, TokenKind, tokenize
 from repro.frontend.pragma import parse_pragma
 
-__all__ = ["ParseError", "Parser", "parse", "parse_expression", "parse_statement"]
+__all__ = [
+    "ParseError", "Parser", "make_number", "parse", "parse_expression", "parse_statement",
+]
 
 
 class ParseError(ValueError):
@@ -528,7 +530,7 @@ class Parser:
         token = self._peek()
         if token.kind is TokenKind.NUMBER:
             self._advance()
-            return _make_number(token)
+            return make_number(token.text, token.line)
         if token.kind is TokenKind.STRING or token.kind is TokenKind.CHAR:
             self._advance()
             return C.StringLit(token.text, token.line)
@@ -543,10 +545,9 @@ class Parser:
         raise self._error("expected expression")
 
 
-def _make_number(token: Token) -> C.Number:
-    """Build a Number node, preserving the literal spelling."""
+def make_number(text: str, line: int = 0) -> C.Number:
+    """Build a Number node from a numeric literal, preserving its spelling."""
 
-    text = token.text
     stripped = text.rstrip("fFlLuU")
     is_float = (
         "." in stripped
@@ -560,7 +561,7 @@ def _make_number(token: Token) -> C.Number:
         value = float(stripped)
     else:
         value = int(stripped)
-    return C.Number(text, value, is_float, token.line)
+    return C.Number(text, value, is_float, line)
 
 
 # ---------------------------------------------------------------------------
