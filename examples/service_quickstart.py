@@ -15,9 +15,9 @@ duplicate-heavy traffic: in-flight **coalescing** (identical concurrent
 submissions share one pipeline run) and the **artifact cache** (identical
 later submissions skip the pipeline entirely), plus the fault-tolerance
 layer (PR 6): per-job **deadlines** with graceful degradation — a job
-whose deadline trips mid-saturation finishes from its best anytime
-snapshot and resolves with a ``degraded=True`` artifact instead of
-failing.
+whose deadline trips mid-saturation finishes extraction and codegen at
+that iteration boundary and resolves with a ``degraded=True`` artifact
+instead of failing.
 
 Section 5 switches to the **supervised process workers** (PR 8,
 ``executor="process"``): each job runs in a worker process, and a worker

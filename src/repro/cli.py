@@ -83,7 +83,10 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--iter-limit", type=int, default=10,
                         help="iteration limit for saturation (default 10)")
     parser.add_argument("--time-limit", type=float, default=10.0,
-                        help="saturation time limit in seconds (default 10)")
+                        help="saturation time limit in seconds (default 10); a "
+                             "limit that binds stops at an iteration boundary "
+                             "and returns a degraded result that is never "
+                             "cached")
     parser.add_argument(
         "--scheduler",
         default="simple",
@@ -339,8 +342,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None,
         help="per-job deadline in seconds from submission: a job still "
              "queued past it fails, a running one stops saturating at the "
-             "next iteration boundary and returns its best anytime snapshot "
-             "as a degraded result (enable --anytime for that fallback)",
+             "next iteration boundary and returns a degraded result",
     )
     parser.add_argument(
         "--max-queue", type=int, default=None,

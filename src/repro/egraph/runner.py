@@ -7,11 +7,14 @@ and rebuilds the e-graph, until one of the stopping conditions is reached:
   fixed point of the rule set) while the scheduler curtailed nothing,
 * **node limit** — the e-graph grew past ``node_limit`` e-nodes,
 * **iteration limit** — ``iter_limit`` iterations executed,
-* **time limit** — wall-clock budget exhausted.  The budget is checked at
-  the top of every iteration *and* between the search, apply and rebuild
-  phases, so one slow phase cannot blow far past ``time_limit``,
 * **cost plateau** — with anytime extraction enabled (see below), the
-  extracted cost stopped improving.
+  extracted cost stopped improving,
+* **deadline** — ``time_limit`` seconds passed, or the caller's
+  :class:`CancellationToken` expired (**cancelled** when it was
+  cancelled).  ``time_limit`` is one more token, polled with the caller's
+  at iteration boundaries only, so a phase is never cut short: a budget
+  stop leaves the e-graph an iteration-limit stop at that boundary would,
+  and the pipeline ships it ``degraded``, never cached.
 
 The defaults mirror the paper's §VII settings: 10,000 e-nodes, 10
 iterations and 10 seconds of saturation time.
@@ -92,12 +95,12 @@ class StopReason(enum.Enum):
     SATURATED = "saturated"
     NODE_LIMIT = "node_limit"
     ITER_LIMIT = "iter_limit"
-    TIME_LIMIT = "time_limit"
     #: Anytime extraction saw no cost improvement for ``patience``
     #: consecutive evaluations (see :class:`AnytimeExtraction`).
     COST_PLATEAU = "cost_plateau"
-    #: A :class:`CancellationToken` deadline expired (the run stopped
-    #: cooperatively at the next iteration boundary).
+    #: A :class:`CancellationToken` deadline — the caller's, or the
+    #: ``time_limit`` budget — expired (the run stopped cooperatively at
+    #: the next iteration boundary).
     DEADLINE = "deadline"
     #: A :class:`CancellationToken` was explicitly cancelled.
     CANCELLED = "cancelled"
@@ -331,15 +334,13 @@ class AnytimeExtraction:
     memo: Optional["ExtractionMemo"] = None
     #: Extraction time limit (only the ILP method enforces it).
     time_limit: float = 30.0
-    #: Keep the best in-loop :class:`~repro.egraph.extract.ExtractionResult`
-    #: alive (not just its cost) so downstream stages can ship the
-    #: best-seen selection after a plateau stop even when the final greedy
-    #: extraction regresses.  The snapshot's class ids are frozen at the
-    #: iteration that produced it; rebase them against later merges with
-    #: :func:`~repro.egraph.extract.resolve_result` before consuming it.
-    keep_best: bool = True
     #: Best in-loop extraction so far (filled in by the runner; read-only —
-    #: the object may be shared with the memo's result cache).
+    #: the object may be shared with the memo's result cache).  The whole
+    #: selection is kept, not just its cost, so downstream stages can ship
+    #: it after a plateau stop even when the final greedy extraction
+    #: regresses.  Its class ids are frozen at the iteration that produced
+    #: it; rebase them against later merges with
+    #: :func:`~repro.egraph.extract.resolve_result` before consuming it.
     best_result: Optional["ExtractionResult"] = None
 
     def validate(self) -> None:
@@ -668,13 +669,9 @@ class Runner:
         if self._best_cost is None or cost < self._best_cost - 1e-12:
             self._best_cost = cost
             self._stale_evals = 0
-            if anytime.keep_best:
-                # snapshot the whole selection, not just its cost: a
-                # plateau stop can then ship this result even when the
-                # final greedy extraction regresses.  The class ids are
-                # canonical *now*; consumers rebase them against later
-                # merges (extract.resolve_result).
-                anytime.best_result = result
+            # the class ids are canonical *now*; consumers rebase them
+            # against later merges (extract.resolve_result)
+            anytime.best_result = result
         else:
             self._stale_evals += 1
         # the column records the best cost seen so far (monotone
@@ -701,19 +698,21 @@ class Runner:
         self._stale_evals = 0
         if self.anytime is not None:
             self.anytime.best_result = None
+        budget = CancellationToken(timeout=limits.time_limit)
+        caller = self.cancellation
+
+        def boundary_stop() -> Optional[StopReason]:
+            # the caller's cancel, then its deadline, then the budget
+            return (caller is not None and caller.tripped()) or budget.tripped()
 
         stop: Optional[StopReason] = None
         for iteration in range(limits.iter_limit):
-            if time.perf_counter() - start > limits.time_limit:
-                stop = StopReason.TIME_LIMIT
-                break
             if len(egraph) > limits.node_limit:
                 stop = StopReason.NODE_LIMIT
                 break
-            if self.cancellation is not None:
-                stop = self.cancellation.tripped()
-                if stop is not None:
-                    break
+            stop = boundary_stop()
+            if stop is not None:
+                break
 
             scheduler.begin_iteration(iteration)
             tracer = self.tracer
@@ -728,49 +727,13 @@ class Runner:
             t0 = time.perf_counter()
             all_matches = self._search_phase(iteration, stats)
             t1 = time.perf_counter()
-
-            if t1 - start > limits.time_limit:
-                # the search phase alone blew the budget: record it and stop
-                # without applying (the found matches were never committed,
-                # so the per-rule scan stamps stay untouched)
-                row = IterationReport(
-                    index=iteration,
-                    applied=0,
-                    egraph_nodes=len(egraph),
-                    egraph_classes=egraph.num_classes,
-                    search_time=t1 - t0,
-                    apply_time=0.0,
-                    rebuild_time=0.0,
-                )
-                report.iterations.append(row)
-                if it_span is not None:
-                    tracer.record_span("search", t0, t1, parent=it_span)
-                    it_span.end(applied=0, nodes=len(egraph),
-                                timed_out=True)
-                if self.on_iteration is not None:
-                    self.on_iteration(row)
-                stop = StopReason.TIME_LIMIT
-                break
-
             applied = self._apply_phase(all_matches, scan_version, stats)
             t2 = time.perf_counter()
-            timed_out = t2 - start > limits.time_limit
-
-            # always rebuild, even when over budget — callers must never see
-            # a half-canonicalised e-graph
             egraph.rebuild()
             t3 = time.perf_counter()
 
             scheduler.end_iteration(iteration, applied)
-            if timed_out:
-                # already over the wall-clock budget: skip the in-loop
-                # extraction (it could blow far past the limit) and let
-                # the TIME_LIMIT stop below win
-                extracted_cost, plateaued = None, False
-            else:
-                extracted_cost, plateaued = self._anytime_evaluate(
-                    iteration, report
-                )
+            extracted_cost, plateaued = self._anytime_evaluate(iteration, report)
 
             row = IterationReport(
                 index=iteration,
@@ -804,15 +767,12 @@ class Runner:
             if plateaued:
                 stop = StopReason.COST_PLATEAU
                 break
-            if self.cancellation is not None:
-                # checked after the anytime evaluation so that a tripped
-                # deadline stops at exactly the state a plateau stop at
-                # this boundary would have seen — the degradation contract
-                stop = self.cancellation.tripped()
-                if stop is not None:
-                    break
-            if timed_out or time.perf_counter() - start > limits.time_limit:
-                stop = StopReason.TIME_LIMIT
+            # polled after the anytime evaluation so that a tripped
+            # deadline stops at exactly the state a plateau or iteration-
+            # limit stop at this boundary would have seen — the
+            # degradation contract
+            stop = boundary_stop()
+            if stop is not None:
                 break
             if len(egraph) > limits.node_limit:
                 stop = StopReason.NODE_LIMIT

@@ -56,10 +56,10 @@ class KernelReport:
     #: when the extraction stage ran with a shared
     #: :class:`~repro.egraph.extract.ExtractionMemo`; None otherwise.
     extraction_memo: Optional[Dict[str, int]] = None
-    #: True when a deadline stopped saturation early and the artifact was
-    #: built from the best-so-far anytime snapshot (graceful degradation).
-    #: The code is still correct — just not saturated as deep as asked —
-    #: and degraded artifacts are never stored in shared caches.
+    #: True when a deadline — the caller's or the ``time_limit`` budget —
+    #: stopped saturation early at an iteration boundary (graceful
+    #: degradation).  The code is still correct — just not saturated as
+    #: deep as asked — and degraded artifacts are never stored in caches.
     degraded: bool = False
 
     @property
@@ -112,7 +112,7 @@ class OptimizationResult:
 
     @property
     def degraded(self) -> bool:
-        """True when any kernel was built from a deadline-degraded snapshot."""
+        """True when a deadline stopped any kernel's saturation early."""
 
         return any(k.degraded for k in self.kernels)
 

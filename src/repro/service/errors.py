@@ -38,10 +38,9 @@ class ServiceOverloadedError(ServiceError):
 
 
 class JobDeadlineError(ServiceError):
-    """A job's deadline expired with nothing correct to return — either
-    before the job ever started, or mid-saturation with no anytime
-    snapshot to degrade to.  Permanent: retrying an expired job cannot
-    un-expire it."""
+    """A job's deadline expired before the job ever started (a running
+    job's deadline degrades its result instead).  Permanent: retrying an
+    expired job cannot un-expire it."""
 
 
 class TransientError(ServiceError):

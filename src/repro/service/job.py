@@ -84,8 +84,8 @@ class OptimizationRequest:
     name_prefix: str = "kernel"
     #: Seconds from submission until the job's deadline: past it, a
     #: queued job fails with ``JobDeadlineError`` at pickup, and a running
-    #: one stops saturating at the next iteration boundary — returning
-    #: its best anytime snapshot (``degraded=True``) when one exists.
+    #: one stops saturating at the next iteration boundary and resolves
+    #: with a ``degraded=True`` artifact built from that boundary.
     #: The deadline is *not* part of the coalescing key: followers share
     #: the primary submission's deadline.  ``None`` means no deadline.
     deadline: Optional[float] = None

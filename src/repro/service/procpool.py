@@ -116,10 +116,11 @@ def _child_main(
 
     * ``("progress", task_id, IterationReport)`` — one per saturation
       iteration; doubles as the heartbeat,
-    * ``("done", task_id, OptimizationResult, from_cache)``,
-    * ``("cancelled", task_id, message)`` / ``("deadline", task_id,
-      message)`` — the cooperative stops, mapped back to their exception
-      types parent-side,
+    * ``("done", task_id, OptimizationResult, from_cache)`` — including a
+      deadline stop, which is a ``degraded`` result, not a failure,
+    * ``("cancelled", task_id, message)`` — the cooperative cancel, mapped
+      back to :class:`~repro.session.stages.SaturationCancelled`
+      parent-side,
     * ``("error", task_id, pickled_exc | None, type_name, message,
       transient)`` — any other failure; the original exception rides
       along when it pickles.
@@ -136,7 +137,7 @@ def _child_main(
     from repro.session.cache import DiskCache, MemoryCache, TieredCache
     from repro.session.executor import _worker_cache_init
     from repro.session.session import OptimizationSession
-    from repro.session.stages import DeadlineExceeded, SaturationCancelled
+    from repro.session.stages import SaturationCancelled
 
     if cache_dir:
         # the PR 3 handoff: export REPRO_CACHE_DIR and rebind any already
@@ -202,8 +203,6 @@ def _child_main(
             os._exit(CRASH_EXIT_CODE)
         except SaturationCancelled as error:
             terminal = ("cancelled", task.task_id, str(error))
-        except DeadlineExceeded as error:
-            terminal = ("deadline", task.task_id, str(error))
         except BaseException as error:  # ship it; the parent re-raises
             try:
                 payload: Optional[bytes] = pickle.dumps(error)
@@ -396,11 +395,10 @@ class ProcessWorkerPool:
         """Run one attempt on a leased worker; supervise until terminal.
 
         Returns ``(result, from_cache)``; raises the child's cooperative
-        stops (:class:`~repro.session.stages.SaturationCancelled` /
-        :class:`~repro.session.stages.DeadlineExceeded`) and failures as
-        the exceptions the service's worker loop already classifies, and
-        :class:`~repro.service.errors.WorkerDiedError` when the worker
-        died or hung — after respawning its replacement.
+        cancel (:class:`~repro.session.stages.SaturationCancelled`) and
+        failures as the exceptions the service's worker loop already
+        classifies, and :class:`~repro.service.errors.WorkerDiedError`
+        when the worker died or hung — after respawning its replacement.
         """
 
         if not self._started or self._stopped:
@@ -541,15 +539,13 @@ class ProcessWorkerPool:
     ) -> Tuple["OptimizationResult", bool]:
         """Turn the terminal message into a return value or an exception."""
 
-        from repro.session.stages import DeadlineExceeded, SaturationCancelled
+        from repro.session.stages import SaturationCancelled
 
         tag = outcome[0]
         if tag == "done":
             return outcome[2], outcome[3]
         if tag == "cancelled":
             raise SaturationCancelled(outcome[2])
-        if tag == "deadline":
-            raise DeadlineExceeded(outcome[2])
         assert tag == "error", f"unexpected worker message tag {tag!r}"
         _, _, payload, type_name, text, transient = outcome
         error: Optional[BaseException] = None

@@ -27,11 +27,12 @@ The fault-tolerance layer (PR 6) adds four defenses:
   trips: a still-queued job fails with
   :class:`~repro.service.errors.JobDeadlineError` at pickup; a running
   one stops saturating at the next iteration boundary and **degrades
-  gracefully** — extraction/codegen finish from the best anytime snapshot
-  and the job resolves with a ``degraded=True`` artifact (byte-identical
-  to a plateau stop at the same boundary, and never stored in the shared
-  artifact cache).  With no snapshot the job fails with
-  ``JobDeadlineError``.
+  gracefully** — extraction/codegen finish on that boundary's e-graph
+  (with the best anytime snapshot as a candidate when one exists) and the
+  job resolves with a ``degraded=True`` artifact (byte-identical to an
+  iteration-limit stop at the same boundary, and never stored in the
+  shared artifact cache).  The config's ``time_limit`` budget stops and
+  degrades the same way.
 * **backpressure + load shedding** — a bounded queue (``max_queue``) plus
   an ``overload_policy``: ``"block"`` (wait for space, optionally bounded
   by ``submit_timeout``), ``"reject"``
@@ -84,7 +85,7 @@ from repro.service.stats import ServiceStats
 from repro.session.cache import MISS, ArtifactCache, MemoryCache
 from repro.session.fingerprint import CacheKey
 from repro.session.session import OptimizationSession, _cache_dir_of
-from repro.session.stages import DeadlineExceeded, SaturationCancelled
+from repro.session.stages import SaturationCancelled
 
 __all__ = ["OptimizationService"]
 
@@ -712,12 +713,6 @@ class OptimizationService:
             if stragglers:
                 self.stats.count("cancelled", stragglers)
             return
-        except DeadlineExceeded as error:
-            # tripped mid-run with no anytime snapshot: nothing correct to
-            # degrade to, so the deadline is a (permanent) failure
-            self.stats.count("expired")
-            self._fail_job(job, JobDeadlineError(str(error)))
-            return
         except Exception as error:
             if (
                 is_transient(error)
@@ -853,8 +848,9 @@ class OptimizationService:
         the ``cache:get`` fault site) identical to the thread path; on a
         miss the child runs the pipeline against its own session — warm
         via the shared disk tier when the service cache has one — and the
-        non-degraded artifact is stored parent-side so memory-only caches
-        work too.  Degraded artifacts are never stored on either side.
+        artifact is stored parent-side through the session's store rule,
+        so memory-only caches work too.  Degraded artifacts are never
+        stored on either side.
         """
 
         assert self._pool is not None
@@ -933,6 +929,5 @@ class OptimizationService:
             raise TransientError(
                 f"result of task {task.task_id} dropped in IPC (injected)"
             )
-        if cache is not None and not result.degraded:
-            cache.put(job.key, result)
+        self.session._store(job.key, result)
         return result, from_cache

@@ -37,9 +37,11 @@ class ServiceStats:
       instead of a handle; **not** counted in ``submitted``),
     * ``shed`` — queued jobs evicted as load-shedding victims (their
       handles count under ``failed``),
-    * ``expired`` — jobs failed by a deadline
-      (:class:`~repro.service.errors.JobDeadlineError`),
-    * ``degraded`` — jobs resolved from a deadline-degraded artifact,
+    * ``expired`` — queued jobs whose deadline passed before pickup, failed
+      with :class:`~repro.service.errors.JobDeadlineError`,
+    * ``degraded`` — jobs resolved from a deadline-degraded artifact (a
+      running job's deadline or its config's ``time_limit`` stopped
+      saturation),
     * ``retried`` — transient-failure requeues (one per retry attempt),
     * ``recovered`` — jobs that completed after at least one retry.
 

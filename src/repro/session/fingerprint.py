@@ -52,7 +52,13 @@ __all__ = [
 #: and an older dict-state pickle cannot load into a slotted class at all;
 #: re-keying makes every older disk entry a clean miss instead of a
 #: quarantined "corrupt" hit.
-ENGINE_SCHEMA = "records-v5"
+#: deadline-v6: ``RunnerLimits.time_limit`` became a boundary deadline
+#: whose stops are degraded and never cached, and ``StopReason.TIME_LIMIT``
+#: is gone.  Older disk entries may be truncated time-limit stops served
+#: as if saturated, and a pickle naming ``StopReason("time_limit")`` would
+#: no longer load (quarantined as "corrupt"); re-keying makes both a clean
+#: miss.
+ENGINE_SCHEMA = "deadline-v6"
 
 
 def fingerprint_text(text: str) -> str:

@@ -155,11 +155,11 @@ class OptimizationSession:
         (whose reports carry no ``from_cache`` flags) — the optimization
         service's hit/run accounting depends on that.
 
-        A run whose deadline tripped mid-saturation may return a
-        **degraded** result (``result.degraded``) built from the anytime
-        snapshot; degraded artifacts are *never* stored in the cache, so
-        they can't shadow the full artifact a later unconstrained run
-        produces.
+        A run whose deadline — ``cancellation``'s or the config's
+        ``time_limit`` budget — tripped mid-saturation returns a
+        **degraded** result (``result.degraded``); degraded artifacts are
+        *never* stored in the cache (see :meth:`_store`), so they can't
+        shadow the full artifact a later unconstrained run produces.
 
         ``tracer``/``trace_parent`` thread a :class:`repro.obs.Tracer`
         into a cold run.  Like ``on_iteration``, the tracer is strictly
@@ -184,8 +184,7 @@ class OptimizationSession:
             source, config, name_prefix, on_iteration, cancellation,
             fault_hook, tracer, trace_parent,
         )
-        if not result.degraded:
-            self.cache.put(key, result)
+        self._store(key, result)
         return result, False
 
     # ------------------------------------------------------------------
@@ -201,7 +200,8 @@ class OptimizationSession:
 
         Cached artifacts are returned directly; only cold items are
         submitted to the executor.  Results come back in input order, and
-        cold results are stored so later batches (and :meth:`run`) hit.
+        cold results are stored (unless degraded — see :meth:`_store`) so
+        later batches (and :meth:`run`) hit.
         """
 
         config = config or self.config
@@ -238,8 +238,7 @@ class OptimizationSession:
                     [(source, config, name_prefix) for _, source, name_prefix in cold],
                 )
             for (index, source, name_prefix), result in zip(cold, computed):
-                if self.cache is not None:
-                    self.cache.put(self.key_for(source, config, name_prefix), result)
+                self._store(self.key_for(source, config, name_prefix), result)
                 results[index] = result
         return results  # type: ignore[return-value]
 
@@ -278,6 +277,14 @@ class OptimizationSession:
             tracer=tracer,
             trace_parent=trace_parent,
         )
+
+    def _store(self, key: CacheKey, result: OptimizationResult) -> None:
+        """The one store rule for cold results: a degraded artifact — a
+        deadline or ``time_limit`` stop — is never cached, so the cache
+        only ever holds pure functions of (source, config)."""
+
+        if self.cache is not None and not result.degraded:
+            self.cache.put(key, result)
 
     @staticmethod
     def _mark_cached(result: OptimizationResult) -> OptimizationResult:

@@ -60,7 +60,6 @@ from repro.ssa import KernelSSA, build_ssa
 __all__ = [
     "CodegenStage",
     "DEFAULT_STAGES",
-    "DeadlineExceeded",
     "EGraphBuildStage",
     "ExtractionStage",
     "FaultHook",
@@ -81,16 +80,6 @@ FaultHook = Callable[[str], None]
 
 class StageError(RuntimeError):
     """A stage ran before one of its required artifacts was produced."""
-
-
-class DeadlineExceeded(RuntimeError):
-    """A deadline tripped before any anytime snapshot existed.
-
-    Raised by :class:`SaturationStage` when the cancellation token stopped
-    the runner with :attr:`~repro.egraph.runner.StopReason.DEADLINE` and
-    there is no best-so-far extraction to degrade to — the pipeline has
-    nothing correct to ship, so the kernel (and the job above it) fails.
-    """
 
 
 class SaturationCancelled(RuntimeError):
@@ -138,9 +127,9 @@ class StageContext:
     #: saturation loop's iteration spans nest under ``stage:saturate``.
     trace_span: Optional[str] = None
     #: Best in-loop extraction snapshot (set by :class:`SaturationStage`
-    #: when anytime extraction ran with ``keep_best``); its class ids are
-    #: canonical at the iteration that produced it, so consumers rebase
-    #: them with :func:`~repro.egraph.extract.resolve_result`.
+    #: when anytime extraction ran); its class ids are canonical at the
+    #: iteration that produced it, so consumers rebase them with
+    #: :func:`~repro.egraph.extract.resolve_result`.
     anytime_best: Optional[ExtractionResult] = None
     #: Wall-clock seconds per stage name (accumulated by :func:`run_stages`).
     stage_times: Dict[str, float] = field(default_factory=dict)
@@ -232,6 +221,14 @@ class SaturationStage(Stage):
     downstream :class:`ExtractionStage` reuses the warm DP table — and,
     when the loop stopped right after an evaluation, the final extraction
     is a whole-result cache hit.
+
+    A :attr:`~repro.egraph.runner.StopReason.DEADLINE` stop — the job's
+    deadline or the ``time_limit`` budget — **degrades**: the loop stopped
+    at an iteration boundary with the e-graph canonical, so extraction and
+    codegen proceed normally and the artifact is byte-identical to an
+    iteration-limit stop at that boundary, only flagged
+    ``report.degraded`` (and never cached).  A cancelled run raises
+    :class:`SaturationCancelled`.
     """
 
     name = "saturate"
@@ -273,18 +270,7 @@ class SaturationStage(Stage):
                 raise SaturationCancelled(
                     f"kernel {ctx.name!r} cancelled mid-saturation"
                 )
-            if stop is StopReason.DEADLINE:
-                if ctx.anytime_best is None:
-                    raise DeadlineExceeded(
-                        f"kernel {ctx.name!r}: deadline tripped with no "
-                        f"anytime snapshot to degrade to"
-                    )
-                # Degrade gracefully: the loop stopped at an iteration
-                # boundary where the e-graph and the anytime snapshot are
-                # exactly what a plateau stop at the same boundary would
-                # hold, so downstream extraction/codegen proceed normally
-                # and the artifact is byte-identical — just flagged.
-                ctx.report.degraded = True
+            ctx.report.degraded = stop is StopReason.DEADLINE
         ctx.report.egraph_nodes = len(ctx.egraph)
         ctx.report.egraph_classes = ctx.egraph.num_classes
 

@@ -267,16 +267,18 @@ class TestProfiler:
 
 
 class TestTimeLimits:
-    def test_time_limit_checked_between_phases(self):
-        """A slow search phase stops the runner with TIME_LIMIT instead of
-        running a full extra apply/rebuild round."""
+    def test_time_limit_stops_at_an_iteration_boundary(self):
+        """A slow search phase is a deadline at the next iteration
+        boundary: the iteration it slowed completes, no further one runs."""
 
         eg = EGraph()
         for i in range(4):
             eg.add_term(op("+", sym(f"a{i}"), sym(f"b{i}")))
         rule = _SlowSearch("slow-comm", parse_pattern("(+ ?a ?b)"), parse_pattern("(+ ?b ?a)"))
         report = Runner(eg, [rule], RunnerLimits(10_000, 50, 0.05)).run()
-        assert report.stop_reason is StopReason.TIME_LIMIT
+        assert report.stop_reason is StopReason.DEADLINE
+        assert report.num_iterations == 1
+        assert report.iterations[0].applied == 4
         assert report.total_time < 1.0
 
     def test_zero_iterations_when_budget_already_blown(self):
@@ -284,5 +286,5 @@ class TestTimeLimits:
         eg.add_term(op("+", sym("a"), sym("b")))
         limits = RunnerLimits(10_000, 5, 1e-9)
         report = Runner(eg, default_ruleset(), limits).run()
-        assert report.stop_reason is StopReason.TIME_LIMIT
+        assert report.stop_reason is StopReason.DEADLINE
         assert report.num_iterations == 0

@@ -64,16 +64,6 @@ class TestRunnerSnapshot:
         assert hook.best_result is not None
         assert hook.best_result.dag_cost == min(costs)
 
-    def test_keep_best_false_skips_the_snapshot(self):
-        eg, root = _bench_egraph()
-        hook = AnytimeExtraction(
-            roots=[root], cost_model=AccSaturatorCostModel(),
-            interval=1, patience=10**6, keep_best=False,
-        )
-        Runner(eg, default_ruleset(), RunnerLimits(500, 4, 300.0),
-               anytime=hook).run()
-        assert hook.best_result is None
-
     def test_snapshot_resets_between_runs(self):
         eg, root = _bench_egraph()
         hook = AnytimeExtraction(

@@ -1,11 +1,10 @@
 """Deadline degradation at the pipeline/session layer.
 
 The degradation contract: a deadline that trips at iteration boundary k
-(with anytime extraction holding a snapshot) produces an artifact
-**byte-identical** to an iteration-limit/plateau stop at the same
-boundary, flagged ``degraded=True`` — and a degraded artifact is never
-stored in the session's shared cache.  With no snapshot to degrade to,
-the pipeline raises :class:`DeadlineExceeded`; an explicit cancel raises
+produces an artifact **byte-identical** to an iteration-limit stop at the
+same boundary, with or without anytime extraction, flagged
+``degraded=True`` — and a degraded artifact is never stored in the
+session's shared cache.  An explicit cancel raises
 :class:`SaturationCancelled`.
 """
 
@@ -15,9 +14,11 @@ import pickle
 import pytest
 
 from repro.egraph.runner import CancellationToken, RunnerLimits, StopReason
+from repro.frontend import parse_statement
+from repro.interp import verify_equivalence
 from repro.saturator import SaturatorConfig, Variant, optimize_source
 from repro.session import MemoryCache, OptimizationSession
-from repro.session.stages import DeadlineExceeded, SaturationCancelled
+from repro.session.stages import SaturationCancelled
 
 #: Deep enough to saturate only after ~5 iterations, so boundaries 0-2
 #: all trip the deadline before any natural stop can outrank it.
@@ -48,11 +49,15 @@ def _expiring_token(at_iteration: int) -> "tuple[CancellationToken, callable]":
 
 
 class TestDegradedDeterminism:
-    @pytest.mark.parametrize("boundary", [0, 1, 2])
-    def test_deadline_artifact_equals_iter_limit_artifact(self, boundary):
+    @pytest.mark.parametrize("boundary, anytime", [
+        *(pytest.param(k, True, id=str(k)) for k in range(3)),
+        *(pytest.param(k, False, id=f"no-anytime-{k}") for k in range(3)),
+    ])
+    def test_deadline_artifact_equals_iter_limit_artifact(self, boundary, anytime):
+        config = dataclasses.replace(CONFIG, anytime_extraction=anytime)
         token, hook = _expiring_token(boundary)
         degraded = optimize_source(
-            SOURCE, CONFIG, cancellation=token, on_iteration=hook
+            SOURCE, config, cancellation=token, on_iteration=hook
         )
         assert degraded.degraded
         report = degraded.kernels[0]
@@ -63,7 +68,7 @@ class TestDegradedDeterminism:
         limited = optimize_source(
             SOURCE,
             dataclasses.replace(
-                CONFIG, limits=RunnerLimits(4000, boundary + 1, 60.0)
+                config, limits=RunnerLimits(4000, boundary + 1, 60.0)
             ),
         )
         assert not limited.degraded
@@ -84,20 +89,28 @@ class TestDegradedDeterminism:
 
 
 class TestDeadlineWithoutSnapshot:
-    def test_pre_expired_token_raises_deadline_exceeded(self):
+    def test_pre_expired_token_degrades_to_the_built_egraph(self):
         # the token trips at the top of iteration 0, before any anytime
-        # evaluation: nothing to degrade to
+        # evaluation: extraction runs on the freshly built e-graph
         token = CancellationToken()
         token.expire()
-        with pytest.raises(DeadlineExceeded):
-            optimize_source(SOURCE, CONFIG, cancellation=token)
+        result = optimize_source(SOURCE, CONFIG, cancellation=token)
+        assert result.degraded
+        runner = result.kernels[0].runner
+        assert runner.stop_reason is StopReason.DEADLINE
+        assert runner.iterations == []
+        check = verify_equivalence(
+            parse_statement(SOURCE), parse_statement(result.code), trials=2
+        )
+        assert check.passed, check.message
 
-    def test_no_anytime_extraction_means_no_degradation(self):
+    def test_deadline_without_anytime_extraction_still_degrades(self):
         config = dataclasses.replace(CONFIG, anytime_extraction=False)
         token, hook = _expiring_token(0)
-        with pytest.raises(DeadlineExceeded):
-            optimize_source(config=config, source=SOURCE,
-                            cancellation=token, on_iteration=hook)
+        result = optimize_source(config=config, source=SOURCE,
+                                 cancellation=token, on_iteration=hook)
+        assert result.degraded
+        assert result.kernels[0].runner.stop_reason is StopReason.DEADLINE
 
     def test_explicit_cancel_raises_saturation_cancelled(self):
         token = CancellationToken()

@@ -184,15 +184,16 @@ class TestFingerprintMemo:
         assert not wrong
 
     def test_schema_and_digests_are_what_disk_caches_were_written_with(self):
-        """Disk entries written before the memo existed must still hit."""
+        """Disk entries written under this schema must still hit (the pins
+        move only with an ``ENGINE_SCHEMA`` bump)."""
 
-        assert fingerprint_module.ENGINE_SCHEMA == "records-v5"
+        assert fingerprint_module.ENGINE_SCHEMA == "deadline-v6"
         assert fingerprint_config(SaturatorConfig()) == (
-            "a6e3f7ffbb5156d09149af0b562614d7fa3ad07f9ffe203bc9740800eb3a16dc"
+            "61b5ff89da1a94242e225739a0234569be5ad8c38d943a4aeb31e246b0b8217a"
         )
         key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
         assert key.digest == (
-            "2871881dc54ec983ec9a43ae0493343f266723f515a47c141178e2ab42a0749e"
+            "ee35cf792cf47f6c7c41592dbf370d7c5bd55e6c759040c411b2f819ec7c629b"
         )
 
 
