@@ -23,11 +23,6 @@ through a session with an artifact cache (vs ``pipeline_variants_cold``
 without one).  The cache hit/miss counters and memo statistics behind
 those rows are recorded under ``"cache"``.
 
-The ``executors`` section (PR 5) times the full figure-sweep pipeline
-workload — both configs of every kernel in both suites, cold — through the
-serial, thread and process batch executors, recording the thread-vs-process
-scaling the session architecture delivers on a whole sweep.
-
 The ``matching`` section times the relational (hash-join) e-matcher:
 every rule of the default ruleset plus a few deeper synthetic patterns is
 searched over the saturated micro e-graph, full and incremental
@@ -75,7 +70,6 @@ from repro.egraph import (
     extract_best,
 )
 from repro.egraph.language import op, sym
-from repro.experiments.common import EvaluationSettings, pipeline_workload
 from repro.frontend import parse_statement
 from repro.frontend.normalize import normalize_blocks
 from repro.rules import constant_folding_analysis, default_ruleset
@@ -270,32 +264,6 @@ def main(argv=None) -> int:
             cached_session.run(LU_JACLD_SOURCE, config.with_variant(v))
             for v in variants
         ]
-
-    # -- executor scaling on the figure-sweep workload (PR 5) --------------
-    # the full deduplicated pipeline workload behind the figure/table
-    # sweeps (two configs per kernel over both suites), run cold through
-    # each batch-executor backend.  Timed once per backend: the section
-    # records *scaling*, the per-stage medians above cover precision.
-    sweep = pipeline_workload(settings=EvaluationSettings())
-    sweep_groups = {}
-    for source, sweep_config, name in sweep:
-        sweep_groups.setdefault(sweep_config.variant, (sweep_config, []))
-        sweep_groups[sweep_config.variant][1].append((source, name))
-
-    def _executor_sweep(spec):
-        session = OptimizationSession(cache=None, executor=spec)
-        for sweep_config, items in sweep_groups.values():
-            session.run_many(items, sweep_config)
-
-    # at least two jobs, so the thread/process rows exercise real pools
-    # (and honestly record the GIL / pool-startup overheads) even on a
-    # single-core machine
-    executor_jobs = max(2, os.cpu_count() or 1)
-    executor_seconds = {}
-    for spec in ("serial", f"threads:{executor_jobs}", f"processes:{executor_jobs}"):
-        t0 = time.perf_counter()
-        _executor_sweep(spec)
-        executor_seconds[spec.split(":")[0]] = time.perf_counter() - t0
 
     # -- relational e-matching micro-benchmark ------------------------------
     # per rule, on the saturated micro e-graph, grouped by atom count so
@@ -549,25 +517,6 @@ def main(argv=None) -> int:
             "speedup_pipeline_anytime": (
                 results["saturation_large"] / results["pipeline_anytime"]
                 if results["pipeline_anytime"] > 0 else float("inf")
-            ),
-        },
-        # thread vs process executor scaling on the full figure-sweep
-        # pipeline workload (cold, uncached — every backend does identical
-        # work).  Threads document the GIL ceiling of CPU-bound pipeline
-        # batches; processes pay a pool-startup cost and then scale with
-        # cores — which is why the session forwards its disk cache tier to
-        # process fleets.
-        "executors": {
-            "workload_runs": len(sweep),
-            "jobs": executor_jobs,
-            "seconds": executor_seconds,
-            "speedup_threads": (
-                executor_seconds["serial"] / executor_seconds["threads"]
-                if executor_seconds["threads"] > 0 else float("inf")
-            ),
-            "speedup_processes": (
-                executor_seconds["serial"] / executor_seconds["processes"]
-                if executor_seconds["processes"] > 0 else float("inf")
             ),
         },
         # hit/miss counters behind the repeated-workload rows, and the

@@ -15,11 +15,13 @@ Examples::
     accsat --variant cse+bulk --report report.json nvc kernel.c
     accsat --emit-report-only --variant accsat kernel.c
     accsat --trace trace.json kernel.c
+    accsat -j 2 --executor process a.c b.c
 
-``accsat serve`` is the service mode: the input files become jobs of a
-concurrent :class:`~repro.service.OptimizationService` (duplicate inputs
-coalesce onto one pipeline run), per-iteration saturation progress can be
-streamed with ``--stream``, and the run ends with a service-stats summary::
+Both modes run every input file as a job of a concurrent
+:class:`~repro.service.OptimizationService` (duplicate inputs coalesce onto
+one pipeline run).  ``accsat serve`` adds the service's knobs:
+per-iteration saturation progress can be streamed with ``--stream``, and
+the run ends with a service-stats summary::
 
     accsat serve --workers 4 --anytime kernels/*.c
     accsat serve --workers 8 --cache-dir /tmp/cache --report stats.json a.c a.c b.c
@@ -33,10 +35,10 @@ orphaned job is requeued through the retry path, and the pool respawns.
 ``--trace FILE`` (both modes) writes a structured trace of the run: a
 JSONL span/event log at FILE (validated by ``benchmarks/check_trace.py``)
 plus a Chrome trace-event file next to it (``FILE`` ->
-``FILE.chrome.json``, loadable in chrome://tracing or Perfetto).  In
-serve mode the trace covers the full job lifecycle — queued, attempts,
-retries, degradation, injected faults — with worker spans collected
-across the process boundary; ``--report`` additionally embeds the
+``FILE.chrome.json``, loadable in chrome://tracing or Perfetto).  The
+trace covers the full job lifecycle — queued, attempts, retries,
+degradation, injected faults — with worker spans collected across the
+process boundary; in serve mode ``--report`` additionally embeds the
 unified ``MetricsRegistry.snapshot()`` under ``"metrics"``.  Tracing is
 strictly observational: outputs are byte-identical to an untraced run.
 """
@@ -52,7 +54,8 @@ from typing import List, Optional, Sequence
 from repro.egraph.runner import RunnerLimits
 from repro.egraph.schedule import make_scheduler
 from repro.saturator import SaturatorConfig, Variant
-from repro.session import DiskCache, OptimizationSession
+from repro.service import JobState, OptimizationService, ServiceOverloadedError
+from repro.session import DiskCache, MemoryCache, OptimizationSession, TieredCache
 
 __all__ = ["build_arg_parser", "build_serve_parser", "main", "serve_main"]
 
@@ -148,12 +151,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_config_options(parser)
     parser.add_argument(
         "--jobs", "-j", type=int, default=1,
-        help="optimize input files in parallel with N workers (default 1)",
+        help="optimize input files in parallel with N service workers "
+             "(default 1)",
     )
     parser.add_argument(
-        "--executor",
-        choices=["serial", "threads", "processes"],
-        help="batch executor backing --jobs (default: threads when jobs > 1)",
+        "--executor", default="thread", choices=["thread", "process"],
+        help="service worker backend: 'thread' runs files on worker threads "
+             "in this process; 'process' runs each file in a supervised "
+             "worker process (default: thread)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -170,11 +175,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         help="write a structured trace of the run: a JSONL span/event log "
-             "at FILE plus a Chrome trace-event file (chrome://tracing / "
-             "Perfetto) next to it; tracing is observational only — outputs "
-             "are byte-identical to an untraced run.  Forces the files "
-             "through an in-process serial executor so every span lands in "
-             "one stream",
+             "at FILE (one job span per file, worker spans collected across "
+             "the process boundary) plus a Chrome trace-event file "
+             "(chrome://tracing / Perfetto) next to it; tracing is "
+             "observational only — outputs are byte-identical to an "
+             "untraced run",
     )
     return parser
 
@@ -193,6 +198,14 @@ def _split_inputs(inputs: Sequence[str]) -> tuple[Optional[str], List[Path]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point of ``accsat FILE...``: one service job per input file.
+
+    The readable files are submitted, in input order, to one
+    :class:`~repro.service.OptimizationService` with ``--jobs`` workers on
+    the ``--executor`` backend, and written back in the same order; traced
+    and untraced runs take this same path.
+    """
+
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "serve":
         return serve_main(argv[1:])
@@ -208,11 +221,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    executor_kind = args.executor or ("threads" if args.jobs > 1 else "serial")
     session = OptimizationSession(
-        config=config,
-        cache=DiskCache(args.cache_dir) if args.cache_dir else None,
-        executor=f"{executor_kind}:{args.jobs}",
+        config, DiskCache(args.cache_dir) if args.cache_dir else None
     )
 
     overall_report = {
@@ -238,26 +248,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         tracer = Tracer()
 
-    if tracer is None:
-        # the independent per-file sessions run through the executor;
-        # outputs are written back in input order either way
-        results = session.run_many(
-            [(source, path.stem) for source, path in zip(sources, readable)]
-        )
-    else:
-        # traced runs go file-by-file in this process: a tracer cannot
-        # follow run_many into a process pool, and the whole point of the
-        # trace is one coherent span stream.  Results (and cache effects)
-        # are identical to the executor path.
-        results = []
-        for source, path in zip(sources, readable):
-            with tracer.span("file", input=str(path)) as file_span:
-                results.append(
-                    session.run(
-                        source, name_prefix=path.stem,
-                        tracer=tracer, trace_parent=file_span.span_id,
-                    )
-                )
+    # every file is one job: submitted in input order before the workers
+    # start (so duplicate inputs coalesce deterministically), resolved in
+    # the same order
+    service = OptimizationService(
+        session=session, workers=min(args.jobs, max(1, len(sources))),
+        executor=args.executor, tracer=tracer,
+    )
+    handles = [
+        service.submit(source, name_prefix=path.stem)
+        for source, path in zip(sources, readable)
+    ]
+    with service:
+        results = [handle.result() for handle in handles]
 
     for path, result in zip(readable, results):
         file_report = {
@@ -289,7 +292,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         jsonl_path, chrome_path = write_trace_files(
             tracer.records(), args.trace,
-            meta={"mode": "optimize", "variant": variant.value},
+            meta={"mode": "optimize", "variant": variant.value,
+                  "executor": args.executor, "jobs": args.jobs},
         )
         if not args.quiet:
             print(f"accsat: trace -> {jsonl_path} (+ {chrome_path})")
@@ -383,13 +387,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``accsat serve`` service mode."""
-
-    from repro.service import (
-        JobState,
-        OptimizationService,
-        ServiceOverloadedError,
-    )
-    from repro.session import DiskCache, MemoryCache, TieredCache
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)

@@ -13,20 +13,15 @@ Every figure/table cell re-runs the same parse→SSA→saturate→extract→code
 flow, so the harness sits on the **session architecture**
 (:mod:`repro.session`) rather than looping over the raw pipeline:
 
-* pipeline runs go through a module-level
-  :class:`~repro.session.OptimizationSession` whose content-addressed
-  :class:`~repro.session.MemoryCache` is keyed on (source fingerprint,
-  config fingerprint) — the SAT variants only differ from their non-SAT
-  counterparts by equality saturation, and BULK only changes the code
-  layout, so each kernel needs exactly two pipeline runs (CSE and CSE+SAT)
-  and every other cell is a cache hit (counters:
-  :func:`pipeline_cache_stats`);
-* :func:`evaluate_kernel` and :func:`evaluate_benchmark` submit their
-  independent units (variants, kernels) to a pluggable
-  :class:`~repro.session.BatchExecutor` — serial by default, thread or
-  process pools via ``executor=`` (the CLI's ``--jobs``).  Executors
-  preserve input order, so parallel evaluation is output-identical to
-  serial evaluation (enforced by ``tests/session``).
+pipeline runs go through a module-level
+:class:`~repro.session.OptimizationSession` whose content-addressed
+:class:`~repro.session.MemoryCache` is keyed on (source fingerprint,
+config fingerprint) — the SAT variants only differ from their non-SAT
+counterparts by equality saturation, and BULK only changes the code
+layout, so each kernel needs exactly two pipeline runs (CSE and CSE+SAT)
+and every other cell is a cache hit (counters:
+:func:`pipeline_cache_stats`).  :func:`evaluate_kernel` and
+:func:`evaluate_benchmark` are plain loops over those cells.
 """
 
 from __future__ import annotations
@@ -54,12 +49,10 @@ from repro.gpusim import (
 from repro.saturator import SaturatorConfig, Variant
 from repro.session import (
     ArtifactCache,
-    BatchExecutor,
     DiskCache,
     MemoryCache,
     OptimizationSession,
     TieredCache,
-    make_executor,
 )
 
 __all__ = [
@@ -113,8 +106,8 @@ def _default_pipeline_cache() -> ArtifactCache:
 
     With ``REPRO_CACHE_DIR`` set, pipeline artifacts are shared through a
     disk-backed tier (memory in front for O(1) repeat hits), so repeated
-    figure/table sweeps — and separate processes, e.g. the CI bench smoke
-    or a process-pool fleet — skip cold pipeline runs entirely.  Without
+    figure/table sweeps — and separate processes, e.g. the CI bench
+    smoke — skip cold pipeline runs entirely.  Without
     it, the in-memory backend serves the single-process case.  512 memory
     entries comfortably hold both configs of every kernel in both suites;
     the cache key covers the full SaturatorConfig, so different settings
@@ -227,10 +220,9 @@ def pipeline_workload(
     pipeline runs per kernel — the CSE baseline and the CSE+SAT saturated
     build (see :func:`_pipeline_stats`); all other variants and compilers
     are cache hits over those artifacts.  This returns that deduplicated
-    ``(source, config, kernel name)`` workload, which is what the executor
-    scaling benchmark times and the service load generator samples its
-    request mix from.  ``benchmarks`` defaults to both suites (NPB and
-    SPEC ACCEL).
+    ``(source, config, kernel name)`` workload, which is what the service
+    load generator samples its request mix from.  ``benchmarks`` defaults
+    to both suites (NPB and SPEC ACCEL).
     """
 
     if benchmarks is None:
@@ -291,29 +283,14 @@ def characterize_kernel(
     )
 
 
-def _variant_task(args: Tuple) -> object:
-    """Model one kernel variant (module-level so process pools can map it)."""
-
-    spec, variant, compiler, gpu, launch, settings = args
-    characterization = characterize_kernel(spec, variant, settings)
-    compiled = compile_kernel(characterization, compiler, gpu)
-    return simulate_kernel(compiled, gpu, launch)
-
-
 def evaluate_kernel(
     spec: KernelSpec,
     compiler: CompilerModel,
     gpu: GPUConfig = A100_PCIE_40GB,
     variants: Sequence[str] = ("original",) + VARIANT_ORDER,
     settings: EvaluationSettings = _DEFAULT_SETTINGS,
-    executor: Union[None, int, str, BatchExecutor] = None,
 ) -> KernelMeasurement:
-    """Model the performance of one kernel under every requested variant.
-
-    ``executor`` runs the independent variant evaluations through a batch
-    executor (serial by default); results are assembled in variant order
-    either way.
-    """
+    """Model the performance of one kernel under every requested variant."""
 
     launch = LaunchConfig(
         iterations_per_launch=spec.iterations_per_launch,
@@ -322,26 +299,11 @@ def evaluate_kernel(
         parallel_fraction=spec.parallel_fraction,
     )
     measurement = KernelMeasurement(kernel=spec.name)
-    results = make_executor(executor).map(
-        _variant_task,
-        [(spec, variant, compiler, gpu, launch, settings) for variant in variants],
-    )
-    for variant, simulated in zip(variants, results):
-        measurement.by_variant[variant] = simulated
+    for variant in variants:
+        characterization = characterize_kernel(spec, variant, settings)
+        compiled = compile_kernel(characterization, compiler, gpu)
+        measurement.by_variant[variant] = simulate_kernel(compiled, gpu, launch)
     return measurement
-
-
-def _kernel_task(args: Tuple) -> KernelMeasurement:
-    """Evaluate one kernel spec (module-level so process pools can map it).
-
-    The compiler model is rebuilt from its name inside the worker, so the
-    task tuple stays cheap to pickle and process workers never depend on
-    the parent's object graph.
-    """
-
-    spec, compiler_name, programming_model, gpu, variants, settings = args
-    compiler = compiler_model(compiler_name, programming_model)
-    return evaluate_kernel(spec, compiler, gpu, variants, settings)
 
 
 def evaluate_benchmark(
@@ -350,15 +312,8 @@ def evaluate_benchmark(
     gpu: GPUConfig = A100_PCIE_40GB,
     variants: Sequence[str] = ("original",) + VARIANT_ORDER,
     settings: EvaluationSettings = _DEFAULT_SETTINGS,
-    executor: Union[None, int, str, BatchExecutor] = None,
 ) -> VariantComparison:
-    """Model a whole benchmark: per-kernel times aggregated by repeat count.
-
-    The per-kernel sessions are independent; ``executor`` submits them to
-    a batch executor (``"threads:8"``, ``ProcessExecutor()``, a plain job
-    count, ...).  Aggregation runs over the order-preserved results, so
-    the comparison is identical to a serial evaluation.
-    """
+    """Model a whole benchmark: per-kernel times aggregated by repeat count."""
 
     comparison = VariantComparison(
         benchmark=bench.name,
@@ -366,14 +321,9 @@ def evaluate_benchmark(
         gpu=gpu.name,
         total_time={variant: 0.0 for variant in variants},
     )
-    measurements = make_executor(executor).map(
-        _kernel_task,
-        [
-            (spec, compiler_name, bench.programming_model, gpu, tuple(variants), settings)
-            for spec in bench.kernels
-        ],
-    )
-    for spec, measurement in zip(bench.kernels, measurements):
+    compiler = compiler_model(compiler_name, bench.programming_model)
+    for spec in bench.kernels:
+        measurement = evaluate_kernel(spec, compiler, gpu, variants, settings)
         comparison.kernels.append(measurement)
         for variant in variants:
             comparison.total_time[variant] += measurement.by_variant[variant].time_s * spec.repeat

@@ -29,19 +29,13 @@ def run(
     settings: EvaluationSettings = EvaluationSettings(),
     benchmarks=NPB_BENCHMARKS,
     compilers: Sequence[str] = COMPILERS,
-    executor=None,
 ) -> Dict[str, List[VariantComparison]]:
-    """Evaluate every benchmark under every compiler; keyed by compiler.
-
-    ``executor`` (e.g. ``"threads:8"``) parallelises the per-kernel
-    sessions inside each benchmark; results are order-identical to serial.
-    """
+    """Evaluate every benchmark under every compiler; keyed by compiler."""
 
     results: Dict[str, List[VariantComparison]] = {}
     for compiler in compilers:
         results[compiler] = [
-            evaluate_benchmark(bench, compiler, gpu, settings=settings,
-                               executor=executor)
+            evaluate_benchmark(bench, compiler, gpu, settings=settings)
             for bench in benchmarks
         ]
     return results

@@ -20,15 +20,12 @@ from repro.gpusim import A100_PCIE_40GB, compiler_model
 __all__ = ["run", "format_report"]
 
 
-def run(
-    settings: EvaluationSettings = EvaluationSettings(), executor=None
-) -> List[Dict[str, object]]:
+def run(settings: EvaluationSettings = EvaluationSettings()) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for compiler_name in ("nvhpc", "gcc"):
         compiler = compiler_model(compiler_name, BT.programming_model)
         measurements = [
-            (spec, evaluate_kernel(spec, compiler, A100_PCIE_40GB,
-                                   settings=settings, executor=executor))
+            (spec, evaluate_kernel(spec, compiler, A100_PCIE_40GB, settings=settings))
             for spec in BT.kernels
         ]
         total = sum(m.by_variant["original"].time_s * s.repeat for s, m in measurements)

@@ -27,21 +27,18 @@ OMP_COMPILERS: Sequence[str] = ("nvhpc", "gcc", "clang")
 def run(
     gpu: GPUConfig = A100_PCIE_40GB,
     settings: EvaluationSettings = EvaluationSettings(),
-    executor=None,
 ) -> Dict[str, List[VariantComparison]]:
     """Keyed by "<compiler>/acc" or "<compiler>/omp"."""
 
     results: Dict[str, List[VariantComparison]] = {}
     for compiler in ACC_COMPILERS:
         results[f"{compiler}/acc"] = [
-            evaluate_benchmark(bench, compiler, gpu, settings=settings,
-                               executor=executor)
+            evaluate_benchmark(bench, compiler, gpu, settings=settings)
             for bench in SPEC_ACC_BENCHMARKS
         ]
     for compiler in OMP_COMPILERS:
         results[f"{compiler}/omp"] = [
-            evaluate_benchmark(bench, compiler, gpu, settings=settings,
-                               executor=executor)
+            evaluate_benchmark(bench, compiler, gpu, settings=settings)
             for bench in SPEC_OMP_BENCHMARKS
         ]
     return results

@@ -18,9 +18,9 @@ __all__ = ["run", "summarize", "format_report"]
 
 
 def run(
-    settings: EvaluationSettings = EvaluationSettings(), executor=None
+    settings: EvaluationSettings = EvaluationSettings(),
 ) -> Dict[str, List[VariantComparison]]:
-    return figure2.run(gpu=A100_SXM4_80GB, settings=settings, executor=executor)
+    return figure2.run(gpu=A100_SXM4_80GB, settings=settings)
 
 
 summarize = figure2.summarize

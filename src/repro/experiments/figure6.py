@@ -16,9 +16,9 @@ __all__ = ["run", "summarize", "format_report"]
 
 
 def run(
-    settings: EvaluationSettings = EvaluationSettings(), executor=None
+    settings: EvaluationSettings = EvaluationSettings(),
 ) -> Dict[str, List[VariantComparison]]:
-    return figure4.run(gpu=A100_SXM4_80GB, settings=settings, executor=executor)
+    return figure4.run(gpu=A100_SXM4_80GB, settings=settings)
 
 
 summarize = figure4.summarize

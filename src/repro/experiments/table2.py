@@ -17,9 +17,7 @@ from repro.gpusim import A100_PCIE_40GB
 __all__ = ["run", "format_table"]
 
 
-def run(
-    settings: EvaluationSettings = EvaluationSettings(), executor=None
-) -> List[Dict[str, object]]:
+def run(settings: EvaluationSettings = EvaluationSettings()) -> List[Dict[str, object]]:
     """Return one row per NPB benchmark."""
 
     rows: List[Dict[str, object]] = []
@@ -33,8 +31,7 @@ def run(
         }
         for compiler in ("nvhpc", "gcc"):
             comparison = evaluate_benchmark(
-                bench, compiler, A100_PCIE_40GB, ("original",), settings,
-                executor=executor,
+                bench, compiler, A100_PCIE_40GB, ("original",), settings
             )
             row[f"model_time_{compiler}"] = comparison.total_time["original"]
             row[f"paper_time_{compiler}"] = bench.paper_original_time.get(compiler)

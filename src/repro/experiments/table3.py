@@ -18,9 +18,7 @@ _ACC_COMPILERS = ("nvhpc", "gcc")
 _OMP_COMPILERS = ("nvhpc", "gcc", "clang")
 
 
-def run(
-    settings: EvaluationSettings = EvaluationSettings(), executor=None
-) -> List[Dict[str, object]]:
+def run(settings: EvaluationSettings = EvaluationSettings()) -> List[Dict[str, object]]:
     """One row per SPEC ACCEL benchmark (OpenACC + matching OpenMP times)."""
 
     rows: List[Dict[str, object]] = []
@@ -34,15 +32,13 @@ def run(
         }
         for compiler in _ACC_COMPILERS:
             comparison = evaluate_benchmark(
-                acc_bench, compiler, A100_PCIE_40GB, ("original",), settings,
-                executor=executor,
+                acc_bench, compiler, A100_PCIE_40GB, ("original",), settings
             )
             row[f"acc_model_{compiler}"] = comparison.total_time["original"]
             row[f"acc_paper_{compiler}"] = acc_bench.paper_original_time.get(compiler)
         for compiler in _OMP_COMPILERS:
             comparison = evaluate_benchmark(
-                omp_bench, compiler, A100_PCIE_40GB, ("original",), settings,
-                executor=executor,
+                omp_bench, compiler, A100_PCIE_40GB, ("original",), settings
             )
             row[f"omp_model_{compiler}"] = comparison.total_time["original"]
             row[f"omp_paper_{compiler}"] = omp_bench.paper_original_time.get(compiler)

@@ -23,9 +23,7 @@ __all__ = ["run", "format_table"]
 _VARIANTS = ("original",) + VARIANT_ORDER
 
 
-def run(
-    settings: EvaluationSettings = EvaluationSettings(), executor=None
-) -> List[Dict[str, object]]:
+def run(settings: EvaluationSettings = EvaluationSettings()) -> List[Dict[str, object]]:
     """One row per (compiler, BT kernel, variant)."""
 
     rows: List[Dict[str, object]] = []
@@ -33,7 +31,7 @@ def run(
         compiler = compiler_model(compiler_name, BT.programming_model)
         for spec in BT.kernels:
             measurement = evaluate_kernel(spec, compiler, A100_PCIE_40GB,
-                                          _VARIANTS, settings, executor=executor)
+                                          _VARIANTS, settings)
             for variant in _VARIANTS:
                 perf = measurement.by_variant[variant]
                 rows.append(

@@ -31,8 +31,14 @@ class LexerError(ValueError):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"line {line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error keeps its
+        # type when a process-service worker ships it back
+        return (type(self), (self.message, self.line, self.column))
 
 
 class TokenKind(enum.Enum):

@@ -32,7 +32,13 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, token: Token) -> None:
         super().__init__(f"line {token.line}:{token.column}: {message} (got {token.text!r})")
+        self.message = message
         self.token = token
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error keeps its
+        # type when a process-service worker ships it back
+        return (type(self), (self.message, self.token))
 
 
 #: Keywords that may begin a type specifier.

@@ -8,11 +8,10 @@ is the classic entry point: it builds the context, runs the default stage
 tuple (or a caller-supplied one, which is how new stages are spliced in),
 and returns the generated-kernel summary plus the per-kernel report.
 
-Whole-source callers that want artifact caching or batch execution should
-go through :class:`repro.session.OptimizationSession`, which wraps this
-pipeline with a content-addressed cache and pluggable executors; this
-module stays the single place where the stage order is defined for a cold
-run.
+Whole-source callers that want artifact caching should go through
+:class:`repro.session.OptimizationSession` (concurrent ones through
+:class:`repro.service.OptimizationService`); this module stays the single
+place where the stage order is defined for a cold run.
 """
 
 from __future__ import annotations

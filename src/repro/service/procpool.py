@@ -5,15 +5,12 @@ worker processes, one job at a time per worker, behind the service's
 existing dispatcher threads: a dispatcher pops a job off the
 :class:`~repro.service.queue.JobQueue`, leases an idle worker, ships the
 job down the worker's pipe, and relays the child's per-iteration progress
-messages back into the job's event stream.  The pool owns exactly the
-machinery a process boundary makes necessary:
+messages back into the job's event stream.  Workers run the pipeline
+uncached: the service probes its cache before shipping a job and stores
+the artifact after it returns, so the parent is the one owner of the
+artifact cache.  The pool owns exactly the machinery a process boundary
+makes necessary:
 
-* **disk-cache handoff** — every worker adopts the parent's disk cache
-  tier through :func:`~repro.session.executor._worker_cache_init` (the
-  initializer proven by ``tests/session/test_process_cache_handoff.py``)
-  and runs its own :class:`~repro.session.OptimizationSession` over a
-  memory+disk tier on the same directory, so respawned workers start
-  warm and artifacts stay content-addressed and shared,
 * **supervision** — the dispatcher monitors its leased worker with
   heartbeat timestamps (every message counts; a busy, healthy child
   publishes one per saturation iteration) and ``Process.is_alive`` /
@@ -54,9 +51,8 @@ import threading
 import time
 import multiprocessing
 import multiprocessing.connection
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.service.errors import TransientError, WorkerDiedError
 
@@ -106,18 +102,15 @@ class _CrashNow(BaseException):
     """Child-internal: unwind to the crash point of an injected kill."""
 
 
-def _child_main(
-    conn: "multiprocessing.connection.Connection",
-    cache_dir: Optional[str],
-) -> None:
+def _child_main(conn: "multiprocessing.connection.Connection") -> None:
     """Worker-process main loop: recv a task, run it, send messages back.
 
     Messages up the pipe (first element is the tag, second the task id):
 
     * ``("progress", task_id, IterationReport)`` — one per saturation
       iteration; doubles as the heartbeat,
-    * ``("done", task_id, OptimizationResult, from_cache)`` — including a
-      deadline stop, which is a ``degraded`` result, not a failure,
+    * ``("done", task_id, OptimizationResult)`` — including a deadline
+      stop, which is a ``degraded`` result, not a failure,
     * ``("cancelled", task_id, message)`` — the cooperative cancel, mapped
       back to :class:`~repro.session.stages.SaturationCancelled`
       parent-side,
@@ -134,19 +127,8 @@ def _child_main(
     """
 
     from repro.egraph.runner import CancellationToken, FileTripSignal
-    from repro.session.cache import DiskCache, MemoryCache, TieredCache
-    from repro.session.executor import _worker_cache_init
-    from repro.session.session import OptimizationSession
+    from repro.saturator.driver import optimize_source
     from repro.session.stages import SaturationCancelled
-
-    if cache_dir:
-        # the PR 3 handoff: export REPRO_CACHE_DIR and rebind any already
-        # imported experiment-harness cache onto the shared directory
-        _worker_cache_init(cache_dir)
-        cache = TieredCache(MemoryCache(), DiskCache(cache_dir))
-    else:
-        cache = None
-    session = OptimizationSession(cache=cache)
 
     while True:
         try:
@@ -178,25 +160,17 @@ def _child_main(
             root_span = tracer.span(
                 "worker:run", task=task.task_id, pid=os.getpid()
             )
-            if cache is not None:
-                # cache probes during this attempt become trace events
-                # parented (via the bind below) to the worker's root span
-                cache.trace_hook = tracer.hook
 
         try:
-            run_scope = (
-                tracer.bind(root_span) if tracer is not None else nullcontext()
+            result = optimize_source(
+                task.source,
+                task.config,
+                task.name_prefix,
+                on_iteration=on_iteration,
+                cancellation=token,
+                tracer=tracer,
+                trace_parent=None if root_span is None else root_span.span_id,
             )
-            with run_scope:
-                result, from_cache = session.run_detailed(
-                    task.source,
-                    task.config,
-                    task.name_prefix,
-                    on_iteration=on_iteration,
-                    cancellation=token,
-                    tracer=tracer,
-                    trace_parent=None if root_span is None else root_span.span_id,
-                )
         except _CrashNow:
             # the injected kill: a hard exit at the iteration boundary,
             # exactly where a real SIGKILL mid-saturation would land
@@ -217,11 +191,9 @@ def _child_main(
                 isinstance(error, OSError),
             )
         else:
-            terminal = ("done", task.task_id, result, from_cache)
+            terminal = ("done", task.task_id, result)
         if tracer is not None:
             root_span.end(outcome=terminal[0])
-            if cache is not None:
-                cache.trace_hook = None
             # rebased timestamps: perf_counter origins do not cross the
             # process boundary; the parent offsets them to the attempt span
             conn.send(("spans", task.task_id, tracer.rebased_records()))
@@ -281,9 +253,7 @@ class ProcessWorkerPool:
 
     ``workers`` sizes the pool (normally equal to the service's dispatcher
     thread count, so a dispatcher never waits for a lease while a worker
-    idles).  ``cache_dir`` is the shared disk-cache directory handed to
-    every child (``None`` = children run uncached and the parent-side
-    cache is the only tier).  ``heartbeat_timeout`` — seconds of silence
+    idles).  ``heartbeat_timeout`` — seconds of silence
     from a *busy* worker before the supervisor kills and replaces it;
     ``None`` disables the hang defense (saturation iterations have no
     bounded duration in general, so this is opt-in).
@@ -295,7 +265,6 @@ class ProcessWorkerPool:
     def __init__(
         self,
         workers: int,
-        cache_dir: Optional[str] = None,
         heartbeat_timeout: Optional[float] = None,
         stats: Optional["ServiceStats"] = None,
     ) -> None:
@@ -304,7 +273,6 @@ class ProcessWorkerPool:
         if heartbeat_timeout is not None and heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive (or None)")
         self.workers = workers
-        self.cache_dir = cache_dir
         self.heartbeat_timeout = heartbeat_timeout
         self.stats = stats
         self._ctx = multiprocessing.get_context("spawn")
@@ -357,7 +325,7 @@ class ProcessWorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_child_main,
-            args=(child_conn, self.cache_dir),
+            args=(child_conn,),
             name="repro-service-worker",
             daemon=True,
         )
@@ -391,10 +359,10 @@ class ProcessWorkerPool:
         task: WorkerTask,
         on_progress: Optional[Callable[["IterationReport"], None]] = None,
         on_spans: Optional[Callable[[list], None]] = None,
-    ) -> Tuple["OptimizationResult", bool]:
+    ) -> "OptimizationResult":
         """Run one attempt on a leased worker; supervise until terminal.
 
-        Returns ``(result, from_cache)``; raises the child's cooperative
+        Returns the cold result; raises the child's cooperative
         cancel (:class:`~repro.session.stages.SaturationCancelled`) and
         failures as the exceptions the service's worker loop already
         classifies, and :class:`~repro.service.errors.WorkerDiedError`
@@ -534,16 +502,14 @@ class ProcessWorkerPool:
             return None
         return message
 
-    def _settle(
-        self, outcome: tuple, task: WorkerTask
-    ) -> Tuple["OptimizationResult", bool]:
+    def _settle(self, outcome: tuple, task: WorkerTask) -> "OptimizationResult":
         """Turn the terminal message into a return value or an exception."""
 
         from repro.session.stages import SaturationCancelled
 
         tag = outcome[0]
         if tag == "done":
-            return outcome[2], outcome[3]
+            return outcome[2]
         if tag == "cancelled":
             raise SaturationCancelled(outcome[2])
         assert tag == "error", f"unexpected worker message tag {tag!r}"

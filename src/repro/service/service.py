@@ -84,7 +84,7 @@ from repro.service.queue import JobQueue
 from repro.service.stats import ServiceStats
 from repro.session.cache import MISS, ArtifactCache, MemoryCache
 from repro.session.fingerprint import CacheKey
-from repro.session.session import OptimizationSession, _cache_dir_of
+from repro.session.session import OptimizationSession
 from repro.session.stages import SaturationCancelled
 
 __all__ = ["OptimizationService"]
@@ -166,8 +166,9 @@ class OptimizationService:
       themselves, exactly as before.  ``executor="process"`` turns the
       worker threads into dispatchers over a supervised
       :class:`~repro.service.procpool.ProcessWorkerPool`: cold pipelines
-      run in spawned worker processes (sharing the session's disk cache
-      tier when it has one), worker death is detected, classified
+      run uncached in spawned worker processes (the service's cache stays
+      parent-side, probed before and filled after each job), worker
+      death is detected, classified
       transient, and recovered through the retry path, and
       deadlines/cancellation cross the process boundary via per-job
       :class:`~repro.egraph.runner.FileTripSignal` trip files — the PR 6
@@ -286,9 +287,10 @@ class OptimizationService:
             self.metrics.add_source("faults", faults.injected)
         if tracer is not None:
             self.metrics.add_source("telemetry", tracer.counts)
-            # cache probes become trace events parented (via the per-
-            # attempt bind) to the job that issued them
-            session.cache.trace_hook = tracer.hook
+            if session.cache is not None:
+                # cache probes become trace events parented (via the per-
+                # attempt bind) to the job that issued them
+                session.cache.trace_hook = tracer.hook
             if faults is not None:
                 # every fault verdict — raising or structural — surfaces
                 # as a trace event automatically (the observer runs under
@@ -322,7 +324,6 @@ class OptimizationService:
                 self._trip_dir = tempfile.mkdtemp(prefix="repro-service-trips-")
                 self._pool = ProcessWorkerPool(
                     workers=self.workers,
-                    cache_dir=_cache_dir_of(self.session.cache),
                     heartbeat_timeout=self.heartbeat_timeout,
                     stats=self.stats,
                 ).start()
@@ -846,11 +847,10 @@ class OptimizationService:
 
         The parent-side cache probe keeps hit/coalescing semantics (and
         the ``cache:get`` fault site) identical to the thread path; on a
-        miss the child runs the pipeline against its own session — warm
-        via the shared disk tier when the service cache has one — and the
-        artifact is stored parent-side through the session's store rule,
-        so memory-only caches work too.  Degraded artifacts are never
-        stored on either side.
+        miss the child runs the pipeline uncached and the artifact is
+        stored parent-side through the session's store rule — this probe
+        and this store are the only cache traffic of a process job, and
+        degraded artifacts are never stored.
         """
 
         assert self._pool is not None
@@ -918,7 +918,7 @@ class OptimizationService:
                 tracer.ingest(records, parent=attempt_id, offset=attempt_start)
 
         try:
-            result, from_cache = self._pool.run_job(task, publish, on_spans)
+            result = self._pool.run_job(task, publish, on_spans)
         except Exception:
             # every worker-side outcome ships its spans before its terminal
             # message, so an attempt failing without them lost its worker
@@ -930,4 +930,4 @@ class OptimizationService:
                 f"result of task {task.task_id} dropped in IPC (injected)"
             )
         self.session._store(job.key, result)
-        return result, from_cache
+        return result, False

@@ -7,13 +7,13 @@ This package turns the per-kernel pipeline into reusable infrastructure:
 * :mod:`repro.session.fingerprint` / :mod:`repro.session.cache` — a
   content-addressed artifact cache (memory, disk, tiered backends) keyed
   on (source fingerprint, config fingerprint, stage),
-* :mod:`repro.session.executor` — serial / thread / process batch
-  executors with order-preserving ``map``,
 * :mod:`repro.session.session` — :class:`OptimizationSession`, which ties
-  the three together for cached, batched whole-source optimization.
+  the two together for cached whole-source optimization.
 
-The experiment harness (:mod:`repro.experiments.common`), the ``accsat``
-CLI and the engine benchmark all build on this package.
+The experiment harness (:mod:`repro.experiments.common`), the
+optimization service (:mod:`repro.service`, the one way to run sessions
+concurrently), the ``accsat`` CLI and the engine benchmark all build on
+this package.
 """
 
 from repro.session.cache import (
@@ -23,14 +23,6 @@ from repro.session.cache import (
     DiskCache,
     MemoryCache,
     TieredCache,
-)
-from repro.session.executor import (
-    BatchExecutor,
-    ExecutorBrokenError,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
 )
 from repro.session.fingerprint import (
     CacheKey,
@@ -55,8 +47,6 @@ from repro.session.session import OptimizationSession
 __all__ = [
     "MISS",
     "ArtifactCache",
-    "BatchExecutor",
-    "ExecutorBrokenError",
     "CacheKey",
     "CacheStats",
     "CodegenStage",
@@ -67,17 +57,13 @@ __all__ = [
     "FrontendStage",
     "MemoryCache",
     "OptimizationSession",
-    "ProcessExecutor",
     "SaturationStage",
-    "SerialExecutor",
     "Stage",
     "StageContext",
     "StageError",
-    "ThreadExecutor",
     "TieredCache",
     "fingerprint_config",
     "fingerprint_text",
-    "make_executor",
     "run_stages",
     "stage_key",
 ]

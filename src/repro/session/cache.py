@@ -71,9 +71,8 @@ class CacheStats:
 
     The counters are incremented through :meth:`hit` / :meth:`miss` /
     :meth:`store`, which serialize on an internal lock: cache backends are
-    shared across :class:`~repro.session.executor.ThreadExecutor` workers
-    and the optimization service's worker pool, and unlocked ``+= 1``
-    increments would under-count there.  Reads (``as_dict``, the plain
+    shared across the optimization service's worker threads, and unlocked
+    ``+= 1`` increments would under-count there.  Reads (``as_dict``, the plain
     attributes) are intentionally lock-free — they are monotone counters
     and every consumer treats them as a snapshot.
     """

@@ -1,17 +1,25 @@
-"""The experiment harness's shared disk cache (REPRO_CACHE_DIR hook).
+"""The experiment harness's pipeline caches (and the REPRO_CACHE_DIR hook).
 
 The figure/table harness defaults to an in-memory artifact cache; pointing
 ``REPRO_CACHE_DIR`` (or ``configure_pipeline_cache(cache_dir=...)``) at a
 directory routes it through a disk-backed tier so separate processes —
 repeated benchmark sweeps, the CI bench smoke — reuse each other's cold
-pipeline runs.
+pipeline runs.  Within one process, repeated figure cells never re-run
+the pipeline.
 """
 
 import pytest
 
+from repro.benchsuite import get_benchmark
 from repro.benchsuite.npb.cg import CG
 from repro.experiments import common
-from repro.experiments.common import EvaluationSettings, configure_pipeline_cache
+from repro.experiments.common import (
+    EvaluationSettings,
+    clear_pipeline_cache,
+    configure_pipeline_cache,
+    evaluate_benchmark,
+    pipeline_cache_stats,
+)
 from repro.session import DiskCache, MemoryCache, TieredCache
 
 FAST = EvaluationSettings(node_limit=300, iter_limit=2)
@@ -59,3 +67,17 @@ def test_cache_dir_hook_shares_artifacts_across_sessions(tmp_path):
 def test_configure_rejects_conflicting_arguments(tmp_path):
     with pytest.raises(ValueError):
         configure_pipeline_cache(cache_dir=tmp_path, cache=MemoryCache())
+
+
+def test_repeated_cells_hit_the_pipeline_caches():
+    settings = EvaluationSettings(node_limit=1200, iter_limit=2, time_limit=3.0)
+    bench = get_benchmark("BT")
+    clear_pipeline_cache()
+    evaluate_benchmark(bench, "nvhpc", settings=settings)
+    before = pipeline_cache_stats()
+    evaluate_benchmark(bench, "gcc", settings=settings)
+    after = pipeline_cache_stats()
+    # the second compiler re-uses every pipeline artifact: no new
+    # stores in the session cache, every cell served by the memo
+    assert after["stores"] == before["stores"]
+    assert after["derived_hits"] > before["derived_hits"]

@@ -28,6 +28,7 @@ from repro.obs import (
 )
 from repro.saturator import SaturatorConfig, Variant
 from repro.service import FaultPlan, FaultRule, OptimizationService
+from repro.session import OptimizationSession
 
 CONFIG = SaturatorConfig(
     variant=Variant.CSE_SAT, limits=RunnerLimits(500, 3, 60.0)
@@ -176,6 +177,25 @@ class TestThreadChaosWave:
         fault_events = [r for r in records
                         if r["type"] == "event" and r["name"] == "fault:injected"]
         assert len(fault_events) == injected
+
+
+def test_traced_uncached_wave_resolves_with_a_valid_trace():
+    # an uncached session has no cache to hang the trace hook on
+    tracer = Tracer()
+    service = OptimizationService(
+        session=OptimizationSession(CONFIG, cache=None), workers=2,
+        tracer=tracer,
+    )
+    with service:
+        handles = [
+            service.submit(source, name_prefix=f"u{index}")
+            for index, source in enumerate(KERNELS)
+        ]
+        results = [handle.result(timeout=120) for handle in handles]
+    assert all(result.kernels for result in results)
+    records = tracer.records()
+    assert validate_trace_records(records) == []
+    assert len(_job_spans(records)) == len(KERNELS)
 
 
 class TestProcessCrashWave:

@@ -119,6 +119,26 @@ class TestServe:
         ]) == 0
         assert any(cache_dir.rglob("*.pkl"))
 
+    def test_serve_process_disk_cache_dir_is_reused(self, tmp_path):
+        a, b = _write_inputs(tmp_path)
+        cache_dir = tmp_path / "cache"
+        report = tmp_path / "serve.json"
+        args = [
+            "serve", "--quiet", "--executor", "process", "--workers", "2",
+            "--cache-dir", str(cache_dir), "--report", str(report),
+            str(a), str(b),
+        ]
+        assert main(args) == 0
+        first = json.loads(report.read_text())["service"]
+        assert first["pipeline_runs"] == 2 and first["cache_hits"] == 0
+        assert len(list(cache_dir.rglob("*.pkl"))) == 2
+        output_a = a.with_suffix(".sat.c").read_text()
+
+        assert main(args) == 0
+        second = json.loads(report.read_text())["service"]
+        assert second["cache_hits"] == 2 and second["pipeline_runs"] == 0
+        assert a.with_suffix(".sat.c").read_text() == output_a
+
     def test_serve_expired_deadline_fails_typed(self, tmp_path):
         # a deadline already in the past expires every job at pickup —
         # deterministic, no wall-clock sleeping involved

@@ -5,6 +5,8 @@ The PR 8 contract under test:
 * the ``executor="process"`` backend serves the same artifacts as the
   thread backend — byte-identical, with coalescing, caching, and progress
   streaming intact,
+* the parent is the one owner of the artifact cache: workers run
+  uncached, so a job's only cache traffic is the parent's probe and store,
 * a worker that dies mid-job (injected ``os._exit``, an external SIGKILL,
   or a hang past the heartbeat timeout) is detected by the supervisor;
   the orphaned job requeues through the standard retry path, the pool
@@ -36,6 +38,7 @@ from repro.service import (
     OptimizationService,
     WorkerDiedError,
 )
+from repro.session import DiskCache, MemoryCache, TieredCache
 
 #: Fast kernels for the recovery tests (a full run is a few dozen ms).
 CONFIG = SaturatorConfig(
@@ -121,6 +124,32 @@ class TestProcessBackendServes:
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         iterations = [event.iteration for event in events]
         assert iterations == list(range(len(events)))
+
+
+class TestParentOwnsTheCache:
+    def test_workers_never_write_the_disk_tier(self, tmp_path):
+        """The parent probes before shipping a job and stores after it
+        returns; the worker runs uncached.  With the parent's disk ``put``
+        a counting no-op, a cold wave leaves the directory empty."""
+
+        disk = DiskCache(tmp_path)
+        puts = []
+        disk.put = lambda key, value: puts.append(key)
+        cache = TieredCache(MemoryCache(), disk)
+        with _service(config=CONFIG, cache=cache, workers=2) as service:
+            results = [
+                service.submit(src, config=CONFIG).result(timeout=120)
+                for src in KERNELS
+            ]
+            snap = service.stats.snapshot()
+        assert all(result.kernels for result in results)
+        assert snap["pipeline_runs"] == len(KERNELS)
+        assert len(puts) == len(KERNELS), "one parent-side store per job"
+        assert not list(tmp_path.rglob("*.pkl"))
+
+    def test_batch_executor_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.session.executor  # noqa: F401
 
 
 class TestWorkerDeathRecovery:

@@ -1,8 +1,13 @@
-"""CLI integration with the session subsystem (--jobs, --cache-dir)."""
+"""CLI integration: ``accsat FILE...`` runs its files as service jobs
+(--jobs, --executor, --cache-dir, --trace)."""
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.obs.check import validate_trace_records
+from repro.obs.export import load_jsonl
 
 KERNEL_A = """
 #pragma acc parallel loop gang
@@ -41,17 +46,50 @@ class TestJobs:
         assert b.with_suffix(".sat.c").read_text() == serial_b
 
     def test_process_executor_jobs(self, tmp_path):
+        # a duplicate input coalesces onto one run; every output still
+        # lands, byte-equal to a one-worker thread run
         a, b = _write_inputs(tmp_path)
-        assert main(
-            ["--quiet", "--jobs", "2", "--executor", "processes", str(a), str(b)]
-        ) == 0
-        assert a.with_suffix(".sat.c").exists()
-        assert b.with_suffix(".sat.c").exists()
+        inputs = [str(a), str(b), str(a)]
+        assert main(["--quiet", "-j", "1", *inputs]) == 0
+        serial_a = a.with_suffix(".sat.c").read_bytes()
+        serial_b = b.with_suffix(".sat.c").read_bytes()
+
+        a.with_suffix(".sat.c").unlink()
+        b.with_suffix(".sat.c").unlink()
+        assert main(["--quiet", "-j", "2", "--executor", "process", *inputs]) == 0
+        assert a.with_suffix(".sat.c").read_bytes() == serial_a
+        assert b.with_suffix(".sat.c").read_bytes() == serial_b
+
+    @pytest.mark.parametrize("spelling", ["processes", "serial", "threads"])
+    def test_batch_executor_spellings_are_gone(self, tmp_path, spelling):
+        a, _ = _write_inputs(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quiet", "--executor", spelling, str(a)])
+        assert excinfo.value.code == 2
 
     def test_missing_file_still_fails_gracefully(self, tmp_path, capsys):
         a, _ = _write_inputs(tmp_path)
         assert main(["--quiet", "--jobs", "2", str(a), str(tmp_path / "no.c")]) == 1
         assert "no such file" in capsys.readouterr().err
+
+
+class TestTrace:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_trace_validates_with_one_job_span_per_file(self, tmp_path, executor):
+        a, b = _write_inputs(tmp_path)
+        trace = tmp_path / "trace.json"
+        assert main([
+            "--quiet", "-j", "2", "--executor", executor,
+            "--trace", str(trace), str(a), str(b),
+        ]) == 0
+        meta, records = load_jsonl(str(trace))
+        assert meta["executor"] == executor
+        assert validate_trace_records(records) == []
+        jobs = [r for r in records if r["type"] == "start" and r["name"] == "job"]
+        assert sorted(job["attrs"]["name_prefix"] for job in jobs) == ["a", "b"]
+        # the pipeline's spans nest under the jobs, across the process
+        # boundary too
+        assert any(r["type"] == "start" and r["name"] == "kernel" for r in records)
 
 
 class TestCacheDir:

@@ -1,78 +1,165 @@
-"""Batch executors, and the parallel == serial evaluation contract."""
+"""Concurrent sessions run on the service, and the parallel == serial contract.
 
-import time
+:class:`~repro.service.OptimizationService` is the one way to run sessions
+concurrently: ``accsat FILE... -j N --executor thread|process`` builds one
+service per run, and a service wave — on either backend, with any number
+of workers — produces the artifacts a serial run produces, handle by
+handle in input order.  The figure/table harness is serial, but a cache a
+service wave filled serves every one of its cells unchanged.
+"""
 
 import pytest
 
+import repro.cli as cli
 from repro.benchsuite import get_benchmark
+from repro.cli import main
+from repro.egraph.runner import RunnerLimits
 from repro.experiments.common import (
     EvaluationSettings,
     clear_pipeline_cache,
+    configure_pipeline_cache,
     evaluate_benchmark,
     evaluate_kernel,
-    pipeline_cache_stats,
+    pipeline_workload,
 )
 from repro.gpusim import A100_PCIE_40GB, compiler_model
-from repro.session import (
-    BatchExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.saturator import SaturatorConfig, Variant, optimize_source
+from repro.service import OptimizationService
+from repro.session import DiskCache, MemoryCache
 
 FAST = EvaluationSettings(node_limit=1200, iter_limit=2, time_limit=3.0)
 
+CONFIG = SaturatorConfig(variant=Variant.CSE_SAT, limits=RunnerLimits(400, 3, 60.0))
 
-def _square(x):
-    return x * x
+#: Heaviest first, so under enough workers later jobs finish first.
+KERNELS = [
+    "#pragma acc parallel loop\n"
+    "for (i = 0; i < n; i++) { a[i] = (b[i] + c[i]) * (b[i] + c[i])"
+    " + (c[i] + b[i]) * d[i] + b[i] * c[i] + d[i] * d[i]; }",
+    "#pragma acc parallel loop\n"
+    "for (i = 0; i < n; i++) { a[i] = (b[i] + c[i]) * d[i] + (c[i] + b[i]); }",
+    "#pragma acc parallel loop\n"
+    "for (i = 0; i < n; i++) { a[i] = b[i] * c[i] + b[i] * c[i]; }",
+    "#pragma acc parallel loop\n"
+    "for (i = 0; i < n; i++) { a[i] = b[i] * 2 + c[i] * 2; }",
+]
+
+KERNEL_FILE = """
+#pragma acc parallel loop gang
+for (int i = 0; i < n; i++) {
+  out[i] = a * in[i] + b * in[i];
+}
+"""
 
 
-def _jittered_negate(x):
-    # later items finish first, exercising order preservation
-    time.sleep(0.02 * (3 - x % 4))
-    return -x
+def _serial(sources):
+    return [optimize_source(source, CONFIG).code for source in sources]
+
+
+def _wave(sources, **kwargs):
+    """Submit every source before the workers start; resolve in order."""
+
+    service = OptimizationService(config=CONFIG, **kwargs)
+    handles = [service.submit(source) for source in sources]
+    with service:
+        return [handle.result(timeout=120).code for handle in handles]
+
+
+def _record_services(monkeypatch):
+    """Make the CLI's services inspectable after ``main`` returns."""
+
+    built = []
+
+    class Recording(OptimizationService):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "OptimizationService", Recording)
+    return built
+
+
+def _write_files(tmp_path, count):
+    paths = []
+    for index in range(count):
+        path = tmp_path / f"k{index}.c"
+        path.write_text(KERNEL_FILE.replace("out[i]", f"out{index}[i]"))
+        paths.append(str(path))
+    return paths
+
+
+def _warmed_cache(workload, **kwargs):
+    """A cache filled by one service wave over ``(source, config, _)`` rows."""
+
+    cache = MemoryCache()
+    service = OptimizationService(cache=cache, **kwargs)
+    handles = [service.submit(source, config=config) for source, config, _ in workload]
+    with service:
+        for handle in handles:
+            handle.result(timeout=300)
+    return cache
 
 
 class TestMakeExecutor:
-    def test_spellings(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("serial:1"), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(4), ThreadExecutor)
-        assert make_executor(4).jobs == 4
-        assert isinstance(make_executor("threads"), ThreadExecutor)
-        assert make_executor("threads:3").jobs == 3
-        assert isinstance(make_executor("processes:2"), ProcessExecutor)
-        assert make_executor("2").jobs == 2
+    """``-j N`` and ``--executor`` are the only concurrency spellings."""
 
-    def test_existing_executor_passes_through(self):
-        executor = ThreadExecutor(2)
-        assert make_executor(executor) is executor
+    def test_spellings(self, tmp_path, monkeypatch):
+        built = _record_services(monkeypatch)
+        one, two, three = _write_files(tmp_path, 3)
+        assert main(["--quiet", one]) == 0
+        assert main(["--quiet", "-j", "2", one, two]) == 0
+        assert main(["--quiet", "--jobs", "3", "--executor", "process", one, two, three]) == 0
+        assert main(["--quiet", "-j", "1", "--executor", "thread", one, two]) == 0
+        assert [(service.executor, service.workers) for service in built] == [
+            ("thread", 1), ("thread", 2), ("process", 3), ("thread", 1),
+        ]
 
-    def test_rejects_bad_specs(self):
+    def test_existing_executor_passes_through(self, tmp_path, monkeypatch):
+        # the service runs the CLI's own session: its config and its
+        # --cache-dir disk cache, which is where the stores land
+        built = _record_services(monkeypatch)
+        (path,) = _write_files(tmp_path, 1)
+        cache_dir = tmp_path / "artifacts"
+        assert main([
+            "--quiet", "--variant", "cse", "--cache-dir", str(cache_dir), path,
+        ]) == 0
+        (service,) = built
+        assert service.session.config.variant is Variant.CSE
+        assert isinstance(service.session.cache, DiskCache)
+        assert service.session.cache.root == cache_dir
+        assert service.session.cache.stats.stores == 1
+        assert len(list(cache_dir.rglob("*.pkl"))) == 1
+
+    def test_rejects_bad_specs(self, tmp_path):
+        for spelling in ("serial", "threads", "processes", "fleet"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                OptimizationService(executor=spelling)
         with pytest.raises(ValueError):
-            make_executor("fleet")
-        with pytest.raises(ValueError):
-            make_executor("threads:0")
-        with pytest.raises(ValueError):
-            make_executor(0)
+            OptimizationService(workers=0)
+        (path,) = _write_files(tmp_path, 1)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quiet", "-j", "0", path])
+        assert excinfo.value.code == 2
 
 
 class TestExecutors:
     def test_serial_map(self):
-        assert SerialExecutor().map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert _wave(KERNELS, workers=1) == _serial(KERNELS)
 
     def test_threads_preserve_input_order(self):
-        result = ThreadExecutor(4).map(_jittered_negate, list(range(8)))
-        assert result == [-x for x in range(8)]
+        assert _wave(KERNELS, workers=4) == _serial(KERNELS)
 
     def test_processes_map(self):
-        assert ProcessExecutor(2).map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
+        assert _wave(KERNELS, workers=2, executor="process") == _serial(KERNELS)
 
-    def test_single_item_short_circuits_pool(self):
-        assert ThreadExecutor(4).map(_square, [5]) == [25]
+    def test_single_item_short_circuits_pool(self, tmp_path, monkeypatch):
+        # one input never starts more workers than it can use
+        built = _record_services(monkeypatch)
+        (path,) = _write_files(tmp_path, 1)
+        assert main(["--quiet", "-j", "4", "--executor", "process", path]) == 0
+        assert [(service.executor, service.workers) for service in built] == [
+            ("process", 1)
+        ]
 
 
 class TestParallelEvaluationMatchesSerial:
@@ -81,10 +168,17 @@ class TestParallelEvaluationMatchesSerial:
         return get_benchmark("BT")
 
     def test_evaluate_benchmark_threads_equals_serial(self, bench):
+        clear_pipeline_cache()
         serial = evaluate_benchmark(bench, "nvhpc", settings=FAST)
-        threaded = evaluate_benchmark(
-            bench, "nvhpc", settings=FAST, executor="threads:4"
-        )
+        cache = _warmed_cache(pipeline_workload([bench], FAST), workers=4)
+        stores = cache.stats.stores
+        try:
+            configure_pipeline_cache(cache=cache)
+            threaded = evaluate_benchmark(bench, "nvhpc", settings=FAST)
+        finally:
+            configure_pipeline_cache()
+        # every cell was served by an artifact the thread wave computed
+        assert cache.stats.stores == stores
         assert threaded.total_time == serial.total_time
         assert [m.kernel for m in threaded.kernels] == [m.kernel for m in serial.kernels]
         for ours, theirs in zip(threaded.kernels, serial.kernels):
@@ -95,21 +189,20 @@ class TestParallelEvaluationMatchesSerial:
     def test_evaluate_kernel_executor_matches_serial(self, bench):
         spec = bench.kernels[0]
         compiler = compiler_model("nvhpc", bench.programming_model)
-        serial = evaluate_kernel(spec, compiler, A100_PCIE_40GB, settings=FAST)
-        threaded = evaluate_kernel(
-            spec, compiler, A100_PCIE_40GB, settings=FAST, executor=3
-        )
-        assert {
-            v: m.time_s for v, m in threaded.by_variant.items()
-        } == {v: m.time_s for v, m in serial.by_variant.items()}
-
-    def test_repeated_cells_hit_the_pipeline_caches(self, bench):
         clear_pipeline_cache()
-        evaluate_benchmark(bench, "nvhpc", settings=FAST)
-        before = pipeline_cache_stats()
-        evaluate_benchmark(bench, "gcc", settings=FAST)
-        after = pipeline_cache_stats()
-        # the second compiler re-uses every pipeline artifact: no new
-        # stores in the session cache, every cell served by the memo
-        assert after["stores"] == before["stores"]
-        assert after["derived_hits"] > before["derived_hits"]
+        serial = evaluate_kernel(spec, compiler, A100_PCIE_40GB, settings=FAST)
+        workload = [
+            (spec.source, FAST.config(variant), spec.name)
+            for variant in (Variant.CSE, Variant.CSE_SAT)
+        ]
+        cache = _warmed_cache(workload, workers=2, executor="process")
+        stores = cache.stats.stores
+        try:
+            configure_pipeline_cache(cache=cache)
+            processed = evaluate_kernel(spec, compiler, A100_PCIE_40GB, settings=FAST)
+        finally:
+            configure_pipeline_cache()
+        assert stores == 2 and cache.stats.stores == stores
+        assert {
+            v: m.time_s for v, m in processed.by_variant.items()
+        } == {v: m.time_s for v, m in serial.by_variant.items()}

@@ -1,121 +1,44 @@
-"""Process-pool workers inherit the session's disk cache tier.
+"""Process-executor jobs are served from the disk artifacts the parent wrote.
 
-``ProcessExecutor`` hands its ``cache_dir`` (explicit, or from
-``REPRO_CACHE_DIR``) to every worker through a pool initializer: the
-worker exports the variable and rebinds the experiment harness's pipeline
-cache onto the directory.  A worker therefore starts with a *fresh memory
-tier over the shared disk tier* — so any cache hit it reports can only
-have come from an artifact another process wrote to disk, which is
-exactly the cross-process warm-state handoff the ROADMAP asked for.
+Process workers run uncached: the service's cache lives in the parent,
+which probes it before shipping a job to a worker and stores the result
+after the worker returns it.  A disk tier another session wrote is
+therefore the cross-process warm state — a process service over a *fresh*
+memory tier in front of it serves every job from disk, and no worker
+starts a pipeline.
 """
 
-import os
-
 from repro.benchsuite.npb.cg import CG
-from repro.experiments import common
-from repro.experiments.common import EvaluationSettings, configure_pipeline_cache
+from repro.experiments.common import EvaluationSettings
 from repro.saturator import Variant
-from repro.session import (
-    DiskCache,
-    MemoryCache,
-    OptimizationSession,
-    ProcessExecutor,
-    SerialExecutor,
-    TieredCache,
-    make_executor,
-)
-from repro.session.session import _cache_dir_of
+from repro.service import OptimizationService
+from repro.session import DiskCache, MemoryCache, OptimizationSession, TieredCache
 
-SOURCE = CG.kernels[0].source
+SOURCES = [spec.source for spec in CG.kernels[:2]]
 #: Deliberately unusual limits so no other test's artifacts collide.
-SETTINGS = EvaluationSettings(node_limit=311, iter_limit=2)
-
-
-def _probe_worker(args):
-    """Run one kernel through the harness; report where the result came from.
-
-    Module-level so the process pool can pickle it.  By the time it runs,
-    the pool initializer has rebound the harness cache onto the shared
-    disk directory (with a *fresh* memory tier), so a reported hit proves
-    a cross-process disk artifact was reused.
-    """
-
-    source, saturate = args
-    common._pipeline_stats(source, saturate, SETTINGS)
-    stats = common.pipeline_cache_stats()
-    return {
-        "env_cache_dir": os.environ.get("REPRO_CACHE_DIR"),
-        "hits": stats["hits"],
-        "misses": stats["misses"],
-    }
+CONFIG = EvaluationSettings(node_limit=311, iter_limit=2).config(Variant.CSE)
 
 
 def test_workers_hit_artifacts_the_parent_wrote(tmp_path):
     cache_dir = tmp_path / "fleet-cache"
 
-    # The parent seeds the DISK tier only — through a standalone session,
-    # not the harness, so the forked workers cannot inherit a warm memory
-    # tier and the only shared state is the on-disk artifact.
-    seeder = OptimizationSession(cache=DiskCache(cache_dir))
-    seeder.run(SOURCE, SETTINGS.config(Variant.CSE))
-    assert list(cache_dir.glob("*/*.pkl")), "seeding must write disk artifacts"
+    # The parent seeds the DISK tier only, through a standalone session:
+    # the service below starts with an empty memory tier, so the on-disk
+    # artifact is the only shared state.
+    seeder = OptimizationSession(CONFIG, DiskCache(cache_dir))
+    expected = [seeder.run(source).code for source in SOURCES]
+    assert len(list(cache_dir.glob("*/*.pkl"))) == len(SOURCES)
 
-    executor = ProcessExecutor(jobs=2, cache_dir=cache_dir)
-    results = executor.map(_probe_worker, [(SOURCE, False), (SOURCE, False)])
-
-    assert [r["env_cache_dir"] for r in results] == [str(cache_dir)] * 2
-    # every worker served the pipeline from the shared disk tier instead
-    # of re-running it cold
-    assert all(r["hits"] >= 1 for r in results), results
-
-
-def test_pool_kwargs_carry_the_initializer(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert ProcessExecutor(jobs=2)._pool_kwargs() == {}
-
-    explicit = ProcessExecutor(jobs=2, cache_dir=tmp_path)
-    kwargs = explicit._pool_kwargs()
-    assert kwargs["initargs"] == (str(tmp_path),)
-
-    # without an explicit directory, REPRO_CACHE_DIR is the fleet default
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-    assert ProcessExecutor(jobs=2)._pool_kwargs()["initargs"] == (
-        str(tmp_path / "env"),
+    cache = TieredCache(MemoryCache(), DiskCache(cache_dir))
+    service = OptimizationService(
+        config=CONFIG, cache=cache, workers=2, executor="process"
     )
+    handles = [service.submit(source) for source in SOURCES]
+    with service:
+        results = [handle.result(timeout=120) for handle in handles]
+        snap = service.stats.snapshot()
 
-
-def test_worker_init_rebinds_the_harness_cache(tmp_path):
-    from repro.session.executor import _worker_cache_init
-
-    before = common._PIPELINE_CACHE
-    try:
-        _worker_cache_init(str(tmp_path / "a"))
-        bound = common._PIPELINE_CACHE
-        assert isinstance(bound, TieredCache)
-        assert str(bound.disk.root) == str(tmp_path / "a")
-        # already backed by the same directory: the warm memory tier is kept
-        _worker_cache_init(str(tmp_path / "a"))
-        assert common._PIPELINE_CACHE is bound
-    finally:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-        configure_pipeline_cache()
-    assert before is not common._PIPELINE_CACHE  # rebuilt to the default
-
-
-def test_session_forwards_its_disk_dir_to_process_executors(tmp_path):
-    session = OptimizationSession(
-        cache=DiskCache(tmp_path), executor="processes:2"
-    )
-    assert isinstance(session.executor, ProcessExecutor)
-    assert session.executor.cache_dir == str(tmp_path)
-
-    tiered = OptimizationSession(
-        cache=TieredCache(memory=MemoryCache(), disk=DiskCache(tmp_path / "t")),
-        executor="processes:2",
-    )
-    assert tiered.executor.cache_dir == str(tmp_path / "t")
-
-    assert _cache_dir_of(MemoryCache()) is None
-    assert _cache_dir_of(None) is None
-    # non-process specs ignore the directory
-    assert isinstance(make_executor("serial", cache_dir=tmp_path), SerialExecutor)
+    assert [result.code for result in results] == expected
+    assert all(handle.from_cache for handle in handles)
+    assert snap["cache_hits"] == len(SOURCES) and snap["pipeline_runs"] == 0
+    assert cache.disk.stats.hits == len(SOURCES)

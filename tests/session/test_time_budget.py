@@ -4,8 +4,9 @@
 the caller's token at iteration boundaries only.  A budget that binds stops
 saturation with ``StopReason.DEADLINE``; the artifact is flagged
 ``degraded``, is byte-identical to an iteration-limit stop at the same
-boundary, and no entry point — ``run_detailed``, ``run_many``, the thread
-or the process service — stores it, so a rerun goes cold.
+boundary, and no entry point — ``run_detailed``, a many-sources service
+wave, the thread or the process service — stores it, so a rerun goes
+cold.
 
 Two ways to make the budget bind: a limit that has passed before the first
 iteration starts (``1e-9``), and a rule whose search alone outlasts the
@@ -94,15 +95,20 @@ class TestNeverCached:
         assert session.cache.stats.hits == 0
 
     def test_run_many(self, binding):
-        session = OptimizationSession(config=binding, cache=MemoryCache())
-        items = [(SOURCE, "first"), (SOURCE, "second")]
-        for result in session.run_many(items):
-            _assert_budget_stop(result)
-        assert session.cache.stats.stores == 0
-
-        for result in session.run_many(items):
-            _assert_budget_stop(result)
-            assert not any(kernel.from_cache for kernel in result.kernels)
+        # many sources in one wave, every job queued before the workers
+        # start — what ``accsat -j 2 first.c second.c`` submits
+        session = OptimizationSession(binding, MemoryCache())
+        for _ in range(2):
+            service = OptimizationService(session=session, workers=2)
+            handles = [
+                service.submit(SOURCE, name_prefix=prefix)
+                for prefix in ("first", "second")
+            ]
+            with service:
+                for handle in handles:
+                    _assert_budget_stop(handle.result(timeout=120))
+                    assert not handle.from_cache, "the rerun must go cold"
+            assert service.stats.snapshot()["pipeline_runs"] == 2
         assert session.cache.stats.stores == 0
         assert session.cache.stats.hits == 0
 
