@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     # changed" down to "a thin recent slice", which is where the delta
     # join's root-relation restriction pays
     matching_delta = []
-    touched_live = sorted(cls.touched for cls in eg.eclasses())
+    touched_live = sorted(eg._class_touched[cid] for cid in eg.classes)
     delta_cases = [
         ("rule:" + rule.name, rule._compiled) for rule in rules[:4]
     ] + synthetic

@@ -12,7 +12,7 @@ lazily materialised boundary view for user code:
   congruence closure with deferred batched rebuilding, and e-class
   analyses,
 * :class:`~repro.egraph.pattern.Pattern` — e-matching of pattern terms,
-  with an op-indexed compiled engine
+  with a relational (join over the column store) compiled engine
   (:class:`~repro.egraph.pattern.CompiledPattern`) behind it,
 * :class:`~repro.egraph.rewrite.Rewrite` — rewrite rules, each a
   pattern ``=>`` pattern pair, searched incrementally,

@@ -42,7 +42,6 @@ __all__ = [
     "RowBatch",
     "as_int64",
     "as_uint8",
-    "vec_find",
 ]
 
 NodeKey = Tuple[int, ...]
@@ -133,21 +132,6 @@ class RowBatch:
         return f"RowBatch({self._materialize()!r})"
 
 
-def vec_find(parent, ids):
-    """Canonical ids of *ids* under the *parent* array (gather to fixpoint).
-
-    Equivalent to mapping ``uf.find`` but vectorised; terminates because
-    every gather moves ids strictly up the union-find forest.
-    """
-
-    out = parent[ids]
-    while True:
-        nxt = parent[out]
-        if np.array_equal(nxt, out):
-            return out
-        out = nxt
-
-
 class ColumnStore:
     """Append-only parallel columns mirroring the e-graph's hashcons.
 
@@ -200,11 +184,11 @@ class ColumnStore:
         #: fresh spellings but nothing *reads* the columns until the next
         #: rebuild/search, so :meth:`append_new` just queues and
         #: :meth:`flush` does the column writes in bulk.  A dict (not a
-        #: list) so that :meth:`kill` and :meth:`insert` of a
-        #: still-pending key resolve inside the buffer — a killed pending
-        #: key simply never materialises (dead rows are invisible to
-        #: every reader), and dict insertion order keeps materialised row
-        #: order equal to hashcons dict order.  Only the column readers
+        #: list) so that :meth:`kill` of a still-pending key resolves
+        #: inside the buffer — a killed pending key simply never
+        #: materialises (dead rows are invisible to every reader), and
+        #: dict insertion order keeps materialised row order equal to
+        #: hashcons dict order.  Only the column readers
         #: (:meth:`op_rows`, :meth:`stale_alive_rows`, :meth:`copy`) and
         #: ``EGraph.check_invariants`` flush.
         self.pending: Dict[NodeKey, int] = {}
@@ -229,14 +213,14 @@ class ColumnStore:
         return len(self.keys) + len(self.pending)
 
     # ------------------------------------------------------------------
-    # Mutation (mirrors of the three hashcons operations)
+    # Mutation (mirrors of the hashcons insert and pop)
     # ------------------------------------------------------------------
 
     def append_new(self, key: NodeKey, cls_id: int) -> None:
         """Mirror ``hashcons[key] = cls_id`` for a key known to be absent.
 
-        The :meth:`EGraph.add_key` fast path: the caller just missed the
-        hashcons, so the ``row_of`` probe of :meth:`insert` is skipped.
+        Overwrites of a live key need no mirror write (see the module
+        docstring), so this is the only insert.
         The row itself is deferred to :meth:`flush` — queue order equals
         dict insertion order, so materialised row order still equals
         hashcons dict order.  (The caller's contract guarantees the key is
@@ -287,19 +271,6 @@ class ColumnStore:
             row += 1
         pending.clear()
 
-    def insert(self, key: NodeKey, cls_id: int) -> None:
-        """Mirror ``hashcons[key] = cls_id`` (overwrite or fresh insert)."""
-
-        pending = self.pending
-        if pending and key in pending:
-            pending[key] = cls_id  # overwrite in place, queue position kept
-            return
-        row = self.row_of.get(key)
-        if row is None:
-            self.append_new(key, cls_id)
-        else:
-            self.cls[row] = cls_id
-
     def kill(self, key: NodeKey) -> Optional[int]:
         """Mirror ``hashcons.pop(key, None)``; returns the retired row.
 
@@ -321,12 +292,13 @@ class ColumnStore:
     # Batched passes (numpy column kernels)
     # ------------------------------------------------------------------
 
-    def stale_alive_rows(self, parent):
+    def stale_alive_rows(self, roots):
         """Ascending indices of alive rows with a non-root child id.
 
-        *parent* is the union-find parent array as an int64 ndarray.  The
-        predicate per row is exactly the scalar sweep's: some child ``c``
-        has ``parent[c] != c``.  Ascending row order equals hashcons dict
+        *roots* is the union-find as an int64 ndarray with
+        ``roots[i] == find(i)`` (``EGraph._np_roots``).  The predicate per
+        row is exactly the scalar sweep's: some child ``c`` is not a root
+        (``roots[c] != c``).  Ascending row order equals hashcons dict
         order (the store's core invariant), so handing these rows to the
         sweep preserves its merge-discovery order bit for bit.
         """
@@ -339,7 +311,7 @@ class ColumnStore:
             c = as_int64(col)
             present = c >= 0
             safe = np.where(present, c, 0)
-            stale |= present & (parent[safe] != safe)
+            stale |= present & (roots[safe] != safe)
         stale &= alive
         return np.flatnonzero(stale)
 
@@ -380,7 +352,7 @@ class ColumnStore:
         order — the store's core invariant — so every deterministic order
         derived from ascending live rows is unchanged.  Row *indices* do
         change: :attr:`epoch` is bumped so index-keyed caches (the
-        relation cache, parent snapshots) can tell, and the per-row
+        relation cache) can tell, and the per-row
         :attr:`touch` column is compacted in the same pass so the delta
         readers stay coherent.  Pending appends are flushed first — a
         compaction halfway through an append buffer would otherwise

@@ -33,10 +33,9 @@ int columns ``(op_id, payload_id, child0.., class_id, alive)`` per
 spelling ever interned, in hashcons insertion order.  The stale-key sweep
 and the relational e-matcher (:mod:`repro.egraph.pattern`) run as batched
 numpy passes over these columns, without touching any order the dict core
-defines.
-Per-class ``touched``/liveness stamps are mirrored into flat arrays the
-same way (``_class_touched`` / ``_class_alive``) so the incremental
-searcher and the extraction refresh can filter classes in one pass.
+defines.  Every vectorised ``find`` is one gather through a per-version,
+fully compressed snapshot of the union-find parent array
+(:meth:`EGraph._np_roots`).
 
 :class:`ENode` survives as a thin **boundary view**: user code, the rule
 DSL, cost models, code generation, tests, and cache serialisation keep
@@ -48,20 +47,18 @@ tuples directly.
 On top of the classic structure the e-graph maintains the bookkeeping that
 incremental e-matching (:mod:`repro.egraph.pattern`) relies on:
 
-* an **op-index** — for every operator id, the set of e-class ids whose
-  class contains an e-node with that operator.  Entries are canonicalised
-  lazily (a stale id simply ``find``s to the surviving root), so ``merge``
-  never has to rewrite the index; :meth:`classes_with_op` compacts on read.
-* a per-class **by-op grouping** of the key set (cached, invalidated by a
-  per-class ``version`` stamp) whose sorted bucket order *defines* match
-  order: the reference matcher iterates it and the relational matcher's
-  rank sort reproduces it,
-* a per-class **touched** stamp — the :attr:`version` at which the class
-  (or anything match-relevant below it) last changed.  :meth:`rebuild`
+* a per-class **touched** stamp (``_class_touched``, one flat array
+  indexed by class id) — the :attr:`version` at which the class (or
+  anything match-relevant below it) last changed.  :meth:`rebuild`
   propagates touches upward through the parent lists, which is what makes
   it sound for a rewrite to skip classes untouched since its previous scan,
 * a cached canonical-node count so ``len(egraph)`` is O(1) (it is called
   inside the runner's per-rule apply loop).
+
+Match order is defined by :meth:`EGraph._key_sort_key`: the reference
+matcher walks each class's keys of one operator in that order
+(:meth:`EGraph.nodes_by_op`) and the relational matcher's rank sort
+reproduces it.
 
 Determinism: every order that can influence saturation outcomes is sorted
 on data that does not depend on ``PYTHONHASHSEED`` — match buckets sort by
@@ -158,17 +155,7 @@ class EClass:
     :attr:`nodes` view materialises :class:`ENode` objects on demand.
     """
 
-    __slots__ = (
-        "graph",
-        "id",
-        "keys",
-        "parents",
-        "data",
-        "version",
-        "touched",
-        "_by_op",
-        "_by_op_version",
-    )
+    __slots__ = ("graph", "id", "keys", "parents", "data")
 
     def __init__(
         self,
@@ -189,15 +176,6 @@ class EClass:
         )
         #: Analysis data attached to this class.
         self.data = data
-        #: :attr:`EGraph.version` at which the key set of this class last
-        #: changed (invalidates the cached by-op grouping).
-        self.version = 0
-        #: :attr:`EGraph.version` at which this class — or a descendant a
-        #: match rooted here could reach — last changed.
-        self.touched = 0
-        #: Cached ``op_id -> [keys]`` grouping of :attr:`keys`.
-        self._by_op: Optional[Dict[int, List[NodeKey]]] = None
-        self._by_op_version = -1
 
     @property
     def nodes(self) -> Set[ENode]:
@@ -226,10 +204,6 @@ class EGraph:
         #: Running counter of adds/merges (saturation detection and the
         #: basis of the incremental-search stamps).
         self.version = 0
-        #: op_id -> set of e-class ids whose class contains that operator.
-        #: May hold stale (merged-away) ids; they canonicalise to the
-        #: surviving root and are compacted on read.
-        self._op_classes: Dict[int, Set[int]] = {}
         #: Cached number of e-nodes, kept in sync so ``len`` is O(1).
         self._node_count = 0
         #: Classes mutated since the last touch propagation.
@@ -268,22 +242,20 @@ class EGraph:
         #: Flat parallel int columns, one row per hashcons spelling; kept
         #: in lockstep with every hashcons mutation (see columns.py).
         self.store = ColumnStore()
-        #: class id -> touched stamp (mirror of ``EClass.touched``).
+        #: class id -> :attr:`version` at which this class — or a
+        #: descendant a match rooted here could reach — last changed.
+        #: Only canonical ids are kept fresh.
         self._class_touched = array("q")
-        #: class id -> 1 while the class is live (mirror of ``classes``).
-        self._class_alive = bytearray()
         #: class id -> 1 while the class carries non-bottom analysis data
         #: (mirror of ``EClass.data is not None``); lets analyses with
         #: ``needs_all_child_data`` prove a make_key call returns bottom
         #: from flat byte reads.  Only canonical ids are kept fresh — a
         #: merged-away class's flag goes stale with its record.
         self._class_data = bytearray()
-        #: (version, int64 ndarray) snapshot of the union-find parent
-        #: array for vectorised passes; valid until the next add/merge.
-        self._parent_snapshot: Optional[tuple] = None
-        #: (version, int64 ndarray) fully-compressed snapshot: entry i is
-        #: ``find(i)``.  One pointer-chase to fixpoint amortised across
-        #: every vectorised canonicalisation at this version.
+        #: (version, int64 ndarray) fully-compressed snapshot of the
+        #: union-find: entry i is ``find(i)``.  One pointer-chase to
+        #: fixpoint amortised across every vectorised canonicalisation at
+        #: this version.
         self._roots_snapshot: Optional[tuple] = None
         #: Per-(op, arity, payload-signature) relation cache for the
         #: relational matcher, cleared when the stamp moves (pattern.py).
@@ -363,35 +335,21 @@ class EGraph:
 
         return (key[2:], self._payload_sort[key[1]])
 
-    def _np_parent(self):
-        """int64 snapshot of the union-find parent array.
-
-        Cached per :attr:`version`: path compression may rewrite entries
-        without a version bump, but it only moves pointers *up* the same
-        forest, so a snapshot stays a valid union-find state (identical
-        roots) until the next add or merge.
-        """
-
-        snap = self._parent_snapshot
-        if snap is not None and snap[0] == self.version:
-            return snap[1]
-        arr = np.array(self.uf._parent, dtype=np.int64)
-        self._parent_snapshot = (self.version, arr)
-        return arr
-
     def _np_roots(self):
-        """Fully-compressed :meth:`_np_parent`: ``arr[i] == find(i)``.
+        """int64 snapshot of the union-find with ``arr[i] == find(i)``.
 
-        Turns every subsequent vectorised find into a single gather
-        (``roots[ids]``) instead of a per-call pointer chase; root tests
-        stay the same predicate (``roots[i] == i`` iff ``i`` is a root).
-        Cached per :attr:`version` like the parent snapshot.
+        Every vectorised find is a single gather (``roots[ids]``) and
+        every root test the same predicate as the scalar one
+        (``roots[i] == i`` iff ``i`` is a root).  Cached per
+        :attr:`version`: path compression may rewrite parent entries
+        without a version bump, but it only moves pointers *up* the same
+        forest, so the roots stay valid until the next add or merge.
         """
 
         snap = self._roots_snapshot
         if snap is not None and snap[0] == self.version:
             return snap[1]
-        arr = self._np_parent()
+        arr = np.array(self.uf._parent, dtype=np.int64)
         out = arr[arr]
         while not np.array_equal(out, arr):
             arr = out
@@ -452,8 +410,7 @@ class EGraph:
         cls = columns.as_int64(store.cls)
         if len(cls):
             touched = columns.as_int64(self._class_touched)
-            canon = columns.vec_find(self._np_parent(), cls)
-            columns.as_int64(store.touch)[:] = touched[canon]
+            columns.as_int64(store.touch)[:] = touched[self._np_roots()[cls]]
         store.touch_stamp = stamp
 
     def rows_touched_since(self, op_id: int, stamp: int):
@@ -511,83 +468,26 @@ class EGraph:
 
         return self.uf.same(a, b)
 
-    # ------------------------------------------------------------------
-    # Op-indexed queries (the e-matcher's entry points)
-    # ------------------------------------------------------------------
-
-    def classes_with_op(self, op: str) -> Set[int]:
-        """Canonical ids of every live class containing an *op* e-node.
-
-        Compacts the index entry in place (stale ids from merged-away
-        classes are replaced by their roots), so repeated queries stay
-        cheap even across heavy merging.
-        """
-
-        op_id = self._op_ids.get(op)
-        if op_id is None:
-            return set()
-        return self.classes_with_op_id(op_id)
-
-    def classes_with_op_id(self, op_id: int) -> Set[int]:
-        """Like :meth:`classes_with_op`, keyed by interned operator id."""
-
-        ids = self._op_classes.get(op_id)
-        if not ids:
-            return set()
-        # steady-state fast path: already fully canonical -> no rebuild
-        if self.uf.all_roots(ids):
-            return set(ids)
-        find = self.uf.find
-        canon = {find(i) for i in ids}
-        self._op_classes[op_id] = canon
-        # return a copy: handing out the live index would let callers
-        # mutate it (or trip over adds while iterating)
-        return set(canon)
-
-    def op_id(self, op: str) -> Optional[int]:
-        """Interned id of *op*, or None if the graph never saw it."""
-
-        return self._op_ids.get(op)
-
-    def buckets_by_op_id(self, eclass_id: int, op_id: int) -> Sequence[NodeKey]:
-        """The node keys with operator *op_id* in the class of *eclass_id*.
-
-        Hands back raw key tuples (``key[2:]`` are the child class ids).
-        Backed by a per-class grouping cache invalidated whenever the
-        class's key set changes.  Bucket order is the deterministic
-        :meth:`_key_sort_key` order —
-        identical to the object core's, which keeps node-limit-truncated
-        saturations reproducible across processes (the content-addressed
-        artifact cache relies on same source+config => same artifact).
-        """
-
-        # callers overwhelmingly pass canonical ids; the classes dict only
-        # holds canonical roots, so a hit skips the union-find walk
-        cls = self.classes.get(eclass_id)
-        if cls is None:
-            cls = self.classes[self.uf.find(eclass_id)]
-        if cls._by_op_version != cls.version:
-            group: Dict[int, List[NodeKey]] = {}
-            for key in cls.keys:
-                group.setdefault(key[0], []).append(key)
-            for bucket in group.values():
-                bucket.sort(key=self._key_sort_key)
-            cls._by_op = group
-            cls._by_op_version = cls.version
-        return cls._by_op.get(op_id, _EMPTY)
-
     def nodes_by_op(self, eclass_id: int, op: str) -> Sequence[ENode]:
         """The e-nodes with operator *op* in the class of *eclass_id*.
 
-        Boundary wrapper over :meth:`buckets_by_op_id` (views in the same
-        deterministic bucket order).
+        The reference matcher's candidate bucket.  Bucket order is the
+        deterministic :meth:`_key_sort_key` order — identical to the
+        object core's, which keeps node-limit-truncated saturations
+        reproducible across processes (the content-addressed artifact
+        cache relies on same source+config => same artifact) — and the
+        relational matcher's rank sort reproduces it.
         """
 
         op_id = self._op_ids.get(op)
         if op_id is None:
             return _EMPTY
+        bucket = sorted(
+            (key for key in self.keys_of(eclass_id) if key[0] == op_id),
+            key=self._key_sort_key,
+        )
         view = self._view
-        return [view(key) for key in self.buckets_by_op_id(eclass_id, op_id)]
+        return [view(key) for key in bucket]
 
     # ------------------------------------------------------------------
     # Adding
@@ -657,21 +557,12 @@ class EGraph:
         eclass.keys = {key}
         eclass.parents = []
         eclass.data = None
-        eclass._by_op = None
-        eclass._by_op_version = -1
-        eclass.version = eclass.touched = self.version
         self.classes[eclass_id] = eclass
         self.hashcons[key] = eclass_id
         self.store.append_new(key, eclass_id)
         self._class_touched.append(self.version)
-        self._class_alive.append(1)
         self._class_data.append(0)
         self._node_count += 1
-        ops = self._op_classes.get(key[0])
-        if ops is None:
-            self._op_classes[key[0]] = {eclass_id}
-        else:
-            ops.add(eclass_id)
         self._touched.append(eclass_id)
         # children are canonical here (the key was just canonicalised)
         classes = self.classes
@@ -791,13 +682,9 @@ class EGraph:
         winner.keys |= loser.keys
         self._node_count += len(winner.keys) - before
         winner.parents.extend(loser.parents)
-        winner.version = winner.touched = self.version
         self._class_touched[root] = self.version
-        self._class_alive[other] = 0
         self._touched.append(root)
         self._merged_since_sweep = True
-        # No op-index update needed: the loser's index entries find() to the
-        # surviving root and are compacted on the next classes_with_op read.
 
         if self.analysis is not None:
             winner.data = self.analysis.join(winner.data, loser.data)
@@ -884,7 +771,7 @@ class EGraph:
         self._merged_since_sweep = False
         uf = self.uf
         store = self.store
-        rows = store.stale_alive_rows(np.array(uf._parent, dtype=np.int64))
+        rows = store.stale_alive_rows(self._np_roots())
         if not rows.size:
             return 0
         keys_list = store.keys
@@ -956,9 +843,8 @@ class EGraph:
             cls = classes.get(cid)
             if cls is None:
                 continue
-            if cls.touched < stamp:
-                cls.touched = stamp
-                touched_arr[cid] = stamp
+            # stamp == version, which no stored stamp exceeds
+            touched_arr[cid] = stamp
             for _, parent_class in cls.parents:
                 # inline root check: parent edges are overwhelmingly
                 # canonical post-repair, so most iterations skip the call
@@ -1089,7 +975,6 @@ class EGraph:
                     owner.keys.discard(parent_key)
                     owner.keys.add(canon)
                     self._node_count += len(owner.keys) - n0
-                    owner.version = owner.touched = self.version
                     touched_arr[owner.id] = self.version
                     self._touched.append(owner.id)
 
@@ -1113,7 +998,6 @@ class EGraph:
                 add_new(key)
             self._node_count += len(new_keys) - len(eclass.keys)
             eclass.keys = new_keys
-            eclass.version = eclass.touched = self.version
             touched_arr[eclass.id] = self.version
             self._touched.append(eclass.id)
             # snapshot: a congruent merge below can grow this very set
@@ -1199,7 +1083,6 @@ class EGraph:
                 # a data change counts as a touch: the incremental
                 # searcher rescans this class, and those re-applied
                 # matches are part of where limit-bounded runs stop
-                parent.touched = self.version
                 self._class_touched[parent_class] = self.version
                 self._touched.append(parent_class)
 
@@ -1289,16 +1172,6 @@ class EGraph:
         assert len(self.payloads) == len(self._payload_ids) == len(self._payload_sort)
         for op, op_id in self._op_ids.items():
             assert self.op_names[op_id] == op, f"op table corrupt at {op_id}"
-        # op-index covers every (op, class) pair (it may hold extra stale
-        # ids, but after canonicalisation every live op-bearing class must
-        # be present)
-        for eclass in self.classes.values():
-            for key in eclass.keys:
-                members = self.classes_with_op_id(key[0])
-                assert eclass.id in members, (
-                    f"op-index missing class {eclass.id} for op "
-                    f"{self.op_names[key[0]]!r}"
-                )
 
         # columnar mirror: alive rows in ascending row order are exactly
         # the hashcons keys in dict iteration order (the invariant the
@@ -1329,23 +1202,26 @@ class EGraph:
             for i in range(len(store.child)):
                 expected = key[i + 2] if i < len(key) - 2 else -1
                 assert store.child[i][row] == expected
-        # per-class mirrors agree with the slotted records
-        assert (
-            len(self._class_touched)
-            == len(self._class_alive)
-            == len(self._class_data)
-            == len(self.uf)
-        )
+        # per-class arrays cover every class id; the data flag mirrors
+        # the slotted record
+        assert len(self._class_touched) == len(self._class_data) == len(self.uf)
+        touched = self._class_touched
         for eclass in self.classes.values():
-            assert self._class_alive[eclass.id] == 1
-            assert self._class_touched[eclass.id] == eclass.touched, (
-                f"touched mirror {self._class_touched[eclass.id]} != "
-                f"{eclass.touched} for class {eclass.id}"
-            )
             assert (self._class_data[eclass.id] != 0) == (
                 eclass.data is not None
             ), f"data-flag mirror wrong for class {eclass.id}"
-        assert sum(self._class_alive) == len(self.classes)
+            # the property incremental search relies on: a class is
+            # stamped no earlier than any class a match rooted at it can
+            # reach, so skipping classes untouched since a stamp never
+            # hides a match whose lower atoms changed
+            stamp = touched[eclass.id]
+            for key in eclass.keys:
+                for child in key[2:]:
+                    child_stamp = touched[self.uf.find(child)]
+                    assert child_stamp <= stamp, (
+                        f"class {eclass.id} stamped {stamp}, below its "
+                        f"child class {self.uf.find(child)} ({child_stamp})"
+                    )
 
     # ------------------------------------------------------------------
     # Misc
@@ -1359,14 +1235,12 @@ class EGraph:
         dup.hashcons = dict(self.hashcons)
         dup.classes = {}
         for cid, cls in self.classes.items():
-            new = EClass(dup, cls.id, set(cls.keys), list(cls.parents), cls.data)
-            new.version = cls.version
-            new.touched = cls.touched
-            dup.classes[cid] = new
+            dup.classes[cid] = EClass(
+                dup, cls.id, set(cls.keys), list(cls.parents), cls.data
+            )
         dup._dirty = list(self._dirty)
         dup._analysis_dirty = list(self._analysis_dirty)
         dup.version = self.version
-        dup._op_classes = {op: set(ids) for op, ids in self._op_classes.items()}
         dup._node_count = self._node_count
         dup._touched = list(self._touched)
         dup._merged_since_sweep = self._merged_since_sweep
@@ -1378,9 +1252,8 @@ class EGraph:
         dup._payload_eq = dict(self._payload_eq)
         dup.store = self.store.copy()
         dup._class_touched = array("q", self._class_touched)
-        dup._class_alive = bytearray(self._class_alive)
         dup._class_data = bytearray(self._class_data)
-        # per-version caches (parent snapshot, relations, payload ranks)
+        # per-version caches (roots snapshot, relations, payload ranks)
         # stay at their fresh-graph defaults and rebuild on demand
         # views are immutable value objects; sharing the memo is safe, and
         # the copied interning tables keep the resolved instantiator

@@ -1,4 +1,4 @@
-"""Patterns, compiled patterns, and op-indexed e-matching.
+"""Patterns, compiled patterns, and relational e-matching.
 
 A pattern is a term whose leaves may be *pattern variables* (spelled ``?x``
 in the textual syntax).  E-matching finds, for a given e-class, every
@@ -26,7 +26,7 @@ One production engine, one reference:
   connected relation, ties broken by op id then pre-order atom index.
   Join results are ordered by lexsorting ``(root class id, rank_0, ..,
   rank_k)`` where ``rank_i`` is atom *i*'s position inside its class's
-  deterministic :meth:`~repro.egraph.egraph.EGraph.buckets_by_op_id`
+  deterministic :meth:`~repro.egraph.egraph.EGraph.nodes_by_op`
   bucket order — which is the reference matcher's nested-loop emission
   order (two results agreeing on all earlier ranks chose identical rows,
   hence atom *i* draws from the same bucket, where rank order *is*
@@ -448,7 +448,7 @@ def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
     Rows are the *live* hashcons entries with operator *op_id*, exactly
     *nchildren* children, and (when *pids* is given) payload id in *pids*
     — the reference matcher's arity/payload guards as column masks.  When
-    *rows* is given it replaces the op-index scan: the relation is built
+    *rows* is given it replaces the per-op row scan: the relation is built
     over exactly that (already alive-filtered) row slice — the delta-join
     entry point, where *rows* comes from ``rows_touched_since``.  Because
     touch stamps are per-class, a delta slice always contains *complete*
@@ -458,7 +458,7 @@ def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
     * ``cls`` — canonical e-class id per row,
     * ``child`` — canonical child class ids, one int64 array per slot,
     * ``rank`` — the row's position within its class's deterministic
-      per-op bucket order (:meth:`EGraph.buckets_by_op_id`): rows are
+      per-op bucket order (:meth:`EGraph.nodes_by_op`): rows are
       lexsorted by ``(cls, raw child ids.., payload rank)``, which is the
       bucket comparator ``(key[2:], (str(payload), type))`` restricted to
       this relation's fixed arity — so ranks of filtered rows preserve
@@ -495,10 +495,10 @@ def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
         return None
     rows = rows[keep]
     pid_col = pid_col[keep]
-    parent = eg._np_parent()
-    cls = columns.vec_find(parent, columns.as_int64(store.cls)[rows])
+    roots = eg._np_roots()
+    cls = roots[columns.as_int64(store.cls)[rows]]
     raw = tuple(columns.as_int64(store.child[i])[rows] for i in range(nchildren))
-    canon = tuple(columns.vec_find(parent, col) for col in raw)
+    canon = tuple(roots[col] for col in raw)
     prank = columns.as_int64(eg._payload_ranks())[pid_col]
     # np.lexsort: last key is primary -> (cls, child0.., prank) priority
     order = np.lexsort((prank,) + raw[::-1] + (cls,))

@@ -92,21 +92,6 @@ class UnionFind:
 
         return self.find(a) == self.find(b)
 
-    def all_roots(self, ids) -> bool:
-        """True if every id in *ids* is canonical — one array read per id.
-
-        The steady-state fast path of the op-index and the hashcons sweep:
-        after a rebuild most entries are already canonical, and answering
-        that without calling :meth:`find` per element keeps those batched
-        integer loops cheap.
-        """
-
-        parent = self._parent
-        for x in ids:
-            if parent[x] != x:
-                return False
-        return True
-
     def roots(self) -> List[int]:
         """Return every canonical representative currently live."""
 

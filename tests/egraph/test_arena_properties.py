@@ -14,8 +14,9 @@ compared on
 * **extraction**: per-root minimum tree costs match a reference DP exactly,
   and the arena's extracted term is well-formed with the cost it claims.
 
-``check_invariants`` (hashcons coherence, op-index coverage, interning
-table consistency, O(1) node count) runs after every rebuild.
+``check_invariants`` (hashcons coherence, interning table consistency,
+O(1) node count, touch-stamp order along parent edges) runs after every
+rebuild.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -270,16 +270,6 @@ def test_pending_reinsert_requeues_at_end():
     assert store.cls.tolist() == [1, 2]
 
 
-def test_pending_insert_overwrites_in_place():
-    store = ColumnStore()
-    store.append_new((1, 0), 0)
-    store.insert((1, 0), 5)  # overwrite of a pending key keeps its slot
-    store.flush()
-    assert store.keys == [(1, 0)]
-    assert store.cls.tolist() == [5]
-    assert len(store) == 1
-
-
 def test_len_counts_pending_rows():
     store = ColumnStore()
     assert len(store) == 0

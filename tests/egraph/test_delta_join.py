@@ -109,7 +109,7 @@ def naive_rows(pattern, eg):
 def _incremental_scan(pattern, eg, since):
     """The reference matcher's rows rooted at classes touched > *since*."""
 
-    return [row for row in naive_rows(pattern, eg) if eg.classes[row[0]].touched > since]
+    return [row for row in naive_rows(pattern, eg) if eg._class_touched[row[0]] > since]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
-"""Tests for the op-indexed incremental e-matching engine.
+"""Tests for the incremental e-matching engine.
 
 Covers the invariants the fast engine layers on top of the classic
-e-graph (op-index coherence, O(1) node count, touch stamps), the
-equivalence of compiled/op-indexed/incremental search with the naive
-backtracking matcher, and the saturation profiler.
+e-graph (O(1) node count, touch stamps ordered along parent edges), the
+equivalence of compiled/incremental search with the naive backtracking
+matcher, and the saturation profiler.
 """
 
 import json
 import random
 import time
 
+import pytest
+
 from repro.egraph import EGraph, Runner, RunnerLimits, RunnerReport, StopReason
+from repro.egraph import columns
 from repro.egraph.egraph import ENode
 from repro.egraph.language import num, op, sym
 from repro.egraph.pattern import compile_pattern, parse_pattern
@@ -70,8 +73,8 @@ def _representative_egraph():
 
 class TestOpIndexInvariants:
     def test_randomized_add_merge_rebuild_interleavings(self):
-        """check_invariants (incl. op-index and node-count cache) holds
-        after arbitrary add/merge/rebuild sequences."""
+        """check_invariants (incl. touch-stamp order and node-count cache)
+        holds after arbitrary add/merge/rebuild sequences."""
 
         rng = random.Random(20240728)
         ops = ["+", "*", "-", "f"]
@@ -97,25 +100,46 @@ class TestOpIndexInvariants:
         eg = _representative_egraph()
         assert len(eg) == sum(len(c.nodes) for c in eg.classes.values())
 
-    def test_classes_with_op_exact_after_rebuild(self):
+    def test_op_rows_exact_after_rebuild(self):
+        """The rows the relational matcher scans for an operator (its live
+        column rows, canonicalised through the roots snapshot) are exactly
+        the canonical e-nodes with that operator, one row each."""
+
         eg = _representative_egraph()
+        roots = eg._np_roots()
         for opname in ("+", "*", "sym", "num", "fma"):
-            expected = {
-                c.id for c in eg.eclasses() if any(n.op == opname for n in c.nodes)
-            }
-            assert eg.classes_with_op(opname) == expected
+            owners = [cid for cid, n in eg.canonical_nodes() if n.op == opname]
+            rows = eg.rows_touched_since(eg._op_ids[opname], -1)
+            found = roots[columns.as_int64(eg.store.cls)[rows]]
+            assert len(found) == len(owners)
+            assert {int(c) for c in found} == set(owners)
+
+    def test_parent_stamped_below_child_is_caught(self):
+        """A parent class whose touch stamp sits below a child's would let
+        an incremental search skip a changed match: check_invariants must
+        reject it."""
+
+        eg = EGraph()
+        a = eg.add_term(sym("a"))
+        root = eg.add_term(op("+", sym("a"), sym("b")))
+        eg.rebuild()
+        eg.check_invariants()
+        eg._class_touched[root] = eg._class_touched[a] - 1
+        with pytest.raises(AssertionError, match="below its child"):
+            eg.check_invariants()
 
     def test_copy_preserves_engine_state(self):
         eg = _representative_egraph()
         dup = eg.copy()
         dup.check_invariants()
         assert len(dup) == len(eg)
-        assert dup.classes_with_op("+") == eg.classes_with_op("+")
+        assert set(dup.canonical_nodes()) == set(eg.canonical_nodes())
+        assert dup._class_touched == eg._class_touched
 
 
 class TestSearchEquivalence:
     def test_indexed_search_equals_naive_on_default_ruleset(self):
-        """Compiled + op-indexed search == naive matcher, for every rule of
+        """Compiled relational search == naive matcher, for every rule of
         the paper's rule set over a representative kernel e-graph."""
 
         eg = _representative_egraph()
