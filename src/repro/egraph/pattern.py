@@ -354,10 +354,17 @@ class _InstantiatorCodegen:
         are mutated in place by adds/merges, so hoisting the binds cannot
         change what the loop observes.  A :class:`PatternVar` *pattern*
         (a bare-variable right-hand side) generates the epilogue alone.
+
+        After every row the loop compares the e-graph's node count with
+        ``limit`` and returns right after the first row that leaves it
+        above the limit, leaving the remaining rows untouched: a row adds
+        at most one e-node per operator node of *pattern* (plus the
+        literal an analysis's ``modify`` may inject per new class), so
+        the count overshoots the limit by at most that much.
         """
 
         result = self._node(pattern)
-        lines = self._prologue("_apply_rows", "rows")
+        lines = self._prologue("_apply_rows", "rows, limit")
         lines += [
             "    find = eg.uf.find",
             "    merge_roots = eg.merge_roots",
@@ -373,6 +380,7 @@ class _InstantiatorCodegen:
             "        if ra != rb:",
             "            merge_roots(ra, rb)",
             "            applied += 1",
+            "        if eg._node_count > limit: return applied",
             "    return applied",
         ]
         return self._compile(lines, "_apply_rows")
@@ -824,12 +832,13 @@ def compile_row_applier(pattern: Pattern, lhs_vars: Tuple[str, ...]):
     """The apply loop of pattern applier *pattern* over a list of match rows.
 
     *lhs_vars* is the searcher's :attr:`CompiledPattern.vars` tuple.  The
-    returned function takes ``(egraph, rows)``, where each row is a
+    returned function takes ``(egraph, rows, limit)``, where each row is a
     ``(cid, v0, v1, ..)`` sequence as ``search_rows`` emits them, reads
     each variable at its row position, and performs the instantiate +
     canonicalise + merge loop in one call, returning the number of unions
-    made — the only code that applies a pattern right-hand side
-    (:meth:`Rewrite.apply_rows`).  A bare-variable pattern has nothing to
+    made; it stops after the first row that leaves more than ``limit``
+    e-nodes in the e-graph.  It is the only code that applies a pattern
+    right-hand side (:meth:`Rewrite.apply_rows`).  A bare-variable pattern has nothing to
     instantiate: its loop merges the bound class with the matched one.
     Requires every variable of *pattern* to occur in *lhs_vars*
     (:class:`~repro.egraph.rewrite.Rewrite` rejects such rules at

@@ -21,6 +21,7 @@ state lives on it, so one ruleset may serve any number of runners.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -75,19 +76,23 @@ class Rewrite:
 
         return self._compiled.search_rows(egraph, since)
 
-    def apply_rows(self, egraph: EGraph, rows: List[tuple]) -> int:
-        """Apply the right-hand side to every match row; returns #unions made.
+    def apply_rows(
+        self, egraph: EGraph, rows: List[tuple], limit: Optional[int] = None
+    ) -> int:
+        """Apply the right-hand side to the match rows; returns #unions made.
 
         Hands the rows to the rule's generated row loop
         (:func:`~repro.egraph.pattern.compile_row_applier`) — the one
         place a right-hand side is instantiated and merged.
 
-        Note that every match is applied, even ones already committed by a
-        previous iteration: a redundant application is a no-op *union*, but
-        its hashcons probes participate in the e-graph's node-count
-        trajectory (mid-phase canonicalisation drift can spawn transient
-        classes), and the node-limit check observes that trajectory.
-        Skipping them would change where limit-bounded runs stop.
+        Rows are applied in order until one leaves the e-graph with more
+        than ``limit`` e-nodes (None: no limit); the loop returns right
+        after that row and never touches the rest.  The runner passes its
+        ``node_limit``, so a limit-bounded run stops within one row of the
+        bound instead of one rule batch.  A match already committed by a
+        previous iteration is applied again: its union is a no-op, and its
+        hashcons probes add nothing unless mid-phase canonicalisation drift
+        spawns a transient class, which the node count then includes.
         """
 
         if type(rows) is columns.RowBatch:
@@ -95,7 +100,9 @@ class Rewrite:
             # loop only indexes them, and skipping the per-row tuple()
             # halves the materialisation cost
             rows = rows.mat.tolist()
-        return self._apply_rows_fn(egraph, rows)
+        return self._apply_rows_fn(
+            egraph, rows, sys.maxsize if limit is None else limit
+        )
 
     def __str__(self) -> str:
         return f"{self.name}: {self.searcher} => {self.applier}"

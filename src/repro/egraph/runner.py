@@ -5,7 +5,13 @@ and rebuilds the e-graph, until one of the stopping conditions is reached:
 
 * **saturation** — an iteration produces no new union (the e-graph is a
   fixed point of the rule set) while the scheduler curtailed nothing,
-* **node limit** — the e-graph grew past ``node_limit`` e-nodes,
+* **node limit** — a match row of the apply phase left the e-graph with
+  more than ``node_limit`` e-nodes.  The apply loop stops right after
+  that row, applies no later rule, and the iteration finishes normally
+  (rebuild, anytime evaluation, ``on_iteration``); the run then stops at
+  that boundary.  Rebuild's congruence merges may shrink the e-graph
+  first, so a node-limit stop can report fewer than ``node_limit``
+  e-nodes,
 * **iteration limit** — ``iter_limit`` iterations executed,
 * **cost plateau** — with anytime extraction enabled (see below), the
   extracted cost stopped improving,
@@ -284,7 +290,13 @@ class CancellationToken:
 
 @dataclass(frozen=True)
 class RunnerLimits:
-    """Resource limits for one saturation run (paper §VII defaults)."""
+    """Resource limits for one saturation run (paper §VII defaults).
+
+    ``node_limit`` is checked after every applied match row: the row that
+    crosses it ends the apply phase, and the run stops with
+    :attr:`StopReason.NODE_LIMIT` at the end of that iteration, whatever
+    the post-rebuild count.
+    """
 
     node_limit: int = 10_000
     iter_limit: int = 10
@@ -563,7 +575,8 @@ class Runner:
             anytime.validate()
         #: Per-rule e-graph version of the last *committed* scan (parallel
         #: to :attr:`rewrites`); -1 forces a full first scan.  Only
-        #: advanced when the scheduler admitted the complete match batch.
+        #: advanced when the scheduler admitted the complete match batch
+        #: and the node limit did not cut it short.
         self._last_scan: List[int] = [-1] * len(self.rewrites)
         # -- anytime-extraction state (per run) ---------------------------
         self._best_cost: Optional[float] = None
@@ -610,13 +623,16 @@ class Runner:
         all_matches: List[tuple],
         scan_version: int,
         stats: Dict[str, RuleStats],
-    ) -> int:
-        """Apply the admitted matches; returns the number of unions made.
+    ) -> tuple:
+        """Apply the admitted matches; returns ``(unions made, tripped)``.
 
-        A rule's incremental-scan stamp advances to *scan_version* only
-        when its batch was complete: matches the scheduler dropped must be
-        re-findable by the rule's next scan, and matches found after a
-        node-limit break were never applied at all.
+        Each batch runs under the node limit (:meth:`Rewrite.apply_rows`
+        returns right after the row that crosses it); ``tripped`` is True
+        when some row left the e-graph above ``node_limit``, and then no
+        later rule is applied.  A rule's incremental-scan stamp advances
+        to *scan_version* only when its batch was complete and applied in
+        full: matches the scheduler dropped must be re-findable by the
+        rule's next scan, and so must the rows a trip left unapplied.
         """
 
         egraph = self.egraph
@@ -624,9 +640,10 @@ class Runner:
         applied = 0
         for index, rule, matches, complete in all_matches:
             at0 = time.perf_counter()
-            n_applied = rule.apply_rows(egraph, matches)
+            n_applied = rule.apply_rows(egraph, matches, node_limit)
             at1 = time.perf_counter()
-            if complete:
+            tripped = len(egraph) > node_limit
+            if complete and not tripped:
                 # matches up to scan_version are now committed; the next
                 # incremental scan may skip classes untouched since then
                 self._last_scan[index] = scan_version
@@ -634,9 +651,9 @@ class Runner:
             rs.apply_time += at1 - at0
             rs.applied += n_applied
             applied += n_applied
-            if len(egraph) > node_limit:
-                break
-        return applied
+            if tripped:
+                return applied, True
+        return applied, False
 
     def _anytime_evaluate(
         self, iteration: int, report: RunnerReport
@@ -727,7 +744,7 @@ class Runner:
             t0 = time.perf_counter()
             all_matches = self._search_phase(iteration, stats)
             t1 = time.perf_counter()
-            applied = self._apply_phase(all_matches, scan_version, stats)
+            applied, tripped = self._apply_phase(all_matches, scan_version, stats)
             t2 = time.perf_counter()
             egraph.rebuild()
             t3 = time.perf_counter()
@@ -774,7 +791,9 @@ class Runner:
             stop = boundary_stop()
             if stop is not None:
                 break
-            if len(egraph) > limits.node_limit:
+            # a trip in the apply phase stops here even when rebuild's
+            # congruence merges brought the count back under the limit
+            if tripped or len(egraph) > limits.node_limit:
                 stop = StopReason.NODE_LIMIT
                 break
 

@@ -58,7 +58,11 @@ __all__ = [
 #: as if saturated, and a pickle naming ``StopReason("time_limit")`` would
 #: no longer load (quarantined as "corrupt"); re-keying makes both a clean
 #: miss.
-ENGINE_SCHEMA = "deadline-v6"
+#: rowcap-v7: ``node_limit`` is enforced after every applied match row
+#: instead of after every rule batch, so a node-limit stop ends with a
+#: different (smaller) e-graph and its ``KernelReport``/``RunnerReport``
+#: counts change; older disk entries must re-miss.
+ENGINE_SCHEMA = "rowcap-v7"
 
 
 def fingerprint_text(text: str) -> str:

@@ -19,7 +19,8 @@ Contracts pinned here:
   runs and a reference loop written here from the public API
   (``Pattern.instantiate`` + ``EGraph.merge`` per match) produce
   bit-identical e-graphs (hashcons, union-find, class structure) —
-  under mid-batch unions and for bare-variable right-hand sides.
+  under mid-batch unions, for bare-variable right-hand sides, and when
+  the node limit trips in the middle of a batch.
 * **Stamp pinning under the join engine**: a scheduler-dropped batch
   keeps the rule's incremental stamp pinned, and the delta join re-finds
   every dropped match on the next iteration (the PR-4 invariant, now
@@ -254,11 +255,12 @@ class _ReferenceRewrite(Rewrite):
     """A pattern rule applied the slow way, from the public API only.
 
     Per match row, in match order: ``Pattern.instantiate`` (the
-    recursive ENode-level builder) then ``EGraph.merge``.  The executable
+    recursive ENode-level builder) then ``EGraph.merge``, stopping after
+    the first row that leaves more than ``limit`` e-nodes.  The executable
     specification of what the generated row loop must do to the e-graph.
     """
 
-    def apply_rows(self, egraph, rows):
+    def apply_rows(self, egraph, rows, limit=None):
         names = self.searcher.variables()
         applied = 0
         for row in rows:
@@ -267,6 +269,8 @@ class _ReferenceRewrite(Rewrite):
             if not egraph.is_equal(new_id, eclass_id):
                 egraph.merge(new_id, eclass_id)
                 applied += 1
+            if limit is not None and len(egraph) > limit:
+                break
         return applied
 
 
@@ -330,6 +334,11 @@ def _graph_signature(eg):
         pytest.param(
             _identity_graph, extended_ruleset, 1500, id="bare-variable-rhs"
         ),
+        # iteration 1 ends at 113 e-nodes: the cap trips a few rows into
+        # iteration 2's first batch
+        pytest.param(
+            _chain_graph, _comm_assoc_rules, 120, id="chain-cap-trips-midbatch"
+        ),
     ],
 )
 def test_generated_apply_loop_matches_reference_loop(make_graph, make_rules, node_limit):
@@ -342,7 +351,7 @@ def test_generated_apply_loop_matches_reference_loop(make_graph, make_rules, nod
         report = Runner(eg, rules, limits).run()
         applied = {name: rs.applied for name, rs in report.rule_stats.items()}
         assert sum(applied.values()) > 0
-        return _graph_signature(eg), applied
+        return _graph_signature(eg), applied, report.stop_reason
 
     rules = make_rules()
     reference = [_ReferenceRewrite(r.name, r.searcher, r.applier) for r in rules]

@@ -187,13 +187,13 @@ class TestFingerprintMemo:
         """Disk entries written under this schema must still hit (the pins
         move only with an ``ENGINE_SCHEMA`` bump)."""
 
-        assert fingerprint_module.ENGINE_SCHEMA == "deadline-v6"
+        assert fingerprint_module.ENGINE_SCHEMA == "rowcap-v7"
         assert fingerprint_config(SaturatorConfig()) == (
-            "61b5ff89da1a94242e225739a0234569be5ad8c38d943a4aeb31e246b0b8217a"
+            "08bef060a90136f198acdc21275876197e8b0eba65b1719e5cbac934922eecfc"
         )
         key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
         assert key.digest == (
-            "ee35cf792cf47f6c7c41592dbf370d7c5bd55e6c759040c411b2f819ec7c629b"
+            "c9f1701bbc33a98cc230b552539e9223ed60a2439d43c539c7e30a680ed0e5ee"
         )
 
 
