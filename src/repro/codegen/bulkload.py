@@ -19,10 +19,10 @@ AST surgery happens in :mod:`repro.codegen.generator`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.tempvars import ClassRenderer
-from repro.egraph.egraph import EGraph
+from repro.egraph.egraph import NodeKey
 
 __all__ = ["ScheduleItem", "schedule_group"]
 
@@ -52,6 +52,7 @@ def schedule_group(
     """
 
     egraph = renderer.egraph
+    op_names = egraph.op_names
     emitted: Set[int] = set()
     schedule: List[ScheduleItem] = []
 
@@ -74,17 +75,10 @@ def schedule_group(
             if not is_root and renderer.is_temp_class(cid):
                 result.append(cid)
                 return
-            node = renderer.choices.get(cid)
-            if node is None:
+            key = renderer.choices.get(cid)
+            if key is None:
                 return
-            children = node.children
-            if node.op in ("load", "store"):
-                children = node.children[1:]
-            elif node.op in ("phi", "phi-loop"):
-                # φ values render as the merged variable; their operands are
-                # not part of this group's generated code
-                children = ()
-            for child in children:
+            for child in _operands(op_names, key):
                 visit(child, False)
 
         visit(eclass_id, True)
@@ -96,10 +90,10 @@ def schedule_group(
         Returns -1 when the load only reads state live at group entry.
         """
 
-        node = renderer.choices.get(egraph.find(eclass_id))
-        if node is None or node.op != "load":
+        key = renderer.choices.get(egraph.find(eclass_id))
+        if key is None or op_names[key[0]] != "load":
             return -1
-        version = egraph.find(node.children[0])
+        version = egraph.find(key[2])
         return store_stmt_of.get(version, -1)
 
     def emit_temp(eclass_id: int, after_position: int) -> None:
@@ -108,8 +102,7 @@ def schedule_group(
         eclass_id = egraph.find(eclass_id)
         if eclass_id in emitted or not renderer.is_temp_class(eclass_id):
             return
-        node = renderer.choices.get(eclass_id)
-        if node is not None and node.op == "load" and load_stmt_dep(eclass_id) > after_position:
+        if load_stmt_dep(eclass_id) > after_position:
             # This load forwards from a store that has not executed yet; it
             # cannot be hoisted here.  It will be emitted after its store.
             return
@@ -130,8 +123,8 @@ def schedule_group(
         all_loads: Set[int] = set()
         for root in root_classes:
             for cid in _reachable_temp_classes(renderer, root):
-                node = renderer.choices.get(egraph.find(cid))
-                if node is not None and node.op == "load":
+                key = renderer.choices.get(egraph.find(cid))
+                if key is not None and op_names[key[0]] == "load":
                     all_loads.add(egraph.find(cid))
         for load in all_loads:
             load_pool.setdefault(load_stmt_dep(load), []).append(load)
@@ -171,6 +164,7 @@ def _reachable_temp_classes(renderer: ClassRenderer, root: int) -> Set[int]:
     """All temp classes reachable from *root* through the selected DAG."""
 
     egraph = renderer.egraph
+    op_names = egraph.op_names
     seen: Set[int] = set()
     result: Set[int] = set()
 
@@ -181,16 +175,27 @@ def _reachable_temp_classes(renderer: ClassRenderer, root: int) -> Set[int]:
         seen.add(cid)
         if renderer.is_temp_class(cid):
             result.add(cid)
-        node = renderer.choices.get(cid)
-        if node is None:
+        key = renderer.choices.get(cid)
+        if key is None:
             return
-        children = node.children
-        if node.op in ("load", "store"):
-            children = node.children[1:]
-        elif node.op in ("phi", "phi-loop"):
-            children = ()
-        for child in children:
+        for child in _operands(op_names, key):
             visit(child)
 
     visit(root)
     return result
+
+
+def _operands(op_names: Sequence[str], key: NodeKey) -> Tuple[int, ...]:
+    """The child classes whose values the selected node *key* renders.
+
+    A load's / store's version operand carries no generated code, and φ
+    values render as the merged variable, so their operands are not part
+    of this group's code.
+    """
+
+    op = op_names[key[0]]
+    if op in ("load", "store"):
+        return key[3:]
+    if op in ("phi", "phi-loop"):
+        return ()
+    return key[2:]

@@ -5,7 +5,7 @@ For every straight-line group of the kernel's SSA form the generator
 1. schedules temporaries for the selected e-classes of the group's
    assignments (lazy or bulk-load policy, §VI),
 2. builds the AST of each temporary's defining expression straight from
-   the selected e-nodes (:class:`~repro.codegen.tempvars.ClassRenderer`),
+   the selected node keys (:class:`~repro.codegen.tempvars.ClassRenderer`),
 3. splices ``double _vN = ...;`` declarations into the group's block, and
 4. replaces each original assignment's right-hand side with a reference to
    its root temporary (or an inline expression for trivial right-hand
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.bulkload import ScheduleItem, schedule_group
 from repro.codegen.tempvars import ClassRenderer, TempAllocator, Template
-from repro.egraph.egraph import EGraph, ENode
+from repro.egraph.egraph import EGraph, NodeKey
 from repro.egraph.extract import ExtractionResult
 from repro.egraph.language import Term
 from repro.frontend import cast as C
@@ -221,8 +221,8 @@ class CodeGenerator:
     # statistics
     # ------------------------------------------------------------------
 
-    def _count_node(self, node: ENode) -> None:
-        op = node.op
+    def _count_node(self, key: NodeKey) -> None:
+        op = self.egraph.op_names[key[0]]
         if op == "load":
             self.stats.loads += 1
         elif op == "store":

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set, Tuple
 
-from repro.egraph.egraph import EGraph, ENode
+from repro.egraph.egraph import EGraph, NodeKey
 from repro.frontend import cast as C
 from repro.frontend.parser import make_number, parse_expression
 
@@ -90,7 +90,7 @@ def _format_number(value) -> str:
 
 
 class RenderError(ValueError):
-    """A selected e-node has no C spelling (e.g. an opaque ``@opaqueN`` leaf)."""
+    """A selected node has no C spelling (e.g. an opaque ``@opaqueN`` leaf)."""
 
 
 #: A runtime variable: an identifier, or a ``.`` / ``->`` member path of them.
@@ -151,10 +151,15 @@ def _parse_template(template: str) -> Template:
 
 @dataclass
 class ClassRenderer:
-    """Build the C expressions of e-classes of an extraction result."""
+    """Build the C expressions of e-classes of an extraction result.
+
+    *choices* maps each selected class to its node key ``(op_id,
+    payload_id, *child_ids)``; names and payloads are read from the
+    e-graph's ``op_names`` / ``payloads`` tables.
+    """
 
     egraph: EGraph
-    choices: Dict[int, ENode]
+    choices: Dict[int, NodeKey]
     temps: TempAllocator
     #: E-classes that currently have a live temporary (already emitted in the
     #: group being generated); built as their temp name.
@@ -167,7 +172,7 @@ class ClassRenderer:
 
     # ------------------------------------------------------------------
 
-    def node_of(self, eclass_id: int) -> ENode:
+    def node_of(self, eclass_id: int) -> NodeKey:
         return self.choices[self.egraph.find(eclass_id)]
 
     def is_temp_class(self, eclass_id: int) -> bool:
@@ -176,10 +181,10 @@ class ClassRenderer:
         eclass_id = self.egraph.find(eclass_id)
         if eclass_id in self.inline_only:
             return False
-        node = self.choices.get(eclass_id)
-        if node is None:
+        key = self.choices.get(eclass_id)
+        if key is None:
             return False
-        return node.op in TEMP_OPS
+        return self.egraph.op_names[key[0]] in TEMP_OPS
 
     # ------------------------------------------------------------------
 
@@ -200,55 +205,57 @@ class ClassRenderer:
         children rendered through :meth:`render`)."""
 
         eclass_id = self.egraph.find(eclass_id)
-        node = self.choices.get(eclass_id)
-        if node is None:
+        key = self.choices.get(eclass_id)
+        if key is None:
             raise KeyError(f"e-class {eclass_id} has no selected node")
-        return self._render_node(node)
+        return self._render_node(key)
 
     # ------------------------------------------------------------------
 
-    def _render_node(self, node: ENode) -> str:
-        op = node.op
+    def _render_node(self, key: NodeKey) -> str:
+        op = self.egraph.op_names[key[0]]
+        payload = self.egraph.payloads[key[1]]
+        children = key[2:]
         if op == "num":
-            return _format_number(node.payload)
+            return _format_number(payload)
         if op == "sym":
-            return _strip_ssa_suffix(str(node.payload))
+            return _strip_ssa_suffix(str(payload))
         if op in ("phi", "phi-loop"):
-            return _strip_ssa_suffix(str(node.payload))
+            return _strip_ssa_suffix(str(payload))
         if op == "load":
-            template = str(node.payload)
-            index_text = [self.render(c) for c in node.children[1:]]
+            template = str(payload)
+            index_text = [self.render(c) for c in children[1:]]
             return template.format(*index_text)
         if op == "store":
             # value of a store is the stored value (used only when a load
             # forwards from a store of the same location)
-            return self.render(node.children[-1])
+            return self.render(children[-1])
         if op == "neg":
-            return f"(- {self.render(node.children[0])})"
+            return f"(- {self.render(children[0])})"
         if op == "fma":
-            a, b, c = (self.render(child) for child in node.children)
+            a, b, c = (self.render(child) for child in children)
             return f"({a} + {b} * {c})"
         if op == "call":
-            args = ", ".join(self.render(c) for c in node.children)
-            return f"{node.payload}({args})"
+            args = ", ".join(self.render(c) for c in children)
+            return f"{payload}({args})"
         if op == "cast":
-            return f"(({node.payload})({self.render(node.children[0])}))"
+            return f"(({payload})({self.render(children[0])}))"
         if op == "ternary":
-            cond, then, other = (self.render(c) for c in node.children)
+            cond, then, other = (self.render(c) for c in children)
             return f"({cond} ? {then} : {other})"
         if op == "member":
-            return f"{self.render(node.children[0])}.{node.payload}"
+            return f"{self.render(children[0])}.{payload}"
         if op == "addr":
-            return f"(&{self.render(node.children[0])})"
+            return f"(&{self.render(children[0])})"
         if op in ("min", "max"):
-            a, b = (self.render(c) for c in node.children)
+            a, b = (self.render(c) for c in children)
             return f"(({a}) {'<' if op == 'min' else '>'} ({b}) ? ({a}) : ({b}))"
         if op in ("!", "~"):
-            return f"({op}{self.render(node.children[0])})"
-        if len(node.children) == 2:
-            lhs, rhs = (self.render(c) for c in node.children)
+            return f"({op}{self.render(children[0])})"
+        if len(children) == 2:
+            lhs, rhs = (self.render(c) for c in children)
             return f"({lhs} {op} {rhs})"
-        raise RenderError(f"cannot render e-node {node}")
+        raise RenderError(f"cannot render {op!r} node over classes {children}")
 
     # ------------------------------------------------------------------
 
@@ -265,21 +272,22 @@ class ClassRenderer:
         """The AST of :meth:`render_definition` (equal to parsing it)."""
 
         eclass_id = self.egraph.find(eclass_id)
-        node = self.choices.get(eclass_id)
-        if node is None:
+        key = self.choices.get(eclass_id)
+        if key is None:
             raise KeyError(f"e-class {eclass_id} has no selected node")
-        return self._build_node(node)
+        return self._build_node(key)
 
-    def _build_node(self, node: ENode) -> C.Expr:
-        op = node.op
+    def _build_node(self, key: NodeKey) -> C.Expr:
+        op = self.egraph.op_names[key[0]]
+        payload = self.egraph.payloads[key[1]]
         build = self.build
-        children = node.children
+        children = key[2:]
         if op == "num":
-            return _number_node(node.payload)
+            return _number_node(payload)
         if op in ("sym", "phi", "phi-loop"):
-            return _name_node(str(node.payload))
+            return _name_node(str(payload))
         if op == "load":
-            template = str(node.payload)
+            template = str(payload)
             parsed = self.templates.get(template)
             if parsed is None:
                 parsed = self.templates[template] = _parse_template(template)
@@ -293,14 +301,14 @@ class ClassRenderer:
             a, b, c = children
             return C.BinOp("+", build(a), C.BinOp("*", build(b), build(c)))
         if op == "call":
-            return C.Call(_name_node(str(node.payload)), [build(c) for c in children])
+            return C.Call(_name_node(str(payload)), [build(c) for c in children])
         if op == "cast":
-            return C.Cast(str(node.payload), build(children[0]))
+            return C.Cast(str(payload), build(children[0]))
         if op == "ternary":
             cond, then, other = children
             return C.Ternary(build(cond), build(then), build(other))
         if op == "member":
-            return C.Member(build(children[0]), str(node.payload))
+            return C.Member(build(children[0]), str(payload))
         if op == "addr":
             return C.UnaryOp("&", build(children[0]))
         if op in ("min", "max"):
@@ -312,7 +320,7 @@ class ClassRenderer:
         if len(children) == 2 and op in C.BINARY_OPS:
             lhs, rhs = children
             return C.BinOp(op, build(lhs), build(rhs))
-        raise RenderError(f"cannot render e-node {node}")
+        raise RenderError(f"cannot render {op!r} node over classes {children}")
 
     def _instantiate(
         self, node: C.Expr, slots: Dict[str, int], index: Sequence[int]
@@ -351,14 +359,12 @@ class ClassRenderer:
             if cid in self.inline_only:
                 return
             self.inline_only.add(cid)
-            node = self.choices.get(cid)
-            if node is None:
+            key = self.choices.get(cid)
+            if key is None:
                 return
-            children = node.children
-            if node.op == "load":
-                children = node.children[1:]
-            elif node.op == "store":
-                children = node.children[1:]
+            # a load's / store's version operand carries no generated code
+            op = self.egraph.op_names[key[0]]
+            children = key[3:] if op in ("load", "store") else key[2:]
             for child in children:
                 mark_subtree(child)
 
@@ -367,22 +373,23 @@ class ClassRenderer:
             if cid in seen:
                 return
             seen.add(cid)
-            node = self.choices.get(cid)
-            if node is None:
+            key = self.choices.get(cid)
+            if key is None:
                 return
-            if node.op in ("phi", "phi-loop"):
+            op = self.egraph.op_names[key[0]]
+            if op in ("phi", "phi-loop"):
                 # φ values render as a variable name; their operands are not
                 # rendered as part of this expression
                 return
-            if node.op in ("load", "store"):
-                index_children = node.children[1:-1] if node.op == "store" else node.children[1:]
+            if op in ("load", "store"):
+                index_children = key[3:-1] if op == "store" else key[3:]
                 for child in index_children:
                     mark_subtree(child)
-                if node.op == "store":
-                    visit(node.children[-1])
+                if op == "store":
+                    visit(key[-1])
                 # the version operand (children[0]) carries no generated code
                 return
-            for child in node.children:
+            for child in key[2:]:
                 visit(child)
 
         visit(root)

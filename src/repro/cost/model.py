@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.egraph.egraph import ENode
+from repro.egraph.language import Payload, Term
 
 __all__ = [
     "OpClass",
@@ -55,10 +55,9 @@ _STRUCTURAL_OPS = frozenset({"cast", "member", "addr", "deref"})
 _PHI_OPS = frozenset({"phi", "phi-loop"})
 
 
-def classify_op(enode: ENode) -> OpClass:
-    """Classify an e-node according to the paper's cost categories."""
+def classify_op(op: str) -> OpClass:
+    """Classify an operator according to the paper's cost categories."""
 
-    op = enode.op
     if op == "num":
         return OpClass.CONSTANT
     if op == "sym":
@@ -94,12 +93,12 @@ class CostWeights:
 
 
 class CostModel:
-    """Base cost model: price one e-node (children are priced separately).
+    """Base cost model: price one node from its ``(op, payload)`` alone.
 
-    A node's price is a function of its ``(op, payload)`` only — never of
-    its children.  Extraction depends on that contract: it prices each
-    distinct ``(op, payload)`` pair once, on a childless probe node, just
-    as :meth:`term_cost` does.
+    Children are priced separately, as their own classes.  Extraction
+    prices each distinct ``(op, payload)`` pair of an e-graph once, through
+    :meth:`op_cost`, and :meth:`term_cost` prices every term node the same
+    way.
     """
 
     def __init__(self, weights: CostWeights | None = None) -> None:
@@ -119,30 +118,26 @@ class CostModel:
         self._weights = value
         self._op_cost.clear()
 
-    def enode_cost(self, enode: ENode) -> float:
-        """Cost contribution of *enode* itself (from ``op``/``payload`` only)."""
+    def op_cost(self, op: str, payload: Payload = None) -> float:
+        """Cost of one node with operator *op* and *payload* (children excluded)."""
 
-        cost = self._op_cost.get(enode.op)
+        cost = self._op_cost.get(op)
         if cost is None:
-            cost = self._weights.of(classify_op(enode))
-            self._op_cost[enode.op] = cost
+            cost = self._weights.of(classify_op(op))
+            self._op_cost[op] = cost
         return cost
 
     def term_cost(self, term) -> float:
         """DAG-unaware cost of a whole term (every node counted)."""
 
-        from repro.egraph.language import Term
-
         assert isinstance(term, Term)
-        total = self.enode_cost(ENode(term.op, (), term.payload))
+        total = self.op_cost(term.op, term.payload)
         for child in term.children:
             total += self.term_cost(child)
         return total
 
     def term_dag_cost(self, term) -> float:
         """Cost of a term with structurally identical subterms counted once."""
-
-        from repro.egraph.language import Term
 
         assert isinstance(term, Term)
         seen: set = set()
@@ -153,7 +148,7 @@ class CostModel:
             if t in seen:
                 return
             seen.add(t)
-            total += self.enode_cost(ENode(t.op, (), t.payload))
+            total += self.op_cost(t.op, t.payload)
             for child in t.children:
                 visit(child)
 

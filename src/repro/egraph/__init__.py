@@ -4,8 +4,10 @@ A faithful, pure-Python re-implementation of the parts of the ``egg``
 library that ACC Saturator relies on, built on a flat interned core:
 operators and payloads intern to small integers per graph, e-nodes are
 ``(op_id, payload_id, *child_ids)`` key tuples in struct-of-arrays
-hashcons/arena structures, and :class:`~repro.egraph.egraph.ENode` is a
-lazily materialised boundary view for user code:
+hashcons/arena structures — the one node representation matching,
+analysis, extraction, costing and code generation read — and
+:class:`~repro.egraph.egraph.ENode` is a value type built on demand for
+tests, the reference matcher and user code:
 
 * :class:`~repro.egraph.unionfind.UnionFind` — canonical e-class ids,
 * :class:`~repro.egraph.egraph.EGraph` — hash-consed interned e-nodes,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Union
 
-from repro.egraph.egraph import EGraph, ENode
+from repro.egraph.egraph import EGraph, NodeKey
 
 __all__ = ["Analysis", "ConstantFoldingAnalysis"]
 
@@ -20,7 +20,7 @@ Number = Union[int, float]
 
 
 class Analysis:
-    """Interface for e-class analyses (egg-style ``make`` / ``join`` / ``modify``)."""
+    """Interface for e-class analyses (egg-style ``make_key`` / ``join`` / ``modify``)."""
 
     #: Set True to promise that for any key *with children*,
     #: :meth:`make_key` returns the bottom element (None) whenever some
@@ -33,28 +33,24 @@ class Analysis:
     #: must equal ``x``.
     needs_all_child_data = False
 
-    def make(self, egraph: EGraph, enode: ENode) -> object:
-        """Compute the analysis value of a freshly added e-node."""
+    def make_key(self, egraph: EGraph, key: NodeKey) -> object:
+        """Compute the analysis value of a freshly added node key.
+
+        egg's ``make``, over the interned key ``(op_id, payload_id,
+        *child_ids)``: the operator name is ``egraph.op_names[key[0]]``, the
+        payload ``egraph.payloads[key[1]]`` and the child classes
+        ``key[2:]``.  ``EGraph.add_key`` calls it on every class creation
+        and rebuild calls it again for parents of classes whose data
+        changed.
+        """
 
         raise NotImplementedError
 
-    def make_key(self, egraph: EGraph, key) -> object:
-        """Arena-level entry point: compute the value of an interned key.
-
-        ``EGraph.add_key`` calls this on every add, so analyses that care
-        about throughput override it to read the interning tables directly
-        (see :class:`ConstantFoldingAnalysis`).  The default materialises
-        the boundary :class:`ENode` view and delegates to :meth:`make`, so
-        existing subclasses keep working unchanged.
-        """
-
-        return self.make(egraph, egraph._view(key))
-
     def relevant_op_ids(self, egraph: EGraph):
-        """Op ids whose nodes can carry a non-bottom :meth:`make` value.
+        """Op ids whose nodes can carry a non-bottom :meth:`make_key` value.
 
         ``EGraph.add_key`` skips the :meth:`make_key` call (the class data
-        stays None, exactly what :meth:`make` would have returned) for ops
+        stays None, exactly what the call would have returned) for ops
         outside this set, and ``EGraph._repair_analysis`` skips parent
         nodes with such ops during rebuild — which additionally requires
         ``join(x, None) == x`` (None must be the lattice bottom), since
@@ -155,27 +151,6 @@ class ConstantFoldingAnalysis(Analysis):
 
     # -- Analysis interface ---------------------------------------------------
 
-    def make(self, egraph: EGraph, enode: ENode) -> Optional[Number]:
-        if enode.op == "num":
-            return enode.payload  # type: ignore[return-value]
-        if enode.op not in self._FOLDABLE or not enode.children:
-            return None
-        args: list[Number] = []
-        classes = egraph.classes
-        find = egraph.uf.find
-        for child in enode.children:
-            cls = classes.get(child)
-            if cls is None:
-                cls = classes[find(child)]
-            value = cls.data
-            if not isinstance(value, (int, float)):
-                return None
-            args.append(value)
-        folded = self._fold(enode.op, args)
-        if isinstance(folded, float) and (math.isnan(folded) or math.isinf(folded)):
-            return None
-        return folded
-
     def relevant_op_ids(self, egraph: EGraph):
         """Only ``num`` and the foldable operators produce non-None data."""
 
@@ -198,10 +173,9 @@ class ConstantFoldingAnalysis(Analysis):
             self._opid_cache = cache
         return cache
 
-    def make_key(self, egraph: EGraph, key) -> Optional[Number]:
-        # arena fast path: runs on every class creation, so the "not
-        # foldable" dominant case must be integer set membership on op ids
-        # (no string hashing, no ENode view)
+    def make_key(self, egraph: EGraph, key: NodeKey) -> Optional[Number]:
+        # runs on every class creation, so the "not foldable" dominant case
+        # must be integer set membership on op ids (no string hashing)
         cache = self._refresh_opid_cache(egraph)
         op_id = key[0]
         if op_id == cache[2]:

@@ -37,12 +37,15 @@ defines.  Every vectorised ``find`` is one gather through a per-version,
 fully compressed snapshot of the union-find parent array
 (:meth:`EGraph._np_roots`).
 
-:class:`ENode` survives as a thin **boundary view**: user code, the rule
-DSL, cost models, code generation, tests, and cache serialisation keep
-their ENode-based API, and the graph materialises views lazily (memoized
-per key) only when asked.  The relational e-matcher and the extraction DP
-never construct views on their hot paths — they read the columns and key
-tuples directly.
+Keys are the only node representation the product path sees: the
+relational e-matcher, the compiled rule instantiators, the analysis hook
+(:meth:`~repro.egraph.analysis.Analysis.make_key`), extraction, the cost
+protocol (``op_cost(op, payload)``) and code generation read key tuples
+and the ``op_names`` / ``payloads`` tables directly.  :class:`ENode` is a
+plain value type built on demand, never memoised, by :meth:`EGraph.add`,
+:meth:`EGraph.nodes_of`, :meth:`EGraph.nodes_by_op`,
+:meth:`EGraph.canonical_nodes` and :attr:`EClass.nodes` — for tests, the
+reference matcher and user code.
 
 On top of the classic structure the e-graph maintains the bookkeeping that
 incremental e-matching (:mod:`repro.egraph.pattern`) relies on:
@@ -93,9 +96,8 @@ _EMPTY: Tuple = ()
 class ENode:
     """An operator applied to e-class ids (not to terms).
 
-    This is the *boundary view* of an interned node key: the e-graph's
-    internal structures store keys, and materialise ENodes lazily for user
-    code, tests, and serialisation.  Like
+    A value spelling of an interned node key, for tests, the reference
+    matcher and user code; the e-graph itself stores keys only.  Like
     :class:`~repro.egraph.language.Term`, equality is payload-type aware so
     integer and floating-point literals never share an e-class (C assigns
     them different division/modulo semantics).
@@ -116,30 +118,7 @@ class ENode:
         )
 
     def __hash__(self) -> int:
-        # e-nodes are hashed at the boundary (tests, serialisation, cost
-        # memos); memoise the hash on first use.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.op, self.payload, type(self.payload), self.children))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def canonicalize(self, uf: UnionFind) -> "ENode":
-        """Return this e-node with every child id replaced by its root."""
-
-        children = self.children
-        if not children:
-            return self
-        # inlined UnionFind.is_root (see its docstring for the contract)
-        parent = uf._parent
-        for c in children:
-            if parent[c] != c:
-                find = uf.find
-                return ENode(self.op, tuple([find(c) for c in children]), self.payload)
-        return self
-
-    def map_children(self, fn) -> "ENode":
-        return ENode(self.op, tuple(fn(c) for c in self.children), self.payload)
+        return hash((self.op, self.payload, type(self.payload), self.children))
 
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         label = self.op if self.payload is None else f"{self.op}:{self.payload}"
@@ -151,8 +130,8 @@ class ENode:
 class EClass:
     """A set of equal e-nodes plus bookkeeping for congruence closure.
 
-    Nodes are stored as interned keys (:attr:`keys`); the legacy
-    :attr:`nodes` view materialises :class:`ENode` objects on demand.
+    Nodes are stored as interned keys (:attr:`keys`); :attr:`nodes`
+    spells them as :class:`ENode` values on demand.
     """
 
     __slots__ = ("graph", "id", "keys", "parents", "data")
@@ -179,10 +158,10 @@ class EClass:
 
     @property
     def nodes(self) -> Set[ENode]:
-        """The e-nodes of this class, as boundary views (built on demand)."""
+        """The e-nodes of this class (built on demand)."""
 
-        view = self.graph._view
-        return {view(key) for key in self.keys}
+        enode = self.graph._enode
+        return {enode(key) for key in self.keys}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"EClass(id={self.id}, keys={len(self.keys)})"
@@ -229,8 +208,6 @@ class EGraph:
         #: payload constants through this, preserving the object engine's
         #: type-insensitive ``!=`` guard.
         self._payload_eq: Dict[Payload, Tuple[int, ...]] = {None: (0,)}
-        #: key -> memoized ENode boundary view.
-        self._views: Dict[NodeKey, ENode] = {}
         #: compiled-instantiator id -> resolved (op/payload id) tuple; ids
         #: are append-only so entries never go stale (see pattern.py).
         self._inst_consts: Dict[int, tuple] = {}
@@ -315,14 +292,10 @@ class EGraph:
             self._intern_payload(enode.payload),
         ) + tuple(enode.children)
 
-    def _view(self, key: NodeKey) -> ENode:
-        """The memoized :class:`ENode` boundary view of *key*."""
+    def _enode(self, key: NodeKey) -> ENode:
+        """*key* spelled as an :class:`ENode` value (a fresh object)."""
 
-        view = self._views.get(key)
-        if view is None:
-            view = ENode(self.op_names[key[0]], key[2:], self.payloads[key[1]])
-            self._views[key] = view
-        return view
+        return ENode(self.op_names[key[0]], key[2:], self.payloads[key[1]])
 
     def _key_sort_key(self, key: NodeKey) -> Tuple:
         """Process-stable total order for keys sharing an operator.
@@ -449,7 +422,7 @@ class EGraph:
         return iter(self.classes.values())
 
     def nodes_of(self, eclass_id: int) -> Set[ENode]:
-        """The e-nodes contained in the class of *eclass_id* (views)."""
+        """The e-nodes contained in the class of *eclass_id* (built on demand)."""
 
         return self.classes[self.find(eclass_id)].nodes
 
@@ -486,8 +459,7 @@ class EGraph:
             (key for key in self.keys_of(eclass_id) if key[0] == op_id),
             key=self._key_sort_key,
         )
-        view = self._view
-        return [view(key) for key in bucket]
+        return [self._enode(key) for key in bucket]
 
     # ------------------------------------------------------------------
     # Adding
@@ -778,15 +750,10 @@ class EGraph:
         stale = [keys_list[r] for r in rows.tolist()]
         find = uf.find
         merges = 0
-        views_pop = self._views.pop
         classes = self.classes
         for key in stale:
             value = self.hashcons.pop(key)
             store.kill(key)
-            # the spelling is retired for good (its children can never
-            # become roots again) — drop its memoized boundary view so the
-            # memo tracks the live key set instead of growing monotonically
-            views_pop(key, None)
             canon = self._canon_key(key)
             prior = self.hashcons.get(canon)
             if prior is None:
@@ -878,7 +845,6 @@ class EGraph:
         canon_key = self._canon_key
         parent_arr = uf._parent
         store = self.store
-        views_pop = self._views.pop
         touched_arr = self._class_touched
         seen: Dict[NodeKey, int] = {}
         prev_key: Optional[NodeKey] = None
@@ -921,10 +887,9 @@ class EGraph:
                 skip_probe = True  # the pop would have emptied this slot
             else:
                 # drop the stale hashcons entry before re-canonicalising
-                # (and retire its column row + memoized boundary view)
+                # (and retire its column row)
                 hashcons.pop(parent_key, None)
                 store.kill(parent_key)
-                views_pop(parent_key, None)
                 canon = canon_key(parent_key)
                 skip_probe = False
             if parent_arr[parent_class] != parent_class:
@@ -1093,10 +1058,10 @@ class EGraph:
     def canonical_nodes(self) -> Iterator[Tuple[int, ENode]]:
         """Yield ``(eclass_id, enode)`` for every canonical e-node."""
 
-        view = self._view
+        enode = self._enode
         for eclass in self.classes.values():
             for key in eclass.keys:
-                yield eclass.id, view(key)
+                yield eclass.id, enode(key)
 
     def lookup_term(self, term: Term) -> Optional[int]:
         """Return the e-class containing *term*, or None if absent.
@@ -1141,11 +1106,11 @@ class EGraph:
 
         for key, eclass_id in self.hashcons.items():
             canon = self._canon_key(key)
-            assert canon == key, f"hashcons key not canonical: {self._view(key)}"
+            assert canon == key, f"hashcons key not canonical: {self._enode(key)}"
             root = self.uf.find(eclass_id)
             assert root in self.classes, f"hashcons maps to dead class {eclass_id}"
             assert key in self.classes[root].keys, (
-                f"hashcons entry {self._view(key)} missing from class {root}"
+                f"hashcons entry {self._enode(key)} missing from class {root}"
             )
         seen: Dict[NodeKey, int] = {}
         for eclass in self.classes.values():
@@ -1153,11 +1118,11 @@ class EGraph:
             for key in eclass.keys:
                 canon = self._canon_key(key)
                 assert canon in self.hashcons, (
-                    f"node {self._view(key)} missing from hashcons"
+                    f"node {self._enode(key)} missing from hashcons"
                 )
                 prior = seen.get(canon)
                 assert prior is None or prior == eclass.id, (
-                    f"congruence violation: {self._view(canon)} in classes "
+                    f"congruence violation: {self._enode(canon)} in classes "
                     f"{prior} and {eclass.id}"
                 )
                 seen[canon] = eclass.id
@@ -1194,7 +1159,7 @@ class EGraph:
             assert store.keys[row] == key
             assert self.uf.find(store.cls[row]) == self.uf.find(eclass_id), (
                 f"column class {store.cls[row]} not equivalent to hashcons "
-                f"value {eclass_id} for {self._view(key)}"
+                f"value {eclass_id} for {self._enode(key)}"
             )
             assert store.op[row] == key[0]
             assert store.payload[row] == key[1]
@@ -1254,11 +1219,9 @@ class EGraph:
         dup._class_touched = array("q", self._class_touched)
         dup._class_data = bytearray(self._class_data)
         # per-version caches (roots snapshot, relations, payload ranks)
-        # stay at their fresh-graph defaults and rebuild on demand
-        # views are immutable value objects; sharing the memo is safe, and
-        # the copied interning tables keep the resolved instantiator
-        # constants valid
-        dup._views = dict(self._views)
+        # stay at their fresh-graph defaults and rebuild on demand; the
+        # copied interning tables keep the resolved instantiator constants
+        # valid
         dup._inst_consts = dict(self._inst_consts)
         dup._n_unions = self._n_unions
         return dup

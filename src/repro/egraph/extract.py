@@ -15,7 +15,7 @@ using linear programming (CBC).  This module provides three extractors:
   solver.  Cycle freedom is enforced with topological-level variables.
 
 All three return an :class:`ExtractionResult`, which carries the selected
-e-node per e-class, per-root terms, and the DAG cost of the selection.
+node key per e-class, per-root terms, and the DAG cost of the selection.
 
 The tree DP runs as numpy column kernels over the e-graph's
 :class:`~repro.egraph.columns.ColumnStore` rows (see :class:`_DPState`):
@@ -23,13 +23,13 @@ class and child columns are canonicalised with one gather each, rows are
 priced from a per-``(op_id, payload_id)`` table, ``best[class] = min over
 its rows of price + sum of best[child]`` is iterated for all classes at once
 (``np.minimum.reduceat`` over class segments) until no class improves, and
-equal-cost rows are ordered by one ``np.lexsort``.  The DAG local search
-runs over the **interned node keys** (``(op_id, payload_id, *child_ids)``
-int tuples) the table hands it.  ENode views are only materialised at the
-boundary — once per *selected* node when the :class:`ExtractionResult` is
-assembled (its public ``choices`` stay ENode-valued for code generation and
-serialisation) — and ``enode_cost`` is called once per distinct
-``(op, payload)`` pair, never per e-node.
+equal-cost rows are ordered by one ``np.lexsort``.  Every extractor, the
+DAG local search and :func:`resolve_result` work on the **interned node
+keys** (``(op_id, payload_id, *child_ids)`` int tuples) the e-graph stores,
+and :attr:`ExtractionResult.choices` hands those keys to code generation
+unchanged; operator names and payloads are read from the e-graph's
+``op_names`` / ``payloads`` tables where a name is needed.  ``op_cost`` is
+called once per distinct ``(op, payload)`` pair, never per e-node.
 
 Repeated extraction from the *same* e-graph — re-extracting between runner
 iterations, comparing extractors, or the repeated-variant workloads of the
@@ -52,8 +52,8 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 import numpy as np
 
 from repro.egraph import columns
-from repro.egraph.egraph import EGraph, ENode, NodeKey
-from repro.egraph.language import Term
+from repro.egraph.egraph import EGraph, NodeKey
+from repro.egraph.language import Payload, Term
 
 __all__ = [
     "CostFunction",
@@ -73,16 +73,15 @@ class ExtractionError(RuntimeError):
 
 
 class CostFunction(Protocol):
-    """Anything that can price a single e-node (children not included).
+    """Anything that can price a single node from its ``(op, payload)``.
 
-    The price must be a function of the node's ``(op, payload)`` only —
-    children are priced separately, as their own classes.  The tree DP
-    relies on it: it prices each distinct ``(op, payload)`` pair once, on a
-    childless ``ENode(op, (), payload)`` probe (the same probe
-    :meth:`repro.cost.CostModel.term_cost` uses).
+    Children are not included — they are priced separately, as their own
+    classes — so extraction prices each distinct ``(op, payload)`` pair of
+    an e-graph once (the same call :meth:`repro.cost.CostModel.term_cost`
+    makes per term node).
     """
 
-    def enode_cost(self, enode: ENode) -> float:  # pragma: no cover - protocol
+    def op_cost(self, op: str, payload: Payload) -> float:  # pragma: no cover - protocol
         ...
 
 
@@ -90,8 +89,8 @@ class CostFunction(Protocol):
 class ExtractionResult:
     """The outcome of extraction."""
 
-    #: Chosen e-node for every e-class reachable from the roots.
-    choices: Dict[int, ENode]
+    #: Chosen node key for every e-class reachable from the roots.
+    choices: Dict[int, NodeKey]
     #: Extracted term per requested root e-class (same order as the request).
     terms: Dict[int, Term]
     #: DAG cost of the selection (shared e-classes counted once).
@@ -122,7 +121,8 @@ class _DPState:
     egg's bottom-up fixpoint, iterated for all classes at once — and
     :meth:`key_cost` prices a key from the same per-``(op_id, payload_id)``
     table the kernel priced its rows from, so the DP's costs and a
-    selection's reported DAG cost cannot disagree.
+    selection's reported DAG cost cannot disagree.  An unbuilt state is
+    just that price table (the ILP and :func:`resolve_result` use it so).
     """
 
     __slots__ = ("best", "_prices", "_egraph", "_cost_function")
@@ -130,7 +130,7 @@ class _DPState:
     def __init__(self, egraph: EGraph, cost_function: CostFunction) -> None:
         self._egraph = egraph
         self._cost_function = cost_function
-        #: (op_id, payload_id) -> enode_cost of a childless probe node.
+        #: (op_id, payload_id) -> op_cost of that operator and payload.
         self._prices: Dict[Tuple[int, int], float] = {}
         self.best: Dict[int, Tuple[float, NodeKey]] = {}
 
@@ -141,8 +141,9 @@ class _DPState:
         cost = self._prices.get(pair)
         if cost is None:
             eg = self._egraph
-            probe = ENode(eg.op_names[pair[0]], (), eg.payloads[pair[1]])
-            cost = self._prices[pair] = self._cost_function.enode_cost(probe)
+            cost = self._prices[pair] = self._cost_function.op_cost(
+                eg.op_names[pair[0]], eg.payloads[pair[1]]
+            )
         return cost
 
     @staticmethod
@@ -470,11 +471,6 @@ class TreeExtractor:
             raise ExtractionError(f"no finite-cost term for e-class {eclass_id}")
         return entry[1]
 
-    def best_node(self, eclass_id: int) -> ENode:
-        """The chosen e-node of the class containing *eclass_id* (view)."""
-
-        return self.egraph._view(self.best_key(eclass_id))
-
     def extract_term(self, eclass_id: int) -> Term:
         """Reconstruct the minimum-tree-cost term of the class."""
 
@@ -495,7 +491,7 @@ class TreeExtractor:
                 raise ExtractionError(f"no finite-cost term for e-class {cid}")
             return entry[1]
 
-        reachable = _reachable_from_keys(self.egraph, roots, chosen)
+        reachable = _reachable_from(self.egraph, roots, chosen)
         return {cid: table[cid][1] for cid in reachable}
 
     def extract(self, roots: Sequence[int]) -> ExtractionResult:
@@ -508,20 +504,13 @@ class TreeExtractor:
             terms[root] = self.extract_term(root)
             terms[self.egraph.find(root)] = terms[root]
         choices = self._selection(roots)
-        cost = _dag_cost_keys(self._state, choices)
-        view = self.egraph._view
+        cost = _dag_cost(self._state.key_cost, choices)
         return ExtractionResult(
-            {cid: view(key) for cid, key in choices.items()},
-            terms,
-            cost,
-            time.perf_counter() - start,
-            "tree",
+            choices, terms, cost, time.perf_counter() - start, "tree"
         )
 
 
-def _reachable_from_keys(
-    egraph: EGraph, roots: Sequence[int], key_of
-) -> Set[int]:
+def _reachable_from(egraph: EGraph, roots: Sequence[int], key_of) -> Set[int]:
     """Classes reachable from the roots through the selected node keys."""
 
     seen: Set[int] = set()
@@ -538,34 +527,25 @@ def _reachable_from_keys(
     return seen
 
 
-def _reachable_from(
-    egraph: EGraph, roots: Sequence[int], choice_of
-) -> Set[int]:
-    """Classes reachable from the roots through the selected e-nodes."""
+def _name_order(egraph: EGraph):
+    """Sort key ``(op name, str(payload), children)`` for node keys.
 
-    seen: Set[int] = set()
-    stack = [egraph.find(r) for r in roots]
-    while stack:
-        cid = stack.pop()
-        if cid in seen:
-            continue
-        seen.add(cid)
-        node = choice_of(cid)
-        for child in node.children:
-            stack.append(egraph.find(child))
-    return seen
+    Name-based on purpose: op ids are insertion-ordered, so ordering keys
+    by id would change which of several equal-cost nodes wins.
+    """
+
+    op_names, payload_sort = egraph.op_names, egraph._payload_sort
+
+    def order(key: NodeKey) -> tuple:
+        return (op_names[key[0]], payload_sort[key[1]][0], key[2:])
+
+    return order
 
 
-def _dag_cost(choices: Dict[int, ENode], cost_function: CostFunction) -> float:
-    """Sum of selected e-node costs, each e-class counted once."""
+def _dag_cost(key_cost, choices: Dict[int, NodeKey]) -> float:
+    """Sum of the selected keys' prices, each e-class counted once."""
 
-    return float(sum(cost_function.enode_cost(n) for n in choices.values()))
-
-
-def _dag_cost_keys(state: _DPState, choices: Dict[int, NodeKey]) -> float:
-    """DAG cost of a key-level selection (the DP's own price table)."""
-
-    return float(sum(map(state.key_cost, choices.values())))
+    return float(sum(map(key_cost, choices.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -601,22 +581,18 @@ class DagExtractor:
         choices = tree._selection(roots)
         if self._improve_dag(roots, choices):
             # re-derive reachability and drop the classes no longer used
-            reachable = _reachable_from_keys(
-                self.egraph, roots, choices.__getitem__
-            )
+            reachable = _reachable_from(self.egraph, roots, choices.__getitem__)
             choices = {cid: choices[cid] for cid in reachable}
 
-        view = self.egraph._view
-        node_choices = {cid: view(key) for cid, key in choices.items()}
         terms: Dict[int, Term] = {}
         memo: Dict[int, Term] = {}
         for original, root in zip(original_roots, roots):
-            term = _term_from_choices(self.egraph, node_choices, root, memo)
+            term = _term_from_choices(self.egraph, choices, root, memo)
             terms[root] = term
             terms[original] = term
-        cost = _dag_cost_keys(tree._state, choices)
+        cost = _dag_cost(tree._state.key_cost, choices)
         return ExtractionResult(
-            node_choices, terms, cost, time.perf_counter() - start, "dag-greedy"
+            choices, terms, cost, time.perf_counter() - start, "dag-greedy"
         )
 
     # -- DAG-aware local search ----------------------------------------------
@@ -690,12 +666,7 @@ class DagExtractor:
         find = egraph.uf.find
         parent = egraph.uf._parent
         cost_of = self._tree._state.key_cost
-        op_names = egraph.op_names
-        payload_sort = egraph._payload_sort
-
-        def key_order(key: NodeKey) -> tuple:
-            # the DP's deterministic tie-break order
-            return (op_names[key[0]], payload_sort[key[1]][0], key[2:])
+        key_order = _name_order(egraph)  # the DP's deterministic tie-break
 
         # the graph does not mutate during the local search, so canonical
         # child sets can be memoized per key for the whole call
@@ -945,11 +916,15 @@ class DagExtractor:
 
 
 def _term_from_choices(
-    egraph: EGraph, choices: Dict[int, ENode], root: int, _memo: Optional[Dict[int, Term]] = None
+    egraph: EGraph,
+    choices: Dict[int, NodeKey],
+    root: int,
+    _memo: Optional[Dict[int, Term]] = None,
 ) -> Term:
     """Build the term for *root* following the per-class selection."""
 
     memo: Dict[int, Term] = {} if _memo is None else _memo
+    op_names, payloads = egraph.op_names, egraph.payloads
 
     def build(cid: int, trail: Tuple[int, ...]) -> Term:
         cid = egraph.find(cid)
@@ -957,9 +932,10 @@ def _term_from_choices(
             return memo[cid]
         if cid in trail:
             raise ExtractionError(f"cyclic selection through e-class {cid}")
-        node = choices[cid]
-        children = tuple(build(c, trail + (cid,)) for c in node.children)
-        term = Term(node.op, children, node.payload)
+        key = choices[cid]
+        trail += (cid,)
+        children = tuple(build(key[i], trail) for i in range(2, len(key)))
+        term = Term(op_names[key[0]], children, payloads[key[1]])
         memo[cid] = term
         return term
 
@@ -980,34 +956,33 @@ def resolve_result(
     merges in later iterations may have re-canonicalized or collapsed
     those classes.  This re-keys every choice through ``find``, resolves
     collisions of collapsed classes deterministically (cheaper node first,
-    then the stable node order), re-derives reachability from *roots*,
-    rebuilds the per-root terms, and re-prices the selection as a DAG
-    under *cost_function*.
+    then ``(op name, str(payload), children)``), re-derives reachability
+    from *roots*, rebuilds the per-root terms, and re-prices the selection
+    as a DAG under *cost_function*.
 
     Returns ``None`` when the snapshot is no longer a valid selection —
     a collapse routed a choice's children outside the selection, or made
     the selection cyclic — in which case callers should fall back to a
-    fresh extraction.  E-nodes themselves are never invalidated by merges,
-    so for a snapshot taken on *this* e-graph that is the only failure
-    mode.
+    fresh extraction.  Node keys themselves are never invalidated by
+    merges (op and payload ids are append-only), so for a snapshot taken on
+    *this* e-graph that is the only failure mode.
     """
 
     find = egraph.find
-    merged: Dict[int, ENode] = {}
-    for cid, node in result.choices.items():
+    key_cost = _DPState(egraph, cost_function).key_cost
+    order = _name_order(egraph)
+
+    def rank(key: NodeKey) -> tuple:
+        return (key_cost(key),) + order(key)
+
+    merged: Dict[int, NodeKey] = {}
+    for cid, key in result.choices.items():
         canon = find(cid)
         other = merged.get(canon)
-        if other is None or other is node:
-            merged[canon] = node
-            continue
         # two snapshot classes collapsed into one: keep the cheaper node
         # (the selection pays each class once), tie-broken deterministically
-        cost_node = cost_function.enode_cost(node)
-        cost_other = cost_function.enode_cost(other)
-        if (cost_node, node.op, str(node.payload), node.children) < (
-            cost_other, other.op, str(other.payload), other.children
-        ):
-            merged[canon] = node
+        if other is None or rank(key) < rank(other):
+            merged[canon] = key
 
     terms: Dict[int, Term] = {}
     memo: Dict[int, Term] = {}
@@ -1016,16 +991,12 @@ def resolve_result(
             term = _term_from_choices(egraph, merged, root, memo)
             terms[root] = term
             terms[find(root)] = term
-        reachable = _reachable_from(egraph, roots, lambda c: merged[c])
+        reachable = _reachable_from(egraph, roots, merged.__getitem__)
     except (ExtractionError, KeyError):
         return None
     choices = {cid: merged[cid] for cid in reachable}
     return ExtractionResult(
-        choices,
-        terms,
-        _dag_cost(choices, cost_function),
-        result.elapsed,
-        result.method,
+        choices, terms, _dag_cost(key_cost, choices), result.elapsed, result.method
     )
 
 
@@ -1047,8 +1018,10 @@ class ILPExtractor:
     * ``level[child] <= level[class] - 1 + M * (1 - select)`` forbids cycles.
 
     Objective: minimise the sum of selected e-node costs (DAG cost).
-    Works over the ENode boundary views: the solver dominates the runtime,
-    so the view construction cost is irrelevant here.
+    Candidates are the classes' node keys in ``(op name, str(payload),
+    children)`` order — name-based, since op ids are insertion-ordered and
+    the variable order steers which of several equal-cost optima the solver
+    returns.
     """
 
     def __init__(
@@ -1075,14 +1048,13 @@ class ILPExtractor:
         class_list = sorted(classes)
         class_index = {cid: i for i, cid in enumerate(class_list)}
 
-        node_entries: List[Tuple[int, ENode]] = []
+        find = egraph.uf.find
+        order = _name_order(egraph)
+        node_entries: List[Tuple[int, NodeKey]] = []
         for cid in class_list:
-            for node in sorted(
-                egraph.nodes_of(cid),
-                key=lambda n: (n.op, str(n.payload), n.children),
-            ):
-                if all(egraph.find(c) in classes for c in node.children):
-                    node_entries.append((cid, node))
+            for key in sorted(egraph.keys_of(cid), key=order):
+                if all(find(key[i]) in classes for i in range(2, len(key))):
+                    node_entries.append((cid, key))
         if not node_entries:
             raise ExtractionError("no extractable nodes for the requested roots")
 
@@ -1092,9 +1064,10 @@ class ILPExtractor:
         n_vars = n_nodes + n_classes + n_classes
         big_m = n_classes + 1
 
+        key_cost = _DPState(egraph, self.cost_function).key_cost
         costs = np.zeros(n_vars)
-        for i, (_, node) in enumerate(node_entries):
-            costs[i] = self.cost_function.enode_cost(node)
+        for i, (_, key) in enumerate(node_entries):
+            costs[i] = key_cost(key)
 
         integrality = np.concatenate(
             [np.ones(n_nodes + n_classes), np.zeros(n_classes)]
@@ -1134,9 +1107,9 @@ class ILPExtractor:
             add_row(coeffs, 0.0, np.inf)
 
         # selection implies child activation and acyclicity
-        for i, (cid, node) in enumerate(node_entries):
-            for child in node.children:
-                child_c = egraph.find(child)
+        for i, (cid, key) in enumerate(node_entries):
+            for j in range(2, len(key)):
+                child_c = find(key[j])
                 # a_child - x_i >= 0
                 add_row({a_index[child_c]: 1.0, i: -1.0}, 0.0, np.inf)
                 # t_child <= t_cid - 1 + M (1 - x_i)
@@ -1163,7 +1136,7 @@ class ILPExtractor:
             raise ExtractionError(f"ILP extraction failed: {result.message}")
 
         x = result.x[:n_nodes]
-        choices: Dict[int, ENode] = {}
+        choices: Dict[int, NodeKey] = {}
         for cid in class_list:
             chosen = None
             best_val = 0.5
@@ -1174,7 +1147,7 @@ class ILPExtractor:
             if chosen is not None:
                 choices[cid] = chosen
 
-        reachable = _reachable_from(egraph, roots, lambda c: choices[c])
+        reachable = _reachable_from(egraph, roots, choices.__getitem__)
         choices = {cid: choices[cid] for cid in reachable}
         terms: Dict[int, Term] = {}
         memo: Dict[int, Term] = {}
@@ -1182,7 +1155,7 @@ class ILPExtractor:
             term = _term_from_choices(egraph, choices, root, memo)
             terms[root] = term
             terms[original] = term
-        cost = _dag_cost(choices, self.cost_function)
+        cost = _dag_cost(key_cost, choices)
         return ExtractionResult(
             choices, terms, cost, time.perf_counter() - start, "ilp"
         )

@@ -33,10 +33,11 @@ One production engine, one reference:
   iteration order).  A single-atom "join" is the relation slice itself.
 * the **reference matcher** (:meth:`Pattern.search_naive`,
   :func:`_match_pattern`) — a backtracking generator that re-walks the
-  pattern dataclass tree through the ENode boundary views: root classes
-  in ascending id, each class's nodes in bucket order.  It is the
-  executable specification of *which* rows match and in *what order*;
-  the relational matcher is tested against it with exact list equality.
+  pattern dataclass tree over :class:`~repro.egraph.egraph.ENode` values
+  built on demand: root classes in ascending id, each class's nodes in
+  bucket order.  It is the executable specification of *which* rows
+  match and in *what order*; the relational matcher is tested against it
+  with exact list equality.
 
 Matches flow as flat **rows** ``(root_class_id, v0, v1, ..)`` with
 variable values in :meth:`Pattern.variables` order — what

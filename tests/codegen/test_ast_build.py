@@ -96,14 +96,15 @@ def _rendered_classes(renderer: ClassRenderer, root: int):
         cid = renderer.egraph.find(stack.pop())
         if cid in seen:
             continue
-        node = renderer.choices[cid]
+        key = renderer.choices[cid]
+        op_name = renderer.egraph.op_names[key[0]]
         seen[cid] = None
-        if node.op == "load":
-            stack.extend(node.children[1:])
-        elif node.op == "store":
-            stack.append(node.children[-1])
-        elif node.op not in ("phi", "phi-loop"):
-            stack.extend(node.children)
+        if op_name == "load":
+            stack.extend(key[3:])
+        elif op_name == "store":
+            stack.append(key[-1])
+        elif op_name not in ("phi", "phi-loop"):
+            stack.extend(key[2:])
     return list(seen)
 
 
@@ -231,7 +232,9 @@ def _renderer_with_opaque_x(term):
     root = eg.add_term(term)
     eg.rebuild()
     extraction = extract_best(eg, [root], DEFAULT_COST_MODEL, "dag-greedy")
-    extraction.choices[eg.find(eg.lookup_term(sym("x")))] = ENode("sym", (), "@opaque3")
+    extraction.choices[eg.find(eg.lookup_term(sym("x")))] = eg._intern_node(
+        ENode("sym", (), "@opaque3")
+    )
     return ClassRenderer(eg, extraction.choices, TempAllocator()), root
 
 
@@ -260,10 +263,10 @@ def test_generator_raises_render_error_for_an_injected_opaque_choice():
         requires = ("extraction",)
 
         def run(self, ctx):
-            choices = ctx.extraction.choices
-            for cid, node in choices.items():
-                if node.op == "sym" and node.payload == "b":
-                    choices[cid] = ENode("sym", (), "@opaque3")
+            eg, choices = ctx.egraph, ctx.extraction.choices
+            for cid, key in choices.items():
+                if eg.op_names[key[0]] == "sym" and eg.payloads[key[1]] == "b":
+                    choices[cid] = eg._intern_node(ENode("sym", (), "@opaque3"))
 
     body = parse_statement("{ out[i] = a[i] * b + a[i] * b; }")
     stages = DEFAULT_STAGES[:-1] + (InjectOpaque(), CodegenStage())
@@ -307,7 +310,9 @@ def test_cse_pass_tokenizes_each_source_and_template_once(monkeypatch):
         def __init__(self, egraph, extraction, *args, **kwargs):
             super().__init__(egraph, extraction, *args, **kwargs)
             templates.append(len({
-                node.payload for node in extraction.choices.values() if node.op == "load"
+                egraph.payloads[key[1]]
+                for key in extraction.choices.values()
+                if egraph.op_names[key[0]] == "load"
             }))
 
     monkeypatch.setattr(stages_module, "CodeGenerator", CountingGenerator)

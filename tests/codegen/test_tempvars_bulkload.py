@@ -81,7 +81,7 @@ class TestScheduler:
         schedule = schedule_group(renderer, [eg.find(r) for r in roots], {}, bulk_load=True)
         load_positions = [
             index for index, item in enumerate(schedule)
-            if item.kind == "temp" and renderer.node_of(item.eclass).op == "load"
+            if item.kind == "temp" and eg.op_names[renderer.node_of(item.eclass)[0]] == "load"
         ]
         first_stmt = [i for i, item in enumerate(schedule) if item.kind == "stmt"][0]
         assert all(pos < first_stmt for pos in load_positions)
@@ -93,7 +93,7 @@ class TestScheduler:
         rendered = [
             renderer.render_definition(item.eclass)
             for item in schedule
-            if item.kind == "temp" and renderer.node_of(item.eclass).op == "load"
+            if item.kind == "temp" and eg.op_names[renderer.node_of(item.eclass)[0]] == "load"
         ]
         assert rendered == sorted(rendered)
 

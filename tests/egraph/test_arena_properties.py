@@ -1,9 +1,9 @@
 """Property tests pinning the arena e-graph core to a reference model.
 
 The flat interned representation (``(op_id, payload_id, *child_ids)`` keys,
-batched rebuild, boundary ENode views) must be observationally identical to
-a straightforward e-graph: randomized interleavings of add / merge /
-rebuild / extract are mirrored into a naive reference implementation that
+batched rebuild, ENode values built on demand) must be observationally
+identical to a straightforward e-graph: randomized interleavings of add /
+merge / rebuild / extract are mirrored into a naive reference implementation that
 recomputes congruence closure by whole-graph fixpoint, and the two are
 compared on
 
@@ -143,11 +143,8 @@ class _OpCost:
 
     COSTS = {"sym": 1.0, "f": 2.0, "+": 10.0, "*": 10.0, "-": 10.0}
 
-    def enode_cost(self, enode: ENode) -> float:
-        return self.COSTS.get(enode.op, 5.0)
-
     @classmethod
-    def of_op(cls, op: str) -> float:
+    def op_cost(cls, op: str, payload=None) -> float:
         return cls.COSTS.get(op, 5.0)
 
 
@@ -249,14 +246,14 @@ def test_arena_matches_reference_under_interleavings(steps):
                 continue
             _, x = step
             i = x % len(ids)
-            expected = ref.tree_costs(_OpCost.of_op).get(ref.find(ref_ids[i]))
+            expected = ref.tree_costs(_OpCost.op_cost).get(ref.find(ref_ids[i]))
             extractor = TreeExtractor(eg, cost)
             if expected is None:
                 continue
             assert extractor.best_cost(ids[i]) == expected
             term = extractor.extract_term(ids[i])
             # the extracted term is well-formed and priced consistently
-            assert sum(_OpCost.of_op(t.op) for t in term.walk()) == expected
+            assert sum(_OpCost.op_cost(t.op) for t in term.walk()) == expected
 
     eg.rebuild()
     ref.rebuild()
@@ -265,7 +262,7 @@ def test_arena_matches_reference_under_interleavings(steps):
     _compare_nodes(eg, ref, ids, ref_ids)
 
     # final extraction comparison on every class with a finite cost
-    expected_costs = ref.tree_costs(_OpCost.of_op)
+    expected_costs = ref.tree_costs(_OpCost.op_cost)
     extractor = TreeExtractor(eg, cost)
     for i, (a, r) in enumerate(zip(ids, ref_ids)):
         expected = expected_costs.get(ref.find(r))

@@ -1,6 +1,6 @@
 """PR-7 columnar core + relational e-matching guarantees.
 
-Four contracts pinned here:
+Three contracts pinned here:
 
 * **Engine == reference** (hypothesis): on randomized e-graphs, the
   relational (join-based) engine returns the *exact list* — multiset and
@@ -11,9 +11,6 @@ Four contracts pinned here:
 * **Join-plan determinism**: the greedy join order depends only on
   relation sizes, interned op ids and pre-order atom indices — asserted
   by comparing plans across ``PYTHONHASHSEED`` values in subprocesses.
-* **View-memo boundedness**: the ``EGraph._views`` ENode memo evicts
-  spellings retired by the rebuild sweep, so it tracks the live key set
-  instead of growing monotonically across rebuilds.
 * **Pending-buffer semantics**: the column store's deferred append buffer
   is invisible from outside — kills and overwrites of still-pending keys
   resolve inside the buffer, and materialised row order equals hashcons
@@ -215,32 +212,6 @@ def _run_with_hash_seed(seed: str) -> str:
 def test_join_plans_are_hash_seed_independent():
     outputs = {_run_with_hash_seed(seed) for seed in ("0", "1", "12345")}
     assert len(outputs) == 1, f"join plans diverged across hash seeds: {outputs}"
-
-
-# ---------------------------------------------------------------------------
-# View-memo boundedness across rebuilds
-# ---------------------------------------------------------------------------
-
-
-def test_view_memo_evicts_retired_spellings():
-    """Viewing every live key each round must not grow the memo unboundedly.
-
-    Merging chains re-spells nodes every rebuild; the sweep retires the
-    stale spellings and must drop their memoized views, so the memo stays
-    a subset of the live hashcons key set.
-    """
-
-    eg = EGraph()
-    base = eg.add_term(op("+", sym("x"), sym("y")))
-    for i in range(12):
-        other = eg.add_term(op("+", sym("x"), op("*", sym("y"), num(i))))
-        eg.merge(base, other)
-        eg.rebuild()
-        for key in list(eg.hashcons):
-            eg._view(key)  # populate the memo with every live spelling
-    live = set(eg.hashcons)
-    assert set(eg._views) <= live, "memo retains retired spellings"
-    assert len(eg._views) <= len(live)
 
 
 # ---------------------------------------------------------------------------

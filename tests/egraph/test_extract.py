@@ -95,9 +95,38 @@ class TestILPExtractor:
         r2 = eg.add_term(op("+", shared, num(2)))
         result = ILPExtractor(eg, DEFAULT_COST_MODEL).extract([r1, r2])
         mul_classes = [
-            cid for cid, node in result.choices.items() if node.op == "*"
+            cid for cid, key in result.choices.items() if eg.op_names[key[0]] == "*"
         ]
         assert len(mul_classes) == 1
+
+    @pytest.mark.parametrize(
+        "zz, aa, expected",
+        [
+            (op("zz", sym("x")), op("aa", sym("x")), "(aa x)"),
+            (op("zz", sym("a"), sym("b")), op("aa", sym("b"), sym("a")), "(aa b a)"),
+        ],
+        ids=["unary", "binary"],
+    )
+    def test_equal_cost_tie_follows_op_names_not_op_ids(self, zz, aa, expected):
+        """``zz`` is interned first, so op-id order is the reverse of name
+        order; the candidate order is name-based and the solver keeps
+        returning the ``aa`` node (an op-id order returns ``zz``)."""
+
+        eg = EGraph()
+        root = eg.add_term(zz)
+        eg.merge(root, eg.add_term(aa))
+        eg.rebuild()
+        assert eg.op_names.index("zz") < eg.op_names.index("aa")
+        result = ILPExtractor(eg, _Flat()).extract([root])
+        assert str(result.terms[root]) == expected
+        assert result.dag_cost == 1.0 + len(zz.children)
+
+
+class _Flat:
+    """Every node costs 1: all spellings of a class tie."""
+
+    def op_cost(self, op, payload):
+        return 1.0
 
 
 class TestFacade:
@@ -119,5 +148,8 @@ class TestFacade:
 
         eg, root = saturated_graph(op("+", sym("a"), op("*", sym("b"), sym("c"))))
         result = extract_best(eg, [root], DEFAULT_COST_MODEL, "dag-greedy")
-        repriced = sum(DEFAULT_COST_MODEL.enode_cost(n) for n in result.choices.values())
+        repriced = sum(
+            DEFAULT_COST_MODEL.op_cost(eg.op_names[key[0]], eg.payloads[key[1]])
+            for key in result.choices.values()
+        )
         assert result.dag_cost == pytest.approx(repriced)

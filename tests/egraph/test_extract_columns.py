@@ -3,8 +3,7 @@
 ``_DPState.build`` computes the tree extractor's ``{class id: (cost, key)}``
 table with numpy passes over the alive ``ColumnStore`` rows.  The worklist
 relaxation it replaced (a dict-of-tuples index over every e-node, one
-``ENode`` view and one ``enode_cost`` call per e-node) is kept here as the
-*reference*, and a hypothesis property pins the two equal — cost bit for
+``op_cost`` call per e-node) is kept here as the *reference*, and a hypothesis property pins the two equal — cost bit for
 bit, chosen key exactly — on random e-graphs built to stress every clause
 of the tie-break: merges that create cycles and self-referential classes,
 extraction before ``rebuild`` (stale spellings), zero-cost operators,
@@ -13,11 +12,12 @@ order-sensitive) and payload twins ``1`` / ``1.0`` / ``"1"``.
 
 Two planted mutants (the sort without the distinct-children key; payloads
 ranked by id instead of by ``str``) must fail the property, and a
-work-counter gate asserts extraction materialises views and prices nodes
-per *selected* node and per distinct ``(op, payload)`` pair — not per
-e-node — on the BT-jacobian e-graph.
+work-counter gate asserts that extraction and code generation on the
+BT-jacobian e-graph construct no ``ENode`` at all and price each distinct
+``(op, payload)`` pair at most once.
 """
 
+from collections import Counter
 from typing import Dict, Set, Tuple
 
 import numpy as np
@@ -41,9 +41,10 @@ from repro.saturator import SaturatorConfig, Variant, optimize_source
 def _reference_table(egraph: EGraph, cost_function) -> Dict[int, tuple]:
     """``{class id: (tree cost, key)}`` by worklist relaxation over e-nodes.
 
-    The deleted ``_DPState._index`` / ``_relax``, verbatim but for one
-    thing: a class's keys are visited in hashcons order instead of set
-    iteration order.  The visit order only ever mattered for a *full* tie —
+    The deleted ``_DPState._index`` / ``_relax``, verbatim but for the
+    price call (``op_cost`` on the key's op and payload) and one thing: a
+    class's keys are visited in hashcons order instead of set iteration
+    order.  The visit order only ever mattered for a *full* tie —
     two payload twins (``1`` and ``"1"``: equal ``str``, distinct ids)
     under one operator over the same children — where the first key seen
     wins; the kernel's stable sort resolves that case by row order, i.e.
@@ -59,7 +60,9 @@ def _reference_table(egraph: EGraph, cost_function) -> Dict[int, tuple]:
         entries = []
         for key in sorted(cls.keys, key=row_of.__getitem__):
             children = tuple(find(c) for c in key[2:])
-            cost = cost_function.enode_cost(egraph._view(key))
+            cost = cost_function.op_cost(
+                egraph.op_names[key[0]], egraph.payloads[key[1]]
+            )
             child_set = set(children)
             entries.append(
                 (key, cost, children, 1 if cls.id in child_set else 0, len(child_set))
@@ -128,10 +131,10 @@ class _Price:
 
     BY_OP = {"num": 0.0, "sym": 1.0, "+": 0.1, "*": 0.7, "id": 0.0, "f": 2.5}
 
-    def enode_cost(self, enode: ENode) -> float:
-        if enode.op == "call":
-            return 1.3 if isinstance(enode.payload, float) else 0.3
-        return self.BY_OP[enode.op]
+    def op_cost(self, op: str, payload) -> float:
+        if op == "call":
+            return 1.3 if isinstance(payload, float) else 0.3
+        return self.BY_OP[op]
 
 
 _pick = st.integers(0, 10 ** 6)
@@ -280,8 +283,8 @@ def test_leaf_only_graph_has_no_child_column():
 
 def test_class_without_a_finite_term_is_absent():
     class _Unaffordable(_Price):
-        def enode_cost(self, enode):
-            return float("inf") if enode.op == "f" else super().enode_cost(enode)
+        def op_cost(self, op, payload):
+            return float("inf") if op == "f" else super().op_cost(op, payload)
 
     eg = EGraph()
     x = eg.add_leaf("sym", "x")
@@ -299,40 +302,45 @@ def test_class_without_a_finite_term_is_absent():
 # ---------------------------------------------------------------------------
 
 
-def test_extraction_views_and_prices_per_selection_not_per_enode(monkeypatch):
+def test_extraction_builds_no_enode_and_prices_each_pair_once(monkeypatch):
+    """From ``extract_best`` through code generation, keys are the only node
+    representation: no ``ENode`` is constructed (the memoised boundary
+    views built one per selected node and one probe per priced pair), and
+    ``op_cost`` runs at most once per distinct ``(op, payload)`` pair."""
+
     from repro.session import stages
 
-    calls = {"view": 0, "price": 0}
+    built = []
+    priced = Counter()
     seen = {}
-    real_view, real_price = EGraph._view, CostModel.enode_cost
+    real_init, real_price = ENode.__init__, CostModel.op_cost
     real_extract = stages.extract_best
 
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def price(self, op, payload=None):
+        priced[(op, type(payload).__name__, payload)] += 1
+        return real_price(self, op, payload)
+
     def counted_extract(egraph, roots, *args, **kwargs):
-        def view(self, key):
-            calls["view"] += 1
-            return real_view(self, key)
-
-        def price(self, enode):
-            calls["price"] += 1
-            return real_price(self, enode)
-
-        with monkeypatch.context() as counting:
-            counting.setattr(EGraph, "_view", view)
-            counting.setattr(CostModel, "enode_cost", price)
-            seen["result"] = real_extract(egraph, roots, *args, **kwargs)
+        # count from here to the end of the run: extraction, then codegen
+        monkeypatch.setattr(ENode, "__init__", counting_init)
+        monkeypatch.setattr(CostModel, "op_cost", price)
         seen["egraph"] = egraph
-        return seen["result"]
+        return real_extract(egraph, roots, *args, **kwargs)
 
     monkeypatch.setattr(stages, "extract_best", counted_extract)
     config = SaturatorConfig(
         variant=Variant.CSE_SAT, limits=RunnerLimits(2000, 4, 300.0)
     )
-    optimize_source(BT_JACOBIAN_SOURCE, config)
+    result = optimize_source(BT_JACOBIAN_SOURCE, config)
 
-    egraph, result = seen["egraph"], seen["result"]
-    pairs = {key[:2] for key in egraph.hashcons}
-    bound = len(result.choices) + len(pairs)
-    assert 0 < calls["view"] <= bound
-    assert 0 < calls["price"] <= bound
-    # the gate means something: the worklist DP did both once per e-node
-    assert bound < len(egraph) // 4
+    assert result.code and result.kernels
+    assert built == []
+    assert priced and max(priced.values()) == 1
+    egraph = seen["egraph"]
+    assert len(priced) == len({key[:2] for key in egraph.hashcons})
+    # the gate means something: the graph is far larger than its pairs
+    assert len(priced) < len(egraph) // 4

@@ -110,7 +110,8 @@ def test_hashconsing_never_duplicates_canonical_nodes(terms):
         eg.add_term(term)
     eg.rebuild()
     seen = set()
-    for _, node in eg.canonical_nodes():
-        canon = node.canonicalize(eg.uf)
-        assert canon not in seen
-        seen.add(canon)
+    for cls in eg.eclasses():
+        for key in cls.keys:
+            canon = eg._canon_key(key)
+            assert canon not in seen
+            seen.add(canon)

@@ -17,8 +17,8 @@ class _OpCost:
     def __init__(self, table=None):
         self.table = table or {}
 
-    def enode_cost(self, enode):
-        return float(self.table.get(enode.op, 1.0))
+    def op_cost(self, op, payload):
+        return float(self.table.get(op, 1.0))
 
 
 def test_unchanged_egraph_round_trips():
@@ -107,3 +107,26 @@ def test_snapshot_stays_valid_as_the_graph_grows_around_it():
     assert resolved is not None
     assert resolved.dag_cost == snapshot.dag_cost
     assert resolved.terms[root] == snapshot.terms[root]
+
+
+def test_collapsed_equal_cost_tie_follows_op_names_not_op_ids():
+    """``zz`` is interned before ``aa``, so op-id order is the reverse of
+    name order.  When the two equal-cost selected classes collapse, the
+    ``(cost, op name, str(payload), children)`` tie-break keeps ``aa`` for
+    both children (an op-id order keeps ``zz``)."""
+
+    eg = EGraph()
+    zz = eg.add_term(op("zz", sym("x")))
+    aa = eg.add_term(op("aa", sym("x")))
+    root = eg.add_term(op("f", op("zz", sym("x")), op("aa", sym("x"))))
+    eg.rebuild()
+    assert eg.op_names.index("zz") < eg.op_names.index("aa")
+    cost = _OpCost()
+    snapshot = extract_best(eg, [root], cost)
+
+    eg.merge(zz, aa)
+    eg.rebuild()
+    resolved = resolve_result(eg, snapshot, [root], cost)
+    assert resolved is not None
+    assert str(resolved.terms[root]) == "(f (aa x) (aa x))"
+    assert resolved.dag_cost == 3.0  # f + aa + x
