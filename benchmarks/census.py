@@ -12,7 +12,10 @@ entry points:
   paper's limits (10 000 e-nodes, 10 iterations);
 * the same corpus through a 2-worker thread ``OptimizationService``;
 * the figure/table harnesses (``repro.experiments``);
-* ``accsat FILE`` and ``accsat serve`` on corpus kernels.
+* ``accsat FILE`` and ``accsat serve`` on corpus kernels;
+* ``accsat`` once per non-default option set (:data:`OPTION_SETS`: the
+  ILP, both non-default schedulers, anytime extraction, and two process
+  workers with a trace) on the two smallest kernels at small limits.
 
 A function missing from the run is a deletion candidate, not a verdict:
 error paths and defensive branches show up too.  Tests are deliberately
@@ -45,6 +48,16 @@ sys.path.insert(0, str(SRC))
 #: The paper's §VII node/iteration limits; the wall limit is raised so it
 #: never binds and every run takes the same path.
 PAPER_LIMITS = (10_000, 10, 300.0)
+
+#: One ``accsat`` run per entry (the ``options`` step); ``{trace}`` is
+#: replaced by a trace path in the census's scratch directory.
+OPTION_SETS = (
+    ("--extraction", "ilp"),
+    ("--scheduler", "backoff"),
+    ("--scheduler", "match-budget"),
+    ("--anytime",),
+    ("-j", "2", "--executor", "process", "--trace", "{trace}"),
+)
 
 
 def defined_functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
@@ -180,6 +193,22 @@ def run_cli(sources: List[Tuple[str, str]], workdir: Path) -> None:
           "--report", str(workdir / "serve.json"), *files, *files])
 
 
+def run_options(sources: List[Tuple[str, str]], workdir: Path) -> None:
+    from repro.cli import main
+
+    smallest = sorted(sources, key=lambda r: (len(r[1]), r[0]))[:2]
+    files = []
+    for name, source in smallest:
+        path = workdir / f"opt_{name}.c"
+        path.write_text(source, encoding="utf-8")
+        files.append(str(path))
+    trace = str(workdir / "trace.jsonl")
+    for options in OPTION_SETS:
+        main([*files, "-o", str(workdir / "opt.sat.c"), "--quiet",
+              "--node-limit", "600", "--iter-limit", "3",
+              *(item.format(trace=trace) for item in options)])
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--kernels", type=int, default=None,
@@ -199,6 +228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("service", lambda: run_service(sources)),
             ("harnesses", lambda: run_harnesses(args.kernels is not None)),
             ("cli", lambda: run_cli(sources, Path(tmp))),
+            ("options", lambda: run_options(sources, Path(tmp))),
         ):
             t0 = time.perf_counter()
             step()

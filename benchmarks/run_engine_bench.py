@@ -15,13 +15,11 @@ the script in quick mode and fails if ``pipeline_outcome`` /
 ``saturation_large_outcome`` deviate from the committed values, so
 representation changes cannot silently alter saturation results.
 
-Two repeated-workload rows exercise the session architecture the
-experiment harness runs on: ``extraction_memoized`` re-extracts the same
-saturated e-graph through a shared ``ExtractionMemo``, and
-``pipeline_variants_cached`` sweeps all four generated-code variants
-through a session with an artifact cache (vs ``pipeline_variants_cold``
-without one).  The cache hit/miss counters and memo statistics behind
-those rows are recorded under ``"cache"``.
+One repeated-workload row exercises the session architecture the
+experiment harness runs on: ``pipeline_variants_cached`` sweeps all four
+generated-code variants through a session with an artifact cache (vs
+``pipeline_variants_cold`` without one).  The cache hit/miss counters
+behind that row are recorded under ``"cache"``.
 
 The ``matching`` section times the relational (hash-join) e-matcher:
 every rule of the default ruleset plus a few deeper synthetic patterns is
@@ -64,7 +62,6 @@ from repro.cost import DEFAULT_COST_MODEL
 from repro.egraph import (
     AnytimeExtraction,
     EGraph,
-    ExtractionMemo,
     Runner,
     RunnerLimits,
     extract_best,
@@ -239,13 +236,7 @@ def main(argv=None) -> int:
     def pipeline_anytime():
         return optimize_source(BT_JACOBIAN_SOURCE, anytime_config)
 
-    # -- repeated-workload rows (the session architecture's home turf) -----
-
-    memo = ExtractionMemo()
-    extract_best(eg, [root], DEFAULT_COST_MODEL, "dag-greedy", memo=memo)  # warm
-
-    def extraction_memoized():
-        return extract_best(eg, [root], DEFAULT_COST_MODEL, "dag-greedy", memo=memo)
+    # -- repeated-workload row (the session architecture's home turf) ------
 
     variants = (Variant.CSE, Variant.CSE_SAT, Variant.CSE_BULK, Variant.ACCSAT)
 
@@ -394,7 +385,6 @@ def main(argv=None) -> int:
         "saturation_large": _median_time(saturation_large, args.repeats),
         "rule_search": _median_time(rule_search, args.repeats),
         "extraction": _median_time(extraction, args.repeats),
-        "extraction_memoized": _median_time(extraction_memoized, args.repeats),
         "full_pipeline": _median_time(full_pipeline, args.repeats),
         "pipeline_anytime": _median_time(pipeline_anytime, args.repeats),
         "pipeline_variants_cold": _median_time(pipeline_variants_cold, args.repeats),
@@ -519,15 +509,10 @@ def main(argv=None) -> int:
                 if results["pipeline_anytime"] > 0 else float("inf")
             ),
         },
-        # hit/miss counters behind the repeated-workload rows, and the
-        # speedups the session architecture buys on them
+        # hit/miss counters behind the repeated-workload row, and the
+        # speedup the session architecture buys on it
         "cache": {
             "session": cached_session.cache.stats.as_dict(),
-            "extraction_memo": memo.stats_dict(),
-            "speedup_extraction_memoized": (
-                results["extraction"] / results["extraction_memoized"]
-                if results["extraction_memoized"] > 0 else float("inf")
-            ),
             "speedup_pipeline_variants": (
                 results["pipeline_variants_cold"] / results["pipeline_variants_cached"]
                 if results["pipeline_variants_cached"] > 0 else float("inf")

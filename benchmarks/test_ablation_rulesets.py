@@ -25,7 +25,7 @@ def test_ablation_ruleset_size(benchmark, ruleset):
     assert report.egraph_nodes > 0
 
 
-@pytest.mark.parametrize("extraction", ["tree", "dag-greedy", "ilp"])
+@pytest.mark.parametrize("extraction", ["dag-greedy", "ilp"])
 def test_ablation_extraction_method(benchmark, extraction):
     source = """
 #pragma acc parallel loop gang

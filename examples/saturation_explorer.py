@@ -3,8 +3,8 @@
 
 A lower-level tour of the substrate underneath the pipeline: build an
 e-graph by hand, watch it saturate under the Table I rule set, and compare
-the three extraction strategies (tree / greedy DAG / ILP) under the paper's
-cost model.
+the two extraction methods (greedy DAG / ILP) under the paper's cost
+model.
 
 Usage::
 
@@ -35,7 +35,7 @@ def main() -> None:
     print(f"B and C equal after saturation?  {egraph.is_equal(b, c)}")
     print()
 
-    for method in ("tree", "dag-greedy", "ilp"):
+    for method in ("dag-greedy", "ilp"):
         result = extract_best(egraph, [a, b, c], DEFAULT_COST_MODEL, method)
         print(f"extraction [{method:10s}]  DAG cost {result.dag_cost:7.1f}  "
               f"A := {result.terms[a]}")

@@ -30,7 +30,6 @@ _SATURATOR_EXPORTS = (
     "OptimizationResult",
     "SaturatorConfig",
     "Variant",
-    "optimize_kernel",
     "optimize_source",
 )
 
@@ -41,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
         OptimizationResult,
         SaturatorConfig,
         Variant,
-        optimize_kernel,
         optimize_source,
     )
 

@@ -78,8 +78,9 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--extraction",
         default="dag-greedy",
-        choices=["dag-greedy", "tree", "ilp"],
-        help="extraction method (default: dag-greedy)",
+        choices=["dag-greedy", "ilp"],
+        help="extraction method: dag-greedy (default; greedy DAG selection "
+             "with sharing-aware local search) or ilp (exact 0/1 program)",
     )
     parser.add_argument("--node-limit", type=int, default=10_000,
                         help="e-node limit for saturation (default 10000)")
@@ -100,7 +101,9 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         "--anytime",
         action="store_true",
         help="extract in-loop every iteration and stop saturating once the "
-             "extracted cost plateaus (see --plateau-patience)",
+             "extracted cost plateaus (see --plateau-patience); the final "
+             "extraction reuses the last in-loop one when the e-graph has "
+             "not changed since",
     )
     parser.add_argument(
         "--plateau-patience", type=int, default=3,

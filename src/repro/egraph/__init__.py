@@ -22,19 +22,17 @@ tests, the reference matcher and user code:
   iteration and wall-clock limits (paper §VII: 10,000 e-nodes, 10 rewriting
   iterations, 10 s saturation, 30 s extraction) and per-rule profiling
   (:class:`~repro.egraph.runner.RuleStats`),
-* :mod:`~repro.egraph.extract` — cost-based term extraction: greedy tree,
-  greedy DAG (shared e-classes counted once, as in the paper's CSE) and an
-  ILP formulation solved with ``scipy.optimize.milp`` standing in for CBC.
+* :mod:`~repro.egraph.extract` — cost-based term extraction: greedy DAG
+  (shared e-classes counted once, as in the paper's CSE) and an ILP
+  formulation solved with ``scipy.optimize.milp`` standing in for CBC.
 """
 
 from repro.egraph.analysis import Analysis, ConstantFoldingAnalysis
 from repro.egraph.egraph import EClass, EGraph, ENode, NodeKey
 from repro.egraph.extract import (
     DagExtractor,
-    ExtractionMemo,
     ExtractionResult,
     ILPExtractor,
-    TreeExtractor,
     extract_best,
     resolve_result,
 )
@@ -91,10 +89,8 @@ __all__ = [
     "RunnerReport",
     "StopReason",
     "Term",
-    "TreeExtractor",
     "UnionFind",
     "compile_pattern",
-    "ExtractionMemo",
     "IterationCallback",
     "extract_best",
     "parse_pattern",

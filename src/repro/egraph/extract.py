@@ -2,20 +2,20 @@
 
 The paper extracts "the lowest-cost expression that contains all the
 e-classes of assignments ... with common e-classes being counted only once"
-using linear programming (CBC).  This module provides three extractors:
+using linear programming (CBC).  This module provides the two methods of
+:func:`extract_best`, both over one tree DP:
 
-* :class:`TreeExtractor` — classic bottom-up dynamic programming minimising
-  *tree* cost (shared sub-expressions counted every time).  Cheap; used as
-  a building block and as a baseline in the ablation benchmarks.
-* :class:`DagExtractor` — the default: per-class choices from the tree
-  extractor, costed as a DAG (each selected e-class counted once), which is
-  the paper's common-subexpression-aware objective under a greedy choice.
-* :class:`ILPExtractor` — the exact formulation as a 0/1 integer program
-  solved with ``scipy.optimize.milp``, standing in for the paper's CBC
-  solver.  Cycle freedom is enforced with topological-level variables.
+* :class:`DagExtractor` (``"dag-greedy"``, the default) — per-class
+  tree-optimal choices from the DP, costed as a DAG (each selected e-class
+  counted once) and improved by a sharing-aware local search: the paper's
+  common-subexpression-aware objective under a greedy choice.
+* :class:`ILPExtractor` (``"ilp"``) — the exact formulation as a 0/1
+  integer program solved with ``scipy.optimize.milp``, standing in for the
+  paper's CBC solver.  Cycle freedom is enforced with topological-level
+  variables.
 
-All three return an :class:`ExtractionResult`, which carries the selected
-node key per e-class, per-root terms, and the DAG cost of the selection.
+Both return an :class:`ExtractionResult`, which carries the selected node
+key per e-class, per-root terms, and the DAG cost of the selection.
 
 The tree DP runs as numpy column kernels over the e-graph's
 :class:`~repro.egraph.columns.ColumnStore` rows (see :class:`_DPState`):
@@ -23,7 +23,7 @@ class and child columns are canonicalised with one gather each, rows are
 priced from a per-``(op_id, payload_id)`` table, ``best[class] = min over
 its rows of price + sum of best[child]`` is iterated for all classes at once
 (``np.minimum.reduceat`` over class segments) until no class improves, and
-equal-cost rows are ordered by one ``np.lexsort``.  Every extractor, the
+equal-cost rows are ordered by one ``np.lexsort``.  Both extractors, the
 DAG local search and :func:`resolve_result` work on the **interned node
 keys** (``(op_id, payload_id, *child_ids)`` int tuples) the e-graph stores,
 and :attr:`ExtractionResult.choices` hands those keys to code generation
@@ -31,16 +31,10 @@ unchanged; operator names and payloads are read from the e-graph's
 ``op_names`` / ``payloads`` tables where a name is needed.  ``op_cost`` is
 called once per distinct ``(op, payload)`` pair, never per e-node.
 
-Repeated extraction from the *same* e-graph — re-extracting between runner
-iterations, comparing extractors, or the repeated-variant workloads of the
-experiment harness — can share an :class:`ExtractionMemo`.  The memo keeps
-the DP table while the e-graph's version stands still and recomputes it
-with the same kernel once the version moved (a whole-graph recompute costs
-tens of milliseconds on the largest corpus kernel, and upward touch
-propagation invalidates almost every class of a grown e-graph anyway).  It
-also caches whole :class:`ExtractionResult` objects per (method, roots)
-while the e-graph version is unchanged.  Memoized extraction is exact: it
-returns byte-identical selections to a cold run.
+Every extraction is computed from scratch.  The one place a result is
+reused is anytime extraction
+(:class:`~repro.egraph.runner.AnytimeExtraction`), which keeps its last
+result with the e-graph version it was taken at.
 """
 
 from __future__ import annotations
@@ -58,9 +52,7 @@ from repro.egraph.language import Payload, Term
 __all__ = [
     "CostFunction",
     "ExtractionError",
-    "ExtractionMemo",
     "ExtractionResult",
-    "TreeExtractor",
     "DagExtractor",
     "ILPExtractor",
     "extract_best",
@@ -97,23 +89,17 @@ class ExtractionResult:
     dag_cost: float
     #: Wall-clock time spent extracting.
     elapsed: float = 0.0
-    #: Extractor name ("tree", "dag-greedy", "ilp").
+    #: Extractor name ("dag-greedy", "ilp").
     method: str = ""
-
-    def term_for(self, root: int) -> Term:
-        return self.terms[root]
-
-    def reachable_classes(self) -> Set[int]:
-        return set(self.choices)
 
 
 # ---------------------------------------------------------------------------
-# Tree extraction (bottom-up fixpoint, as column kernels)
+# Tree DP (bottom-up fixpoint, as column kernels)
 # ---------------------------------------------------------------------------
 
 
 class _DPState:
-    """The tree extractor's dynamic-programming table for one e-graph version.
+    """The tree-cost dynamic-programming table for one e-graph version.
 
     ``best`` maps every finite-cost (canonical) e-class id to its
     ``(tree cost, chosen key)`` entry.  :meth:`build` computes it as column
@@ -253,263 +239,6 @@ def _dense_ranks(texts: Sequence[str]):
     return np.array([rank_of[text] for text in texts], dtype=np.int64)
 
 
-class _SameObject:
-    """Equality-by-identity wrapper that keeps its referent alive.
-
-    Used for memo cost keys of models without declared weights: holding a
-    strong reference guarantees a recycled ``id`` can never masquerade as
-    the original cost function.
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: object) -> None:
-        self.obj = obj
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SameObject) and other.obj is self.obj
-
-    def __hash__(self) -> int:
-        return object.__hash__(self.obj)
-
-
-def _cost_key(cost_function: CostFunction) -> tuple:
-    """Identity of a cost assignment, for memo-validity checks.
-
-    Weighted cost models compare by (class, weights); anything else is
-    trusted only against the very same object, so a memo can never serve
-    costs computed under a different pricing.
-    """
-
-    weights = getattr(cost_function, "weights", None)
-    if weights is not None:
-        return (type(cost_function).__qualname__, weights)
-    return (type(cost_function).__qualname__, _SameObject(cost_function))
-
-
-class ExtractionMemo:
-    """Shared extraction state for repeated runs over one e-graph.
-
-    Pass the same memo to successive :class:`TreeExtractor` /
-    :class:`DagExtractor` constructions (or :func:`extract_best` calls) to
-    reuse the DP table across them.  The memo re-binds automatically when
-    it sees a different e-graph or cost assignment, recomputes the table
-    (one :meth:`_DPState.build`) when the bound e-graph's version moved,
-    and additionally caches whole :class:`ExtractionResult` objects per
-    (method, roots) at a fixed e-graph version.  Not safe for concurrent
-    use from multiple threads.
-    """
-
-    def __init__(self) -> None:
-        self._egraph: Optional[EGraph] = None
-        self._cost_key: Optional[tuple] = None
-        self._state: Optional[_DPState] = None
-        #: e-graph version ``_state`` was computed at.
-        self._state_version: int = -1
-        #: (method, roots) -> (e-graph version, result)
-        self._results: Dict[tuple, Tuple[int, ExtractionResult]] = {}
-        # -- counters (surfaced via stats_dict) ---------------------------
-        self.full_builds: int = 0
-        self.refreshes: int = 0
-        self.reused_classes: int = 0
-        self.recomputed_classes: int = 0
-        self.result_hits: int = 0
-        self.result_misses: int = 0
-
-    # -- DP-table level -----------------------------------------------------
-
-    def refresh(self, egraph: EGraph, cost_function: CostFunction) -> int:
-        """Bring the DP table up to date with *egraph*; returns #recomputed.
-
-        The in-loop entry point for anytime extraction: call it at an
-        iteration boundary (after ``rebuild``, never mid-phase — a rebuild
-        re-keys nodes without moving ``egraph.version``).  A plain
-        :func:`extract_best` with this memo performs the same refresh
-        implicitly; this method exists for callers that want the refresh
-        cost surfaced separately from the extraction proper.
-        """
-
-        before = self.recomputed_classes
-        self.table_for(egraph, cost_function)
-        return self.recomputed_classes - before
-
-    def table_for(self, egraph: EGraph, cost_function: CostFunction) -> _DPState:
-        """The up-to-date DP state for *egraph* under *cost_function*."""
-
-        key = _cost_key(cost_function)
-        if self._egraph is not egraph or self._cost_key != key:
-            self._bind(egraph, key)
-        if self._state is None or self._state_version != egraph.version:
-            if self._state is None:
-                self.full_builds += 1
-            else:
-                self.refreshes += 1
-            self._state = _DPState.build(egraph, cost_function)
-            self._state_version = egraph.version
-            self.recomputed_classes += egraph.num_classes
-        else:
-            self.reused_classes += len(self._state.best)
-        return self._state
-
-    # -- result level --------------------------------------------------------
-
-    @staticmethod
-    def _result_key(method: str, roots: Sequence[int], time_limit: float) -> tuple:
-        # only the ILP solver is budget-sensitive: two budgets may yield
-        # different (both valid) solutions, so they must not share a slot
-        return (method, tuple(roots), time_limit if method == "ilp" else None)
-
-    def cached_result(
-        self,
-        egraph: EGraph,
-        cost_function: CostFunction,
-        method: str,
-        roots: Sequence[int],
-        time_limit: float = 0.0,
-    ) -> Optional[ExtractionResult]:
-        if self._egraph is not egraph or self._cost_key != _cost_key(cost_function):
-            self.result_misses += 1
-            return None
-        entry = self._results.get(self._result_key(method, roots, time_limit))
-        if entry is not None and entry[0] == egraph.version:
-            self.result_hits += 1
-            return entry[1]
-        self.result_misses += 1
-        return None
-
-    def store_result(
-        self,
-        egraph: EGraph,
-        cost_function: CostFunction,
-        method: str,
-        roots: Sequence[int],
-        result: ExtractionResult,
-        time_limit: float = 0.0,
-    ) -> None:
-        key = _cost_key(cost_function)
-        if self._egraph is not egraph or self._cost_key != key:
-            self._bind(egraph, key)
-        self._results[self._result_key(method, roots, time_limit)] = (
-            egraph.version, result,
-        )
-
-    # -- introspection -------------------------------------------------------
-
-    def stats_dict(self) -> Dict[str, int]:
-        return {
-            "full_builds": self.full_builds,
-            "refreshes": self.refreshes,
-            "reused_classes": self.reused_classes,
-            "recomputed_classes": self.recomputed_classes,
-            "result_hits": self.result_hits,
-            "result_misses": self.result_misses,
-        }
-
-    # -- internals -----------------------------------------------------------
-
-    def _bind(self, egraph: EGraph, key: tuple) -> None:
-        self._egraph = egraph
-        self._cost_key = key
-        self._state = None
-        self._state_version = -1
-        self._results = {}
-
-
-class TreeExtractor:
-    """Minimise tree cost per e-class by fixpoint dynamic programming.
-
-    With a *memo*, the DP table is borrowed from (and kept inside) the
-    memo so repeated extractions of the same e-graph version share it;
-    without one, the table is computed from scratch and discarded with
-    the extractor.  Either way an extractor keeps the table of the e-graph
-    version it first computed at.
-    """
-
-    def __init__(
-        self,
-        egraph: EGraph,
-        cost_function: CostFunction,
-        memo: Optional[ExtractionMemo] = None,
-    ) -> None:
-        self.egraph = egraph
-        self.cost_function = cost_function
-        self.memo = memo
-        self._state: Optional[_DPState] = None
-        self._best: Dict[int, Tuple[float, NodeKey]] = {}
-        self._computed = False
-
-    # -- fixpoint ------------------------------------------------------------
-
-    def _compute(self) -> None:
-        if self._computed:
-            return
-        if self.memo is not None:
-            state = self.memo.table_for(self.egraph, self.cost_function)
-        else:
-            state = _DPState.build(self.egraph, self.cost_function)
-        self._state = state
-        self._best = state.best
-        self._computed = True
-
-    # -- public API -----------------------------------------------------------
-
-    def best_cost(self, eclass_id: int) -> float:
-        """Minimum tree cost of the class containing *eclass_id*."""
-
-        self._compute()
-        entry = self._best.get(self.egraph.find(eclass_id))
-        if entry is None:
-            raise ExtractionError(f"no finite-cost term for e-class {eclass_id}")
-        return entry[0]
-
-    def best_key(self, eclass_id: int) -> NodeKey:
-        """The chosen interned node key of the class containing *eclass_id*."""
-
-        self._compute()
-        entry = self._best.get(self.egraph.find(eclass_id))
-        if entry is None:
-            raise ExtractionError(f"no finite-cost term for e-class {eclass_id}")
-        return entry[1]
-
-    def extract_term(self, eclass_id: int) -> Term:
-        """Reconstruct the minimum-tree-cost term of the class."""
-
-        key = self.best_key(eclass_id)
-        children = tuple(self.extract_term(key[i]) for i in range(2, len(key)))
-        egraph = self.egraph
-        return Term(egraph.op_names[key[0]], children, egraph.payloads[key[1]])
-
-    def _selection(self, roots: Sequence[int]) -> Dict[int, NodeKey]:
-        """The chosen key of every class reachable from *roots* through them."""
-
-        self._compute()
-        table = self._best
-
-        def chosen(cid: int) -> NodeKey:  # canonical ids only
-            entry = table.get(cid)
-            if entry is None:
-                raise ExtractionError(f"no finite-cost term for e-class {cid}")
-            return entry[1]
-
-        reachable = _reachable_from(self.egraph, roots, chosen)
-        return {cid: table[cid][1] for cid in reachable}
-
-    def extract(self, roots: Sequence[int]) -> ExtractionResult:
-        """Extract all roots using per-class tree-optimal choices."""
-
-        start = time.perf_counter()
-        self._compute()
-        terms: Dict[int, Term] = {}
-        for root in roots:
-            terms[root] = self.extract_term(root)
-            terms[self.egraph.find(root)] = terms[root]
-        choices = self._selection(roots)
-        cost = _dag_cost(self._state.key_cost, choices)
-        return ExtractionResult(
-            choices, terms, cost, time.perf_counter() - start, "tree"
-        )
-
-
 def _reachable_from(egraph: EGraph, roots: Sequence[int], key_of) -> Set[int]:
     """Classes reachable from the roots through the selected node keys."""
 
@@ -559,38 +288,46 @@ class DagExtractor:
     This matches the paper's objective (common e-classes counted once) under
     a greedy per-class choice; the exact optimum is available from
     :class:`ILPExtractor` and the two are compared in the ablation bench.
-    The improvement search runs entirely over interned keys.
+    Each :meth:`extract` builds the tree DP once (:meth:`_DPState.build`),
+    seeds the selection with its per-class best keys, and improves it by a
+    local search that runs entirely over interned keys.
     """
 
-    def __init__(
-        self,
-        egraph: EGraph,
-        cost_function: CostFunction,
-        memo: Optional[ExtractionMemo] = None,
-    ) -> None:
+    def __init__(self, egraph: EGraph, cost_function: CostFunction) -> None:
         self.egraph = egraph
         self.cost_function = cost_function
-        self._tree = TreeExtractor(egraph, cost_function, memo)
+        #: The tree DP of the latest :meth:`extract` (unbuilt before one).
+        self._state = _DPState(egraph, cost_function)
 
     def extract(self, roots: Sequence[int]) -> ExtractionResult:
         start = time.perf_counter()
+        egraph = self.egraph
         original_roots = list(roots)
-        roots = [self.egraph.find(r) for r in roots]
+        roots = [egraph.find(r) for r in roots]
 
-        tree = self._tree
-        choices = tree._selection(roots)
+        self._state = state = _DPState.build(egraph, self.cost_function)
+        table = state.best
+
+        def chosen(cid: int) -> NodeKey:  # canonical ids only
+            entry = table.get(cid)
+            if entry is None:
+                raise ExtractionError(f"no finite-cost term for e-class {cid}")
+            return entry[1]
+
+        reachable = _reachable_from(egraph, roots, chosen)
+        choices = {cid: table[cid][1] for cid in reachable}
         if self._improve_dag(roots, choices):
             # re-derive reachability and drop the classes no longer used
-            reachable = _reachable_from(self.egraph, roots, choices.__getitem__)
+            reachable = _reachable_from(egraph, roots, choices.__getitem__)
             choices = {cid: choices[cid] for cid in reachable}
 
         terms: Dict[int, Term] = {}
         memo: Dict[int, Term] = {}
         for original, root in zip(original_roots, roots):
-            term = _term_from_choices(self.egraph, choices, root, memo)
+            term = _term_from_choices(egraph, choices, root, memo)
             terms[root] = term
             terms[original] = term
-        cost = _dag_cost(tree._state.key_cost, choices)
+        cost = _dag_cost(state.key_cost, choices)
         return ExtractionResult(
             choices, terms, cost, time.perf_counter() - start, "dag-greedy"
         )
@@ -609,7 +346,7 @@ class DagExtractor:
         if cached is not None:
             return cached
         find = self.egraph.uf.find
-        tree_best = self._tree._best
+        tree_best = self._state.best
         stack = [(cid, False)]
         in_progress: Set[int] = set()
         while stack:
@@ -665,7 +402,7 @@ class DagExtractor:
             return False  # every class holds one node: nothing to switch to
         find = egraph.uf.find
         parent = egraph.uf._parent
-        cost_of = self._tree._state.key_cost
+        cost_of = self._state.key_cost
         key_order = _name_order(egraph)  # the DP's deterministic tie-break
 
         # the graph does not mutate during the local search, so canonical
@@ -687,7 +424,7 @@ class DagExtractor:
                 ch_memo[key] = result
             return result
 
-        tree_best = self._tree._best
+        tree_best = self._state.best
         levels: Dict[int, int] = {}
 
         protected = set(roots)
@@ -1187,30 +924,15 @@ def extract_best(
     cost_function: CostFunction,
     method: str = "dag-greedy",
     time_limit: float = 30.0,
-    memo: Optional[ExtractionMemo] = None,
 ) -> ExtractionResult:
     """Extract the best terms for *roots* using the requested method.
 
-    ``method`` is one of ``"tree"``, ``"dag-greedy"`` (default) or ``"ilp"``.
-    With a *memo*, repeated calls against the same (unchanged) e-graph
-    return the cached :class:`ExtractionResult`, and tree / dag-greedy
-    extraction after e-graph changes reuses the memoized DP table
-    incrementally.  Cached results are shared objects — treat them as
-    read-only, as every pipeline consumer does.
+    ``method`` is ``"dag-greedy"`` (default) or ``"ilp"``; ``time_limit``
+    bounds only the ILP solver.
     """
 
-    if memo is not None:
-        cached = memo.cached_result(egraph, cost_function, method, roots, time_limit)
-        if cached is not None:
-            return cached
-    if method == "tree":
-        result = TreeExtractor(egraph, cost_function, memo).extract(roots)
-    elif method == "dag-greedy":
-        result = DagExtractor(egraph, cost_function, memo).extract(roots)
-    elif method == "ilp":
-        result = ILPExtractor(egraph, cost_function, time_limit).extract(roots)
-    else:
-        raise ValueError(f"unknown extraction method {method!r}")
-    if memo is not None:
-        memo.store_result(egraph, cost_function, method, roots, result, time_limit)
-    return result
+    if method == "dag-greedy":
+        return DagExtractor(egraph, cost_function).extract(roots)
+    if method == "ilp":
+        return ILPExtractor(egraph, cost_function, time_limit).extract(roots)
+    raise ValueError(f"unknown extraction method {method!r}")

@@ -36,10 +36,9 @@ scheduler admitted the *complete* match batch, so curtailed matches are
 re-found by a later scan instead of being lost.
 
 **Anytime extraction.**  With an :class:`AnytimeExtraction` hook, the
-runner extracts through a shared :class:`~repro.egraph.extract.ExtractionMemo`
-every ``interval`` iterations — always at an iteration boundary, after
-``rebuild``, so the extraction sees a canonical e-graph — and records the
-current best extracted DAG cost in
+runner extracts every ``interval`` iterations — always at an iteration
+boundary, after ``rebuild``, so the extraction sees a canonical e-graph —
+and records the current best extracted DAG cost in
 :attr:`IterationReport.extracted_cost`.  When the cost has not improved
 for ``patience`` consecutive evaluations the run stops with
 :attr:`StopReason.COST_PLATEAU`: node-limit budgets no longer spend their
@@ -66,14 +65,14 @@ import enum
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import Rewrite
 from repro.records import record
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.egraph.extract import CostFunction, ExtractionMemo, ExtractionResult
+    from repro.egraph.extract import CostFunction, ExtractionResult
     from repro.egraph.schedule import RuleScheduler
 
 __all__ = [
@@ -313,47 +312,53 @@ class RunnerLimits:
 
 @dataclass
 class AnytimeExtraction:
-    """In-loop extraction: refresh, record, stop on a cost plateau.
+    """In-loop extraction: extract, record, stop on a cost plateau.
 
     Attached to a :class:`Runner`, this hook extracts from the live
     e-graph every ``interval`` iterations — after ``rebuild``, never
-    mid-phase — through :func:`~repro.egraph.extract.extract_best` with a
-    shared :class:`~repro.egraph.extract.ExtractionMemo`, which recomputes
-    its DP table only when the e-graph's version moved and caches whole
-    results per version.  The cost trajectory lands in
-    :attr:`IterationReport.extracted_cost`; once the best cost has not
-    improved for ``patience`` consecutive evaluations, the run stops with
-    :attr:`StopReason.COST_PLATEAU`.
+    mid-phase — through :func:`~repro.egraph.extract.extract_best`.  The
+    cost trajectory lands in :attr:`IterationReport.extracted_cost`; once
+    the best cost has not improved for ``patience`` consecutive
+    evaluations, the run stops with :attr:`StopReason.COST_PLATEAU`.
 
-    Pass the *same* memo to the downstream extraction (the pipeline's
-    :class:`~repro.session.stages.SaturationStage` shares it with
-    :class:`~repro.session.stages.ExtractionStage` automatically): when
-    the loop stops right after an evaluation, the final extraction is a
-    whole-result cache hit.
+    The hook keeps its last evaluation as ``(egraph.version, result)`` in
+    :attr:`last`.  :meth:`result_at` hands that result back while the
+    e-graph's version has not moved: the runner reuses it for an
+    evaluation after an iteration that changed nothing, and the pipeline's
+    :class:`~repro.session.stages.ExtractionStage` for the final
+    extraction when the loop stopped right after an evaluation.
     """
 
     #: Root e-classes to extract (the pipeline's assignment roots).
     roots: Sequence[int]
     #: Cost assignment for the extraction DP.
     cost_model: "CostFunction"
-    #: Extraction method ("tree", "dag-greedy", "ilp").
+    #: Extraction method ("dag-greedy", "ilp").
     method: str = "dag-greedy"
     #: Extract every this many iterations (1 = every iteration).
     interval: int = 1
     #: Consecutive non-improving evaluations before COST_PLATEAU.
     patience: int = 3
-    #: Shared DP/result memo; created on first use when None.
-    memo: Optional["ExtractionMemo"] = None
     #: Extraction time limit (only the ILP method enforces it).
     time_limit: float = 30.0
     #: Best in-loop extraction so far (filled in by the runner; read-only —
-    #: the object may be shared with the memo's result cache).  The whole
-    #: selection is kept, not just its cost, so downstream stages can ship
-    #: it after a plateau stop even when the final greedy extraction
-    #: regresses.  Its class ids are frozen at the iteration that produced
-    #: it; rebase them against later merges with
+    #: the object may also be :attr:`last`'s).  The whole selection is
+    #: kept, not just its cost, so downstream stages can ship it after a
+    #: plateau stop even when the final greedy extraction regresses.  Its
+    #: class ids are frozen at the iteration that produced it; rebase them
+    #: against later merges with
     #: :func:`~repro.egraph.extract.resolve_result` before consuming it.
     best_result: Optional["ExtractionResult"] = None
+    #: ``(e-graph version, result)`` of the latest evaluation of this run.
+    last: Optional[Tuple[int, "ExtractionResult"]] = None
+
+    def result_at(self, egraph: EGraph) -> Optional["ExtractionResult"]:
+        """The latest result, if *egraph*'s version has not moved since."""
+
+        last = self.last
+        if last is not None and last[0] == egraph.version:
+            return last[1]
+        return None
 
     def validate(self) -> None:
         if self.interval < 1:
@@ -668,20 +673,21 @@ class Runner:
         anytime = self.anytime
         if anytime is None or (iteration + 1) % anytime.interval != 0:
             return None, False
-        from repro.egraph.extract import ExtractionMemo, extract_best
+        from repro.egraph.extract import extract_best
 
-        if anytime.memo is None:
-            anytime.memo = ExtractionMemo()
-        et0 = time.perf_counter()
-        result = extract_best(
-            self.egraph,
-            anytime.roots,
-            anytime.cost_model,
-            anytime.method,
-            anytime.time_limit,
-            memo=anytime.memo,
-        )
-        report.extract_time += time.perf_counter() - et0
+        egraph = self.egraph
+        result = anytime.result_at(egraph)
+        if result is None:
+            et0 = time.perf_counter()
+            result = extract_best(
+                egraph,
+                anytime.roots,
+                anytime.cost_model,
+                anytime.method,
+                anytime.time_limit,
+            )
+            report.extract_time += time.perf_counter() - et0
+            anytime.last = (egraph.version, result)
         cost = result.dag_cost
         if self._best_cost is None or cost < self._best_cost - 1e-12:
             self._best_cost = cost
@@ -715,6 +721,7 @@ class Runner:
         self._stale_evals = 0
         if self.anytime is not None:
             self.anytime.best_result = None
+            self.anytime.last = None
         budget = CancellationToken(timeout=limits.time_limit)
         caller = self.cancellation
 

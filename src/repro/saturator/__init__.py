@@ -20,7 +20,6 @@ CSE+BULK and ACCSAT — correspond to the :class:`Variant` enum.
 from repro.saturator.config import SaturatorConfig, Variant
 from repro.saturator.report import KernelReport, OptimizationResult
 from repro.saturator.kernel import ParallelKernel, find_parallel_kernels
-from repro.saturator.pipeline import optimize_kernel
 from repro.saturator.driver import optimize_source
 
 __all__ = [
@@ -30,6 +29,5 @@ __all__ = [
     "SaturatorConfig",
     "Variant",
     "find_parallel_kernels",
-    "optimize_kernel",
     "optimize_source",
 ]

@@ -59,7 +59,7 @@ class SaturatorConfig:
     variant: Variant = Variant.ACCSAT
     #: Rule set name (see :func:`repro.rules.ruleset_by_name`).
     ruleset: str = "default"
-    #: Extraction method: ``dag-greedy`` (default), ``tree`` or ``ilp``.
+    #: Extraction method: ``dag-greedy`` (default) or ``ilp``.
     extraction: str = "dag-greedy"
     #: Saturation limits (10k e-nodes / 10 iterations / 10 s, §VII).
     limits: RunnerLimits = field(default_factory=RunnerLimits)
@@ -77,10 +77,10 @@ class SaturatorConfig:
     #: exist when a limit truncates saturation.
     scheduler: str = "simple"
     #: Anytime extraction: extract from the live e-graph every
-    #: ``anytime_interval`` iterations (through the shared
-    #: :class:`~repro.egraph.extract.ExtractionMemo`, which the final
-    #: extraction reuses) and stop saturating once the extracted cost
-    #: has not improved for ``plateau_patience`` consecutive evaluations.
+    #: ``anytime_interval`` iterations and stop saturating once the
+    #: extracted cost has not improved for ``plateau_patience``
+    #: consecutive evaluations (the final extraction reuses the last
+    #: in-loop result when the e-graph has not changed since).
     #: Fingerprint-relevant: early stopping changes the saturated e-graph.
     anytime_extraction: bool = False
     anytime_interval: int = 1

@@ -11,7 +11,7 @@ from repro.frontend.parser import ParseError, parse, parse_statement
 from repro.frontend.printer import print_c
 from repro.saturator.config import SaturatorConfig
 from repro.saturator.kernel import find_parallel_kernels
-from repro.saturator.pipeline import optimize_kernel
+from repro.saturator.pipeline import optimize_loop_body
 from repro.saturator.report import OptimizationResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -53,8 +53,8 @@ def optimize_ast(
                 "kernel", parent=trace_parent, name=kernel.name
             )
         try:
-            _, report = optimize_kernel(
-                kernel, config, stages,
+            _, report = optimize_loop_body(
+                kernel.body, config, kernel.name, stages,
                 on_iteration=on_iteration,
                 cancellation=cancellation,
                 fault_hook=fault_hook,

@@ -52,10 +52,6 @@ class KernelReport:
     #: of a pipeline run (see :mod:`repro.session`); every other field is
     #: identical to the cold run that produced the artifact.
     from_cache: bool = False
-    #: Extraction-memo counters (reused/recomputed classes, result hits)
-    #: when the extraction stage ran with a shared
-    #: :class:`~repro.egraph.extract.ExtractionMemo`; None otherwise.
-    extraction_memo: Optional[Dict[str, int]] = None
     #: True when a deadline — the caller's or the ``time_limit`` budget —
     #: stopped saturation early at an iteration boundary (graceful
     #: degradation).  The code is still correct — just not saturated as
@@ -90,7 +86,6 @@ class KernelReport:
             "optimized": self.optimized.as_dict(),
             "extracted_cost": self.extracted_cost,
             "from_cache": self.from_cache,
-            "extraction_memo": self.extraction_memo,
             "degraded": self.degraded,
             "load_reduction": self.load_reduction,
             "instruction_reduction": self.instruction_reduction,

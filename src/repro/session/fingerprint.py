@@ -62,7 +62,10 @@ __all__ = [
 #: instead of after every rule batch, so a node-limit stop ends with a
 #: different (smaller) e-graph and its ``KernelReport``/``RunnerReport``
 #: counts change; older disk entries must re-miss.
-ENGINE_SCHEMA = "rowcap-v7"
+#: extract-v8: ``KernelReport`` lost its extraction-memo counters field
+#: (the memo is gone), so its positional pickle has one field fewer and
+#: older disk entries would unpickle into the wrong slots; they re-miss.
+ENGINE_SCHEMA = "extract-v8"
 
 
 def fingerprint_text(text: str) -> str:

@@ -37,12 +37,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.codegen.generator import CodeGenerator, GeneratedKernel, count_ast_stats
 from repro.cost import AccSaturatorCostModel
 from repro.egraph.egraph import EGraph
-from repro.egraph.extract import (
-    ExtractionMemo,
-    ExtractionResult,
-    extract_best,
-    resolve_result,
-)
+from repro.egraph.extract import ExtractionResult, extract_best, resolve_result
 from repro.egraph.runner import (
     AnytimeExtraction,
     CancellationToken,
@@ -104,8 +99,6 @@ class StageContext:
     store_class_of: Dict[int, int] = field(default_factory=dict)
     extraction: Optional[ExtractionResult] = None
     generated: Optional[GeneratedKernel] = None
-    #: Optional shared DP state for repeated extraction of this e-graph.
-    extraction_memo: Optional[ExtractionMemo] = None
     #: Progress hook handed to the saturation loop (see
     #: :class:`~repro.egraph.runner.Runner`); not part of the cache
     #: fingerprint — it observes the run, it never changes its outcome.
@@ -126,11 +119,12 @@ class StageContext:
     #: :func:`run_stages` re-points it at each running stage's span so the
     #: saturation loop's iteration spans nest under ``stage:saturate``.
     trace_span: Optional[str] = None
-    #: Best in-loop extraction snapshot (set by :class:`SaturationStage`
-    #: when anytime extraction ran); its class ids are canonical at the
-    #: iteration that produced it, so consumers rebase them with
+    #: The anytime-extraction hook the saturation loop ran with (set by
+    #: :class:`SaturationStage`); its ``best_result`` is the best in-loop
+    #: snapshot, whose class ids are canonical at the iteration that
+    #: produced it, so consumers rebase them with
     #: :func:`~repro.egraph.extract.resolve_result`.
-    anytime_best: Optional[ExtractionResult] = None
+    anytime: Optional[AnytimeExtraction] = None
     #: Wall-clock seconds per stage name (accumulated by :func:`run_stages`).
     stage_times: Dict[str, float] = field(default_factory=dict)
 
@@ -217,10 +211,7 @@ class SaturationStage(Stage):
     ``config.scheduler``; with ``config.anytime_extraction`` the runner
     additionally extracts in-loop every ``config.anytime_interval``
     iterations and stops on a ``config.plateau_patience`` cost plateau.
-    The anytime memo is shared through ``ctx.extraction_memo``, so the
-    downstream :class:`ExtractionStage` reuses the warm DP table — and,
-    when the loop stopped right after an evaluation, the final extraction
-    is a whole-result cache hit.
+    The hook is kept in ``ctx.anytime`` for :class:`ExtractionStage`.
 
     A :attr:`~repro.egraph.runner.StopReason.DEADLINE` stop — the job's
     deadline or the ``time_limit`` budget — **degrades**: the loop stopped
@@ -242,15 +233,12 @@ class SaturationStage(Stage):
             if config.anytime_extraction:
                 roots = list(ctx.root_of.values())
                 if roots:
-                    if ctx.extraction_memo is None:
-                        ctx.extraction_memo = ExtractionMemo()
                     anytime = AnytimeExtraction(
                         roots=roots,
                         cost_model=AccSaturatorCostModel(),
                         method=config.extraction,
                         interval=config.anytime_interval,
                         patience=config.plateau_patience,
-                        memo=ctx.extraction_memo,
                         time_limit=config.extraction_time_limit,
                     )
             runner = Runner(
@@ -263,8 +251,7 @@ class SaturationStage(Stage):
                 trace_parent=ctx.trace_span,
             )
             ctx.report.runner = runner.run()
-            if anytime is not None:
-                ctx.anytime_best = anytime.best_result
+            ctx.anytime = anytime
             stop = ctx.report.runner.stop_reason
             if stop is StopReason.CANCELLED:
                 raise SaturationCancelled(
@@ -278,15 +265,18 @@ class SaturationStage(Stage):
 class ExtractionStage(Stage):
     """Extract the minimum-cost DAG under the paper's cost model.
 
-    When the saturation loop ran with anytime extraction, the stage also
-    considers the **best in-loop snapshot** (``ctx.anytime_best``): greedy
-    DAG extraction can regress as the e-graph grows, so the selection at
-    an earlier iteration boundary may beat the final one.  The snapshot is
-    rebased onto the final e-graph (class ids re-resolved against later
-    merges — :func:`~repro.egraph.extract.resolve_result`) and shipped
-    whenever its re-priced DAG cost strictly beats the final extraction;
-    a snapshot the merges invalidated falls back to the final extraction.
-    Both candidates are pure functions of (source, config), so the choice
+    When the saturation loop ran with anytime extraction (``ctx.anytime``),
+    the stage reuses the hook's last in-loop result if the e-graph's
+    version has not moved since it was taken — the loop stopped right
+    after an evaluation — instead of extracting again, and it also
+    considers the **best in-loop snapshot**: greedy DAG extraction can
+    regress as the e-graph grows, so the selection at an earlier
+    iteration boundary may beat the final one.  The snapshot is rebased
+    onto the final e-graph (class ids re-resolved against later merges —
+    :func:`~repro.egraph.extract.resolve_result`) and shipped whenever its
+    re-priced DAG cost strictly beats the final extraction; a snapshot the
+    merges invalidated falls back to the final extraction.  Both
+    candidates are pure functions of (source, config), so the choice
     between them is too.
     """
 
@@ -297,37 +287,38 @@ class ExtractionStage(Stage):
         config = ctx.config
         cost_model = AccSaturatorCostModel()
         roots = list(ctx.root_of.values())
+        anytime = ctx.anytime
+        # the extraction time this stage spends; a reused result costs none
+        spent = 0.0
         if roots:
-            final = extract_best(
-                ctx.egraph,
-                roots,
-                cost_model,
-                config.extraction,
-                config.extraction_time_limit,
-                memo=ctx.extraction_memo,
-            )
-            extract_elapsed = final.elapsed
+            final = None if anytime is None else anytime.result_at(ctx.egraph)
+            if final is None:
+                final = extract_best(
+                    ctx.egraph,
+                    roots,
+                    cost_model,
+                    config.extraction,
+                    config.extraction_time_limit,
+                )
+                spent = final.elapsed
             ctx.extraction = final
-            if ctx.anytime_best is not None:
+            if anytime is not None and anytime.best_result is not None:
                 best = resolve_result(
-                    ctx.egraph, ctx.anytime_best, roots, cost_model
+                    ctx.egraph, anytime.best_result, roots, cost_model
                 )
                 if best is not None and best.dag_cost < final.dag_cost - 1e-12:
                     ctx.extraction = best
         else:
             ctx.extraction = ExtractionResult({}, {}, 0.0, 0.0, config.extraction)
-            extract_elapsed = 0.0
         ctx.report.extracted_cost = ctx.extraction.dag_cost
         if ctx.report.runner is not None:
             # complete the runner's search/apply/rebuild phase profile with
-            # the extraction time so one report carries the full breakdown
-            # (added on top of any in-loop anytime extraction time the
-            # runner already accumulated; when the anytime snapshot wins,
-            # the final extraction still ran — its time is what this stage
-            # spent, the snapshot's own elapsed was counted in-loop)
-            ctx.report.runner.extract_time += extract_elapsed
-        if ctx.extraction_memo is not None:
-            ctx.report.extraction_memo = ctx.extraction_memo.stats_dict()
+            # the extraction time so one report carries the full breakdown:
+            # the runner already timed its in-loop evaluations, including
+            # the one a reused result came from, so only a fresh final
+            # extraction adds here (when the anytime snapshot wins, the
+            # final extraction still ran, and its time is what is added)
+            ctx.report.runner.extract_time += spent
 
 
 class CodegenStage(Stage):

@@ -22,7 +22,8 @@ rebuild.
 from hypothesis import given, settings, strategies as st
 
 from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.extract import TreeExtractor
+from repro.egraph.extract import _DPState
+from repro.egraph.language import Term
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,14 @@ def _compare_nodes(eg: EGraph, ref: RefEGraph, ids, ref_ids):
     assert arena == ref.canonical_nodes()
 
 
+def _tree_term(eg, best, cid):
+    """The minimum-tree-cost term of *cid*'s class, read off the DP table."""
+
+    key = best[eg.find(cid)][1]
+    children = tuple(_tree_term(eg, best, key[i]) for i in range(2, len(key)))
+    return Term(eg.op_names[key[0]], children, eg.payloads[key[1]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(_steps)
 def test_arena_matches_reference_under_interleavings(steps):
@@ -247,11 +256,11 @@ def test_arena_matches_reference_under_interleavings(steps):
             _, x = step
             i = x % len(ids)
             expected = ref.tree_costs(_OpCost.op_cost).get(ref.find(ref_ids[i]))
-            extractor = TreeExtractor(eg, cost)
             if expected is None:
                 continue
-            assert extractor.best_cost(ids[i]) == expected
-            term = extractor.extract_term(ids[i])
+            best = _DPState.build(eg, cost).best
+            assert best[eg.find(ids[i])][0] == expected
+            term = _tree_term(eg, best, ids[i])
             # the extracted term is well-formed and priced consistently
             assert sum(_OpCost.op_cost(t.op) for t in term.walk()) == expected
 
@@ -263,9 +272,9 @@ def test_arena_matches_reference_under_interleavings(steps):
 
     # final extraction comparison on every class with a finite cost
     expected_costs = ref.tree_costs(_OpCost.op_cost)
-    extractor = TreeExtractor(eg, cost)
+    best = _DPState.build(eg, cost).best
     for i, (a, r) in enumerate(zip(ids, ref_ids)):
         expected = expected_costs.get(ref.find(r))
         if expected is None:
             continue
-        assert extractor.best_cost(a) == expected, f"tree cost of add #{i}"
+        assert best[eg.find(a)][0] == expected, f"tree cost of add #{i}"

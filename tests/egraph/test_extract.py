@@ -1,4 +1,4 @@
-"""Tests for cost-based extraction (tree, greedy DAG, ILP)."""
+"""Tests for cost-based extraction (tree DP, greedy DAG, ILP)."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.egraph.extract import (
     DagExtractor,
     ExtractionError,
     ILPExtractor,
-    TreeExtractor,
+    _DPState,
     extract_best,
 )
 from repro.egraph.language import num, op, sym
@@ -23,23 +23,30 @@ def saturated_graph(term):
     return eg, root
 
 
+def tree_best(eg, root):
+    """``(tree cost, chosen key)`` of *root*'s class in the tree DP."""
+
+    return _DPState.build(eg, DEFAULT_COST_MODEL).best[eg.find(root)]
+
+
 class TestTreeExtractor:
+    """The tree DP (:class:`_DPState`) that seeds the greedy DAG selection."""
+
     def test_extracts_cheapest_equivalent(self):
         eg, root = saturated_graph(op("+", sym("a"), op("*", sym("b"), sym("c"))))
-        extractor = TreeExtractor(eg, DEFAULT_COST_MODEL)
-        term = extractor.extract_term(root)
-        assert term.op == "fma"  # one op (10) beats add+mul (20)
+        _, key = tree_best(eg, root)
+        assert eg.op_names[key[0]] == "fma"  # one op (10) beats add+mul (20)
 
     def test_cost_of_leaf(self):
         eg = EGraph()
         root = eg.add_term(sym("x"))
-        assert TreeExtractor(eg, DEFAULT_COST_MODEL).best_cost(root) == 1.0
+        assert tree_best(eg, root)[0] == 1.0
 
     def test_constant_has_zero_cost(self):
         eg = EGraph(constant_folding_analysis())
         root = eg.add_term(op("+", num(1), num(2)))
         eg.rebuild()
-        assert TreeExtractor(eg, DEFAULT_COST_MODEL).best_cost(root) == 0.0
+        assert tree_best(eg, root)[0] == 0.0
 
     def test_missing_class_raises(self):
         eg = EGraph()
@@ -132,7 +139,7 @@ class _Flat:
 class TestFacade:
     def test_extract_best_dispatches(self):
         eg, root = saturated_graph(op("+", sym("a"), op("*", sym("b"), sym("c"))))
-        for method in ("tree", "dag-greedy", "ilp"):
+        for method in ("dag-greedy", "ilp"):
             result = extract_best(eg, [root], DEFAULT_COST_MODEL, method)
             assert result.method == method
             assert root in result.terms
@@ -142,6 +149,14 @@ class TestFacade:
         root = eg.add_term(sym("x"))
         with pytest.raises(ValueError):
             extract_best(eg, [root], DEFAULT_COST_MODEL, "annealing")
+
+    def test_tree_is_not_a_method(self):
+        """The tree DP only seeds ``dag-greedy``; it is not user-facing."""
+
+        eg = EGraph()
+        root = eg.add_term(sym("x"))
+        with pytest.raises(ValueError):
+            extract_best(eg, [root], DEFAULT_COST_MODEL, "tree")
 
     def test_extracted_term_cost_matches_model(self):
         """The reported DAG cost equals re-pricing the selected choices."""

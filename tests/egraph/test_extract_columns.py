@@ -28,7 +28,7 @@ from repro.benchsuite.npb.bt import BT_JACOBIAN_SOURCE
 from repro.cost import CostModel
 from repro.egraph import extract
 from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.extract import ExtractionError, TreeExtractor, _DPState
+from repro.egraph.extract import DagExtractor, ExtractionError, _DPState
 from repro.egraph.runner import RunnerLimits
 from repro.saturator import SaturatorConfig, Variant, optimize_source
 
@@ -294,7 +294,7 @@ def test_class_without_a_finite_term_is_absent():
     best = _DPState.build(eg, _Unaffordable()).best
     assert set(best) == {x}
     with pytest.raises(ExtractionError):
-        TreeExtractor(eg, _Unaffordable()).best_cost(above)
+        DagExtractor(eg, _Unaffordable()).extract([above])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.egraph import (
     AnytimeExtraction,
     BackoffScheduler,
     EGraph,
-    ExtractionMemo,
     MatchBudgetScheduler,
     Runner,
     RunnerLimits,
@@ -265,19 +264,19 @@ class TestAnytimeExtraction:
         anytime = AnytimeExtraction(
             roots=[root], cost_model=DEFAULT_COST_MODEL, interval=1, patience=99
         )
-        assert anytime.memo is None
+        assert anytime.last is None
         Runner(eg, default_ruleset(), RunnerLimits(2000, 3, 300.0),
                anytime=anytime).run()
-        memo = anytime.memo
-        assert memo is not None
-        stats = memo.stats_dict()
-        assert stats["full_builds"] == 1
-        assert stats["refreshes"] >= 1
+        assert anytime.last is not None
+        version, result = anytime.last
         # the final e-graph version matches the last in-loop evaluation, so
-        # a fresh extraction through the memo is a whole-result cache hit
-        before = memo.result_hits
-        extract_best(eg, [root], DEFAULT_COST_MODEL, "dag-greedy", memo=memo)
-        assert memo.result_hits == before + 1
+        # the hook hands that very result back
+        assert version == eg.version
+        assert anytime.result_at(eg) is result
+        # growth moves the version: the slot no longer answers
+        eg.add_term(op("*", sym("fresh_a"), sym("fresh_b")))
+        eg.rebuild()
+        assert anytime.result_at(eg) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -295,10 +294,15 @@ class TestAnytimeExtraction:
 
 
 class TestPipelineIntegration:
-    def test_anytime_pipeline_final_extraction_is_a_result_hit(self):
+    def test_anytime_pipeline_final_extraction_is_a_result_hit(self, monkeypatch):
         from repro.benchsuite.npb.cg import CG
         from repro.saturator import SaturatorConfig, optimize_source
+        from repro.session import stages
 
+        calls = []
+        monkeypatch.setattr(
+            stages, "extract_best", lambda *args: calls.append(args)
+        )
         config = SaturatorConfig(
             limits=RunnerLimits(2000, 6, 300.0),
             anytime_extraction=True,
@@ -307,12 +311,11 @@ class TestPipelineIntegration:
         result = optimize_source(CG.kernels[0].source, config)
         kernel = result.kernels[0]
         assert kernel.runner is not None
-        assert any(it.extracted_cost is not None for it in kernel.runner.iterations)
-        assert kernel.extraction_memo is not None
-        # the extraction stage re-used the in-loop memo: at minimum the DP
-        # table, and (when the loop stopped at an evaluation boundary) the
-        # whole cached result
-        assert kernel.extraction_memo["result_hits"] >= 1
+        assert kernel.runner.iterations[-1].extracted_cost is not None
+        # the loop stopped right after an evaluation (interval 1), so the
+        # extraction stage reused that result instead of extracting again
+        assert calls == []
+        assert kernel.extracted_cost > 0
 
     def test_scheduler_spelling_flows_through_config(self):
         from repro.benchsuite.npb.cg import CG

@@ -50,11 +50,11 @@ class TestVariant:
             Variant.from_name("fastest")
 
     def test_config_with_variant_copies_other_fields(self):
-        config = SaturatorConfig(ruleset="fma-only", extraction="tree")
+        config = SaturatorConfig(ruleset="fma-only", extraction="ilp")
         derived = config.with_variant(Variant.CSE)
         assert derived.variant is Variant.CSE
         assert derived.ruleset == "fma-only"
-        assert derived.extraction == "tree"
+        assert derived.extraction == "ilp"
 
 
 class TestKernelDiscovery:

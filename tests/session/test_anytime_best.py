@@ -96,12 +96,12 @@ class TestExtractionStageSelection:
     def test_snapshot_ships_when_it_beats_the_final_extraction(self, monkeypatch):
         ctx = _staged_context(ANYTIME_CONFIG)
         run_stages(ctx, (FrontendStage(), EGraphBuildStage(), SaturationStage()))
-        assert ctx.anytime_best is not None
+        assert ctx.anytime.best_result is not None
 
         sentinel = ExtractionResult({}, {}, -1.0, 0.0, "dag-greedy")
 
         def fake_resolve(egraph, result, roots, cost_model):
-            assert result is ctx.anytime_best
+            assert result is ctx.anytime.best_result
             return sentinel
 
         monkeypatch.setattr(stages_module, "resolve_result", fake_resolve)

@@ -187,13 +187,13 @@ class TestFingerprintMemo:
         """Disk entries written under this schema must still hit (the pins
         move only with an ``ENGINE_SCHEMA`` bump)."""
 
-        assert fingerprint_module.ENGINE_SCHEMA == "rowcap-v7"
+        assert fingerprint_module.ENGINE_SCHEMA == "extract-v8"
         assert fingerprint_config(SaturatorConfig()) == (
-            "08bef060a90136f198acdc21275876197e8b0eba65b1719e5cbac934922eecfc"
+            "7bc58f34580b2798cb3e7107f8df624195201f248c51730290c1228828059001"
         )
         key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
         assert key.digest == (
-            "c9f1701bbc33a98cc230b552539e9223ed60a2439d43c539c7e30a680ed0e5ee"
+            "5218a944629b34cf0bcb1bc7a2bde8b11f320ca87deda586a171e896bd22b59d"
         )
 
 

@@ -51,8 +51,7 @@ FIELDS = {
     KernelReport: (
         "name", "ssa_codegen_time", "saturation_time", "extraction_time",
         "runner", "egraph_nodes", "egraph_classes", "assignments", "groups",
-        "original", "optimized", "extracted_cost", "from_cache",
-        "extraction_memo", "degraded",
+        "original", "optimized", "extracted_cost", "from_cache", "degraded",
     ),
     OptimizationResult: ("code", "kernels", "variant"),
 }

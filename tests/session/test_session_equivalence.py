@@ -46,7 +46,7 @@ def _comparable(result):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("extraction", ["dag-greedy", "tree"])
+@pytest.mark.parametrize("extraction", ["dag-greedy", "ilp"])
 def test_hit_equals_cold_run_for_every_variant_and_extractor(variant, extraction):
     config = SaturatorConfig(variant=variant, extraction=extraction)
     session = OptimizationSession(config=config, cache=MemoryCache())

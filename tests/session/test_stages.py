@@ -124,3 +124,49 @@ class TestExtensibility:
         g2, r2 = optimize_loop_body(_body(), SaturatorConfig(), stages=DEFAULT_STAGES)
         assert g1.stats == g2.stats
         assert r1.extracted_cost == r2.extracted_cost
+
+
+class _RecordExtractTime(Stage):
+    """A probe between saturation and extraction: the runner's extract time."""
+
+    name = "record-extract-time"
+    requires = ("egraph",)
+
+    def __init__(self):
+        self.seen = []
+
+    def run(self, ctx):
+        self.seen.append(ctx.report.runner.extract_time)
+
+
+class TestExtractPhaseTime:
+    def test_reused_anytime_result_adds_no_extract_time(self, monkeypatch):
+        """The runner already timed the in-loop evaluation the final
+        extraction reuses; the extraction stage must not count it again."""
+
+        from repro.session import stages as stages_module
+
+        calls = []
+        extract_best = stages_module.extract_best
+        monkeypatch.setattr(
+            stages_module, "extract_best",
+            lambda *args, **kw: calls.append(args) or extract_best(*args, **kw),
+        )
+        config = SaturatorConfig(anytime_extraction=True, plateau_patience=1)
+        probe = _RecordExtractTime()
+        stages = (
+            FrontendStage(),
+            EGraphBuildStage(),
+            SaturationStage(),
+            probe,
+            ExtractionStage(),
+        )
+        ctx = run_stages(
+            StageContext(body=_body(), config=config, name="k"), stages
+        )
+        assert probe.seen[0] > 0.0
+        assert ctx.report.runner.extract_time == probe.seen[0]
+        # the loop evaluated at its last iteration (interval 1), so the
+        # stage reused that result instead of extracting again
+        assert ctx.report.runner.iterations[-1].extracted_cost is not None
+        assert calls == []
