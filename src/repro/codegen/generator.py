@@ -19,13 +19,12 @@ Clang alike in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.codegen.bulkload import ScheduleItem, schedule_group
 from repro.codegen.tempvars import ClassRenderer, TempAllocator, Template
 from repro.egraph.egraph import EGraph, NodeKey
 from repro.egraph.extract import ExtractionResult
-from repro.egraph.language import Term
 from repro.frontend import cast as C
 from repro.records import record
 from repro.ssa.form import AssignmentInfo, KernelSSA, StraightLineGroup
@@ -308,46 +307,4 @@ def count_ast_stats(node: C.Node) -> KernelCodeStats:
             visit(child, False)
 
     visit(node)
-    return stats
-
-
-def count_term_stats(terms: Sequence[Term], stores: int = 0) -> KernelCodeStats:
-    """Operation counts of unoptimized SSA terms (every occurrence counted).
-
-    This is the baseline the compiler model uses for the *original* code:
-    no sharing of common subexpressions, every load re-issued.  The version
-    operand of ``load``/``store`` terms is skipped — it threads the data
-    dependence on earlier stores and does not correspond to executed code.
-    """
-
-    stats = KernelCodeStats(stores=stores)
-
-    def visit(node: Term) -> None:
-        op = node.op
-        children = node.children
-        if op == "load":
-            stats.loads += 1
-            children = node.children[1:]
-        elif op == "store":
-            stats.stores += 1
-            children = node.children[1:]
-        elif op == "fma":
-            stats.fmas += 1
-        elif op == "/":
-            stats.divs += 1
-        elif op == "call":
-            stats.calls += 1
-        elif op in _FLOP_OPS:
-            stats.flops += 1
-        elif op in _INT_OPS:
-            stats.int_ops += 1
-        elif op in ("phi", "phi-loop"):
-            # only the condition and branch values that were actually
-            # computed are counted via the assignments that produced them
-            children = ()
-        for child in children:
-            visit(child)
-
-    for term in terms:
-        visit(term)
     return stats

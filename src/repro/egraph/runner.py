@@ -86,7 +86,6 @@ __all__ = [
     "RuleStats",
     "RunnerReport",
     "Runner",
-    "TripSignal",
 ]
 
 #: Progress hook invoked after every completed saturation iteration with
@@ -111,47 +110,32 @@ class StopReason(enum.Enum):
     CANCELLED = "cancelled"
 
 
-class TripSignal:
-    """Transport for a cancellation/deadline trip across a process boundary.
+class FileTripSignal:
+    """A cancellation/deadline trip shared across a process boundary.
 
     A :class:`CancellationToken` is an in-memory object: its flags cannot
-    reach a saturation loop running in *another* process.  A ``TripSignal``
-    is the pluggable escape hatch — ``trip(kind)`` records the trip in some
-    medium both sides can see (a file, a pipe, shared memory), and
-    ``poll()`` reads it back.  Two tokens sharing one signal therefore
-    share their trips: the parent process trips its token, the child-side
-    token polls the same signal at the next iteration boundary and stops
+    reach a saturation loop running in *another* process.  A trip signal
+    records the trip in a small file both sides can see: ``trip(kind)``
+    writes it, ``poll()`` reads it back.  Two tokens sharing one signal
+    therefore share their trips: the parent trips its token, the child's
+    token polls the same file at the next iteration boundary and stops
     with the usual :attr:`StopReason.CANCELLED` / :attr:`StopReason.DEADLINE`
     semantics.
 
     Kinds are the strings ``"cancelled"`` and ``"deadline"``.  A signal is
     irrevocable like the token flags: once ``poll()`` returned a kind it
-    never goes back to ``None`` (``"cancelled"`` may still supersede
-    ``"deadline"`` — explicit cancellation wins, mirroring the token).
+    never goes back to ``None``; ``"cancelled"`` may overwrite
+    ``"deadline"`` (explicit cancellation wins, mirroring the token),
+    never the reverse.  ``trip`` writes atomically (temp file +
+    ``os.replace``) so a concurrent ``poll`` sees either nothing or a
+    complete kind; ``poll`` is one ``open`` + ``read``.  Unreadable or
+    absent files poll as ``None``: losing a trip file degrades to the
+    fallback defenses (pickup-time deadline checks, post-hoc result
+    drops), it never crashes the loop.
     """
 
     #: The legal trip kinds, in priority order (first wins).
     KINDS = ("cancelled", "deadline")
-
-    def trip(self, kind: str) -> None:
-        raise NotImplementedError
-
-    def poll(self) -> Optional[str]:
-        raise NotImplementedError
-
-
-class FileTripSignal(TripSignal):
-    """A :class:`TripSignal` backed by a small file both processes can see.
-
-    ``trip`` writes the kind atomically (temp file + ``os.replace``) so a
-    concurrent ``poll`` sees either nothing or a complete kind, never a
-    torn write; ``poll`` is one ``open`` + ``read`` — cheap enough for the
-    runner's once-per-iteration cadence.  A ``"cancelled"`` trip may
-    overwrite a ``"deadline"`` one (cancellation wins); never the reverse.
-    Unreadable/absent files poll as ``None``: losing a trip file degrades
-    to the fallback defenses (pickup-time deadline checks, post-hoc result
-    drops), it never crashes the loop.
-    """
 
     __slots__ = ("path", "_seen")
 
@@ -214,7 +198,7 @@ class CancellationToken:
     exactly the cooperative contract.
 
     ``signal`` extends the sharing across *processes*: ``cancel()`` and
-    ``expire()`` also trip the attached :class:`TripSignal`, and every
+    ``expire()`` also trip the attached :class:`FileTripSignal`, and every
     read consults it, so a child-process token built on the same signal
     observes the parent's trips (and vice versa).  Monotonic deadlines do
     **not** cross the boundary — ``time.monotonic()`` instants are not
@@ -228,7 +212,7 @@ class CancellationToken:
         self,
         deadline: Optional[float] = None,
         timeout: Optional[float] = None,
-        signal: Optional[TripSignal] = None,
+        signal: Optional[FileTripSignal] = None,
     ) -> None:
         if timeout is not None:
             at = time.monotonic() + timeout
@@ -272,11 +256,19 @@ class CancellationToken:
         )
 
     def tripped(self) -> Optional["StopReason"]:
-        """The stop reason this token demands right now, or ``None``."""
+        """The stop reason this token demands right now, or ``None``.
 
-        if self.cancelled:
+        Reads the attached signal at most once per call.
+        """
+
+        signalled = None if self._cancelled else self._signalled()
+        if self._cancelled or signalled == "cancelled":
             return StopReason.CANCELLED
-        if self.expired:
+        if (
+            self._expired
+            or signalled == "deadline"
+            or (self.deadline is not None and time.monotonic() > self.deadline)
+        ):
             return StopReason.DEADLINE
         return None
 

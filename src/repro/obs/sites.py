@@ -88,11 +88,12 @@ SITE_CACHE_STORE = register_site("cache:store", "artifact cache store")
 SITE_STAGE = register_site("stage:", "pipeline stage entry", prefix=True)
 #: Service worker picking a job off the queue.
 SITE_WORKER_PICKUP = register_site("worker:pickup", "service worker job pickup")
-#: Hard worker-process death at an iteration boundary (process executor).
+#: Worker death at an iteration boundary of the cold run (both executors:
+#: a process hard-exits, a thread raises ``WorkerDiedError``).
 SITE_WORKER_CRASH = register_site("worker:crash", "worker process hard-kill")
 #: Per-iteration progress publication on the job's event stream.
 SITE_PROGRESS_PUBLISH = register_site("progress:publish", "job progress publication")
-#: Finished result dropped on the IPC channel (process executor).
+#: Finished cold-run result dropped before it is stored (both executors).
 SITE_IPC_RESULT_DROP = register_site("ipc:result-drop", "IPC result drop")
 #: A traced process-executor attempt ended without its worker's span
 #: buffer (the worker died first): emitted on the attempt span, counted

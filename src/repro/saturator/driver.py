@@ -82,7 +82,6 @@ def optimize_source(
     source: str,
     config: Optional[SaturatorConfig] = None,
     name_prefix: str = "kernel",
-    stages: Optional[Sequence["Stage"]] = None,
     on_iteration: Optional["IterationCallback"] = None,
     cancellation: Optional["CancellationToken"] = None,
     fault_hook: Optional["FaultHook"] = None,
@@ -107,7 +106,7 @@ def optimize_source(
     except (LexerError, ParseError):
         root = parse_statement(source)
     return optimize_ast(
-        root, config, name_prefix, stages,
+        root, config, name_prefix,
         on_iteration=on_iteration,
         cancellation=cancellation,
         fault_hook=fault_hook,

@@ -7,18 +7,25 @@ whether to inject a failure.  The sites are no-op hooks in production
 ==================== =====================================================
 site                 where it fires
 ==================== =====================================================
+``worker:pickup``    a worker picked the attempt up, before anything else
+``worker:crash``     right after pickup: decides whether — and after how
+                     many published iterations — the attempt's cold run
+                     dies
 ``cache:get``        artifact-cache lookup (``MemoryCache``/``DiskCache``)
-``cache:store``      artifact-cache store
-``stage:<name>``     before each pipeline stage (``stage:saturate``, ...)
-``worker:pickup``    a worker picked the job up, before the pipeline runs
+``stage:<name>``     before each pipeline stage (``stage:saturate``, ...);
+                     thread executor only, the child never sees the plan
 ``progress:publish`` before each per-iteration progress event
-``worker:crash``     at dispatch of an attempt (process backend): decides
-                     whether — and after how many iterations — the worker
-                     process hard-exits (``os._exit``) mid-job
-``ipc:result-drop``  on receipt of a child worker's result: decides
-                     whether the parent discards it (simulating a result
-                     lost in IPC after the child already finished)
+``ipc:result-drop``  after the cold run: decides whether its result is
+                     discarded (a result lost in IPC after the run ended)
+``cache:store``      artifact-cache store
 ==================== =====================================================
+
+The table is in firing order within one attempt, and the order is the
+same on both executors: every site but ``stage:<name>`` fires in the
+service process, at the same point of the attempt.  ``progress:publish``
+verdicts are drawn as a process worker's progress messages arrive, so a
+``deadline`` verdict there stops the child asynchronously — possibly at a
+later iteration boundary than a thread would stop at.
 
 Determinism is the whole point: every counter and RNG stream is keyed by
 ``(site, job key)`` — *not* by global arrival order — so which attempt of
@@ -39,14 +46,17 @@ Five fault kinds:
   at the next iteration boundary (degradation path) without touching the
   wall clock,
 * ``"crash"`` / ``"drop"`` — **structural** kinds: :meth:`FaultPlan.fire`
-  only counts them; the process-worker supervisor consumes their verdicts
-  through the non-raising :meth:`FaultPlan.check` at its deterministic
-  decision points (dispatch and result receipt) and performs the kill /
-  drop itself.  ``FaultRule.after`` picks the kill boundary for a crash:
-  the worker publishes that many iterations, then hard-exits.  Under the
-  thread executor a ``crash`` verdict is simulated as a pickup-time
-  :class:`~repro.service.errors.WorkerDiedError` (there is no process to
-  kill), keeping per-job attempt counts identical across executors.
+  only counts them; the service consumes their verdicts through the
+  non-raising :meth:`FaultPlan.check` at the ``worker:crash`` and
+  ``ipc:result-drop`` points of every attempt, on both executors.  A
+  crash kills the attempt's cold run after it published
+  ``FaultRule.after`` iterations (``0``: at its start; a cache hit runs
+  nothing and cannot crash): a process worker hard-exits, a thread raises
+  :class:`~repro.service.errors.WorkerDiedError` at the same point.
+  Either way the death counts in ``worker_deaths`` and fails the attempt
+  as a transient error, so per-job attempt counts are the same on both
+  executors.  A drop discards a finished cold run's result before it is
+  stored, also as a transient error.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ __all__ = ["FaultPlan", "FaultRule", "KINDS"]
 KINDS = ("transient", "permanent", "deadline", "crash", "drop")
 
 #: Kinds :meth:`FaultPlan.fire` acts on; the structural kinds (crash/drop)
-#: are consumed by the supervisor through :meth:`FaultPlan.check` instead.
+#: are consumed by the service through :meth:`FaultPlan.check` instead.
 _RAISING_KINDS = ("transient", "permanent", "deadline")
 
 
@@ -87,9 +97,9 @@ class FaultRule:
     from an RNG stream private to ``(site, job, rule)``; the flips each
     job sees are then reproducible regardless of thread scheduling.
 
-    ``after`` applies to ``"crash"`` rules only: the worker process
-    publishes that many iteration-progress messages before hard-exiting
-    (``after=0`` dies at pickup, before any work).
+    ``after`` applies to ``"crash"`` rules only: the attempt's cold run
+    publishes that many iteration-progress messages, then dies
+    (``after=0`` dies at the start of the cold run, before any work).
     """
 
     site: str
@@ -190,7 +200,7 @@ class FaultPlan:
         Raises for ``transient``/``permanent`` kinds; a ``deadline`` kind
         expires the bound job's cancellation token and returns.  The
         structural kinds (``crash``/``drop``) are counted but never acted
-        on here — the process supervisor consumes them via :meth:`check`.
+        on here — the service consumes them via :meth:`check`.
         """
 
         verdicts, key, hit = self._evaluate(site)
@@ -204,10 +214,10 @@ class FaultPlan:
     def check(self, site: str) -> List[FaultRule]:
         """Count one hit at *site*; return the fired rules without acting.
 
-        The supervisor's entry point for the structural kinds: a
-        ``worker:crash`` check at dispatch returns the crash rules whose
-        ``after`` picks the kill boundary, an ``ipc:result-drop`` check at
-        result receipt returns whether to discard the payload.  Counting
+        The service's entry point for the structural kinds: a
+        ``worker:crash`` check at pickup returns the crash rules whose
+        ``after`` picks the kill boundary, an ``ipc:result-drop`` check
+        after the cold run returns whether to discard its result.  Counting
         is identical to :meth:`fire`, so hit patterns stay deterministic
         per ``(site, job)`` regardless of which method consumes a site.
         """

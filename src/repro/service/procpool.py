@@ -1,15 +1,13 @@
 """Supervised process workers for the optimization service.
 
-:class:`ProcessWorkerPool` runs cold pipelines in long-lived **spawned**
-worker processes, one job at a time per worker, behind the service's
-existing dispatcher threads: a dispatcher pops a job off the
-:class:`~repro.service.queue.JobQueue`, leases an idle worker, ships the
-job down the worker's pipe, and relays the child's per-iteration progress
-messages back into the job's event stream.  Workers run the pipeline
-uncached: the service probes its cache before shipping a job and stores
-the artifact after it returns, so the parent is the one owner of the
-artifact cache.  The pool owns exactly the machinery a process boundary
-makes necessary:
+:class:`ProcessWorkerPool` is the process executor's cold run: the
+service's attempt path (probe the cache, run cold, store — the same on
+both executors) hands a :class:`WorkerTask` to :meth:`run_job`, which
+leases an idle long-lived **spawned** worker process, ships the task down
+its pipe, and relays the child's per-iteration progress back into the
+job's event stream.  Workers run the pipeline uncached; the service owns
+the artifact cache.  The pool owns exactly the machinery a process
+boundary makes necessary:
 
 * **supervision** — the dispatcher monitors its leased worker with
   heartbeat timestamps (every message counts; a busy, healthy child
@@ -18,28 +16,25 @@ makes necessary:
   child sent before dying is still a valid result — then the pool
   respawns a replacement and raises
   :class:`~repro.service.errors.WorkerDiedError`, a *transient* error by
-  construction, so the service's PR 6 retry/backoff path requeues the
-  orphaned job and the conservation law
-  ``submitted == completed + failed + cancelled`` survives any kill
-  pattern.  An optional ``heartbeat_timeout`` additionally kills (then
-  replaces) a live-but-silent worker, turning hangs into the same
-  transient death.
-* **cross-process deadlines/cancellation** — the parent attaches a
+  construction, so the service's retry path requeues the orphaned job
+  and the conservation law ``submitted == completed + failed +
+  cancelled`` survives any kill pattern.  An optional
+  ``heartbeat_timeout`` additionally kills (then replaces) a
+  live-but-silent worker, turning hangs into the same transient death.
+* **cross-process deadlines/cancellation** — the service attaches a
   :class:`~repro.egraph.runner.FileTripSignal` to the job's token; the
   child builds its own :class:`~repro.egraph.runner.CancellationToken`
   from the *remaining* deadline seconds (monotonic instants do not cross
   process boundaries) plus the same trip file, and its ``Runner`` polls
-  it at iteration boundaries exactly like the thread path — same
+  it at iteration boundaries exactly like the thread executor — same
   ``StopReason`` semantics, same graceful-degradation contract.  A child
-  that dies before polling is covered by the fallbacks: the requeued
-  attempt hits the pickup-time deadline check, and an injected
-  ``ipc:result-drop`` exercises the post-hoc result-drop path.
+  that dies before polling is covered by the pickup-time deadline check
+  of the requeued attempt.
 
-The child never sees the :class:`~repro.service.faults.FaultPlan`: crash
-verdicts are computed parent-side (deterministically, per job key) and
-shipped as a ``crash_after`` iteration count in the task, which the child
-honours with a hard ``os._exit`` — indistinguishable from a real SIGKILL
-at that boundary.
+The child never sees the :class:`~repro.service.faults.FaultPlan`: the
+service draws the crash verdict at pickup and ships it as the task's
+``crash_after`` iteration count, which the child honours with a hard
+``os._exit`` — indistinguishable from a real SIGKILL at that boundary.
 """
 
 from __future__ import annotations

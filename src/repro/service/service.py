@@ -1,57 +1,42 @@
 """The long-lived concurrent optimization service.
 
-:class:`OptimizationService` puts a job queue, a thread-based worker pool,
-and in-flight request coalescing in front of an
-:class:`~repro.session.OptimizationSession`:
+:class:`OptimizationService` puts a job queue, a worker pool, and
+in-flight request coalescing in front of an
+:class:`~repro.session.OptimizationSession`'s cache and config:
 
 * **submit/poll/stream** — :meth:`OptimizationService.submit` returns a
-  :class:`~repro.service.job.JobHandle` immediately; callers poll its
-  state, block on ``result()``, or iterate ``stream()`` for per-iteration
-  saturation progress (jobs whose config enables anytime extraction
-  stream ``extracted_cost`` snapshots).
+  :class:`~repro.service.job.JobHandle` at once; callers poll it, block
+  on ``result()``, or iterate ``stream()`` for per-iteration progress.
 * **coalescing** — submissions are keyed by the session cache key
-  (source SHA-256, config fingerprint, name prefix).  A submission whose
-  key matches a queued or running job *attaches* to it instead of
-  enqueueing: N identical concurrent requests cost one pipeline run, and
-  because the run's artifact lands in the shared cache, later identical
-  submissions are plain cache hits.
-* **accounting** — a :class:`~repro.service.stats.ServiceStats` registry
-  tracks submissions, coalesce/cache-hit/pipeline-run counts, terminal
-  outcomes, and the queued/running gauges; ``stats.snapshot()`` is cheap
-  and consistent, suitable for a metrics endpoint.
-
-The fault-tolerance layer (PR 6) adds four defenses:
-
-* **deadlines** — ``OptimizationRequest.deadline`` seconds after
-  submission, the job's :class:`~repro.egraph.runner.CancellationToken`
-  trips: a still-queued job fails with
-  :class:`~repro.service.errors.JobDeadlineError` at pickup; a running
-  one stops saturating at the next iteration boundary and **degrades
-  gracefully** — extraction/codegen finish on that boundary's e-graph
-  (with the best anytime snapshot as a candidate when one exists) and the
-  job resolves with a ``degraded=True`` artifact (byte-identical to an
-  iteration-limit stop at the same boundary, and never stored in the
-  shared artifact cache).  The config's ``time_limit`` budget stops and
-  degrades the same way.
-* **backpressure + load shedding** — a bounded queue (``max_queue``) plus
-  an ``overload_policy``: ``"block"`` (wait for space, optionally bounded
-  by ``submit_timeout``), ``"reject"``
-  (:class:`~repro.service.errors.ServiceOverloadedError`), or ``"shed"``
-  (evict the worst queued job — lowest priority, then newest — to admit
-  the new one; an incoming submission worse than every queued job is
-  itself rejected).
-* **retry with backoff** — transient failures (``OSError`` /
-  :class:`~repro.service.errors.TransientError`) requeue the job with a
-  capped, deterministic exponential backoff up to ``max_retries``;
-  permanent errors fail fast; a worker hitting an unexpected error fails
-  only its job and keeps serving.
+  (source SHA-256, config fingerprint, name prefix); one matching a
+  queued or running job *attaches* to it, so N identical concurrent
+  requests cost one pipeline run, and later ones are cache hits.
+* **accounting** — :class:`~repro.service.stats.ServiceStats` counts
+  submissions, hits, runs and terminal outcomes.  A submission is
+  counted before its job can reach a worker, so ``stats.snapshot()`` is
+  consistent at any instant.
+* **deadlines** — a job's :class:`~repro.egraph.runner.CancellationToken`
+  trips ``OptimizationRequest.deadline`` seconds after submission: a
+  queued job fails with :class:`~repro.service.errors.JobDeadlineError`
+  at pickup; a running one stops at the next iteration boundary and
+  resolves with a ``degraded=True`` artifact (byte-identical to an
+  iteration-limit stop there, never cached).  The config's
+  ``time_limit`` budget degrades the same way.
+* **backpressure** — a bounded queue with a ``block`` / ``reject`` /
+  ``shed`` overload policy (see :class:`OptimizationService`).
+* **retry** — transient failures (``OSError``,
+  :class:`~repro.service.errors.TransientError`, a dead worker) requeue
+  with capped, deterministic exponential backoff; others fail the job.
 * **fault injection** — a :class:`~repro.service.faults.FaultPlan` arms
-  the no-op hooks along the serving path for deterministic chaos testing.
+  the no-op hooks along the serving path for deterministic chaos tests.
 
-Workers run plain :meth:`OptimizationSession.run`, so everything the
-session guarantees — deterministic artifacts, hit-equals-cold-run
-equivalence, thread-safe cache tiers — carries over; the service adds
-concurrency, ordering (priorities), and single-flight semantics on top.
+One attempt of a job is one path on both executors: bind the job to the
+fault plan, fire ``worker:pickup``, check ``worker:crash``, probe the
+cache, run cold, check ``ipc:result-drop``, store through
+:meth:`OptimizationSession._store`.  The executors differ only in the
+callable that does the cold run — ``optimize_source`` on the worker
+thread, or a leased :class:`~repro.service.procpool.ProcessWorkerPool`
+worker — so one seeded fault plan gives one outcome on either.
 """
 
 from __future__ import annotations
@@ -63,12 +48,14 @@ import threading
 import time
 import traceback
 import weakref
+from contextlib import nullcontext
 from itertools import count
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.egraph.runner import CancellationToken, FileTripSignal, StopReason
+from repro.egraph.runner import CancellationToken, FileTripSignal
 from repro.obs.metrics import MetricsRegistry
 from repro.saturator.config import SaturatorConfig
+from repro.saturator.driver import optimize_source
 from repro.saturator.report import OptimizationResult
 from repro.service.errors import (
     JobDeadlineError,
@@ -160,22 +147,11 @@ class OptimizationService:
     * ``faults`` arms a :class:`~repro.service.faults.FaultPlan` on the
       serving path (cache, stages, worker pickup, progress publish).
 
-    The execution backend (PR 8):
-
-    * ``executor="thread"`` (default) runs pipelines on the worker threads
-      themselves, exactly as before.  ``executor="process"`` turns the
-      worker threads into dispatchers over a supervised
-      :class:`~repro.service.procpool.ProcessWorkerPool`: cold pipelines
-      run uncached in spawned worker processes (the service's cache stays
-      parent-side, probed before and filled after each job), worker
-      death is detected, classified
-      transient, and recovered through the retry path, and
-      deadlines/cancellation cross the process boundary via per-job
-      :class:`~repro.egraph.runner.FileTripSignal` trip files — the PR 6
-      degradation contract holds unchanged under both executors.
-    * ``heartbeat_timeout`` (process executor only) kills and replaces a
-      busy worker silent for that many seconds — hangs become transient
-      worker deaths.  ``None`` disables it.
+    ``executor`` picks who runs a cold pipeline: the worker thread
+    (``"thread"``, default) or a supervised worker process it leases
+    (``"process"``; see the module docstring).  ``heartbeat_timeout``
+    (process executor only) kills and replaces a busy worker silent for
+    that many seconds — hangs become transient worker deaths.
 
     The service can be used as a context manager::
 
@@ -420,9 +396,12 @@ class OptimizationService:
                 with self._inflight_lock:
                     job = self._inflight.get(key)
                     handle = job.attach() if job is not None else None
+                    if handle is not None:
+                        # counted before the lock lets the worker drop the
+                        # job, so before its terminal count
+                        self.stats.count("submitted")
+                        self.stats.count("coalesced")
                 if handle is not None:
-                    self.stats.count("submitted")
-                    self.stats.count("coalesced")
                     if self.tracer is not None:
                         self.tracer.event(
                             "job:coalesce", span=job.span,
@@ -451,6 +430,10 @@ class OptimizationService:
             self._jobs[seq] = job
             handle = job.attach()
             assert handle is not None  # fresh job, cannot be cancelled yet
+            # counted before the push: once queued, a worker may run the
+            # job to its terminal count before this thread runs again
+            self.stats.count("submitted")
+            self.stats.job_queued()
             timeout = self.submit_timeout if self.overload_policy == "block" else None
             if not self._queue.push(job, timeout=timeout):
                 # block policy timed out waiting for space: unwind as if
@@ -459,6 +442,8 @@ class OptimizationService:
                     if self._inflight.get(key) is job:
                         del self._inflight[key]
                 del self._jobs[seq]
+                self.stats.count("submitted", -1)
+                self.stats.job_dequeued()
                 self.stats.count("rejected")
                 if job.span is not None:
                     job.span.end(terminal="cancelled", reason="submit-timeout")
@@ -466,8 +451,6 @@ class OptimizationService:
                     f"no queue space within {self.submit_timeout!r}s "
                     f"(max_depth={self._queue.max_depth})"
                 )
-            self.stats.count("submitted")
-            self.stats.job_queued()
         return handle
 
     def submit_many(
@@ -504,21 +487,17 @@ class OptimizationService:
                 )
             if not self._queue.steal(victim):
                 continue  # a worker popped it first; re-check the depth
-            with self._inflight_lock:
-                if self._inflight.get(victim.key) is victim:
-                    del self._inflight[victim.key]
-            outcomes = victim.live_handles
-            victim.fail(
+            if self.tracer is not None:
+                self.tracer.event("job:shed", span=victim.span)
+            self._fail_job(
+                victim,
                 ServiceOverloadedError(
                     "job shed under load: queue full and a newer submission "
                     "outranked it"
-                )
+                ),
+                reason="shed",
             )
-            if self.tracer is not None:
-                self.tracer.event("job:shed", span=victim.span)
-            self._end_job_span(victim, "failed", reason="shed")
             self.stats.count("shed")
-            self.stats.count("failed", outcomes)
             self.stats.job_dequeued()
 
     # ------------------------------------------------------------------
@@ -598,13 +577,19 @@ class OptimizationService:
             if self._inflight.get(job.key) is job:
                 del self._inflight[job.key]
 
-    def _fail_job(self, job: Job, error: BaseException) -> None:
-        """Fail *job* (failure isolation: its own handles, nothing else)."""
+    def _fail_job(self, job: Job, error: BaseException, **span_attrs) -> None:
+        """Fail *job* (failure isolation: its own handles, nothing else).
+
+        The one failure path: it leaves the in-flight registry, fails the
+        live handles, ends the job span and counts them ``failed``.
+        """
 
         self._drop_inflight(job)
         outcomes = job.live_handles
         job.fail(error)
-        self._end_job_span(job, "failed", error=type(error).__name__)
+        self._end_job_span(
+            job, "failed", error=type(error).__name__, **span_attrs
+        )
         self.stats.count("failed", outcomes)
 
     def _backoff(self, attempt: int) -> float:
@@ -617,23 +602,19 @@ class OptimizationService:
             job = self._queue.pop()
             if job is None:
                 return
-            token = job.cancellation
             if (
-                token is not None
-                and token.tripped() is not None
+                job.cancellation.tripped() is not None
                 and job.state is JobState.QUEUED
             ):
                 # expired (or token-cancelled) while waiting in the queue:
                 # never start a job that cannot finish in time
-                self._drop_inflight(job)
-                outcomes = job.live_handles
-                job.fail(
-                    JobDeadlineError("deadline expired before the job started")
+                self._fail_job(
+                    job,
+                    JobDeadlineError("deadline expired before the job started"),
+                    reason="queued-expiry",
                 )
-                self._end_job_span(job, "failed", reason="queued-expiry")
                 self.stats.job_dequeued()
                 self.stats.count("expired")
-                self.stats.count("failed", outcomes)
                 continue
             if not job.start():
                 continue  # cancelled between push and pop
@@ -643,12 +624,10 @@ class OptimizationService:
             except Exception as error:  # pragma: no cover - defensive
                 # an unexpected error in the serving machinery itself must
                 # fail only this job; the worker survives to keep serving
-                self._drop_inflight(job)
-                if not job.state.terminal:
-                    outcomes = job.live_handles
-                    job.fail(error)
-                    self._end_job_span(job, "failed", error=type(error).__name__)
-                    self.stats.count("failed", outcomes)
+                if job.state.terminal:
+                    self._drop_inflight(job)
+                else:
+                    self._fail_job(job, error)
             finally:
                 self.stats.job_finished()
             if job.error is not None:
@@ -781,153 +760,141 @@ class OptimizationService:
                 metrics.counter(f"rule:{name}:applied").inc(rule.applied)
 
     # ------------------------------------------------------------------
-    # execution backends
+    # one attempt
     # ------------------------------------------------------------------
 
     def _execute(
         self, job: Job, publish, plan: Optional[FaultPlan]
     ) -> Tuple[OptimizationResult, bool]:
-        """Run one attempt of *job* on the configured backend."""
+        """Run one attempt of *job* on either executor: probe the cache,
+        run cold, store (the one path of the module docstring).  A crash
+        verdict arms the cold run; a cache hit runs nothing, so it cannot
+        crash.
+        """
+
+        with nullcontext() if plan is None else plan.scoped(job):
+            crash_after = None
+            if plan is not None:
+                plan.fire("worker:pickup")
+                crash_after = min(
+                    (rule.after for rule in plan.check("worker:crash")),
+                    default=None,
+                )
+            cache = self.session.cache
+            if cache is not None:
+                hit = cache.get(job.key)
+                if hit is not MISS:
+                    return OptimizationSession._mark_cached(hit), True
+            run = self._run_in_thread if self._pool is None else self._run_in_worker
+            result = run(job, publish, plan, crash_after)
+            if plan is not None and plan.check("ipc:result-drop"):
+                raise TransientError(
+                    f"result of attempt {job.seq}.{job.retries} dropped in "
+                    "IPC (injected)"
+                )
+            self.session._store(job.key, result)
+            return result, False
+
+    def _run_in_thread(self, job: Job, publish, plan, crash_after) -> OptimizationResult:
+        """The thread executor's cold run: the pipeline on this thread.
+
+        An injected crash has no process to kill, so the attempt raises
+        :class:`~repro.service.errors.WorkerDiedError` where the child
+        process would exit: at the start of the run for ``after=0``, else
+        right after publishing iteration ``after``.
+        """
+
+        def crash() -> None:
+            self.stats.count("worker_deaths")
+            raise WorkerDiedError(
+                f"injected worker crash in attempt {job.seq}.{job.retries}"
+            )
+
+        on_iteration = publish
+        if crash_after == 0:
+            crash()
+        elif crash_after is not None:
+            published = 0
+
+            def on_iteration(row) -> None:
+                nonlocal published
+                publish(row)
+                published += 1
+                if published >= crash_after:
+                    crash()
 
         request = job.request
         tracer = self.tracer
-        trace_parent = (
-            None if tracer is None else tracer.current_id()
+        return optimize_source(
+            request.source,
+            request.config or self.session.config,
+            request.name_prefix,
+            on_iteration=on_iteration,
+            cancellation=job.cancellation,
+            fault_hook=None if plan is None else plan.fire,
+            tracer=tracer,
+            trace_parent=None if tracer is None else tracer.current_id(),
         )
-        if plan is None:
-            if self._pool is None:
-                return self.session.run_detailed(
-                    request.source,
-                    request.config,
-                    request.name_prefix,
-                    on_iteration=publish,
-                    cancellation=job.cancellation,
-                    tracer=tracer,
-                    trace_parent=trace_parent,
-                )
-            return self._dispatch(job, publish, plan, crash_after=None)
-        with plan.scoped(job):
-            plan.fire("worker:pickup")
-            # the crash site is checked under BOTH executors so per-job
-            # hit counts (and thus the whole fault pattern) are identical
-            # whichever backend runs the wave
-            crash_rules = plan.check("worker:crash")
-            crash_after = min((r.after for r in crash_rules), default=None)
-            if self._pool is None:
-                if crash_rules:
-                    # no process to kill: simulate the death as a
-                    # pickup-time transient so the job still takes the
-                    # orphan-recovery path
-                    self.stats.count("worker_deaths")
-                    raise WorkerDiedError(
-                        "injected worker crash (thread executor: simulated "
-                        "as a pickup-time death)"
-                    )
-                return self.session.run_detailed(
-                    request.source,
-                    request.config,
-                    request.name_prefix,
-                    on_iteration=publish,
-                    cancellation=job.cancellation,
-                    fault_hook=plan.fire,
-                    tracer=tracer,
-                    trace_parent=trace_parent,
-                )
-            return self._dispatch(job, publish, plan, crash_after)
 
-    def _dispatch(
-        self,
-        job: Job,
-        publish,
-        plan: Optional[FaultPlan],
-        crash_after: Optional[int],
-    ) -> Tuple[OptimizationResult, bool]:
-        """One attempt on the process pool: probe the parent cache, ship
-        the job to a worker, relay progress, store the artifact.
+    def _run_in_worker(self, job: Job, publish, plan, crash_after) -> OptimizationResult:
+        """The process executor's cold run: ship the attempt to a leased
+        worker process and relay its progress and spans.
 
-        The parent-side cache probe keeps hit/coalescing semantics (and
-        the ``cache:get`` fault site) identical to the thread path; on a
-        miss the child runs the pipeline uncached and the artifact is
-        stored parent-side through the session's store rule — this probe
-        and this store are the only cache traffic of a process job, and
-        degraded artifacts are never stored.
+        The child never sees *plan*: a crash verdict travels as the task's
+        ``crash_after``, and ``stage:<name>`` sites do not fire.
         """
 
-        assert self._pool is not None
         request = job.request
-        cache = self.session.cache
-        if cache is not None:
-            hit = cache.get(job.key)
-            if hit is not MISS:
-                return OptimizationSession._mark_cached(hit), True
         token = job.cancellation
-        timeout = None
-        trip_path = None
-        if token is not None:
-            if token.signal is None and self._trip_dir is not None:
-                # one trip file per job (not per attempt): a trip is
-                # irrevocable, and retries of a tripped job must stay
-                # tripped
-                signal = FileTripSignal(
-                    os.path.join(self._trip_dir, f"job-{job.seq}.trip")
-                )
-                token.signal = signal
-                reason = token.tripped()
-                if reason is not None:
-                    # cancel()/expire() raced the attach: propagate the
-                    # trip into the file the child is about to watch
-                    signal.trip(
-                        "cancelled"
-                        if reason is StopReason.CANCELLED
-                        else "deadline"
-                    )
-            if isinstance(token.signal, FileTripSignal):
-                trip_path = token.signal.path
-            if token.deadline is not None:
-                # monotonic instants don't cross process boundaries:
-                # re-anchor the deadline as remaining seconds at dispatch
-                timeout = max(0.0, token.deadline - time.monotonic())
+        if token.signal is None:
+            # one trip file per job (not per attempt): a trip is
+            # irrevocable, and retries of a tripped job must stay tripped
+            token.signal = FileTripSignal(
+                os.path.join(self._trip_dir, f"job-{job.seq}.trip")
+            )
+            reason = token.tripped()
+            if reason is not None:
+                # cancel()/expire() raced the attach: carry the trip into
+                # the file the child is about to watch
+                token.signal.trip(reason.value)
         tracer = self.tracer
         task = WorkerTask(
             task_id=f"{job.seq}.{job.retries}",
             source=request.source,
             config=request.config or self.session.config,
             name_prefix=request.name_prefix,
-            timeout=timeout,
-            trip_path=trip_path,
+            # monotonic instants don't cross process boundaries: the
+            # deadline travels as the seconds remaining at dispatch
+            timeout=(
+                None if token.deadline is None
+                else max(0.0, token.deadline - time.monotonic())
+            ),
+            trip_path=token.signal.path,
             crash_after=crash_after,
             trace=tracer is not None,
         )
         if tracer is None:
-            on_spans = None
-        else:
-            # re-parent the child's record stream under this attempt's
-            # span, offset to the attempt's start — the child rebased its
-            # timestamps to its own first record, and its whole run falls
-            # inside the dispatch→terminal window this span covers, so
-            # the ingested spans nest and a process-executor trace reads
-            # identically to a thread-executor one
-            attempt = tracer.current()
-            attempt_id = getattr(attempt, "span_id", attempt)
-            attempt_start = getattr(attempt, "start", 0.0)
-            shipped = False
+            return self._pool.run_job(task, publish)
+        # re-parent the child's record stream under this attempt's span,
+        # offset to the attempt's start — the child rebased its timestamps
+        # to its own first record, and its whole run falls inside the
+        # dispatch→terminal window this span covers, so the ingested spans
+        # nest and a process-executor trace reads like a thread-executor one
+        attempt = tracer.current()
+        attempt_id = getattr(attempt, "span_id", attempt)
+        attempt_start = getattr(attempt, "start", 0.0)
+        shipped = False
 
-            def on_spans(records):
-                nonlocal shipped
-                shipped = True
-                tracer.ingest(records, parent=attempt_id, offset=attempt_start)
+        def on_spans(records):
+            nonlocal shipped
+            shipped = True
+            tracer.ingest(records, parent=attempt_id, offset=attempt_start)
 
         try:
-            result = self._pool.run_job(task, publish, on_spans)
+            return self._pool.run_job(task, publish, on_spans)
         except Exception:
             # every worker-side outcome ships its spans before its terminal
             # message, so an attempt failing without them lost its worker
-            if tracer is not None and not shipped:
+            if not shipped:
                 tracer.buffer_lost(attempt_id, task=task.task_id)
             raise
-        if plan is not None and plan.check("ipc:result-drop"):
-            raise TransientError(
-                f"result of task {task.task_id} dropped in IPC (injected)"
-            )
-        self.session._store(job.key, result)
-        return result, False

@@ -22,7 +22,9 @@ class ServiceStats:
 
     Counters are monotone over the service's lifetime:
 
-    * ``submitted`` — handles created by ``submit`` (including coalesced ones),
+    * ``submitted`` — handles created by ``submit`` (including coalesced
+      ones), counted before the job can reach a worker (a ``block``-policy
+      submit that times out takes its count back into ``rejected``),
     * ``coalesced`` — submissions attached to an identical in-flight job
       instead of enqueueing a new one,
     * ``cache_hits`` — jobs served straight from the artifact cache,
@@ -45,13 +47,14 @@ class ServiceStats:
     * ``retried`` — transient-failure requeues (one per retry attempt),
     * ``recovered`` — jobs that completed after at least one retry.
 
-    The process-worker backend (PR 8) adds:
+    Worker death:
 
-    * ``worker_deaths`` — worker processes observed dead (or hung past the
-      heartbeat timeout and killed) while running a job; each such attempt
-      is also counted in ``retried`` when the job requeues,
+    * ``worker_deaths`` — attempts whose worker died: a worker process
+      observed dead (or hung past the heartbeat timeout and killed), or an
+      injected ``worker:crash`` on either executor; each such attempt is
+      also counted in ``retried`` when the job requeues,
     * ``worker_respawns`` — replacement worker processes spawned by the
-      supervisor after a death.
+      supervisor after a death (process executor only).
 
     ``queued`` and ``running`` are gauges maintained by the queue/worker
     transitions.  Every ``submitted`` handle ends in exactly one of the

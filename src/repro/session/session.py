@@ -18,13 +18,12 @@ variant and extractor.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.saturator.config import SaturatorConfig
 from repro.saturator.report import OptimizationResult
 from repro.session.cache import MISS, ArtifactCache, CacheStats
 from repro.session.fingerprint import CacheKey, stage_key
-from repro.session.stages import Stage
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.egraph.runner import CancellationToken, IterationCallback
@@ -42,18 +41,23 @@ class OptimizationSession:
     ``config`` is the default :class:`SaturatorConfig` of the session; each
     call may override it, and the cache key always reflects the config
     actually used.  ``cache`` is any :class:`ArtifactCache` (or ``None``
-    for an uncached session).
+    for an uncached session).  A run always uses the default stage tuple,
+    so its artifact is a pure function of what the key covers: source,
+    config and name prefix.
+
+    :meth:`run_detailed` probes the cache, runs cold and stores.  The
+    optimization service takes the same three steps itself, on the
+    session's key, cache and :meth:`_store` rule, so that its thread and
+    process executors share one attempt path.
     """
 
     def __init__(
         self,
         config: Optional[SaturatorConfig] = None,
         cache: Optional[ArtifactCache] = None,
-        stages: Optional[Sequence[Stage]] = None,
     ) -> None:
         self.config = config or SaturatorConfig()
         self.cache = cache
-        self.stages = stages
 
     # ------------------------------------------------------------------
     # single-source entry point
@@ -122,22 +126,22 @@ class OptimizationSession:
         untraced runs produce byte-identical artifacts.
         """
 
+        from repro.saturator.driver import optimize_source
+
         config = config or self.config
-        if self.cache is None:
-            return (
-                self._cold(
-                    source, config, name_prefix, on_iteration,
-                    cancellation, fault_hook, tracer, trace_parent,
-                ),
-                False,
-            )
-        key = self.key_for(source, config, name_prefix)
-        hit = self.cache.get(key)
-        if hit is not MISS:
-            return self._mark_cached(hit), True
-        result = self._cold(
-            source, config, name_prefix, on_iteration, cancellation,
-            fault_hook, tracer, trace_parent,
+        key = None
+        if self.cache is not None:
+            key = self.key_for(source, config, name_prefix)
+            hit = self.cache.get(key)
+            if hit is not MISS:
+                return self._mark_cached(hit), True
+        result = optimize_source(
+            source, config, name_prefix,
+            on_iteration=on_iteration,
+            cancellation=cancellation,
+            fault_hook=fault_hook,
+            tracer=tracer,
+            trace_parent=trace_parent,
         )
         self._store(key, result)
         return result, False
@@ -156,31 +160,9 @@ class OptimizationSession:
     # internals
     # ------------------------------------------------------------------
 
-    def _cold(
-        self,
-        source: str,
-        config: SaturatorConfig,
-        name_prefix: str,
-        on_iteration: Optional["IterationCallback"] = None,
-        cancellation: Optional["CancellationToken"] = None,
-        fault_hook: Optional["FaultHook"] = None,
-        tracer=None,
-        trace_parent=None,
-    ) -> OptimizationResult:
-        from repro.saturator.driver import optimize_source
-
-        return optimize_source(
-            source, config, name_prefix, stages=self.stages,
-            on_iteration=on_iteration,
-            cancellation=cancellation,
-            fault_hook=fault_hook,
-            tracer=tracer,
-            trace_parent=trace_parent,
-        )
-
-    def _store(self, key: CacheKey, result: OptimizationResult) -> None:
+    def _store(self, key: Optional[CacheKey], result: OptimizationResult) -> None:
         """The one store rule for cold results (:meth:`run_detailed` and
-        the process service's parent-side store): a degraded artifact — a
+        the optimization service's attempt path): a degraded artifact — a
         deadline or ``time_limit`` stop — is never cached, so the cache
         only ever holds pure functions of (source, config)."""
 

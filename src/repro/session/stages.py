@@ -23,7 +23,8 @@ the staged pipeline reports exactly what the monolithic one did.
 Adding a stage is three steps: subclass :class:`Stage` (set ``name``,
 ``requires`` and ``run``), splice an instance into a stage tuple, and pass
 that tuple to ``optimize_loop_body(stages=...)`` or
-:class:`~repro.session.session.OptimizationSession`.  Stages are
+``optimize_ast(stages=...)``.  Sessions and the service always run the
+default tuple, which is what their cache key assumes.  Stages are
 stateless — per-kernel state lives only in the context — so one stage
 instance can serve any number of concurrent kernels.
 """

@@ -135,6 +135,25 @@ class TestFileTripSignal:
         assert parent2.expired and not parent2.cancelled
         assert parent2.tripped() is StopReason.DEADLINE
 
+    def test_tripped_polls_the_signal_once(self, tmp_path):
+        # a runner polls an untripped token every iteration boundary: each
+        # poll is one open of the trip file, not one per flag it reads
+        class CountingSignal(FileTripSignal):
+            __slots__ = ("polls",)
+
+            def poll(self):
+                self.polls += 1
+                return super().poll()
+
+        signal = CountingSignal(tmp_path / "job.trip")
+        signal.polls = 0
+        token = CancellationToken(timeout=60.0, signal=signal)
+        assert token.tripped() is None
+        assert signal.polls == 1
+        CancellationToken(signal=signal).expire()
+        assert token.tripped() is StopReason.DEADLINE
+        assert signal.polls == 3  # expire() polls once before writing
+
     def test_signalled_runner_stops_like_a_local_trip(self, tmp_path):
         """A runner polling a token whose only trip arrives via the file
         stops at the observing boundary, byte-identical to an iter-limit

@@ -4,7 +4,16 @@ import threading
 
 import pytest
 
-from repro.service import Job, JobQueue, JobState, OptimizationRequest, ServiceStats
+from repro.egraph.runner import RunnerLimits
+from repro.saturator import SaturatorConfig, Variant
+from repro.service import (
+    Job,
+    JobQueue,
+    JobState,
+    OptimizationRequest,
+    OptimizationService,
+    ServiceStats,
+)
 
 
 def _job(priority: int, seq: int) -> Job:
@@ -154,3 +163,105 @@ class TestServiceStats:
         assert snap["queued"] == 0
         assert snap["running"] == 0
         assert stats.terminal == 0
+
+
+CSE_CONFIG = SaturatorConfig(variant=Variant.CSE, limits=RunnerLimits(400, 3, 60.0))
+CSE_KERNEL = (
+    "#pragma acc parallel loop\n"
+    "for (i = 0; i < n; i++) { a[i] = b[i] * c[i] + b[i] * c[i]; }"
+)
+
+
+def _consistent(snap) -> bool:
+    terminal = snap["completed"] + snap["failed"] + snap["cancelled"]
+    return snap["queued"] >= 0 and snap["running"] >= 0 and (
+        snap["submitted"] >= terminal
+    )
+
+
+def _wait_terminal(job: Job, timeout: float) -> None:
+    with job.cond:
+        job.cond.wait_for(lambda: job.state.terminal, timeout)
+
+
+class _ProbeLock:
+    """The service's in-flight lock, with a probe after one release."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.probe = None
+
+    def __enter__(self):
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        self._lock.__exit__(*exc_info)
+        if threading.current_thread() is threading.main_thread():
+            probe, self.probe = self.probe, None
+            if probe is not None:
+                probe()
+
+
+class TestSnapshotConsistency:
+    """``stats.snapshot()`` obeys the conservation law at every instant,
+    including the one between a submission's push (or attach) and the
+    submit call's return, where a worker may already have finished it."""
+
+    def test_snapshot_while_a_fresh_submit_is_returning(self):
+        service = OptimizationService(config=CSE_CONFIG, workers=1).start()
+        snaps = []
+        push = service._queue.push
+
+        def push_then_probe(job, timeout=None, force=False):
+            pushed = push(job, timeout=timeout, force=force)
+            if not force:
+                _wait_terminal(job, 60)
+                snaps.append(service.stats.snapshot())
+            return pushed
+
+        service._queue.push = push_then_probe
+        try:
+            handle = service.submit(CSE_KERNEL)
+            assert handle.result(timeout=60).kernels
+        finally:
+            service.stop()
+        (snap,) = snaps
+        assert snap["completed"] == 1
+        assert _consistent(snap), snap
+        assert _consistent(service.stats.snapshot())
+
+    def test_snapshot_while_a_coalesced_submit_is_returning(self):
+        service = OptimizationService(config=CSE_CONFIG, workers=1)
+        go = threading.Event()
+        execute = service._execute
+
+        def held_execute(*args):
+            # the primary stays in flight until the follower attached
+            go.wait(60)
+            return execute(*args)
+
+        service._execute = held_execute
+        service._inflight_lock = _ProbeLock(service._inflight_lock)
+        snaps = []
+        service.start()
+        try:
+            first = service.submit(CSE_KERNEL)
+            (job,) = service.jobs()
+
+            def probe():
+                # the follower is attached and the lock released: let the
+                # worker drop and resolve the job before submit returns
+                go.set()
+                _wait_terminal(job, 60)
+                snaps.append(service.stats.snapshot())
+
+            service._inflight_lock.probe = probe
+            follower = service.submit(CSE_KERNEL)
+            assert follower.result(timeout=60).code == first.result(timeout=60).code
+        finally:
+            go.set()
+            service.stop()
+        (snap,) = snaps
+        assert snap["completed"] == 2
+        assert _consistent(snap), snap
+        assert _consistent(service.stats.snapshot())
