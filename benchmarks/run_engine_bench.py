@@ -66,6 +66,7 @@ from repro.egraph import (
     RunnerLimits,
     extract_best,
 )
+from repro.egraph import columns
 from repro.egraph.language import op, sym
 from repro.frontend import parse_statement
 from repro.frontend.normalize import normalize_blocks
@@ -292,13 +293,15 @@ def main(argv=None) -> int:
         {"pattern": text, "vars": len(cp.vars), **_matching_row(cp)}
         for text, cp in synthetic
     ]
-    # -- semi-naive delta joins (PR 9) --------------------------------------
+    # -- semi-naive delta joins ---------------------------------------------
     # the same engine on *incremental* searches: `since` quantiles of the
-    # class-touched distribution sweep the delta fraction from "everything
-    # changed" down to "a thin recent slice", which is where the delta
-    # join's root-relation restriction pays
+    # live rows' change stamps sweep the delta fraction from "everything
+    # changed" down to "a thin recent slice", which is where the
+    # semi-naive joins pay
     matching_delta = []
-    touched_live = sorted(eg._class_touched[cid] for cid in eg.classes)
+    eg._sync_row_touch()
+    alive = columns.as_uint8(eg.store.alive) != 0
+    touched_live = sorted(columns.as_int64(eg.store.touch)[alive].tolist())
     delta_cases = [
         ("rule:" + rule.name, rule._compiled) for rule in rules[:4]
     ] + synthetic
@@ -311,7 +314,7 @@ def main(argv=None) -> int:
             matching_delta.append({
                 "pattern": label,
                 "since_quantile": quantile,
-                "delta_fraction_classes": stale / n_live if n_live else 0.0,
+                "delta_fraction_rows": stale / n_live if n_live else 0.0,
                 **_matching_row(cp, since),
             })
     matching_by_atoms = {}

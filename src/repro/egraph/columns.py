@@ -4,7 +4,7 @@ The PR-3 arena made every e-node a flat int tuple (its *key*); this module
 adds the columnar half: one **row per spelling ever interned** into the
 hashcons, stored as parallel flat integer columns
 
-    ``(op_id, payload_id, child0.., class_id, alive)``
+    ``(op_id, payload_id, child0.., class_id, alive, root, touch)``
 
 backed by stdlib ``array('q')`` buffers.  The store is append-only — a
 spelling retired by the rebuild sweep is *killed* (``alive = 0``), never
@@ -23,6 +23,14 @@ That order invariant is what lets the stale-key sweep and the relational
 e-matcher run as batched column passes without perturbing any of the
 deterministic orders the engine's committed outcomes depend on
 (``EGraph.check_invariants`` asserts it).
+
+The last two columns are the change set of semi-naive e-matching:
+``root[row]`` is the row's canonical class as of the last
+``EGraph._sync_row_touch`` (``-1`` before its first), and ``touch[row]``
+the e-graph version at which the row was created or its class root last
+changed.  A row's key never changes (a re-keyed spelling is a new row),
+so a row with ``touch <= s`` carries exactly the ``(class, children)``
+tuple it carried at version ``s``.
 
 numpy is a required dependency.  The ``array`` buffers are the storage
 (cheap scalar appends and in-place writes from the dict core); every
@@ -153,6 +161,7 @@ class ColumnStore:
         "row_of",
         "rows_by_op",
         "pending",
+        "root",
         "touch",
         "touch_stamp",
         "epoch",
@@ -192,15 +201,16 @@ class ColumnStore:
         #: (:meth:`op_rows`, :meth:`stale_alive_rows`, :meth:`copy`) and
         #: ``EGraph.check_invariants`` flush.
         self.pending: Dict[NodeKey, int] = {}
-        #: Per-row touch stamp: the ``touched`` version of the row's
-        #: (canonical) class as of the last :meth:`EGraph._sync_row_touch`.
-        #: Fresh rows materialise with ``-1`` (unsynced); the sync stamp
-        #: below tells readers whether the column is current.  The delta
-        #: readers of the semi-naive join engine slice this column, so
-        #: "rows in classes touched since stamp S" is a vector compare,
-        #: not a Python loop.
+        #: Per-row canonical class as of the last
+        #: ``EGraph._sync_row_touch``; fresh rows materialise with ``-1``.
+        self.root = array("q")
+        #: Per-row change stamp: the ``EGraph.version`` of the sync that
+        #: first saw the row or saw its :attr:`root` move (``-1`` until
+        #: the first sync).  The semi-naive matcher splits each relation
+        #: on it — "rows changed since stamp S" is one vector compare.
         self.touch = array("q")
-        #: ``EGraph.version`` at the last touch sync (-1 = never synced).
+        #: ``(EGraph.version, row count, epoch)`` at the last sync (-1 =
+        #: never synced): an equal stamp proves the sync has nothing to do.
         self.touch_stamp = -1
         #: Bumped by :meth:`compact`: row indices handed out before a
         #: compaction are invalid after it, so caches keyed on
@@ -250,7 +260,8 @@ class ColumnStore:
         self.nchild.extend(ncs)
         self.cls.extend(pending.values())
         self.alive.extend(b"\x01" * len(batch))
-        self.touch.frombytes(_PAD * len(batch))  # -1 = not yet touch-synced
+        self.root.frombytes(_PAD * len(batch))  # -1 = not yet synced
+        self.touch.frombytes(_PAD * len(batch))
         child = self.child
         widest = max(ncs)
         if widest > len(child):
@@ -325,24 +336,6 @@ class ColumnStore:
             return None
         return as_int64(bucket)
 
-    def rows_touched_since(self, op_id: int, stamp: int):
-        """Ascending *live* row indices with *op_id* in classes touched
-        after *stamp* — the delta slice of the semi-naive join engine.
-
-        Reads the per-row :attr:`touch` column, so the caller must have
-        synced it (``EGraph._sync_row_touch``) since the last graph
-        mutation; with ``stamp = -1`` this is exactly the live rows of the
-        op (every class carries a touched version >= 1).  Returns None
-        when the op has no rows at all.
-        """
-
-        rows = self.op_rows(op_id)
-        if rows is None:
-            return None
-        touch = as_int64(self.touch)[rows]
-        alive = as_uint8(self.alive)[rows]
-        return rows[(alive != 0) & (touch > stamp)]
-
     # ------------------------------------------------------------------
 
     def compact(self) -> int:
@@ -352,9 +345,9 @@ class ColumnStore:
         order — the store's core invariant — so every deterministic order
         derived from ascending live rows is unchanged.  Row *indices* do
         change: :attr:`epoch` is bumped so index-keyed caches (the
-        relation cache) can tell, and the per-row
-        :attr:`touch` column is compacted in the same pass so the delta
-        readers stay coherent.  Pending appends are flushed first — a
+        relation cache) can tell, and the per-row :attr:`root` and
+        :attr:`touch` columns are compacted in the same pass, so every row
+        keeps its change stamp.  Pending appends are flushed first — a
         compaction halfway through an append buffer would otherwise
         interleave old and new rows.  Returns the number of rows dropped.
         """
@@ -370,6 +363,7 @@ class ColumnStore:
         self.payload = array("q", [self.payload[r] for r in keep])
         self.nchild = array("q", [self.nchild[r] for r in keep])
         self.cls = array("q", [self.cls[r] for r in keep])
+        self.root = array("q", [self.root[r] for r in keep])
         self.touch = array("q", [self.touch[r] for r in keep])
         self.child = [array("q", [col[r] for r in keep]) for col in self.child]
         keys = self.keys
@@ -385,7 +379,8 @@ class ColumnStore:
                 bucket.append(row)
         self.rows_by_op = rows_by_op
         self.epoch += 1
-        # row indices moved: force a touch re-sync before the next delta read
+        # row indices moved: the next sync re-checks every row (the root
+        # and touch columns travelled with them, so it rewrites nothing)
         self.touch_stamp = -1
         return dead
 
@@ -407,6 +402,7 @@ class ColumnStore:
         dup.row_of = dict(self.row_of)
         dup.rows_by_op = {op: array("q", rows) for op, rows in self.rows_by_op.items()}
         dup.pending = {}
+        dup.root = array("q", self.root)
         dup.touch = array("q", self.touch)
         dup.touch_stamp = self.touch_stamp
         dup.epoch = self.epoch

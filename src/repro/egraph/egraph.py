@@ -47,16 +47,14 @@ plain value type built on demand, never memoised, by :meth:`EGraph.add`,
 :meth:`EGraph.canonical_nodes` and :attr:`EClass.nodes` — for tests, the
 reference matcher and user code.
 
-On top of the classic structure the e-graph maintains the bookkeeping that
-incremental e-matching (:mod:`repro.egraph.pattern`) relies on:
-
-* a per-class **touched** stamp (``_class_touched``, one flat array
-  indexed by class id) — the :attr:`version` at which the class (or
-  anything match-relevant below it) last changed.  :meth:`rebuild`
-  propagates touches upward through the parent lists, which is what makes
-  it sound for a rewrite to skip classes untouched since its previous scan,
-* a cached canonical-node count so ``len(egraph)`` is O(1) (it is called
-  inside the runner's per-rule apply loop).
+Incremental e-matching (:mod:`repro.egraph.pattern`) reads the change set
+off the rows: every :meth:`rebuild` ends with :meth:`_sync_row_touch`,
+which stamps each row that is new or whose class root moved with the
+current :attr:`version`.  A match all of whose rows are unstamped since a
+rule's previous scan was found by that scan, so a semi-naive join over the
+stamped rows finds every new match and no old one.  A cached
+canonical-node count keeps ``len(egraph)`` O(1) (it is called inside the
+runner's per-rule apply loop).
 
 Match order is defined by :meth:`EGraph._key_sort_key`: the reference
 matcher walks each class's keys of one operator in that order
@@ -185,8 +183,6 @@ class EGraph:
         self.version = 0
         #: Cached number of e-nodes, kept in sync so ``len`` is O(1).
         self._node_count = 0
-        #: Classes mutated since the last touch propagation.
-        self._touched: List[int] = []
         #: Stale hashcons keys can only appear after a union; lets
         #: :meth:`_sweep_stale_keys` skip its scan on merge-free rebuilds.
         self._merged_since_sweep = False
@@ -219,10 +215,6 @@ class EGraph:
         #: Flat parallel int columns, one row per hashcons spelling; kept
         #: in lockstep with every hashcons mutation (see columns.py).
         self.store = ColumnStore()
-        #: class id -> :attr:`version` at which this class — or a
-        #: descendant a match rooted here could reach — last changed.
-        #: Only canonical ids are kept fresh.
-        self._class_touched = array("q")
         #: class id -> 1 while the class carries non-bottom analysis data
         #: (mirror of ``EClass.data is not None``); lets analyses with
         #: ``needs_all_child_data`` prove a make_key call returns bottom
@@ -366,12 +358,15 @@ class EGraph:
         return self._relation_cache
 
     def _sync_row_touch(self) -> None:
-        """Refresh the store's per-row touch-stamp column.
+        """Stamp the rows that are new or whose class root moved.
 
-        ``touch[row] = _class_touched[find(cls[row])]`` for every row, as
-        one gather.  Synced eagerly at the end of :meth:`rebuild` and
-        lazily (stamp-checked) by the delta readers, so a search issued
-        without an intervening rebuild still sees current stamps.
+        One gather, ``roots[cls]``, compared against the store's
+        :attr:`~repro.egraph.columns.ColumnStore.root` column: where they
+        differ (a fresh row's root is ``-1``) the row's ``touch`` becomes
+        :attr:`version` and its ``root`` the new canonical class.  Runs at
+        the end of every :meth:`rebuild` and lazily (stamp-checked) before
+        a delta search, so a search issued without an intervening rebuild
+        still sees current stamps.
         """
 
         store = self.store
@@ -382,19 +377,13 @@ class EGraph:
             return
         cls = columns.as_int64(store.cls)
         if len(cls):
-            touched = columns.as_int64(self._class_touched)
-            columns.as_int64(store.touch)[:] = touched[self._np_roots()[cls]]
+            now = self._np_roots()[cls]
+            root = columns.as_int64(store.root)
+            moved = np.flatnonzero(now != root)
+            if len(moved):
+                root[moved] = now[moved]
+                columns.as_int64(store.touch)[moved] = self.version
         store.touch_stamp = stamp
-
-    def rows_touched_since(self, op_id: int, stamp: int):
-        """Live rows of *op_id* in classes touched after *stamp*.
-
-        The semi-naive join engine's delta reader: syncs the store's
-        touch column (no-op when current) and returns the column slice.
-        """
-
-        self._sync_row_touch()
-        return self.store.rows_touched_since(op_id, stamp)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -532,10 +521,8 @@ class EGraph:
         self.classes[eclass_id] = eclass
         self.hashcons[key] = eclass_id
         self.store.append_new(key, eclass_id)
-        self._class_touched.append(self.version)
         self._class_data.append(0)
         self._node_count += 1
-        self._touched.append(eclass_id)
         # children are canonical here (the key was just canonicalised)
         classes = self.classes
         n = len(key)
@@ -654,8 +641,6 @@ class EGraph:
         winner.keys |= loser.keys
         self._node_count += len(winner.keys) - before
         winner.parents.extend(loser.parents)
-        self._class_touched[root] = self.version
-        self._touched.append(root)
         self._merged_since_sweep = True
 
         if self.analysis is not None:
@@ -681,9 +666,9 @@ class EGraph:
         Returns the number of follow-up merges performed (congruent parents
         discovered while re-canonicalising).  The deferred worklist is
         drained in batches of integer loops over the flat key tuples; the
-        *touched* stamps of every mutated class are then propagated upward
-        through the parent lists so the incremental searcher sees new
-        matches rooted at unchanged ancestors of changed classes.
+        closing :meth:`_sync_row_touch` then stamps every row the repair
+        created or moved to another class, which is the change set the
+        incremental searcher joins over.
         """
 
         n_repairs = 0
@@ -709,7 +694,6 @@ class EGraph:
             n_repairs += self._sweep_stale_keys()
             if not self._dirty and not self._analysis_dirty:
                 break
-        self._propagate_touches()
         store = self.store
         if store.pending:
             store.flush()
@@ -721,9 +705,9 @@ class EGraph:
         # wall-clock.
         if n_rows >= 512 and 2 * (n_rows - sum(store.alive)) > n_rows:
             store.compact()
-        # keep the per-row touch-stamp column current for the delta
-        # readers: one gather per rebuild, amortised across every
-        # incremental search issued before the next mutation
+        # stamp the rows this rebuild created or re-rooted: one gather per
+        # rebuild, amortised across every incremental search before the
+        # next mutation
         self._sync_row_touch()
         return n_repairs
 
@@ -779,47 +763,6 @@ class EGraph:
                 self._node_count += len(owner.keys) - n0
         return merges
 
-    def _propagate_touches(self) -> None:
-        """Stamp every ancestor of a mutated class as touched.
-
-        A match rooted at class ``C`` depends on the node sets of every
-        class reachable through the children of ``C``'s nodes.  Walking the
-        parent lists from each mutated class therefore marks exactly the
-        classes whose match sets may have changed (egg instead falls back
-        to a full rescan; the upward walk is cheap because the visited set
-        caps it at one pass over the ancestor cone).
-        """
-
-        if not self._touched:
-            return
-        find = self.uf.find
-        parent_arr = self.uf._parent
-        classes = self.classes
-        touched_arr = self._class_touched
-        stamp = self.version
-        queue = [
-            i if parent_arr[i] == i else find(i) for i in self._touched
-        ]
-        self._touched.clear()
-        seen: Set[int] = set()
-        while queue:
-            cid = queue.pop()
-            if cid in seen:
-                continue
-            seen.add(cid)
-            cls = classes.get(cid)
-            if cls is None:
-                continue
-            # stamp == version, which no stored stamp exceeds
-            touched_arr[cid] = stamp
-            for _, parent_class in cls.parents:
-                # inline root check: parent edges are overwhelmingly
-                # canonical post-repair, so most iterations skip the call
-                if parent_arr[parent_class] != parent_class:
-                    parent_class = find(parent_class)
-                if parent_class not in seen:
-                    queue.append(parent_class)
-
     def _repair(self, eclass_id: int) -> int:
         """Re-canonicalise the parents of one e-class, merging congruent ones.
 
@@ -845,7 +788,6 @@ class EGraph:
         canon_key = self._canon_key
         parent_arr = uf._parent
         store = self.store
-        touched_arr = self._class_touched
         seen: Dict[NodeKey, int] = {}
         prev_key: Optional[NodeKey] = None
         prev_class = -1
@@ -940,8 +882,6 @@ class EGraph:
                     owner.keys.discard(parent_key)
                     owner.keys.add(canon)
                     self._node_count += len(owner.keys) - n0
-                    touched_arr[owner.id] = self.version
-                    self._touched.append(owner.id)
 
         # canonicalise the keys stored in the class itself (inline staleness
         # check: most member keys don't reference the repaired child, so the
@@ -963,8 +903,6 @@ class EGraph:
                 add_new(key)
             self._node_count += len(new_keys) - len(eclass.keys)
             eclass.keys = new_keys
-            touched_arr[eclass.id] = self.version
-            self._touched.append(eclass.id)
             # snapshot: a congruent merge below can grow this very set
             root = find(eclass.id)
             for key in list(new_keys):
@@ -1045,11 +983,6 @@ class EGraph:
                 parent.data = joined
                 data_flag[parent_class] = 1 if joined is not None else 0
                 self._analysis_dirty.append(parent_class)
-                # a data change counts as a touch: the incremental
-                # searcher rescans this class, and those re-applied
-                # matches are part of where limit-bounded runs stop
-                self._class_touched[parent_class] = self.version
-                self._touched.append(parent_class)
 
     # ------------------------------------------------------------------
     # Queries used by e-matching and extraction
@@ -1154,6 +1087,7 @@ class EGraph:
             "column store out of sync with hashcons order"
         )
         assert set(store.row_of) == set(self.hashcons)
+        synced = store.touch_stamp == (self.version, len(store.keys), store.epoch)
         for key, eclass_id in self.hashcons.items():
             row = store.row_of[key]
             assert store.keys[row] == key
@@ -1167,26 +1101,22 @@ class EGraph:
             for i in range(len(store.child)):
                 expected = key[i + 2] if i < len(key) - 2 else -1
                 assert store.child[i][row] == expected
-        # per-class arrays cover every class id; the data flag mirrors
-        # the slotted record
-        assert len(self._class_touched) == len(self._class_data) == len(self.uf)
-        touched = self._class_touched
+            # the row-stamp contract incremental search relies on: once
+            # synced (every rebuild ends with a sync) a row's root is its
+            # class's canonical id, so a row whose root did not move
+            # since a stamp carries the tuple it carried then
+            if synced:
+                assert store.root[row] == self.uf.find(store.cls[row]), (
+                    f"row {row} ({self._enode(key)}) synced to root "
+                    f"{store.root[row]}, not {self.uf.find(store.cls[row])}"
+                )
+        # the per-class flag array covers every class id and mirrors the
+        # slotted record
+        assert len(self._class_data) == len(self.uf)
         for eclass in self.classes.values():
             assert (self._class_data[eclass.id] != 0) == (
                 eclass.data is not None
             ), f"data-flag mirror wrong for class {eclass.id}"
-            # the property incremental search relies on: a class is
-            # stamped no earlier than any class a match rooted at it can
-            # reach, so skipping classes untouched since a stamp never
-            # hides a match whose lower atoms changed
-            stamp = touched[eclass.id]
-            for key in eclass.keys:
-                for child in key[2:]:
-                    child_stamp = touched[self.uf.find(child)]
-                    assert child_stamp <= stamp, (
-                        f"class {eclass.id} stamped {stamp}, below its "
-                        f"child class {self.uf.find(child)} ({child_stamp})"
-                    )
 
     # ------------------------------------------------------------------
     # Misc
@@ -1207,7 +1137,6 @@ class EGraph:
         dup._analysis_dirty = list(self._analysis_dirty)
         dup.version = self.version
         dup._node_count = self._node_count
-        dup._touched = list(self._touched)
         dup._merged_since_sweep = self._merged_since_sweep
         dup._op_ids = dict(self._op_ids)
         dup.op_names = list(self.op_names)
@@ -1216,7 +1145,6 @@ class EGraph:
         dup._payload_sort = list(self._payload_sort)
         dup._payload_eq = dict(self._payload_eq)
         dup.store = self.store.copy()
-        dup._class_touched = array("q", self._class_touched)
         dup._class_data = bytearray(self._class_data)
         # per-version caches (roots snapshot, relations, payload ranks)
         # stay at their fresh-graph defaults and rebuild on demand; the

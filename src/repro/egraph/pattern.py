@@ -19,11 +19,15 @@ One production engine, one reference:
   slice filtered by arity/payload, and shared variables (plus the
   parent-child links of the pattern tree) become hash-join keys (encoded
   into int64 and resolved by sort + ``searchsorted``).  The join plan is
-  deterministic (:func:`_plan_order`): the root atom leads (on an
-  incremental ``since`` search it is the *delta* relation — only rows of
-  classes touched after the stamp, see :meth:`EGraph.rebuild` for how
-  touched stamps propagate upward), then greedily the smallest remaining
-  connected relation, ties broken by op id then pre-order atom index.
+  deterministic (:func:`_plan_order`): a lead atom, then greedily the
+  smallest remaining connected relation, ties broken by op id then
+  pre-order atom index.  An incremental ``since`` search is semi-naive
+  over the store's per-row change stamps (see
+  :meth:`EGraph._sync_row_touch`): each relation splits into its Δ
+  (rows stamped after ``since``) and old half, and the join that leads
+  with atom *i* reads Δ_i, old_j for j < i and full_j for j > i, so every
+  match using a changed row is found exactly once and no match built
+  only from unchanged rows is found at all.
   Join results are ordered by lexsorting ``(root class id, rank_0, ..,
   rank_k)`` where ``rank_i`` is atom *i*'s position inside its class's
   deterministic :meth:`~repro.egraph.egraph.EGraph.nodes_by_op`
@@ -451,19 +455,15 @@ def _flatten_pattern(pattern: Pattern) -> List[_Atom]:
 _NO_REL = object()
 
 
-def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
+def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids):
     """The column relation of one atom, or None when it is empty.
 
     Rows are the *live* hashcons entries with operator *op_id*, exactly
     *nchildren* children, and (when *pids* is given) payload id in *pids*
-    — the reference matcher's arity/payload guards as column masks.  When
-    *rows* is given it replaces the per-op row scan: the relation is built
-    over exactly that (already alive-filtered) row slice — the delta-join
-    entry point, where *rows* comes from ``rows_touched_since``.  Because
-    touch stamps are per-class, a delta slice always contains *complete*
-    class groups, so the within-class ranks computed here equal the full
-    relation's ranks for the same rows.  The result maps:
+    — the reference matcher's arity/payload guards as column masks.  The
+    result maps:
 
+    * ``row`` — the store row index (the key into the change stamps),
     * ``cls`` — canonical e-class id per row,
     * ``child`` — canonical child class ids, one int64 array per slot,
     * ``rank`` — the row's position within its class's deterministic
@@ -476,20 +476,16 @@ def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
 
     Join keys and emitted bindings use the *canonical* columns; the rank
     sort uses the *raw* child spellings, because bucket order is defined
-    over the stored key tuples.
+    over the stored key tuples.  The Δ and old halves of a delta search
+    (:func:`_split_relation`) are row subsets of this relation and keep
+    its ranks.
     """
 
     store = eg.store
-    if rows is None:
-        rows = store.op_rows(op_id)
-        if rows is None or not len(rows):
-            return None
-        alive = columns.as_uint8(store.alive)
-        mask = alive[rows] != 0
-    elif not len(rows):
+    rows = store.op_rows(op_id)
+    if rows is None or not len(rows):
         return None
-    else:
-        mask = np.ones(len(rows), dtype=bool)
+    mask = columns.as_uint8(store.alive)[rows] != 0
     nchild = columns.as_int64(store.nchild)
     mask &= nchild[rows] == nchildren
     pid_col = columns.as_int64(store.payload)[rows]
@@ -519,49 +515,43 @@ def _build_relation(eg: EGraph, op_id: int, nchildren: int, pids, rows=None):
         starts = np.maximum.accumulate(starts)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64) - starts
-    return {"cls": cls, "child": canon, "rank": rank, "n": n}
+    return {"row": rows, "cls": cls, "child": canon, "rank": rank, "n": n}
 
 
-def _pattern_relation(eg: EGraph, atom: _Atom, op_id: int, pids):
-    """Memoised :func:`_build_relation` (cache lives on the e-graph).
+def _subset(rel, keep):
+    """The rows of *rel* where the bool mask *keep* holds (None if none)."""
 
-    Keyed by ``(op id, arity, payload ids)`` so rules sharing an atom
-    shape share one relation per search phase; the whole cache is dropped
-    whenever the graph's ``(version, interned-key count, store epoch)``
-    stamp moves (:meth:`EGraph._live_relation_cache`).
+    idx = np.flatnonzero(keep)
+    if len(idx) == rel["n"]:
+        return rel
+    if not len(idx):
+        return None
+    return {
+        "row": rel["row"][idx],
+        "cls": rel["cls"][idx],
+        "child": tuple(col[idx] for col in rel["child"]),
+        "rank": rel["rank"][idx],
+        "n": len(idx),
+    }
+
+
+def _split_relation(eg: EGraph, key: tuple, rel, since: int):
+    """``(Δ, old)``: the rows of *rel* stamped after / at most *since*.
+
+    Reads the store's per-row change stamps (synced first, a no-op when
+    current).  Cached next to the full relations, keyed by the relation's
+    key plus *since* — one search phase probes many rules at the same
+    stamp, and the cache drops with the relations when the graph moves.
     """
 
     cache = eg._live_relation_cache()
-    key = (op_id, atom.nchildren, pids)
-    rel = cache.get(key, _NO_REL)
-    if rel is _NO_REL:
-        rel = _build_relation(eg, op_id, atom.nchildren, pids)
-        cache[key] = rel
-    return rel
-
-
-def _pattern_delta_relation(eg: EGraph, atom: _Atom, op_id: int, pids, since):
-    """The *delta* relation of one atom: rows of classes touched > *since*.
-
-    The semi-naive half of :func:`_pattern_relation` — rows come from the
-    store's touch-stamp column (``rows_touched_since``) instead of the
-    full op index, so steady-state incremental searches slice out only the
-    recently-touched fraction of each relation.  Cached next to the full
-    relations, additionally keyed by *since* (one search phase typically
-    probes many rules at the same stamp).
-    """
-
-    cache = eg._live_relation_cache()
-    key = (op_id, atom.nchildren, pids, since)
-    rel = cache.get(key, _NO_REL)
-    if rel is _NO_REL:
-        rows = eg.rows_touched_since(op_id, since)
-        if rows is None or not len(rows):
-            rel = None
-        else:
-            rel = _build_relation(eg, op_id, atom.nchildren, pids, rows=rows)
-        cache[key] = rel
-    return rel
+    skey = key + (since,)
+    split = cache.get(skey)
+    if split is None:
+        eg._sync_row_touch()
+        fresh = columns.as_int64(eg.store.touch)[rel["row"]] > since
+        split = cache[skey] = (_subset(rel, fresh), _subset(rel, ~fresh))
+    return split
 
 
 def _atom_columns(atom: _Atom, rel):
@@ -584,42 +574,50 @@ def _atom_columns(atom: _Atom, rel):
     return cols, mask
 
 
-def _atom_relations(atoms: List[_Atom], eg: EGraph, since: Optional[int]):
-    """Yield ``(op id, relation)`` per atom, in atom order.
+def _atom_relations(atoms: List[_Atom], eg: EGraph):
+    """Yield ``(relation key, full relation)`` per atom, in atom order.
 
-    The relation is None when empty (op id ``-1`` when the graph never
-    interned the operator).  With *since*, the root atom's relation is its
-    semi-naive *delta* relation; every other atom gets its full relation.
+    The key is ``(op id, arity, payload ids)`` — op id ``-1`` when the
+    graph never interned the operator — and the relation is None when
+    empty.  Relations are memoised in the e-graph's relation cache, so
+    rules sharing an atom shape share one relation per search phase; the
+    whole cache drops whenever the graph's ``(version, interned-key
+    count, store epoch)`` stamp moves (:meth:`EGraph._live_relation_cache`).
     """
 
+    cache = eg._live_relation_cache()
     for atom in atoms:
         op_id = eg._op_ids.get(atom.op)
         pids = (
             None if atom.payload is None
             else eg.payload_ids_matching(atom.payload)
         )
+        key = (-1 if op_id is None else op_id, atom.nchildren, pids)
         if op_id is None or pids == ():
-            yield (-1 if op_id is None else op_id), None
-        elif atom.index == 0 and since is not None:
-            yield op_id, _pattern_delta_relation(eg, atom, op_id, pids, since)
-        else:
-            yield op_id, _pattern_relation(eg, atom, op_id, pids)
+            yield key, None
+            continue
+        rel = cache.get(key, _NO_REL)
+        if rel is _NO_REL:
+            rel = cache[key] = _build_relation(eg, op_id, atom.nchildren, pids)
+        yield key, rel
 
 
-def _plan_order(atoms: List[_Atom], sizes: List[int], op_ids: List[int]) -> List[int]:
+def _plan_order(
+    atoms: List[_Atom], sizes: List[int], op_ids: List[int], lead: int = 0
+) -> List[int]:
     """Join order over *atoms*, as atom indices.
 
-    The root atom leads (it carries the ``since`` restriction); then
-    greedily the smallest remaining relation among atoms connected to the
-    bound variables, ties broken by ``(size, op id, pre-order atom index)``
-    — all integers, never hash order.  The atom graph is a tree linked by
-    synthetic variables, so some remaining atom is always connected once
-    the root is bound.
+    Atom *lead* goes first (the root on a full search, the Δ atom of one
+    semi-naive join); then greedily the smallest remaining relation among
+    atoms connected to the bound variables, ties broken by ``(size, op
+    id, pre-order atom index)`` — all integers, never hash order.  The
+    atom graph is a tree linked by synthetic variables, so some remaining
+    atom is always connected once the lead is bound.
     """
 
-    order = [0]
-    bound = {atoms[0].class_var, *atoms[0].child_vars}
-    remaining = list(range(1, len(atoms)))
+    order = [lead]
+    bound = {atoms[lead].class_var, *atoms[lead].child_vars}
+    remaining = [i for i in range(len(atoms)) if i != lead]
     while remaining:
         ai = min(
             (sizes[i], op_ids[i], i)
@@ -632,6 +630,28 @@ def _plan_order(atoms: List[_Atom], sizes: List[int], op_ids: List[int]) -> List
         bound.add(atoms[ai].class_var)
         bound.update(atoms[ai].child_vars)
     return order
+
+
+def _delta_joins(keys, rels, eg: EGraph, since):
+    """The ``(lead atom, relations)`` pairs one search joins.
+
+    A full search (*since* None or negative) is one join led by the root.
+    A semi-naive search runs one join per atom *i* with a non-empty Δ:
+    Δ_i, old_j for j < i, full_j for j > i — a match is found by the join
+    of the first atom whose row changed, so it appears exactly once.
+    """
+
+    if since is None or since < 0:
+        return [(0, rels)]
+    splits = [_split_relation(eg, key, rel, since) for key, rel in zip(keys, rels)]
+    joins = []
+    for lead, (delta, _) in enumerate(splits):
+        if delta is None:
+            continue
+        lead_rels = [old for _, old in splits[:lead]] + [delta] + rels[lead + 1:]
+        if all(rel is not None for rel in lead_rels):
+            joins.append((lead, lead_rels))
+    return joins
 
 
 #: Exclusive bound on composite join-key codes (int64 with headroom for
@@ -667,43 +687,18 @@ def _join_codes(shared: List[str], cols, state, base: int):
     return rcode, scode
 
 
-def _relational_search(cp: "CompiledPattern", eg: EGraph, since: Optional[int]):
-    """Execute *cp* as a join over the columnar store.
+def _join(atoms: List[_Atom], rels, op_ids: List[int], lead: int, base: int):
+    """One join of *rels* led by atom *lead*: ``(state, ranks)`` or None.
 
-    Returns flat ``(cid, v0, v1, ..)`` rows (a :class:`columns.RowBatch`,
-    or ``[]`` when nothing matches) in exactly the reference matcher's
-    order.
-
-    Plan (:func:`_plan_order`): the root atom leads; on an incremental
-    (``since``) search it is the semi-naive *delta* relation — only rows
-    of classes touched after the stamp, sliced straight off the store's
-    touch column — while every other atom joins against its full
-    relation.  (Upward touch propagation makes the root-delta join alone
-    exactly the incremental result: any match with an untouched root has
-    all-untouched atoms and was emitted by the previous search.)  Each
+    ``state`` maps every variable to its column over the result rows and
+    ``ranks`` every atom index to its matched row's bucket rank.  Each
     step is a sort-based hash join on the variables the atom shares with
     the bound state (:func:`_join_codes`).
-
-    Result order: joins track, per atom, the matched row's bucket rank;
-    the final lexsort by ``(root cid, rank_0, .., rank_{m-1})`` (atoms in
-    pre-order) reproduces the nested loops' emission order — two results
-    equal on all earlier ranks picked identical rows, so atom *i* draws
-    from the same bucket, where rank order is iteration order.
     """
 
-    atoms = cp._atoms
-    op_ids = []
-    rels = []
-    for op_id, rel in _atom_relations(atoms, eg, since):
-        if rel is None:
-            return []
-        op_ids.append(op_id)
-        rels.append(rel)
-
-    base = len(eg.uf._parent) + 1
     state: Dict[str, object] = {}
     ranks: Dict[int, object] = {}
-    for ai in _plan_order(atoms, [rel["n"] for rel in rels], op_ids):
+    for ai in _plan_order(atoms, [rel["n"] for rel in rels], op_ids, lead):
         atom, rel = atoms[ai], rels[ai]
         cols, mask = _atom_columns(atom, rel)
         arank = rel["rank"]
@@ -712,11 +707,8 @@ def _relational_search(cp: "CompiledPattern", eg: EGraph, since: Optional[int]):
             cols = {var: col[keep] for var, col in cols.items()}
             arank = arank[keep]
         if not state:
-            # seed from the root atom's relation (the delta relation on
-            # incremental searches — its ranks equal the full relation's,
-            # see _build_relation, so the final rank lexsort is unaffected)
             if not len(arank):
-                return []
+                return None
             state = cols
             ranks[ai] = arank
             continue
@@ -733,7 +725,7 @@ def _relational_search(cp: "CompiledPattern", eg: EGraph, since: Optional[int]):
         counts = np.searchsorted(rsorted, scode, side="right") - left
         total = int(counts.sum())
         if not total:
-            return []
+            return None
         out_s = np.repeat(np.arange(len(scode), dtype=np.int64), counts)
         offsets = (
             np.arange(total, dtype=np.int64)
@@ -747,13 +739,51 @@ def _relational_search(cp: "CompiledPattern", eg: EGraph, since: Optional[int]):
             if var not in state:
                 state[var] = col[out_r]
         ranks[ai] = arank[out_r]
+    return state, ranks
 
-    cid = state[atoms[0].class_var]
-    order = np.lexsort(tuple(ranks[i] for i in range(len(atoms) - 1, -1, -1)) + (cid,))
-    mat = np.empty((len(cid), 1 + len(cp.vars)), dtype=np.int64)
-    mat[:, 0] = cid[order]
-    for j, name in enumerate(cp.vars):
-        mat[:, j + 1] = state[name][order]
+
+def _relational_search(cp: "CompiledPattern", eg: EGraph, since: Optional[int]):
+    """Execute *cp* as a join over the columnar store.
+
+    Returns flat ``(cid, v0, v1, ..)`` rows (a :class:`columns.RowBatch`,
+    or ``[]`` when nothing matches) in exactly the reference matcher's
+    order — restricted, when *since* >= 0, to the matches that use at
+    least one row stamped after *since* (:func:`_delta_joins`).
+
+    Result order: joins track, per atom, the matched row's bucket rank
+    (the full relation's, on Δ and old halves too); one final lexsort of
+    the concatenated joins by ``(root cid, rank_0, .., rank_{m-1})``
+    (atoms in pre-order) reproduces the nested loops' emission order —
+    two results equal on all earlier ranks picked identical rows, so atom
+    *i* draws from the same bucket, where rank order is iteration order.
+    """
+
+    atoms = cp._atoms
+    keys = []
+    rels = []
+    for key, rel in _atom_relations(atoms, eg):
+        if rel is None:
+            return []
+        keys.append(key)
+        rels.append(rel)
+
+    op_ids = [key[0] for key in keys]
+    base = len(eg.uf._parent) + 1
+    parts = []
+    for lead, lead_rels in _delta_joins(keys, rels, eg, since):
+        part = _join(atoms, lead_rels, op_ids, lead, base)
+        if part is not None:
+            parts.append(part)
+    if not parts:
+        return []
+
+    names = (atoms[0].class_var, *cp.vars)
+    cols = [np.concatenate([st[name] for st, _ in parts]) for name in names]
+    rank_cols = [np.concatenate([rk[i] for _, rk in parts]) for i in range(len(atoms))]
+    order = np.lexsort(tuple(rank_cols[::-1]) + (cols[0],))
+    mat = np.empty((len(order), len(names)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        mat[:, j] = col[order]
     # a lazy facade: tuples materialise only if a consumer asks for them —
     # the apply loop takes the matrix's bulk .tolist() (columns.RowBatch)
     return columns.RowBatch(mat)
@@ -780,13 +810,13 @@ class CompiledPattern:
         generated apply loop (:func:`compile_row_applier`) consumes — no
         per-match dict is built.
 
-        When *since* is given, matches rooted at classes whose ``touched``
-        stamp is ``<= since`` are skipped — sound because
-        :meth:`EGraph.rebuild` propagates touches upward from every
-        mutated class (matches rooted at a skipped class are exactly the
-        matches found by the previous search).  The engine serves this
-        with a delta join: its leading (root) relation is built over the
-        store's touch-stamp column (:func:`_pattern_delta_relation`).
+        With ``since >= 0`` only matches that use at least one row
+        created or re-rooted after version *since* are returned (in the
+        same order): a match built only from older rows carries the
+        tuple it carried at *since*, so a search at that version found
+        it.  The engine serves this with semi-naive joins over the
+        store's per-row change stamps (:func:`_delta_joins`).  ``since``
+        None or ``-1`` is a full search.
         """
 
         if self._atoms is None:
@@ -795,30 +825,36 @@ class CompiledPattern:
 
     def join_plan(
         self, egraph: EGraph, since: Optional[int] = None
-    ) -> Optional[List[Tuple[int, str, int]]]:
-        """The join order :meth:`search_rows` runs on *egraph*, for introspection.
+    ) -> Optional[List[List[Tuple[int, str, int]]]]:
+        """The joins :meth:`search_rows` runs on *egraph*, for introspection.
 
-        Returns ``(atom index, op name, relation size)`` triples in
-        execution order (None for a bare-variable pattern, which has no
-        atoms).  With *since*, the root atom's size is its *delta*
-        relation's.  The plan depends only on deterministic inputs
-        (relation sizes, interned op ids, pre-order atom indices), never
-        on hash iteration order — the determinism tests assert this
-        across ``PYTHONHASHSEED`` values.
+        One plan per join, each a list of ``(atom index, op name,
+        relation size)`` triples in execution order: a full search runs
+        one plan led by the root atom; a semi-naive search (``since >=
+        0``) one plan per lead atom with a non-empty Δ, sized by the Δ,
+        old or full relation that join reads; no plan when some
+        relation is empty.  None for a bare-variable pattern, which has
+        no atoms.  The plans depend only on
+        deterministic inputs (relation sizes, interned op ids, pre-order
+        atom indices), never on hash iteration order — the determinism
+        tests assert this across ``PYTHONHASHSEED`` values.
         """
 
         atoms = self._atoms
         if atoms is None:
             return None
-        op_ids = []
-        sizes = []
-        for op_id, rel in _atom_relations(atoms, egraph, since):
-            op_ids.append(op_id)
-            sizes.append(0 if rel is None else rel["n"])
-        return [
-            (ai, atoms[ai].op, sizes[ai])
-            for ai in _plan_order(atoms, sizes, op_ids)
-        ]
+        keys, rels = zip(*_atom_relations(atoms, egraph))
+        if any(rel is None for rel in rels):
+            return []  # an empty relation: search_rows joins nothing
+        op_ids = [key[0] for key in keys]
+        plans = []
+        for lead, lead_rels in _delta_joins(keys, list(rels), egraph, since):
+            sizes = [rel["n"] for rel in lead_rels]
+            plans.append([
+                (ai, atoms[ai].op, sizes[ai])
+                for ai in _plan_order(atoms, sizes, op_ids, lead)
+            ])
+        return plans
 
 
 @lru_cache(maxsize=None)

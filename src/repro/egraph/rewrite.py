@@ -7,10 +7,13 @@ the engine knows (constant folding is an e-class analysis, not a rule).
 The searcher is compiled once (see
 :class:`~repro.egraph.pattern.CompiledPattern`); :meth:`Rewrite.search_rows`
 returns its matches as flat ``(class id, v0, v1, ..)`` rows and accepts a
-``since`` version stamp for incremental search: classes untouched since
-the rule's previous scan are skipped, which is sound because the matches
-rooted there are exactly the ones the previous scan already found (and
-applying a match twice is a no-op union).
+``since`` version stamp for incremental search: only matches that use a
+row created or re-rooted since the rule's previous scan come back, which
+is sound because a match built only from older rows is one that scan
+already found and applied.  Applying a match twice is not always a no-op:
+when another rule's union in the same iteration moved a class the row
+binds, the re-application can mint a transient duplicate e-node and a
+redundant union — not re-finding old matches avoids exactly that.
 
 The applier is lowered at construction into a generated row loop
 (:func:`~repro.egraph.pattern.compile_row_applier`) that instantiates the
@@ -70,8 +73,10 @@ class Rewrite:
 
         Returns ``(eclass_id, v0, v1, ..)`` tuples (searcher variable
         order) in the deterministic sorted-bucket match order.  With
-        ``since`` set, only classes touched after that version stamp are
-        scanned (incremental search); pass None for a full scan.
+        ``since >= 0`` only matches using a row created or re-rooted after
+        that version stamp are returned (incremental search, see
+        :meth:`~repro.egraph.pattern.CompiledPattern.search_rows`); pass
+        None or ``-1`` for a full scan.
         """
 
         return self._compiled.search_rows(egraph, since)
@@ -89,10 +94,11 @@ class Rewrite:
         than ``limit`` e-nodes (None: no limit); the loop returns right
         after that row and never touches the rest.  The runner passes its
         ``node_limit``, so a limit-bounded run stops within one row of the
-        bound instead of one rule batch.  A match already committed by a
-        previous iteration is applied again: its union is a no-op, and its
-        hashcons probes add nothing unless mid-phase canonicalisation drift
-        spawns a transient class, which the node count then includes.
+        bound instead of one rule batch.  A match a previous iteration
+        already committed (re-found after its stamp stayed pinned) is
+        applied again: its union is usually a no-op, and its hashcons
+        probes add nothing unless mid-phase canonicalisation drift spawns
+        a transient class, which the node count then includes.
         """
 
         if type(rows) is columns.RowBatch:

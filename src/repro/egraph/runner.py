@@ -45,12 +45,11 @@ for ``patience`` consecutive evaluations the run stops with
 tail growing an e-graph whose extraction stopped getting better.
 
 **Incremental search.** The runner remembers, per rule, the e-graph
-version at which the rule last scanned.  The next scan only visits
-classes *touched* after that stamp (:meth:`EGraph.rebuild` propagates
-touches upward from every mutated class), because matches rooted in
-untouched classes are exactly the matches the previous scan found — and
-re-applying an applied match is a no-op union.  Every rule is a pattern
-pair, so its matches live entirely in the cone the touch stamps track.
+version at which the rule last scanned.  The next scan is semi-naive: it
+returns only matches that use at least one e-graph row created or moved
+to another class root after that stamp (every :meth:`EGraph.rebuild`
+stamps them), because a match built only from older rows carries the
+bindings it had then, and the previous scan found and applied it.
 
 **Profiling.** Per-rule search/apply time, match and union counts are
 accumulated into :class:`RuleStats` and exposed on
@@ -394,9 +393,9 @@ class RuleStats:
     name: str
     #: Number of search phases this rule participated in.
     searches: int = 0
-    #: How many of those scans were incremental (skipped classes untouched
-    #: since the rule's previous scan) — the search-side analogue of a
-    #: cache hit, reported next to the session-cache counters.
+    #: How many of those scans were incremental (joined only the rows
+    #: changed since the rule's previous scan) — the search-side analogue
+    #: of a cache hit, reported next to the session-cache counters.
     incremental_searches: int = 0
     #: Total wall-clock seconds spent searching / applying this rule.
     search_time: float = 0.0
@@ -642,7 +641,7 @@ class Runner:
             tripped = len(egraph) > node_limit
             if complete and not tripped:
                 # matches up to scan_version are now committed; the next
-                # incremental scan may skip classes untouched since then
+                # incremental scan joins only rows changed since then
                 self._last_scan[index] = scan_version
             rs = stats[rule.name]
             rs.apply_time += at1 - at0

@@ -21,10 +21,9 @@ so saturation can ration its budget instead of letting one exploding rule
 incremental-scan stamp when every match found in an iteration was handed
 to ``apply``.  Both curtailing schedulers report a dropped or truncated
 batch via the second element of :meth:`RuleScheduler.admit`'s return
-value, which keeps the stamp pinned: the next un-banned scan revisits
-everything touched since the last *committed* scan, so dropped matches
-are re-found rather than lost (re-applying a committed match is a no-op
-union).
+value, which keeps the stamp pinned: the next un-banned scan returns
+every match using a row changed since the last *committed* scan, so
+dropped matches are re-found rather than lost.
 
 **Saturation detection.**  An iteration that applies zero unions only
 proves saturation if no rule was skipped or curtailed along the way;

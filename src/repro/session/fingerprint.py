@@ -65,7 +65,12 @@ __all__ = [
 #: extract-v8: ``KernelReport`` lost its extraction-memo counters field
 #: (the memo is gone), so its positional pickle has one field fewer and
 #: older disk entries would unpickle into the wrong slots; they re-miss.
-ENGINE_SCHEMA = "extract-v8"
+#: rowdelta-v9: incremental search is semi-naive over per-row change
+#: stamps and no longer re-finds old matches, so ``RuleStats.matches``
+#: (and, where a re-found row minted a redundant union, ``applied``)
+#: change; an older disk entry would replay counters a cold run no
+#: longer produces, so it re-misses.
+ENGINE_SCHEMA = "rowdelta-v9"
 
 
 def fingerprint_text(text: str) -> str:

@@ -2,19 +2,20 @@
 
 Contracts pinned here:
 
-* **Delta equivalence** (hypothesis): on randomized e-graphs mutated in
-  two stages, the semi-naive delta join (``search_rows(since=...)``)
-  returns the *exact list* — multiset and order — of match rows the
-  incremental reference scan produces (``Pattern.search_naive`` restricted to root
-  classes touched after the stamp), for every pattern shape the planner
-  handles.
+* **The row contract** (hypothesis): on randomized e-graphs mutated in
+  two stages, the semi-naive search (``search_rows(since=stamp)``) is an
+  order-preserving subsequence of the full search; it contains every
+  full-search row whose bindings (up to ``find``) the full search at the
+  stamp did not produce; and it contains no match built only from rows
+  unchanged since the stamp (same key, same class root).  A planted
+  mutant sync that stamps only fresh rows fails the same check.
 * **Delta-plan determinism**: incremental join plans and their result
   rows depend only on relation sizes, interned op ids and pre-order atom
   indices — asserted across ``PYTHONHASHSEED`` values in subprocesses.
 * **Compaction coherence**: ``ColumnStore.compact()`` interleaved with
   pending appends and kills keeps row order, the op buckets and the
-  touch-stamp column coherent — delta reads after a compaction see
-  exactly the live rows.
+  ``root`` / ``touch`` columns coherent — every live row keeps its
+  change stamp, and delta reads across a compaction keep the contract.
 * **Apply-loop equivalence**: the generated row loop every pattern rule
   runs and a reference loop written here from the public API
   (``Pattern.instantiate`` + ``EGraph.merge`` per match) produce
@@ -33,12 +34,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.egraph import columns
 from repro.egraph.columns import ColumnStore
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import num, op, sym
-from repro.egraph.pattern import compile_pattern, parse_pattern
+from repro.egraph.pattern import PatternVar, compile_pattern, parse_pattern
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.egraph.schedule import SimpleScheduler
@@ -107,15 +109,71 @@ def naive_rows(pattern, eg):
     ]
 
 
-def _incremental_scan(pattern, eg, since):
-    """The reference matcher's rows rooted at classes touched > *since*."""
+def _live_roots(eg):
+    """key -> canonical class of every live row: the rows' state now."""
 
-    return [row for row in naive_rows(pattern, eg) if eg._class_touched[row[0]] > since]
+    return {key: eg.find(cid) for key, cid in eg.hashcons.items()}
+
+
+def _match_keys(eg, pattern, row):
+    """The live keys one match row is built from, one per operator atom."""
+
+    bindings = dict(zip(pattern.variables(), row[1:]))
+    keys = []
+
+    def build(node):
+        if isinstance(node, PatternVar):
+            return eg.find(bindings[node.name])
+        children = tuple(build(child) for child in node.children)
+        op_id = eg._op_ids[node.op]
+        pids = (0,) if node.payload is None else eg.payload_ids_matching(node.payload)
+        key = next(k for k in ((op_id, pid) + children for pid in pids) if k in eg.hashcons)
+        keys.append(key)
+        return eg.find(eg.hashcons[key])
+
+    assert build(pattern) == eg.find(row[0])
+    return keys
+
+
+def _check_delta_contract(pattern, eg, stamp, before_rows, before_roots):
+    """The semi-naive search at *stamp* against the full search now.
+
+    *before_rows* are the full search's rows and *before_roots* the live
+    rows' ``(key -> class root)`` at the stamp.
+    """
+
+    full = naive_rows(pattern, eg)
+    delta = list(compile_pattern(pattern).search_rows(eg, since=stamp))
+    # an order-preserving subsequence of the full search (so no repeats)
+    remaining = iter(full)
+    assert all(row in remaining for row in delta), (delta, full)
+    # every match whose bindings are new since the stamp
+    def canon(row):
+        return tuple(eg.find(c) for c in row)
+
+    before = {canon(row) for row in before_rows}
+    missed = [row for row in full if canon(row) not in before and row not in delta]
+    assert not missed, f"delta search missed new matches {missed}"
+    # and no match built only from rows unchanged since the stamp
+    for row in delta:
+        keys = _match_keys(eg, pattern, row)
+        assert any(
+            before_roots.get(key) != eg.find(eg.hashcons[key]) for key in keys
+        ), f"{row} re-found from unchanged rows {keys}"
 
 
 # ---------------------------------------------------------------------------
-# Delta equivalence (hypothesis)
+# The row contract (hypothesis)
 # ---------------------------------------------------------------------------
+
+
+#: ``(+ x y)``, ``q`` and ``(* q x)``; then ``q`` wins a union with the
+#: ``+`` class.  No row is new, yet ``(* (+ ?a ?b) ?a)`` gains a match
+#: through the re-rooted ``+`` row — only its root-change stamp shows it.
+_REROOTED_MATCH = [
+    ([op("+", sym("x"), sym("y")), sym("q"), op("*", sym("q"), sym("x"))], []),
+    ([], [(1, 0)]),
+]
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,17 +182,44 @@ def _incremental_scan(pattern, eg, since):
     pattern_text=st.sampled_from(_PATTERNS),
     full=st.booleans(),
 )
+@example(script=_REROOTED_MATCH, pattern_text="(* (+ ?a ?b) ?a)", full=False)
 def test_delta_join_matches_incremental_scan_exactly(script, pattern_text, full):
+    pattern = parse_pattern(pattern_text)
     eg = EGraph()
     roots = []
     _apply_stage(eg, roots, script[0])
     stamp = eg.version
+    before = naive_rows(pattern, eg), _live_roots(eg)
     _apply_stage(eg, roots, script[1])
-    since = -1 if full else stamp
-    pattern = parse_pattern(pattern_text)
-    join = compile_pattern(pattern).search_rows(eg, since=since)
-    # same matches, same order
-    assert join == _incremental_scan(pattern, eg, since)
+    if full:
+        # since=-1 is the plain full join: the reference list exactly
+        assert compile_pattern(pattern).search_rows(eg, since=-1) == naive_rows(
+            pattern, eg
+        )
+    else:
+        _check_delta_contract(pattern, eg, stamp, *before)
+    eg.check_invariants()
+
+
+def _fresh_rows_only_sync(eg):
+    """A planted mutant of ``EGraph._sync_row_touch``: it stamps fresh
+    rows but never a row whose class root moved."""
+
+    store = eg.store
+    store.flush()
+    root = columns.as_int64(store.root)
+    fresh = root == -1
+    root[fresh] = eg._np_roots()[columns.as_int64(store.cls)[fresh]]
+    columns.as_int64(store.touch)[fresh] = eg.version
+    store.touch_stamp = (eg.version, len(store.keys), store.epoch)
+
+
+def test_fresh_rows_only_sync_is_caught(monkeypatch):
+    """The row-contract property kills a sync that misses root changes."""
+
+    monkeypatch.setattr(EGraph, "_sync_row_touch", _fresh_rows_only_sync)
+    with pytest.raises(AssertionError, match="missed new matches"):
+        test_delta_join_matches_incremental_scan_exactly()
 
 
 def test_delta_join_is_empty_after_quiescent_rebuild():
@@ -224,26 +309,46 @@ def test_compact_interleaved_with_pending_appends_and_kills():
 
 
 def test_delta_reads_stay_exact_across_compaction():
-    """Force the rebuild-time compaction and re-check join == scan."""
+    """Compaction carries every live row's root and touch stamp, and the
+    row contract holds across a rebuild-time compaction."""
 
     eg = EGraph()
-    roots = [
-        eg.add_term(op("+", sym(f"x{i}"), op("*", sym(f"y{i}"), sym("z"))))
-        for i in range(300)
-    ]
+    for i in range(300):
+        eg.add_term(
+            op("*", op("+", sym(f"x{i}"), op("*", sym(f"y{i}"), sym("z"))), sym("w"))
+        )
     eg.rebuild()
-    base = roots[0]
-    for r in roots[1:]:
-        eg.merge(base, r)
+    early = eg.version
+    patterns = [parse_pattern(text) for text in _PATTERNS]
+    early_state = [(naive_rows(p, eg), _live_roots(eg)) for p in patterns]
+    for i in range(1, 300):
+        eg.merge(eg.add_term(sym("x0")), eg.add_term(sym(f"x{i}")))
+        eg.merge(eg.add_term(sym("y0")), eg.add_term(sym(f"y{i}")))
+    epoch = eg.store.epoch
     eg.rebuild()  # mass merge tombstones >50% of rows => compact() runs
+    assert eg.store.epoch == epoch + 1
+    eg.check_invariants()  # synced roots survived the compaction
     stamp = eg.version
+    late_state = [(naive_rows(p, eg), _live_roots(eg)) for p in patterns]
     eg.add_term(op("+", sym("new"), op("*", sym("y0"), sym("z"))))
     eg.rebuild()
-    for text in _PATTERNS:
-        pattern = parse_pattern(text)
-        assert compile_pattern(pattern).search_rows(eg, since=stamp) == (
-            _incremental_scan(pattern, eg, stamp)
-        ), text
+    for pattern, before, after in zip(patterns, early_state, late_state):
+        _check_delta_contract(pattern, eg, early, *before)
+        _check_delta_contract(pattern, eg, stamp, *after)
+
+    # a direct compaction: each live key keeps its (root, touch) pair
+    store = eg.store
+    eg.merge(eg.add_term(sym("z")), eg.add_term(sym("w")))
+    eg.rebuild()  # re-keys a few rows: tombstones below the policy's bar
+    stamps = {
+        key: (store.root[row], store.touch[row]) for key, row in store.row_of.items()
+    }
+    assert store.compact() > 0
+    assert len(store.root) == len(store.touch) == len(store.keys)
+    assert {
+        key: (store.root[row], store.touch[row]) for key, row in store.row_of.items()
+    } == stamps
+    eg.check_invariants()
 
 
 # ---------------------------------------------------------------------------

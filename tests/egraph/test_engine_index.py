@@ -1,9 +1,9 @@
 """Tests for the incremental e-matching engine.
 
 Covers the invariants the fast engine layers on top of the classic
-e-graph (O(1) node count, touch stamps ordered along parent edges), the
-equivalence of compiled/incremental search with the naive backtracking
-matcher, and the saturation profiler.
+e-graph (O(1) node count, every synced row's root is its class's
+canonical id), the equivalence of compiled/incremental search with the
+naive backtracking matcher, and the saturation profiler.
 """
 
 import json
@@ -73,7 +73,7 @@ def _representative_egraph():
 
 class TestOpIndexInvariants:
     def test_randomized_add_merge_rebuild_interleavings(self):
-        """check_invariants (incl. touch-stamp order and node-count cache)
+        """check_invariants (incl. the synced row roots and node-count cache)
         holds after arbitrary add/merge/rebuild sequences."""
 
         rng = random.Random(20240728)
@@ -109,23 +109,32 @@ class TestOpIndexInvariants:
         roots = eg._np_roots()
         for opname in ("+", "*", "sym", "num", "fma"):
             owners = [cid for cid, n in eg.canonical_nodes() if n.op == opname]
-            rows = eg.rows_touched_since(eg._op_ids[opname], -1)
+            rows = eg.store.op_rows(eg._op_ids[opname])
+            rows = rows[columns.as_uint8(eg.store.alive)[rows] != 0]
             found = roots[columns.as_int64(eg.store.cls)[rows]]
             assert len(found) == len(owners)
             assert {int(c) for c in found} == set(owners)
 
     def test_parent_stamped_below_child_is_caught(self):
-        """A parent class whose touch stamp sits below a child's would let
-        an incremental search skip a changed match: check_invariants must
-        reject it."""
+        """After rebuild every alive row's synced root is ``find`` of its
+        class; a row whose root lags a union would let an incremental
+        search skip a changed match, so check_invariants rejects it."""
 
         eg = EGraph()
         a = eg.add_term(sym("a"))
-        root = eg.add_term(op("+", sym("a"), sym("b")))
+        b = eg.add_term(sym("b"))
+        eg.add_term(op("+", sym("a"), sym("b")))
         eg.rebuild()
         eg.check_invariants()
-        eg._class_touched[root] = eg._class_touched[a] - 1
-        with pytest.raises(AssertionError, match="below its child"):
+        store = eg.store
+        row = store.row_of[eg.keys_of(b).copy().pop()]
+        assert eg.merge(a, b) == a  # b's row changes class root
+        eg.rebuild()
+        eg.check_invariants()
+        assert store.root[row] == a
+        assert store.touch[row] == eg.version
+        store.root[row] = b  # plant the pre-union root
+        with pytest.raises(AssertionError, match="synced to root"):
             eg.check_invariants()
 
     def test_copy_preserves_engine_state(self):
@@ -134,7 +143,8 @@ class TestOpIndexInvariants:
         dup.check_invariants()
         assert len(dup) == len(eg)
         assert set(dup.canonical_nodes()) == set(eg.canonical_nodes())
-        assert dup._class_touched == eg._class_touched
+        assert dup.store.root == eg.store.root
+        assert dup.store.touch == eg.store.touch
 
 
 class TestSearchEquivalence:
@@ -172,21 +182,28 @@ class TestSearchEquivalence:
         assert set(rule.search_rows(eg, since=None)) == set(first) | set(fresh)
 
     def test_touch_propagates_to_ancestors(self):
-        """A merge deep in the graph must re-expose enclosing classes to
-        incremental search (new matches can appear at untouched roots)."""
+        """A new match at an unchanged root row is found through the
+        changed row below it, and the old match there is not re-found."""
 
         eg = EGraph()
         root = eg.add_term(op("*", op("+", sym("a"), sym("b")), sym("c")))
+        inner = eg.add_term(op("+", sym("a"), sym("b")))
         eg.rebuild()
         rule = rewrite("mul-of-sum", "(* (+ ?x ?y) ?z)", "(* ?z (+ ?x ?y))")
         assert len(rule.search_rows(eg, since=-1)) == 1
         stamp = eg.version
-        # merging b with a new symbol touches a descendant of the root;
-        # the root's class must be rescanned afterwards
+        # a merge that re-keys nothing above: the root row is unchanged
         eg.merge(eg.add_term(sym("b")), eg.add_term(sym("e")))
         eg.rebuild()
-        rescans = rule.search_rows(eg, since=stamp)
-        assert any(eg.find(row[0]) == eg.find(root) for row in rescans)
+        assert rule.search_rows(eg, since=stamp) == []
+        # the `+` child class gains `(+ d e)`: one new match rooted at the
+        # unchanged `*` row, through the new `+` row — and only that one
+        stamp = eg.version
+        assert eg.merge(inner, eg.add_term(op("+", sym("d"), sym("e")))) == inner
+        eg.rebuild()
+        d, e, c = (eg.find(eg.add_term(sym(name))) for name in "dec")
+        assert rule.search_rows(eg, since=stamp) == [(eg.find(root), d, e, c)]
+        assert len(rule.search_rows(eg, since=-1)) == 2
 
 
 class TestRunnerEquivalence:
@@ -215,6 +232,26 @@ class TestRunnerEquivalence:
             it.applied for it in rep_full.iterations
         ]
         eg_inc.check_invariants()
+
+
+class TestWorkCounters:
+    def test_summed_matches_and_unions_are_pinned(self):
+        """Exact work counters of one default-config saturation (NPB EP's
+        ``ep_rng`` kernel, which saturates).  A search that re-finds old
+        matches fails here by count, not by timing: the class-stamp delta
+        this engine replaced matched 667 rows for 124 unions, one of them
+        a redundant union a re-found row minted."""
+
+        from repro.benchsuite.npb.ep import EP
+        from repro.saturator import SaturatorConfig, optimize_source
+
+        spec = next(k for k in EP.kernels if k.name == "ep_rng")
+        result = optimize_source(spec.source, SaturatorConfig())
+        runners = [kernel.runner for kernel in result.kernels]
+        assert [r.stop_reason for r in runners] == [StopReason.SATURATED]
+        stats = runners[0].rule_stats.values()
+        assert sum(rs.matches for rs in stats) == 348
+        assert sum(rs.applied for rs in stats) == 123
 
 
 class TestProfiler:

@@ -187,13 +187,13 @@ class TestFingerprintMemo:
         """Disk entries written under this schema must still hit (the pins
         move only with an ``ENGINE_SCHEMA`` bump)."""
 
-        assert fingerprint_module.ENGINE_SCHEMA == "extract-v8"
+        assert fingerprint_module.ENGINE_SCHEMA == "rowdelta-v9"
         assert fingerprint_config(SaturatorConfig()) == (
-            "7bc58f34580b2798cb3e7107f8df624195201f248c51730290c1228828059001"
+            "380c1a40084473b82b62c0330385d1bd209520c985f9d0b20379dc26067f06db"
         )
         key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
         assert key.digest == (
-            "5218a944629b34cf0bcb1bc7a2bde8b11f320ca87deda586a171e896bd22b59d"
+            "7f86468d6bced6f05980178783b6e1f1a5bec6528bf3d4f2c070f6b631c3434c"
         )
 
 
