@@ -10,8 +10,9 @@ config) — the determinism contract of ``tests/egraph/test_determinism.py``
 — so any deviation means a change to the engine altered saturation
 results, which must be an explicit, committed decision rather than a
 side effect.  The two files must also carry the same set of top-level
-keys, so a section ``run_engine_bench.py`` stopped (or started) emitting
-cannot sit in the committed file unnoticed.
+keys, and every section both carry as an object the same set of keys one
+level down, so a section or an entry ``run_engine_bench.py`` stopped (or
+started) emitting cannot sit in the committed file unnoticed.
 
 ``pipeline_outcome`` and ``saturation_large_outcome`` are produced under
 the **default** configuration (``SimpleScheduler``, anytime extraction
@@ -210,14 +211,25 @@ def main(argv=None) -> int:
         elif actual != expected:
             failures.append(f"{key}: fresh={actual!r} != committed={expected!r}")
 
-    # a static section must not outlive its generator, nor a new one go
-    # uncommitted: both files carry the same top-level keys
+    # a static section or entry must not outlive its generator, nor a new
+    # one go uncommitted: both files carry the same top-level keys, and
+    # the same keys inside every section that is an object in both
     for key in sorted(set(committed) ^ set(fresh)):
         failures.append(
             f"{key}: top-level key only in the "
             + (f"committed {committed_path}" if key in committed
                else f"fresh {fresh_path}")
         )
+    for section in sorted(set(committed) & set(fresh)):
+        old, new = committed[section], fresh[section]
+        if not (isinstance(old, dict) and isinstance(new, dict)):
+            continue
+        for key in sorted(set(old) ^ set(new)):
+            failures.append(
+                f"{section}.{key}: key only in the "
+                + (f"committed {committed_path}" if key in old
+                   else f"fresh {fresh_path}")
+            )
 
     # the observational-telemetry contract (PR 10): the *traced* runs'
     # outcome records must equal the committed *untraced* ones — a tracer

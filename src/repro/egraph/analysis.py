@@ -40,8 +40,8 @@ class Analysis:
         *child_ids)``: the operator name is ``egraph.op_names[key[0]]``, the
         payload ``egraph.payloads[key[1]]`` and the child classes
         ``key[2:]``.  ``EGraph.add_key`` calls it on every class creation
-        and rebuild calls it again for parents of classes whose data
-        changed.
+        and rebuild calls it again for every row with a child in a class
+        whose data changed.
         """
 
         raise NotImplementedError
@@ -51,8 +51,8 @@ class Analysis:
 
         ``EGraph.add_key`` skips the :meth:`make_key` call (the class data
         stays None, exactly what the call would have returned) for ops
-        outside this set, and ``EGraph._repair_analysis`` skips parent
-        nodes with such ops during rebuild — which additionally requires
+        outside this set, and ``EGraph._propagate_analysis`` skips table rows
+        with such ops during rebuild — which additionally requires
         ``join(x, None) == x`` (None must be the lattice bottom), since
         the skipped make/join round trip would otherwise have been
         ``data = join(data, None)``.  Return None — the default — to be

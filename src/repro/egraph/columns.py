@@ -1,10 +1,10 @@
 """Columnar backing store for the e-graph arena.
 
-The PR-3 arena made every e-node a flat int tuple (its *key*); this module
-adds the columnar half: one **row per spelling ever interned** into the
-hashcons, stored as parallel flat integer columns
+Every e-node is a flat int tuple (its *key*); this module stores **one row
+per spelling ever interned** into the hashcons, as parallel flat integer
+columns
 
-    ``(op_id, payload_id, child0.., class_id, alive, root, touch)``
+    ``(op_id, payload_id, child0.., class_id, alive, touch)``
 
 backed by stdlib ``array('q')`` buffers.  The store is append-only — a
 spelling retired by the rebuild sweep is *killed* (``alive = 0``), never
@@ -12,25 +12,22 @@ removed — and mirrors the hashcons dict exactly:
 
 * iterating rows in ascending order restricted to alive rows yields the
   hashcons keys **in dict iteration order** (a popped key is re-inserted
-  at the end of the dict, and its re-insertion appends a fresh row; an
-  overwrite of a live key keeps both its dict position and its row), and
+  at the end of the dict, and its re-insertion appends a fresh row), and
 * ``cls[row]`` is union-find-equal to the hashcons value of
-  ``keys[row]`` for alive rows (overwrites of a live key skip the mirror
-  write — the dict's new value is always the merged root of the row's
-  old one, and column readers canonicalise ``cls`` anyway).
+  ``keys[row]`` for alive rows (column readers canonicalise it).
 
-That order invariant is what lets the stale-key sweep and the relational
-e-matcher run as batched column passes without perturbing any of the
-deterministic orders the engine's committed outcomes depend on
-(``EGraph.check_invariants`` asserts it).
+That order invariant is what lets the rebuild sweep, the analysis repair
+and the relational e-matcher run as batched column passes without
+perturbing any of the deterministic orders the engine's committed
+outcomes depend on (``EGraph.check_invariants`` asserts it).
 
-The last two columns are the change set of semi-naive e-matching:
-``root[row]`` is the row's canonical class as of the last
-``EGraph._sync_row_touch`` (``-1`` before its first), and ``touch[row]``
-the e-graph version at which the row was created or its class root last
-changed.  A row's key never changes (a re-keyed spelling is a new row),
-so a row with ``touch <= s`` carries exactly the ``(class, children)``
-tuple it carried at version ``s``.
+``cls`` and ``touch`` are also the change set of semi-naive e-matching:
+``EGraph._sync_row_touch`` rewrites ``cls[row]`` to the row's canonical
+class, and ``touch[row]`` is the e-graph version at which the row was
+created or its class root last changed (``-1`` before its first sync).
+A row's key never changes (a re-keyed spelling is a new row), so a row
+with ``touch <= s`` carries exactly the ``(class, children)`` tuple it
+carried at version ``s``.
 
 numpy is a required dependency.  The ``array`` buffers are the storage
 (cheap scalar appends and in-place writes from the dict core); every
@@ -161,7 +158,6 @@ class ColumnStore:
         "row_of",
         "rows_by_op",
         "pending",
-        "root",
         "touch",
         "touch_stamp",
         "epoch",
@@ -174,8 +170,9 @@ class ColumnStore:
         self.payload = array("q")
         #: Child count per row (distinguishes a -1 pad from absence).
         self.nchild = array("q")
-        #: Hashcons value (e-class id) per row; union-find-equal to the
-        #: live hashcons entry of the row's key (readers canonicalise).
+        #: E-class id per row; union-find-equal to the live hashcons entry
+        #: of the row's key (readers canonicalise), and canonical as of
+        #: the last ``EGraph._sync_row_touch``.
         self.cls = array("q")
         #: 1 while the row's key is in the hashcons, 0 once retired.
         self.alive = bytearray()
@@ -201,12 +198,9 @@ class ColumnStore:
         #: (:meth:`op_rows`, :meth:`stale_alive_rows`, :meth:`copy`) and
         #: ``EGraph.check_invariants`` flush.
         self.pending: Dict[NodeKey, int] = {}
-        #: Per-row canonical class as of the last
-        #: ``EGraph._sync_row_touch``; fresh rows materialise with ``-1``.
-        self.root = array("q")
         #: Per-row change stamp: the ``EGraph.version`` of the sync that
-        #: first saw the row or saw its :attr:`root` move (``-1`` until
-        #: the first sync).  The semi-naive matcher splits each relation
+        #: first saw the row or saw its class root move (``-1`` until the
+        #: first sync).  The semi-naive matcher splits each relation
         #: on it — "rows changed since stamp S" is one vector compare.
         self.touch = array("q")
         #: ``(EGraph.version, row count, epoch)`` at the last sync (-1 =
@@ -260,8 +254,7 @@ class ColumnStore:
         self.nchild.extend(ncs)
         self.cls.extend(pending.values())
         self.alive.extend(b"\x01" * len(batch))
-        self.root.frombytes(_PAD * len(batch))  # -1 = not yet synced
-        self.touch.frombytes(_PAD * len(batch))
+        self.touch.frombytes(_PAD * len(batch))  # -1 = not yet synced
         child = self.child
         widest = max(ncs)
         if widest > len(child):
@@ -345,7 +338,7 @@ class ColumnStore:
         order — the store's core invariant — so every deterministic order
         derived from ascending live rows is unchanged.  Row *indices* do
         change: :attr:`epoch` is bumped so index-keyed caches (the
-        relation cache) can tell, and the per-row :attr:`root` and
+        relation cache) can tell, and the per-row :attr:`cls` and
         :attr:`touch` columns are compacted in the same pass, so every row
         keeps its change stamp.  Pending appends are flushed first — a
         compaction halfway through an append buffer would otherwise
@@ -363,7 +356,6 @@ class ColumnStore:
         self.payload = array("q", [self.payload[r] for r in keep])
         self.nchild = array("q", [self.nchild[r] for r in keep])
         self.cls = array("q", [self.cls[r] for r in keep])
-        self.root = array("q", [self.root[r] for r in keep])
         self.touch = array("q", [self.touch[r] for r in keep])
         self.child = [array("q", [col[r] for r in keep]) for col in self.child]
         keys = self.keys
@@ -379,7 +371,7 @@ class ColumnStore:
                 bucket.append(row)
         self.rows_by_op = rows_by_op
         self.epoch += 1
-        # row indices moved: the next sync re-checks every row (the root
+        # row indices moved: the next sync re-checks every row (the cls
         # and touch columns travelled with them, so it rewrites nothing)
         self.touch_stamp = -1
         return dead
@@ -402,7 +394,6 @@ class ColumnStore:
         dup.row_of = dict(self.row_of)
         dup.rows_by_op = {op: array("q", rows) for op, rows in self.rows_by_op.items()}
         dup.pending = {}
-        dup.root = array("q", self.root)
         dup.touch = array("q", self.touch)
         dup.touch_stamp = self.touch_stamp
         dup.epoch = self.epoch

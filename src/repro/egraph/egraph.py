@@ -1,13 +1,16 @@
 """The e-graph data structure with congruence closure, on a flat interned core.
 
 The implementation follows the ``egg`` design (Willsey et al., POPL 2021)
-that the paper builds on:
+that the paper builds on, with egglog's table rebuild (Zhang et al.,
+PLDI 2023):
 
 * e-nodes are hash-consed: a node whose children are canonical e-class ids
   appears at most once in the graph,
 * :meth:`EGraph.merge` only records the union; congruence closure is
   restored lazily by :meth:`EGraph.rebuild` (deferred rebuilding), which is
-  what makes batch rule application cheap,
+  what makes batch rule application cheap.  Rebuild reads the column table
+  alone: it re-keys every row with a non-root child and merges the classes
+  of rows whose re-keyed spellings collide,
 * e-class analyses (:mod:`repro.egraph.analysis`) propagate per-class facts
   such as constant values, enabling constant folding during saturation.
 
@@ -17,25 +20,25 @@ Flat interned representation
 Earlier versions stored every e-node as a frozen :class:`ENode` dataclass
 (string operator, arbitrary payload, memoized hash in ``__dict__``), which
 made the hottest loops — hashcons probes, canonicalisation, congruence
-repair — churn through Python object allocation and attribute lookups.
+closure — churn through Python object allocation and attribute lookups.
 The core now interns operators and payloads to small integers via
 per-graph symbol tables, and each e-node *is* its canonical **key**: a
 plain tuple ``(op_id, payload_id, *child_ids)`` of ints.  Tuples of small
 ints hash and compare at C speed (and, unlike strings, independent of
 ``PYTHONHASHSEED``), canonicalisation is a slice-and-rebuild over ints,
 and per-class node sets are sets of such tuples.  Class bookkeeping lives
-in slotted :class:`EClass` records; parents are flat ``(key, class_id)``
-pairs.
+in slotted :class:`EClass` records (key set and analysis data).
 
-Alongside the dicts, the graph maintains a **columnar mirror**
+The node -> class relation lives in three places: the ``hashcons`` dict,
+the per-class key sets, and a **column table**
 (:class:`~repro.egraph.columns.ColumnStore`): one row of flat parallel
-int columns ``(op_id, payload_id, child0.., class_id, alive)`` per
-spelling ever interned, in hashcons insertion order.  The stale-key sweep
-and the relational e-matcher (:mod:`repro.egraph.pattern`) run as batched
-numpy passes over these columns, without touching any order the dict core
-defines.  Every vectorised ``find`` is one gather through a per-version,
-fully compressed snapshot of the union-find parent array
-(:meth:`EGraph._np_roots`).
+int columns ``(op_id, payload_id, child0.., class_id, alive, touch)`` per
+spelling ever interned, in hashcons insertion order.  The rebuild sweep,
+the analysis repair and the relational e-matcher
+(:mod:`repro.egraph.pattern`) run as batched numpy passes over these
+columns, without touching any order the dict core defines.  Every
+vectorised ``find`` is one gather through a per-version, fully compressed
+snapshot of the union-find parent array (:meth:`EGraph._np_roots`).
 
 Keys are the only node representation the product path sees: the
 relational e-matcher, the compiled rule instantiators, the analysis hook
@@ -50,9 +53,10 @@ reference matcher and user code.
 Incremental e-matching (:mod:`repro.egraph.pattern`) reads the change set
 off the rows: every :meth:`rebuild` ends with :meth:`_sync_row_touch`,
 which stamps each row that is new or whose class root moved with the
-current :attr:`version`.  A match all of whose rows are unstamped since a
-rule's previous scan was found by that scan, so a semi-naive join over the
-stamped rows finds every new match and no old one.  A cached
+current :attr:`version` and rewrites its class to the root.  A match all
+of whose rows are unstamped since a rule's previous scan was found by that
+scan, so a semi-naive join over the stamped rows finds every new match and
+no old one.  A cached
 canonical-node count keeps ``len(egraph)`` O(1) (it is called inside the
 runner's per-rule apply loop).
 
@@ -126,31 +130,25 @@ class ENode:
 
 
 class EClass:
-    """A set of equal e-nodes plus bookkeeping for congruence closure.
+    """A set of equal e-nodes plus their analysis data.
 
     Nodes are stored as interned keys (:attr:`keys`); :attr:`nodes`
     spells them as :class:`ENode` values on demand.
     """
 
-    __slots__ = ("graph", "id", "keys", "parents", "data")
+    __slots__ = ("graph", "id", "keys", "data")
 
     def __init__(
         self,
         graph: "EGraph",
         eclass_id: int,
         keys: Optional[Set[NodeKey]] = None,
-        parents: Optional[List[Tuple[NodeKey, int]]] = None,
         data: object = None,
     ) -> None:
         self.graph = graph
         self.id = eclass_id
         #: The interned e-node keys of this class.
         self.keys: Set[NodeKey] = keys if keys is not None else set()
-        #: (parent key, e-class id the parent lives in) pairs; used to find
-        #: congruent parents after a merge.
-        self.parents: List[Tuple[NodeKey, int]] = (
-            parents if parents is not None else []
-        )
         #: Analysis data attached to this class.
         self.data = data
 
@@ -173,8 +171,6 @@ class EGraph:
         self.classes: Dict[int, EClass] = {}
         #: canonical key -> e-class id.
         self.hashcons: Dict[NodeKey, int] = {}
-        #: e-class ids whose parents must be re-canonicalised on rebuild.
-        self._dirty: List[int] = []
         #: e-class ids whose analysis data changed and must be re-propagated.
         self._analysis_dirty: List[int] = []
         self.analysis = analysis
@@ -232,9 +228,6 @@ class EGraph:
         self._relation_stamp: tuple = (-1, -1)
         #: (table size, payload-id -> deterministic sort rank) cache.
         self._payload_rank: Optional[Tuple[int, array]] = None
-        #: Running union count: an unchanged value proves no union ran in
-        #: between (the duplicate-run skip of :meth:`_repair`).
-        self._n_unions = 0
 
     # ------------------------------------------------------------------
     # Interning
@@ -360,13 +353,13 @@ class EGraph:
     def _sync_row_touch(self) -> None:
         """Stamp the rows that are new or whose class root moved.
 
-        One gather, ``roots[cls]``, compared against the store's
-        :attr:`~repro.egraph.columns.ColumnStore.root` column: where they
-        differ (a fresh row's root is ``-1``) the row's ``touch`` becomes
-        :attr:`version` and its ``root`` the new canonical class.  Runs at
-        the end of every :meth:`rebuild` and lazily (stamp-checked) before
-        a delta search, so a search issued without an intervening rebuild
-        still sees current stamps.
+        One gather, ``roots[cls]``: where it differs from the stored
+        class, or the row is fresh (``touch == -1``), the row's ``touch``
+        becomes :attr:`version` and its ``cls`` the canonical class.  A
+        synced row's ``cls`` is therefore its class root as of the last
+        sync.  Runs at the end of every :meth:`rebuild` and lazily
+        (stamp-checked) before a delta search, so a search issued without
+        an intervening rebuild still sees current stamps.
         """
 
         store = self.store
@@ -378,11 +371,11 @@ class EGraph:
         cls = columns.as_int64(store.cls)
         if len(cls):
             now = self._np_roots()[cls]
-            root = columns.as_int64(store.root)
-            moved = np.flatnonzero(now != root)
+            touch = columns.as_int64(store.touch)
+            moved = np.flatnonzero((now != cls) | (touch < 0))
             if len(moved):
-                root[moved] = now[moved]
-                columns.as_int64(store.touch)[moved] = self.version
+                cls[moved] = now[moved]
+                touch[moved] = self.version
         store.touch_stamp = stamp
 
     # ------------------------------------------------------------------
@@ -516,20 +509,12 @@ class EGraph:
         eclass.graph = self
         eclass.id = eclass_id
         eclass.keys = {key}
-        eclass.parents = []
         eclass.data = None
         self.classes[eclass_id] = eclass
         self.hashcons[key] = eclass_id
         self.store.append_new(key, eclass_id)
         self._class_data.append(0)
         self._node_count += 1
-        # children are canonical here (the key was just canonicalised)
-        classes = self.classes
-        n = len(key)
-        i = 2
-        while i < n:
-            classes[key[i]].parents.append((key, eclass_id))
-            i += 1
 
         analysis = self.analysis
         if analysis is not None:
@@ -625,7 +610,6 @@ class EGraph:
         """
 
         self.version += 1
-        self._n_unions += 1
         # inline uf.union_roots (same survivor rule: larger set wins,
         # ties keep ra) — one call frame saved per union
         uf = self.uf
@@ -640,7 +624,6 @@ class EGraph:
         before = len(winner.keys) + len(loser.keys)
         winner.keys |= loser.keys
         self._node_count += len(winner.keys) - before
-        winner.parents.extend(loser.parents)
         self._merged_since_sweep = True
 
         if self.analysis is not None:
@@ -649,7 +632,6 @@ class EGraph:
             self._analysis_dirty.append(root)
 
         del self.classes[other]
-        self._dirty.append(root)
         return root
 
     def union_terms(self, a: Term, b: Term) -> int:
@@ -661,38 +643,26 @@ class EGraph:
         return root
 
     def rebuild(self) -> int:
-        """Restore the hashcons and congruence invariants.
+        """Restore the hashcons, congruence and analysis invariants.
 
-        Returns the number of follow-up merges performed (congruent parents
-        discovered while re-canonicalising).  The deferred worklist is
-        drained in batches of integer loops over the flat key tuples; the
-        closing :meth:`_sync_row_touch` then stamps every row the repair
-        created or moved to another class, which is the change set the
-        incremental searcher joins over.
+        One loop over the column table (egglog's rebuild, Zhang et al.,
+        PLDI 2023): :meth:`_sweep_stale_keys` re-canonicalises every alive
+        row with a non-root child and merges the congruences that
+        uncovers, then :meth:`_propagate_analysis` re-runs the analysis on
+        the rows over classes whose data changed.  The two repeat until a
+        sweep merges nothing and no analysis data is dirty.  Returns the
+        number of congruence merges.  The closing :meth:`_sync_row_touch`
+        stamps every row this rebuild created or moved to another class,
+        which is the change set the incremental searcher joins over.
         """
 
         n_repairs = 0
         while True:
-            while self._dirty or self._analysis_dirty:
-                todo = {self.uf.find(i) for i in self._dirty}
-                self._dirty.clear()
-                for eclass_id in todo:
-                    n_repairs += self._repair(eclass_id)
-
-                analysis_todo = {self.uf.find(i) for i in self._analysis_dirty}
-                self._analysis_dirty.clear()
-                for eclass_id in analysis_todo:
-                    self._repair_analysis(eclass_id)
-
-            # Parents-driven repair restores *most* of the hashcons, but a
-            # node spelling re-keyed by one class's repair is invisible to a
-            # later repair that recorded an older spelling of the same node
-            # (its pop misses), which strands the newer spelling as a stale
-            # key — and, if its value disagrees with the canonical entry, a
-            # missed congruent merge.  The closing sweep drops stale keys
-            # and loops again when it uncovers such a merge.
-            n_repairs += self._sweep_stale_keys()
-            if not self._dirty and not self._analysis_dirty:
+            merges = self._sweep_stale_keys()
+            n_repairs += merges
+            if self._analysis_dirty:
+                self._propagate_analysis()
+            if not merges and not self._analysis_dirty:
                 break
         store = self.store
         if store.pending:
@@ -712,277 +682,119 @@ class EGraph:
         return n_repairs
 
     def _sweep_stale_keys(self) -> int:
-        """Drop non-canonical hashcons keys; merge any congruence they hid.
+        """Re-key every stale row; merge the congruences that uncovers.
 
-        Runs at each :meth:`rebuild` convergence.  A key is stale iff one
-        of its child ids is not a union-find root; the predicate is
-        evaluated over the whole child columns at once.  Ascending
-        alive-row order is hashcons dict order (the store's core
-        invariant), so the collected keys — and therefore the
-        merge-discovery order below — are the dict scan's.
+        A row is stale iff one of its child ids is not a union-find root;
+        the predicate is evaluated over the whole child columns at once.
+        Each stale key is retired (hashcons entry and row) and its
+        canonical spelling takes its place — unless that spelling is
+        already interned, in which case the two classes are congruent and
+        merge.  Ascending alive-row order is hashcons dict order (the
+        store's core invariant), so merge discovery follows the dict.
+        Merges stale more rows; :meth:`rebuild` sweeps again until one
+        merges nothing.
         """
 
         if not self._merged_since_sweep:
             return 0
         self._merged_since_sweep = False
-        uf = self.uf
         store = self.store
         rows = store.stale_alive_rows(self._np_roots())
         if not rows.size:
             return 0
         keys_list = store.keys
         stale = [keys_list[r] for r in rows.tolist()]
-        find = uf.find
-        merges = 0
+        find = self.uf.find
+        hashcons = self.hashcons
         classes = self.classes
+        merges = 0
         for key in stale:
-            value = self.hashcons.pop(key)
+            value = hashcons.pop(key)
             store.kill(key)
             canon = self._canon_key(key)
-            prior = self.hashcons.get(canon)
+            prior = hashcons.get(canon)
             if prior is None:
                 canon_class = find(value)
-                self.hashcons[canon] = canon_class
+                hashcons[canon] = canon_class
                 store.append_new(canon, canon_class)
             elif find(prior) != find(value):
                 self.merge(prior, value)
                 merges += 1
-            # the retired spelling can still sit in its class's key set:
-            # the parents-driven repair only canonicalises spellings it
-            # finds in parent lists, and a spelling minted *by* a repair is
-            # recorded in just one child's list — swap it for the canonical
-            # one here too, or the class double-counts the node (and the
-            # reference matcher, walking class key sets, emits duplicate
-            # matches the join engine, reading the deduplicated hashcons
-            # rows, can never produce)
-            owner = classes.get(find(value))
-            if owner is not None and key in owner.keys:
-                n0 = len(owner.keys)
-                owner.keys.discard(key)
-                owner.keys.add(canon)
-                self._node_count += len(owner.keys) - n0
+            # the class's key set spells the node the same way the
+            # hashcons does: swap the retired spelling for the canonical
+            # one (a no-op growth when the canonical spelling was there)
+            owner = classes[find(value)].keys
+            n0 = len(owner)
+            owner.discard(key)
+            owner.add(canon)
+            self._node_count += len(owner) - n0
         return merges
 
-    def _repair(self, eclass_id: int) -> int:
-        """Re-canonicalise the parents of one e-class, merging congruent ones.
+    def _propagate_analysis(self) -> None:
+        """Re-run the analysis over the rows of classes whose data changed.
 
-        Deduplicates the parent list as it goes: merges concatenate parent
-        lists, so the same ``(key, class)`` pair can accumulate many times
-        across a saturation run.  Everything here is integer loops over
-        flat tuples — no node objects are constructed.
+        Drains one round of :attr:`_analysis_dirty`: ``modify`` on each
+        dirty class in ascending canonical id, then one mask over the
+        child columns finds the alive rows with a child in a dirty class,
+        and ``make_key`` / ``join`` re-run on those rows in ascending row
+        order.  A class whose data grows is queued for the next round.
         """
 
-        eclass_id = self.uf.find(eclass_id)
-        eclass = self.classes.get(eclass_id)
-        if eclass is None:
-            return 0
-
-        repairs = 0
-        old_parents = eclass.parents
-        eclass.parents = []
-        new_parents = eclass.parents
-        hashcons = self.hashcons
-        uf = self.uf
-        find = uf.find
-        classes = self.classes
-        canon_key = self._canon_key
-        parent_arr = uf._parent
-        store = self.store
-        seen: Dict[NodeKey, int] = {}
-        prev_key: Optional[NodeKey] = None
-        prev_class = -1
-        prev_unions = -1
-        for parent_key, parent_class in old_parents:
-            # batched-dedup fast path: a run of exact duplicates (a child
-            # occupying several slots of one node appends one entry per
-            # slot) is a pure no-op after its first occurrence *provided
-            # no union happened in between* — same canonical spelling,
-            # same canonical class, so the is_duplicate branch below
-            # cannot merge and every write repeats itself.  A union
-            # (congruence found while processing the first occurrence)
-            # voids that proof, so the union counter gates the skip.
-            if (
-                parent_key is prev_key
-                and parent_class == prev_class
-                and self._n_unions == prev_unions
-            ):
-                continue
-            prev_key, prev_class, prev_unions = (
-                parent_key, parent_class, self._n_unions,
-            )
-            # re-canonicalise only stale spellings (inline staleness check).
-            # A canonical spelling needs no hashcons pop/reinsert round
-            # trip — and since the pop would have removed the entry, the
-            # original code never saw a `prior` for it either, so the
-            # congruence probe is skipped to keep behaviour identical (the
-            # entry is overwritten with this parent's class below, exactly
-            # as before).
-            n = len(parent_key)
-            i = 2
-            while i < n:
-                c = parent_key[i]
-                if parent_arr[c] != c:
-                    break
-                i += 1
-            if i == n:
-                canon = parent_key
-                skip_probe = True  # the pop would have emptied this slot
-            else:
-                # drop the stale hashcons entry before re-canonicalising
-                # (and retire its column row)
-                hashcons.pop(parent_key, None)
-                store.kill(parent_key)
-                canon = canon_key(parent_key)
-                skip_probe = False
-            if parent_arr[parent_class] != parent_class:
-                parent_class = find(parent_class)
-            existing = seen.get(canon)
-            is_duplicate = existing is not None
-            fresh = False
-            if is_duplicate:
-                if parent_arr[existing] != existing:
-                    existing = find(existing)
-                if existing != parent_class:
-                    self.merge(existing, parent_class)
-                    repairs += 1
-                    parent_class = find(parent_class)
-            elif not skip_probe:
-                prior = hashcons.get(canon)
-                if prior is not None:
-                    prior_root = (
-                        prior if parent_arr[prior] == prior else find(prior)
-                    )
-                    if prior_root != parent_class:
-                        self.merge(prior, parent_class)
-                        repairs += 1
-                        parent_class = find(parent_class)
-                else:
-                    fresh = True
-            # parent_class is canonical on every path here: it was found
-            # above and re-found after any merge that could stale it
-            canon_class = parent_class
-            hashcons[canon] = canon_class
-            # mirror: only a *fresh* dict insertion appends a row.  An
-            # overwrite keeps its live row, whose cls may now lag the dict
-            # value — but only by union-find equivalence (the overwritten
-            # value was merged into canon_class above), which is all the
-            # column readers need: they canonicalise cls through the
-            # parent array anyway.
-            if fresh:
-                store.append_new(canon, canon_class)
-            seen[canon] = canon_class
-            if not is_duplicate:
-                new_parents.append((canon, canon_class))
-            # keep the parent's own key set canonical too, otherwise the
-            # stale spelling lingers there while the hashcons moves on
-            if canon is not parent_key:
-                owner = classes.get(canon_class)
-                if owner is not None:
-                    n0 = len(owner.keys)
-                    owner.keys.discard(parent_key)
-                    owner.keys.add(canon)
-                    self._node_count += len(owner.keys) - n0
-
-        # canonicalise the keys stored in the class itself (inline staleness
-        # check: most member keys don't reference the repaired child, so the
-        # common case is two array reads per child and no call)
-        eclass = self.classes.get(find(eclass_id))
-        if eclass is not None:
-            parent_arr = uf._parent
-            new_keys = set()
-            add_new = new_keys.add
-            for key in eclass.keys:
-                n = len(key)
-                i = 2
-                while i < n:
-                    c = key[i]
-                    if parent_arr[c] != c:
-                        key = key[:2] + tuple([find(key[j]) for j in range(2, n)])
-                        break
-                    i += 1
-                add_new(key)
-            self._node_count += len(new_keys) - len(eclass.keys)
-            eclass.keys = new_keys
-            # snapshot: a congruent merge below can grow this very set
-            root = find(eclass.id)
-            for key in list(new_keys):
-                # congruence check before re-keying: a re-spelled member
-                # node may coincide with a node of a *different* class —
-                # blindly overwriting its entry would leave the two
-                # classes unmerged.  `root` tracks find(eclass.id) across
-                # the loop (only a merge can move it).
-                prior = hashcons.get(key)
-                if prior is not None:
-                    if parent_arr[root] != root:
-                        root = find(root)
-                    if (prior if parent_arr[prior] == prior else find(prior)) != root:
-                        self.merge(prior, eclass.id)
-                        repairs += 1
-                        root = find(root)
-                    # overwrite: the live row's cls stays union-find-equal
-                    # to the new dict value, which the column readers
-                    # canonicalise anyway — no mirror write needed
-                    hashcons[key] = root
-                else:
-                    if parent_arr[root] != root:
-                        root = find(root)
-                    hashcons[key] = root
-                    store.append_new(key, root)
-        return repairs
-
-    def _repair_analysis(self, eclass_id: int) -> None:
-        """Propagate changed analysis data to parents."""
-
         analysis = self.analysis
-        if analysis is None:
-            return
-        eclass_id = self.uf.find(eclass_id)
-        eclass = self.classes.get(eclass_id)
-        if eclass is None:
-            return
-        analysis.modify(self, eclass_id)
-        # relevant-op prefilter: for a parent whose operator the analysis
-        # can never value, make_key returns the bottom element (None) and
+        find = self.uf.find
+        todo = sorted({find(i) for i in self._analysis_dirty})
+        self._analysis_dirty.clear()
+        for eclass_id in todo:
+            analysis.modify(self, eclass_id)
+        # relevant-op prefilter: for a row whose operator the analysis can
+        # never value, make_key returns the bottom element (None) and
         # join(data, bottom) == data (the relevant_op_ids contract), so
-        # the joined != data branch below cannot fire — skip the calls.
+        # the joined != data branch below cannot fire — skip the row
         hint = self._analysis_ops
         if hint is None or hint[0] != len(self.op_names):
             hint = (len(self.op_names), analysis.relevant_op_ids(self))
             self._analysis_ops = hint
         relevant = hint[1]
+        store = self.store
+        if store.pending:
+            store.flush()
+        roots = self._np_roots()
+        # per class id: is its root dirty?  One trailing False makes a
+        # -1 child pad read as clean.
+        dirty = np.zeros(len(roots) + 1, dtype=bool)
+        dirty[roots[todo]] = True
+        dirty[:-1] = dirty[roots]
+        hit = np.zeros(len(store.keys), dtype=bool)
+        for col in store.child:
+            hit |= dirty[columns.as_int64(col)]
+        hit &= columns.as_uint8(store.alive) != 0
+        if relevant is not None:
+            hit &= np.isin(columns.as_int64(store.op), list(relevant))
+        # plain ints only from here (the column views above were
+        # temporaries): modify in a later round appends rows, which a live
+        # view would make raise BufferError
+        rows = np.flatnonzero(hit).tolist()
+        # bottom-child prefilter: a byte read per canonical child proves
+        # make_key returns bottom, so the joined != data branch below
+        # cannot fire — skip the canon_key / make_key / join round trip
         prefilter = analysis.needs_all_child_data
         data_flag = self._class_data
-        parent_arr = self.uf._parent
-        find = self.uf.find
-        for parent_key, parent_class in list(eclass.parents):
-            if relevant is not None and parent_key[0] not in relevant:
+        classes = self.classes
+        keys = store.keys
+        cls_col = store.cls
+        for row in rows:
+            key = keys[row]
+            if prefilter and not all(data_flag[find(c)] for c in key[2:]):
                 continue
-            if prefilter:
-                # bottom-child prefilter: a byte read per (canonicalised)
-                # child proves make_key returns bottom, so the joined !=
-                # data branch below cannot fire — skip the canon_key /
-                # make_key / join round trip.  Stored child ids may be
-                # stale; the flag is only fresh at the canonical id.
-                ok = True
-                for i in range(2, len(parent_key)):
-                    c = parent_key[i]
-                    if parent_arr[c] != c:
-                        c = find(c)
-                    if not data_flag[c]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            parent_class = find(parent_class)
-            parent = self.classes.get(parent_class)
-            if parent is None:
-                continue
-            new_data = analysis.make_key(self, self._canon_key(parent_key))
-            joined = analysis.join(parent.data, new_data)
-            if joined != parent.data:
-                parent.data = joined
-                data_flag[parent_class] = 1 if joined is not None else 0
-                self._analysis_dirty.append(parent_class)
+            row_class = find(cls_col[row])
+            owner = classes[row_class]
+            joined = analysis.join(
+                owner.data, analysis.make_key(self, self._canon_key(key))
+            )
+            if joined != owner.data:
+                owner.data = joined
+                data_flag[row_class] = 1 if joined is not None else 0
+                self._analysis_dirty.append(row_class)
 
     # ------------------------------------------------------------------
     # Queries used by e-matching and extraction
@@ -1074,10 +886,9 @@ class EGraph:
         # columnar mirror: alive rows in ascending row order are exactly
         # the hashcons keys in dict iteration order (the invariant the
         # batched sweep and the relational matcher rely on), and the
-        # per-row class is union-find-equal to the dict value (a dict
-        # overwrite with a merged-away value's root skips the mirror
-        # write, so the row may hold the pre-merge id — column readers
-        # canonicalise through the parent array)
+        # per-row class is union-find-equal to the dict value (a union
+        # since the last sync leaves the row holding the pre-merge id —
+        # column readers canonicalise through the parent array)
         store = self.store
         store.flush()
         alive_keys = [
@@ -1102,13 +913,14 @@ class EGraph:
                 expected = key[i + 2] if i < len(key) - 2 else -1
                 assert store.child[i][row] == expected
             # the row-stamp contract incremental search relies on: once
-            # synced (every rebuild ends with a sync) a row's root is its
-            # class's canonical id, so a row whose root did not move
-            # since a stamp carries the tuple it carried then
+            # synced (every rebuild ends with a sync) a row's class is
+            # canonical, so a row whose class did not move since a stamp
+            # carries the tuple it carried then
             if synced:
-                assert store.root[row] == self.uf.find(store.cls[row]), (
-                    f"row {row} ({self._enode(key)}) synced to root "
-                    f"{store.root[row]}, not {self.uf.find(store.cls[row])}"
+                assert store.cls[row] == self.uf.find(store.cls[row]), (
+                    f"row {row} ({self._enode(key)}) synced to class "
+                    f"{store.cls[row]}, not its root "
+                    f"{self.uf.find(store.cls[row])}"
                 )
         # the per-class flag array covers every class id and mirrors the
         # slotted record
@@ -1130,10 +942,7 @@ class EGraph:
         dup.hashcons = dict(self.hashcons)
         dup.classes = {}
         for cid, cls in self.classes.items():
-            dup.classes[cid] = EClass(
-                dup, cls.id, set(cls.keys), list(cls.parents), cls.data
-            )
-        dup._dirty = list(self._dirty)
+            dup.classes[cid] = EClass(dup, cls.id, set(cls.keys), cls.data)
         dup._analysis_dirty = list(self._analysis_dirty)
         dup.version = self.version
         dup._node_count = self._node_count
@@ -1151,7 +960,6 @@ class EGraph:
         # copied interning tables keep the resolved instantiator constants
         # valid
         dup._inst_consts = dict(self._inst_consts)
-        dup._n_unions = self._n_unions
         return dup
 
     def dump(self) -> str:  # pragma: no cover - debugging helper

@@ -70,7 +70,12 @@ __all__ = [
 #: (and, where a re-found row minted a redundant union, ``applied``)
 #: change; an older disk entry would replay counters a cold run no
 #: longer produces, so it re-misses.
-ENGINE_SCHEMA = "rowdelta-v9"
+#: tablerebuild-v10: ``EGraph.rebuild`` is one loop over the column table
+#: (the parents-driven repair is gone), which renumbers classes and, under
+#: the ``match-budget`` scheduler, changes the saturation path of some
+#: kernels (their ``applied`` counts and, on one kernel, the generated
+#: text); older disk entries re-miss.
+ENGINE_SCHEMA = "tablerebuild-v10"
 
 
 def fingerprint_text(text: str) -> str:

@@ -14,13 +14,23 @@ compared on
 * **extraction**: per-root minimum tree costs match a reference DP exactly,
   and the arena's extracted term is well-formed with the cost it claims.
 
+An analysis arm runs :class:`ConstantFoldingAnalysis` over integer ``num``
+leaves and ``+`` / ``*`` nodes against a reference that computes each
+class's constant as a naive least fixpoint (merging in the ``num`` leaf
+``modify`` adds) and compares the partition and every class's constant.
+A planted rebuild that skips the analysis pass over parent rows fails it.
+
 ``check_invariants`` (hashcons coherence, interning table consistency,
-O(1) node count, touch-stamp order along parent edges) runs after every
+O(1) node count, every synced row's class canonical) runs after every
 rebuild.
 """
 
-from hypothesis import given, settings, strategies as st
+import copy
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.egraph.analysis import ConstantFoldingAnalysis
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import _DPState
 from repro.egraph.language import Term
@@ -278,3 +288,152 @@ def test_arena_matches_reference_under_interleavings(steps):
         if expected is None:
             continue
         assert best[eg.find(a)][0] == expected, f"tree cost of add #{i}"
+
+
+# ---------------------------------------------------------------------------
+# The analysis arm: constant folding == a naive least fixpoint
+# ---------------------------------------------------------------------------
+
+_FOLD = {"+": lambda a, b: a + b, "*": lambda a, b: a * b}
+_FOLD_OPS = sorted(_FOLD)
+#: Constants are kept small so a chain of squarings cannot blow up.
+_BOUND = 10 ** 6
+
+
+class _Unfoldable(Exception):
+    """The drawn step would give a class two constants, or a huge one."""
+
+
+class RefConstEGraph(RefEGraph):
+    """:class:`RefEGraph` plus constant folding by whole-graph fixpoint."""
+
+    def constants(self):
+        """class -> constant, the least fixpoint over every node."""
+
+        const = {}
+        changed = True
+        while changed:
+            changed = False
+            for spelling, cid in self.nodes.items():
+                op, payload, kids = spelling[0], spelling[2], spelling[3:]
+                if op == "num":
+                    value = payload
+                elif op in _FOLD and all(self.find(k) in const for k in kids):
+                    value = _FOLD[op](*(const[self.find(k)] for k in kids))
+                else:
+                    continue
+                if abs(value) > _BOUND:
+                    raise _Unfoldable
+                cid = self.find(cid)
+                known = const.get(cid)
+                if known is None:
+                    const[cid] = value
+                    changed = True
+                elif known != value:
+                    raise _Unfoldable
+        return const
+
+    def close(self):
+        """Congruence closure plus ``modify``: every constant class holds
+        its ``num`` leaf.  Returns the constants of the closed graph."""
+
+        while True:
+            self.rebuild()
+            const = self.constants()
+            grew = False
+            for cid, value in const.items():
+                leaf = self.add("num", value, ())
+                if self.find(leaf) != self.find(cid):
+                    self.merge(leaf, cid)
+                    grew = True
+            if not grew:
+                return const
+
+
+#: ("add", op index, (pick, pick)) / ("merge", pick, pick) / ("rebuild",)
+_fold_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.integers(0, len(_FOLD_OPS) - 1),
+            st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+        ),
+        st.tuples(st.just("merge"), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+        st.tuples(st.just("rebuild")),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+#: Seed handles: ``num`` 0..3 at 0..3, non-constant ``sym`` leaves at 4, 5.
+_FOLD_SEEDS = [("num", v) for v in range(4)] + [("sym", "s0"), ("sym", "s1")]
+
+
+def _compare_constants(eg: EGraph, ref: RefConstEGraph, const, ids, ref_ids):
+    for i, (a, r) in enumerate(zip(ids, ref_ids)):
+        assert eg.data_of(a) == const.get(ref.find(r)), f"constant of add #{i}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_steps)
+# s0 == 2 makes (+ s0 1) fold to 3 only through the parent-row pass
+@example([("add", _FOLD_OPS.index("+"), (4, 1)), ("merge", 4, 2), ("rebuild",)])
+def test_constant_folding_matches_reference_fixpoint(steps):
+    eg = EGraph(ConstantFoldingAnalysis())
+    ref = RefConstEGraph()
+    ids = [eg.add_leaf(op, payload) for op, payload in _FOLD_SEEDS]
+    ref_ids = [ref.add(op, payload, ()) for op, payload in _FOLD_SEEDS]
+    const = ref.close()
+
+    for step in steps:
+        # the reference applies the step to a copy first: a step whose
+        # closure would join two different constants is skipped, so the
+        # order in which the arena joins analysis data cannot matter
+        trial = copy.deepcopy(ref)
+        if step[0] == "add":
+            _, op_index, picks = step
+            a, b = (p % len(ids) for p in picks)
+            added = trial.add(_FOLD_OPS[op_index], None, (ref_ids[a], ref_ids[b]))
+        elif step[0] == "merge":
+            i, j = step[1] % len(ids), step[2] % len(ids)
+            trial.merge(ref_ids[i], ref_ids[j])
+        try:
+            trial_const = trial.close()
+        except _Unfoldable:
+            continue
+        ref, const = trial, trial_const
+        if step[0] == "add":
+            ids.append(eg.add(ENode(_FOLD_OPS[op_index], (ids[a], ids[b]))))
+            ref_ids.append(added)
+        elif step[0] == "merge":
+            eg.merge(ids[i], ids[j])
+        else:
+            eg.rebuild()
+            eg.check_invariants()
+            _compare_partitions(eg, ref, ids, ref_ids)
+            _compare_constants(eg, ref, const, ids, ref_ids)
+
+    eg.rebuild()
+    eg.check_invariants()
+    _compare_partitions(eg, ref, ids, ref_ids)
+    _compare_constants(eg, ref, const, ids, ref_ids)
+
+
+def _parent_rows_skipped(eg):
+    """A planted mutant of ``EGraph._propagate_analysis``: it runs ``modify``
+    on the dirty classes but never re-runs the analysis on their parent
+    rows."""
+
+    find = eg.uf.find
+    todo = sorted({find(i) for i in eg._analysis_dirty})
+    eg._analysis_dirty.clear()
+    for eclass_id in todo:
+        eg.analysis.modify(eg, eclass_id)
+
+
+def test_skipped_parent_rows_are_caught(monkeypatch):
+    """The analysis arm kills a rebuild without the parent-row pass."""
+
+    monkeypatch.setattr(EGraph, "_propagate_analysis", _parent_rows_skipped)
+    with pytest.raises(AssertionError, match=r"of adds? #"):
+        test_constant_folding_matches_reference_fixpoint()

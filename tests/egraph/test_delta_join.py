@@ -14,7 +14,7 @@ Contracts pinned here:
   indices — asserted across ``PYTHONHASHSEED`` values in subprocesses.
 * **Compaction coherence**: ``ColumnStore.compact()`` interleaved with
   pending appends and kills keeps row order, the op buckets and the
-  ``root`` / ``touch`` columns coherent — every live row keeps its
+  ``cls`` / ``touch`` columns coherent — every live row keeps its
   change stamp, and delta reads across a compaction keep the contract.
 * **Apply-loop equivalence**: the generated row loop every pattern rule
   runs and a reference loop written here from the public API
@@ -207,10 +207,11 @@ def _fresh_rows_only_sync(eg):
 
     store = eg.store
     store.flush()
-    root = columns.as_int64(store.root)
-    fresh = root == -1
-    root[fresh] = eg._np_roots()[columns.as_int64(store.cls)[fresh]]
-    columns.as_int64(store.touch)[fresh] = eg.version
+    cls = columns.as_int64(store.cls)
+    touch = columns.as_int64(store.touch)
+    fresh = touch == -1
+    cls[fresh] = eg._np_roots()[cls[fresh]]
+    touch[fresh] = eg.version
     store.touch_stamp = (eg.version, len(store.keys), store.epoch)
 
 
@@ -309,7 +310,7 @@ def test_compact_interleaved_with_pending_appends_and_kills():
 
 
 def test_delta_reads_stay_exact_across_compaction():
-    """Compaction carries every live row's root and touch stamp, and the
+    """Compaction carries every live row's class and touch stamp, and the
     row contract holds across a rebuild-time compaction."""
 
     eg = EGraph()
@@ -327,7 +328,7 @@ def test_delta_reads_stay_exact_across_compaction():
     epoch = eg.store.epoch
     eg.rebuild()  # mass merge tombstones >50% of rows => compact() runs
     assert eg.store.epoch == epoch + 1
-    eg.check_invariants()  # synced roots survived the compaction
+    eg.check_invariants()  # synced classes survived the compaction
     stamp = eg.version
     late_state = [(naive_rows(p, eg), _live_roots(eg)) for p in patterns]
     eg.add_term(op("+", sym("new"), op("*", sym("y0"), sym("z"))))
@@ -336,17 +337,17 @@ def test_delta_reads_stay_exact_across_compaction():
         _check_delta_contract(pattern, eg, early, *before)
         _check_delta_contract(pattern, eg, stamp, *after)
 
-    # a direct compaction: each live key keeps its (root, touch) pair
+    # a direct compaction: each live key keeps its (class, touch) pair
     store = eg.store
     eg.merge(eg.add_term(sym("z")), eg.add_term(sym("w")))
     eg.rebuild()  # re-keys a few rows: tombstones below the policy's bar
     stamps = {
-        key: (store.root[row], store.touch[row]) for key, row in store.row_of.items()
+        key: (store.cls[row], store.touch[row]) for key, row in store.row_of.items()
     }
     assert store.compact() > 0
-    assert len(store.root) == len(store.touch) == len(store.keys)
+    assert len(store.cls) == len(store.touch) == len(store.keys)
     assert {
-        key: (store.root[row], store.touch[row]) for key, row in store.row_of.items()
+        key: (store.cls[row], store.touch[row]) for key, row in store.row_of.items()
     } == stamps
     eg.check_invariants()
 

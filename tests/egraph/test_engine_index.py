@@ -116,9 +116,9 @@ class TestOpIndexInvariants:
             assert {int(c) for c in found} == set(owners)
 
     def test_parent_stamped_below_child_is_caught(self):
-        """After rebuild every alive row's synced root is ``find`` of its
-        class; a row whose root lags a union would let an incremental
-        search skip a changed match, so check_invariants rejects it."""
+        """After rebuild every alive row's synced class is canonical; a row
+        whose class lags a union would let an incremental search skip a
+        changed match, so check_invariants rejects it."""
 
         eg = EGraph()
         a = eg.add_term(sym("a"))
@@ -131,10 +131,10 @@ class TestOpIndexInvariants:
         assert eg.merge(a, b) == a  # b's row changes class root
         eg.rebuild()
         eg.check_invariants()
-        assert store.root[row] == a
+        assert store.cls[row] == a
         assert store.touch[row] == eg.version
-        store.root[row] = b  # plant the pre-union root
-        with pytest.raises(AssertionError, match="synced to root"):
+        store.cls[row] = b  # plant the pre-union class
+        with pytest.raises(AssertionError, match="synced to class"):
             eg.check_invariants()
 
     def test_copy_preserves_engine_state(self):
@@ -143,7 +143,7 @@ class TestOpIndexInvariants:
         dup.check_invariants()
         assert len(dup) == len(eg)
         assert set(dup.canonical_nodes()) == set(eg.canonical_nodes())
-        assert dup.store.root == eg.store.root
+        assert dup.store.cls == eg.store.cls
         assert dup.store.touch == eg.store.touch
 
 

@@ -187,13 +187,13 @@ class TestFingerprintMemo:
         """Disk entries written under this schema must still hit (the pins
         move only with an ``ENGINE_SCHEMA`` bump)."""
 
-        assert fingerprint_module.ENGINE_SCHEMA == "rowdelta-v9"
+        assert fingerprint_module.ENGINE_SCHEMA == "tablerebuild-v10"
         assert fingerprint_config(SaturatorConfig()) == (
-            "380c1a40084473b82b62c0330385d1bd209520c985f9d0b20379dc26067f06db"
+            "c142f046d3d303dc2357f35b09d9e363de215342f6ed89cce2a635bcf151fb4b"
         )
         key = stage_key("src", SaturatorConfig(), "optimize-source", "k")
         assert key.digest == (
-            "7f86468d6bced6f05980178783b6e1f1a5bec6528bf3d4f2c070f6b631c3434c"
+            "41b802e3ee4b6f3d1c60db72f460fd210ae961f28330d3d8d8c89f7a0f31c57f"
         )
 
 
