@@ -81,7 +81,10 @@ def schedule_group(
             for child in _operands(op_names, key):
                 visit(child, False)
 
-        visit(eclass_id, True)
+        try:
+            visit(eclass_id, True)
+        finally:
+            del visit  # see the release at the end of schedule_group
         return result
 
     def load_stmt_dep(eclass_id: int) -> int:
@@ -144,18 +147,24 @@ def schedule_group(
     # main walk over the group's statements
     # ------------------------------------------------------------------
 
-    if bulk_load:
-        flush_loads(-1)
-
-    for position, root in enumerate(root_classes):
-        root = egraph.find(root)
-        # temporaries feeding this statement
-        for dep in temp_children(root):
-            emit_temp(dep, position - 1)
-        emit_temp(root, position - 1)
-        schedule.append(ScheduleItem("stmt", position=position))
+    # emit_temp (like each temp_children call's visit) calls itself through
+    # its closure cell: a reference cycle through the renderer and its
+    # e-graph until released, so the graph would outlive its kernel
+    try:
         if bulk_load:
-            flush_loads(position)
+            flush_loads(-1)
+
+        for position, root in enumerate(root_classes):
+            root = egraph.find(root)
+            # temporaries feeding this statement
+            for dep in temp_children(root):
+                emit_temp(dep, position - 1)
+            emit_temp(root, position - 1)
+            schedule.append(ScheduleItem("stmt", position=position))
+            if bulk_load:
+                flush_loads(position)
+    finally:
+        del emit_temp
 
     return schedule
 
@@ -181,7 +190,10 @@ def _reachable_temp_classes(renderer: ClassRenderer, root: int) -> Set[int]:
         for child in _operands(op_names, key):
             visit(child)
 
-    visit(root)
+    try:
+        visit(root)
+    finally:
+        del visit  # see the release at the end of schedule_group
     return result
 
 

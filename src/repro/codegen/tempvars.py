@@ -392,4 +392,9 @@ class ClassRenderer:
             for child in key[2:]:
                 visit(child)
 
-        visit(root)
+        try:
+            visit(root)
+        finally:
+            # both walks call themselves through their closure cells: a
+            # cycle through the renderer (and its e-graph) until released
+            del visit, mark_subtree

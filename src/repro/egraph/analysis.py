@@ -10,6 +10,7 @@ lets the cost model treat folded subtrees as free.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Optional, Union
 
 from repro.egraph.egraph import EGraph, NodeKey
@@ -94,9 +95,12 @@ class ConstantFoldingAnalysis(Analysis):
 
     def __init__(self, fold_division: bool = True) -> None:
         self.fold_division = fold_division
-        #: (egraph, #ops interned, num op id, foldable op-id set) — the
-        #: interned view of ``_FOLDABLE`` for the graph this analysis last
-        #: served, rebuilt whenever the graph interns a new operator.
+        #: (weak ref to the egraph, #ops interned, num op id, foldable
+        #: op-id set) — the interned view of ``_FOLDABLE`` for the graph
+        #: this analysis last served, rebuilt whenever the graph interns a
+        #: new operator.  The graph holds its analysis, so a strong
+        #: reference here would be a cycle that keeps every served graph
+        #: alive until the collector runs.
         self._opid_cache: Optional[tuple] = None
 
     # -- helpers -------------------------------------------------------------
@@ -163,9 +167,9 @@ class ConstantFoldingAnalysis(Analysis):
     def _refresh_opid_cache(self, egraph: EGraph) -> tuple:
         names = egraph.op_names
         cache = self._opid_cache
-        if cache is None or cache[0] is not egraph or cache[1] != len(names):
+        if cache is None or cache[0]() is not egraph or cache[1] != len(names):
             cache = (
-                egraph,
+                weakref.ref(egraph),
                 len(names),
                 egraph._op_ids.get("num", -1),
                 {i for i, op in enumerate(names) if op in self._FOLDABLE},

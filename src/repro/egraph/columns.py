@@ -87,8 +87,8 @@ class RowBatch:
     (length, indexing, slicing, iteration, equality — all yielding plain
     int tuples) but only builds them on first such access, and slices
     pull just their window from the matrix.  ``mat`` is the backing
-    matrix: ``Rewrite.apply_rows`` takes its bulk ``.tolist()`` (lists
-    of Python ints, no per-row ``tuple()``).
+    matrix: ``Rewrite.apply_rows`` takes ``.tolist()`` of one fixed-size
+    slice at a time (lists of Python ints, no per-row ``tuple()``).
     """
 
     __slots__ = ("mat", "_rows")

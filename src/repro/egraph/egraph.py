@@ -46,9 +46,17 @@ relational e-matcher, the compiled rule instantiators, the analysis hook
 protocol (``op_cost(op, payload)``) and code generation read key tuples
 and the ``op_names`` / ``payloads`` tables directly.  :class:`ENode` is a
 plain value type built on demand, never memoised, by :meth:`EGraph.add`,
-:meth:`EGraph.nodes_of`, :meth:`EGraph.nodes_by_op`,
-:meth:`EGraph.canonical_nodes` and :attr:`EClass.nodes` — for tests, the
-reference matcher and user code.
+:meth:`EGraph.nodes_of`, :meth:`EGraph.nodes_by_op` and
+:meth:`EGraph.canonical_nodes` — for tests, the reference matcher and user
+code.
+
+Nothing in the graph points back at it: an :class:`EClass` holds only its
+id, key set and analysis data, and an analysis keeps no strong reference
+to the graph it serves.  A kernel's e-graph therefore forms no reference
+cycle, and reference counting frees it the moment its last owner (the
+runner, the extraction result, the renderer) is dropped — when
+``optimize_source`` returns, not at the collector's next pass
+(``tests/egraph/test_egraph_lifecycle.py``).
 
 Incremental e-matching (:mod:`repro.egraph.pattern`) reads the change set
 off the rows: every :meth:`rebuild` ends with :meth:`_sync_row_touch`,
@@ -132,32 +140,25 @@ class ENode:
 class EClass:
     """A set of equal e-nodes plus their analysis data.
 
-    Nodes are stored as interned keys (:attr:`keys`); :attr:`nodes`
-    spells them as :class:`ENode` values on demand.
+    Nodes are stored as interned keys (:attr:`keys`);
+    :meth:`EGraph.nodes_of` spells them as :class:`ENode` values.  A class
+    holds no reference to its graph, so nothing but the graph's owner
+    keeps an e-graph alive and reference counting frees it.
     """
 
-    __slots__ = ("graph", "id", "keys", "data")
+    __slots__ = ("id", "keys", "data")
 
     def __init__(
         self,
-        graph: "EGraph",
         eclass_id: int,
         keys: Optional[Set[NodeKey]] = None,
         data: object = None,
     ) -> None:
-        self.graph = graph
         self.id = eclass_id
         #: The interned e-node keys of this class.
         self.keys: Set[NodeKey] = keys if keys is not None else set()
         #: Analysis data attached to this class.
         self.data = data
-
-    @property
-    def nodes(self) -> Set[ENode]:
-        """The e-nodes of this class (built on demand)."""
-
-        enode = self.graph._enode
-        return {enode(key) for key in self.keys}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"EClass(id={self.id}, keys={len(self.keys)})"
@@ -406,7 +407,8 @@ class EGraph:
     def nodes_of(self, eclass_id: int) -> Set[ENode]:
         """The e-nodes contained in the class of *eclass_id* (built on demand)."""
 
-        return self.classes[self.find(eclass_id)].nodes
+        enode = self._enode
+        return {enode(key) for key in self.keys_of(eclass_id)}
 
     def keys_of(self, eclass_id: int) -> Set[NodeKey]:
         """The interned node keys of the class of *eclass_id*."""
@@ -506,7 +508,6 @@ class EGraph:
         parent.append(eclass_id)
         uf._size.append(1)
         eclass = EClass.__new__(EClass)
-        eclass.graph = self
         eclass.id = eclass_id
         eclass.keys = {key}
         eclass.data = None
@@ -942,7 +943,7 @@ class EGraph:
         dup.hashcons = dict(self.hashcons)
         dup.classes = {}
         for cid, cls in self.classes.items():
-            dup.classes[cid] = EClass(dup, cls.id, set(cls.keys), cls.data)
+            dup.classes[cid] = EClass(cls.id, set(cls.keys), cls.data)
         dup._analysis_dirty = list(self._analysis_dirty)
         dup.version = self.version
         dup._node_count = self._node_count
@@ -965,6 +966,6 @@ class EGraph:
     def dump(self) -> str:  # pragma: no cover - debugging helper
         lines = []
         for eclass in sorted(self.classes.values(), key=lambda c: c.id):
-            nodes = ", ".join(sorted(str(n) for n in eclass.nodes))
+            nodes = ", ".join(sorted(str(self._enode(k)) for k in eclass.keys))
             lines.append(f"e{eclass.id}: {{{nodes}}}")
         return "\n".join(lines)

@@ -676,7 +676,10 @@ def _term_from_choices(
         memo[cid] = term
         return term
 
-    return build(root, ())
+    try:
+        return build(root, ())
+    finally:
+        del build  # the recursive closure is a cycle through the graph
 
 
 def resolve_result(
@@ -773,6 +776,7 @@ class ILPExtractor:
 
     def extract(self, roots: Sequence[int]) -> ExtractionResult:
         from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import csr_array
 
         start = time.perf_counter()
         egraph = self.egraph
@@ -814,15 +818,21 @@ class ILPExtractor:
             [np.ones(n_nodes + n_classes), np.full(n_classes, float(n_classes))]
         )
 
-        rows: List[np.ndarray] = []
+        # the constraint matrix as (row, column, value) triplets: a dense
+        # row per constraint is O(constraints x variables) memory, which
+        # runs into gigabytes on the largest corpus e-graphs
+        row_ids: List[int] = []
+        col_ids: List[int] = []
+        values: List[float] = []
         lbs: List[float] = []
         ubs: List[float] = []
 
         def add_row(coeffs: Dict[int, float], lb: float, ub: float) -> None:
-            row = np.zeros(n_vars)
+            row = len(lbs)
             for index, value in coeffs.items():
-                row[index] = value
-            rows.append(row)
+                row_ids.append(row)
+                col_ids.append(index)
+                values.append(value)
             lbs.append(lb)
             ubs.append(ub)
 
@@ -861,7 +871,10 @@ class ILPExtractor:
                     float(big_m - 1),
                 )
 
-        constraints = LinearConstraint(np.vstack(rows), np.array(lbs), np.array(ubs))
+        matrix = csr_array(
+            (values, (row_ids, col_ids)), shape=(len(lbs), n_vars)
+        )
+        constraints = LinearConstraint(matrix, np.array(lbs), np.array(ubs))
         result = milp(
             c=costs,
             constraints=constraints,

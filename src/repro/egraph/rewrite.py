@@ -40,6 +40,10 @@ from repro.egraph.pattern import (
 
 __all__ = ["Rewrite", "rewrite"]
 
+#: Match rows handed to the generated apply loop per call: a batch is
+#: turned into Python lists one slice at a time.
+_APPLY_SLICE = 1024
+
 
 @dataclass
 class Rewrite:
@@ -99,16 +103,31 @@ class Rewrite:
         applied again: its union is usually a no-op, and its hashcons
         probes add nothing unless mid-phase canonicalisation drift spawns
         a transient class, which the node count then includes.
+
+        A :class:`~repro.egraph.columns.RowBatch` reaches the loop in
+        slices of ``_APPLY_SLICE`` rows, each turned into Python lists
+        only when its turn comes: a large batch never exists as lists all
+        at once, and the slices after a node-limit trip are never
+        converted.
         """
 
-        if type(rows) is columns.RowBatch:
-            # bulk .tolist() rows (lists of Python ints) — the generated
-            # loop only indexes them, and skipping the per-row tuple()
-            # halves the materialisation cost
-            rows = rows.mat.tolist()
-        return self._apply_rows_fn(
-            egraph, rows, sys.maxsize if limit is None else limit
-        )
+        apply_fn = self._apply_rows_fn
+        if limit is None:
+            limit = sys.maxsize
+        if type(rows) is not columns.RowBatch:
+            return apply_fn(egraph, rows, limit)
+        # per-slice .tolist() rows (lists of Python ints) — the generated
+        # loop only indexes them, and skipping the per-row tuple() halves
+        # the materialisation cost.  The loop checks the limit after every
+        # row, so stopping after the slice whose last applied row crossed
+        # it applies exactly the rows one whole-batch call would.
+        mat = rows.mat
+        applied = 0
+        for start in range(0, len(mat), _APPLY_SLICE):
+            applied += apply_fn(egraph, mat[start:start + _APPLY_SLICE].tolist(), limit)
+            if egraph._node_count > limit:
+                break
+        return applied
 
     def __str__(self) -> str:
         return f"{self.name}: {self.searcher} => {self.applier}"

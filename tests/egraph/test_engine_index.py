@@ -98,7 +98,7 @@ class TestOpIndexInvariants:
 
     def test_len_is_cached_and_correct(self):
         eg = _representative_egraph()
-        assert len(eg) == sum(len(c.nodes) for c in eg.classes.values())
+        assert len(eg) == sum(len(eg.nodes_of(c.id)) for c in eg.classes.values())
 
     def test_op_rows_exact_after_rebuild(self):
         """The rows the relational matcher scans for an operator (its live
