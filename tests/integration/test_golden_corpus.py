@@ -1,12 +1,20 @@
 """Byte-identity gates over the 34-kernel corpus (paper Table II/III sources).
 
-Two committed goldens pin what the compile path produces:
+Three committed goldens pin what the compile path produces:
 
 * ``golden_code_sha256.json`` — SHA-256 of ``optimize_source(src, cfg,
   name).code`` for every corpus source under all four variants at the
   paper's §VII limits (10 000 e-nodes, 10 iterations): 136 hashes.  The
   end-to-end benchmark checks two variants and only sums; this compares
   every artifact.
+* ``golden_outcomes.json`` — the 408 artifacts of 3 rule schedulers x 4
+  variants x 34 sources.  The two non-saturating variants never consult
+  the scheduler, so their 136 cells are the ``simple`` ones; the other
+  272 are computed.  Each cell holds the code SHA-256 and, per kernel,
+  ``[egraph_nodes, egraph_classes, extracted_cost, stop reason,
+  iterations]`` (the last two ``null`` without a runner): a change that
+  renumbers classes or reorders matches shows here under
+  ``match-budget`` even when the default-config code does not move.
 * ``golden_frontend_sha256.json`` — per source, the token count and the
   SHA-256 of the exact ``(kind, text, line, column)`` stream, and the
   SHA-256 of the parsed-and-reprinted source.
@@ -19,6 +27,7 @@ reason in CHANGES.md and regenerate with::
     PYTHONPATH=src python tests/integration/test_golden_corpus.py --write
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -36,6 +45,7 @@ from repro.saturator import SaturatorConfig, Variant, optimize_source
 HERE = os.path.dirname(os.path.abspath(__file__))
 CODE_GOLDEN = os.path.join(HERE, "golden_code_sha256.json")
 FRONTEND_GOLDEN = os.path.join(HERE, "golden_frontend_sha256.json")
+OUTCOME_GOLDEN = os.path.join(HERE, "golden_outcomes.json")
 
 #: The paper's node and iteration limits; the wall limit never binds, so
 #: every artifact is a pure function of (source, config).
@@ -56,12 +66,47 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+SCHEDULERS = ("simple", "backoff", "match-budget")
+#: The variants whose artifacts depend on the rule scheduler.
+SATURATING = (Variant.CSE_SAT, Variant.ACCSAT)
+
+
+@functools.lru_cache(maxsize=None)
+def _results(variant: Variant, scheduler: str = "simple"):
+    config = SaturatorConfig(variant=variant, limits=LIMITS, scheduler=scheduler)
+    return tuple(
+        (name, optimize_source(source, config, name)) for name, source in corpus()
+    )
+
+
 def code_hashes(variant: Variant):
-    config = SaturatorConfig(variant=variant, limits=LIMITS)
+    return {name: _sha(result.code) for name, result in _results(variant)}
+
+
+def _cell(result):
     return {
-        name: _sha(optimize_source(source, config, name).code)
-        for name, source in corpus()
+        "code": _sha(result.code),
+        "kernels": [
+            [
+                k.egraph_nodes,
+                k.egraph_classes,
+                k.extracted_cost,
+                None if k.runner is None else k.runner.stop_reason.value,
+                None if k.runner is None else k.runner.num_iterations,
+            ]
+            for k in result.kernels
+        ],
     }
+
+
+def outcome_cells():
+    """``(scheduler, variant)`` pairs whose artifacts are computed."""
+
+    return [(s, v) for s in SCHEDULERS for v in Variant if s == "simple" or v in SATURATING]
+
+
+def outcomes(scheduler: str, variant: Variant):
+    return {name: _cell(result) for name, result in _results(variant, scheduler)}
 
 
 def frontend_hashes():
@@ -100,6 +145,26 @@ def test_generated_code_is_byte_identical_to_golden(variant):
     )
 
 
+def test_golden_outcomes_cover_408_artifacts():
+    golden = _load(OUTCOME_GOLDEN)
+    assert sorted(golden) == sorted(f"{s}/{v.value}" for s, v in outcome_cells())
+    computed = sum(len(cells) for cells in golden.values())
+    shared = len(SCHEDULERS[1:]) * (len(Variant) - len(SATURATING)) * 34
+    assert computed + shared == 408
+
+
+@pytest.mark.parametrize(
+    "scheduler,variant", outcome_cells(), ids=lambda x: getattr(x, "name", x)
+)
+def test_outcomes_are_identical_to_golden(scheduler, variant):
+    golden = _load(OUTCOME_GOLDEN)[f"{scheduler}/{variant.value}"]
+    actual = outcomes(scheduler, variant)
+    moved = sorted(name for name in golden if actual.get(name) != golden[name])
+    assert not moved and set(actual) == set(golden), (
+        f"{scheduler}/{variant.name}: outcome changed for {moved}"
+    )
+
+
 def test_token_streams_and_reprinted_sources_match_golden():
     golden = _load(FRONTEND_GOLDEN)
     actual = frontend_hashes()
@@ -115,6 +180,7 @@ if __name__ == "__main__":
     for path, payload in (
         (CODE_GOLDEN, {v.value: code_hashes(v) for v in Variant}),
         (FRONTEND_GOLDEN, frontend_hashes()),
+        (OUTCOME_GOLDEN, {f"{s}/{v.value}": outcomes(s, v) for s, v in outcome_cells()}),
     ):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1, sort_keys=True)
