@@ -54,10 +54,6 @@ class KernelCodeStats:
             + self.divs + self.calls + self.int_ops
         )
 
-    @property
-    def memory_ops(self) -> int:
-        return self.loads + self.stores
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "loads": self.loads,
@@ -251,9 +247,6 @@ def count_ast_stats(node: C.Node) -> KernelCodeStats:
     """
 
     stats = KernelCodeStats()
-
-    def is_store_target(parent: C.Node, child: C.Node) -> bool:
-        return isinstance(parent, C.Assign) and parent.target is child
 
     def visit(node_: C.Node, in_store_target: bool = False) -> None:
         if isinstance(node_, C.ArraySub):

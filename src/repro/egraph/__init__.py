@@ -28,7 +28,7 @@ tests, the reference matcher and user code:
 """
 
 from repro.egraph.analysis import Analysis, ConstantFoldingAnalysis
-from repro.egraph.egraph import EClass, EGraph, ENode, NodeKey
+from repro.egraph.egraph import EGraph, ENode, NodeKey
 from repro.egraph.extract import (
     DagExtractor,
     ExtractionResult,
@@ -74,7 +74,6 @@ __all__ = [
     "RuleScheduler",
     "SimpleScheduler",
     "make_scheduler",
-    "EClass",
     "EGraph",
     "ENode",
     "ExtractionResult",

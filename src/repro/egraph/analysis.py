@@ -26,7 +26,7 @@ class Analysis:
     #: Set True to promise that for any key *with children*,
     #: :meth:`make_key` returns the bottom element (None) whenever some
     #: child class's data is None.  The e-graph then proves the bottom
-    #: result from one flag-byte read per child and skips the
+    #: result from one ``EGraph.data`` read per child and skips the
     #: make/join/modify round trip entirely — both on class creation and
     #: during rebuild's analysis repair.  The skip also elides
     #: :meth:`modify`, so (as with :meth:`relevant_op_ids`) ``modify``
@@ -105,11 +105,6 @@ class ConstantFoldingAnalysis(Analysis):
 
     # -- helpers -------------------------------------------------------------
 
-    @staticmethod
-    def _value_of(egraph: EGraph, eclass_id: int) -> Optional[Number]:
-        data = egraph.data_of(eclass_id)
-        return data if isinstance(data, (int, float)) else None
-
     def _fold(self, op: str, args: list[Number]) -> Optional[Number]:
         try:
             if op == "+":
@@ -130,7 +125,9 @@ class ConstantFoldingAnalysis(Analysis):
             if op == "%":
                 if args[1] == 0 or not all(isinstance(a, int) for a in args):
                     return None
-                return int(math.fmod(args[0], args[1]))
+                # C's remainder takes the dividend's sign; exact on ints
+                remainder = abs(args[0]) % abs(args[1])
+                return -remainder if args[0] < 0 else remainder
             if op == "neg":
                 return -args[0]
             if op == "fma":
@@ -188,14 +185,10 @@ class ConstantFoldingAnalysis(Analysis):
             return None
         op = egraph.op_names[op_id]
         args: list[Number] = []
-        classes = egraph.classes
+        data = egraph.data
         find = egraph.uf.find
         for i in range(2, len(key)):
-            child = key[i]
-            cls = classes.get(child)
-            if cls is None:
-                cls = classes[find(child)]
-            value = cls.data
+            value = data[find(key[i])]
             if not isinstance(value, (int, float)):
                 return None
             args.append(value)
@@ -214,12 +207,7 @@ class ConstantFoldingAnalysis(Analysis):
         return a
 
     def modify(self, egraph: EGraph, eclass_id: int) -> None:
-        # runs on every class creation: read the class record directly
-        # instead of going through data_of's find + lookup
-        cls = egraph.classes.get(eclass_id)
-        if cls is None:
-            cls = egraph.classes[egraph.uf.find(eclass_id)]
-        value = cls.data
+        value = egraph.data_of(eclass_id)
         if not isinstance(value, (int, float)):
             return
         literal = egraph.add_leaf("num", value)

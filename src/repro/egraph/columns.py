@@ -6,15 +6,19 @@ columns
 
     ``(op_id, payload_id, child0.., class_id, alive, touch)``
 
-backed by stdlib ``array('q')`` buffers.  The store is append-only — a
-spelling retired by the rebuild sweep is *killed* (``alive = 0``), never
-removed — and mirrors the hashcons dict exactly:
+backed by stdlib ``array('q')`` buffers.  The store is append-only — the
+rebuild sweep tombstones the row of a spelling it retires (``alive[row] =
+0``), never removes it — and mirrors the hashcons dict exactly:
 
 * iterating rows in ascending order restricted to alive rows yields the
   hashcons keys **in dict iteration order** (a popped key is re-inserted
   at the end of the dict, and its re-insertion appends a fresh row), and
 * ``cls[row]`` is union-find-equal to the hashcons value of
   ``keys[row]`` for alive rows (column readers canonicalise it).
+
+With the hashcons it is the only record of the node -> class relation:
+the e-graph derives each class's keys from the alive rows grouped by
+canonical ``cls``.
 
 That order invariant is what lets the rebuild sweep, the analysis repair
 and the relational e-matcher run as batched column passes without
@@ -38,7 +42,7 @@ batched pass reads them zero-copy through :func:`as_int64` /
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -155,9 +159,9 @@ class ColumnStore:
         "alive",
         "child",
         "keys",
-        "row_of",
         "rows_by_op",
         "pending",
+        "pending_cls",
         "touch",
         "touch_stamp",
         "epoch",
@@ -174,30 +178,25 @@ class ColumnStore:
         #: of the row's key (readers canonicalise), and canonical as of
         #: the last ``EGraph._sync_row_touch``.
         self.cls = array("q")
-        #: 1 while the row's key is in the hashcons, 0 once retired.
+        #: 1 while the row's key is in the hashcons, 0 once the rebuild
+        #: sweep retired it.
         self.alive = bytearray()
         #: Child-slot columns ``child[i][row]``, ``-1``-padded.
         self.child: List[array] = []
         #: row -> the key tuple it was appended for (all rows, ever).
         self.keys: List[NodeKey] = []
-        #: key -> its *live* row (mirrors the hashcons key set exactly;
-        #: a retired key leaves, a re-interned one maps to its new row).
-        self.row_of: Dict[NodeKey, int] = {}
         #: op id -> ascending row indices (live and dead) with that op.
         self.rows_by_op: Dict[int, array] = {}
-        #: append buffer: key -> cls_id for fresh spellings not yet
-        #: materialised as rows.  The apply phase appends thousands of
-        #: fresh spellings but nothing *reads* the columns until the next
-        #: rebuild/search, so :meth:`append_new` just queues and
-        #: :meth:`flush` does the column writes in bulk.  A dict (not a
-        #: list) so that :meth:`kill` of a still-pending key resolves
-        #: inside the buffer — a killed pending key simply never
-        #: materialises (dead rows are invisible to every reader), and
-        #: dict insertion order keeps materialised row order equal to
-        #: hashcons dict order.  Only the column readers
-        #: (:meth:`op_rows`, :meth:`stale_alive_rows`, :meth:`copy`) and
-        #: ``EGraph.check_invariants`` flush.
-        self.pending: Dict[NodeKey, int] = {}
+        #: append buffer: fresh spellings not yet materialised as rows,
+        #: with their class ids in :attr:`pending_cls`.  The apply phase
+        #: appends thousands of fresh spellings but nothing *reads* the
+        #: columns until the next rebuild/search, so :meth:`append_new`
+        #: just queues and :meth:`flush` does the column writes in bulk.
+        #: Queue order is hashcons insertion order.  Only the column
+        #: readers (:meth:`op_rows`, :meth:`stale_alive_rows`,
+        #: :meth:`copy`, the e-graph's batched passes) flush.
+        self.pending: List[NodeKey] = []
+        self.pending_cls: List[int] = []
         #: Per-row change stamp: the ``EGraph.version`` of the sync that
         #: first saw the row or saw its class root move (``-1`` until the
         #: first sync).  The semi-naive matcher splits each relation
@@ -217,42 +216,36 @@ class ColumnStore:
         return len(self.keys) + len(self.pending)
 
     # ------------------------------------------------------------------
-    # Mutation (mirrors of the hashcons insert and pop)
+    # Mutation (mirror of the hashcons insert)
     # ------------------------------------------------------------------
 
     def append_new(self, key: NodeKey, cls_id: int) -> None:
         """Mirror ``hashcons[key] = cls_id`` for a key known to be absent.
 
         Overwrites of a live key need no mirror write (see the module
-        docstring), so this is the only insert.
-        The row itself is deferred to :meth:`flush` — queue order equals
-        dict insertion order, so materialised row order still equals
-        hashcons dict order.  (The caller's contract guarantees the key is
-        not already pending: an absent hashcons key was either never
-        interned or popped since, and the pop resolved any pending entry.)
+        docstring), so this is the only insert.  The row itself is
+        deferred to :meth:`flush` — queue order equals dict insertion
+        order, so materialised row order still equals hashcons dict order.
+        The matching pop is the rebuild sweep's ``alive[row] = 0``: it only
+        retires flushed rows, so a queued key is never retired.
         """
 
-        self.pending[key] = cls_id
+        self.pending.append(key)
+        self.pending_cls.append(cls_id)
 
     def flush(self) -> None:
         """Materialise queued :meth:`append_new` rows as columns (in bulk)."""
 
-        pending = self.pending
-        if not pending:
+        batch = self.pending
+        if not batch:
             return
         keys = self.keys
-        row = len(keys)
-        batch = list(pending)
         keys.extend(batch)
-        row_of = self.row_of
-        for key in batch:
-            row_of[key] = row
-            row += 1
         self.op.extend([key[0] for key in batch])
         self.payload.extend([key[1] for key in batch])
         ncs = [len(key) - 2 for key in batch]
         self.nchild.extend(ncs)
-        self.cls.extend(pending.values())
+        self.cls.extend(self.pending_cls)
         self.alive.extend(b"\x01" * len(batch))
         self.touch.frombytes(_PAD * len(batch))  # -1 = not yet synced
         child = self.child
@@ -273,24 +266,8 @@ class ColumnStore:
             else:
                 bucket.append(row)
             row += 1
-        pending.clear()
-
-    def kill(self, key: NodeKey) -> Optional[int]:
-        """Mirror ``hashcons.pop(key, None)``; returns the retired row.
-
-        A still-pending key is simply dropped from the buffer: the row
-        would be dead on arrival, and dead rows are invisible to every
-        column reader.  (A later re-interning of the same spelling queues
-        at the buffer's end, exactly like the dict's pop + re-insert.)
-        """
-
-        pending = self.pending
-        if pending and pending.pop(key, None) is not None:
-            return None
-        row = self.row_of.pop(key, None)
-        if row is not None:
-            self.alive[row] = 0
-        return row
+        self.pending = []
+        self.pending_cls = []
 
     # ------------------------------------------------------------------
     # Batched passes (numpy column kernels)
@@ -361,7 +338,6 @@ class ColumnStore:
         keys = self.keys
         self.keys = [keys[r] for r in keep]
         self.alive = bytearray(b"\x01" * len(keep))
-        self.row_of = {key: row for row, key in enumerate(self.keys)}
         rows_by_op = {}
         for row, key in enumerate(self.keys):
             bucket = rows_by_op.get(key[0])
@@ -391,9 +367,9 @@ class ColumnStore:
         dup.alive = bytearray(self.alive)
         dup.child = [array("q", col) for col in self.child]
         dup.keys = list(self.keys)
-        dup.row_of = dict(self.row_of)
         dup.rows_by_op = {op: array("q", rows) for op, rows in self.rows_by_op.items()}
-        dup.pending = {}
+        dup.pending = []
+        dup.pending_cls = []
         dup.touch = array("q", self.touch)
         dup.touch_stamp = self.touch_stamp
         dup.epoch = self.epoch

@@ -14,31 +14,27 @@ PLDI 2023):
 * e-class analyses (:mod:`repro.egraph.analysis`) propagate per-class facts
   such as constant values, enabling constant folding during saturation.
 
-Flat interned representation
-----------------------------
+Representation
+--------------
 
-Earlier versions stored every e-node as a frozen :class:`ENode` dataclass
-(string operator, arbitrary payload, memoized hash in ``__dict__``), which
-made the hottest loops — hashcons probes, canonicalisation, congruence
-closure — churn through Python object allocation and attribute lookups.
-The core now interns operators and payloads to small integers via
-per-graph symbol tables, and each e-node *is* its canonical **key**: a
-plain tuple ``(op_id, payload_id, *child_ids)`` of ints.  Tuples of small
-ints hash and compare at C speed (and, unlike strings, independent of
-``PYTHONHASHSEED``), canonicalisation is a slice-and-rebuild over ints,
-and per-class node sets are sets of such tuples.  Class bookkeeping lives
-in slotted :class:`EClass` records (key set and analysis data).
+Operators and payloads are interned to small integers via per-graph symbol
+tables, and each e-node *is* its canonical **key**: a plain tuple
+``(op_id, payload_id, *child_ids)`` of ints, which hashes and compares at
+C speed and independently of ``PYTHONHASHSEED``.
 
-The node -> class relation lives in three places: the ``hashcons`` dict,
-the per-class key sets, and a **column table**
+The node -> class relation lives in two places: the ``hashcons`` dict
+(canonical key -> class id) and a **column table**
 (:class:`~repro.egraph.columns.ColumnStore`): one row of flat parallel
 int columns ``(op_id, payload_id, child0.., class_id, alive, touch)`` per
-spelling ever interned, in hashcons insertion order.  The rebuild sweep,
-the analysis repair and the relational e-matcher
-(:mod:`repro.egraph.pattern`) run as batched numpy passes over these
-columns, without touching any order the dict core defines.  Every
-vectorised ``find`` is one gather through a per-version, fully compressed
-snapshot of the union-find parent array (:meth:`EGraph._np_roots`).
+spelling ever interned, in hashcons insertion order.  A class's keys are
+a view derived from the table (:meth:`EGraph.keys_of`: the alive rows
+grouped by canonical class), analysis data is one list indexed by class
+id (:attr:`EGraph.data`), and ``len(egraph)`` is ``len(hashcons)``.  The
+rebuild sweep, the analysis repair and the relational e-matcher
+(:mod:`repro.egraph.pattern`) run as batched numpy passes over the
+columns.  Every vectorised ``find`` is one gather through a per-version,
+fully compressed snapshot of the union-find parent array
+(:meth:`EGraph._np_roots`).
 
 Keys are the only node representation the product path sees: the
 relational e-matcher, the compiled rule instantiators, the analysis hook
@@ -50,11 +46,10 @@ plain value type built on demand, never memoised, by :meth:`EGraph.add`,
 :meth:`EGraph.canonical_nodes` — for tests, the reference matcher and user
 code.
 
-Nothing in the graph points back at it: an :class:`EClass` holds only its
-id, key set and analysis data, and an analysis keeps no strong reference
-to the graph it serves.  A kernel's e-graph therefore forms no reference
-cycle, and reference counting frees it the moment its last owner (the
-runner, the extraction result, the renderer) is dropped — when
+Nothing in the graph points back at it, and an analysis keeps no strong
+reference to the graph it serves.  A kernel's e-graph therefore forms no
+reference cycle, and reference counting frees it the moment its last
+owner (the runner, the extraction result, the renderer) is dropped — when
 ``optimize_source`` returns, not at the collector's next pass
 (``tests/egraph/test_egraph_lifecycle.py``).
 
@@ -64,9 +59,7 @@ which stamps each row that is new or whose class root moved with the
 current :attr:`version` and rewrites its class to the root.  A match all
 of whose rows are unstamped since a rule's previous scan was found by that
 scan, so a semi-naive join over the stamped rows finds every new match and
-no old one.  A cached
-canonical-node count keeps ``len(egraph)`` O(1) (it is called inside the
-runner's per-rule apply loop).
+no old one.
 
 Match order is defined by :meth:`EGraph._key_sort_key`: the reference
 matcher walks each class's keys of one operator in that order
@@ -75,10 +68,10 @@ reproduces it.
 
 Determinism: every order that can influence saturation outcomes is sorted
 on data that does not depend on ``PYTHONHASHSEED`` — match buckets sort by
-``(child ids, str(payload), payload type)`` exactly as the object core
-did, root candidates sort by class id, and key tuples themselves hash
-seed-independently — so the full kernel × variant sweep stays a pure
-function of (source, config) (see ``tests/egraph/test_determinism.py``).
+``(child ids, str(payload), payload type)``, root candidates sort by class
+id, and key tuples themselves hash seed-independently — so the full
+kernel × variant sweep stays a pure function of (source, config) (see
+``tests/egraph/test_determinism.py``).
 """
 
 from __future__ import annotations
@@ -94,7 +87,7 @@ from repro.egraph.columns import ColumnStore
 from repro.egraph.language import Payload, Term
 from repro.egraph.unionfind import UnionFind
 
-__all__ = ["ENode", "EClass", "EGraph", "NodeKey"]
+__all__ = ["ENode", "EGraph", "NodeKey"]
 
 #: An interned e-node: ``(op_id, payload_id, *child_class_ids)``.
 NodeKey = Tuple[int, ...]
@@ -137,49 +130,24 @@ class ENode:
         return f"({label} {' '.join(str(c) for c in self.children)})"
 
 
-class EClass:
-    """A set of equal e-nodes plus their analysis data.
-
-    Nodes are stored as interned keys (:attr:`keys`);
-    :meth:`EGraph.nodes_of` spells them as :class:`ENode` values.  A class
-    holds no reference to its graph, so nothing but the graph's owner
-    keeps an e-graph alive and reference counting frees it.
-    """
-
-    __slots__ = ("id", "keys", "data")
-
-    def __init__(
-        self,
-        eclass_id: int,
-        keys: Optional[Set[NodeKey]] = None,
-        data: object = None,
-    ) -> None:
-        self.id = eclass_id
-        #: The interned e-node keys of this class.
-        self.keys: Set[NodeKey] = keys if keys is not None else set()
-        #: Analysis data attached to this class.
-        self.data = data
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"EClass(id={self.id}, keys={len(self.keys)})"
-
-
 class EGraph:
     """A congruence-closed e-graph over interned node keys."""
 
     def __init__(self, analysis: Optional["object"] = None) -> None:
         self.uf = UnionFind()
-        self.classes: Dict[int, EClass] = {}
-        #: canonical key -> e-class id.
+        #: canonical key -> e-class id (union-find-equal to the class).
         self.hashcons: Dict[NodeKey, int] = {}
+        #: Number of live (root) e-classes.
+        self.num_classes = 0
+        #: class id -> analysis data, indexed like ``uf._parent``.  Only
+        #: root entries are kept fresh; readers ``find`` first.
+        self.data: List[object] = []
         #: e-class ids whose analysis data changed and must be re-propagated.
         self._analysis_dirty: List[int] = []
         self.analysis = analysis
         #: Running counter of adds/merges (saturation detection and the
         #: basis of the incremental-search stamps).
         self.version = 0
-        #: Cached number of e-nodes, kept in sync so ``len`` is O(1).
-        self._node_count = 0
         #: Stale hashcons keys can only appear after a union; lets
         #: :meth:`_sweep_stale_keys` skip its scan on merge-free rebuilds.
         self._merged_since_sweep = False
@@ -208,16 +176,13 @@ class EGraph:
         #: :meth:`~repro.egraph.analysis.Analysis.relevant_op_ids` answer,
         #: refreshed whenever new operators are interned.
         self._analysis_ops: Optional[Tuple[int, Optional[Set[int]]]] = None
-        # -- columnar mirror (PR 7) ---------------------------------------
+        # -- column table --------------------------------------------------
         #: Flat parallel int columns, one row per hashcons spelling; kept
         #: in lockstep with every hashcons mutation (see columns.py).
         self.store = ColumnStore()
-        #: class id -> 1 while the class carries non-bottom analysis data
-        #: (mirror of ``EClass.data is not None``); lets analyses with
-        #: ``needs_all_child_data`` prove a make_key call returns bottom
-        #: from flat byte reads.  Only canonical ids are kept fresh — a
-        #: merged-away class's flag goes stale with its record.
-        self._class_data = bytearray()
+        #: ``((version, len(store), epoch), rows, owner, starts)``: the
+        #: alive rows grouped by canonical class (:meth:`_class_rows`).
+        self._key_view: Optional[tuple] = None
         #: (version, int64 ndarray) fully-compressed snapshot of the
         #: union-find: entry i is ``find(i)``.  One pointer-chase to
         #: fixpoint amortised across every vectorised canonicalisation at
@@ -386,23 +351,55 @@ class EGraph:
     def __len__(self) -> int:
         """Number of (canonical) e-nodes in the graph — O(1)."""
 
-        return self._node_count
-
-    @property
-    def num_classes(self) -> int:
-        """Number of live e-classes."""
-
-        return len(self.classes)
+        return len(self.hashcons)
 
     def find(self, eclass_id: int) -> int:
         """Canonical id of *eclass_id*."""
 
         return self.uf.find(eclass_id)
 
-    def eclasses(self) -> Iterator[EClass]:
-        """Iterate over the live (canonical) e-classes."""
+    def class_ids(self) -> List[int]:
+        """The live (canonical) e-class ids, ascending."""
 
-        return iter(self.classes.values())
+        roots = self._np_roots()
+        return np.flatnonzero(roots == np.arange(len(roots))).tolist()
+
+    def _class_rows(self) -> tuple:
+        """``(rows, owner, starts)``: the alive rows grouped by class.
+
+        One stable argsort of the alive rows by canonical class
+        ``roots[cls]``: ``rows`` are the row indices, ``owner[i]`` the
+        class of ``rows[i]``, and ``rows[starts[c]:starts[c + 1]]`` the
+        rows of root class ``c`` in ascending row (hashcons) order; a
+        merged-away id owns an empty slice.  Read-only int64 arrays, built
+        lazily once per ``(version, len(store), epoch)``; the sweep, which
+        can retire a row without moving that stamp, drops them.
+        """
+
+        store = self.store
+        stamp = (self.version, len(store), store.epoch)
+        view = self._key_view
+        if view is None or view[0] != stamp:
+            if store.pending:
+                store.flush()
+            alive = np.flatnonzero(columns.as_uint8(store.alive))
+            owner = self._np_roots()[columns.as_int64(store.cls)[alive]]
+            order = np.argsort(owner, kind="stable")
+            starts = np.zeros(len(self.uf) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owner, minlength=len(self.uf)), out=starts[1:])
+            view = (stamp, alive[order], owner[order], starts)
+            for arr in view[1:]:
+                arr.flags.writeable = False
+            self._key_view = view
+        return view[1:]
+
+    def keys_of(self, eclass_id: int) -> List[NodeKey]:
+        """The interned node keys of the class of *eclass_id*, in row order."""
+
+        rows, _, starts = self._class_rows()
+        cid = self.find(eclass_id)
+        keys = self.store.keys
+        return [keys[row] for row in rows[starts[cid]:starts[cid + 1]].tolist()]
 
     def nodes_of(self, eclass_id: int) -> Set[ENode]:
         """The e-nodes contained in the class of *eclass_id* (built on demand)."""
@@ -410,15 +407,10 @@ class EGraph:
         enode = self._enode
         return {enode(key) for key in self.keys_of(eclass_id)}
 
-    def keys_of(self, eclass_id: int) -> Set[NodeKey]:
-        """The interned node keys of the class of *eclass_id*."""
-
-        return self.classes[self.find(eclass_id)].keys
-
     def data_of(self, eclass_id: int) -> object:
         """Analysis data of the class of *eclass_id*."""
 
-        return self.classes[self.find(eclass_id)].data
+        return self.data[self.find(eclass_id)]
 
     def is_equal(self, a: int, b: int) -> bool:
         """True if the two e-class ids denote the same class."""
@@ -500,22 +492,17 @@ class EGraph:
         parent = self.uf._parent
         n = len(key)
         self.version += 1
-        # inline uf.make_set() and the EClass constructor: this runs once
-        # per fresh e-node and the two call frames are pure overhead (the
-        # parent-array contract is part of UnionFind's interface)
-        uf = self.uf
+        # inline uf.make_set(): this runs once per fresh e-node and the
+        # call frame is pure overhead (the parent-array contract is part
+        # of UnionFind's interface)
         eclass_id = len(parent)
         parent.append(eclass_id)
-        uf._size.append(1)
-        eclass = EClass.__new__(EClass)
-        eclass.id = eclass_id
-        eclass.keys = {key}
-        eclass.data = None
-        self.classes[eclass_id] = eclass
+        self.uf._size.append(1)
+        self.num_classes += 1
         self.hashcons[key] = eclass_id
         self.store.append_new(key, eclass_id)
-        self._class_data.append(0)
-        self._node_count += 1
+        data = self.data
+        data.append(None)
 
         analysis = self.analysis
         if analysis is not None:
@@ -529,17 +516,14 @@ class EGraph:
             if hint[1] is None or key[0] in hint[1]:
                 if n > 2 and analysis.needs_all_child_data:
                     # bottom-child prefilter: the children are canonical
-                    # here, so one byte read each proves make_key would
+                    # here, so one list read each proves make_key would
                     # return bottom (and modify would be a no-op)
-                    data_flag = self._class_data
                     i = 2
                     while i < n:
-                        if not data_flag[key[i]]:
+                        if data[key[i]] is None:
                             return eclass_id
                         i += 1
-                eclass.data = analysis.make_key(self, key)
-                if eclass.data is not None:
-                    self._class_data[eclass_id] = 1
+                data[eclass_id] = analysis.make_key(self, key)
                 analysis.modify(self, eclass_id)
         return eclass_id
 
@@ -619,21 +603,13 @@ class EGraph:
             ra, rb = rb, ra
         uf._parent[rb] = ra
         size[ra] += size[rb]
-        root, other = ra, rb
-        winner, loser = self.classes[root], self.classes[other]
-
-        before = len(winner.keys) + len(loser.keys)
-        winner.keys |= loser.keys
-        self._node_count += len(winner.keys) - before
+        self.num_classes -= 1
         self._merged_since_sweep = True
-
         if self.analysis is not None:
-            winner.data = self.analysis.join(winner.data, loser.data)
-            self._class_data[root] = 1 if winner.data is not None else 0
-            self._analysis_dirty.append(root)
-
-        del self.classes[other]
-        return root
+            data = self.data
+            data[ra] = self.analysis.join(data[ra], data[rb])
+            self._analysis_dirty.append(ra)
+        return ra
 
     def union_terms(self, a: Term, b: Term) -> int:
         """Add both terms and merge their classes (convenience for tests)."""
@@ -687,8 +663,8 @@ class EGraph:
 
         A row is stale iff one of its child ids is not a union-find root;
         the predicate is evaluated over the whole child columns at once.
-        Each stale key is retired (hashcons entry and row) and its
-        canonical spelling takes its place — unless that spelling is
+        Each stale key is retired (hashcons entry popped, row tombstoned)
+        and its canonical spelling takes its place — unless that spelling is
         already interned, in which case the two classes are congruent and
         merge.  Ascending alive-row order is hashcons dict order (the
         store's core invariant), so merge discovery follows the dict.
@@ -703,15 +679,18 @@ class EGraph:
         rows = store.stale_alive_rows(self._np_roots())
         if not rows.size:
             return 0
-        keys_list = store.keys
-        stale = [keys_list[r] for r in rows.tolist()]
+        # a retired row without a merge or an append moves no stamp
+        self._key_view = None
+        keys = store.keys
+        alive = store.alive
         find = self.uf.find
         hashcons = self.hashcons
-        classes = self.classes
         merges = 0
-        for key in stale:
+        # every stale row was flushed, so its key's row is the index itself
+        for row in rows.tolist():
+            key = keys[row]
             value = hashcons.pop(key)
-            store.kill(key)
+            alive[row] = 0
             canon = self._canon_key(key)
             prior = hashcons.get(canon)
             if prior is None:
@@ -721,14 +700,6 @@ class EGraph:
             elif find(prior) != find(value):
                 self.merge(prior, value)
                 merges += 1
-            # the class's key set spells the node the same way the
-            # hashcons does: swap the retired spelling for the canonical
-            # one (a no-op growth when the canonical spelling was there)
-            owner = classes[find(value)].keys
-            n0 = len(owner)
-            owner.discard(key)
-            owner.add(canon)
-            self._node_count += len(owner) - n0
         return merges
 
     def _propagate_analysis(self) -> None:
@@ -775,26 +746,23 @@ class EGraph:
         # temporaries): modify in a later round appends rows, which a live
         # view would make raise BufferError
         rows = np.flatnonzero(hit).tolist()
-        # bottom-child prefilter: a byte read per canonical child proves
+        # bottom-child prefilter: a list read per canonical child proves
         # make_key returns bottom, so the joined != data branch below
         # cannot fire — skip the canon_key / make_key / join round trip
         prefilter = analysis.needs_all_child_data
-        data_flag = self._class_data
-        classes = self.classes
+        data = self.data
         keys = store.keys
         cls_col = store.cls
         for row in rows:
             key = keys[row]
-            if prefilter and not all(data_flag[find(c)] for c in key[2:]):
+            if prefilter and any(data[find(c)] is None for c in key[2:]):
                 continue
             row_class = find(cls_col[row])
-            owner = classes[row_class]
             joined = analysis.join(
-                owner.data, analysis.make_key(self, self._canon_key(key))
+                data[row_class], analysis.make_key(self, self._canon_key(key))
             )
-            if joined != owner.data:
-                owner.data = joined
-                data_flag[row_class] = 1 if joined is not None else 0
+            if joined != data[row_class]:
+                data[row_class] = joined
                 self._analysis_dirty.append(row_class)
 
     # ------------------------------------------------------------------
@@ -805,9 +773,9 @@ class EGraph:
         """Yield ``(eclass_id, enode)`` for every canonical e-node."""
 
         enode = self._enode
-        for eclass in self.classes.values():
-            for key in eclass.keys:
-                yield eclass.id, enode(key)
+        for cid in self.class_ids():
+            for key in self.keys_of(cid):
+                yield cid, enode(key)
 
     def lookup_term(self, term: Term) -> Optional[int]:
         """Return the e-class containing *term*, or None if absent.
@@ -850,60 +818,37 @@ class EGraph:
     def check_invariants(self) -> None:
         """Assert the hashcons/congruence invariants; raises AssertionError."""
 
+        find = self.uf.find
         for key, eclass_id in self.hashcons.items():
-            canon = self._canon_key(key)
-            assert canon == key, f"hashcons key not canonical: {self._enode(key)}"
-            root = self.uf.find(eclass_id)
-            assert root in self.classes, f"hashcons maps to dead class {eclass_id}"
-            assert key in self.classes[root].keys, (
-                f"hashcons entry {self._enode(key)} missing from class {root}"
+            assert self._canon_key(key) == key, (
+                f"hashcons key not canonical: {self._enode(key)}"
             )
-        seen: Dict[NodeKey, int] = {}
-        for eclass in self.classes.values():
-            assert self.uf.find(eclass.id) == eclass.id, "non-canonical class id"
-            for key in eclass.keys:
-                canon = self._canon_key(key)
-                assert canon in self.hashcons, (
-                    f"node {self._enode(key)} missing from hashcons"
-                )
-                prior = seen.get(canon)
-                assert prior is None or prior == eclass.id, (
-                    f"congruence violation: {self._enode(canon)} in classes "
-                    f"{prior} and {eclass.id}"
-                )
-                seen[canon] = eclass.id
-
-        # cached node count matches the ground truth
-        actual = sum(len(cls.keys) for cls in self.classes.values())
-        assert self._node_count == actual, (
-            f"cached node count {self._node_count} != actual {actual}"
-        )
+            assert 0 <= eclass_id < len(self.uf), (
+                f"hashcons maps to no class: {eclass_id}"
+            )
         # interning tables are mutually consistent
         assert len(self.op_names) == len(self._op_ids)
         assert len(self.payloads) == len(self._payload_ids) == len(self._payload_sort)
         for op, op_id in self._op_ids.items():
             assert self.op_names[op_id] == op, f"op table corrupt at {op_id}"
 
-        # columnar mirror: alive rows in ascending row order are exactly
-        # the hashcons keys in dict iteration order (the invariant the
-        # batched sweep and the relational matcher rely on), and the
-        # per-row class is union-find-equal to the dict value (a union
-        # since the last sync leaves the row holding the pre-merge id —
-        # column readers canonicalise through the parent array)
+        # column table: alive rows in ascending row order are exactly the
+        # hashcons keys in dict iteration order (the invariant the batched
+        # sweep and the relational matcher rely on), each row's columns
+        # spell its key, and the per-row class is union-find-equal to the
+        # dict value (a union since the last sync leaves the row holding
+        # the pre-merge id — column readers canonicalise)
         store = self.store
         store.flush()
-        alive_keys = [
-            store.keys[row] for row in range(len(store.keys)) if store.alive[row]
-        ]
-        assert alive_keys == list(self.hashcons), (
+        alive_rows = [row for row in range(len(store.keys)) if store.alive[row]]
+        assert [store.keys[row] for row in alive_rows] == list(self.hashcons), (
             "column store out of sync with hashcons order"
         )
-        assert set(store.row_of) == set(self.hashcons)
         synced = store.touch_stamp == (self.version, len(store.keys), store.epoch)
-        for key, eclass_id in self.hashcons.items():
-            row = store.row_of[key]
-            assert store.keys[row] == key
-            assert self.uf.find(store.cls[row]) == self.uf.find(eclass_id), (
+        for row in alive_rows:
+            key = store.keys[row]
+            eclass_id = self.hashcons[key]
+            assert find(store.cls[row]) == find(eclass_id), (
                 f"column class {store.cls[row]} not equivalent to hashcons "
                 f"value {eclass_id} for {self._enode(key)}"
             )
@@ -918,18 +863,29 @@ class EGraph:
             # canonical, so a row whose class did not move since a stamp
             # carries the tuple it carried then
             if synced:
-                assert store.cls[row] == self.uf.find(store.cls[row]), (
+                assert store.cls[row] == find(store.cls[row]), (
                     f"row {row} ({self._enode(key)}) synced to class "
-                    f"{store.cls[row]}, not its root "
-                    f"{self.uf.find(store.cls[row])}"
+                    f"{store.cls[row]}, not its root {find(store.cls[row])}"
                 )
-        # the per-class flag array covers every class id and mirrors the
-        # slotted record
-        assert len(self._class_data) == len(self.uf)
-        for eclass in self.classes.values():
-            assert (self._class_data[eclass.id] != 0) == (
-                eclass.data is not None
-            ), f"data-flag mirror wrong for class {eclass.id}"
+
+        # the derived key view partitions the hashcons by class: every
+        # live class owns at least one key, and the class counter and
+        # node count agree with it
+        roots = self.class_ids()
+        assert self.num_classes == len(roots), (
+            f"class counter {self.num_classes} != {len(roots)} live classes"
+        )
+        owned = 0
+        for cid in roots:
+            keys = self.keys_of(cid)
+            assert keys, f"live class {cid} holds no key"
+            for key in keys:
+                assert find(self.hashcons[key]) == cid, (
+                    f"key view puts {self._enode(key)} in class {cid}"
+                )
+            owned += len(keys)
+        assert len(self) == owned == len(self.hashcons)
+        assert len(self.data) == len(self.uf)
 
     # ------------------------------------------------------------------
     # Misc
@@ -941,12 +897,10 @@ class EGraph:
         dup = EGraph(self.analysis)
         dup.uf = self.uf.copy()
         dup.hashcons = dict(self.hashcons)
-        dup.classes = {}
-        for cid, cls in self.classes.items():
-            dup.classes[cid] = EClass(cls.id, set(cls.keys), cls.data)
+        dup.num_classes = self.num_classes
+        dup.data = list(self.data)
         dup._analysis_dirty = list(self._analysis_dirty)
         dup.version = self.version
-        dup._node_count = self._node_count
         dup._merged_since_sweep = self._merged_since_sweep
         dup._op_ids = dict(self._op_ids)
         dup.op_names = list(self.op_names)
@@ -955,8 +909,7 @@ class EGraph:
         dup._payload_sort = list(self._payload_sort)
         dup._payload_eq = dict(self._payload_eq)
         dup.store = self.store.copy()
-        dup._class_data = bytearray(self._class_data)
-        # per-version caches (roots snapshot, relations, payload ranks)
+        # per-version caches (roots snapshot, key view, relations, payload ranks)
         # stay at their fresh-graph defaults and rebuild on demand; the
         # copied interning tables keep the resolved instantiator constants
         # valid
@@ -965,7 +918,7 @@ class EGraph:
 
     def dump(self) -> str:  # pragma: no cover - debugging helper
         lines = []
-        for eclass in sorted(self.classes.values(), key=lambda c: c.id):
-            nodes = ", ".join(sorted(str(self._enode(k)) for k in eclass.keys))
-            lines.append(f"e{eclass.id}: {{{nodes}}}")
+        for cid in self.class_ids():
+            nodes = ", ".join(sorted(str(self._enode(k)) for k in self.keys_of(cid)))
+            lines.append(f"e{cid}: {{{nodes}}}")
         return "\n".join(lines)

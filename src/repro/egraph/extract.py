@@ -135,22 +135,15 @@ class _DPState:
     @staticmethod
     def build(egraph: EGraph, cost_function: CostFunction) -> "_DPState":
         state = _DPState(egraph, cost_function)
-        store = egraph.store
-        if store.pending:
-            store.flush()
-        rows = np.flatnonzero(columns.as_uint8(store.alive))
+        # rows grouped by canonical class, ascending row order — hashcons
+        # dict order — within a class
+        rows, cls, offsets = egraph._class_rows()
         if not rows.size:
             return state
-
-        # canonical class per row, rows grouped by class (stable: ascending
-        # row order — hashcons dict order — within a class)
+        class_ids = np.flatnonzero(np.diff(offsets))
+        starts = offsets[class_ids]
+        store = egraph.store
         roots = egraph._np_roots()
-        cls = roots[columns.as_int64(store.cls)[rows]]
-        order = np.argsort(cls, kind="stable")
-        rows = rows[order]
-        cls = cls[order]
-        starts = np.flatnonzero(_run_heads(cls))
-        class_ids = cls[starts]
 
         # canonical child slots; a -1 pad indexes the appended last entry,
         # the sentinel slot whose best cost is pinned to zero

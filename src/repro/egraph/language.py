@@ -86,18 +86,6 @@ class Term:
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
-    def is_constant(self) -> bool:
-        return self.op == "num"
-
-    @property
-    def is_symbol(self) -> bool:
-        return self.op == "sym"
-
     def walk(self) -> Iterator["Term"]:
         """Yield this term and all descendants, pre-order."""
 
@@ -121,11 +109,6 @@ class Term:
         """The set of free-variable names occurring in the term."""
 
         return {t.payload for t in self.walk() if t.op == "sym"}
-
-    def map_children(self, fn) -> "Term":
-        """Return a copy with ``fn`` applied to every direct child."""
-
-        return Term(self.op, tuple(fn(c) for c in self.children), self.payload)
 
     # -- rendering -----------------------------------------------------------
 

@@ -162,7 +162,7 @@ class Pattern:
         """
 
         matches: List[Tuple[int, Substitution]] = []
-        for eclass_id in sorted(egraph.classes):
+        for eclass_id in egraph.class_ids():
             for subst in self.match_class(egraph, eclass_id):
                 matches.append((eclass_id, subst))
         return matches
@@ -360,9 +360,10 @@ class _InstantiatorCodegen:
         change what the loop observes.  A :class:`PatternVar` *pattern*
         (a bare-variable right-hand side) generates the epilogue alone.
 
-        After every row the loop compares the e-graph's node count with
-        ``limit`` and returns right after the first row that leaves it
-        above the limit, leaving the remaining rows untouched: a row adds
+        After every row the loop compares the e-graph's node count
+        (``len(eg.hashcons)``) with ``limit`` and returns right after the
+        first row that leaves it above the limit, leaving the remaining
+        rows untouched: a row adds
         at most one e-node per operator node of *pattern* (plus the
         literal an analysis's ``modify`` may inject per new class), so
         the count overshoots the limit by at most that much.
@@ -373,6 +374,7 @@ class _InstantiatorCodegen:
         lines += [
             "    find = eg.uf.find",
             "    merge_roots = eg.merge_roots",
+            "    nodes = eg.hashcons",
             "    applied = 0",
             "    for subst in rows:",
         ]
@@ -385,7 +387,7 @@ class _InstantiatorCodegen:
             "        if ra != rb:",
             "            merge_roots(ra, rb)",
             "            applied += 1",
-            "        if eg._node_count > limit: return applied",
+            "        if len(nodes) > limit: return applied",
             "    return applied",
         ]
         return self._compile(lines, "_apply_rows")

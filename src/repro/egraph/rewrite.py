@@ -125,7 +125,7 @@ class Rewrite:
         applied = 0
         for start in range(0, len(mat), _APPLY_SLICE):
             applied += apply_fn(egraph, mat[start:start + _APPLY_SLICE].tolist(), limit)
-            if egraph._node_count > limit:
+            if len(egraph) > limit:
                 break
         return applied
 

@@ -164,9 +164,3 @@ def simulate_kernel(
         bound=bound,
         dram_gbps=dram_gbps,
     )
-
-
-def _ceil_div(a: float, b: float) -> float:
-    if a <= 0:
-        return 0.0
-    return float(-(-int(round(a)) // max(int(round(b)), 1)))

@@ -519,10 +519,6 @@ class OptimizationService:
             refs = self._jobs.valuerefs()
         return [job for job in (ref() for ref in refs) if job is not None]
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def join(self, timeout: Optional[float] = None) -> bool:
         """Block until every submitted job is terminal; False on timeout.
 

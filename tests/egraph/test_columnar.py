@@ -219,28 +219,6 @@ def test_join_plans_are_hash_seed_independent():
 # ---------------------------------------------------------------------------
 
 
-def test_pending_kill_drops_unmaterialised_row():
-    store = ColumnStore()
-    store.append_new((1, 0), 0)
-    store.append_new((2, 0), 1)
-    store.kill((1, 0))  # still pending: must vanish without a dead row
-    store.flush()
-    assert store.keys == [(2, 0)]
-    assert list(store.row_of) == [(2, 0)]
-    assert list(store.alive) == [1]
-
-
-def test_pending_reinsert_requeues_at_end():
-    store = ColumnStore()
-    store.append_new((1, 0), 0)
-    store.append_new((2, 0), 1)
-    store.kill((1, 0))
-    store.append_new((1, 0), 2)  # pop + re-insert => row order (2,..), (1,..)
-    store.flush()
-    assert store.keys == [(2, 0), (1, 0)]
-    assert store.cls.tolist() == [1, 2]
-
-
 def test_len_counts_pending_rows():
     store = ColumnStore()
     assert len(store) == 0

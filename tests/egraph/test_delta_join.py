@@ -281,28 +281,26 @@ def test_delta_join_plans_are_hash_seed_independent():
 
 
 # ---------------------------------------------------------------------------
-# Compaction coherence under interleaved pending appends and kills
+# Compaction coherence under interleaved pending appends and tombstones
 # ---------------------------------------------------------------------------
 
 
-def test_compact_interleaved_with_pending_appends_and_kills():
+def test_compact_interleaved_with_pending_appends():
     store = ColumnStore()
     for i in range(8):
         store.append_new((1, 0, i), i)
     store.flush()
-    store.kill((1, 0, 0))
-    store.kill((1, 0, 5))
-    # interleave: queue new rows, kill one *pending* and one dead row's
-    # neighbour, then compact with the buffer still warm
+    store.alive[0] = 0  # the rebuild sweep's tombstone
+    store.alive[5] = 0
+    # interleave: queue new rows, then compact with the buffer still warm
     store.append_new((2, 0, 100), 50)
     store.append_new((2, 0, 101), 51)
-    store.kill((2, 0, 100))  # still pending: resolved inside the buffer
     dropped = store.compact()
     assert dropped == 2
-    assert store.pending == {}  # compaction flushed the queue first
-    live = [(1, 0, i) for i in (1, 2, 3, 4, 6, 7)] + [(2, 0, 101)]
+    assert store.pending == []  # compaction flushed the queue first
+    live = [(1, 0, i) for i in (1, 2, 3, 4, 6, 7)] + [(2, 0, 100), (2, 0, 101)]
     assert store.keys == live  # live-relative order preserved
-    assert [store.row_of[k] for k in live] == list(range(len(live)))
+    assert store.cls.tolist() == [1, 2, 3, 4, 6, 7, 50, 51]
     assert list(store.alive) == [1] * len(live)
     assert len(store.touch) == len(live)
     # touch indices moved: the column must be flagged for re-sync
@@ -341,14 +339,17 @@ def test_delta_reads_stay_exact_across_compaction():
     store = eg.store
     eg.merge(eg.add_term(sym("z")), eg.add_term(sym("w")))
     eg.rebuild()  # re-keys a few rows: tombstones below the policy's bar
-    stamps = {
-        key: (store.cls[row], store.touch[row]) for key, row in store.row_of.items()
-    }
+    def live_stamps():
+        return {
+            key: (store.cls[row], store.touch[row])
+            for row, key in enumerate(store.keys)
+            if store.alive[row]
+        }
+
+    stamps = live_stamps()
     assert store.compact() > 0
     assert len(store.cls) == len(store.touch) == len(store.keys)
-    assert {
-        key: (store.cls[row], store.touch[row]) for key, row in store.row_of.items()
-    } == stamps
+    assert live_stamps() == stamps
     eg.check_invariants()
 
 
@@ -424,7 +425,7 @@ def _graph_signature(eg):
     return (
         list(eg.hashcons.items()),  # content *and* interning order
         list(eg.uf._parent),
-        sorted(eg.classes),
+        eg.class_ids(),
         len(eg),
         eg.num_classes,
     )

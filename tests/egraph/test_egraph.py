@@ -61,6 +61,25 @@ class TestMergeAndRebuild:
         eg.rebuild()
         assert eg.is_equal(ga, gb)
 
+    def test_key_view_drops_a_spelling_retired_without_a_merge(self):
+        """A sweep can retire a row whose canonical spelling already sits
+        in the same class: no merge and no append, so the graph's stamp
+        does not move.  A class's keys read before that rebuild must not
+        survive it."""
+
+        eg = EGraph()
+        a, b, c = (eg.add_term(sym(name)) for name in "abc")
+        fa = eg.add(ENode("+", (a, c)))
+        fb = eg.add(ENode("+", (b, c)))
+        eg.merge(fa, fb)
+        eg.merge(a, b)
+        assert len(eg.keys_of(fa)) == 2  # both spellings, before the sweep
+        stamp = (eg.version, len(eg.store), eg.store.epoch)
+        eg.rebuild()
+        assert (eg.version, len(eg.store), eg.store.epoch) == stamp
+        assert eg.nodes_of(fa) == {ENode("+", (eg.find(a), c))}
+        eg.check_invariants()
+
     def test_union_terms_convenience(self):
         eg = EGraph()
         eg.union_terms(op("+", sym("a"), sym("b")), op("+", sym("b"), sym("a")))

@@ -98,7 +98,7 @@ class TestOpIndexInvariants:
 
     def test_len_is_cached_and_correct(self):
         eg = _representative_egraph()
-        assert len(eg) == sum(len(eg.nodes_of(c.id)) for c in eg.classes.values())
+        assert len(eg) == sum(len(eg.nodes_of(c)) for c in eg.class_ids())
 
     def test_op_rows_exact_after_rebuild(self):
         """The rows the relational matcher scans for an operator (its live
@@ -127,7 +127,7 @@ class TestOpIndexInvariants:
         eg.rebuild()
         eg.check_invariants()
         store = eg.store
-        row = store.row_of[eg.keys_of(b).copy().pop()]
+        row = store.keys.index(eg.keys_of(b)[0])
         assert eg.merge(a, b) == a  # b's row changes class root
         eg.rebuild()
         eg.check_invariants()

@@ -51,25 +51,23 @@ def _reference_table(egraph: EGraph, cost_function) -> Dict[int, tuple]:
     hashcons order.
     """
 
-    egraph.store.flush()
-    row_of = egraph.store.row_of
     find = egraph.uf.find
     class_nodes: Dict[int, list] = {}
     dependents: Dict[int, Set[int]] = {}
-    for cls in egraph.eclasses():
+    for cid in egraph.class_ids():
         entries = []
-        for key in sorted(cls.keys, key=row_of.__getitem__):
+        for key in egraph.keys_of(cid):  # ascending row == hashcons order
             children = tuple(find(c) for c in key[2:])
             cost = cost_function.op_cost(
                 egraph.op_names[key[0]], egraph.payloads[key[1]]
             )
             child_set = set(children)
             entries.append(
-                (key, cost, children, 1 if cls.id in child_set else 0, len(child_set))
+                (key, cost, children, 1 if cid in child_set else 0, len(child_set))
             )
             for child in child_set:
-                dependents.setdefault(child, set()).add(cls.id)
-        class_nodes[cls.id] = entries
+                dependents.setdefault(child, set()).add(cid)
+        class_nodes[cid] = entries
 
     def key_order(key):
         return (

@@ -110,8 +110,8 @@ def test_hashconsing_never_duplicates_canonical_nodes(terms):
         eg.add_term(term)
     eg.rebuild()
     seen = set()
-    for cls in eg.eclasses():
-        for key in cls.keys:
+    for cid in eg.class_ids():
+        for key in eg.keys_of(cid):
             canon = eg._canon_key(key)
             assert canon not in seen
             seen.add(canon)

@@ -15,6 +15,7 @@ from repro.egraph.pattern import (
 from repro.egraph.rewrite import Rewrite, rewrite
 from repro.egraph.runner import Runner, RunnerLimits, StopReason
 from repro.rules import constant_folding_analysis, default_ruleset, ruleset_by_name
+from repro.saturator import SaturatorConfig, Variant, optimize_source
 
 
 def _search_and_apply(rule, eg):
@@ -224,6 +225,33 @@ class TestConstantFolding:
         root = eg.add_term(op("/", num(-7), num(2)))
         eg.rebuild()
         assert eg.lookup_term(num(-3)) == eg.find(root)
+
+    @pytest.mark.parametrize(
+        "dividend, divisor, remainder",
+        [
+            (num(9007199254740993), 2, 1),  # 2**53 + 1: not a double
+            (op("*", num(3037000499), num(3037000499)), 10, 1),
+            (num(-7), 3, -1),  # C: the remainder takes the dividend's sign
+            (num(7), -3, 1),
+            (num(-9007199254740993), 2, -1),
+        ],
+    )
+    def test_integer_remainder_is_exact_and_truncates_toward_zero(
+        self, dividend, divisor, remainder
+    ):
+        eg = EGraph(constant_folding_analysis())
+        root = eg.add_term(op("%", dividend, num(divisor)))
+        eg.rebuild()
+        assert eg.data_of(root) == remainder
+        assert eg.lookup_term(num(remainder)) == eg.find(root)
+
+    def test_folded_remainder_reaches_generated_code(self):
+        source = (
+            "void k(long *a, int n) {\n  int i;\n#pragma acc parallel loop\n"
+            "  for (i = 0; i < n; i++)\n    a[i] = 9007199254740993 % 2;\n}\n"
+        )
+        code = optimize_source(source, SaturatorConfig(variant=Variant.ACCSAT)).code
+        assert "a[i] = 1;" in code
 
     def test_folding_propagates_through_merges(self):
         eg = EGraph(constant_folding_analysis())

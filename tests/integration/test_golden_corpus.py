@@ -102,7 +102,9 @@ def _cell(result):
 def outcome_cells():
     """``(scheduler, variant)`` pairs whose artifacts are computed."""
 
-    return [(s, v) for s in SCHEDULERS for v in Variant if s == "simple" or v in SATURATING]
+    return [
+        (s, v) for s in SCHEDULERS for v in Variant if s == "simple" or v in SATURATING
+    ]
 
 
 def outcomes(scheduler: str, variant: Variant):
@@ -180,7 +182,10 @@ if __name__ == "__main__":
     for path, payload in (
         (CODE_GOLDEN, {v.value: code_hashes(v) for v in Variant}),
         (FRONTEND_GOLDEN, frontend_hashes()),
-        (OUTCOME_GOLDEN, {f"{s}/{v.value}": outcomes(s, v) for s, v in outcome_cells()}),
+        (
+            OUTCOME_GOLDEN,
+            {f"{s}/{v.value}": outcomes(s, v) for s, v in outcome_cells()},
+        ),
     ):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1, sort_keys=True)
