@@ -18,6 +18,14 @@ Three committed goldens pin what the compile path produces:
 * ``golden_frontend_sha256.json`` — per source, the token count and the
   SHA-256 of the exact ``(kind, text, line, column)`` stream, and the
   SHA-256 of the parsed-and-reprinted source.
+* ``golden_shapes_sha256.json`` — the code SHA-256 of 14 loop bodies that
+  are not in the corpus (:data:`SHAPES`) under the same 8 scheduler x
+  variant cells the outcome golden computes.  No corpus kernel has two
+  bulk-load candidates with the same sort key; these shapes do (two loads
+  of different memory versions both render as ``a[i]``), so this golden is
+  the one that sees a change in the bulk-load tie order.  It pins bytes,
+  not correctness: several of these shapes miscompile today (ROADMAP
+  items 1 and 16), and fixing them moves their hashes on purpose.
 
 A hash that moves means the change altered generated code (or the token
 stream / AST): either the change is wrong, or the new output is intended —
@@ -41,11 +49,13 @@ from repro.frontend.lexer import tokenize
 from repro.frontend.parser import parse
 from repro.frontend.printer import print_c
 from repro.saturator import SaturatorConfig, Variant, optimize_source
+from test_miscompile_shapes import SHAPES as KNOWN_SHAPES
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CODE_GOLDEN = os.path.join(HERE, "golden_code_sha256.json")
 FRONTEND_GOLDEN = os.path.join(HERE, "golden_frontend_sha256.json")
 OUTCOME_GOLDEN = os.path.join(HERE, "golden_outcomes.json")
+SHAPE_GOLDEN = os.path.join(HERE, "golden_shapes_sha256.json")
 
 #: The paper's node and iteration limits; the wall limit never binds, so
 #: every artifact is a pure function of (source, config).
@@ -111,6 +121,62 @@ def outcomes(scheduler: str, variant: Variant):
     return {name: _cell(result) for name, result in _results(variant, scheduler)}
 
 
+#: Loop bodies outside the corpus, each compiled under ``#pragma acc
+#: parallel loop`` over ``i``: the four known miscompile shapes, the fully
+#: spelled array shapes of ROADMAP's miscompile probe, and the three
+#: scalar out-of-SSA shapes (swap, lost copy, copy of a φ value).
+SHAPES = {
+    **KNOWN_SHAPES,
+    "reassign-after-store": (
+        "double t = a[i]*2.0; if (c[i]>0.0) { a[i] = 0.0; } "
+        "double x = t*3.0; t = b[i]; out[i] = x + t;"
+    ),
+    "swap-after-store": (
+        "double t = a[i]+1.0; double u = b[i]+1.0; "
+        "if (c[i] > 0.0) { a[i] = 0.0; } "
+        "double s = t; t = u; u = s; out[i] = t - u;"
+    ),
+    "reload-after-store": (
+        "double t = a[i]*2.0; if (c[i] > 0.0) { a[i] = 1.0; } "
+        "double u = a[i]*2.0; t = u + t; out[i] = t + a[i]*2.0;"
+    ),
+    "store-of-derived-value": (
+        "double t = a[i]*2.0; if (c[i] > 0.0) { double t2 = t + 1.0; a[i] = t2; } "
+        "out[i] = t + a[i];"
+    ),
+    "phi-then-store": (
+        "double t = a[i]; if (c[i] > 0.0) { t = b[i]; a[i] = 2.0; } "
+        "double u = t*2.0; t = 0.0; out[i] = u + t + a[i];"
+    ),
+    "store-in-carried-loop": (
+        "double t = a[i]; for (int j = 0; j < 3; j++) { t = t*0.5 + b[i]; a[i] = t; } "
+        "out[i] = t + a[i];"
+    ),
+    "store-to-other-array": (
+        "double t = a[i]*b[i]; if (c[i] > 0.0) { out[i] = 1.0; } "
+        "double u = a[i]*b[i] + t; out[i] = u;"
+    ),
+    "scalar-swap": "double s = p; p = q; q = s; out[i] = p - q;",
+    "scalar-lost-copy": "double u = p; p = q + 1.0; out[i] = u * p;",
+    "scalar-phi-copy": (
+        "double t = a[i]; if (c[i] > 0.0) { t = b[i]; } "
+        "double u = t; t = 0.0; out[i] = u + t;"
+    ),
+}
+
+
+def shape_hashes(scheduler: str, variant: Variant):
+    config = SaturatorConfig(variant=variant, limits=LIMITS, scheduler=scheduler)
+    out = {}
+    for name, body in sorted(SHAPES.items()):
+        source = (
+            "#pragma acc parallel loop\n"
+            f"for (int i = 0; i < n; i++) {{\n{body}\n}}\n"
+        )
+        out[name] = _sha(optimize_source(source, config, "shape").code)
+    return out
+
+
 def frontend_hashes():
     out = {}
     for name, source in corpus():
@@ -167,6 +233,20 @@ def test_outcomes_are_identical_to_golden(scheduler, variant):
     )
 
 
+@pytest.mark.parametrize(
+    "scheduler,variant", outcome_cells(), ids=lambda x: getattr(x, "name", x)
+)
+def test_non_corpus_shapes_are_byte_identical_to_golden(scheduler, variant):
+    golden = _load(SHAPE_GOLDEN)
+    assert sorted(golden) == sorted(f"{s}/{v.value}" for s, v in outcome_cells())
+    golden = golden[f"{scheduler}/{variant.value}"]
+    actual = shape_hashes(scheduler, variant)
+    moved = sorted(name for name in golden if actual.get(name) != golden[name])
+    assert not moved and set(actual) == set(golden), (
+        f"{scheduler}/{variant.name}: generated code changed for {moved}"
+    )
+
+
 def test_token_streams_and_reprinted_sources_match_golden():
     golden = _load(FRONTEND_GOLDEN)
     actual = frontend_hashes()
@@ -185,6 +265,10 @@ if __name__ == "__main__":
         (
             OUTCOME_GOLDEN,
             {f"{s}/{v.value}": outcomes(s, v) for s, v in outcome_cells()},
+        ),
+        (
+            SHAPE_GOLDEN,
+            {f"{s}/{v.value}": shape_hashes(s, v) for s, v in outcome_cells()},
         ),
     ):
         with open(path, "w", encoding="utf-8") as handle:
