@@ -1,28 +1,29 @@
 """Code generation from extracted e-graph solutions (paper §VI).
 
-Two cooperating pieces:
+Three cooperating modules:
 
-* :mod:`repro.codegen.tempvars` — renders selected e-classes back into C
-  expressions and allocates the ``_vN`` temporary variables that carry the
-  value of every selected e-node (§VI-A, temporary-variable insertion).
-* :mod:`repro.codegen.bulkload` — schedules the temporaries inside each
-  straight-line group, either lazily (immediately before first use) or with
-  the *bulk load* policy that hoists every memory load to the first point
-  where its dependencies are resolved, sorted by static index (§VI-B).
-* :mod:`repro.codegen.generator` — drives both over a kernel's SSA form and
-  rewrites the AST in place, preserving directives and loop structure.
+* :mod:`repro.codegen.tempvars` — :class:`ClassRenderer` builds the C
+  expression of a selected e-class, through the names of the temporaries
+  already declared, and says which classes get a ``_vN`` temporary
+  (§VI-A, temporary-variable insertion).
+* :mod:`repro.codegen.bulkload` — :func:`schedule_group` decides, inside
+  each straight-line group, when each temporary and statement comes next,
+  either lazily (immediately before first use) or with the *bulk load*
+  policy that hoists every memory load to the first point where its
+  dependencies are resolved, sorted by static index (§VI-B).
+* :mod:`repro.codegen.generator` — :class:`CodeGenerator` drives the
+  schedule over a kernel's SSA form and emits each item as the schedule
+  reaches it, rewriting the AST in place and preserving directives and
+  loop structure.
 """
 
-from repro.codegen.generator import CodeGenerator, GeneratedKernel, KernelCodeStats
-from repro.codegen.tempvars import ClassRenderer, TempAllocator
-from repro.codegen.bulkload import ScheduleItem, schedule_group
+from repro.codegen.generator import CodeGenerator, KernelCodeStats
+from repro.codegen.tempvars import ClassRenderer
+from repro.codegen.bulkload import schedule_group
 
 __all__ = [
     "ClassRenderer",
     "CodeGenerator",
-    "GeneratedKernel",
     "KernelCodeStats",
-    "ScheduleItem",
-    "TempAllocator",
     "schedule_group",
 ]

@@ -1,4 +1,4 @@
-"""Scheduling of temporaries inside a straight-line group.
+"""Scheduling and emission of temporaries inside a straight-line group.
 
 Two policies (paper §VI):
 
@@ -12,30 +12,22 @@ Two policies (paper §VI):
   rendered access expression), which is the paper's tie-break for memory
   coalescing.
 
-The scheduler works on e-classes and statement positions only; the actual
-AST surgery happens in :mod:`repro.codegen.generator`.
+:func:`schedule_group` walks e-classes and statement positions and emits
+each item the moment it decides that item comes next: it calls
+``declare(cid)`` for the temporary of a class and ``statement(i)`` for the
+group's i-th original statement.  The caller's callbacks build the AST
+(:mod:`repro.codegen.generator`); ``declare`` binds the class's name in
+``renderer.names``, which is the only record of what is already declared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.codegen.tempvars import ClassRenderer
 from repro.egraph.egraph import NodeKey
 
-__all__ = ["ScheduleItem", "schedule_group"]
-
-
-@dataclass(frozen=True)
-class ScheduleItem:
-    """One entry of a group schedule."""
-
-    #: Either ``"temp"`` (emit the temporary of ``eclass``) or ``"stmt"``
-    #: (emit the group's original statement number ``position``).
-    kind: str
-    eclass: Optional[int] = None
-    position: Optional[int] = None
+__all__ = ["schedule_group"]
 
 
 def schedule_group(
@@ -43,28 +35,32 @@ def schedule_group(
     root_classes: Sequence[int],
     store_stmt_of: Dict[int, int],
     bulk_load: bool,
-) -> List[ScheduleItem]:
-    """Compute the emission schedule of one straight-line group.
+    declare: Callable[[int], None],
+    statement: Callable[[int], None],
+) -> None:
+    """Emit one straight-line group through *declare* and *statement*.
 
     ``root_classes[i]`` is the e-class of the i-th assignment's right-hand
     side.  ``store_stmt_of`` maps the e-class of every ``store`` performed
     *inside this group* to the position of the statement that performs it.
+    ``declare(cid)`` must bind ``renderer.names[cid]``.
     """
 
     egraph = renderer.egraph
     op_names = egraph.op_names
-    emitted: Set[int] = set()
-    schedule: List[ScheduleItem] = []
-
-    # ------------------------------------------------------------------
-    # dependency helpers
-    # ------------------------------------------------------------------
+    declared = renderer.names
+    # choices and inline_only are fixed before scheduling, so each class's
+    # temp dependencies are computed once per group
+    deps: Dict[int, List[int]] = {}
 
     def temp_children(eclass_id: int) -> List[int]:
         """Temp classes this class's rendering depends on (transitively
         through inline-rendered nodes)."""
 
-        result: List[int] = []
+        result = deps.get(eclass_id)
+        if result is not None:
+            return result
+        result = deps[eclass_id] = []
         seen: Set[int] = set()
 
         def visit(cid: int, is_root: bool) -> None:
@@ -100,10 +96,10 @@ def schedule_group(
         return store_stmt_of.get(version, -1)
 
     def emit_temp(eclass_id: int, after_position: int) -> None:
-        """Emit the temp of *eclass_id* (and its temp dependencies first)."""
+        """Declare the temp of *eclass_id* (and its temp dependencies first)."""
 
         eclass_id = egraph.find(eclass_id)
-        if eclass_id in emitted or not renderer.is_temp_class(eclass_id):
+        if eclass_id in declared or not renderer.is_temp_class(eclass_id):
             return
         if load_stmt_dep(eclass_id) > after_position:
             # This load forwards from a store that has not executed yet; it
@@ -111,16 +107,15 @@ def schedule_group(
             return
         for dep in temp_children(eclass_id):
             emit_temp(dep, after_position)
-        if eclass_id in emitted:
-            return
-        emitted.add(eclass_id)
-        renderer.available_temps.add(eclass_id)
-        schedule.append(ScheduleItem("temp", eclass=eclass_id))
+        declare(eclass_id)
 
     # ------------------------------------------------------------------
     # bulk-load pools
     # ------------------------------------------------------------------
 
+    # the sort keys are rendered before any temp of the group is declared,
+    # so every key is fully inline; loads with equal keys (two memory
+    # versions of one access) keep the iteration order of ``all_loads``
     load_pool: Dict[int, List[int]] = {}
     if bulk_load:
         all_loads: Set[int] = set()
@@ -160,13 +155,11 @@ def schedule_group(
             for dep in temp_children(root):
                 emit_temp(dep, position - 1)
             emit_temp(root, position - 1)
-            schedule.append(ScheduleItem("stmt", position=position))
+            statement(position)
             if bulk_load:
                 flush_loads(position)
     finally:
         del emit_temp
-
-    return schedule
 
 
 def _reachable_temp_classes(renderer: ClassRenderer, root: int) -> Set[int]:

@@ -1,35 +1,36 @@
 """The code generator: rewrite kernel statements from an extracted e-graph.
 
-For every straight-line group of the kernel's SSA form the generator
+For every straight-line group of the kernel's SSA form the generator walks
+the group's schedule of temporaries (lazy or bulk-load policy, §VI;
+:func:`~repro.codegen.bulkload.schedule_group`) and emits as it goes:
 
-1. schedules temporaries for the selected e-classes of the group's
-   assignments (lazy or bulk-load policy, §VI),
-2. builds the AST of each temporary's defining expression straight from
-   the selected node keys (:class:`~repro.codegen.tempvars.ClassRenderer`),
-3. splices ``double _vN = ...;`` declarations into the group's block, and
-4. replaces each original assignment's right-hand side with a reference to
-   its root temporary (or an inline expression for trivial right-hand
-   sides), converting compound assignments to plain ``=``.
+* each temporary the schedule reaches becomes a ``double _vN = ...;``
+  declaration whose value is built straight from the selected node keys
+  (:class:`~repro.codegen.tempvars.ClassRenderer`), numbered kernel-wide in
+  declaration order;
+* each original assignment the schedule reaches gets its right-hand side
+  replaced by a reference to its root temporary (or an inline expression
+  for trivial right-hand sides), compound assignments becoming plain ``=``.
 
-Loop structure, branches and every ``#pragma`` line are left untouched —
-the structural guarantee that lets the output compile with NVHPC, GCC and
+The emitted statements replace the group's slice of its block.  Loop
+structure, branches and every ``#pragma`` line are left untouched — the
+structural guarantee that lets the output compile with NVHPC, GCC and
 Clang alike in the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List
 
-from repro.codegen.bulkload import ScheduleItem, schedule_group
-from repro.codegen.tempvars import ClassRenderer, TempAllocator, Template
+from repro.codegen.bulkload import schedule_group
+from repro.codegen.tempvars import ClassRenderer, Template
 from repro.egraph.egraph import EGraph, NodeKey
 from repro.egraph.extract import ExtractionResult
 from repro.frontend import cast as C
 from repro.records import record
 from repro.ssa.form import AssignmentInfo, KernelSSA, StraightLineGroup
 
-__all__ = ["KernelCodeStats", "GeneratedKernel", "CodeGenerator"]
+__all__ = ["KernelCodeStats", "CodeGenerator"]
 
 
 @record
@@ -68,19 +69,6 @@ class KernelCodeStats:
         }
 
 
-@dataclass
-class GeneratedKernel:
-    """Result of code generation for one kernel."""
-
-    #: The (mutated) loop body block.
-    body: C.Block
-    stats: KernelCodeStats
-    #: Number of temporaries inserted per group.
-    temps_per_group: List[int] = field(default_factory=list)
-    #: True if the bulk-load policy was used.
-    bulk_load: bool = False
-
-
 _FLOP_OPS = {"+", "-", "*", "neg", "min", "max"}
 _INT_OPS = {"<<", ">>", "&", "|", "^", "%", "~", "!",
             "<", ">", "<=", ">=", "==", "!=", "&&", "||"}
@@ -112,87 +100,67 @@ class CodeGenerator:
         self.store_class_of = store_class_of
         self.bulk_load = bulk_load
         self.temp_prefix = temp_prefix
-        self._next_temp_index = 0
         self._templates: Dict[str, Template] = {}
+        #: Operation counts of the generated code; ``stats.temporaries`` is
+        #: also the kernel-wide counter that numbers the temporaries.
         self.stats = KernelCodeStats()
 
     # ------------------------------------------------------------------
 
-    def generate(self) -> GeneratedKernel:
-        """Rewrite every group; returns the generated-kernel summary."""
+    def generate(self) -> KernelCodeStats:
+        """Rewrite every group in place; returns the generated code's counts."""
 
-        temps_per_group: List[int] = []
-
-        # groups in the same block must be spliced back-to-front so that
-        # earlier groups' indices stay valid
+        # blocks in first-seen order; the groups of a block are spliced
+        # back to front so that earlier groups' indices stay valid
         by_block: Dict[int, List[StraightLineGroup]] = {}
-        block_of: Dict[int, C.Block] = {}
         for group in self.ssa.groups:
             by_block.setdefault(id(group.block), []).append(group)
-            block_of[id(group.block)] = group.block
-
-        for block_key, groups in by_block.items():
-            block = block_of[block_key]
+        for groups in by_block.values():
             for group in sorted(groups, key=lambda g: g.start_index, reverse=True):
-                n_temps = self._generate_group(block, group)
-                temps_per_group.append(n_temps)
-
-        self.stats.temporaries = sum(temps_per_group)
-        return GeneratedKernel(
-            body=self.ssa.body,
-            stats=self.stats,
-            temps_per_group=temps_per_group,
-            bulk_load=self.bulk_load,
-        )
+                self._generate_group(group)
+        return self.stats
 
     # ------------------------------------------------------------------
 
-    def _generate_group(self, block: C.Block, group: StraightLineGroup) -> int:
+    def _generate_group(self, group: StraightLineGroup) -> None:
         if not group.assignments:
-            return 0
+            return
 
-        allocator = TempAllocator(self.temp_prefix, self._next_temp_index)
+        egraph = self.egraph
+        stats = self.stats
         renderer = ClassRenderer(
-            self.egraph, self.extraction.choices, allocator, templates=self._templates
+            egraph, self.extraction.choices, templates=self._templates
         )
-
         root_classes: List[int] = []
-        for info in group.assignments:
-            root = self.egraph.find(self.root_of[info.ssa_id])
-            root_classes.append(root)
-            renderer.mark_index_classes(root)
-
         store_stmt_of: Dict[int, int] = {}
         for position, info in enumerate(group.assignments):
+            root = egraph.find(self.root_of[info.ssa_id])
+            root_classes.append(root)
+            renderer.mark_index_classes(root)
             store_class = self.store_class_of.get(info.ssa_id)
             if store_class is not None:
-                store_stmt_of[self.egraph.find(store_class)] = position
+                store_stmt_of[egraph.find(store_class)] = position
 
-        schedule = schedule_group(renderer, root_classes, store_stmt_of, self.bulk_load)
-
-        # Build in schedule order, producing the new statement list.
-        renderer.available_temps = set()
         new_stmts: List[C.Stmt] = []
-        n_temps = 0
-        for item in schedule:
-            if item.kind == "temp":
-                cid = self.egraph.find(item.eclass)
-                value = renderer.build_definition(cid)
-                decl = C.Decl("double", allocator.name_for(cid), value)
-                new_stmts.append(decl)
-                renderer.available_temps.add(cid)
-                self._count_node(renderer.node_of(cid))
-                n_temps += 1
-            else:
-                info = group.assignments[item.position]
-                root = root_classes[item.position]
-                self._rewrite_statement(info, renderer.build(root))
-                new_stmts.append(info.stmt)
-                self._count_statement(info)
 
-        block.stmts[group.start_index : group.end_index] = new_stmts
-        self._next_temp_index = allocator.next_index
-        return n_temps
+        def declare(cid: int) -> None:
+            value = renderer.build_definition(cid)
+            name = renderer.names[cid] = f"{self.temp_prefix}{stats.temporaries}"
+            stats.temporaries += 1
+            new_stmts.append(C.Decl("double", name, value))
+            self._count_node(renderer.choices[cid])
+
+        def statement(position: int) -> None:
+            info = group.assignments[position]
+            self._rewrite_statement(info, renderer.build(root_classes[position]))
+            new_stmts.append(info.stmt)
+            if info.is_store:
+                stats.stores += 1
+
+        schedule_group(
+            renderer, root_classes, store_stmt_of, self.bulk_load, declare, statement
+        )
+        group.block.stmts[group.start_index : group.end_index] = new_stmts
 
     # ------------------------------------------------------------------
 
@@ -232,10 +200,6 @@ class CodeGenerator:
             self.stats.flops += 1
         elif op in _INT_OPS:
             self.stats.int_ops += 1
-
-    def _count_statement(self, info: AssignmentInfo) -> None:
-        if info.is_store:
-            self.stats.stores += 1
 
 
 def count_ast_stats(node: C.Node) -> KernelCodeStats:

@@ -1,29 +1,31 @@
-"""Selected e-classes as C expression ASTs and temp variables.
+"""Selected e-classes as C expression ASTs, through their temporaries.
 
 Every selected e-node that performs real work (a load, an arithmetic
-operation, a call ...) is assigned a temporary variable ``_vN`` holding its
-value (paper §VI-A, cf. Listing 3 of the paper).  Leaves (constants,
-symbols), φ nodes (whose value is simply the variable they merge), stores
-(performed by the original statements) and e-classes only used as array
-indices are built inline instead.
+operation, a call ...) gets a temporary variable ``_vN`` holding its value
+(paper §VI-A, cf. Listing 3 of the paper); :meth:`ClassRenderer.is_temp_class`
+says which.  Leaves (constants, symbols), φ nodes (whose value is simply
+the variable they merge), stores (performed by the original statements)
+and e-classes only used as array indices are built inline instead.
 
 :class:`ClassRenderer` builds :mod:`repro.frontend.cast` nodes directly —
-exactly the tree the parser would return for the class's C text.  The
-text form (:meth:`ClassRenderer.render_definition`) survives only as the
-bulk-load tie-break key, the paper's "sorted by static index".
+exactly the tree the parser would return for the class's C text.  A class
+whose temporary is already declared (``ClassRenderer.names``, filled by the
+code generator as it declares them) builds as its name.  The text form
+(:meth:`ClassRenderer.render_definition`) survives only as the bulk-load
+tie-break key, the paper's "sorted by static index".
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from repro.egraph.egraph import EGraph, NodeKey
 from repro.frontend import cast as C
 from repro.frontend.parser import make_number, parse_expression
 
-__all__ = ["TempAllocator", "ClassRenderer", "RenderError", "TEMP_OPS"]
+__all__ = ["ClassRenderer", "RenderError", "TEMP_OPS"]
 
 
 #: Operators whose e-classes are materialised into temporaries.
@@ -31,47 +33,6 @@ TEMP_OPS = frozenset(
     {"load", "+", "-", "*", "/", "%", "neg", "fma", "call", "ternary",
      "min", "max", "<<", ">>", "&", "|", "^"}
 )
-
-#: Operators always rendered inline (no temp, no work of their own).
-INLINE_OPS = frozenset(
-    {"num", "sym", "phi", "phi-loop", "store", "cast", "member", "addr",
-     "<", ">", "<=", ">=", "==", "!=", "&&", "||", "!", "~"}
-)
-
-
-class TempAllocator:
-    """Hands out ``_vN`` names, one per e-class.
-
-    ``first_index`` lets the code generator keep numbering globally unique
-    across groups even though each straight-line group gets its own
-    allocator (temporaries are scoped to the group's block).
-    """
-
-    def __init__(self, prefix: str = "_v", first_index: int = 0) -> None:
-        self.prefix = prefix
-        self._names: Dict[int, str] = {}
-        self._counter = first_index
-        self._first_index = first_index
-
-    def name_for(self, eclass_id: int) -> str:
-        name = self._names.get(eclass_id)
-        if name is None:
-            name = f"{self.prefix}{self._counter}"
-            self._counter += 1
-            self._names[eclass_id] = name
-        return name
-
-    def known(self, eclass_id: int) -> Optional[str]:
-        return self._names.get(eclass_id)
-
-    @property
-    def next_index(self) -> int:
-        """The index the next allocated temporary would get."""
-
-        return self._counter
-
-    def __len__(self) -> int:
-        return self._counter - self._first_index
 
 
 def _strip_ssa_suffix(name: str) -> str:
@@ -160,10 +121,9 @@ class ClassRenderer:
 
     egraph: EGraph
     choices: Dict[int, NodeKey]
-    temps: TempAllocator
-    #: E-classes that currently have a live temporary (already emitted in the
-    #: group being generated); built as their temp name.
-    available_temps: Set[int] = field(default_factory=set)
+    #: Class -> name of each temporary declared so far in the group being
+    #: generated; such a class builds (and renders) as its name.
+    names: Dict[int, str] = field(default_factory=dict)
     #: E-classes that must never be rendered through a temp (index contexts).
     inline_only: Set[int] = field(default_factory=set)
     #: Parsed load templates by payload text; a code generator shares one
@@ -171,9 +131,6 @@ class ClassRenderer:
     templates: Dict[str, Template] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-
-    def node_of(self, eclass_id: int) -> NodeKey:
-        return self.choices[self.egraph.find(eclass_id)]
 
     def is_temp_class(self, eclass_id: int) -> bool:
         """True if this class is materialised as a temporary variable."""
@@ -191,14 +148,13 @@ class ClassRenderer:
     def render(self, eclass_id: int) -> str:
         """Render the value of an e-class as a C expression.
 
-        Classes whose temp has already been emitted render as the temp name;
+        Classes whose temp is already declared render as the temp name;
         everything else renders structurally (inline).
         """
 
         eclass_id = self.egraph.find(eclass_id)
-        if eclass_id in self.available_temps:
-            return self.temps.name_for(eclass_id)
-        return self.render_definition(eclass_id)
+        name = self.names.get(eclass_id)
+        return self.render_definition(eclass_id) if name is None else name
 
     def render_definition(self, eclass_id: int) -> str:
         """Render the defining expression of an e-class (one node deep,
@@ -264,9 +220,8 @@ class ClassRenderer:
         object is ever spliced into the kernel twice."""
 
         eclass_id = self.egraph.find(eclass_id)
-        if eclass_id in self.available_temps:
-            return C.Ident(self.temps.name_for(eclass_id))
-        return self.build_definition(eclass_id)
+        name = self.names.get(eclass_id)
+        return self.build_definition(eclass_id) if name is None else C.Ident(name)
 
     def build_definition(self, eclass_id: int) -> C.Expr:
         """The AST of :meth:`render_definition` (equal to parsing it)."""

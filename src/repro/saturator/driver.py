@@ -53,7 +53,7 @@ def optimize_ast(
                 "kernel", parent=trace_parent, name=kernel.name
             )
         try:
-            _, report = optimize_loop_body(
+            report = optimize_loop_body(
                 kernel.body, config, kernel.name, stages,
                 on_iteration=on_iteration,
                 cancellation=cancellation,

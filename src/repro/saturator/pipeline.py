@@ -6,7 +6,7 @@ extraction, code generation — run over a :class:`StageContext` that
 carries the per-kernel artifacts between them.  :func:`optimize_loop_body`
 is the classic entry point: it builds the context, runs the default stage
 tuple (or a caller-supplied one, which is how new stages are spliced in),
-and returns the generated-kernel summary plus the per-kernel report.
+rewrites the body in place and returns the per-kernel report.
 
 Whole-source callers that want artifact caching should go through
 :class:`repro.session.OptimizationSession` (concurrent ones through
@@ -16,9 +16,8 @@ place where the stage order is defined for a cold run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.codegen.generator import GeneratedKernel
 from repro.egraph.runner import CancellationToken, IterationCallback
 from repro.frontend import cast as C
 from repro.saturator.config import SaturatorConfig
@@ -40,11 +39,11 @@ def optimize_loop_body(
     fault_hook: Optional["FaultHook"] = None,
     tracer=None,
     trace_parent=None,
-) -> Tuple[GeneratedKernel, KernelReport]:
+) -> KernelReport:
     """Optimize the body of one innermost parallel loop, in place.
 
-    Returns the generated-kernel summary and the per-kernel report.  The
-    *body* block is mutated (right-hand sides rewritten, temporaries
+    Returns the per-kernel report; its ``optimized`` field holds the
+    operation counts of the generated code.  The *body* block is mutated (right-hand sides rewritten, temporaries
     inserted); callers that need the original must clone it first.
 
     ``stages`` overrides the default stage tuple (see
@@ -71,4 +70,4 @@ def optimize_loop_body(
         trace_span=trace_parent,
     )
     run_stages(ctx, stages)
-    return ctx.generated, ctx.report
+    return ctx.report

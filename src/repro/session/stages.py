@@ -11,7 +11,7 @@ frontend   ``body``              ``ssa`` (normalized AST, SSA form)
 egraph     ``ssa``               ``egraph``, ``root_of``, ``store_class_of``
 saturate   ``egraph``            ``report.runner`` (when the variant saturates)
 extract    ``egraph``            ``extraction``
-codegen    ``extraction``        ``generated``
+codegen    ``extraction``        ``report.optimized`` (``body`` rewritten)
 ========== ===================== ==========================================
 
 :func:`run_stages` executes a stage list over a context, verifies the
@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.codegen.generator import CodeGenerator, GeneratedKernel, count_ast_stats
+from repro.codegen.generator import CodeGenerator, count_ast_stats
 from repro.cost import AccSaturatorCostModel
 from repro.egraph.egraph import EGraph
 from repro.egraph.extract import ExtractionResult, extract_best, resolve_result
@@ -99,7 +99,6 @@ class StageContext:
     root_of: Dict[int, int] = field(default_factory=dict)
     store_class_of: Dict[int, int] = field(default_factory=dict)
     extraction: Optional[ExtractionResult] = None
-    generated: Optional[GeneratedKernel] = None
     #: Progress hook handed to the saturation loop (see
     #: :class:`~repro.egraph.runner.Runner`); not part of the cache
     #: fingerprint — it observes the run, it never changes its outcome.
@@ -329,18 +328,15 @@ class CodegenStage(Stage):
     requires = ("egraph", "extraction", "ssa")
 
     def run(self, ctx: StageContext) -> None:
-        config = ctx.config
-        generator = CodeGenerator(
+        ctx.report.optimized = CodeGenerator(
             ctx.egraph,
             ctx.extraction,
             ctx.ssa,
             ctx.root_of,
             ctx.store_class_of,
-            bulk_load=config.variant.bulk_load,
-            temp_prefix=config.temp_prefix,
-        )
-        ctx.generated = generator.generate()
-        ctx.report.optimized = ctx.generated.stats
+            bulk_load=ctx.config.variant.bulk_load,
+            temp_prefix=ctx.config.temp_prefix,
+        ).generate()
 
 
 #: The paper's pipeline, in order (§III steps 1-3 plus code generation).

@@ -33,7 +33,6 @@ from repro.benchsuite.registry import NPB_BENCHMARKS, SPEC_ACC_BENCHMARKS
 from repro.codegen.tempvars import (
     ClassRenderer,
     RenderError,
-    TempAllocator,
     _format_number,
     _name_node,
     _number_node,
@@ -121,14 +120,16 @@ class CheckBuildStage(Stage):
         templates = {}
         for group in ctx.ssa.groups:
             renderer = ClassRenderer(
-                ctx.egraph, ctx.extraction.choices, TempAllocator(), templates=templates
+                ctx.egraph, ctx.extraction.choices, templates=templates
             )
             classes = []
             for info in group.assignments:
                 classes.extend(_rendered_classes(renderer, ctx.root_of[info.ssa_id]))
-            temps = {cid for cid in classes if renderer.is_temp_class(cid)}
-            for available in (set(), temps):
-                renderer.available_temps = available
+            temps = {
+                cid: f"_v{cid}" for cid in classes if renderer.is_temp_class(cid)
+            }
+            for names in ({}, temps):
+                renderer.names = names
                 for cid in classes:
                     expected = parsed(renderer.render_definition(cid))
                     assert renderer.build_definition(cid) == expected, (
@@ -182,7 +183,7 @@ def test_every_operator_builds_to_the_parse_of_its_rendering(term):
     root = eg.add_term(term)
     eg.rebuild()
     extraction = extract_best(eg, [root], DEFAULT_COST_MODEL, "dag-greedy")
-    renderer = ClassRenderer(eg, extraction.choices, TempAllocator())
+    renderer = ClassRenderer(eg, extraction.choices)
     built = renderer.build_definition(root)
     assert built == parsed(renderer.render_definition(root))
     ids = [id(node) for node in C.walk(built)]
@@ -235,7 +236,7 @@ def _renderer_with_opaque_x(term):
     extraction.choices[eg.find(eg.lookup_term(sym("x")))] = eg._intern_node(
         ENode("sym", (), "@opaque3")
     )
-    return ClassRenderer(eg, extraction.choices, TempAllocator()), root
+    return ClassRenderer(eg, extraction.choices), root
 
 
 def test_injected_opaque_symbol_is_a_render_error_where_reparse_failed():
@@ -280,7 +281,7 @@ def test_load_templates_use_slot_names_the_template_lacks():
     root = eg.add_term(load)
     eg.rebuild()
     extraction = extract_best(eg, [root], DEFAULT_COST_MODEL, "dag-greedy")
-    renderer = ClassRenderer(eg, extraction.choices, TempAllocator())
+    renderer = ClassRenderer(eg, extraction.choices)
     assert renderer.build(root) == parsed("_slot0[i]")
     assert renderer.build(root) is not renderer.build(root)
 

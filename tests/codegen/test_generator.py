@@ -35,7 +35,7 @@ BT_BODY = """
 
 def optimize_body(source, variant):
     body = parse_statement(source)
-    _, report = optimize_loop_body(body, SaturatorConfig(variant=variant), "test")
+    report = optimize_loop_body(body, SaturatorConfig(variant=variant), "test")
     return body, report
 
 
