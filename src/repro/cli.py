@@ -127,11 +127,16 @@ def _config_from_args(
         parser.error(str(exc))
     if args.plateau_patience < 1:
         parser.error("--plateau-patience must be at least 1")
+    limits = RunnerLimits(args.node_limit, args.iter_limit, args.time_limit)
+    try:
+        limits.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
     return SaturatorConfig(
         variant=variant,
         ruleset=args.ruleset,
         extraction=args.extraction,
-        limits=RunnerLimits(args.node_limit, args.iter_limit, args.time_limit),
+        limits=limits,
         scheduler=args.scheduler,
         anytime_extraction=args.anytime,
         plateau_patience=args.plateau_patience,
@@ -206,7 +211,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     The readable files are submitted, in input order, to one
     :class:`~repro.service.OptimizationService` with ``--jobs`` workers on
     the ``--executor`` backend, and written back in the same order; traced
-    and untraced runs take this same path.
+    and untraced runs take this same path.  A missing file or a failed job
+    (say, a source that does not parse) is reported on stderr and in the
+    file's ``"error"`` report entry, the other files are still written, and
+    the exit code is 1.
     """
 
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -263,9 +271,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for source, path in zip(sources, readable)
     ]
     with service:
-        results = [handle.result() for handle in handles]
+        for handle in handles:
+            handle.wait()
 
-    for path, result in zip(readable, results):
+    # a file whose job failed is reported and skipped; the others are
+    # still written
+    for path, handle in zip(readable, handles):
+        try:
+            result = handle.result()
+        except Exception as error:
+            print(f"accsat: error: {path}: {error}", file=sys.stderr)
+            overall_report["files"].append({"input": str(path), "error": repr(error)})
+            exit_code = 1
+            continue
         file_report = {
             "input": str(path),
             "kernels": [k.as_dict() for k in result.kernels],

@@ -80,6 +80,32 @@ class TestCLI:
     def test_missing_file_fails(self, tmp_path):
         assert main([str(tmp_path / "absent.c")]) == 1
 
+    def test_unparsable_file_fails_alone(self, kernel_file, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text("this is not C {{{\n")
+        report = tmp_path / "report.json"
+        assert main([str(bad), str(kernel_file), "--report", str(report)]) == 1
+        assert f"accsat: error: {bad}: " in capsys.readouterr().err
+        assert kernel_file.with_suffix(".sat.c").exists()
+        assert not bad.with_suffix(".sat.c").exists()
+        bad_entry, good_entry = json.loads(report.read_text())["files"]
+        assert bad_entry["input"] == str(bad)
+        assert "ParseError" in bad_entry["error"]
+        assert "error" not in good_entry and good_entry["kernels"]
+
+    @pytest.mark.parametrize("mode", [[], ["serve"]], ids=["optimize", "serve"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--node-limit", "--iter-limit", "--time-limit"])
+    def test_non_positive_limit_is_a_usage_error(
+        self, kernel_file, capsys, mode, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*mode, "--variant", "cse", f"{flag}={value}", str(kernel_file)])
+        assert exit_info.value.code == 2
+        option = flag[2:].replace("-", "_")
+        assert f"{option} must be positive" in capsys.readouterr().err
+        assert not kernel_file.with_suffix(".sat.c").exists()
+
     def test_bad_variant_rejected(self, kernel_file):
         with pytest.raises(SystemExit):
             main(["--variant", "warp-speed", str(kernel_file)])
