@@ -48,7 +48,6 @@ def schedule_group(
 
     egraph = renderer.egraph
     op_names = egraph.op_names
-    declared = renderer.names
     # choices and inline_only are fixed before scheduling, so each class's
     # temp dependencies are computed once per group
     deps: Dict[int, List[int]] = {}
@@ -99,7 +98,7 @@ def schedule_group(
         """Declare the temp of *eclass_id* (and its temp dependencies first)."""
 
         eclass_id = egraph.find(eclass_id)
-        if eclass_id in declared or not renderer.is_temp_class(eclass_id):
+        if eclass_id in renderer.names or not renderer.is_temp_class(eclass_id):
             return
         if load_stmt_dep(eclass_id) > after_position:
             # This load forwards from a store that has not executed yet; it
