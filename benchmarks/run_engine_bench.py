@@ -16,7 +16,7 @@ the script in quick mode and fails if ``pipeline_outcome`` /
 representation changes cannot silently alter saturation results.
 
 One repeated-workload row exercises the session architecture the
-experiment harness runs on: ``pipeline_variants_cached`` sweeps all four
+service and the CLI run on: ``pipeline_variants_cached`` sweeps all four
 generated-code variants through a session with an artifact cache (vs
 ``pipeline_variants_cold`` without one).  The cache hit/miss counters
 behind that row are recorded under ``"cache"``.

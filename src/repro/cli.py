@@ -52,10 +52,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.egraph.runner import RunnerLimits
-from repro.egraph.schedule import make_scheduler
 from repro.saturator import SaturatorConfig, Variant
 from repro.service import JobState, OptimizationService, ServiceOverloadedError
-from repro.session import DiskCache, MemoryCache, OptimizationSession, TieredCache
+from repro.session import MemoryCache, OptimizationSession
 
 __all__ = ["build_arg_parser", "build_serve_parser", "main", "serve_main"]
 
@@ -115,32 +114,20 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> SaturatorConfig:
-    """Validate the shared options and build the :class:`SaturatorConfig`."""
+    """Build the :class:`SaturatorConfig`; a bad option is a usage error."""
 
     try:
-        variant = Variant.from_name(args.variant)
+        return SaturatorConfig(
+            variant=Variant.from_name(args.variant),
+            ruleset=args.ruleset,
+            extraction=args.extraction,
+            limits=RunnerLimits(args.node_limit, args.iter_limit, args.time_limit),
+            scheduler=args.scheduler,
+            anytime_extraction=args.anytime,
+            plateau_patience=args.plateau_patience,
+        )
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        make_scheduler(args.scheduler)  # fail fast on a bad spelling
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.plateau_patience < 1:
-        parser.error("--plateau-patience must be at least 1")
-    limits = RunnerLimits(args.node_limit, args.iter_limit, args.time_limit)
-    try:
-        limits.validate()
-    except ValueError as exc:
-        parser.error(str(exc))
-    return SaturatorConfig(
-        variant=variant,
-        ruleset=args.ruleset,
-        extraction=args.extraction,
-        limits=limits,
-        scheduler=args.scheduler,
-        anytime_extraction=args.anytime,
-        plateau_patience=args.plateau_patience,
-    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -155,7 +142,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="input C file(s); an optional leading compiler name (nvc/gcc/clang) "
              "is accepted and ignored",
     )
-    parser.add_argument("-o", "--output", help="output file (default: <input>.sat.c)")
+    parser.add_argument(
+        "-o", "--output",
+        help="output file of a single input (default: <input>.sat.c)",
+    )
     _add_config_options(parser)
     parser.add_argument(
         "--jobs", "-j", type=int, default=1,
@@ -226,6 +216,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     compiler, files = _split_inputs(args.inputs)
     if not files:
         parser.error("no input files given")
+    if args.output and len(files) > 1:
+        parser.error("-o/--output takes exactly one input file")
 
     config = _config_from_args(parser, args)
     variant = config.variant
@@ -233,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     session = OptimizationSession(
-        config, DiskCache(args.cache_dir) if args.cache_dir else None
+        config, MemoryCache(directory=args.cache_dir) if args.cache_dir else None
     )
 
     overall_report = {
@@ -414,10 +406,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     config = _config_from_args(parser, args)
     if args.workers < 1:
         parser.error("--workers must be at least 1")
-    if args.cache_dir:
-        cache = TieredCache(memory=MemoryCache(), disk=DiskCache(args.cache_dir))
-    else:
-        cache = MemoryCache()
+    cache = MemoryCache(directory=args.cache_dir)
 
     paths = [Path(item) for item in args.inputs]
     missing = [path for path in paths if not path.exists()]

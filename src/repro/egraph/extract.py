@@ -50,6 +50,7 @@ from repro.egraph.egraph import EGraph, NodeKey
 from repro.egraph.language import Payload, Term
 
 __all__ = [
+    "EXTRACTION_METHODS",
     "CostFunction",
     "ExtractionError",
     "ExtractionResult",
@@ -922,6 +923,10 @@ class ILPExtractor:
 # ---------------------------------------------------------------------------
 # Facade
 # ---------------------------------------------------------------------------
+
+
+#: The ``method`` spellings :func:`extract_best` accepts.
+EXTRACTION_METHODS = ("dag-greedy", "ilp")
 
 
 def extract_best(

@@ -285,14 +285,15 @@ class RunnerLimits:
     ``node_limit`` is checked after every applied match row: the row that
     crosses it ends the apply phase, and the run stops with
     :attr:`StopReason.NODE_LIMIT` at the end of that iteration, whatever
-    the post-rebuild count.
+    the post-rebuild count.  Every limit must be positive; building one
+    that is not raises :class:`ValueError`.
     """
 
     node_limit: int = 10_000
     iter_limit: int = 10
     time_limit: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.node_limit <= 0:
             raise ValueError("node_limit must be positive")
         if self.iter_limit <= 0:
@@ -553,7 +554,6 @@ class Runner:
                 f"stats are keyed by name"
             )
         self.limits = limits or RunnerLimits()
-        self.limits.validate()
         self.scheduler = make_scheduler(scheduler)
         self.anytime = anytime
         self.on_iteration = on_iteration

@@ -9,27 +9,21 @@ The harness connects the three layers of the reproduction:
    a machine-level characterisation per compiler,
 3. the **GPU model** (`repro.gpusim.launch`) turns that into time.
 
-Every figure/table cell re-runs the same parse→SSA→saturate→extract→codegen
-flow, so the harness sits on the **session architecture**
-(:mod:`repro.session`) rather than looping over the raw pipeline:
-
-pipeline runs go through a module-level
-:class:`~repro.session.OptimizationSession` whose content-addressed
-:class:`~repro.session.MemoryCache` is keyed on (source fingerprint,
-config fingerprint) — the SAT variants only differ from their non-SAT
-counterparts by equality saturation, and BULK only changes the code
-layout, so each kernel needs exactly two pipeline runs (CSE and CSE+SAT)
-and every other cell is a cache hit (counters:
-:func:`pipeline_cache_stats`).  :func:`evaluate_kernel` and
-:func:`evaluate_benchmark` are plain loops over those cells.
+Every figure/table cell reduces to one of two pipeline runs per kernel:
+the SAT variants only differ from their non-SAT counterparts by equality
+saturation, and BULK only changes the code layout, so each kernel needs
+exactly a CSE and a CSE+SAT run.  :func:`_pipeline_stats` memoises the
+stat tuple of each run (keyed on source, saturation and settings), so
+every other cell is a memo hit (counters: :func:`pipeline_cache_stats`).
+:func:`evaluate_kernel` and :func:`evaluate_benchmark` are plain loops
+over those cells.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.benchsuite.base import BenchmarkSpec, KernelSpec
 from repro.codegen.generator import KernelCodeStats
@@ -46,21 +40,13 @@ from repro.gpusim import (
     compiler_model,
     simulate_kernel,
 )
-from repro.saturator import SaturatorConfig, Variant
-from repro.session import (
-    ArtifactCache,
-    DiskCache,
-    MemoryCache,
-    OptimizationSession,
-    TieredCache,
-)
+from repro.saturator import SaturatorConfig, Variant, optimize_source
 
 __all__ = [
     "EvaluationSettings",
     "VARIANT_ORDER",
     "characterize_kernel",
     "clear_pipeline_cache",
-    "configure_pipeline_cache",
     "evaluate_kernel",
     "evaluate_benchmark",
     "format_speedup_table",
@@ -101,101 +87,28 @@ class EvaluationSettings:
 
 _DEFAULT_SETTINGS = EvaluationSettings()
 
-def _default_pipeline_cache() -> ArtifactCache:
-    """The harness's artifact cache backend.
 
-    With ``REPRO_CACHE_DIR`` set, pipeline artifacts are shared through a
-    disk-backed tier (memory in front for O(1) repeat hits), so repeated
-    figure/table sweeps — and separate processes, e.g. the CI bench
-    smoke — skip cold pipeline runs entirely.  Without
-    it, the in-memory backend serves the single-process case.  512 memory
-    entries comfortably hold both configs of every kernel in both suites;
-    the cache key covers the full SaturatorConfig, so different settings
-    never collide.
-    """
+def pipeline_cache_stats() -> Dict[str, int]:
+    """Hits and misses of the memo of per-kernel pipeline runs."""
 
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    memory = MemoryCache(max_entries=512)
-    if cache_dir:
-        return TieredCache(memory=memory, disk=DiskCache(cache_dir))
-    return memory
-
-
-#: Session cache shared by every experiment module in the process (see
-#: :func:`_default_pipeline_cache`; reconfigure at runtime with
-#: :func:`configure_pipeline_cache`).
-_PIPELINE_CACHE: ArtifactCache = _default_pipeline_cache()
-_SESSION = OptimizationSession(cache=_PIPELINE_CACHE)
-
-
-def configure_pipeline_cache(
-    cache_dir: Union[None, str, "os.PathLike"] = None,
-    cache: Optional[ArtifactCache] = None,
-) -> ArtifactCache:
-    """Rebind the harness's shared pipeline cache.
-
-    ``cache_dir`` wires a disk-backed tier at that path (the programmatic
-    twin of the ``REPRO_CACHE_DIR`` environment variable); ``cache``
-    installs an arbitrary pre-built backend; with neither, the default
-    backend is rebuilt from the environment.  Derived-stat memos are
-    dropped so every figure/table cell re-reads through the new backend.
-    Returns the installed cache.
-    """
-
-    global _PIPELINE_CACHE, _SESSION
-    if cache is not None and cache_dir is not None:
-        raise ValueError("pass either cache_dir or cache, not both")
-    if cache is None:
-        if cache_dir is not None:
-            cache = TieredCache(
-                memory=MemoryCache(max_entries=512),
-                disk=DiskCache(os.fspath(cache_dir)),
-            )
-        else:
-            cache = _default_pipeline_cache()
-    _PIPELINE_CACHE = cache
-    _SESSION = OptimizationSession(cache=_PIPELINE_CACHE)
-    _pipeline_stats.cache_clear()
-    return cache
-
-
-def pipeline_cache_stats() -> Dict[str, object]:
-    """Counters of both pipeline cache layers.
-
-    ``hits``/``misses``/``stores`` are the session artifact cache;
-    ``derived_hits``/``derived_misses`` are the O(1) memo of the derived
-    stat tuples sitting in front of it.
-    """
-
-    stats = _PIPELINE_CACHE.stats.as_dict()
     info = _pipeline_stats.cache_info()
-    stats["derived_hits"] = info.hits
-    stats["derived_misses"] = info.misses
-    return stats
+    return {"hits": info.hits, "misses": info.misses}
 
 
 def clear_pipeline_cache() -> None:
-    """Drop every cached pipeline artifact (for benchmarks and tests)."""
+    """Drop every memoised pipeline run (for benchmarks and tests)."""
 
     _pipeline_stats.cache_clear()
-    _PIPELINE_CACHE.clear()
 
 
 @lru_cache(maxsize=1024)
 def _pipeline_stats(
     source: str, saturate: bool, settings: EvaluationSettings
 ) -> Tuple[KernelCodeStats, KernelCodeStats, int]:
-    """Run the pipeline once per (source, config); cached thereafter.
-
-    Two cache layers: this ``lru_cache`` serves the *derived* stat tuple
-    in O(1) for the repeated figure/table cells of one process, while the
-    session's content-addressed artifact cache underneath holds the full
-    :class:`OptimizationResult` (shared across call signatures, and the
-    layer a future disk backend plugs into).
-    """
+    """Run the pipeline once per (source, config); memoised thereafter."""
 
     variant = Variant.CSE_SAT if saturate else Variant.CSE
-    result = _SESSION.run(source, settings.config(variant))
+    result = optimize_source(source, settings.config(variant))
     original = KernelCodeStats()
     generated = KernelCodeStats()
     temps = 0
@@ -219,7 +132,7 @@ def pipeline_workload(
     Every figure and table cell of the evaluation reduces to exactly two
     pipeline runs per kernel — the CSE baseline and the CSE+SAT saturated
     build (see :func:`_pipeline_stats`); all other variants and compilers
-    are cache hits over those artifacts.  This returns that deduplicated
+    are memo hits over those runs.  This returns that deduplicated
     ``(source, config, kernel name)`` workload, which is what the service
     load generator samples its request mix from.  ``benchmarks`` defaults
     to both suites (NPB and SPEC ACCEL).

@@ -78,10 +78,11 @@ def all_sites() -> list:
 # these names — that is the whole point of the registry.
 # ---------------------------------------------------------------------------
 
-#: Session/tiered cache probe (fired per backend lookup; telemetry emits
-#: the probe outcome — hit / miss / corrupt — as an event attribute).
+#: Session cache probe (fired once per lookup; telemetry emits the probe
+#: outcome — hit / miss / corrupt — and the answering backend as event
+#: attributes).
 SITE_CACHE_GET = register_site("cache:get", "artifact cache lookup")
-#: Session/tiered cache store.
+#: Session cache store.
 SITE_CACHE_STORE = register_site("cache:store", "artifact cache store")
 #: Pipeline stage entry; one site per stage name (``stage:frontend``,
 #: ``stage:saturate``, …) — the tracer's stage spans use the same names.

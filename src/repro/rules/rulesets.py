@@ -17,7 +17,14 @@ from repro.egraph.rewrite import Rewrite
 from repro.rules.arithmetic import associativity_rules, commutativity_rules, identity_rules
 from repro.rules.fma import fma_rules
 
-__all__ = ["RuleSpec", "RULE_TABLE", "default_ruleset", "extended_ruleset", "ruleset_by_name"]
+__all__ = [
+    "RULESET_NAMES",
+    "RuleSpec",
+    "RULE_TABLE",
+    "default_ruleset",
+    "extended_ruleset",
+    "ruleset_by_name",
+]
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,9 @@ _RULESETS: Dict[str, Callable[[], List[Rewrite]]] = {
     "reassoc-only": lambda: commutativity_rules() + associativity_rules(),
     "none": lambda: [],
 }
+
+#: The rule-set names :func:`ruleset_by_name` accepts.
+RULESET_NAMES = tuple(sorted(_RULESETS))
 
 
 def ruleset_by_name(name: str) -> List[Rewrite]:

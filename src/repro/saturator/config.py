@@ -6,7 +6,10 @@ import dataclasses
 import enum
 from dataclasses import dataclass, field
 
+from repro.egraph.extract import EXTRACTION_METHODS
 from repro.egraph.runner import RunnerLimits
+from repro.egraph.schedule import make_scheduler
+from repro.rules.rulesets import RULESET_NAMES
 
 __all__ = ["Variant", "SaturatorConfig"]
 
@@ -53,7 +56,14 @@ class Variant(enum.Enum):
 
 @dataclass
 class SaturatorConfig:
-    """All knobs of the pipeline, with the paper's defaults."""
+    """All knobs of the pipeline, with the paper's defaults.
+
+    A config checks its fields when it is built: an unknown rule set,
+    extraction method or scheduler spelling, an anytime interval or
+    plateau patience below 1, or a non-positive extraction time limit
+    raises :class:`ValueError` (the limits check themselves, see
+    :class:`~repro.egraph.runner.RunnerLimits`).
+    """
 
     #: Which generated-code variant to produce.
     variant: Variant = Variant.ACCSAT
@@ -85,6 +95,24 @@ class SaturatorConfig:
     anytime_extraction: bool = False
     anytime_interval: int = 1
     plateau_patience: int = 3
+
+    def __post_init__(self) -> None:
+        if self.ruleset not in RULESET_NAMES:
+            raise ValueError(
+                f"unknown ruleset {self.ruleset!r}; available: {list(RULESET_NAMES)}"
+            )
+        if self.extraction not in EXTRACTION_METHODS:
+            raise ValueError(
+                f"unknown extraction method {self.extraction!r}; "
+                f"expected one of {list(EXTRACTION_METHODS)}"
+            )
+        make_scheduler(self.scheduler)  # raises on a bad spelling
+        if self.anytime_interval < 1:
+            raise ValueError("anytime_interval must be at least 1")
+        if self.plateau_patience < 1:
+            raise ValueError("plateau_patience must be at least 1")
+        if self.extraction_time_limit <= 0:
+            raise ValueError("extraction_time_limit must be positive")
 
     def with_variant(self, variant: Variant) -> "SaturatorConfig":
         """A copy of this config with a different variant."""

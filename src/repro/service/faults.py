@@ -11,7 +11,7 @@ site                 where it fires
 ``worker:crash``     right after pickup: decides whether — and after how
                      many published iterations — the attempt's cold run
                      dies
-``cache:get``        artifact-cache lookup (``MemoryCache``/``DiskCache``)
+``cache:get``        artifact-cache lookup (memory, then its directory)
 ``stage:<name>``     before each pipeline stage (``stage:saturate``, ...);
                      thread executor only, the child never sees the plan
 ``progress:publish`` before each per-iteration progress event

@@ -69,7 +69,7 @@ from repro.service.job import Job, JobHandle, JobState, OptimizationRequest, Pro
 from repro.service.procpool import ProcessWorkerPool, WorkerTask
 from repro.service.queue import JobQueue
 from repro.service.stats import ServiceStats
-from repro.session.cache import MISS, ArtifactCache, MemoryCache
+from repro.session.cache import MISS, MemoryCache
 from repro.session.fingerprint import CacheKey
 from repro.session.session import OptimizationSession
 from repro.session.stages import SaturationCancelled
@@ -167,7 +167,7 @@ class OptimizationService:
         self,
         session: Optional[OptimizationSession] = None,
         config: Optional[SaturatorConfig] = None,
-        cache: Optional[ArtifactCache] = None,
+        cache: Optional[MemoryCache] = None,
         workers: Optional[int] = None,
         coalesce: bool = True,
         max_queue: Optional[int] = None,
@@ -237,16 +237,9 @@ class OptimizationService:
         self._started = False
         self._stopped = False
         if faults is not None and session.cache is not None:
-            # arm the cache sites (every tier of a TieredCache does its
-            # own IO, so each gets the hook); stage/publish/pickup sites
-            # are armed per-job in the worker loop
-            for tier in (
-                session.cache,
-                getattr(session.cache, "memory", None),
-                getattr(session.cache, "disk", None),
-            ):
-                if tier is not None:
-                    tier.fault_hook = faults.fire
+            # arm the cache sites; stage/publish/pickup sites are armed
+            # per-job in the worker loop
+            session.cache.fault_hook = faults.fire
         #: Strictly observational telemetry (PR 10).  ``tracer`` is an
         #: optional :class:`repro.obs.Tracer`; ``metrics`` always exists —
         #: it adapts every counter surface (ServiceStats, CacheStats, the

@@ -5,8 +5,9 @@ This package turns the per-kernel pipeline into reusable infrastructure:
 * :mod:`repro.session.stages` — the pipeline as typed, composable stages
   over a shared :class:`~repro.session.stages.StageContext`,
 * :mod:`repro.session.fingerprint` / :mod:`repro.session.cache` — a
-  content-addressed artifact cache (memory, disk, tiered backends) keyed
-  on (source fingerprint, config fingerprint, stage),
+  content-addressed artifact cache (an in-memory LRU, optionally written
+  through to a directory) keyed on (source fingerprint, config
+  fingerprint, stage),
 * :mod:`repro.session.session` — :class:`OptimizationSession`, which ties
   the two together for cached whole-source optimization.
 
@@ -16,14 +17,7 @@ concurrently), the ``accsat`` CLI and the engine benchmark all build on
 this package.
 """
 
-from repro.session.cache import (
-    MISS,
-    ArtifactCache,
-    CacheStats,
-    DiskCache,
-    MemoryCache,
-    TieredCache,
-)
+from repro.session.cache import MISS, CacheStats, MemoryCache
 from repro.session.fingerprint import (
     CacheKey,
     fingerprint_config,
@@ -46,12 +40,10 @@ from repro.session.session import OptimizationSession
 
 __all__ = [
     "MISS",
-    "ArtifactCache",
     "CacheKey",
     "CacheStats",
     "CodegenStage",
     "DEFAULT_STAGES",
-    "DiskCache",
     "EGraphBuildStage",
     "ExtractionStage",
     "FrontendStage",
@@ -61,7 +53,6 @@ __all__ = [
     "Stage",
     "StageContext",
     "StageError",
-    "TieredCache",
     "fingerprint_config",
     "fingerprint_text",
     "run_stages",

@@ -4,8 +4,8 @@ An :class:`OptimizationSession` wraps the staged pipeline
 (:mod:`repro.session.stages`) with a **content-addressed artifact cache**
 (:mod:`repro.session.cache`): results are keyed on (source fingerprint,
 config fingerprint, stage, name prefix), so re-optimizing the same kernel
-under the same configuration — which the figure/table experiments do for
-every variant and compiler cell — is a cache hit instead of a pipeline
+under the same configuration — a repeated service request, or an
+``accsat --cache-dir`` re-run — is a cache hit instead of a pipeline
 run.  Running many sessions concurrently is the optimization service's
 job (:class:`repro.service.OptimizationService`).
 
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.saturator.config import SaturatorConfig
 from repro.saturator.report import OptimizationResult
-from repro.session.cache import MISS, ArtifactCache, CacheStats
+from repro.session.cache import MISS, CacheStats, MemoryCache
 from repro.session.fingerprint import CacheKey, stage_key
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -40,7 +40,7 @@ class OptimizationSession:
 
     ``config`` is the default :class:`SaturatorConfig` of the session; each
     call may override it, and the cache key always reflects the config
-    actually used.  ``cache`` is any :class:`ArtifactCache` (or ``None``
+    actually used.  ``cache`` is a :class:`MemoryCache` (or ``None``
     for an uncached session).  A run always uses the default stage tuple,
     so its artifact is a pure function of what the key covers: source,
     config and name prefix.
@@ -54,7 +54,7 @@ class OptimizationSession:
     def __init__(
         self,
         config: Optional[SaturatorConfig] = None,
-        cache: Optional[ArtifactCache] = None,
+        cache: Optional[MemoryCache] = None,
     ) -> None:
         self.config = config or SaturatorConfig()
         self.cache = cache

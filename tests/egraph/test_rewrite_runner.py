@@ -185,10 +185,13 @@ class TestRunner:
         )
 
     def test_invalid_limits_rejected(self):
-        with pytest.raises(ValueError):
-            RunnerLimits(node_limit=0).validate()
-        with pytest.raises(ValueError):
-            RunnerLimits(iter_limit=0).validate()
+        # limits check themselves when they are built
+        with pytest.raises(ValueError, match="node_limit"):
+            RunnerLimits(node_limit=0)
+        with pytest.raises(ValueError, match="iter_limit"):
+            RunnerLimits(iter_limit=0)
+        with pytest.raises(ValueError, match="time_limit"):
+            RunnerLimits(time_limit=-0.0)
 
     def test_commutativity_discovers_cse(self):
         """The motivating example: B = D + E and C = E + D become equal."""

@@ -1,6 +1,6 @@
 """Byte-identity gates over the 34-kernel corpus (paper Table II/III sources).
 
-Three committed goldens pin what the compile path produces:
+The committed goldens pin what the compile path produces:
 
 * ``golden_code_sha256.json`` — SHA-256 of ``optimize_source(src, cfg,
   name).code`` for every corpus source under all four variants at the
@@ -26,6 +26,12 @@ Three committed goldens pin what the compile path produces:
   the one that sees a change in the bulk-load tie order.  It pins bytes,
   not correctness: several of these shapes miscompile today (ROADMAP
   items 1 and 16), and fixing them moves their hashes on purpose.
+* ``miscompile_ledger.json`` — whether each of those 14 shapes keeps its
+  meaning (``pass``) or not (``miscompile``) under ``verify_equivalence``
+  (3 trials) in 10 columns: CSE, CSE+BULK, and CSE+SAT and ACCSAT each
+  under ``simple``, ``backoff``, ``match-budget`` and ``simple`` with
+  anytime extraction.  Any cell that flips fails, a fix included: a fix
+  rewrites the ledger and :data:`MISCOMPILES`, its pinned total.
 
 A hash that moves means the change altered generated code (or the token
 stream / AST): either the change is wrong, or the new output is intended —
@@ -45,17 +51,22 @@ import pytest
 
 from repro.benchsuite.registry import NPB_BENCHMARKS, SPEC_ACC_BENCHMARKS
 from repro.egraph.runner import RunnerLimits
+from repro.frontend import parse_statement
+from repro.frontend.cast import clone
 from repro.frontend.lexer import tokenize
+from repro.frontend.normalize import normalize_blocks
 from repro.frontend.parser import parse
 from repro.frontend.printer import print_c
+from repro.interp import verify_equivalence
 from repro.saturator import SaturatorConfig, Variant, optimize_source
-from test_miscompile_shapes import SHAPES as KNOWN_SHAPES
+from repro.saturator.driver import optimize_ast
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CODE_GOLDEN = os.path.join(HERE, "golden_code_sha256.json")
 FRONTEND_GOLDEN = os.path.join(HERE, "golden_frontend_sha256.json")
 OUTCOME_GOLDEN = os.path.join(HERE, "golden_outcomes.json")
 SHAPE_GOLDEN = os.path.join(HERE, "golden_shapes_sha256.json")
+LEDGER = os.path.join(HERE, "miscompile_ledger.json")
 
 #: The paper's node and iteration limits; the wall limit never binds, so
 #: every artifact is a pure function of (source, config).
@@ -122,11 +133,29 @@ def outcomes(scheduler: str, variant: Variant):
 
 
 #: Loop bodies outside the corpus, each compiled under ``#pragma acc
-#: parallel loop`` over ``i``: the four known miscompile shapes, the fully
-#: spelled array shapes of ROADMAP's miscompile probe, and the three
-#: scalar out-of-SSA shapes (swap, lost copy, copy of a φ value).
+#: parallel loop`` over ``i``: the four shapes of the array-version
+#: re-materialisation miscompile (a scalar computed from an earlier
+#: version of an array is rebuilt from memory after an intervening
+#: store), the fully spelled array shapes of ROADMAP's miscompile probe,
+#: and the three scalar out-of-SSA shapes (swap, lost copy, copy of a φ
+#: value).
 SHAPES = {
-    **KNOWN_SHAPES,
+    "store-under-if": (
+        "double t = a[i] * 2.0; if (c[i] > 0.0) { a[i] = 0.0; } "
+        "out[i] = t + a[i] * 2.0;"
+    ),
+    "store-in-loop": (
+        "double t = a[i] * 2.0; for (int j = 0; j < 2; j++) { a[i] = 0.0; } "
+        "out[i] = t + a[i] * 2.0;"
+    ),
+    "store-under-nested-if": (
+        "double t = a[i]; if (c[i] > 0.0) { if (b[i] > 0.0) { a[i] = t + 1.0; } } "
+        "out[i] = a[i] + t;"
+    ),
+    "store-to-second-operand": (
+        "double t = a[i] + b[i]; if (c[i] > 0.0) { b[i] = 0.0; } "
+        "double u = a[i] + b[i]; out[i] = t + u;"
+    ),
     "reassign-after-store": (
         "double t = a[i]*2.0; if (c[i]>0.0) { a[i] = 0.0; } "
         "double x = t*3.0; t = b[i]; out[i] = x + t;"
@@ -165,15 +194,53 @@ SHAPES = {
 }
 
 
+def _shape_source(body: str) -> str:
+    return f"#pragma acc parallel loop\nfor (int i = 0; i < n; i++) {{\n{body}\n}}\n"
+
+
 def shape_hashes(scheduler: str, variant: Variant):
     config = SaturatorConfig(variant=variant, limits=LIMITS, scheduler=scheduler)
+    return {
+        name: _sha(optimize_source(_shape_source(body), config, "shape").code)
+        for name, body in sorted(SHAPES.items())
+    }
+
+
+#: Ledger column name -> (variant, scheduler, anytime extraction).
+LEDGER_COLUMNS = {
+    "cse": (Variant.CSE, "simple", False),
+    "cse+bulk": (Variant.CSE_BULK, "simple", False),
+    **{
+        f"{scheduler}{'+anytime' if anytime else ''}/{variant.value}": (
+            variant, scheduler, anytime,
+        )
+        for variant in SATURATING
+        for scheduler, anytime in (
+            ("simple", False), ("backoff", False), ("match-budget", False),
+            ("simple", True),
+        )
+    },
+}
+#: Ledger cells that miscompile; a fix lowers it on purpose.
+MISCOMPILES = 118
+
+
+def ledger_column(column: str):
+    """``{shape: "pass" | "miscompile"}`` of one ledger column."""
+
+    variant, scheduler, anytime = LEDGER_COLUMNS[column]
+    config = SaturatorConfig(
+        variant=variant, limits=LIMITS, scheduler=scheduler,
+        anytime_extraction=anytime,
+    )
     out = {}
     for name, body in sorted(SHAPES.items()):
-        source = (
-            "#pragma acc parallel loop\n"
-            f"for (int i = 0; i < n; i++) {{\n{body}\n}}\n"
-        )
-        out[name] = _sha(optimize_source(source, config, "shape").code)
+        original = parse_statement(_shape_source(body))
+        normalize_blocks(original)
+        work = clone(original)
+        optimize_ast(work, config)
+        passed = verify_equivalence(original, work, trials=3).passed
+        out[name] = "pass" if passed else "miscompile"
     return out
 
 
@@ -247,6 +314,20 @@ def test_non_corpus_shapes_are_byte_identical_to_golden(scheduler, variant):
     )
 
 
+@pytest.mark.parametrize("column", sorted(LEDGER_COLUMNS))
+def test_miscompile_ledger_cells_are_unchanged(column):
+    ledger = _load(LEDGER)
+    assert sorted(ledger) == sorted(LEDGER_COLUMNS)
+    assert {len(cells) for cells in ledger.values()} == {len(SHAPES)} == {14}
+    total = sum(v == "miscompile" for cells in ledger.values() for v in cells.values())
+    assert total == MISCOMPILES, f"the ledger holds {total} miscompiles"
+    actual = ledger_column(column)
+    flipped = sorted(name for name in ledger[column] if actual.get(name) != ledger[column][name])
+    assert not flipped and set(actual) == set(ledger[column]), (
+        f"{column}: verdict changed for {flipped}"
+    )
+
+
 def test_token_streams_and_reprinted_sources_match_golden():
     golden = _load(FRONTEND_GOLDEN)
     actual = frontend_hashes()
@@ -270,6 +351,7 @@ if __name__ == "__main__":
             SHAPE_GOLDEN,
             {f"{s}/{v.value}": shape_hashes(s, v) for s, v in outcome_cells()},
         ),
+        (LEDGER, {column: ledger_column(column) for column in LEDGER_COLUMNS}),
     ):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1, sort_keys=True)

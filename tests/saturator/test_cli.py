@@ -77,6 +77,27 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([str(kernel_file), "--plateau-patience", "0"])
 
+    @pytest.mark.parametrize("mode", [[], ["serve"]], ids=["optimize", "serve"])
+    def test_bad_ruleset_is_a_usage_error(self, kernel_file, capsys, mode):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*mode, "--ruleset", "bogus", str(kernel_file)])
+        assert exit_info.value.code == 2
+        assert "unknown ruleset 'bogus'" in capsys.readouterr().err
+        assert not kernel_file.with_suffix(".sat.c").exists()
+
+    def test_output_with_several_inputs_is_a_usage_error(self, kernel_file, tmp_path, capsys):
+        other = tmp_path / "other.c"
+        other.write_text(KERNEL.replace("c[i][j]", "d[i][j]"))
+        out = tmp_path / "out.c"
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(kernel_file), str(other), "-o", str(out)])
+        assert exit_info.value.code == 2
+        assert "-o/--output takes exactly one input file" in capsys.readouterr().err
+        assert not out.exists()
+        # one input (after an optional compiler name) still honours -o
+        assert main(["nvc", str(kernel_file), "-o", str(out), "--quiet"]) == 0
+        assert "c[i][j]" in out.read_text()
+
     def test_missing_file_fails(self, tmp_path):
         assert main([str(tmp_path / "absent.c")]) == 1
 

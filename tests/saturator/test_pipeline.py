@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.egraph.runner import RunnerLimits
 from repro.frontend import parse_statement
 from repro.frontend.cast import clone
 from repro.frontend.normalize import normalize_blocks
@@ -13,6 +14,7 @@ from repro.saturator import (
     optimize_source,
 )
 from repro.saturator.driver import optimize_ast
+from repro.session import fingerprint_config
 
 ACC_KERNEL = """
 #pragma acc parallel loop gang
@@ -55,6 +57,44 @@ class TestVariant:
         assert derived.variant is Variant.CSE
         assert derived.ruleset == "fma-only"
         assert derived.extraction == "ilp"
+
+
+class TestConfigValidation:
+    """A config checks itself when it is built, under every variant."""
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"ruleset": "bogus"}, "unknown ruleset"),
+            ({"extraction": "tree"}, "unknown extraction method"),
+            ({"scheduler": "bogus"}, "unknown scheduler spec"),
+            ({"scheduler": "backoff:x"}, "invalid scheduler spec"),
+            ({"anytime_interval": 0}, "anytime_interval"),
+            ({"plateau_patience": 0}, "plateau_patience"),
+            ({"extraction_time_limit": 0.0}, "extraction_time_limit"),
+            ({"extraction_time_limit": -1}, "extraction_time_limit"),
+        ],
+    )
+    @pytest.mark.parametrize("variant", [Variant.CSE, Variant.ACCSAT], ids=lambda v: v.name)
+    def test_bad_field_raises(self, variant, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SaturatorConfig(variant=variant, **fields)
+
+    def test_non_positive_limits_raise_before_any_run(self):
+        with pytest.raises(ValueError, match="node_limit"):
+            SaturatorConfig(variant=Variant.CSE, limits=RunnerLimits(0, -3, 0.0))
+
+    def test_valid_spellings_build(self):
+        for ruleset in ("default", "extended", "fma-only", "reassoc-only", "none"):
+            SaturatorConfig(ruleset=ruleset)
+        for scheduler in ("simple", "backoff:8:2", "match-budget:64", "budget"):
+            SaturatorConfig(scheduler=scheduler)
+        SaturatorConfig(extraction="ilp", extraction_time_limit=0.5)
+
+    def test_defaults_keep_their_digest(self):
+        assert fingerprint_config(SaturatorConfig()) == (
+            "c142f046d3d303dc2357f35b09d9e363de215342f6ed89cce2a635bcf151fb4b"
+        )
 
 
 class TestKernelDiscovery:

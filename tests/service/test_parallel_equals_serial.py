@@ -4,30 +4,17 @@
 concurrently: ``accsat FILE... -j N --executor thread|process`` builds one
 service per run, and a service wave — on either backend, with any number
 of workers — produces the artifacts a serial run produces, handle by
-handle in input order.  The figure/table harness is serial, but a cache a
-service wave filled serves every one of its cells unchanged.
+handle in input order.
 """
 
 import pytest
 
 import repro.cli as cli
-from repro.benchsuite import get_benchmark
 from repro.cli import main
 from repro.egraph.runner import RunnerLimits
-from repro.experiments.common import (
-    EvaluationSettings,
-    clear_pipeline_cache,
-    configure_pipeline_cache,
-    evaluate_benchmark,
-    evaluate_kernel,
-    pipeline_workload,
-)
-from repro.gpusim import A100_PCIE_40GB, compiler_model
 from repro.saturator import SaturatorConfig, Variant, optimize_source
 from repro.service import OptimizationService
-from repro.session import DiskCache, MemoryCache
-
-FAST = EvaluationSettings(node_limit=1200, iter_limit=2, time_limit=3.0)
+from repro.session import MemoryCache
 
 CONFIG = SaturatorConfig(variant=Variant.CSE_SAT, limits=RunnerLimits(400, 3, 60.0))
 
@@ -88,18 +75,6 @@ def _write_files(tmp_path, count):
     return paths
 
 
-def _warmed_cache(workload, **kwargs):
-    """A cache filled by one service wave over ``(source, config, _)`` rows."""
-
-    cache = MemoryCache()
-    service = OptimizationService(cache=cache, **kwargs)
-    handles = [service.submit(source, config=config) for source, config, _ in workload]
-    with service:
-        for handle in handles:
-            handle.result(timeout=300)
-    return cache
-
-
 class TestMakeExecutor:
     """``-j N`` and ``--executor`` are the only concurrency spellings."""
 
@@ -116,7 +91,7 @@ class TestMakeExecutor:
 
     def test_existing_executor_passes_through(self, tmp_path, monkeypatch):
         # the service runs the CLI's own session: its config and its
-        # --cache-dir disk cache, which is where the stores land
+        # --cache-dir cache, which is where the stores land
         built = _record_services(monkeypatch)
         (path,) = _write_files(tmp_path, 1)
         cache_dir = tmp_path / "artifacts"
@@ -125,8 +100,8 @@ class TestMakeExecutor:
         ]) == 0
         (service,) = built
         assert service.session.config.variant is Variant.CSE
-        assert isinstance(service.session.cache, DiskCache)
-        assert service.session.cache.root == cache_dir
+        assert type(service.session.cache) is MemoryCache
+        assert service.session.cache.directory == cache_dir
         assert service.session.cache.stats.stores == 1
         assert len(list(cache_dir.rglob("*.pkl"))) == 1
 
@@ -141,6 +116,26 @@ class TestMakeExecutor:
             main(["--quiet", "-j", "0", path])
         assert excinfo.value.code == 2
 
+
+    def test_both_modes_build_one_cache_and_rerun_from_it(self, tmp_path, monkeypatch):
+        # ``accsat --cache-dir D`` and ``accsat serve --cache-dir D`` build
+        # the same cache; whichever runs second over D runs no pipeline
+        built = _record_services(monkeypatch)
+        paths = _write_files(tmp_path, 2)
+        cache_dir = tmp_path / "artifacts"
+        assert main(["--quiet", "--cache-dir", str(cache_dir), *paths]) == 0
+        assert main([
+            "serve", "--quiet", "--no-write", "--cache-dir", str(cache_dir), *paths,
+        ]) == 0
+        assert main(["--quiet", "--cache-dir", str(cache_dir), *paths]) == 0
+        caches = [service.session.cache for service in built]
+        assert [type(cache) for cache in caches] == [MemoryCache] * 3
+        assert {cache.directory for cache in caches} == {cache_dir}
+        assert [service.stats.snapshot()["pipeline_runs"] for service in built] == [
+            2, 0, 0,
+        ]
+        for cache in caches[1:]:
+            assert (cache.stats.hits, cache.stats.misses) == (2, 0)
 
 class TestExecutors:
     def test_serial_map(self):
@@ -160,49 +155,3 @@ class TestExecutors:
         assert [(service.executor, service.workers) for service in built] == [
             ("process", 1)
         ]
-
-
-class TestParallelEvaluationMatchesSerial:
-    @pytest.fixture(scope="class")
-    def bench(self):
-        return get_benchmark("BT")
-
-    def test_evaluate_benchmark_threads_equals_serial(self, bench):
-        clear_pipeline_cache()
-        serial = evaluate_benchmark(bench, "nvhpc", settings=FAST)
-        cache = _warmed_cache(pipeline_workload([bench], FAST), workers=4)
-        stores = cache.stats.stores
-        try:
-            configure_pipeline_cache(cache=cache)
-            threaded = evaluate_benchmark(bench, "nvhpc", settings=FAST)
-        finally:
-            configure_pipeline_cache()
-        # every cell was served by an artifact the thread wave computed
-        assert cache.stats.stores == stores
-        assert threaded.total_time == serial.total_time
-        assert [m.kernel for m in threaded.kernels] == [m.kernel for m in serial.kernels]
-        for ours, theirs in zip(threaded.kernels, serial.kernels):
-            assert ours.by_variant.keys() == theirs.by_variant.keys()
-            for variant in ours.by_variant:
-                assert ours.by_variant[variant].time_s == theirs.by_variant[variant].time_s
-
-    def test_evaluate_kernel_executor_matches_serial(self, bench):
-        spec = bench.kernels[0]
-        compiler = compiler_model("nvhpc", bench.programming_model)
-        clear_pipeline_cache()
-        serial = evaluate_kernel(spec, compiler, A100_PCIE_40GB, settings=FAST)
-        workload = [
-            (spec.source, FAST.config(variant), spec.name)
-            for variant in (Variant.CSE, Variant.CSE_SAT)
-        ]
-        cache = _warmed_cache(workload, workers=2, executor="process")
-        stores = cache.stats.stores
-        try:
-            configure_pipeline_cache(cache=cache)
-            processed = evaluate_kernel(spec, compiler, A100_PCIE_40GB, settings=FAST)
-        finally:
-            configure_pipeline_cache()
-        assert stores == 2 and cache.stats.stores == stores
-        assert {
-            v: m.time_s for v, m in processed.by_variant.items()
-        } == {v: m.time_s for v, m in serial.by_variant.items()}

@@ -38,7 +38,8 @@ from repro.service import (
     OptimizationService,
     WorkerDiedError,
 )
-from repro.session import DiskCache, MemoryCache, TieredCache
+from repro.session import MemoryCache
+from repro.session import cache as cache_module
 
 #: Fast kernels for the recovery tests (a full run is a few dozen ms).
 CONFIG = SaturatorConfig(
@@ -127,15 +128,17 @@ class TestProcessBackendServes:
 
 
 class TestParentOwnsTheCache:
-    def test_workers_never_write_the_disk_tier(self, tmp_path):
+    def test_workers_never_write_the_disk_tier(self, tmp_path, monkeypatch):
         """The parent probes before shipping a job and stores after it
-        returns; the worker runs uncached.  With the parent's disk ``put``
-        a counting no-op, a cold wave leaves the directory empty."""
+        returns; the worker runs uncached.  With the parent's file write
+        a counting no-op (spawned workers do not inherit the patch), a
+        cold wave leaves the directory empty."""
 
-        disk = DiskCache(tmp_path)
         puts = []
-        disk.put = lambda key, value: puts.append(key)
-        cache = TieredCache(MemoryCache(), disk)
+        monkeypatch.setattr(
+            cache_module, "_write_atomic", lambda path, blob: puts.append(path)
+        )
+        cache = MemoryCache(directory=tmp_path)
         with _service(config=CONFIG, cache=cache, workers=2) as service:
             results = [
                 service.submit(src, config=CONFIG).result(timeout=120)

@@ -1,14 +1,13 @@
-"""Thread-safety of the memory cache tier and the CacheStats counters.
+"""Thread-safety of the artifact cache and the CacheStats counters.
 
 Coalescing accounting in the service depends on exact hit/miss/store
 counts under concurrent access; before PR 5 the counters were bare ``+= 1``
 increments, which drop updates under a thread pool.
 """
 
-import pickle
 import threading
 
-from repro.session import CacheStats, MemoryCache, TieredCache
+from repro.session import CacheStats, MemoryCache
 from repro.session.cache import MISS
 from repro.session.fingerprint import CacheKey
 
@@ -37,19 +36,6 @@ def test_cache_stats_counters_are_exact_under_contention():
     assert stats.lookups == 80000
 
 
-def test_cache_stats_survive_pickle_and_deepcopy():
-    import copy
-
-    stats = CacheStats(3, 2, 1)
-    clone = pickle.loads(pickle.dumps(stats))
-    assert (clone.hits, clone.misses, clone.stores) == (3, 2, 1)
-    clone.hit()  # the restored lock works
-    assert clone.hits == 4
-    deep = copy.deepcopy(stats)
-    deep.miss()
-    assert (stats.misses, deep.misses) == (2, 3)
-
-
 def test_memory_cache_concurrent_get_put_accounting():
     cache = MemoryCache(max_entries=None)
     keys = [_key(i) for i in range(4)]
@@ -76,22 +62,27 @@ def test_memory_cache_concurrent_get_put_accounting():
     assert cache.stats.stores == len(keys)
 
 
-def test_tiered_cache_counters_are_exact_under_contention():
-    tiered = TieredCache(memory=MemoryCache())
-    key = _key(0)
-    tiered.put(key, "artifact")
+def test_directory_cache_counters_are_exact_under_contention(tmp_path):
+    writer = MemoryCache(directory=tmp_path)
+    keys = [_key(0), _key(1)]
+    for key in keys:
+        writer.put(key, key.source_fp)
+    # one memory slot: the two keys keep evicting each other, so reads
+    # alternate between memory and the directory
+    cache = MemoryCache(max_entries=1, directory=tmp_path)
 
     def hammer():
-        for _ in range(2000):
-            assert tiered.get(key) == "artifact"
-            assert tiered.get(_key(7)) is MISS
+        for _ in range(500):
+            for key in keys:
+                assert cache.get(key) == key.source_fp
+            assert cache.get(_key(7)) is MISS
 
     threads = [threading.Thread(target=hammer) for _ in range(6)]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
-    assert tiered.stats.hits == 12000
-    assert tiered.stats.misses == 12000
-    # the memory tier underneath counted the same traffic
-    assert tiered.memory.stats.hits == 12000
+        thread.join(60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert cache.stats.hits == 6000
+    assert cache.stats.misses == 3000
+    assert cache.stats.corrupt == 0 and len(cache) == 1

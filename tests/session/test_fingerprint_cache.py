@@ -1,7 +1,8 @@
-"""Fingerprints and artifact-cache backends."""
+"""Fingerprints and the artifact cache."""
 
 import dataclasses
 import enum
+import pickle
 import threading
 from typing import Any
 
@@ -14,9 +15,7 @@ from repro.session import fingerprint as fingerprint_module
 from repro.session import (
     MISS,
     CacheKey,
-    DiskCache,
     MemoryCache,
-    TieredCache,
     fingerprint_config,
     fingerprint_text,
     stage_key,
@@ -54,13 +53,16 @@ class TestFingerprints:
 
 
 #: Values drawn so that ``==``-equal spellings of different JSON text meet:
-#: ``10`` / ``10.0``, ``1`` / ``True`` / ``1.0``, ``0.0`` / ``-0.0``.
-_numbers = st.sampled_from([0, 1, 3, 10, True, False, 0.0, -0.0, 1.0, 10.0, 0.5])
+#: ``10`` / ``10.0``, ``1`` / ``True`` / ``1.0``.  Every value is a valid
+#: limit (a config checks its fields when it is built).
+_numbers = st.sampled_from([1, 3, 10, True, 1.0, 10.0, 0.5])
+#: The same for the fields that count iterations (at least 1).
+_counts = st.sampled_from([1, 3, 10, True, 1.0, 10.0])
 
 _configs = st.builds(
     SaturatorConfig,
     variant=st.sampled_from(list(Variant)),
-    ruleset=st.sampled_from(["default", "no-fma"]),
+    ruleset=st.sampled_from(["default", "fma-only"]),
     limits=st.builds(
         RunnerLimits, node_limit=_numbers, iter_limit=_numbers, time_limit=_numbers
     ),
@@ -69,8 +71,8 @@ _configs = st.builds(
     temp_prefix=st.sampled_from(["_v", "_t"]),
     scheduler=st.sampled_from(["simple", "backoff", "backoff:8:2"]),
     anytime_extraction=st.booleans(),
-    anytime_interval=_numbers,
-    plateau_patience=_numbers,
+    anytime_interval=_counts,
+    plateau_patience=_counts,
 )
 
 
@@ -107,7 +109,6 @@ class TestFingerprintMemo:
 
         assert fp(time_limit=10) != fp(time_limit=10.0)
         assert fp(iter_limit=1) != fp(iter_limit=True)
-        assert fp(time_limit=0.0) != fp(time_limit=-0.0)
         # each spelling keeps hitting its own entry
         assert fp(time_limit=10) == fp(time_limit=10)
         assert fp(time_limit=10.0) == fingerprint_module._digest_config(
@@ -158,14 +159,14 @@ class TestFingerprintMemo:
         monkeypatch.setattr(fingerprint_module, "_memo", memo)
         bound = fingerprint_module._MEMO_ENTRIES
         for index in range(2 * bound + 3):
-            config = SaturatorConfig(plateau_patience=index)
+            config = SaturatorConfig(plateau_patience=index + 1)
             assert fingerprint_config(config) == fingerprint_module._digest_config(config)
             assert 1 <= len(memo) <= bound
 
     def test_concurrent_callers_agree(self, monkeypatch):
         monkeypatch.setattr(fingerprint_module, "_memo", {})
         monkeypatch.setattr(fingerprint_module, "_MEMO_ENTRIES", 4)  # evict constantly
-        configs = [SaturatorConfig(plateau_patience=i) for i in range(12)]
+        configs = [SaturatorConfig(plateau_patience=i + 1) for i in range(12)]
         expected = [fingerprint_module._digest_config(c) for c in configs]
         wrong = []
 
@@ -242,7 +243,7 @@ class TestMemoryCache:
             MemoryCache(max_entries=0)
 
     def test_unpicklable_value_raises_at_put_and_stores_nothing(self):
-        """Entries are pickle bytes — ``DiskCache``'s contract."""
+        """Entries are pickle bytes, the same in memory and on disk."""
 
         cache = MemoryCache()
         cache.put(_key("a"), "kept")
@@ -265,44 +266,89 @@ class TestMemoryCache:
 
 
 class TestDiskCache:
+    """``MemoryCache(directory=...)``: write-through and read-back."""
+
     def test_roundtrip_persists_across_instances(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache")
+        cache = MemoryCache(directory=tmp_path / "cache")
         cache.put(_key("a"), {"v": 42})
-        reopened = DiskCache(tmp_path / "cache")
+        assert cache.directory == tmp_path / "cache"
+        reopened = MemoryCache(directory=tmp_path / "cache")
         assert reopened.get(_key("a")) == {"v": 42}
         assert reopened.stats.hits == 1
 
-    def test_corrupted_entry_degrades_to_miss(self, tmp_path):
-        cache = DiskCache(tmp_path)
+    def test_put_fills_both_tiers(self, tmp_path):
+        cache = MemoryCache(directory=tmp_path)
+        cache.put(_key("b"), 7)
+        digest = _key("b").digest
+        path = tmp_path / digest[:2] / f"{digest}.pkl"
+        assert pickle.loads(path.read_bytes()) == 7
+        assert not list(tmp_path.rglob("*.tmp")), "writes are atomic renames"
+        assert len(cache) == 1 and cache.get(_key("b")) == 7
+
+    def test_each_put_pickles_exactly_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_dumps = pickle.dumps
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args[0])
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        cache = MemoryCache(directory=tmp_path)
         cache.put(_key("a"), {"v": 1})
+        cache.put(_key("b"), [2])
+        assert calls == [{"v": 1}, [2]]
+
+    def test_disk_hit_promotes_to_memory(self, tmp_path):
+        MemoryCache(directory=tmp_path).put(_key("a"), "artifact")
+        cache = MemoryCache(directory=tmp_path)
+        seen = []
+        cache.trace_hook = lambda site, attrs: seen.append((site, attrs))
+        assert cache.get(_key("a")) == "artifact"
+        assert len(cache) == 1
+        # the second read is served from memory, even with the file gone
+        for entry in tmp_path.rglob("*.pkl"):
+            entry.unlink()
+        assert cache.get(_key("a")) == "artifact"
+        assert cache.stats.hits == 2 and cache.stats.misses == 0
+        assert [attrs["backend"] for _, attrs in seen] == ["disk", "memory"]
+        assert {attrs["outcome"] for _, attrs in seen} == {"hit"}
+
+    def test_every_get_is_a_fresh_object(self, tmp_path):
+        MemoryCache(directory=tmp_path).put(_key("a"), {"v": [1]})
+        cache = MemoryCache(directory=tmp_path)
+        first = cache.get(_key("a"))
+        first["v"].append(2)
+        assert cache.get(_key("a")) == {"v": [1]}
+
+    def test_corrupted_entry_degrades_to_miss(self, tmp_path):
+        MemoryCache(directory=tmp_path).put(_key("a"), {"v": 1})
         [path] = list(tmp_path.glob("*/*.pkl"))
         path.write_bytes(b"not a pickle")
-        assert cache.get(_key("a")) is MISS
+        fresh = MemoryCache(directory=tmp_path)
+        assert fresh.get(_key("a")) is MISS
+        assert fresh.stats.corrupt == 1 and fresh.stats.misses == 1
+        assert [p.name for p in tmp_path.rglob("*.corrupt")] == [
+            path.with_suffix(".corrupt").name
+        ]
 
-    def test_clear_removes_entries(self, tmp_path):
-        cache = DiskCache(tmp_path)
+    def test_absent_entry_is_one_miss(self, tmp_path):
+        cache = MemoryCache(directory=tmp_path)
+        assert cache.get(_key("a")) is MISS
+        assert cache.stats.misses == 1 and cache.stats.corrupt == 0
+
+    def test_fault_hook_fires_once_per_operation(self, tmp_path):
+        cache = MemoryCache(directory=tmp_path)
+        sites = []
+        cache.fault_hook = sites.append
+        cache.get(_key("a"))
         cache.put(_key("a"), 1)
-        cache.clear()
-        assert cache.get(_key("a")) is MISS
+        cache.get(_key("a"))
+        assert sites == ["cache:get", "cache:store", "cache:get"]
 
-
-class TestTieredCache:
-    def test_disk_hit_promotes_to_memory(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        disk.put(_key("a"), "artifact")
-        tiered = TieredCache(MemoryCache(), DiskCache(tmp_path))
-        assert tiered.get(_key("a")) == "artifact"
-        assert tiered.memory.stats.misses == 1
-        # second read is served by the memory tier
-        assert tiered.get(_key("a")) == "artifact"
-        assert tiered.memory.stats.hits == 1
-
-    def test_put_fills_both_tiers(self, tmp_path):
-        tiered = TieredCache(MemoryCache(), DiskCache(tmp_path))
-        tiered.put(_key("b"), 7)
-        assert tiered.memory.get(_key("b")) == 7
-        assert DiskCache(tmp_path).get(_key("b")) == 7
-
-    def test_requires_a_backend(self):
-        with pytest.raises(ValueError):
-            TieredCache(None, None)
+    def test_unpicklable_value_writes_no_file(self, tmp_path):
+        cache = MemoryCache(directory=tmp_path)
+        with pytest.raises(TypeError):
+            cache.put(_key("a"), threading.Lock())
+        assert not list(tmp_path.rglob("*.*"))
+        assert cache.stats.stores == 0

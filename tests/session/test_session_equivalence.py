@@ -3,13 +3,13 @@
 These tests enforce the session architecture's core promise — for every
 variant and extractor, the artifact a cache hit returns carries the same
 generated C and the same per-kernel statistics as a cold pipeline run,
-whether the artifact came from the in-memory or the on-disk backend.
+whether the artifact came from memory or from the cache directory.
 """
 
 import pytest
 
 from repro.saturator import SaturatorConfig, Variant, optimize_source
-from repro.session import DiskCache, MemoryCache, OptimizationSession
+from repro.session import MemoryCache, OptimizationSession
 
 KERNEL = """
 #pragma acc parallel loop gang
@@ -84,11 +84,11 @@ def test_ilp_extraction_artifacts_cache_identically():
 
 def test_disk_backend_reproduces_artifacts_across_sessions(tmp_path):
     config = SaturatorConfig(variant=Variant.ACCSAT)
-    first = OptimizationSession(config=config, cache=DiskCache(tmp_path))
+    first = OptimizationSession(config=config, cache=MemoryCache(directory=tmp_path))
     cold = first.run(KERNEL)
 
     # a brand-new session over the same directory sees the artifact
-    second = OptimizationSession(config=config, cache=DiskCache(tmp_path))
+    second = OptimizationSession(config=config, cache=MemoryCache(directory=tmp_path))
     hit = second.run(KERNEL)
     assert second.cache.stats.hits == 1
     assert hit.code == cold.code
