@@ -204,7 +204,8 @@ def run_options(sources: List[Tuple[str, str]], workdir: Path) -> None:
         files.append(str(path))
     trace = str(workdir / "trace.jsonl")
     for options in OPTION_SETS:
-        main([*files, "-o", str(workdir / "opt.sat.c"), "--quiet",
+        # two inputs, so each writes <input>.sat.c next to it in workdir
+        main([*files, "--quiet",
               "--node-limit", "600", "--iter-limit", "3",
               *(item.format(trace=trace) for item in options)])
 

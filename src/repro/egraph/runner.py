@@ -286,7 +286,7 @@ class RunnerLimits:
     crosses it ends the apply phase, and the run stops with
     :attr:`StopReason.NODE_LIMIT` at the end of that iteration, whatever
     the post-rebuild count.  Every limit must be positive; building one
-    that is not raises :class:`ValueError`.
+    that is not (NaN included) raises :class:`ValueError`.
     """
 
     node_limit: int = 10_000
@@ -294,11 +294,12 @@ class RunnerLimits:
     time_limit: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.node_limit <= 0:
+        # ``not (x > 0)`` also rejects NaN, which every comparison fails
+        if not (self.node_limit > 0):
             raise ValueError("node_limit must be positive")
-        if self.iter_limit <= 0:
+        if not (self.iter_limit > 0):
             raise ValueError("iter_limit must be positive")
-        if self.time_limit <= 0:
+        if not (self.time_limit > 0):
             raise ValueError("time_limit must be positive")
 
 

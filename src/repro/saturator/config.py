@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from repro.egraph.extract import EXTRACTION_METHODS
@@ -54,15 +55,23 @@ class Variant(enum.Enum):
                          f"{[v.value for v in Variant]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaturatorConfig:
     """All knobs of the pipeline, with the paper's defaults.
 
     A config checks its fields when it is built: an unknown rule set,
     extraction method or scheduler spelling, an anytime interval or
-    plateau patience below 1, or a non-positive extraction time limit
-    raises :class:`ValueError` (the limits check themselves, see
+    plateau patience below 1, a non-positive (or NaN) extraction time
+    limit, or a temporary prefix that is not a C identifier raises
+    :class:`ValueError` (the limits check themselves, see
     :class:`~repro.egraph.runner.RunnerLimits`).
+
+    A config is frozen, so it stays as checked: derive another one with
+    :func:`dataclasses.replace` or :meth:`with_variant`.  Its
+    :attr:`fingerprint` is computed once per instance, so hold on to an
+    instance to reuse it.  Equal configs hash equal, but ``10`` and
+    ``10.0`` are equal with different fingerprints: key caches on the
+    fingerprint, never on the config.
     """
 
     #: Which generated-code variant to produce.
@@ -111,8 +120,22 @@ class SaturatorConfig:
             raise ValueError("anytime_interval must be at least 1")
         if self.plateau_patience < 1:
             raise ValueError("plateau_patience must be at least 1")
-        if self.extraction_time_limit <= 0:
+        if not (self.extraction_time_limit > 0):  # NaN fails too
             raise ValueError("extraction_time_limit must be positive")
+        if not (self.temp_prefix.isascii() and self.temp_prefix.isidentifier()):
+            raise ValueError(
+                f"temp_prefix {self.temp_prefix!r} is not a C identifier"
+            )
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """The cache-key digest of this config (see
+        :func:`~repro.session.fingerprint.fingerprint_config`)."""
+
+        # imported here: repro.session imports this module
+        from repro.session.fingerprint import fingerprint_config
+
+        return fingerprint_config(self)
 
     def with_variant(self, variant: Variant) -> "SaturatorConfig":
         """A copy of this config with a different variant."""

@@ -8,12 +8,12 @@ name.  Two processes (or two runs weeks apart) that feed the same source
 through the same configuration therefore hit the same on-disk artifact.
 
 Config fingerprints walk dataclass fields recursively and render enums by
-value, so fields added to :class:`SaturatorConfig` in future PRs are
-picked up automatically — an old cache simply misses instead of serving a
-stale artifact.  :func:`fingerprint_config` memoises that walk on a cheap
-structural key rebuilt from the config's current field values on every
-call, so a service that fingerprints the same configuration on every
-submit pays the JSON rendering and the SHA-256 once.
+value, so fields added to :class:`SaturatorConfig` later are picked up
+automatically — an old cache simply misses instead of serving a stale
+artifact.  A config is frozen and computes its fingerprint once per
+instance (:attr:`SaturatorConfig.fingerprint`), so a service that keys
+every submit on the same configuration pays the JSON rendering and the
+SHA-256 once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Dict, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.saturator.config import SaturatorConfig
 
 __all__ = [
     "CacheKey",
@@ -85,7 +88,11 @@ def fingerprint_text(text: str) -> str:
 
 
 def _encode(value: object) -> object:
-    """Render *value* as JSON-stable plain data."""
+    """Render a config value as JSON-stable plain data.
+
+    A config holds enums, dataclasses, strings, numbers, booleans and
+    ``None``; anything else raises :class:`TypeError`.
+    """
 
     if isinstance(value, enum.Enum):
         return value.value
@@ -94,17 +101,20 @@ def _encode(value: object) -> object:
             f.name: _encode(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    return repr(value)
+    raise TypeError(f"cannot fingerprint a {type(value).__qualname__} value")
 
 
-def _digest_config(config: object) -> str:
-    """The fingerprint's definition: SHA-256 of the canonical JSON."""
+def fingerprint_config(config: object) -> str:
+    """Canonical fingerprint of a (dataclass) configuration object: the
+    SHA-256 of its JSON rendering.
+
+    Includes :data:`ENGINE_SCHEMA`, so disk artifacts written by a
+    different engine representation miss instead of replaying.  The JSON
+    keeps a value's type: ``10`` and ``10.0`` (or ``1`` and ``True``)
+    compare equal but fingerprint differently.
+    """
 
     payload = {
         "__class__": type(config).__qualname__,
@@ -113,66 +123,6 @@ def _digest_config(config: object) -> str:
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-#: Leaf types whose ``==`` within one exact type is JSON-text equality.
-_EXACT_LEAVES = frozenset({type(None), bool, int, str})
-
-#: ``_memo_key(config) -> fingerprint``; cleared when it reaches
-#: :data:`_MEMO_ENTRIES`, so it stays bounded whatever configs arrive.
-_memo: Dict[tuple, str] = {}
-_MEMO_ENTRIES = 256
-
-
-def _memo_key(config: object) -> tuple:
-    """Hashable key of a dataclass instance's current field values.
-
-    Two configs with equal keys render to the same JSON: every value is
-    keyed with its exact type (``10`` vs ``10.0`` and ``True`` vs ``1``
-    compare equal but render differently), floats by their ``repr`` (what
-    JSON writes; ``0.0 == -0.0``), enum members by identity, nested
-    dataclasses recursively.  The instance ``__dict__`` holds every field
-    :func:`_encode` reads; an extra attribute in it only splits entries.
-    Raises ``TypeError`` for anything else — lists, dicts, tuples, objects
-    rendered by ``repr`` — which the caller fingerprints unmemoised.
-    """
-
-    cls = type(config)
-    if not hasattr(cls, "__dataclass_fields__"):
-        raise TypeError(f"not a dataclass instance: {cls.__qualname__}")
-    key = [cls]
-    for value in vars(config).values():
-        kind = type(value)
-        if kind is float:
-            value = repr(value)
-        elif kind not in _EXACT_LEAVES and not isinstance(value, enum.Enum):
-            value = _memo_key(value)
-        key.append(kind)
-        key.append(value)
-    return tuple(key)
-
-
-def fingerprint_config(config: object) -> str:
-    """Canonical fingerprint of a (dataclass) configuration object.
-
-    Includes :data:`ENGINE_SCHEMA`, so disk artifacts written by a
-    different engine representation miss instead of replaying.  A pure
-    function of the config's *current* value: the memo is keyed by value,
-    never by identity, so a config mutated between two calls gets its new
-    fingerprint.
-    """
-
-    try:
-        key = _memo_key(config)
-    except TypeError:
-        return _digest_config(config)
-    digest = _memo.get(key)
-    if digest is None:
-        digest = _digest_config(config)
-        if len(_memo) >= _MEMO_ENTRIES:
-            _memo.clear()
-        _memo[key] = digest
-    return digest
 
 
 class CacheKey(NamedTuple):
@@ -195,7 +145,9 @@ class CacheKey(NamedTuple):
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def stage_key(source: str, config: object, stage: str, extra: str = "") -> CacheKey:
+def stage_key(
+    source: str, config: SaturatorConfig, stage: str, extra: str = ""
+) -> CacheKey:
     """Build the :class:`CacheKey` of one (source, config, stage) artifact."""
 
-    return CacheKey(fingerprint_text(source), fingerprint_config(config), stage, extra)
+    return CacheKey(fingerprint_text(source), config.fingerprint, stage, extra)

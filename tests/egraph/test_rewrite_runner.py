@@ -192,6 +192,14 @@ class TestRunner:
             RunnerLimits(iter_limit=0)
         with pytest.raises(ValueError, match="time_limit"):
             RunnerLimits(time_limit=-0.0)
+        # NaN fails every comparison, so it must not slip past the check
+        nan = float("nan")
+        with pytest.raises(ValueError, match="node_limit"):
+            RunnerLimits(node_limit=nan)
+        with pytest.raises(ValueError, match="iter_limit"):
+            RunnerLimits(iter_limit=nan)
+        with pytest.raises(ValueError, match="time_limit"):
+            RunnerLimits(time_limit=nan)
 
     def test_commutativity_discovers_cse(self):
         """The motivating example: B = D + E and C = E + D become equal."""

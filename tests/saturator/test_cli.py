@@ -127,6 +127,15 @@ class TestCLI:
         assert f"{option} must be positive" in capsys.readouterr().err
         assert not kernel_file.with_suffix(".sat.c").exists()
 
+    @pytest.mark.parametrize("mode", [[], ["serve"]], ids=["optimize", "serve"])
+    def test_nan_time_limit_is_a_usage_error(self, kernel_file, capsys, mode):
+        # a NaN deadline would never trip: monotonic() > nan is always false
+        with pytest.raises(SystemExit) as exit_info:
+            main([*mode, "--variant", "cse", "--time-limit", "nan", str(kernel_file)])
+        assert exit_info.value.code == 2
+        assert "time_limit must be positive" in capsys.readouterr().err
+        assert not kernel_file.with_suffix(".sat.c").exists()
+
     def test_bad_variant_rejected(self, kernel_file):
         with pytest.raises(SystemExit):
             main(["--variant", "warp-speed", str(kernel_file)])

@@ -73,6 +73,11 @@ class TestConfigValidation:
             ({"plateau_patience": 0}, "plateau_patience"),
             ({"extraction_time_limit": 0.0}, "extraction_time_limit"),
             ({"extraction_time_limit": -1}, "extraction_time_limit"),
+            ({"extraction_time_limit": float("nan")}, "extraction_time_limit"),
+            ({"temp_prefix": ""}, "not a C identifier"),
+            ({"temp_prefix": "1"}, "not a C identifier"),
+            ({"temp_prefix": "a b"}, "not a C identifier"),
+            ({"temp_prefix": "_\u00e9"}, "not a C identifier"),
         ],
     )
     @pytest.mark.parametrize("variant", [Variant.CSE, Variant.ACCSAT], ids=lambda v: v.name)
@@ -83,6 +88,9 @@ class TestConfigValidation:
     def test_non_positive_limits_raise_before_any_run(self):
         with pytest.raises(ValueError, match="node_limit"):
             SaturatorConfig(variant=Variant.CSE, limits=RunnerLimits(0, -3, 0.0))
+        for field in ("node_limit", "iter_limit", "time_limit"):
+            with pytest.raises(ValueError, match=field):
+                SaturatorConfig(limits=RunnerLimits(**{field: float("nan")}))
 
     def test_valid_spellings_build(self):
         for ruleset in ("default", "extended", "fma-only", "reassoc-only", "none"):
@@ -90,6 +98,8 @@ class TestConfigValidation:
         for scheduler in ("simple", "backoff:8:2", "match-budget:64", "budget"):
             SaturatorConfig(scheduler=scheduler)
         SaturatorConfig(extraction="ilp", extraction_time_limit=0.5)
+        for prefix in ("_v", "_t", "tmp", "T_1"):
+            SaturatorConfig(temp_prefix=prefix)
 
     def test_defaults_keep_their_digest(self):
         assert fingerprint_config(SaturatorConfig()) == (

@@ -16,6 +16,7 @@ bytes taken exactly once — ``MemoryCache.put`` for the cache,
 """
 
 import copy
+import dataclasses
 import gc
 import json
 import pickle
@@ -30,7 +31,6 @@ from repro.saturator import SaturatorConfig, Variant, optimize_source
 from repro.service import OptimizationRequest, OptimizationService
 from repro.service.job import Job
 from repro.session import MemoryCache, OptimizationSession
-from repro.session import fingerprint as fingerprint_module
 
 CONFIG = SaturatorConfig(
     variant=Variant.CSE_SAT, limits=RunnerLimits(400, 3, 60.0)
@@ -249,11 +249,11 @@ def test_followers_materialize_concurrently_and_outside_the_job_lock(monkeypatch
 def test_hot_wave_work_counters(monkeypatch):
     """N hot submissions on K keys with one config: no deep copy, at most
     one ``dumps`` per key, exactly one ``loads`` per submission, and the
-    JSON fingerprint walk once for the whole life of the config."""
+    JSON fingerprint walk once for the whole life of the config instance."""
 
     keys, submissions = 5, 200
     sources = [_kernel(i) for i in range(keys)]
-    monkeypatch.setattr(fingerprint_module, "_memo", {})
+    config = dataclasses.replace(CONFIG)  # not fingerprinted yet
     calls = {"deepcopy": 0, "dumps": 0, "loads": 0, "json": 0}
 
     def counting(name, real):
@@ -268,7 +268,7 @@ def test_hot_wave_work_counters(monkeypatch):
     monkeypatch.setattr(pickle, "loads", counting("loads", pickle.loads))
     monkeypatch.setattr(json, "dumps", counting("json", json.dumps))
 
-    session = OptimizationSession(CONFIG, MemoryCache())
+    session = OptimizationSession(config, MemoryCache())
     for source in sources:
         session.run(source)
     # the prefill: K misses, K stores — and the config's one JSON walk

@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import pickle
+import sys
 import threading
 from typing import Any
 
@@ -16,9 +17,16 @@ from repro.session import (
     MISS,
     CacheKey,
     MemoryCache,
+    OptimizationSession,
     fingerprint_config,
     fingerprint_text,
     stage_key,
+)
+
+
+_KERNEL = (
+    "#pragma acc parallel loop\n"
+    "for (i = 0; i < n; i++) { a[i] = b[i] * c[i] + b[i] * c[i]; }"
 )
 
 
@@ -78,22 +86,22 @@ _configs = st.builds(
 
 class _Flavour(enum.Enum):
     # same values as two Variant members: the JSON cannot tell them apart
-    # from those, and the memo may (finer keys only split entries)
     CSE = "cse"
     ACCSAT = "accsat"
 
 
 @dataclasses.dataclass
 class _LooseConfig:
-    """A config whose field takes anything ``stage_key`` may be handed."""
+    """A config whose field takes anything ``fingerprint_config`` may be
+    handed."""
 
     payload: Any = None
     limits: Any = None
 
 
 class TestFingerprintMemo:
-    """``fingerprint_config`` is memoised; ``_digest_config`` is the
-    unmemoised definition it must agree with on every call."""
+    """The memo is one attribute: ``SaturatorConfig.fingerprint`` is
+    ``fingerprint_config`` computed once per (frozen) instance."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_configs, min_size=1, max_size=12), st.randoms())
@@ -101,86 +109,81 @@ class TestFingerprintMemo:
         calls = configs * 2
         rng.shuffle(calls)
         for config in calls:
-            assert fingerprint_config(config) == fingerprint_module._digest_config(config)
+            assert config.fingerprint == fingerprint_config(config)
+            assert config.fingerprint is config.fingerprint  # computed once
+            assert dataclasses.replace(config).fingerprint == config.fingerprint
 
     def test_equal_but_differently_typed_values_do_not_collide(self):
         def fp(**limits):
-            return fingerprint_config(SaturatorConfig(limits=RunnerLimits(**limits)))
+            return SaturatorConfig(limits=RunnerLimits(**limits)).fingerprint
 
         assert fp(time_limit=10) != fp(time_limit=10.0)
         assert fp(iter_limit=1) != fp(iter_limit=True)
-        # each spelling keeps hitting its own entry
         assert fp(time_limit=10) == fp(time_limit=10)
-        assert fp(time_limit=10.0) == fingerprint_module._digest_config(
-            SaturatorConfig(limits=RunnerLimits(time_limit=10.0))
-        )
         assert fingerprint_config(_LooseConfig(Variant.CSE)) == fingerprint_config(
             _LooseConfig(_Flavour.CSE)
         )  # the JSON renders both as "cse"
 
-    def test_mutation_after_the_first_call_changes_the_fingerprint(self):
+    def test_a_config_cannot_change_under_its_fingerprint(self):
         config = SaturatorConfig()
-        before = fingerprint_config(config)
-        config.variant = Variant.CSE
-        after = fingerprint_config(config)
-        assert after != before
-        assert after == fingerprint_module._digest_config(config)
-        config.variant = SaturatorConfig().variant
-        assert fingerprint_config(config) == before
+        before = config.fingerprint
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.ruleset = "bogus"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.limits.time_limit = 1.0
+        assert config.ruleset == "default" and config.fingerprint == before
+        derived = config.with_variant(Variant.CSE)
+        assert derived.fingerprint == fingerprint_config(derived) != before
+        assert config.fingerprint == before
 
-        outer = _LooseConfig(1, limits=_LooseConfig(2))
-        before = fingerprint_config(outer)
-        outer.limits.payload = 3  # nested, in place
-        assert fingerprint_config(outer) != before
-        assert fingerprint_config(outer) == fingerprint_module._digest_config(outer)
+    def test_a_rejected_mutation_stores_nothing(self):
+        session = OptimizationSession(SaturatorConfig(), MemoryCache())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            session.config.ruleset = "bogus"
+        assert len(session.cache) == 0 and session.cache.stats.stores == 0
+        # the session still runs and stores under the config it was given
+        session.run(_KERNEL)
+        assert session.cache.stats.stores == 1
+        assert session.cache.get(stage_key(
+            _KERNEL, SaturatorConfig(), "optimize-source", "kernel"
+        )) is not MISS
 
     @pytest.mark.parametrize(
         "payload", [[1, 2], {"a": 1}, (1, 2.0), {1, 2}, 3 + 4j, object],
         ids=["list", "dict", "tuple", "set", "complex", "class"],
     )
-    def test_values_outside_the_memo_take_the_plain_path(self, payload, monkeypatch):
-        memo = {}
-        monkeypatch.setattr(fingerprint_module, "_memo", memo)
+    def test_values_a_config_cannot_hold_raise(self, payload):
         for config in (_LooseConfig(payload), _LooseConfig(limits=_LooseConfig(payload))):
-            expected = fingerprint_module._digest_config(config)
-            assert fingerprint_config(config) == expected
-            assert stage_key("src", config, "stage").config_fp == expected
-        assert memo == {}
+            with pytest.raises(TypeError):
+                fingerprint_config(config)
 
-    def test_non_dataclass_configs_are_not_memoised(self, monkeypatch):
-        memo = {}
-        monkeypatch.setattr(fingerprint_module, "_memo", memo)
-        for config in ({"variant": "cse"}, ["cse"], "cse", None, SaturatorConfig):
-            assert fingerprint_config(config) == fingerprint_module._digest_config(config)
-        assert memo == {}
-
-    def test_memo_is_bounded(self, monkeypatch):
-        memo = {}
-        monkeypatch.setattr(fingerprint_module, "_memo", memo)
-        bound = fingerprint_module._MEMO_ENTRIES
-        for index in range(2 * bound + 3):
-            config = SaturatorConfig(plateau_patience=index + 1)
-            assert fingerprint_config(config) == fingerprint_module._digest_config(config)
-            assert 1 <= len(memo) <= bound
-
-    def test_concurrent_callers_agree(self, monkeypatch):
-        monkeypatch.setattr(fingerprint_module, "_memo", {})
-        monkeypatch.setattr(fingerprint_module, "_MEMO_ENTRIES", 4)  # evict constantly
-        configs = [SaturatorConfig(plateau_patience=i + 1) for i in range(12)]
-        expected = [fingerprint_module._digest_config(c) for c in configs]
+    def test_concurrent_callers_agree(self):
+        expected = [
+            fingerprint_config(SaturatorConfig(plateau_patience=i + 1))
+            for i in range(12)
+        ]
+        # shared instances nobody has fingerprinted yet, read by every thread
+        shared = [SaturatorConfig(plateau_patience=i + 1) for i in range(12)]
         wrong = []
 
         def hammer(worker: int) -> None:
             for step in range(600):
-                index = (worker + step) % len(configs)
-                if fingerprint_config(configs[index]) != expected[index]:
-                    wrong.append(index)
+                index = (worker + step) % len(expected)
+                fresh = SaturatorConfig(plateau_patience=index + 1)
+                for config in (shared[index], fresh):
+                    if config.fingerprint != expected[index]:
+                        wrong.append(index)
 
         threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-computation
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
 

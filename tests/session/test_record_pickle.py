@@ -151,7 +151,6 @@ def test_fingerprint_moved_with_the_schema(monkeypatch):
     config = SaturatorConfig()
     current = fingerprint_config(config)
     with monkeypatch.context() as patch:
-        patch.setattr(fingerprint_module, "_memo", {})
         patch.setattr(fingerprint_module, "ENGINE_SCHEMA", PREVIOUS_ENGINE_SCHEMA)
         previous = fingerprint_config(config)
     assert previous != current
