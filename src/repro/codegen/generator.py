@@ -20,6 +20,7 @@ Clang alike in the paper.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List
 
 from repro.codegen.bulkload import schedule_group
@@ -72,6 +73,13 @@ class KernelCodeStats:
 _FLOP_OPS = {"+", "-", "*", "neg", "min", "max"}
 _INT_OPS = {"<<", ">>", "&", "|", "^", "%", "~", "!",
             "<", ">", "<=", ">=", "==", "!=", "&&", "||"}
+#: Operator name -> the :class:`KernelCodeStats` field it counts toward.
+_OP_FIELD = {
+    "load": "loads", "store": "stores", "fma": "fmas", "/": "divs",
+    "call": "calls",
+    **dict.fromkeys(_FLOP_OPS, "flops"),
+    **dict.fromkeys(_INT_OPS, "int_ops"),
+}
 
 
 class CodeGenerator:
@@ -101,9 +109,10 @@ class CodeGenerator:
         self.bulk_load = bulk_load
         self.temp_prefix = temp_prefix
         self._templates: Dict[str, Template] = {}
-        #: Operation counts of the generated code; ``stats.temporaries`` is
-        #: also the kernel-wide counter that numbers the temporaries.
-        self.stats = KernelCodeStats()
+        #: Operation counts of the generated code, by :class:`KernelCodeStats`
+        #: field; ``"temporaries"`` is also the kernel-wide counter that
+        #: numbers the temporaries.
+        self._counts: Counter = Counter()
 
     # ------------------------------------------------------------------
 
@@ -118,7 +127,7 @@ class CodeGenerator:
         for groups in by_block.values():
             for group in sorted(groups, key=lambda g: g.start_index, reverse=True):
                 self._generate_group(group)
-        return self.stats
+        return KernelCodeStats(**self._counts)
 
     # ------------------------------------------------------------------
 
@@ -127,7 +136,7 @@ class CodeGenerator:
             return
 
         egraph = self.egraph
-        stats = self.stats
+        counts = self._counts
         renderer = ClassRenderer(
             egraph, self.extraction.choices, templates=self._templates
         )
@@ -145,8 +154,8 @@ class CodeGenerator:
 
         def declare(cid: int) -> None:
             value = renderer.build_definition(cid)
-            name = renderer.names[cid] = f"{self.temp_prefix}{stats.temporaries}"
-            stats.temporaries += 1
+            name = renderer.names[cid] = f"{self.temp_prefix}{counts['temporaries']}"
+            counts["temporaries"] += 1
             new_stmts.append(C.Decl("double", name, value))
             self._count_node(renderer.choices[cid])
 
@@ -155,7 +164,7 @@ class CodeGenerator:
             self._rewrite_statement(info, renderer.build(root_classes[position]))
             new_stmts.append(info.stmt)
             if info.is_store:
-                stats.stores += 1
+                counts["stores"] += 1
 
         schedule_group(
             renderer, root_classes, store_stmt_of, self.bulk_load, declare, statement
@@ -185,21 +194,9 @@ class CodeGenerator:
     # ------------------------------------------------------------------
 
     def _count_node(self, key: NodeKey) -> None:
-        op = self.egraph.op_names[key[0]]
-        if op == "load":
-            self.stats.loads += 1
-        elif op == "store":
-            self.stats.stores += 1
-        elif op == "fma":
-            self.stats.fmas += 1
-        elif op == "/":
-            self.stats.divs += 1
-        elif op == "call":
-            self.stats.calls += 1
-        elif op in _FLOP_OPS:
-            self.stats.flops += 1
-        elif op in _INT_OPS:
-            self.stats.int_ops += 1
+        field = _OP_FIELD.get(self.egraph.op_names[key[0]])
+        if field is not None:
+            self._counts[field] += 1
 
 
 def count_ast_stats(node: C.Node) -> KernelCodeStats:
@@ -210,15 +207,12 @@ def count_ast_stats(node: C.Node) -> KernelCodeStats:
     that performs no CSE at all would execute per innermost iteration).
     """
 
-    stats = KernelCodeStats()
+    counts: Counter = Counter()
 
     def visit(node_: C.Node, in_store_target: bool = False) -> None:
         if isinstance(node_, C.ArraySub):
             # only the outermost subscript of a chain is one memory access
-            if in_store_target:
-                stats.stores += 1
-            else:
-                stats.loads += 1
+            counts["stores" if in_store_target else "loads"] += 1
             base = node_
             while isinstance(base, C.ArraySub):
                 visit(base.index, False)
@@ -231,32 +225,26 @@ def count_ast_stats(node: C.Node) -> KernelCodeStats:
             if node_.op != "=":
                 # compound assignment re-reads the target
                 visit(node_.target, False)
-                if node_.op[:-1] == "/":
-                    stats.divs += 1
-                elif node_.op[:-1] in _FLOP_OPS:
-                    stats.flops += 1
-                elif node_.op[:-1] in _INT_OPS:
-                    stats.int_ops += 1
+                field = _OP_FIELD.get(node_.op[:-1])
+                if field is not None:
+                    counts[field] += 1
             visit(node_.target, target_is_memory)
             visit(node_.value, False)
             return
         if isinstance(node_, C.BinOp):
-            if node_.op == "/":
-                stats.divs += 1
-            elif node_.op in _FLOP_OPS:
-                stats.flops += 1
-            elif node_.op in _INT_OPS:
-                stats.int_ops += 1
+            field = _OP_FIELD.get(node_.op)
+            if field is not None:
+                counts[field] += 1
             visit(node_.lhs, False)
             visit(node_.rhs, False)
             return
         if isinstance(node_, C.UnaryOp):
             if node_.op == "-":
-                stats.flops += 1
+                counts["flops"] += 1
             visit(node_.operand, False)
             return
         if isinstance(node_, C.Call):
-            stats.calls += 1
+            counts["calls"] += 1
             for arg in node_.args:
                 visit(arg, False)
             return
@@ -264,4 +252,4 @@ def count_ast_stats(node: C.Node) -> KernelCodeStats:
             visit(child, False)
 
     visit(node)
-    return stats
+    return KernelCodeStats(**counts)

@@ -52,10 +52,11 @@ stamps them), because a match built only from older rows carries the
 bindings it had then, and the previous scan found and applied it.
 
 **Profiling.** Per-rule search/apply time, match and union counts are
-accumulated into :class:`RuleStats` and exposed on
-:attr:`RunnerReport.rule_stats`; :meth:`RunnerReport.as_dict` renders the
-whole report (including per-iteration rows) as plain JSON data so BENCH
-trajectories can attribute a regression to a specific rule.
+tallied during the run, frozen into :class:`RuleStats` rows when it
+stops and exposed on :attr:`RunnerReport.rule_stats`;
+:meth:`RunnerReport.as_dict` renders the whole report (including
+per-iteration rows) as plain JSON data so BENCH trajectories can
+attribute a regression to a specific rule.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ import enum
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import Rewrite
-from repro.records import record
+from repro.records import FrozenDict, record
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.egraph.extract import CostFunction, ExtractionResult
@@ -423,18 +424,19 @@ class RunnerReport:
     """Aggregate statistics for a whole saturation run.
 
     Like its :class:`IterationReport` and :class:`RuleStats` rows, a
-    :func:`~repro.records.record`: it pickles as its field values in
-    declaration order, so the field order is the cached-artifact format —
-    changing it bumps :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
+    frozen :func:`~repro.records.record`, built once when the run stops:
+    it pickles as its field values in declaration order, so the field
+    order is the cached-artifact format — changing it bumps
+    :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
     """
 
     stop_reason: StopReason
-    iterations: List[IterationReport] = field(default_factory=list)
+    iterations: Tuple[IterationReport, ...] = ()
     total_time: float = 0.0
     egraph_nodes: int = 0
     egraph_classes: int = 0
-    #: Per-rule profiling stats, keyed by rule name.
-    rule_stats: Dict[str, RuleStats] = field(default_factory=dict)
+    #: Per-rule profiling stats, keyed by rule name (read-only).
+    rule_stats: Mapping[str, RuleStats] = field(default_factory=FrozenDict)
     #: Wall-clock seconds spent extracting from this e-graph: the runner
     #: accumulates its in-loop anytime evaluations here, and the pipeline's
     #: extraction stage adds the final extraction on top, so one JSON
@@ -444,6 +446,12 @@ class RunnerReport:
     #: Spelling of the rule scheduler that drove the run ("simple",
     #: "backoff", "match-budget").
     scheduler: str = "simple"
+
+    def __post_init__(self) -> None:
+        if type(self.iterations) is not tuple:
+            object.__setattr__(self, "iterations", tuple(self.iterations))
+        if type(self.rule_stats) is not FrozenDict:
+            object.__setattr__(self, "rule_stats", FrozenDict(self.rule_stats))
 
     @property
     def num_iterations(self) -> int:
@@ -512,6 +520,27 @@ class RunnerReport:
         }
 
 
+class _RuleTally:
+    """The mutable counters of one rule during a run; the run turns each
+    into its :class:`RuleStats` row when it stops."""
+
+    __slots__ = (
+        "searches", "incremental_searches", "search_time", "apply_time",
+        "matches", "applied",
+    )
+
+    def __init__(self) -> None:
+        self.searches = self.incremental_searches = 0
+        self.search_time = self.apply_time = 0.0
+        self.matches = self.applied = 0
+
+    def row(self, name: str) -> RuleStats:
+        return RuleStats(
+            name, self.searches, self.incremental_searches, self.search_time,
+            self.apply_time, self.matches, self.applied,
+        )
+
+
 class Runner:
     """Drive equality saturation of an :class:`EGraph` with a rule set.
 
@@ -578,13 +607,14 @@ class Runner:
         # -- anytime-extraction state (per run) ---------------------------
         self._best_cost: Optional[float] = None
         self._stale_evals: int = 0
+        self._extract_time: float = 0.0
 
     # ------------------------------------------------------------------
     # phases (mediated by the scheduler)
     # ------------------------------------------------------------------
 
     def _search_phase(
-        self, iteration: int, stats: Dict[str, RuleStats]
+        self, iteration: int, tallies: List[_RuleTally]
     ) -> List[tuple]:
         """Search scheduled rules against the pre-iteration e-graph.
 
@@ -605,7 +635,7 @@ class Runner:
             rt0 = time.perf_counter()
             matches = rule.search_rows(egraph, since=since)
             rt1 = time.perf_counter()
-            rs = stats[rule.name]
+            rs = tallies[index]
             rs.searches += 1
             if since >= 0:
                 rs.incremental_searches += 1
@@ -619,7 +649,7 @@ class Runner:
         self,
         all_matches: List[tuple],
         scan_version: int,
-        stats: Dict[str, RuleStats],
+        tallies: List[_RuleTally],
     ) -> tuple:
         """Apply the admitted matches; returns ``(unions made, tripped)``.
 
@@ -644,7 +674,7 @@ class Runner:
                 # matches up to scan_version are now committed; the next
                 # incremental scan joins only rows changed since then
                 self._last_scan[index] = scan_version
-            rs = stats[rule.name]
+            rs = tallies[index]
             rs.apply_time += at1 - at0
             rs.applied += n_applied
             applied += n_applied
@@ -652,9 +682,7 @@ class Runner:
                 return applied, True
         return applied, False
 
-    def _anytime_evaluate(
-        self, iteration: int, report: RunnerReport
-    ) -> tuple:
+    def _anytime_evaluate(self, iteration: int) -> tuple:
         """Run one in-loop extraction at an iteration boundary.
 
         Called after ``rebuild`` only — extraction reads canonical class
@@ -678,7 +706,7 @@ class Runner:
                 anytime.method,
                 anytime.time_limit,
             )
-            report.extract_time += time.perf_counter() - et0
+            self._extract_time += time.perf_counter() - et0
             anytime.last = (egraph.version, result)
         cost = result.dag_cost
         if self._best_cost is None or cost < self._best_cost - 1e-12:
@@ -704,13 +732,12 @@ class Runner:
         egraph = self.egraph
         limits = self.limits
         scheduler = self.scheduler
-        report = RunnerReport(StopReason.SATURATED, scheduler=scheduler.name)
-        stats = report.rule_stats
-        for rule in self.rewrites:
-            stats[rule.name] = RuleStats(rule.name)
+        rows: List[IterationReport] = []
+        tallies = [_RuleTally() for _ in self.rewrites]
         scheduler.reset(self.rewrites)
         self._best_cost = None
         self._stale_evals = 0
+        self._extract_time = 0.0
         if self.anytime is not None:
             self.anytime.best_result = None
             self.anytime.last = None
@@ -741,15 +768,15 @@ class Runner:
                 )
             scan_version = egraph.version
             t0 = time.perf_counter()
-            all_matches = self._search_phase(iteration, stats)
+            all_matches = self._search_phase(iteration, tallies)
             t1 = time.perf_counter()
-            applied, tripped = self._apply_phase(all_matches, scan_version, stats)
+            applied, tripped = self._apply_phase(all_matches, scan_version, tallies)
             t2 = time.perf_counter()
             egraph.rebuild()
             t3 = time.perf_counter()
 
             scheduler.end_iteration(iteration, applied)
-            extracted_cost, plateaued = self._anytime_evaluate(iteration, report)
+            extracted_cost, plateaued = self._anytime_evaluate(iteration)
 
             row = IterationReport(
                 index=iteration,
@@ -761,7 +788,7 @@ class Runner:
                 rebuild_time=t3 - t2,
                 extracted_cost=extracted_cost,
             )
-            report.iterations.append(row)
+            rows.append(row)
             if it_span is not None:
                 # the child spans reuse the phase timings measured above
                 # for the iteration row — tracing adds no clock reads that
@@ -796,10 +823,20 @@ class Runner:
                 stop = StopReason.NODE_LIMIT
                 break
 
-        report.stop_reason = StopReason.ITER_LIMIT if stop is None else stop
-        report.total_time = time.perf_counter() - start
-        report.egraph_nodes = len(egraph)
-        report.egraph_classes = egraph.num_classes
+        total_time = time.perf_counter() - start
+        report = RunnerReport(
+            stop_reason=StopReason.ITER_LIMIT if stop is None else stop,
+            iterations=tuple(rows),
+            total_time=total_time,
+            egraph_nodes=len(egraph),
+            egraph_classes=egraph.num_classes,
+            rule_stats=FrozenDict(
+                (rule.name, tally.row(rule.name))
+                for rule, tally in zip(self.rewrites, tallies)
+            ),
+            extract_time=self._extract_time,
+            scheduler=scheduler.name,
+        )
         if self.tracer is not None:
             self.tracer.event(
                 "saturation:stop", span=self.trace_parent,

@@ -21,7 +21,7 @@ over those cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -108,19 +108,16 @@ def _pipeline_stats(
     """Run the pipeline once per (source, config); memoised thereafter."""
 
     variant = Variant.CSE_SAT if saturate else Variant.CSE
-    result = optimize_source(source, settings.config(variant))
-    original = KernelCodeStats()
-    generated = KernelCodeStats()
-    temps = 0
-    for kernel in result.kernels:
-        for field_name in ("loads", "stores", "flops", "fmas", "divs", "calls", "int_ops"):
-            setattr(original, field_name,
-                    getattr(original, field_name) + getattr(kernel.original, field_name))
-            setattr(generated, field_name,
-                    getattr(generated, field_name) + getattr(kernel.optimized, field_name))
-        temps += kernel.optimized.temporaries
-    generated.temporaries = temps
-    return original, generated, temps
+    kernels = optimize_source(source, settings.config(variant)).kernels
+    original = _summed([kernel.original for kernel in kernels])
+    generated = _summed([kernel.optimized for kernel in kernels])
+    return original, generated, generated.temporaries
+
+
+def _summed(parts: Sequence[KernelCodeStats]) -> KernelCodeStats:
+    """Field-wise sum of operation counts."""
+
+    return KernelCodeStats(*map(sum, zip(*map(astuple, parts))))
 
 
 def pipeline_workload(

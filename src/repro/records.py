@@ -1,15 +1,26 @@
-"""Slotted dataclasses that pickle as positional records.
+"""Frozen, slotted dataclasses that pickle as positional records.
 
 An optimization artifact — an :class:`~repro.saturator.report.OptimizationResult`
 with its :class:`~repro.saturator.report.KernelReport`\\ s, their
 :class:`~repro.codegen.generator.KernelCodeStats` and the saturation
 :class:`~repro.egraph.runner.RunnerReport` with its per-iteration and
-per-rule rows — is pickled once and unpickled on every cache hit and for
-every coalesced service follower, so its ``loads`` is the hot serving
-path.  A plain dataclass unpickles as NEWOBJ plus a per-instance state dict
+per-rule rows — is an **immutable value**: every record is a frozen
+dataclass, its sequence fields hold tuples and its mapping field a
+:class:`FrozenDict`.  One artifact can therefore be handed to any number
+of callers at once (every handle on a coalesced service job returns the
+job's one result object) without a defensive copy: nobody can change what
+another caller sees.  A producer builds each record once, from local
+tallies, and a derived value is a :func:`dataclasses.replace` copy.
+
+The cache stores an artifact as its pickle bytes and unpickles it on every
+hit.  A plain dataclass unpickles as NEWOBJ plus a per-instance state dict
 plus BUILD; a :func:`record` reduces to ``(cls, field values in declaration
 order)`` — one REDUCE that calls the dataclass ``__init__`` — and keeps its
-fields in slots, with no instance ``__dict__``.
+fields in slots, with no instance ``__dict__``.  A :class:`FrozenDict` is
+one more REDUCE, of a plain dict.  A record whose field holds a list or a
+dict (an artifact pickled before the records were frozen, or a caller
+that builds one from a list) converts it in ``__post_init__``, so such an
+artifact still loads as an immutable value.
 
 Everything else about a dataclass stays: fields, defaults, ``==``,
 ``repr``, ``copy``/``deepcopy`` (both go through the same reduce), and
@@ -26,19 +37,20 @@ before it then miss instead of loading into the wrong fields
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import TypeVar, dataclass_transform
 
-__all__ = ["record"]
+__all__ = ["FrozenDict", "record"]
 
 _T = TypeVar("_T")
 
 
-@dataclass_transform(field_specifiers=(field,))
+@dataclass_transform(frozen_default=True, field_specifiers=(field,))
 def record(cls: type[_T]) -> type[_T]:
-    """Make *cls* a slotted dataclass that pickles positionally."""
+    """Make *cls* a frozen slotted dataclass that pickles positionally."""
 
-    cls = dataclass(slots=True)(cls)
+    cls = dataclass(slots=True, frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
 
     def __reduce__(self):
@@ -50,3 +62,33 @@ def record(cls: type[_T]) -> type[_T]:
 
     cls.__reduce__ = __reduce__
     return cls
+
+
+class FrozenDict(Mapping):
+    """A read-only mapping: ``[key]``, ``in``, ``len``, ``keys()``,
+    ``items()``, ``values()`` and ``==`` (against any mapping) work, item
+    assignment raises ``TypeError``.
+
+    It keeps a private copy of the items it was built from and pickles as
+    one REDUCE of a plain dict.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items=()) -> None:
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __repr__(self) -> str:
+        return f"FrozenDict({self._items!r})"
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self._items),)

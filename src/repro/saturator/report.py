@@ -7,8 +7,7 @@ deltas), so the experiment harness can regenerate the evaluation tables.
 
 from __future__ import annotations
 
-from dataclasses import field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.codegen.generator import KernelCodeStats
 from repro.egraph.runner import RunnerReport
@@ -21,10 +20,11 @@ __all__ = ["KernelReport", "OptimizationResult"]
 class KernelReport:
     """Per-kernel statistics gathered along the pipeline.
 
-    A :func:`~repro.records.record`, like every report class of an
-    artifact: it pickles as its field values in declaration order, so the
-    field order is the cached-artifact format — changing it bumps
-    :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
+    A frozen :func:`~repro.records.record`, like every report class of an
+    artifact: each pipeline stage replaces the report with a copy that
+    adds its fields, and it pickles as its field values in declaration
+    order, so the field order is the cached-artifact format — changing it
+    bumps :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
     """
 
     name: str = ""
@@ -43,9 +43,9 @@ class KernelReport:
     assignments: int = 0
     groups: int = 0
     #: Operation counts before optimization (original code).
-    original: KernelCodeStats = field(default_factory=KernelCodeStats)
+    original: KernelCodeStats = KernelCodeStats()
     #: Operation counts after optimization (generated code).
-    optimized: KernelCodeStats = field(default_factory=KernelCodeStats)
+    optimized: KernelCodeStats = KernelCodeStats()
     #: DAG cost of the extracted solution under the paper's cost model.
     extracted_cost: float = 0.0
     #: True when this report came out of a session artifact cache instead
@@ -101,9 +101,13 @@ class OptimizationResult:
     #: Regenerated C source (directives and structure preserved).
     code: str
     #: Per-kernel reports, in source order.
-    kernels: List[KernelReport] = field(default_factory=list)
+    kernels: Tuple[KernelReport, ...] = ()
     #: The variant that produced this code.
     variant: str = ""
+
+    def __post_init__(self) -> None:
+        if type(self.kernels) is not tuple:
+            object.__setattr__(self, "kernels", tuple(self.kernels))
 
     @property
     def degraded(self) -> bool:

@@ -5,8 +5,9 @@ submission into a :class:`JobHandle` — a ``Future``-like view the caller
 polls, waits on, cancels, or streams progress from.  Several handles may
 share one underlying :class:`Job`: identical concurrent submissions are
 **coalesced** onto the in-flight job (same session cache key), so N
-submitters pay for one pipeline run and each still gets an independent
-result object.
+submitters pay for one pipeline run and every handle returns the job's
+one result object — an immutable value (:mod:`repro.records`), so no
+caller can change what another sees.
 
 State machine of a job::
 
@@ -28,7 +29,6 @@ in the cache, where it benefits every later submission).
 from __future__ import annotations
 
 import enum
-import pickle
 import threading
 import time
 from concurrent.futures import CancelledError, TimeoutError
@@ -92,7 +92,7 @@ class OptimizationRequest:
 
 
 class ProgressEvent(NamedTuple):
-    """One per-iteration saturation snapshot published to a running job.
+    """One per-iteration saturation progress record of a running job.
 
     ``seq`` numbers the events of one job from 0 (a multi-kernel source
     publishes its kernels' iterations back to back); ``extracted_cost`` is
@@ -122,10 +122,6 @@ class Job:
     seq: int = 0
     state: JobState = JobState.QUEUED
     result: Optional["OptimizationResult"] = None
-    #: Pickle bytes of ``result``, taken once in :meth:`resolve` when the
-    #: job has coalesced followers (``None`` for a solo job): the immutable
-    #: form every follower unpickles its own result from.
-    snapshot: Optional[bytes] = None
     error: Optional[BaseException] = None
     from_cache: bool = False
     events: List[ProgressEvent] = field(default_factory=list)
@@ -198,9 +194,8 @@ class Job:
         its outcome count.
 
         Drops the handle list: ``handles`` and ``JobHandle._job`` form a
-        reference cycle that would otherwise pin the job, its artifact
-        and every follower's materialized result until a collector pass —
-        a terminal job never reads it again.
+        reference cycle that would otherwise pin the job and its artifact
+        until a collector pass — a terminal job never reads it again.
         """
 
         self.state = state
@@ -208,21 +203,9 @@ class Job:
         self.cond.notify_all()
 
     def resolve(self, result: "OptimizationResult", from_cache: bool) -> None:
-        """RUNNING → DONE with *result*, which the first handle owns.
-
-        A job with coalesced followers is serialised here, once, before
-        any handle can observe the result: followers unpickle from these
-        bytes, so nothing the primary does to its object afterwards can
-        reach them.  The service drops the job from the in-flight registry
-        before resolving and no handle can attach after that, so the
-        follower count is final here and a solo job pays no ``dumps``.
-        """
+        """RUNNING → DONE with *result*, which every handle returns."""
 
         with self.cond:
-            if any(handle.coalesced for handle in self.handles):
-                self.snapshot = pickle.dumps(
-                    result, protocol=pickle.HIGHEST_PROTOCOL
-                )
             self.result = result
             self.from_cache = from_cache
             self.finished_at = time.monotonic()
@@ -284,12 +267,10 @@ class JobHandle:
     """Future-like view of one submission.
 
     Handles on a coalesced job are independent: each can be polled,
-    waited, or cancelled on its own, and each materializes its own result
-    object.  The first handle owns the job's artifact; every coalesced
-    follower unpickles its own from the byte snapshot :meth:`Job.resolve`
-    took before any handle could see the result — so whatever one caller
-    does to its result, whenever, no other handle, later cache hit or
-    later submission can observe it.
+    waited, or cancelled on its own.  They share the job's result: every
+    handle returns the one immutable object :meth:`Job.resolve` stored,
+    so no caller has anything to change that another handle, a later
+    cache hit or a later submission could observe.
     """
 
     def __init__(self, job: Job, coalesced: bool = False) -> None:
@@ -299,7 +280,6 @@ class JobHandle:
         #: Monotonic submission timestamp of *this* handle.
         self.created_at = time.monotonic()
         self._cancelled = False
-        self._materialized: Optional["OptimizationResult"] = None
 
     # -- state ---------------------------------------------------------------
 
@@ -370,19 +350,7 @@ class JobHandle:
                 # the job holds: drop the frame's handle (and through it
                 # the job) so the two do not form a cycle
                 self = None
-        if self._materialized is None:
-            job = self._job
-            # materialize outside ``cond`` — result and snapshot were final
-            # before the state turned DONE — so followers unpickle in
-            # parallel; only publishing takes the lock (two threads racing
-            # on one handle must end up with one object)
-            result = (
-                pickle.loads(job.snapshot) if self.coalesced else job.result
-            )
-            with job.cond:
-                if self._materialized is None:
-                    self._materialized = result
-        return self._materialized
+        return self._job.result
 
     # -- cancellation --------------------------------------------------------
 

@@ -5,12 +5,13 @@
 through to it and reads it back on a memory miss.
 
 * An artifact is stored as its pickle bytes: one ``dumps`` per ``put``,
-  one ``loads`` per ``get``, so a caller can never mutate a cached entry
-  (reports are mutable).  Values must be picklable.  The report classes
-  are slotted positional records (:mod:`repro.records`): each unpickles
-  as one REDUCE of its field values in declaration order, with no state
-  dict, so that order is part of the stored format and changing it bumps
-  :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
+  one ``loads`` per ``get``.  The cache holds arbitrary picklable values,
+  not only the immutable reports, so every hit is a fresh object and no
+  caller can change a cached entry through the value it got.  The report
+  classes are frozen positional records (:mod:`repro.records`): each
+  unpickles as one REDUCE of its field values in declaration order, with
+  no state dict, so that order is part of the stored format and changing
+  it bumps :data:`~repro.session.fingerprint.ENGINE_SCHEMA`.
 * With a directory, the same bytes land under ``directory/<aa>/<digest>.pkl``
   where ``digest`` is the key's SHA-256 content address; they survive the
   process and are shared between processes.  Writes are atomic

@@ -18,6 +18,7 @@ variant and extractor.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.saturator.config import SaturatorConfig
@@ -171,6 +172,9 @@ class OptimizationSession:
 
     @staticmethod
     def _mark_cached(result: OptimizationResult) -> OptimizationResult:
-        for kernel in result.kernels:
-            kernel.from_cache = True
-        return result
+        return replace(
+            result,
+            kernels=tuple(
+                replace(kernel, from_cache=True) for kernel in result.kernels
+            ),
+        )

@@ -32,7 +32,7 @@ instance can serve any number of concurrent kernels.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.codegen.generator import CodeGenerator, count_ast_stats
@@ -90,8 +90,10 @@ class StageContext:
     body: C.Block
     config: SaturatorConfig
     name: str = "kernel"
-    #: Per-kernel statistics, filled in as stages run.
-    report: KernelReport = field(default_factory=KernelReport)
+    #: Per-kernel statistics, named after the kernel: each stage replaces
+    #: this frozen report with a copy that adds its fields, so it is
+    #: complete after every stage.
+    report: KernelReport = field(init=False)
     # -- artifacts -----------------------------------------------------------
     ssa: Optional[KernelSSA] = None
     egraph: Optional[EGraph] = None
@@ -129,8 +131,7 @@ class StageContext:
     stage_times: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.report.name:
-            self.report.name = self.name
+        self.report = KernelReport(name=self.name)
 
 
 class Stage:
@@ -164,10 +165,14 @@ class FrontendStage(Stage):
 
     def run(self, ctx: StageContext) -> None:
         normalize_blocks(ctx.body)
-        ctx.report.original = count_ast_stats(ctx.body)
+        original = count_ast_stats(ctx.body)
         ctx.ssa = build_ssa(ctx.body)
-        ctx.report.assignments = ctx.ssa.num_assignments
-        ctx.report.groups = len(ctx.ssa.groups)
+        ctx.report = replace(
+            ctx.report,
+            original=original,
+            assignments=ctx.ssa.num_assignments,
+            groups=len(ctx.ssa.groups),
+        )
 
 
 class EGraphBuildStage(Stage):
@@ -227,6 +232,7 @@ class SaturationStage(Stage):
 
     def run(self, ctx: StageContext) -> None:
         config = ctx.config
+        saturated = {}
         if config.variant.saturate:
             rules = ruleset_by_name(config.ruleset)
             anytime = None
@@ -250,16 +256,23 @@ class SaturationStage(Stage):
                 tracer=ctx.tracer,
                 trace_parent=ctx.trace_span,
             )
-            ctx.report.runner = runner.run()
+            runner_report = runner.run()
             ctx.anytime = anytime
-            stop = ctx.report.runner.stop_reason
+            stop = runner_report.stop_reason
             if stop is StopReason.CANCELLED:
                 raise SaturationCancelled(
                     f"kernel {ctx.name!r} cancelled mid-saturation"
                 )
-            ctx.report.degraded = stop is StopReason.DEADLINE
-        ctx.report.egraph_nodes = len(ctx.egraph)
-        ctx.report.egraph_classes = ctx.egraph.num_classes
+            saturated = {
+                "runner": runner_report,
+                "degraded": stop is StopReason.DEADLINE,
+            }
+        ctx.report = replace(
+            ctx.report,
+            egraph_nodes=len(ctx.egraph),
+            egraph_classes=ctx.egraph.num_classes,
+            **saturated,
+        )
 
 
 class ExtractionStage(Stage):
@@ -310,15 +323,18 @@ class ExtractionStage(Stage):
                     ctx.extraction = best
         else:
             ctx.extraction = ExtractionResult({}, {}, 0.0, 0.0, config.extraction)
-        ctx.report.extracted_cost = ctx.extraction.dag_cost
-        if ctx.report.runner is not None:
+        runner = ctx.report.runner
+        if runner is not None:
             # complete the runner's search/apply/rebuild phase profile with
             # the extraction time so one report carries the full breakdown:
             # the runner already timed its in-loop evaluations, including
             # the one a reused result came from, so only a fresh final
             # extraction adds here (when the anytime snapshot wins, the
             # final extraction still ran, and its time is what is added)
-            ctx.report.runner.extract_time += spent
+            runner = replace(runner, extract_time=runner.extract_time + spent)
+        ctx.report = replace(
+            ctx.report, extracted_cost=ctx.extraction.dag_cost, runner=runner
+        )
 
 
 class CodegenStage(Stage):
@@ -328,7 +344,7 @@ class CodegenStage(Stage):
     requires = ("egraph", "extraction", "ssa")
 
     def run(self, ctx: StageContext) -> None:
-        ctx.report.optimized = CodeGenerator(
+        optimized = CodeGenerator(
             ctx.egraph,
             ctx.extraction,
             ctx.ssa,
@@ -337,6 +353,7 @@ class CodegenStage(Stage):
             bulk_load=ctx.config.variant.bulk_load,
             temp_prefix=ctx.config.temp_prefix,
         ).generate()
+        ctx.report = replace(ctx.report, optimized=optimized)
 
 
 #: The paper's pipeline, in order (§III steps 1-3 plus code generation).
@@ -391,17 +408,21 @@ def run_stages(
             ctx.trace_span = trace_parent
         ctx.stage_times[stage.name] = ctx.stage_times.get(stage.name, 0.0) + elapsed
 
-    report = ctx.report
     times = ctx.stage_times
-    # a variant that never ran the saturation loop reports exactly 0.0,
-    # not the microseconds of stage overhead
-    report.saturation_time = (
-        times.get(SaturationStage.name, 0.0) if report.runner is not None else 0.0
-    )
-    report.extraction_time = times.get(ExtractionStage.name, 0.0)
-    report.ssa_codegen_time = sum(
-        elapsed
-        for name, elapsed in times.items()
-        if name not in (SaturationStage.name, ExtractionStage.name)
+    ctx.report = replace(
+        ctx.report,
+        # a variant that never ran the saturation loop reports exactly
+        # 0.0, not the microseconds of stage overhead
+        saturation_time=(
+            times.get(SaturationStage.name, 0.0)
+            if ctx.report.runner is not None
+            else 0.0
+        ),
+        extraction_time=times.get(ExtractionStage.name, 0.0),
+        ssa_codegen_time=sum(
+            elapsed
+            for name, elapsed in times.items()
+            if name not in (SaturationStage.name, ExtractionStage.name)
+        ),
     )
     return ctx

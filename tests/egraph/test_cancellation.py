@@ -201,7 +201,7 @@ class TestRunnerCancellation:
             cancellation=token,
         ).run()
         assert report.stop_reason is StopReason.DEADLINE
-        assert report.iterations == []
+        assert report.iterations == ()
 
     def test_pre_cancelled_token_stops_before_any_iteration(self):
         token = CancellationToken()
@@ -211,7 +211,7 @@ class TestRunnerCancellation:
             cancellation=token,
         ).run()
         assert report.stop_reason is StopReason.CANCELLED
-        assert report.iterations == []
+        assert report.iterations == ()
 
     @pytest.mark.parametrize("trip_at", [0, 1, 2])
     def test_trip_from_the_progress_hook_stops_at_that_boundary(self, trip_at):

@@ -6,6 +6,7 @@ canonical id), the equivalence of compiled/incremental search with the
 naive backtracking matcher, and the saturation profiler.
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -307,7 +308,7 @@ class TestProfiler:
         assert phases["rebuild"] == sum(it.rebuild_time for it in report.iterations)
         assert phases["extract"] == 0.0  # bare Runner: no extraction attached
 
-        report.extract_time = 0.125
+        report = dataclasses.replace(report, extract_time=0.125)
         assert report.as_dict()["phase_times"] == dict(phases, extract=0.125)
         restored = json.loads(json.dumps(report.as_dict()))
         assert restored["phase_times"]["extract"] == 0.125

@@ -1,16 +1,20 @@
-"""The hot serving path: byte snapshots, isolation, work counters, retention.
+"""The hot serving path: one immutable artifact per job, work counters, retention.
 
 A cache hit and a coalesced follower are the two cheap ways the service
-answers a request, and both hand out an unpickled object of immutable
-bytes taken exactly once — ``MemoryCache.put`` for the cache,
-``Job.resolve`` for a job with followers.  Pinned here:
+answers a request.  The artifact is an immutable value (frozen records,
+tuples, a read-only rule-stats mapping), so a job hands its one result
+object to every handle, and a cache hit unpickles the bytes
+``MemoryCache.put`` took once.  Pinned here:
 
-* **isolation** — whoever mutates whichever result, whenever, nobody else
-  (another follower, a later hit, a later submission) can see it;
+* **isolation** — every attempt to change a result raises, whoever holds
+  it (the primary, a follower, a hit, the value given to ``put``), and
+  every other consumer still sees the solo run's artifact;
+* **sharing** — every handle on a job returns the job's object, and a
+  cache hit is an equal, distinct copy;
 * **work counters** — a hot wave of N submissions over K keys pays no
-  ``copy.deepcopy``, at most K ``pickle.dumps``, exactly N ``pickle.loads``
-  and one JSON config-fingerprint walk: exact counts, gateable where wall
-  clock is not;
+  ``copy.deepcopy``, no ``pickle.dumps``, exactly K ``pickle.loads`` and
+  one JSON config-fingerprint walk, and returns K distinct objects: exact
+  counts, gateable where wall clock is not;
 * **retention** — a long-lived service keeps nothing for jobs nobody can
   observe any more.
 """
@@ -19,6 +23,7 @@ import copy
 import dataclasses
 import gc
 import json
+import operator
 import pickle
 import sys
 import threading
@@ -48,20 +53,50 @@ SOURCE = _kernel(0)
 
 
 def _pristine(result):
-    """An independent copy with the provenance flag cleared (a hit differs
-    from the run that produced it in nothing else)."""
+    """*result* with the provenance flag cleared (a hit differs from the
+    run that produced it in nothing else)."""
 
-    clone = pickle.loads(pickle.dumps(result))
-    for kernel in clone.kernels:
-        kernel.from_cache = False
-    return clone
+    return dataclasses.replace(
+        result,
+        kernels=tuple(
+            dataclasses.replace(kernel, from_cache=False)
+            for kernel in result.kernels
+        ),
+    )
+
+
+#: Every way a caller might try to change a result in place.
+VANDALISM = {
+    "code": lambda r: setattr(r, "code", "garbage"),
+    "delete code": lambda r: delattr(r, "code"),
+    "kernel name": lambda r: setattr(r.kernels[0], "name", "X"),
+    "code stats": lambda r: setattr(r.kernels[0].optimized, "loads", -1),
+    "append kernel": lambda r: r.kernels.append(r.kernels[0]),
+    "replace kernel": lambda r: operator.setitem(r.kernels, 0, r.kernels[0]),
+    "runner field": lambda r: setattr(r.kernels[0].runner, "total_time", 0.0),
+    "append iteration": lambda r: r.kernels[0].runner.iterations.append(None),
+    "iteration row": lambda r: setattr(
+        r.kernels[0].runner.iterations[0], "applied", -1
+    ),
+    "rule row": lambda r: setattr(
+        next(iter(r.kernels[0].runner.rule_stats.values())), "matches", -1
+    ),
+    "add rule": lambda r: operator.setitem(r.kernels[0].runner.rule_stats, "x", None),
+    "drop rule": lambda r: operator.delitem(
+        r.kernels[0].runner.rule_stats, next(iter(r.kernels[0].runner.rule_stats))
+    ),
+}
 
 
 def _vandalize(result) -> None:
-    result.code = "garbage"
-    result.kernels[0].name = "X"
-    result.kernels[0].optimized.loads = -1
-    result.kernels.append(result.kernels[0])
+    """Try every step of :data:`VANDALISM`; each must raise."""
+
+    for step, vandal in VANDALISM.items():
+        with pytest.raises(
+            (dataclasses.FrozenInstanceError, AttributeError, TypeError)
+        ):
+            vandal(result)
+            pytest.fail(f"{step}: the result accepted the change")
 
 
 def _coalesced_wave(service, source=SOURCE, followers=3):
@@ -75,21 +110,16 @@ def _coalesced_wave(service, source=SOURCE, followers=3):
 
 
 # ----------------------------------------------------------------------
-# (a) isolation matrix — includes the primary-mutation regression
+# (a) isolation matrix
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["pipeline-run", "cache-hit"])
 @pytest.mark.parametrize("mutated", ["primary", "follower", "hit", "put"])
 def test_no_mutation_reaches_another_consumer(mutated, warm):
-    """Mutate one consumer's result; every other consumer still gets the
-    artifact a solo ``optimize_source`` computes.
-
-    ``primary`` is the regression for the lazy-copy leak: followers used
-    to deep-copy ``job.result`` — the object the first handle owns — at
-    their own first ``result()`` call, i.e. *after* the primary's caller
-    may already have changed it.
-    """
+    """Every attempt to change one consumer's result raises, and every
+    other consumer still gets the artifact a solo ``optimize_source``
+    computes."""
 
     solo = optimize_source(SOURCE, CONFIG)
     session = OptimizationSession(CONFIG, MemoryCache())
@@ -105,7 +135,7 @@ def test_no_mutation_reaches_another_consumer(mutated, warm):
         reference = _pristine(primary.result())
         assert reference.code == solo.code
         if mutated == "primary" or (mutated == "put" and not warm):
-            # a pipeline run's primary owns the very object ``put`` was given
+            # a pipeline run's primary holds the very object ``put`` was given
             _vandalize(primary.result())
         elif mutated == "follower":
             _vandalize(follower.result())
@@ -113,7 +143,6 @@ def test_no_mutation_reaches_another_consumer(mutated, warm):
             _vandalize(session.run(SOURCE))
 
         observers = {
-            # materializes only now, after the mutation
             "another follower": late_follower.result(),
             "a later hit": session.run(SOURCE),
             "a later submission": service.submit(SOURCE).result(timeout=60),
@@ -126,36 +155,40 @@ def test_no_mutation_reaches_another_consumer(mutated, warm):
 
 
 # ----------------------------------------------------------------------
-# (b) equal, never identical, sharing preserved
+# (b) one object per job, a copy per cache hit
 # ----------------------------------------------------------------------
 
 
-def test_consumers_are_pairwise_equal_and_pairwise_distinct():
+def test_followers_share_the_primary_object_and_hits_are_distinct_copies():
     session = OptimizationSession(CONFIG, MemoryCache())
     service = OptimizationService(session=session, workers=2)
     try:
         handles = _coalesced_wave(service, followers=3)
-        results = [h.result() for h in handles]
-        results += [session.run(SOURCE), session.run(SOURCE)]
+        [job] = {handle._job for handle in handles}
+        primary = handles[0].result()
+        hits = [session.run(SOURCE), session.run(SOURCE)]
     finally:
         service.stop()
-    for i, left in enumerate(results):
-        for right in results[i + 1:]:
-            assert _pristine(left) == _pristine(right)
-            assert left is not right
-            assert left.kernels is not right.kernels
-            assert left.kernels[0] is not right.kernels[0]
-    # a handle's result is materialized once
-    assert all(h.result() is r for h, r in zip(handles, results))
+    assert primary is job.result
+    assert all(handle.result() is primary for handle in handles)
+    assert hits[0] is not hits[1]
+    for hit in hits:
+        assert _pristine(hit) == _pristine(primary)
+        assert hit is not primary
+        assert hit.kernels[0] is not primary.kernels[0]
+        assert all(kernel.from_cache for kernel in hit.kernels)
+    assert not any(kernel.from_cache for kernel in primary.kernels)
 
 
-def test_sharing_inside_one_result_survives_the_snapshot():
-    """Pickle's memo gives what deepcopy's memo gave: one object referenced
-    twice inside an artifact is still one object in every consumer's copy
-    (and a different one per consumer)."""
+def test_sharing_inside_one_result_survives_the_cache():
+    """Pickle's memo keeps one object referenced twice inside an artifact
+    one object in every cache hit (and a different one per hit); the
+    handles of a job all return the object it was resolved with."""
 
     result = optimize_source(SOURCE, CONFIG)
-    result.kernels[0].original = result.kernels[0].optimized  # shared on purpose
+    kernel = result.kernels[0]
+    shared = dataclasses.replace(kernel, original=kernel.optimized)
+    result = dataclasses.replace(result, kernels=(shared,))
 
     cache = MemoryCache()
     key = OptimizationSession(CONFIG).key_for(SOURCE)
@@ -166,32 +199,30 @@ def test_sharing_inside_one_result_survives_the_snapshot():
     handles = [job.attach() for _ in range(3)]
     assert job.start()
     job.resolve(result, from_cache=False)
-    followers = [h.result() for h in handles[1:]]
-    assert handles[0].result() is result
+    assert all(handle.result() is result for handle in handles)
 
     stats = set()
-    for copy_ in hits + followers:
-        assert copy_ == result and copy_ is not result
-        assert copy_.kernels[0].original is copy_.kernels[0].optimized
-        stats.add(id(copy_.kernels[0].optimized))
-    assert len(stats) == 4
+    for hit in hits:
+        assert hit == result and hit is not result
+        assert hit.kernels[0].original is hit.kernels[0].optimized
+        stats.add(id(hit.kernels[0].optimized))
+    assert len(stats) == 2
 
 
 # ----------------------------------------------------------------------
-# (c) concurrent materialization
+# (c) concurrent resolution
 # ----------------------------------------------------------------------
 
 
-def test_followers_materialize_concurrently_and_outside_the_job_lock(monkeypatch):
+def test_followers_resolve_concurrently_to_their_jobs_object(monkeypatch):
     """8 threads resolve the 400 followers of 4 jobs at once: every
-    ``result()`` succeeds, ``pickle.loads`` never runs under a job's
-    condition, and a handle raced by all 8 threads still yields exactly
-    one object."""
+    ``result()`` succeeds and returns its job's one object, and nothing
+    is unpickled."""
 
     sources = [_kernel(i) for i in range(4)]
     service = OptimizationService(config=CONFIG, workers=2)
     handles = [service.submit(src) for src in sources for _ in range(101)]
-    jobs = service.jobs()
+    jobs = {job.request.source: job for job in service.jobs()}
     assert len(jobs) == 4
     followers = [h for h in handles if h.coalesced]
     assert len(followers) == 400
@@ -199,14 +230,9 @@ def test_followers_materialize_concurrently_and_outside_the_job_lock(monkeypatch
         assert service.join(60)
     expected = {src: optimize_source(src, CONFIG).code for src in sources}
 
+    loads = []
     real_loads = pickle.loads
-    under_lock = []
-
-    def loads(blob):
-        under_lock.append(any(job.cond._is_owned() for job in jobs))
-        return real_loads(blob)
-
-    monkeypatch.setattr(pickle, "loads", loads)
+    monkeypatch.setattr(pickle, "loads", lambda blob: loads.append(1) or real_loads(blob))
     threads_n = 8
     seen = [[None] * len(followers) for _ in range(threads_n)]
     errors = []
@@ -233,12 +259,12 @@ def test_followers_materialize_concurrently_and_outside_the_job_lock(monkeypatch
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert len(under_lock) >= len(followers) and not any(under_lock)
+    assert not loads
     for index, handle in enumerate(followers):
-        result = handle.result()
-        assert all(seen[w][index] is result for w in range(threads_n))
-        assert result.code == expected[handle.request.source]
-    assert len({id(h.result()) for h in followers}) == len(followers)
+        source = handle.request.source
+        assert all(seen[w][index] is jobs[source].result for w in range(threads_n))
+        assert handle.result().code == expected[source]
+    assert len({id(h.result()) for h in followers}) == len(jobs)
 
 
 # ----------------------------------------------------------------------
@@ -247,9 +273,10 @@ def test_followers_materialize_concurrently_and_outside_the_job_lock(monkeypatch
 
 
 def test_hot_wave_work_counters(monkeypatch):
-    """N hot submissions on K keys with one config: no deep copy, at most
-    one ``dumps`` per key, exactly one ``loads`` per submission, and the
-    JSON fingerprint walk once for the whole life of the config instance."""
+    """N hot submissions on K keys with one config: no deep copy, no
+    ``dumps``, exactly one ``loads`` per key (its cache read), the JSON
+    fingerprint walk once for the whole life of the config instance, and
+    K distinct result objects."""
 
     keys, submissions = 5, 200
     sources = [_kernel(i) for i in range(keys)]
@@ -283,23 +310,8 @@ def test_hot_wave_work_counters(monkeypatch):
     assert (stats["cache_hits"], stats["coalesced"], stats["pipeline_runs"]) == (
         keys, submissions - keys, 0,
     )
-    assert len({id(result) for result in results}) == submissions
-    assert calls["deepcopy"] == 0
-    assert 0 < calls["dumps"] <= keys  # one snapshot per job with followers
-    assert calls["loads"] == submissions  # K cache reads + N-K followers
-    assert calls["json"] == 1
-
-
-def test_solo_jobs_pay_no_snapshot():
-    """A job nobody coalesced onto hands its artifact to its one handle."""
-
-    service = OptimizationService(config=CONFIG, workers=1)
-    handle = service.submit(SOURCE)
-    [job] = service.jobs()
-    with service:
-        result = handle.result(timeout=60)
-    assert job.snapshot is None
-    assert result is job.result
+    assert len({id(result) for result in results}) == keys
+    assert calls == {"deepcopy": 0, "dumps": 0, "loads": keys, "json": 1}
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +325,8 @@ def test_long_lived_service_retains_no_finished_work():
     worker may still be touching, and traced memory does not grow.
 
     Regression: ``_jobs`` used to be an append-only list, and the
-    ``Job.handles`` <-> ``JobHandle._job`` cycle pinned every follower's
-    materialized copy until a collector pass.
+    ``Job.handles`` <-> ``JobHandle._job`` cycle pinned every finished
+    job and its artifact until a collector pass.
     """
 
     workers, keys, batches, batch = 2, 5, 20, 250
@@ -345,7 +357,8 @@ def test_long_lived_service_retains_no_finished_work():
         stats = service.stats.snapshot()
     assert stats["submitted"] == stats["completed"] == (batches + 1) * batch
     assert stats["pipeline_runs"] == 0
-    # one retained follower copy is ~20 kB; 5 000 of them would be ~100 MB
+    # 5 000 retained jobs, each pinning its handles and its artifact,
+    # would be megabytes
     assert after - before < 256 * 1024
 
 

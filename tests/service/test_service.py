@@ -13,6 +13,7 @@ proposition:
   solo run produces (deterministic outcomes under load).
 """
 
+import dataclasses
 import pickle
 import threading
 
@@ -86,10 +87,10 @@ def test_coalescing_runs_pipeline_once_and_results_are_byte_identical():
 
     blobs = {pickle.dumps(h.result().kernels) for h in handles}
     assert len(blobs) == 1, "coalesced results must be byte-identical"
-    # ... but independent objects: mutating one caller's report must not
-    # leak into another's
-    handles[1].result().kernels[0].name = "mutated"
-    assert handles[2].result().kernels[0].name != "mutated"
+    # ... and one shared immutable object: no caller can change it
+    assert all(h.result() is handles[0].result() for h in handles)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        handles[1].result().kernels[0].name = "mutated"
 
 
 def test_no_coalescing_baseline_runs_every_submission():
@@ -129,7 +130,7 @@ def test_kernel_less_source_cache_hit_is_counted_as_a_hit():
         first.result(timeout=60)
         second = service.submit(source)
         second.result(timeout=60)
-    assert first.result().kernels == []
+    assert first.result().kernels == ()
     assert not first.from_cache
     assert second.from_cache
     stats = service.stats.snapshot()

@@ -98,7 +98,7 @@ class TestDeadlineWithoutSnapshot:
         assert result.degraded
         runner = result.kernels[0].runner
         assert runner.stop_reason is StopReason.DEADLINE
-        assert runner.iterations == []
+        assert runner.iterations == ()
         check = verify_equivalence(
             parse_statement(SOURCE), parse_statement(result.code), trials=2
         )

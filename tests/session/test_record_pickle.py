@@ -1,16 +1,20 @@
-"""The artifact record format: slotted dataclasses pickled positionally.
+"""The artifact record format: frozen slotted dataclasses pickled positionally.
 
 An artifact's pickle is what the session cache stores and what every
-cache hit and coalesced follower unpickles, so its shape is pinned here:
+cache hit unpickles, so its shape is pinned here:
 
 * every record class round-trips ``==`` through ``pickle``, ``copy`` and
-  ``copy.deepcopy``, and keeps no instance ``__dict__``;
+  ``copy.deepcopy``, keeps no instance ``__dict__`` and refuses
+  assignment;
 * a real corpus artifact pickles with no ``BUILD`` opcode and exactly one
-  ``REDUCE`` per record instance — a record that falls back to the
-  dataclass default (NEWOBJ + state dict + BUILD) fails;
+  ``REDUCE`` per record instance and per :class:`FrozenDict` — a record
+  that falls back to the dataclass default (NEWOBJ + state dict + BUILD)
+  fails;
 * each record's field names, in order, are a literal table: the
   positional tuple *is* the on-disk format, so changing it must come with
   an ``ENGINE_SCHEMA`` bump;
+* an artifact written before the records were frozen (lists and a plain
+  dict in the same positions) still loads, as an immutable value;
 * the config fingerprint moved with that bump, so older disk entries miss.
 """
 
@@ -25,8 +29,10 @@ import pytest
 from repro.benchsuite.registry import NPB_BENCHMARKS
 from repro.codegen.generator import KernelCodeStats
 from repro.egraph.runner import IterationReport, RuleStats, RunnerLimits, RunnerReport
+from repro.records import FrozenDict
 from repro.saturator import SaturatorConfig, Variant, optimize_source
 from repro.saturator.report import KernelReport, OptimizationResult
+from repro.session import MemoryCache, OptimizationSession
 from repro.session import fingerprint as fingerprint_module
 from repro.session import fingerprint_config
 
@@ -89,7 +95,8 @@ def _instances(result: OptimizationResult) -> dict:
 
 
 def _distinct(value, records: dict, enums: dict) -> None:
-    """Collect the distinct record and enum objects reachable from *value*."""
+    """Collect the distinct record, mapping and enum objects reachable
+    from *value* (a :class:`FrozenDict` counts with the records)."""
 
     if type(value) in FIELDS:
         if id(value) not in records:
@@ -101,7 +108,9 @@ def _distinct(value, records: dict, enums: dict) -> None:
     elif isinstance(value, (list, tuple)):
         for item in value:
             _distinct(item, records, enums)
-    elif isinstance(value, dict):
+    elif isinstance(value, (dict, FrozenDict)):
+        if isinstance(value, FrozenDict):
+            records[id(value)] = value
         for item in value.values():
             _distinct(item, records, enums)
 
@@ -127,6 +136,9 @@ def test_every_record_round_trips_and_is_slotted(accsat):
         ):
             assert type(clone) is cls
             assert clone == instance and clone is not instance, cls.__qualname__
+        name = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, name, getattr(instance, name))
 
 
 @pytest.mark.parametrize("variant", [Variant.ACCSAT, Variant.CSE])
@@ -137,6 +149,8 @@ def test_artifact_pickles_one_reduce_per_record_and_no_build(variant):
     assert {type(r) for r in records.values()} >= {
         OptimizationResult, KernelReport, KernelCodeStats,
     }
+    if variant is Variant.ACCSAT:
+        assert FrozenDict in {type(r) for r in records.values()}
     blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     opcodes = [op.name for op, _, _ in pickletools.genops(blob)]
     assert "BUILD" not in opcodes
@@ -144,6 +158,44 @@ def test_artifact_pickles_one_reduce_per_record_and_no_build(variant):
     # enum members reduce to their class too (once each, then the memo)
     assert opcodes.count("REDUCE") == len(records) + len(enums)
     assert pickle.loads(blob) == result
+
+
+def test_artifact_in_the_mutable_format_loads_as_an_immutable_value(tmp_path):
+    """Bytes written when the records were mutable — the same positional
+    tuples, with ``kernels`` and ``iterations`` lists and ``rule_stats`` a
+    plain dict — load from a cache directory as tuples and a
+    :class:`FrozenDict`; a session hit carries ``from_cache=True`` while
+    the stored bytes keep ``False``."""
+
+    spec = NPB_BENCHMARKS[0].kernels[0]
+    config = SaturatorConfig(variant=Variant.ACCSAT, limits=LIMITS)
+    result = optimize_source(spec.source, config, spec.name)
+    runner = result.kernels[0].runner
+    object.__setattr__(result, "kernels", list(result.kernels))
+    object.__setattr__(runner, "iterations", list(runner.iterations))
+    object.__setattr__(runner, "rule_stats", dict(runner.rule_stats))
+    key = OptimizationSession(config).key_for(spec.source, name_prefix=spec.name)
+    MemoryCache(directory=tmp_path).put(key, result)
+    [path] = tmp_path.glob("*/*.pkl")
+    blob = path.read_bytes()
+    assert b"FrozenDict" not in blob
+
+    session = OptimizationSession(config, MemoryCache(directory=tmp_path))
+    hit, cached = session.run_detailed(spec.source, name_prefix=spec.name)
+    assert cached and session.cache.stats.hits == 1
+    assert type(hit.kernels) is tuple
+    hit_runner = hit.kernels[0].runner
+    assert type(hit_runner.iterations) is tuple
+    assert type(hit_runner.rule_stats) is FrozenDict
+    assert hit_runner.rule_stats == runner.rule_stats
+    assert hit_runner.iterations == tuple(runner.iterations)
+    assert hit.code == result.code
+    with pytest.raises(TypeError):
+        hit_runner.rule_stats["x"] = next(iter(runner.rule_stats.values()))
+    assert all(kernel.from_cache for kernel in hit.kernels)
+    stored = pickle.loads(blob)
+    assert not any(kernel.from_cache for kernel in stored.kernels)
+    assert path.read_bytes() == blob
 
 
 def test_fingerprint_moved_with_the_schema(monkeypatch):

@@ -142,7 +142,7 @@ def _check_service(config, executor):
 def test_blown_budget_degrades_to_a_correct_kernel():
     result = optimize_source(SOURCE, BLOWN)
     _assert_budget_stop(result)
-    assert result.kernels[0].runner.iterations == []
+    assert result.kernels[0].runner.iterations == ()
     check = verify_equivalence(
         parse_statement(SOURCE), parse_statement(result.code), trials=2
     )
