@@ -21,7 +21,15 @@ Number = Union[int, float]
 
 
 class Analysis:
-    """Interface for e-class analyses (egg-style ``make_key`` / ``join`` / ``modify``)."""
+    """Interface for e-class analyses (egg-style ``make_key`` / ``join`` / ``modify``).
+
+    ``None`` is the lattice bottom: ``join(x, None)`` must equal ``x``,
+    :meth:`modify` must be a no-op on a bottom-valued class, and
+    :meth:`make_key` may read its child classes' data but not their ids.
+    A merge of two bottom classes therefore changes nothing an analysis
+    sees, and ``EGraph.merge_roots`` queues no repair for it (egg's
+    did-change rule).
+    """
 
     #: Set True to promise that for any key *with children*,
     #: :meth:`make_key` returns the bottom element (None) whenever some

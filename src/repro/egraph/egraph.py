@@ -607,8 +607,12 @@ class EGraph:
         self._merged_since_sweep = True
         if self.analysis is not None:
             data = self.data
-            data[ra] = self.analysis.join(data[ra], data[rb])
-            self._analysis_dirty.append(ra)
+            # egg's did-change rule: a merge of two bottom classes leaves
+            # the data bottom, so no parent row can value differently and
+            # modify is a no-op (the Analysis contract) — nothing to repair
+            if data[ra] is not None or data[rb] is not None:
+                data[ra] = self.analysis.join(data[ra], data[rb])
+                self._analysis_dirty.append(ra)
         return ra
 
     def union_terms(self, a: Term, b: Term) -> int:

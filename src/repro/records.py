@@ -14,13 +14,21 @@ tallies, and a derived value is a :func:`dataclasses.replace` copy.
 
 The cache stores an artifact as its pickle bytes and unpickles it on every
 hit.  A plain dataclass unpickles as NEWOBJ plus a per-instance state dict
-plus BUILD; a :func:`record` reduces to ``(cls, field values in declaration
-order)`` — one REDUCE that calls the dataclass ``__init__`` — and keeps its
-fields in slots, with no instance ``__dict__``.  A :class:`FrozenDict` is
-one more REDUCE, of a plain dict.  A record whose field holds a list or a
-dict (an artifact pickled before the records were frozen, or a caller
-that builds one from a list) converts it in ``__post_init__``, so such an
-artifact still loads as an immutable value.
+plus BUILD; a :func:`record` reduces to ``(cls._load, field values in
+declaration order)`` — one REDUCE — and keeps its fields in slots, with no
+instance ``__dict__``.  ``cls._load`` is the record's *loader*: a mutable
+slotted twin of the class, with the same slots in the same layout, whose
+generated ``__init__`` stores each value with a plain slot write and then
+re-classes the finished instance as ``cls``.  A load therefore skips the
+frozen ``__init__`` (one ``object.__setattr__`` per field) and
+``__post_init__``: the values were already converted when the record was
+built.  A :class:`FrozenDict` is one more REDUCE, of a plain dict.
+
+Bytes in the older ``(cls, values)`` form still load, through the class:
+its ``__init__`` runs, and ``__post_init__`` converts a field that holds
+a list or a dict (an artifact pickled before the records were frozen, or
+a caller that builds one from a list), so such an artifact still loads as
+an immutable value.
 
 Everything else about a dataclass stays: fields, defaults, ``==``,
 ``repr``, ``copy``/``deepcopy`` (both go through the same reduce), and
@@ -52,16 +60,40 @@ def record(cls: type[_T]) -> type[_T]:
 
     cls = dataclass(slots=True, frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
+    load = cls._load = _loader(cls, names)
 
     def __reduce__(self):
         # a list, not a generator: tuple() of a generator allocates a
         # guessed size and shrinks it, so every freed args tuple would
         # land on the free list of a size this path never allocates —
         # a pile that only a full collection empties
-        return type(self), tuple([getattr(self, name) for name in names])
+        return load, tuple([getattr(self, name) for name in names])
 
     cls.__reduce__ = __reduce__
     return cls
+
+
+def _loader(cls: type, names: tuple) -> type:
+    """The mutable twin of record class *cls* that pickle calls on load.
+
+    Same slot names, so the same instance layout, which is what lets its
+    ``__post_init__`` assign ``__class__``: the instance it built with
+    plain slot writes becomes a *cls* instance, frozen from then on.
+    Pickled by reference as ``cls._load``.
+    """
+
+    def __post_init__(self) -> None:
+        self.__class__ = cls
+
+    twin = type(
+        cls.__name__, (),
+        {"__annotations__": dict.fromkeys(names, object),
+         "__post_init__": __post_init__},
+    )
+    twin = dataclass(slots=True, eq=False, repr=False)(twin)
+    twin.__qualname__ = f"{cls.__qualname__}._load"
+    twin.__module__ = cls.__module__
+    return twin
 
 
 class FrozenDict(Mapping):

@@ -24,7 +24,8 @@ subsystem whose unit of work is *traffic*, not a single pipeline run:
   the retry path, and file-backed cross-process deadline/cancellation,
 * :mod:`repro.service.service` — :class:`OptimizationService`: a worker
   pool over an :class:`~repro.session.OptimizationSession` with
-  **in-flight request coalescing** keyed on the session cache key, plus
+  **in-flight request coalescing** keyed on the fields of the session
+  cache key (source text, config fingerprint, name prefix), plus
   deadlines with graceful degradation, overload policies, and retry with
   exponential backoff; ``executor="thread" | "process"`` picks the
   backend.

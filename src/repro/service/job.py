@@ -4,10 +4,10 @@ A :class:`~repro.service.service.OptimizationService` turns every
 submission into a :class:`JobHandle` — a ``Future``-like view the caller
 polls, waits on, cancels, or streams progress from.  Several handles may
 share one underlying :class:`Job`: identical concurrent submissions are
-**coalesced** onto the in-flight job (same session cache key), so N
-submitters pay for one pipeline run and every handle returns the job's
-one result object — an immutable value (:mod:`repro.records`), so no
-caller can change what another sees.
+**coalesced** onto the in-flight job (same source text, config
+fingerprint and name prefix), so N submitters pay for one pipeline run
+and every handle returns the job's one result object — an immutable
+value (:mod:`repro.records`), so no caller can change what another sees.
 
 State machine of a job::
 
@@ -73,9 +73,12 @@ class OptimizationRequest:
 
     ``priority`` orders the queue — smaller runs first, ties in submission
     order — so latency-sensitive requests overtake bulk backfill.  Two
-    requests coalesce when their (source, config, name_prefix) cache keys
-    match; priority is *not* part of the key (the first submission's
-    priority decides where the shared job sits in the queue).
+    requests coalesce when their source texts, config fingerprints (of
+    ``config``, or of the service's default config when it is ``None``)
+    and name prefixes are equal, which is exactly when their session
+    cache keys are; priority is *not* part of the key (the first
+    submission's priority decides where the shared job sits in the
+    queue).
     """
 
     source: str
@@ -114,7 +117,10 @@ class Job:
 
     All mutation happens under ``cond``; waiters (handle ``result`` /
     ``wait`` / ``stream``) block on the same condition.  The service is
-    the only writer of ``state``/``result``/``error``.
+    the only writer of ``state``/``result``/``error``.  A terminal
+    transition stores ``result`` / ``error`` before it sets ``state``, and
+    a terminal state never changes, so a reader that sees one reads the
+    outcome without the lock.
     """
 
     request: OptimizationRequest
@@ -321,8 +327,8 @@ class JobHandle:
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until this handle is terminal; False on timeout."""
 
-        if self._cancelled:
-            return True
+        if self._cancelled or self._job.state.terminal:
+            return True  # final, and published after the outcome (see Job)
         with self._job.cond:
             return self._job.cond.wait_for(
                 lambda: self._cancelled or self._job.state.terminal, timeout

@@ -7,10 +7,12 @@ in-flight request coalescing in front of an
 * **submit/poll/stream** — :meth:`OptimizationService.submit` returns a
   :class:`~repro.service.job.JobHandle` at once; callers poll it, block
   on ``result()``, or iterate ``stream()`` for per-iteration progress.
-* **coalescing** — submissions are keyed by the session cache key
-  (source SHA-256, config fingerprint, name prefix); one matching a
-  queued or running job *attaches* to it, so N identical concurrent
-  requests cost one pipeline run, and later ones are cache hits.
+* **coalescing** — submissions are keyed by the fields of the session
+  cache key: (source text, config fingerprint, name prefix); one
+  matching a queued or running job *attaches* to it, so N identical
+  concurrent requests cost one pipeline run, and later ones are cache
+  hits.  Only a submission that creates a job takes the source's
+  SHA-256 content address (the cache, fault and trace key).
 * **accounting** — :class:`~repro.service.stats.ServiceStats` counts
   submissions, hits, runs and terminal outcomes.  A submission is
   counted before its job can reach a worker, so ``stats.snapshot()`` is
@@ -70,7 +72,6 @@ from repro.service.procpool import ProcessWorkerPool, WorkerTask
 from repro.service.queue import JobQueue
 from repro.service.stats import ServiceStats
 from repro.session.cache import MISS, MemoryCache
-from repro.session.fingerprint import CacheKey
 from repro.session.session import OptimizationSession
 from repro.session.stages import SaturationCancelled
 
@@ -223,7 +224,10 @@ class OptimizationService:
         #: ``_inflight_lock``; never the reverse, and workers take only
         #: the latter.
         self._inflight_lock = threading.Lock()
-        self._inflight: Dict[CacheKey, Job] = {}
+        #: Keyed on ``(source, config fingerprint, name prefix)``, which is
+        #: equal exactly when the jobs' cache keys are, so a follower
+        #: attaches without hashing its source.
+        self._inflight: Dict[Tuple[str, str, str], Job] = {}
         #: Every job somebody can still observe, by ``seq`` (= submission
         #: order).  Held weakly: the queue, the in-flight registry and the
         #: worker running it keep a job alive until it is terminal, its
@@ -359,9 +363,12 @@ class OptimizationService:
 
         *request* is an :class:`OptimizationRequest` or a bare source
         string (then ``config``/``priority``/``name_prefix``/``deadline``
-        apply).  An identical in-flight request — same session cache key —
-        is joined rather than re-enqueued when coalescing is on (the
-        follower shares the primary's deadline).
+        apply).  An in-flight request with the same source text, config
+        fingerprint and name prefix — the fields of the session cache key
+        — is joined rather than re-enqueued when coalescing is on (the
+        follower shares the primary's deadline).  A joining submission
+        builds no request object and takes no content address: the
+        SHA-256 of the source is computed only for a job that is created.
 
         Raises :class:`~repro.service.errors.ServiceOverloadedError` when
         the queue is full and the overload policy refuses the submission;
@@ -370,14 +377,14 @@ class OptimizationService:
         """
 
         if isinstance(request, str):
-            request = OptimizationRequest(
-                request, config, priority, name_prefix, deadline
-            )
+            source = request
         elif config is not None:
             raise ValueError("config is part of the OptimizationRequest")
-        key = self.session.key_for(
-            request.source, request.config, request.name_prefix
-        )
+        else:
+            source, config = request.source, request.config
+            name_prefix = request.name_prefix
+        fingerprint = (config or self.session.config).fingerprint
+        inflight_key = (source, fingerprint, name_prefix)
         with self._lock:
             if self._queue.closed:
                 raise RuntimeError("service is stopped")
@@ -387,13 +394,12 @@ class OptimizationService:
                 # handle is counted in the job's outcome) or before the
                 # get (the registry misses and a fresh job hits the cache)
                 with self._inflight_lock:
-                    job = self._inflight.get(key)
+                    job = self._inflight.get(inflight_key)
                     handle = job.attach() if job is not None else None
                     if handle is not None:
                         # counted before the lock lets the worker drop the
                         # job, so before its terminal count
-                        self.stats.count("submitted")
-                        self.stats.count("coalesced")
+                        self.stats.follower_attached()
                 if handle is not None:
                     if self.tracer is not None:
                         self.tracer.event(
@@ -401,6 +407,11 @@ class OptimizationService:
                             followers=len(job.handles),
                         )
                     return handle
+            if isinstance(request, str):
+                request = OptimizationRequest(
+                    source, config, priority, name_prefix, deadline
+                )
+            key = self.session.key_for(source, config, name_prefix)
             seq = next(self._seq)
             if self._queue.full and self.overload_policy != "block":
                 # may shed a victim to make room, or raise — before the
@@ -419,7 +430,7 @@ class OptimizationService:
             job.cancellation = CancellationToken(timeout=request.deadline)
             job.on_cancelled = self._job_cancelled
             with self._inflight_lock:
-                self._inflight[key] = job
+                self._inflight[inflight_key] = job
             self._jobs[seq] = job
             handle = job.attach()
             assert handle is not None  # fresh job, cannot be cancelled yet
@@ -431,9 +442,7 @@ class OptimizationService:
             if not self._queue.push(job, timeout=timeout):
                 # block policy timed out waiting for space: unwind as if
                 # the submission never happened
-                with self._inflight_lock:
-                    if self._inflight.get(key) is job:
-                        del self._inflight[key]
+                self._drop_inflight(job)
                 del self._jobs[seq]
                 self.stats.count("submitted", -1)
                 self.stats.job_dequeued()
@@ -562,9 +571,11 @@ class OptimizationService:
         # registry lock only: this runs on worker threads, which must
         # never need ``_lock`` (a blocked ``block``-policy submit holds it
         # while waiting for the very slot this drop leads to freeing)
+        request = job.request  # its registry key, as ``submit`` built it
+        key = (request.source, job.key.config_fp, request.name_prefix)
         with self._inflight_lock:
-            if self._inflight.get(job.key) is job:
-                del self._inflight[job.key]
+            if self._inflight.get(key) is job:
+                del self._inflight[key]
 
     def _fail_job(self, job: Job, error: BaseException, **span_attrs) -> None:
         """Fail *job* (failure isolation: its own handles, nothing else).

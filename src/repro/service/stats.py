@@ -100,6 +100,14 @@ class ServiceStats:
         with self._lock:
             setattr(self, name, getattr(self, name) + n)
 
+    def follower_attached(self) -> None:
+        """A submission attached to an in-flight job: ``submitted`` and
+        ``coalesced`` move together, in one locked update."""
+
+        with self._lock:
+            self.submitted += 1
+            self.coalesced += 1
+
     def job_queued(self) -> None:
         with self._lock:
             self.queued += 1

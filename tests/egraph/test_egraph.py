@@ -2,6 +2,7 @@
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.language import num, op, sym
+from repro.rules import constant_folding_analysis
 
 
 class TestAdd:
@@ -114,3 +115,36 @@ class TestMergeAndRebuild:
         v1 = eg.version
         eg.merge(a, b)
         assert eg.version > v1
+
+
+class TestAnalysisRepair:
+    """Rebuild repairs analysis data only after a merge that changes it
+    (egg's did-change rule): ``None`` is the bottom, so a merge of two
+    bottom classes queues nothing."""
+
+    def test_merging_two_bottom_classes_queues_nothing(self):
+        eg = EGraph(constant_folding_analysis())
+        x, y = eg.add_term(sym("x")), eg.add_term(sym("y"))
+        parent = eg.add_term(op("*", sym("x"), sym("y")))
+        eg.rebuild()
+        assert eg._analysis_dirty == []
+        eg.merge(x, y)
+        assert eg._analysis_dirty == []
+        assert eg.data[eg.find(x)] is None
+        eg.rebuild()
+        assert eg.data[eg.find(parent)] is None
+        eg.check_invariants()
+
+    def test_a_merge_with_a_constant_queues_the_survivor_either_way(self):
+        # equal sizes keep the first argument as the survivor: the bottom
+        # class survives in one order, the constant one in the other
+        for bottom_first in (True, False):
+            eg = EGraph(constant_folding_analysis())
+            x, four = eg.add_term(sym("x")), eg.add_term(num(4))
+            total = eg.add_term(op("+", sym("x"), num(1)))
+            eg.rebuild()
+            root = eg.merge(x, four) if bottom_first else eg.merge(four, x)
+            assert eg._analysis_dirty == [root]
+            assert eg.data[root] == 4
+            eg.rebuild()
+            assert eg.lookup_term(num(5)) == eg.find(total)

@@ -12,9 +12,9 @@ object to every handle, and a cache hit unpickles the bytes
 * **sharing** — every handle on a job returns the job's object, and a
   cache hit is an equal, distinct copy;
 * **work counters** — a hot wave of N submissions over K keys pays no
-  ``copy.deepcopy``, no ``pickle.dumps``, exactly K ``pickle.loads`` and
-  one JSON config-fingerprint walk, and returns K distinct objects: exact
-  counts, gateable where wall clock is not;
+  ``copy.deepcopy``, no ``pickle.dumps``, exactly K ``pickle.loads``, one
+  JSON config-fingerprint walk and K source SHA-256s, and returns K
+  distinct objects: exact counts, gateable where wall clock is not;
 * **retention** — a long-lived service keeps nothing for jobs nobody can
   observe any more.
 """
@@ -36,6 +36,7 @@ from repro.saturator import SaturatorConfig, Variant, optimize_source
 from repro.service import OptimizationRequest, OptimizationService
 from repro.service.job import Job
 from repro.session import MemoryCache, OptimizationSession
+from repro.session import fingerprint as fingerprint_module
 
 CONFIG = SaturatorConfig(
     variant=Variant.CSE_SAT, limits=RunnerLimits(400, 3, 60.0)
@@ -214,6 +215,90 @@ def test_sharing_inside_one_result_survives_the_cache():
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("outcome", ["done", "failed"])
+def test_a_terminal_handle_resolves_without_the_jobs_condition(outcome):
+    """Once its job is terminal, a handle's ``result()`` returns the job's
+    object (or raises its error) without taking ``job.cond``: another
+    thread holding the condition does not hold it up."""
+
+    job = Job(OptimizationRequest(SOURCE), OptimizationSession(CONFIG).key_for(SOURCE))
+    handle = job.attach()
+    assert job.start()
+    value, error = object(), ValueError("pipeline failed")
+    if outcome == "done":
+        job.resolve(value, from_cache=False)
+    else:
+        job.fail(error)
+
+    holding, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with job.cond:
+            holding.set()
+            release.wait(60)
+
+    seen = []
+
+    def resolve() -> None:
+        try:
+            seen.append(handle.result(timeout=1))
+        except BaseException as raised:
+            seen.append(raised)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    reader = threading.Thread(target=resolve)
+    try:
+        assert holding.wait(60)
+        reader.start()
+        reader.join(5)
+        assert not reader.is_alive(), "result() waited for the job's condition"
+    finally:
+        release.set()
+        holder.join()
+        if reader.ident is not None:
+            reader.join()
+    expected = value if outcome == "done" else error
+    assert len(seen) == 1 and seen[0] is expected
+
+
+def test_waiters_racing_the_terminal_transition_see_the_outcome():
+    """8 threads block on the followers of 4 in-flight jobs while the jobs
+    resolve: whether a ``result()`` waited on the condition or read a
+    terminal state without it, it returns the job's object, never the
+    ``None`` a reader could see if ``state`` were published first."""
+
+    sources = [_kernel(i) for i in range(4)]
+    service = OptimizationService(config=CONFIG, workers=2)
+    handles = [service.submit(src) for src in sources for _ in range(50)]
+    seen, errors = {}, []
+
+    def resolve(worker: int) -> None:
+        try:
+            for step in range(len(handles)):
+                index = (step * 7 + worker * 25) % len(handles)
+                seen[worker, index] = handles[index].result(timeout=60)
+        except BaseException as error:  # pragma: no cover - failure path
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=resolve, args=(w,)) for w in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        with service:
+            for thread in threads:
+                thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(seen) == 8 * len(handles)
+    for (_, index), result in seen.items():
+        assert result is not None and result is handles[index]._job.result
+
+
 def test_followers_resolve_concurrently_to_their_jobs_object(monkeypatch):
     """8 threads resolve the 400 followers of 4 jobs at once: every
     ``result()`` succeeds and returns its job's one object, and nothing
@@ -275,13 +360,14 @@ def test_followers_resolve_concurrently_to_their_jobs_object(monkeypatch):
 def test_hot_wave_work_counters(monkeypatch):
     """N hot submissions on K keys with one config: no deep copy, no
     ``dumps``, exactly one ``loads`` per key (its cache read), the JSON
-    fingerprint walk once for the whole life of the config instance, and
-    K distinct result objects."""
+    fingerprint walk once for the whole life of the config instance, one
+    source SHA-256 per key (followers attach on the request itself and
+    never take a content address), and K distinct result objects."""
 
     keys, submissions = 5, 200
     sources = [_kernel(i) for i in range(keys)]
     config = dataclasses.replace(CONFIG)  # not fingerprinted yet
-    calls = {"deepcopy": 0, "dumps": 0, "loads": 0, "json": 0}
+    calls = {"deepcopy": 0, "dumps": 0, "loads": 0, "json": 0, "sha256": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -294,13 +380,17 @@ def test_hot_wave_work_counters(monkeypatch):
     monkeypatch.setattr(pickle, "dumps", counting("dumps", pickle.dumps))
     monkeypatch.setattr(pickle, "loads", counting("loads", pickle.loads))
     monkeypatch.setattr(json, "dumps", counting("json", json.dumps))
+    monkeypatch.setattr(
+        fingerprint_module, "fingerprint_text",
+        counting("sha256", fingerprint_module.fingerprint_text),
+    )
 
     session = OptimizationSession(config, MemoryCache())
     for source in sources:
         session.run(source)
     # the prefill: K misses, K stores — and the config's one JSON walk
     assert (calls["dumps"], calls["loads"], calls["json"]) == (keys, 0, 1)
-    calls["deepcopy"] = calls["dumps"] = 0
+    calls["deepcopy"] = calls["dumps"] = calls["sha256"] = 0
 
     service = OptimizationService(session=session, workers=2)
     handles = [service.submit(sources[i % keys]) for i in range(submissions)]
@@ -311,7 +401,9 @@ def test_hot_wave_work_counters(monkeypatch):
         keys, submissions - keys, 0,
     )
     assert len({id(result) for result in results}) == keys
-    assert calls == {"deepcopy": 0, "dumps": 0, "loads": keys, "json": 1}
+    assert calls == {
+        "deepcopy": 0, "dumps": 0, "loads": keys, "json": 1, "sha256": keys,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,63 @@ def test_coalescing_runs_pipeline_once_and_results_are_byte_identical():
         handles[1].result().kernels[0].name = "mutated"
 
 
+#: Second submissions next to ``submit(KERNELS[0])`` on a service whose
+#: config is CONFIG, and whether they are the same request: coalescing is
+#: keyed on (source text, config fingerprint, name prefix), the fields of
+#: the session cache key, compared by value.
+SECOND_SUBMISSIONS = {
+    "equal but distinct str": (
+        lambda service: service.submit("".join(list(KERNELS[0]))), True,
+    ),
+    "request object": (
+        lambda service: service.submit(OptimizationRequest(KERNELS[0])), True,
+    ),
+    "request object with other priority and deadline": (
+        lambda service: service.submit(
+            OptimizationRequest(KERNELS[0], priority=3, deadline=600.0)
+        ),
+        True,
+    ),
+    "value-equal config instance": (
+        lambda service: service.submit(
+            KERNELS[0], config=dataclasses.replace(CONFIG)
+        ),
+        True,
+    ),
+    "other name prefix": (
+        lambda service: service.submit(KERNELS[0], name_prefix="other"), False,
+    ),
+    "config differing in one field": (
+        lambda service: service.submit(
+            KERNELS[0],
+            config=dataclasses.replace(CONFIG, limits=RunnerLimits(400, 2, 60.0)),
+        ),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECOND_SUBMISSIONS))
+def test_coalescing_compares_the_request_by_value(case):
+    submit_second, same = SECOND_SUBMISSIONS[case]
+    service = OptimizationService(config=CONFIG, workers=2)
+    first = service.submit(KERNELS[0])
+    second = submit_second(service)
+    assert second.coalesced is same
+    assert (second._job is first._job) is same
+    with service:
+        assert service.join(60)
+    stats = service.stats.snapshot()
+    assert stats["coalesced"] == int(same)
+    assert stats["pipeline_runs"] == (1 if same else 2)
+    assert stats["submitted"] == stats["completed"] == 2
+    assert (second.result() is first.result()) is same
+    if same:
+        assert second.request is first.request  # the primary's request
+    else:
+        assert second._job.key != first._job.key
+
+
 def test_no_coalescing_baseline_runs_every_submission():
     service = OptimizationService(config=CONFIG, workers=1, coalesce=False)
     handles = [service.submit(KERNELS[0]) for _ in range(3)]

@@ -13,11 +13,16 @@ cache hit unpickles, so its shape is pinned here:
 * each record's field names, in order, are a literal table: the
   positional tuple *is* the on-disk format, so changing it must come with
   an ``ENGINE_SCHEMA`` bump;
+* a load fills each record's slots through the record's loader
+  (``cls._load``) without running the frozen ``__init__`` or
+  ``__post_init__``, while bytes in the older ``(cls, values)`` form load
+  through the class;
 * an artifact written before the records were frozen (lists and a plain
   dict in the same positions) still loads, as an immutable value;
 * the config fingerprint moved with that bump, so older disk entries miss.
 """
 
+import contextlib
 import copy
 import dataclasses
 import enum
@@ -160,12 +165,57 @@ def test_artifact_pickles_one_reduce_per_record_and_no_build(variant):
     assert pickle.loads(blob) == result
 
 
-def test_artifact_in_the_mutable_format_loads_as_an_immutable_value(tmp_path):
+def _older_reduce(record):
+    """The reducer of the mutable-record format: ``(cls, field values)``."""
+
+    return type(record), tuple(
+        getattr(record, f.name) for f in dataclasses.fields(record)
+    )
+
+
+@contextlib.contextmanager
+def _older_format(monkeypatch):
+    """Pickle records in the ``(cls, values)`` form while inside."""
+
+    with monkeypatch.context() as patch:
+        for cls in FIELDS:
+            patch.setattr(cls, "__reduce__", _older_reduce)
+        yield
+
+
+def test_loads_skip_the_frozen_init_and_older_bytes_run_it(accsat, monkeypatch):
+    blob = pickle.dumps(accsat, protocol=pickle.HIGHEST_PROTOCOL)
+    with _older_format(monkeypatch):
+        older = pickle.dumps(accsat, protocol=pickle.HIGHEST_PROTOCOL)
+    assert b"_load" in blob and b"_load" not in older
+
+    inits = []
+    for cls in FIELDS:
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            inits.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    loaded = pickle.loads(blob)
+    assert inits == []
+    assert loaded == accsat
+    for cls, instance in _instances(loaded).items():
+        assert type(instance) is cls and not hasattr(instance, "__dict__")
+        name = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, name, getattr(instance, name))
+    assert pickle.loads(older) == accsat
+    assert set(inits) == set(FIELDS)
+
+
+def test_artifact_in_the_mutable_format_loads_as_an_immutable_value(
+    tmp_path, monkeypatch
+):
     """Bytes written when the records were mutable — the same positional
-    tuples, with ``kernels`` and ``iterations`` lists and ``rule_stats`` a
-    plain dict — load from a cache directory as tuples and a
-    :class:`FrozenDict`; a session hit carries ``from_cache=True`` while
-    the stored bytes keep ``False``."""
+    tuples in the ``(cls, values)`` form, with ``kernels`` and
+    ``iterations`` lists and ``rule_stats`` a plain dict — load from a
+    cache directory as tuples and a :class:`FrozenDict`; a session hit
+    carries ``from_cache=True`` while the stored bytes keep ``False``."""
 
     spec = NPB_BENCHMARKS[0].kernels[0]
     config = SaturatorConfig(variant=Variant.ACCSAT, limits=LIMITS)
@@ -175,10 +225,11 @@ def test_artifact_in_the_mutable_format_loads_as_an_immutable_value(tmp_path):
     object.__setattr__(runner, "iterations", list(runner.iterations))
     object.__setattr__(runner, "rule_stats", dict(runner.rule_stats))
     key = OptimizationSession(config).key_for(spec.source, name_prefix=spec.name)
-    MemoryCache(directory=tmp_path).put(key, result)
+    with _older_format(monkeypatch):
+        MemoryCache(directory=tmp_path).put(key, result)
     [path] = tmp_path.glob("*/*.pkl")
     blob = path.read_bytes()
-    assert b"FrozenDict" not in blob
+    assert b"FrozenDict" not in blob and b"_load" not in blob
 
     session = OptimizationSession(config, MemoryCache(directory=tmp_path))
     hit, cached = session.run_detailed(spec.source, name_prefix=spec.name)
