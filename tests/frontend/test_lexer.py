@@ -1,7 +1,10 @@
 """Unit tests for the lexer."""
 
+import hashlib
+
 import pytest
 
+from repro.benchsuite.registry import NPB_BENCHMARKS, SPEC_ACC_BENCHMARKS
 from repro.frontend.lexer import LexerError, Token, TokenKind, tokenize
 
 
@@ -196,3 +199,31 @@ class TestErrorPositions:
             tokenize(source)
         assert str(caught.value) == f"line {line}:{column}: {message}"
         assert (caught.value.line, caught.value.column) == (line, column)
+
+
+#: Sources the lexer refuses: every error input of the tests above.
+ERROR_INPUTS = (
+    "a @ b", "x\n  $", "\f", '"never closed', 'a\n "abc\nd"', "'x", '"abc\\',
+    '"a\\\nb', "a /* oops", "a\n/* x\n y", "/*/ x",
+)
+
+#: SHA-256 of every corpus token ``(kind, text, line, column)`` and every
+#: :data:`ERROR_INPUTS` error ``(message, line, column)``, one per line.
+TOKEN_GOLDEN = "396f87a22e7f3fba9574fa5a44507aa4bb7d8e203c938e97bb070c5a9123bcfa"
+
+
+def token_digest():
+    sources = dict.fromkeys(
+        spec.source for bench in NPB_BENCHMARKS + SPEC_ACC_BENCHMARKS for spec in bench.kernels
+    )
+    assert len(sources) == 34
+    lines = [repr(row) for source in sources for row in stream(source)]
+    for source in ERROR_INPUTS:
+        with pytest.raises(LexerError) as caught:
+            tokenize(source)
+        lines.append(repr((caught.value.message, caught.value.line, caught.value.column)))
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_corpus_tokens_and_errors_match_golden():
+    assert token_digest() == TOKEN_GOLDEN
