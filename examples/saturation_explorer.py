@@ -12,7 +12,7 @@ Usage::
 """
 
 from repro.cost import DEFAULT_COST_MODEL
-from repro.egraph import EGraph, Runner, RunnerLimits, extract_best
+from repro.egraph import EGraph, Runner, RunnerLimits, extract_best, extract_terms
 from repro.egraph.language import op, sym
 from repro.rules import constant_folding_analysis, default_ruleset, ruleset_by_name
 
@@ -37,8 +37,9 @@ def main() -> None:
 
     for method in ("dag-greedy", "ilp"):
         result = extract_best(egraph, [a, b, c], DEFAULT_COST_MODEL, method)
+        terms = extract_terms(egraph, result.choices, [a])
         print(f"extraction [{method:10s}]  DAG cost {result.dag_cost:7.1f}  "
-              f"A := {result.terms[a]}")
+              f"A := {terms[a]}")
     print()
 
     # rule-set ablation: how much does each family of rules grow the e-graph?

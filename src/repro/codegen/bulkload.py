@@ -47,6 +47,7 @@ def schedule_group(
     """
 
     egraph = renderer.egraph
+    find = egraph.uf.find
     op_names = egraph.op_names
     # choices and inline_only are fixed before scheduling, so each class's
     # temp dependencies are computed once per group
@@ -63,7 +64,7 @@ def schedule_group(
         seen: Set[int] = set()
 
         def visit(cid: int, is_root: bool) -> None:
-            cid = egraph.find(cid)
+            cid = find(cid)
             if cid in seen:
                 return
             seen.add(cid)
@@ -88,16 +89,16 @@ def schedule_group(
         Returns -1 when the load only reads state live at group entry.
         """
 
-        key = renderer.choices.get(egraph.find(eclass_id))
+        key = renderer.choices.get(find(eclass_id))
         if key is None or op_names[key[0]] != "load":
             return -1
-        version = egraph.find(key[2])
+        version = find(key[2])
         return store_stmt_of.get(version, -1)
 
     def emit_temp(eclass_id: int, after_position: int) -> None:
         """Declare the temp of *eclass_id* (and its temp dependencies first)."""
 
-        eclass_id = egraph.find(eclass_id)
+        eclass_id = find(eclass_id)
         if eclass_id in renderer.names or not renderer.is_temp_class(eclass_id):
             return
         if load_stmt_dep(eclass_id) > after_position:
@@ -120,9 +121,9 @@ def schedule_group(
         all_loads: Set[int] = set()
         for root in root_classes:
             for cid in _reachable_temp_classes(renderer, root):
-                key = renderer.choices.get(egraph.find(cid))
+                key = renderer.choices.get(find(cid))
                 if key is not None and op_names[key[0]] == "load":
-                    all_loads.add(egraph.find(cid))
+                    all_loads.add(find(cid))
         for load in all_loads:
             load_pool.setdefault(load_stmt_dep(load), []).append(load)
         for loads in load_pool.values():
@@ -149,7 +150,7 @@ def schedule_group(
             flush_loads(-1)
 
         for position, root in enumerate(root_classes):
-            root = egraph.find(root)
+            root = find(root)
             # temporaries feeding this statement
             for dep in temp_children(root):
                 emit_temp(dep, position - 1)
@@ -165,12 +166,13 @@ def _reachable_temp_classes(renderer: ClassRenderer, root: int) -> Set[int]:
     """All temp classes reachable from *root* through the selected DAG."""
 
     egraph = renderer.egraph
+    find = egraph.uf.find
     op_names = egraph.op_names
     seen: Set[int] = set()
     result: Set[int] = set()
 
     def visit(cid: int) -> None:
-        cid = egraph.find(cid)
+        cid = find(cid)
         if cid in seen:
             return
         seen.add(cid)

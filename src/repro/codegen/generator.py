@@ -145,10 +145,10 @@ class CodeGenerator:
         for position, info in enumerate(group.assignments):
             root = egraph.find(self.root_of[info.ssa_id])
             root_classes.append(root)
-            renderer.mark_index_classes(root)
             store_class = self.store_class_of.get(info.ssa_id)
             if store_class is not None:
                 store_stmt_of[egraph.find(store_class)] = position
+        renderer.mark_index_classes(root_classes)
 
         new_stmts: List[C.Stmt] = []
 
@@ -210,40 +210,44 @@ def count_ast_stats(node: C.Node) -> KernelCodeStats:
     counts: Counter = Counter()
 
     def visit(node_: C.Node, in_store_target: bool = False) -> None:
-        if isinstance(node_, C.ArraySub):
+        kind = type(node_)
+        if kind is C.Ident or kind is C.Number:
+            return
+        if kind is C.ArraySub:
             # only the outermost subscript of a chain is one memory access
             counts["stores" if in_store_target else "loads"] += 1
             base = node_
-            while isinstance(base, C.ArraySub):
+            while type(base) is C.ArraySub:
                 visit(base.index, False)
                 base = base.base
             return
-        if isinstance(node_, C.Assign):
-            target_is_memory = isinstance(node_.target, (C.ArraySub, C.Member)) or (
-                isinstance(node_.target, C.UnaryOp) and node_.target.op == "*"
+        if kind is C.Assign:
+            target = node_.target
+            target_is_memory = type(target) in (C.ArraySub, C.Member) or (
+                type(target) is C.UnaryOp and target.op == "*"
             )
             if node_.op != "=":
                 # compound assignment re-reads the target
-                visit(node_.target, False)
+                visit(target, False)
                 field = _OP_FIELD.get(node_.op[:-1])
                 if field is not None:
                     counts[field] += 1
-            visit(node_.target, target_is_memory)
+            visit(target, target_is_memory)
             visit(node_.value, False)
             return
-        if isinstance(node_, C.BinOp):
+        if kind is C.BinOp:
             field = _OP_FIELD.get(node_.op)
             if field is not None:
                 counts[field] += 1
             visit(node_.lhs, False)
             visit(node_.rhs, False)
             return
-        if isinstance(node_, C.UnaryOp):
+        if kind is C.UnaryOp:
             if node_.op == "-":
                 counts["flops"] += 1
             visit(node_.operand, False)
             return
-        if isinstance(node_, C.Call):
+        if kind is C.Call:
             counts["calls"] += 1
             for arg in node_.args:
                 visit(arg, False)

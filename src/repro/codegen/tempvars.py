@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Set, Tuple
+from typing import Callable, Dict, Sequence, Set, Tuple
 
 from repro.egraph.egraph import EGraph, NodeKey
 from repro.frontend import cast as C
@@ -27,6 +27,9 @@ from repro.frontend.parser import make_number, parse_expression
 
 __all__ = ["ClassRenderer", "RenderError", "TEMP_OPS"]
 
+
+#: Binary operators of the C grammar: built as a ``BinOp`` of two classes.
+_BINARY_OPS = frozenset(C.BINARY_OPS)
 
 #: Operators whose e-classes are materialised into temporaries.
 TEMP_OPS = frozenset(
@@ -135,7 +138,7 @@ class ClassRenderer:
     def is_temp_class(self, eclass_id: int) -> bool:
         """True if this class is materialised as a temporary variable."""
 
-        eclass_id = self.egraph.find(eclass_id)
+        eclass_id = self.egraph.uf.find(eclass_id)
         if eclass_id in self.inline_only:
             return False
         key = self.choices.get(eclass_id)
@@ -152,7 +155,7 @@ class ClassRenderer:
         everything else renders structurally (inline).
         """
 
-        eclass_id = self.egraph.find(eclass_id)
+        eclass_id = self.egraph.uf.find(eclass_id)
         name = self.names.get(eclass_id)
         return self.render_definition(eclass_id) if name is None else name
 
@@ -160,7 +163,7 @@ class ClassRenderer:
         """Render the defining expression of an e-class (one node deep,
         children rendered through :meth:`render`)."""
 
-        eclass_id = self.egraph.find(eclass_id)
+        eclass_id = self.egraph.uf.find(eclass_id)
         key = self.choices.get(eclass_id)
         if key is None:
             raise KeyError(f"e-class {eclass_id} has no selected node")
@@ -219,14 +222,19 @@ class ClassRenderer:
         """The AST of :meth:`render`: a fresh tree on every call, so no node
         object is ever spliced into the kernel twice."""
 
-        eclass_id = self.egraph.find(eclass_id)
+        eclass_id = self.egraph.uf.find(eclass_id)
         name = self.names.get(eclass_id)
-        return self.build_definition(eclass_id) if name is None else C.Ident(name)
+        if name is not None:
+            return C.Ident(name)
+        key = self.choices.get(eclass_id)
+        if key is None:
+            raise KeyError(f"e-class {eclass_id} has no selected node")
+        return self._build_node(key)
 
     def build_definition(self, eclass_id: int) -> C.Expr:
         """The AST of :meth:`render_definition` (equal to parsing it)."""
 
-        eclass_id = self.egraph.find(eclass_id)
+        eclass_id = self.egraph.uf.find(eclass_id)
         key = self.choices.get(eclass_id)
         if key is None:
             raise KeyError(f"e-class {eclass_id} has no selected node")
@@ -234,48 +242,19 @@ class ClassRenderer:
 
     def _build_node(self, key: NodeKey) -> C.Expr:
         op = self.egraph.op_names[key[0]]
-        payload = self.egraph.payloads[key[1]]
-        build = self.build
-        children = key[2:]
-        if op == "num":
-            return _number_node(payload)
-        if op in ("sym", "phi", "phi-loop"):
-            return _name_node(str(payload))
-        if op == "load":
-            template = str(payload)
-            parsed = self.templates.get(template)
-            if parsed is None:
-                parsed = self.templates[template] = _parse_template(template)
-            tree, slots = parsed
-            return self._instantiate(tree, slots, children[1:])
-        if op == "store":
-            return build(children[-1])
-        if op == "neg":
-            return C.UnaryOp("-", build(children[0]))
-        if op == "fma":
-            a, b, c = children
-            return C.BinOp("+", build(a), C.BinOp("*", build(b), build(c)))
-        if op == "call":
-            return C.Call(_name_node(str(payload)), [build(c) for c in children])
-        if op == "cast":
-            return C.Cast(str(payload), build(children[0]))
-        if op == "ternary":
-            cond, then, other = children
-            return C.Ternary(build(cond), build(then), build(other))
-        if op == "member":
-            return C.Member(build(children[0]), str(payload))
-        if op == "addr":
-            return C.UnaryOp("&", build(children[0]))
-        if op in ("min", "max"):
-            a, b = children
-            test = C.BinOp("<" if op == "min" else ">", build(a), build(b))
-            return C.Ternary(test, build(a), build(b))
-        if op in ("!", "~"):
-            return C.UnaryOp(op, build(children[0]))
-        if len(children) == 2 and op in C.BINARY_OPS:
-            lhs, rhs = children
-            return C.BinOp(op, build(lhs), build(rhs))
-        raise RenderError(f"cannot render {op!r} node over classes {children}")
+        builder = _BUILDERS.get(op)
+        if builder is not None:
+            return builder(self, self.egraph.payloads[key[1]], key[2:])
+        if len(key) == 4 and op in _BINARY_OPS:
+            return C.BinOp(op, self.build(key[2]), self.build(key[3]))
+        raise RenderError(f"cannot render {op!r} node over classes {key[2:]}")
+
+    def _build_load(self, template: str, children: Sequence[int]) -> C.Expr:
+        parsed = self.templates.get(template)
+        if parsed is None:
+            parsed = self.templates[template] = _parse_template(template)
+        tree, slots = parsed
+        return self._instantiate(tree, slots, children[1:])
 
     def _instantiate(
         self, node: C.Expr, slots: Dict[str, int], index: Sequence[int]
@@ -284,33 +263,32 @@ class ClassRenderer:
 
         if type(node) is C.Ident and node.name in slots:
             return self.build(index[slots[node.name]])
-        fields = {}
-        for name, value in vars(node).items():
-            if isinstance(value, C.Node):
-                value = self._instantiate(value, slots, index)
-            elif isinstance(value, list):
-                value = [
-                    self._instantiate(v, slots, index) if isinstance(v, C.Node) else v
-                    for v in value
-                ]
-            fields[name] = value
-        return type(node)(**fields)
+        dup = object.__new__(type(node))
+        fields = dup.__dict__
+        fields.update(node.__dict__)
+        for name in node._child_fields:
+            value = fields[name]
+            if type(value) is list:
+                fields[name] = [self._instantiate(v, slots, index) for v in value]
+            elif value is not None:
+                fields[name] = self._instantiate(value, slots, index)
+        return dup
 
     # ------------------------------------------------------------------
 
-    def mark_index_classes(self, root: int) -> None:
+    def mark_index_classes(self, roots: Sequence[int]) -> None:
         """Mark classes used in array-index position as inline-only.
 
         Index expressions must stay integer-typed, so they never go through
-        the ``double`` temporaries; this walks the selected DAG under *root*
-        and collects every class reachable through an index operand of a
-        ``load`` or ``store``.
+        the ``double`` temporaries; this walks the selected DAG under
+        *roots*, each class once, and collects every class reachable
+        through an index operand of a ``load`` or ``store``.
         """
 
         seen: Set[int] = set()
 
         def mark_subtree(cid: int) -> None:
-            cid = self.egraph.find(cid)
+            cid = self.egraph.uf.find(cid)
             if cid in self.inline_only:
                 return
             self.inline_only.add(cid)
@@ -324,7 +302,7 @@ class ClassRenderer:
                 mark_subtree(child)
 
         def visit(cid: int) -> None:
-            cid = self.egraph.find(cid)
+            cid = self.egraph.uf.find(cid)
             if cid in seen:
                 return
             seen.add(cid)
@@ -348,8 +326,41 @@ class ClassRenderer:
                 visit(child)
 
         try:
-            visit(root)
+            for root in roots:
+                visit(root)
         finally:
             # both walks call themselves through their closure cells: a
             # cycle through the renderer (and its e-graph) until released
             del visit, mark_subtree
+
+
+def _min_max(test: str, renderer: ClassRenderer, a: int, b: int) -> C.Expr:
+    build = renderer.build
+    return C.Ternary(C.BinOp(test, build(a), build(b)), build(a), build(b))
+
+
+#: Op name -> ``(renderer, payload, child classes) -> AST`` of its node; a
+#: binary operator of the C grammar has none (:meth:`ClassRenderer._build_node`).
+_BUILDERS: Dict[str, Callable[[ClassRenderer, object, Tuple[int, ...]], C.Expr]] = {
+    "num": lambda r, payload, kids: _number_node(payload),
+    "sym": lambda r, payload, kids: _name_node(str(payload)),
+    "phi": lambda r, payload, kids: _name_node(str(payload)),
+    "phi-loop": lambda r, payload, kids: _name_node(str(payload)),
+    "load": lambda r, payload, kids: r._build_load(str(payload), kids),
+    "store": lambda r, payload, kids: r.build(kids[-1]),
+    "neg": lambda r, payload, kids: C.UnaryOp("-", r.build(kids[0])),
+    "fma": lambda r, payload, kids: C.BinOp(
+        "+", r.build(kids[0]), C.BinOp("*", r.build(kids[1]), r.build(kids[2]))
+    ),
+    "call": lambda r, payload, kids: C.Call(
+        _name_node(str(payload)), [r.build(c) for c in kids]
+    ),
+    "cast": lambda r, payload, kids: C.Cast(str(payload), r.build(kids[0])),
+    "ternary": lambda r, payload, kids: C.Ternary(*map(r.build, kids)),
+    "member": lambda r, payload, kids: C.Member(r.build(kids[0]), str(payload)),
+    "addr": lambda r, payload, kids: C.UnaryOp("&", r.build(kids[0])),
+    "min": lambda r, payload, kids: _min_max("<", r, *kids),
+    "max": lambda r, payload, kids: _min_max(">", r, *kids),
+    "!": lambda r, payload, kids: C.UnaryOp("!", r.build(kids[0])),
+    "~": lambda r, payload, kids: C.UnaryOp("~", r.build(kids[0])),
+}

@@ -34,6 +34,7 @@ from repro.egraph.extract import (
     ExtractionResult,
     ILPExtractor,
     extract_best,
+    extract_terms,
     resolve_result,
 )
 from repro.egraph.language import Term
@@ -92,6 +93,7 @@ __all__ = [
     "compile_pattern",
     "IterationCallback",
     "extract_best",
+    "extract_terms",
     "parse_pattern",
     "resolve_result",
     "rewrite",

@@ -15,7 +15,10 @@ using linear programming (CBC).  This module provides the two methods of
   variables.
 
 Both return an :class:`ExtractionResult`, which carries the selected node
-key per e-class, per-root terms, and the DAG cost of the selection.
+key per e-class and the DAG cost of the selection; both refuse a cyclic
+selection (:func:`_reachable_from`).  Terms are built only on request:
+:func:`extract_terms` spells the selection under each root as a
+:class:`~repro.egraph.language.Term`, which code generation never needs.
 
 The tree DP runs as numpy column kernels over the e-graph's
 :class:`~repro.egraph.columns.ColumnStore` rows (see :class:`_DPState`):
@@ -57,6 +60,7 @@ __all__ = [
     "DagExtractor",
     "ILPExtractor",
     "extract_best",
+    "extract_terms",
     "resolve_result",
 ]
 
@@ -84,8 +88,6 @@ class ExtractionResult:
 
     #: Chosen node key for every e-class reachable from the roots.
     choices: Dict[int, NodeKey]
-    #: Extracted term per requested root e-class (same order as the request).
-    terms: Dict[int, Term]
     #: DAG cost of the selection (shared e-classes counted once).
     dag_cost: float
     #: Wall-clock time spent extracting.
@@ -234,16 +236,28 @@ def _dense_ranks(texts: Sequence[str]):
 
 
 def _reachable_from(egraph: EGraph, roots: Sequence[int], key_of) -> Set[int]:
-    """Classes reachable from the roots through the selected node keys."""
+    """Classes reachable from the roots through the selected node keys.
+
+    Raises :class:`ExtractionError` when the selection is cyclic: a class
+    reached again while its own descendants are being visited.
+    """
 
     seen: Set[int] = set()
+    on_path: Set[int] = set()
     find = egraph.uf.find
     stack = [find(r) for r in roots]
     while stack:
         cid = stack.pop()
+        if cid < 0:  # ~cid: every descendant of cid is visited
+            on_path.discard(~cid)
+            continue
         if cid in seen:
+            if cid in on_path:
+                raise ExtractionError(f"cyclic selection through e-class {cid}")
             continue
         seen.add(cid)
+        on_path.add(cid)
+        stack.append(~cid)
         key = key_of(cid)
         for i in range(2, len(key)):
             stack.append(find(key[i]))
@@ -296,7 +310,6 @@ class DagExtractor:
     def extract(self, roots: Sequence[int]) -> ExtractionResult:
         start = time.perf_counter()
         egraph = self.egraph
-        original_roots = list(roots)
         roots = [egraph.find(r) for r in roots]
 
         self._state = state = _DPState.build(egraph, self.cost_function)
@@ -315,15 +328,9 @@ class DagExtractor:
             reachable = _reachable_from(egraph, roots, choices.__getitem__)
             choices = {cid: choices[cid] for cid in reachable}
 
-        terms: Dict[int, Term] = {}
-        memo: Dict[int, Term] = {}
-        for original, root in zip(original_roots, roots):
-            term = _term_from_choices(egraph, choices, root, memo)
-            terms[root] = term
-            terms[original] = term
         cost = _dag_cost(state.key_cost, choices)
         return ExtractionResult(
-            choices, terms, cost, time.perf_counter() - start, "dag-greedy"
+            choices, cost, time.perf_counter() - start, "dag-greedy"
         )
 
     # -- DAG-aware local search ----------------------------------------------
@@ -646,34 +653,40 @@ class DagExtractor:
         return switched
 
 
-def _term_from_choices(
-    egraph: EGraph,
-    choices: Dict[int, NodeKey],
-    root: int,
-    _memo: Optional[Dict[int, Term]] = None,
-) -> Term:
-    """Build the term for *root* following the per-class selection."""
+def extract_terms(
+    egraph: EGraph, choices: Dict[int, NodeKey], roots: Sequence[int]
+) -> Dict[int, Term]:
+    """The term the selection *choices* spells under each of *roots*.
 
-    memo: Dict[int, Term] = {} if _memo is None else _memo
+    Keyed by each root as given and by its canonical class; a class shared
+    by several roots or subterms is one :class:`Term` object.
+    """
+
+    memo: Dict[int, Term] = {}
+    on_path: Set[int] = set()
     op_names, payloads = egraph.op_names, egraph.payloads
 
-    def build(cid: int, trail: Tuple[int, ...]) -> Term:
+    def build(cid: int) -> Term:
         cid = egraph.find(cid)
-        if cid in memo:
-            return memo[cid]
-        if cid in trail:
+        term = memo.get(cid)
+        if term is not None:
+            return term
+        if cid in on_path:
             raise ExtractionError(f"cyclic selection through e-class {cid}")
         key = choices[cid]
-        trail += (cid,)
-        children = tuple(build(key[i], trail) for i in range(2, len(key)))
-        term = Term(op_names[key[0]], children, payloads[key[1]])
-        memo[cid] = term
+        on_path.add(cid)
+        children = tuple(build(key[i]) for i in range(2, len(key)))
+        on_path.discard(cid)
+        term = memo[cid] = Term(op_names[key[0]], children, payloads[key[1]])
         return term
 
+    terms: Dict[int, Term] = {}
     try:
-        return build(root, ())
+        for root in roots:
+            terms[root] = terms[egraph.find(root)] = build(root)
     finally:
         del build  # the recursive closure is a cycle through the graph
+    return terms
 
 
 def resolve_result(
@@ -691,8 +704,8 @@ def resolve_result(
     those classes.  This re-keys every choice through ``find``, resolves
     collisions of collapsed classes deterministically (cheaper node first,
     then ``(op name, str(payload), children)``), re-derives reachability
-    from *roots*, rebuilds the per-root terms, and re-prices the selection
-    as a DAG under *cost_function*.
+    from *roots*, and re-prices the selection as a DAG under
+    *cost_function*.
 
     Returns ``None`` when the snapshot is no longer a valid selection —
     a collapse routed a choice's children outside the selection, or made
@@ -718,19 +731,13 @@ def resolve_result(
         if other is None or rank(key) < rank(other):
             merged[canon] = key
 
-    terms: Dict[int, Term] = {}
-    memo: Dict[int, Term] = {}
     try:
-        for root in roots:
-            term = _term_from_choices(egraph, merged, root, memo)
-            terms[root] = term
-            terms[find(root)] = term
         reachable = _reachable_from(egraph, roots, merged.__getitem__)
     except (ExtractionError, KeyError):
         return None
     choices = {cid: merged[cid] for cid in reachable}
     return ExtractionResult(
-        choices, terms, _dag_cost(key_cost, choices), result.elapsed, result.method
+        choices, _dag_cost(key_cost, choices), result.elapsed, result.method
     )
 
 
@@ -774,7 +781,6 @@ class ILPExtractor:
 
         start = time.perf_counter()
         egraph = self.egraph
-        original_roots = list(roots)
         roots = [egraph.find(r) for r in roots]
 
         # Restrict the program to classes reachable from the roots through
@@ -893,15 +899,9 @@ class ILPExtractor:
 
         reachable = _reachable_from(egraph, roots, choices.__getitem__)
         choices = {cid: choices[cid] for cid in reachable}
-        terms: Dict[int, Term] = {}
-        memo: Dict[int, Term] = {}
-        for original, root in zip(original_roots, roots):
-            term = _term_from_choices(egraph, choices, root, memo)
-            terms[root] = term
-            terms[original] = term
         cost = _dag_cost(key_cost, choices)
         return ExtractionResult(
-            choices, terms, cost, time.perf_counter() - start, "ilp"
+            choices, cost, time.perf_counter() - start, "ilp"
         )
 
     def _reachable_closure(self, roots: Sequence[int]) -> Set[int]:

@@ -39,7 +39,7 @@ from repro.frontend.cast import (
     clone,
     walk,
 )
-from repro.frontend.lexer import Lexer, LexerError, Token, TokenKind, tokenize
+from repro.frontend.lexer import LexerError, Token, TokenKind, tokenize
 from repro.frontend.parser import ParseError, Parser, parse, parse_expression, parse_statement
 from repro.frontend.pragma import (
     Directive,
@@ -69,7 +69,6 @@ __all__ = [
     "FuncDef",
     "Ident",
     "If",
-    "Lexer",
     "LexerError",
     "Member",
     "Node",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "Node",
@@ -80,22 +80,27 @@ class Node:
 
     #: Source line of the first token of this node (0 when synthesised).
     line: int = 0
+    #: The fields that hold a child node, ``None`` or a list of nodes: those
+    #: whose annotation names a node class (set per class).
+    _child_fields: Tuple[str, ...] = ()
 
-    def children(self) -> Iterator["Node"]:
-        """Yield the direct child nodes, in source order."""
-        cls = self.__class__
-        names = cls.__dict__.get("_child_field_names")
-        if names is None:
-            names = tuple(getattr(cls, "__dataclass_fields__", {}))
-            cls._child_field_names = names
-        for name in names:
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._child_fields = tuple(
+            name for name, annotation in cls.__dict__.get("__annotations__", {}).items()
+            if any(word in annotation for word in ("Expr", "Stmt", "Node", "Block"))
+        )
+
+    def children(self) -> List["Node"]:
+        """The direct child nodes, in source order."""
+        out: List[Node] = []
+        for name in self._child_fields:
             value = getattr(self, name)
-            if isinstance(value, Node):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
+            if type(value) is list:
+                out.extend(value)
+            elif value is not None:
+                out.append(value)
+        return out
 
 
 class Expr(Node):
@@ -380,9 +385,14 @@ def clone(node: Node) -> Node:
 def walk(node: Node) -> Iterator[Node]:
     """Yield *node* and every descendant in pre-order."""
 
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = node.children()
+        if children:
+            children.reverse()
+            stack += children
 
 
 def collect(node: Node, kind: type) -> list[Node]:

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, NamedTuple, Tuple
 
-__all__ = ["TokenKind", "Token", "Lexer", "LexerError", "tokenize"]
+__all__ = ["TokenKind", "Token", "LexerError", "tokenize"]
 
 
 class LexerError(ValueError):
@@ -53,17 +52,13 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position."""
 
     kind: TokenKind
     text: str
     line: int
     column: int
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.column})"
 
 
 #: Punctuators, longest first so the alternation below is maximal munch.
@@ -102,14 +97,14 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-#: Groups of :data:`_TOKEN_RE` whose match is the whole token.
-_KIND_OF_GROUP = {
-    "number": TokenKind.NUMBER,
-    "ident": TokenKind.IDENT,
-    "punct": TokenKind.PUNCT,
-    "string": TokenKind.STRING,
-    "char": TokenKind.CHAR,
-}
+#: Token kind by ``m.lastindex`` of :data:`_TOKEN_RE` (a group is named
+#: after its kind): ``None`` at the end and for ``open`` / ``stray``,
+#: whose match is not a whole token.
+_KIND_OF_GROUP = {None: None, **{
+    index: next((k for k in TokenKind if k.value == name), None)
+    for name, index in _TOKEN_RE.groupindex.items()
+}}
+_STRAY = _TOKEN_RE.groupindex["stray"]
 
 #: How far an unclosed literal reaches: up to a newline, the end of the
 #: source, or a final backslash with nothing left to escape.
@@ -143,58 +138,50 @@ def _scan_pragma(source: str, start: int) -> Tuple[str, int]:
         pieces.append(segment[:-1])
 
 
-class Lexer:
-    """Convert C source text into a stream of :class:`Token`."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source, terminated by an EOF token."""
-
-        source = self.source
-        match = _TOKEN_RE.match
-        kind_of = _KIND_OF_GROUP
-        pos = 0  # where the next match starts
-        counted = 0  # newlines before this offset are in line / line_start
-        line = 1
-        line_start = 0
-
-        while True:
-            m = match(source, pos)
-            group = m.lastgroup
-            pos = m.end()
-            text = m.group(group) if group is not None else ""
-            start = pos - len(text)
-            # the span since the previous token's start: that token itself
-            # (a continued directive spans lines) and the skipped text
-            newlines = source.count("\n", counted, start)
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", counted, start) + 1
-            counted = start
-            column = start - line_start + 1
-
-            kind = kind_of.get(group)
-            if kind is None:
-                if group is None:
-                    yield Token(TokenKind.EOF, "", line, column)
-                    return
-                if group == "stray":
-                    raise LexerError(f"unexpected character {text!r}", line, column)
-                if text == "/*":
-                    raise _error_at(source, len(source), "unterminated block comment")
-                if text != "#":
-                    stop = _UNCLOSED_LITERAL_RE.match(source, start).end()
-                    if not source.startswith("\n", stop):
-                        stop = len(source)
-                    raise _error_at(source, stop, "unterminated string literal")
-                kind = TokenKind.PRAGMA
-                text, pos = _scan_pragma(source, start)
-            yield Token(kind, text, line, column)
-
-
 def tokenize(source: str) -> List[Token]:
     """Tokenize *source* and return the full token list (including EOF)."""
 
-    return list(Lexer(source).tokens())
+    tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the generated __new__ frame
+    find = source.find
+    kind_of = _KIND_OF_GROUP
+    # the offset of the first newline not yet counted; ``% none`` maps
+    # find's -1 to len(source), where no token starts past it
+    none = len(source) + 1
+    newline = find("\n") % none
+    line = 1
+    line_start = 0
+    pos = 0
+    while True:
+        # one scan from *pos*, restarted after each directive
+        for m in _TOKEN_RE.finditer(source, pos):
+            index = m.lastindex
+            text = m[index] if index is not None else ""
+            start = m.end() - len(text)
+            # count the newlines before this token: in the skipped text or
+            # in the previous token (a continued directive spans lines)
+            while newline < start:
+                line += 1
+                line_start = newline + 1
+                newline = find("\n", line_start) % none
+            kind = kind_of[index]
+            if kind is not None:
+                append(new(Token, (kind, text, line, start - line_start + 1)))
+                continue
+            column = start - line_start + 1
+            if index is None:
+                append(new(Token, (TokenKind.EOF, "", line, column)))
+                return tokens
+            if index == _STRAY:
+                raise LexerError(f"unexpected character {text!r}", line, column)
+            if text == "/*":
+                raise _error_at(source, len(source), "unterminated block comment")
+            if text != "#":
+                stop = _UNCLOSED_LITERAL_RE.match(source, start).end()
+                if not source.startswith("\n", stop):
+                    stop = len(source)
+                raise _error_at(source, stop, "unterminated string literal")
+            text, pos = _scan_pragma(source, start)
+            append(new(Token, (TokenKind.PRAGMA, text, line, column)))
+            break

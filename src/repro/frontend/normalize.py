@@ -31,7 +31,7 @@ def normalize_blocks(node: C.Node) -> C.Node:
     nesting depth).
     """
 
-    for child in list(node.children()):
+    for child in node.children():
         if not isinstance(child, C.Expr):
             normalize_blocks(child)
 

@@ -56,6 +56,11 @@ TYPE_QUALIFIERS = {"const", "static", "restrict", "__restrict", "__restrict__",
 STATEMENT_KEYWORDS = {"if", "else", "for", "while", "do", "return", "break",
                       "continue", "switch", "case", "default", "goto", "struct"}
 
+#: Operators of an assignment and of a prefix unary expression; a token
+#: spelling one is a PUNCT token.
+_ASSIGN_OPS = frozenset(C.ASSIGN_OPS)
+_PREFIX_OPS = frozenset(C.UNARY_OPS)
+
 
 class Parser:
     """Parse a token stream into the AST of :mod:`repro.frontend.cast`."""
@@ -88,10 +93,9 @@ class Parser:
         return token
 
     def _check(self, text: str) -> bool:
-        token = self.tokens[self.index]
-        return token.text == text and (
-            token.kind is TokenKind.PUNCT or token.kind is TokenKind.IDENT
-        )
+        # *text* is a punctuator or a word: only a PUNCT or IDENT token
+        # can spell one
+        return self.tokens[self.index].text == text
 
     def _match(self, text: str) -> bool:
         if self._check(text):
@@ -420,11 +424,11 @@ class Parser:
 
     def parse_assignment(self) -> C.Expr:
         expr = self._parse_ternary()
-        token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text in C.ASSIGN_OPS:
-            op = self._advance().text
+        token = self.tokens[self.index]
+        if token.text in _ASSIGN_OPS:
+            self.index += 1
             value = self.parse_assignment()
-            return C.Assign(op, expr, value, token.line)
+            return C.Assign(token.text, expr, value, token.line)
         return expr
 
     def _parse_ternary(self) -> C.Expr:
@@ -463,19 +467,18 @@ class Parser:
 
         expr = self._parse_cast()
         level_of = self._LEVEL_OF
+        tokens = self.tokens
         while True:
-            token = self.tokens[self.index]
-            if token.kind is not TokenKind.PUNCT:
-                return expr
-            level = level_of.get(token.text)
+            # an operator's spelling is only ever a PUNCT token's text
+            _, op, line, _ = tokens[self.index]
+            level = level_of.get(op)
             if level is None or level < min_level:
                 return expr
             self.index += 1
-            rhs = self._parse_binary(level + 1)
-            expr = C.BinOp(token.text, expr, rhs, token.line)
+            expr = C.BinOp(op, expr, self._parse_binary(level + 1), line)
 
     def _parse_cast(self) -> C.Expr:
-        if self._check("(") and self._is_type_start(1):
+        if self.tokens[self.index].text == "(" and self._is_type_start(1):
             # lookahead to confirm the closing paren follows a type
             save = self.index
             line = self._advance().line  # "("
@@ -489,29 +492,24 @@ class Parser:
         return self._parse_unary()
 
     def _parse_unary(self) -> C.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text in ("-", "+", "!", "~", "*", "&"):
-            self._advance()
-            operand = self._parse_cast()
-            return C.UnaryOp(token.text, operand, False, token.line)
-        if token.kind is TokenKind.PUNCT and token.text in ("++", "--"):
-            self._advance()
-            operand = self._parse_unary()
-            return C.UnaryOp(token.text, operand, False, token.line)
+        token = self.tokens[self.index]
+        op = token.text
+        if op in _PREFIX_OPS:
+            self.index += 1
+            operand = self._parse_unary() if op in ("++", "--") else self._parse_cast()
+            return C.UnaryOp(op, operand, False, token.line)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> C.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            token = self.tokens[self.index]
-            if token.kind is not TokenKind.PUNCT:
-                return expr
-            text = token.text
+            _, text, line, _ = tokens[self.index]
             if text == "[":
                 self.index += 1
                 index = self.parse_expression()
                 self._expect("]")
-                expr = C.ArraySub(expr, index, token.line)
+                expr = C.ArraySub(expr, index, line)
             elif text == "(":
                 self.index += 1
                 args: List[C.Expr] = []
@@ -521,30 +519,30 @@ class Parser:
                         if not self._match(","):
                             break
                 self._expect(")")
-                expr = C.Call(expr, args, token.line)
+                expr = C.Call(expr, args, line)
             elif text == "." or text == "->":
                 self.index += 1
                 name = self._expect_ident()
-                expr = C.Member(expr, name, text == "->", token.line)
+                expr = C.Member(expr, name, text == "->", line)
             elif text == "++" or text == "--":
                 self.index += 1
-                expr = C.UnaryOp(text, expr, True, token.line)
+                expr = C.UnaryOp(text, expr, True, line)
             else:
                 return expr
 
     def _parse_primary(self) -> C.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
-            return make_number(token.text, token.line)
-        if token.kind is TokenKind.STRING or token.kind is TokenKind.CHAR:
-            self._advance()
-            return C.StringLit(token.text, token.line)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            return C.Ident(token.text, token.line)
-        if self._check("("):
-            self._advance()
+        kind, text, line, _ = self.tokens[self.index]
+        if kind is TokenKind.IDENT:
+            self.index += 1
+            return C.Ident(text, line)
+        if kind is TokenKind.NUMBER:
+            self.index += 1
+            return make_number(text, line)
+        if kind is TokenKind.STRING or kind is TokenKind.CHAR:
+            self.index += 1
+            return C.StringLit(text, line)
+        if text == "(":
+            self.index += 1
             expr = self.parse_expression()
             self._expect(")")
             return expr
@@ -554,6 +552,8 @@ class Parser:
 def make_number(text: str, line: int = 0) -> C.Number:
     """Build a Number node from a numeric literal, preserving its spelling."""
 
+    if text.isdigit():
+        return C.Number(text, int(text), False, line)
     stripped = text.rstrip("fFlLuU")
     is_float = (
         "." in stripped

@@ -51,12 +51,22 @@ class CPrinter:
     def expr(self, node: C.Expr, parent_prec: int = 0) -> str:
         """Render an expression, inserting parentheses only when needed."""
 
+        # the common leaves: primaries, never parenthesised
+        if type(node) is C.Ident:
+            return node.name
+        if type(node) is C.Number:
+            return node.text
         text, prec = self._expr_prec(node)
         if prec < parent_prec:
             return f"({text})"
         return text
 
     def _expr_prec(self, node: C.Expr) -> tuple[str, int]:
+        if isinstance(node, C.BinOp):
+            prec = _PREC.get(node.op, 12)
+            lhs = self.expr(node.lhs, prec)
+            rhs = self.expr(node.rhs, prec + 1)
+            return f"{lhs} {node.op} {rhs}", prec
         if isinstance(node, C.Number):
             return node.text, _PREC["primary"]
         if isinstance(node, C.StringLit):
@@ -84,11 +94,6 @@ class CPrinter:
         if isinstance(node, C.Cast):
             operand = self.expr(node.operand, _PREC["cast"])
             return f"({node.type_name}){operand}", _PREC["cast"]
-        if isinstance(node, C.BinOp):
-            prec = _PREC.get(node.op, 12)
-            lhs = self.expr(node.lhs, prec)
-            rhs = self.expr(node.rhs, prec + 1)
-            return f"{lhs} {node.op} {rhs}", prec
         if isinstance(node, C.Ternary):
             prec = _PREC["?:"]
             cond = self.expr(node.cond, prec + 1)

@@ -322,7 +322,7 @@ class ExtractionStage(Stage):
                 if best is not None and best.dag_cost < final.dag_cost - 1e-12:
                     ctx.extraction = best
         else:
-            ctx.extraction = ExtractionResult({}, {}, 0.0, 0.0, config.extraction)
+            ctx.extraction = ExtractionResult({}, 0.0, 0.0, config.extraction)
         runner = ctx.report.runner
         if runner is not None:
             # complete the runner's search/apply/rebuild phase profile with

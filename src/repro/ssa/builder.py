@@ -42,12 +42,16 @@ class _Env:
         self.arrays: Dict[str, Term] = {}
 
     def scalar(self, name: str) -> Term:
-        return self.scalars.get(name, Term.sym(name))
+        term = self.scalars.get(name)
+        return Term.sym(name) if term is None else term
 
     def array(self, name: str) -> Term:
         # auto-register so that barriers (unknown calls) can later invalidate
         # every array the kernel has touched
-        return self.arrays.setdefault(name, Term.sym(name))
+        term = self.arrays.get(name)
+        if term is None:
+            term = self.arrays[name] = Term.sym(name)
+        return term
 
     def copy(self) -> "_Env":
         dup = _Env()
@@ -377,16 +381,22 @@ class SSABuilder:
     def expr_term(self, expr: C.Expr) -> Term:
         """Convert a pure expression into its SSA term under the current env."""
 
-        if isinstance(expr, C.Number):
-            return Term.num(expr.value)
-        if isinstance(expr, C.StringLit):
-            return Term.sym(expr.value)
-        if isinstance(expr, C.Ident):
+        kind = type(expr)
+        if kind is C.BinOp:
+            if expr.op == ",":
+                # comma: value of the right side (left side must be pure here)
+                return self.expr_term(expr.rhs)
+            return Term(expr.op, (self.expr_term(expr.lhs), self.expr_term(expr.rhs)))
+        if kind is C.Ident:
             return self.env.scalar(expr.name)
-        if isinstance(expr, C.Member) and isinstance(expr.base, C.Ident):
+        if kind is C.Number:
+            return Term.num(expr.value)
+        if kind is C.StringLit:
+            return Term.sym(expr.value)
+        if kind is C.Member and type(expr.base) is C.Ident:
             return self.env.scalar(_scalar_name(expr))
-        if isinstance(expr, (C.ArraySub, C.Member)) or (
-            isinstance(expr, C.UnaryOp) and expr.op == "*" and not expr.postfix
+        if kind is C.ArraySub or kind is C.Member or (
+            kind is C.UnaryOp and expr.op == "*" and not expr.postfix
         ):
             template, base_name, index_terms = self._access_path(expr)
             version = self.env.array(base_name)
@@ -404,11 +414,6 @@ class SSABuilder:
             if expr.op == "&":
                 return Term("addr", (operand,))
             raise _UnsupportedExpression(f"unary {expr.op}")
-        if isinstance(expr, C.BinOp):
-            if expr.op == ",":
-                # comma: value of the right side (left side must be pure here)
-                return self.expr_term(expr.rhs)
-            return Term(expr.op, (self.expr_term(expr.lhs), self.expr_term(expr.rhs)))
         if isinstance(expr, C.Ternary):
             return Term(
                 "ternary",
@@ -495,11 +500,25 @@ def _base_name(expr: C.Expr) -> str:
 def _is_pure(expr: C.Expr) -> bool:
     """True if evaluating *expr* has no side effects we track."""
 
-    for node in C.walk(expr):
-        if isinstance(node, C.Assign):
+    stack = [expr]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind is C.BinOp:
+            push(node.lhs)
+            push(node.rhs)
+        elif kind is C.ArraySub:
+            push(node.base)
+            push(node.index)
+        elif kind is C.UnaryOp:
+            if node.op == "++" or node.op == "--":
+                return False
+            push(node.operand)
+        elif kind is C.Assign:
             return False
-        if isinstance(node, C.UnaryOp) and node.op in ("++", "--"):
-            return False
+        elif kind is not C.Ident and kind is not C.Number:
+            stack += node.children()
     return True
 
 

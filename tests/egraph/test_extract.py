@@ -10,6 +10,7 @@ from repro.egraph.extract import (
     ILPExtractor,
     _DPState,
     extract_best,
+    extract_terms,
 )
 from repro.egraph.language import num, op, sym
 from repro.egraph.runner import Runner, RunnerLimits
@@ -63,21 +64,21 @@ class TestDagExtractor:
         r2 = eg.add_term(op("-", shared, sym("d")))
         result = DagExtractor(eg, DEFAULT_COST_MODEL).extract([r1, r2])
         # tree cost would count the multiply twice; DAG cost only once
-        tree_cost = sum(
-            DEFAULT_COST_MODEL.term_cost(t) for t in (result.terms[r1], result.terms[r2])
-        )
+        terms = extract_terms(eg, result.choices, [r1, r2])
+        tree_cost = sum(DEFAULT_COST_MODEL.term_cost(t) for t in (terms[r1], terms[r2]))
         assert result.dag_cost < tree_cost
 
     def test_terms_keyed_by_requested_roots(self):
         eg, root = saturated_graph(op("+", sym("a"), op("*", sym("b"), sym("c"))))
         result = DagExtractor(eg, DEFAULT_COST_MODEL).extract([root])
-        assert root in result.terms
+        assert root in extract_terms(eg, result.choices, [root])
 
     def test_extraction_is_deterministic(self):
         eg, root = saturated_graph(op("+", op("*", sym("a"), sym("b")), op("*", sym("c"), sym("d"))))
         r1 = DagExtractor(eg, DEFAULT_COST_MODEL).extract([root])
         r2 = DagExtractor(eg, DEFAULT_COST_MODEL).extract([root])
-        assert r1.terms[root] == r2.terms[root]
+        assert r1.choices == r2.choices
+        assert extract_terms(eg, r1.choices, [root]) == extract_terms(eg, r2.choices, [root])
         assert r1.dag_cost == r2.dag_cost
 
 
@@ -93,7 +94,7 @@ class TestILPExtractor:
     def test_ilp_selects_fma(self):
         eg, root = saturated_graph(op("+", sym("a"), op("*", sym("b"), sym("c"))))
         result = ILPExtractor(eg, DEFAULT_COST_MODEL).extract([root])
-        assert result.terms[root].op == "fma"
+        assert extract_terms(eg, result.choices, [root])[root].op == "fma"
 
     def test_multiple_roots_share_classes(self):
         shared = op("*", sym("x"), sym("y"))
@@ -125,7 +126,7 @@ class TestILPExtractor:
         eg.rebuild()
         assert eg.op_names.index("zz") < eg.op_names.index("aa")
         result = ILPExtractor(eg, _Flat()).extract([root])
-        assert str(result.terms[root]) == expected
+        assert str(extract_terms(eg, result.choices, [root])[root]) == expected
         assert result.dag_cost == 1.0 + len(zz.children)
 
 
@@ -142,7 +143,7 @@ class TestFacade:
         for method in ("dag-greedy", "ilp"):
             result = extract_best(eg, [root], DEFAULT_COST_MODEL, method)
             assert result.method == method
-            assert root in result.terms
+            assert root in extract_terms(eg, result.choices, [root])
 
     def test_unknown_method_rejected(self):
         eg = EGraph()
@@ -168,3 +169,39 @@ class TestFacade:
             for key in result.choices.values()
         )
         assert result.dag_cost == pytest.approx(repriced)
+
+
+class TestExtractTerms:
+    """Terms on request: :func:`extract_terms` over a selection."""
+
+    def test_shared_class_is_one_term_object(self):
+        shared = op("*", sym("a"), sym("b"))
+        eg = EGraph()
+        r1 = eg.add_term(op("+", shared, sym("c")))
+        r2 = eg.add_term(op("-", shared, sym("d")))
+        result = extract_best(eg, [r1, r2], DEFAULT_COST_MODEL)
+        terms = extract_terms(eg, result.choices, [r1, r2])
+        assert str(terms[r1]) == "(+ (* a b) c)" and str(terms[r2]) == "(- (* a b) d)"
+        assert terms[r1].children[0] is terms[r2].children[0]
+
+    def test_keyed_by_given_and_canonical_root(self):
+        eg = EGraph()
+        f = eg.add_term(op("f", sym("x")))
+        g = eg.add_term(op("g", sym("x")))
+        eg.merge(f, g)
+        eg.rebuild()
+        stale = f if eg.find(f) != f else g
+        result = extract_best(eg, [stale], DEFAULT_COST_MODEL)
+        terms = extract_terms(eg, result.choices, [stale])
+        assert stale != eg.find(stale)
+        assert set(terms) == {stale, eg.find(stale)}
+        assert terms[stale].children == (sym("x"),)
+
+    def test_deep_chain(self):
+        term = sym("x")
+        for i in range(300):
+            term = op("+", term, sym(f"y{i}"))
+        eg = EGraph()
+        root = eg.add_term(term)
+        result = extract_best(eg, [root], DEFAULT_COST_MODEL)
+        assert extract_terms(eg, result.choices, [root])[root] == term

@@ -14,7 +14,9 @@ Two planted mutants (the sort without the distinct-children key; payloads
 ranked by id instead of by ``str``) must fail the property, and a
 work-counter gate asserts that extraction and code generation on the
 BT-jacobian e-graph construct no ``ENode`` at all and price each distinct
-``(op, payload)`` pair at most once.
+``(op, payload)`` pair at most once; a second one that they construct no
+``Term`` over the corpus x 4 variants.  Planted cyclic selections must
+still be refused by ``DagExtractor.extract`` and ``resolve_result``.
 """
 
 from collections import Counter
@@ -29,6 +31,7 @@ from repro.cost import CostModel
 from repro.egraph import extract
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import DagExtractor, ExtractionError, _DPState
+from repro.egraph.language import Term
 from repro.egraph.runner import RunnerLimits
 from repro.saturator import SaturatorConfig, Variant, optimize_source
 
@@ -342,3 +345,100 @@ def test_extraction_builds_no_enode_and_prices_each_pair_once(monkeypatch):
     assert len(priced) == len({key[:2] for key in egraph.hashcons})
     # the gate means something: the graph is far larger than its pairs
     assert len(priced) < len(egraph) // 4
+
+
+def test_extraction_and_codegen_build_no_term(monkeypatch):
+    """Extraction hands node keys to code generation and builds no ``Term``
+    (terms exist only on request, :func:`extract.extract_terms`): over the
+    corpus x 4 variants, ``ExtractionStage`` and ``CodegenStage`` construct
+    none, while the SSA builder before them constructs thousands."""
+
+    from repro.benchsuite.registry import NPB_BENCHMARKS, SPEC_ACC_BENCHMARKS
+    from repro.session import stages
+
+    built = Counter()
+    counting = []
+    real_init = Term.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[counting[-1] if counting else None] += 1
+        real_init(self, *args, **kwargs)
+
+    def counted(stage_cls):
+        real_run = stage_cls.run
+
+        def run(self, ctx):
+            counting.append(self.name)
+            try:
+                real_run(self, ctx)
+            finally:
+                counting.pop()
+
+        monkeypatch.setattr(stage_cls, "run", run)
+
+    monkeypatch.setattr(Term, "__init__", counting_init)
+    counted(stages.ExtractionStage)
+    counted(stages.CodegenStage)
+    sources = dict.fromkeys(
+        spec.source for bench in NPB_BENCHMARKS + SPEC_ACC_BENCHMARKS for spec in bench.kernels
+    )
+    for variant in Variant:
+        config = SaturatorConfig(variant=variant, limits=RunnerLimits(10_000, 10, 300.0))
+        for source in sources:
+            assert optimize_source(source, config).kernels
+    assert built["extract"] == 0 and built["codegen"] == 0
+    # the gate means something: the count sees the SSA builder's terms
+    assert built[None] > 10_000
+
+
+class _Unit:
+    def op_cost(self, op, payload):
+        return 1.0
+
+
+def _two_cycle():
+    """An e-graph whose classes A = {f(X)} and X = {x, g(A)} admit the
+    cyclic selection ``A -> f(X), X -> g(A)``; returns (graph, A, X, that
+    selection)."""
+
+    eg = EGraph()
+    x = eg.add_leaf("sym", "x")
+    a = eg.add(ENode("f", (x,)))
+    ga = eg.add(ENode("g", (a,)))
+    eg.merge(x, ga)
+    eg.rebuild()
+    a, x = eg.find(a), eg.find(x)
+    (key_f,) = eg.keys_of(a)
+    key_g = next(k for k in eg.keys_of(x) if eg.op_names[k[0]] == "g")
+    return eg, a, x, {a: key_f, x: key_g}
+
+
+def test_planted_cyclic_tree_selection_is_refused(monkeypatch):
+    """A DP table that selects a cycle (the column kernel never does; this
+    one is planted) makes ``DagExtractor.extract`` raise, not return it."""
+
+    eg, a, x, cycle = _two_cycle()
+    real_build = _DPState.build
+
+    def planted(egraph, cost_function):
+        state = real_build(egraph, cost_function)
+        state.best[x] = (state.best[x][0], cycle[x])
+        return state
+
+    monkeypatch.setattr(_DPState, "build", staticmethod(planted))
+    with pytest.raises(ExtractionError, match="cyclic"):
+        DagExtractor(eg, _Unit()).extract([a])
+
+
+def test_planted_cyclic_snapshot_is_not_resolved():
+    eg, a, x, cycle = _two_cycle()
+    snapshot = extract.ExtractionResult(cycle, 2.0, 0.0, "dag-greedy")
+    assert extract.resolve_result(eg, snapshot, [a], _Unit()) is None
+    with pytest.raises(ExtractionError, match="cyclic"):
+        extract.extract_terms(eg, cycle, [a])
+    # the acyclic selection of the same graph resolves
+    acyclic = dict(cycle)
+    acyclic[x] = eg._intern_node(ENode("sym", (), "x"))
+    snapshot = extract.ExtractionResult(acyclic, 2.0, 0.0, "dag-greedy")
+    assert extract.resolve_result(eg, snapshot, [a], _Unit()) is not None
+    assert str(extract.extract_terms(eg, acyclic, [a])[a]) == "(f x)"

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cost import DEFAULT_COST_MODEL
 from repro.egraph.egraph import EGraph
-from repro.egraph.extract import extract_best
+from repro.egraph.extract import extract_best, extract_terms
 from repro.egraph.language import Term, num, op, sym
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.rules import constant_folding_analysis, default_ruleset
@@ -80,7 +80,7 @@ def test_extraction_preserves_value(term, values):
     root = eg.add_term(term)
     Runner(eg, default_ruleset(), RunnerLimits(800, 4, 2.0)).run()
     result = extract_best(eg, [root], DEFAULT_COST_MODEL, "dag-greedy")
-    actual = evaluate(result.terms[root], env)
+    actual = evaluate(extract_terms(eg, result.choices, [root])[root], env)
 
     assert math.isclose(expected, actual, rel_tol=1e-9, abs_tol=1e-9)
 

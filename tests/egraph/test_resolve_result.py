@@ -7,7 +7,7 @@ current partition, and refuse (return None) when merges made the
 selection cyclic or incomplete.
 """
 
-from repro.egraph import EGraph, extract_best, resolve_result
+from repro.egraph import EGraph, extract_best, extract_terms, resolve_result
 from repro.egraph.language import op, sym
 
 
@@ -30,7 +30,9 @@ def test_unchanged_egraph_round_trips():
     resolved = resolve_result(eg, result, [root], cost)
     assert resolved is not None
     assert resolved.dag_cost == result.dag_cost
-    assert resolved.terms[root] == result.terms[root]
+    assert extract_terms(eg, resolved.choices, [root]) == extract_terms(
+        eg, result.choices, [root]
+    )
     assert set(resolved.choices) == set(result.choices)
 
 
@@ -53,7 +55,7 @@ def test_merge_of_two_selected_classes_collapses_to_the_cheaper_choice():
     assert resolved.dag_cost == 3.0
     assert set(resolved.choices) == {eg.find(root), eg.find(x)}
     # the rebuilt term spells both children through the kept choice
-    term = resolved.terms[root]
+    term = extract_terms(eg, resolved.choices, [root])[root]
     assert term.op == "+"
     assert term.children[0] == term.children[1]
 
@@ -87,7 +89,7 @@ def test_root_merged_into_child_resolves_when_acyclic_choice_wins():
     eg.rebuild()
     resolved = resolve_result(eg, snapshot, [root], cost)
     assert resolved is not None
-    assert resolved.terms[root].op == "g"
+    assert extract_terms(eg, resolved.choices, [root])[root].op == "g"
     assert resolved.dag_cost == 2.0  # g (1) + x (1)
 
 
@@ -97,6 +99,7 @@ def test_snapshot_stays_valid_as_the_graph_grows_around_it():
     eg.rebuild()
     cost = _OpCost({"*": 3.0, "+": 2.0})
     snapshot = extract_best(eg, [root], cost)
+    before = extract_terms(eg, snapshot.choices, [root])[root]
 
     # unrelated growth and a merge that only re-canonicalizes ids
     extra = eg.add_term(op("+", sym("b"), sym("a")))
@@ -106,7 +109,7 @@ def test_snapshot_stays_valid_as_the_graph_grows_around_it():
     resolved = resolve_result(eg, snapshot, [root], cost)
     assert resolved is not None
     assert resolved.dag_cost == snapshot.dag_cost
-    assert resolved.terms[root] == snapshot.terms[root]
+    assert extract_terms(eg, resolved.choices, [root])[root] == before
 
 
 def test_collapsed_equal_cost_tie_follows_op_names_not_op_ids():
@@ -128,5 +131,5 @@ def test_collapsed_equal_cost_tie_follows_op_names_not_op_ids():
     eg.rebuild()
     resolved = resolve_result(eg, snapshot, [root], cost)
     assert resolved is not None
-    assert str(resolved.terms[root]) == "(f (aa x) (aa x))"
+    assert str(extract_terms(eg, resolved.choices, [root])[root]) == "(f (aa x) (aa x))"
     assert resolved.dag_cost == 3.0  # f + aa + x

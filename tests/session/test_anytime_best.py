@@ -98,7 +98,7 @@ class TestExtractionStageSelection:
         run_stages(ctx, (FrontendStage(), EGraphBuildStage(), SaturationStage()))
         assert ctx.anytime.best_result is not None
 
-        sentinel = ExtractionResult({}, {}, -1.0, 0.0, "dag-greedy")
+        sentinel = ExtractionResult({}, -1.0, 0.0, "dag-greedy")
 
         def fake_resolve(egraph, result, roots, cost_model):
             assert result is ctx.anytime.best_result
